@@ -72,7 +72,6 @@ from .rewards import (
     score_rewards,
     strong_weak_reward,
     structure_reward,
-    total_reward,
 )
 from .scorer import (
     END,

@@ -13,12 +13,14 @@ grammar over the scorer's vocabulary:
 * the end-of-melody symbol is legal once every syllable has started — an
   optional trailing rest may precede it.
 
-Scores stay re-derivable: the base log-probability and the weighted reward
-are accumulated separately, event by event, in exactly the order
-:func:`lyricmelody.rewards.reward_events` replays them, so an independent
-rescoring of the returned token sequence reproduces the reported score to
-the last bit.  Ties break by vocabulary order, then by shorter sequence
-(lexicographic comparison of token index sequences).
+Which rewards a candidate triggers comes from the reward-event model in
+:mod:`lyricmelody.rewards`; this module adds only the grammar and the
+search.  Scores stay re-derivable: the base log-probability and the
+weighted reward are accumulated separately, event by event, and
+:func:`lyricmelody.rewards.reward_events` folds the same model over a
+finished melody, so rescoring the returned token sequence reproduces the
+reported score to the last bit.  Ties break by vocabulary order, then by
+shorter sequence (lexicographic comparison of token index sequences).
 
 Hypothesis expansion is pure over immutable models; one decode owns its
 hypotheses, and independent decodes may run concurrently.
@@ -29,35 +31,24 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalError, OptionError
-from .lyrics import (
-    Language,
-    LyricSequence,
-    StructureMatrix,
-    TONAL_TONES,
-    WordPosition,
-    build_structure_matrix,
-)
-from .melody import BeatStrength, Melody, MelodyToken, TokenKind, strong_offsets
+from .lyrics import LyricSequence, StructureMatrix
+from .melody import Melody, MelodyToken, TokenKind
 from .rewards import (
     ALL_ASPECTS,
     Aspect,
     RewardConfig,
     RewardEvent,
-    _event,
-    boundary_kind,
-    pause_reward,
-    pitch_contour_reward,
-    pitch_shape_reward,
-    pitch_transition_reward,
+    _EventModel,
+    _State,
+    _token_view,
     score_rewards,
-    strong_weak_reward,
-    structure_reward,
+    weighted_total,
 )
 from .scorer import (
     END,
@@ -172,27 +163,12 @@ class RhythmSkeleton:
 
 
 # ---------------------------------------------------------------------------
-# decode state machine
+# decode grammar
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _State:
-    onset: Fraction = Fraction(0)
-    syl: int = -1
-    span_open: bool = False
-    span_pitches: tuple = ()
-    span_len: int = 0
-    last_pitch: Optional[int] = None
-    last_duration: Optional[Fraction] = None
-    syl_first: tuple = ()
-    syl_delta: tuple = ()
-    sent_first: Optional[int] = None
-    sent_last: Optional[int] = None
-
-
-class _Context:
-    """Static per-decode data: lyric signals, structure partners, meter."""
+class _Context(_EventModel):
+    """The reward-event model of one decode plus its grammar."""
 
     def __init__(
         self,
@@ -202,169 +178,8 @@ class _Context:
         active: frozenset[Aspect],
         structure: Optional[StructureMatrix] = None,
     ):
-        self.lyrics = lyrics
-        self.config = config
+        super().__init__(lyrics, config, active, options.time_signature, structure)
         self.options = options
-        self.active = active
-        self.n = len(lyrics)
-        self.structure = structure if structure is not None else build_structure_matrix(lyrics)
-        self.partner = dict(self.structure.partner)
-        num, den = options.time_signature
-        self.bar = Fraction(num) * Fraction(4, den)
-        self.strong = strong_offsets(options.time_signature)
-        tonal = lyrics.language is Language.TONAL
-        syls = lyrics.syllables
-        self.tone = [s.tone for s in syls]
-        self.sentence_final = [s.sentence_final for s in syls]
-        self.intonation = [lyrics.sentence_of(k).intonation for k in range(self.n)]
-        self.word_start = [s.word_position is WordPosition.WORD_START for s in syls]
-        self.stress = [s.stress_class for s in syls]
-        self.new_sentence = [
-            k == 0 or syls[k].sentence_index != syls[k - 1].sentence_index for k in range(self.n)
-        ]
-        self.boundary = [None] + [boundary_kind(lyrics, k) for k in range(1, self.n)]
-        self.tone_pair_ok = [
-            tonal
-            and k >= 1
-            and not self.new_sentence[k]
-            and syls[k].tone in TONAL_TONES
-            and syls[k - 1].tone in TONAL_TONES
-            for k in range(self.n)
-        ]
-
-    def strength_at(self, onset: Fraction) -> BeatStrength:
-        return BeatStrength.STRONG if onset % self.bar in self.strong else BeatStrength.WEAK
-
-    # -- events ------------------------------------------------------------
-
-    def _close_events(self, st: _State) -> list[RewardEvent]:
-        if st.syl < 0 or not st.span_open or Aspect.TONE not in self.active:
-            return []
-        events = []
-        if st.span_len >= 2:
-            ev = _event(
-                "shape",
-                Aspect.TONE,
-                pitch_shape_reward(self.tone[st.syl], st.span_pitches, self.config),
-                self.config,
-            )
-            if ev is not None:
-                events.append(ev)
-        if self.sentence_final[st.syl]:
-            events.append(
-                _event(
-                    "contour",
-                    Aspect.TONE,
-                    pitch_contour_reward(
-                        self.intonation[st.syl], st.sent_first, st.sent_last, self.config
-                    ),
-                    self.config,
-                )
-            )
-        return events
-
-    def step_events(self, st: _State, token, domain: str) -> list[RewardEvent]:
-        """Reward events the candidate token triggers, in canonical order."""
-        config, active = self.config, self.active
-        if token == END:
-            return self._close_events(st)
-        is_note, pitch, _duration, starts = _token_view(token, domain)
-        if not is_note:
-            events = self._close_events(st)
-            gap_right = st.syl + 1
-            if Aspect.RHYTHM in active and gap_right < self.n:
-                events.append(
-                    _event(
-                        "pause",
-                        Aspect.RHYTHM,
-                        pause_reward(True, self.boundary[gap_right], config),
-                        config,
-                    )
-                )
-            return events
-        if not starts:
-            return []
-
-        events = self._close_events(st)
-        k = st.syl + 1
-        if Aspect.TONE in active and self.tone_pair_ok[k]:
-            ev = _event(
-                "transition",
-                Aspect.TONE,
-                pitch_transition_reward(
-                    (self.tone[k - 1], self.tone[k]),
-                    pitch - st.syl_first[k - 1],
-                    config.harmony_table,
-                    config,
-                ),
-                config,
-            )
-            if ev is not None:
-                events.append(ev)
-        if Aspect.RHYTHM in active and self.word_start[k]:
-            ev = _event(
-                "sw",
-                Aspect.RHYTHM,
-                strong_weak_reward(self.stress[k], self.strength_at(st.onset), config),
-                config,
-            )
-            if ev is not None:
-                events.append(ev)
-        if Aspect.RHYTHM in active and k >= 1 and st.span_open:
-            # no rest resolved this gap; a long final note still pauses
-            has_pause = st.last_duration is not None and st.last_duration >= config.long_note_threshold
-            events.append(
-                _event(
-                    "pause",
-                    Aspect.RHYTHM,
-                    pause_reward(has_pause, self.boundary[k], config),
-                    config,
-                )
-            )
-        if Aspect.STRUCTURE in active:
-            j = self.partner.get(k)
-            if j is not None and st.last_pitch is not None and st.syl_delta[j] is not None:
-                events.append(
-                    _event(
-                        "structure",
-                        Aspect.STRUCTURE,
-                        structure_reward(pitch - st.last_pitch, st.syl_delta[j], config),
-                        config,
-                    )
-                )
-        return events
-
-    # -- transitions ---------------------------------------------------------
-
-    def apply(self, st: _State, token, domain: str) -> _State:
-        is_note, pitch, duration, starts = _token_view(token, domain)
-        if not is_note:
-            return replace(st, onset=st.onset + duration, span_open=False)
-        if starts:
-            k = st.syl + 1
-            delta = None if st.last_pitch is None or pitch is None else pitch - st.last_pitch
-            return _State(
-                onset=st.onset + duration,
-                syl=k,
-                span_open=True,
-                span_pitches=(pitch,),
-                span_len=1,
-                last_pitch=pitch,
-                last_duration=duration,
-                syl_first=st.syl_first + (pitch,),
-                syl_delta=st.syl_delta + (delta,),
-                sent_first=pitch if self.new_sentence[k] else st.sent_first,
-                sent_last=pitch,
-            )
-        return replace(
-            st,
-            onset=st.onset + duration,
-            span_pitches=st.span_pitches + (pitch,),
-            span_len=st.span_len + 1,
-            last_pitch=pitch,
-            last_duration=duration,
-            sent_last=pitch,
-        )
 
     def legal(self, st: _State, groups: "_VocabGroups") -> list[tuple[int, object]]:
         out: list[tuple[int, object]] = []
@@ -377,17 +192,6 @@ class _Context:
         if st.syl == self.n - 1:
             out.append(groups.end)
         return out
-
-
-def _token_view(token, domain: str) -> tuple[bool, Optional[int], Fraction, bool]:
-    """(is_note, pitch, duration, starts_syllable) for either token domain."""
-    if domain == "melody":
-        if token.kind is TokenKind.REST:
-            return (False, None, token.duration, False)
-        return (True, token.pitch, token.duration, token.syllable_start)
-    if token[0] == "rest":
-        return (False, None, token[1], False)
-    return (True, None, token[1], token[2])
 
 
 @dataclass(frozen=True)
@@ -435,16 +239,12 @@ class Hypothesis:
 
 
 def _extend(h: Hypothesis, idx, token, lp: float, events, ctx: _Context, domain: str) -> Hypothesis:
-    reward = h.reward
-    for ev in events:
-        if ev.aspect in ctx.active:
-            reward += ctx.config.lam(ev.aspect) * ev.value
     return Hypothesis(
         tokens=h.tokens + (token,),
         key=h.key if token == END else h.key + (idx,),
         state=h.state if token == END else ctx.apply(h.state, token, domain),
         base=h.base + lp,
-        reward=reward,
+        reward=weighted_total(events, ctx.config, ctx.active, h.reward),
     )
 
 

@@ -168,24 +168,22 @@ def strong_offsets(time_signature: tuple[int, int]) -> frozenset[Fraction]:
     return frozenset({Fraction(0)})
 
 
-def beat_strength_at(offset: Fraction, time_signature: tuple[int, int]) -> BeatStrength:
+def check_meter(time_signature: tuple[int, int]) -> None:
+    """Only power-of-two denominators are metrically meaningful here."""
     num, den = time_signature
-    bar = Fraction(num) * Fraction(4, den)
-    if offset % bar in strong_offsets(time_signature):
-        return BeatStrength.STRONG
-    return BeatStrength.WEAK
+    if den & (den - 1) != 0:
+        raise ValueError(f"unsupported meter {num}/{den}: denominator must be a power of two")
 
 
 def compute_beat_grid(melody: Melody) -> BeatGrid:
     """Onset and strong/weak strength of every token, from the time signature.
 
     Onsets are running sums of the preceding durations; the bar length is
-    ``numerator * 4/denominator`` quarters.  Only power-of-two denominators
-    are metrically meaningful here.
+    ``numerator * 4/denominator`` quarters.  Raises ValueError for a meter
+    :func:`check_meter` rejects.
     """
+    check_meter(melody.time_signature)
     num, den = melody.time_signature
-    if den & (den - 1) != 0:
-        raise ValueError(f"unsupported meter {num}/{den}: denominator must be a power of two")
     bar = Fraction(num) * Fraction(4, den)
     strong = strong_offsets(melody.time_signature)
     onsets: list[Fraction] = []

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import AlignmentError
 from .lyrics import (
     Language,
@@ -91,7 +89,11 @@ def _check_aligned(lyrics: LyricSequence, melody: Melody) -> None:
 def tone_transition_score(
     lyrics: LyricSequence, melody: Melody, config: RewardConfig
 ) -> Optional[float]:
-    """Mean harmony-degree score over intra-sentence adjacent tone pairs."""
+    """Mean harmony-degree score over intra-sentence adjacent tone pairs.
+
+    Pairs the harmony table has no cell for are not scored, as the
+    transition reward does not apply to them.
+    """
     _check_aligned(lyrics, melody)
     if lyrics.language is not Language.TONAL or config.harmony_table is None:
         return None
@@ -104,7 +106,8 @@ def tone_transition_score(
             continue
         delta = melody.tokens[melody.alignment[k][0]].pitch - melody.tokens[melody.alignment[k - 1][0]].pitch
         degree = config.harmony_table.degree_of(left.tone, right.tone, delta)
-        scores.append(DEGREE_SCORES[degree])
+        if degree is not None:
+            scores.append(DEGREE_SCORES[degree])
     if not scores:
         return None
     return float(sum(scores) / len(scores))
@@ -179,28 +182,21 @@ def melody_distance(a: Sequence[int], b: Sequence[int]) -> float:
     (cost, length) recurrence; the set of optimal paths transposes with the
     arguments, so the distance is symmetric.
     """
-    n, m = len(a), len(b)
-    pa = np.asarray(a, dtype=float)
-    pb = np.asarray(b, dtype=float)
-    cell = np.abs(pa[:, None] - pb[None, :])
-    cost = np.full((n, m), np.inf)
-    length = np.zeros((n, m), dtype=int)
-    for i in range(n):
-        for j in range(m):
-            if i == 0 and j == 0:
-                prev = (0.0, 0)
+    # above[j] / row[j]: (cost, length) of the best path ending at (i-1, j) / (i, j)
+    above: list[tuple[float, int]] = []
+    for i, pitch_a in enumerate(a):
+        row: list[tuple[float, int]] = []
+        for j, pitch_b in enumerate(b):
+            if i == 0:
+                prev = row[j - 1] if j else (0.0, 0)
+            elif j == 0:
+                prev = above[0]
             else:
-                options = []
-                if i > 0 and j > 0:
-                    options.append((cost[i - 1, j - 1], length[i - 1, j - 1]))
-                if i > 0:
-                    options.append((cost[i - 1, j], length[i - 1, j]))
-                if j > 0:
-                    options.append((cost[i, j - 1], length[i, j - 1]))
-                prev = min(options)
-            cost[i, j] = prev[0] + cell[i, j]
-            length[i, j] = prev[1] + 1
-    return float(cost[n - 1, m - 1] / length[n - 1, m - 1])
+                prev = min(above[j - 1], above[j], row[j - 1])
+            row.append((prev[0] + abs(pitch_a - pitch_b), prev[1] + 1))
+        above = row
+    cost, length = above[-1]
+    return cost / length
 
 
 def _sentence_notes(lyrics: LyricSequence, melody: Melody, sent) -> tuple[list[int], list]:

@@ -9,18 +9,20 @@ Six sub-rewards over three aspects:
   pauses landing on word or sentence boundaries rather than inside words;
 * structure — repeated lyric phrases repeating their pitch intervals.
 
-Each sub-reward is a pure function; :func:`reward_events` derives every
-triggered event for a *complete* lyrics/melody pair from the alignment,
-beat grid and sentence spans, independently of the decoder's incremental
-bookkeeping, so decode scores can be re-checked from scratch.
+Each sub-reward is a pure function.  When each one fires is decided in one
+place, the token-by-token event model (:class:`_EventModel` over
+:class:`_State`): the decoder steps it once per candidate token, and
+:func:`reward_events` folds it over a finished melody, so a decode and the
+rescoring of its output fire the same events in the same order.  The tests
+check the fold against an independently written whole-pair scan.
 
-Event timing convention (shared with the decoder): a syllable's shape and
-its sentence's contour fire on the token that closes the span (the next
-rest, the next syllable's first note, or the end of the melody); transition,
-strong/weak and structure fire on the syllable's first note; the pause
-reward fires once per syllable gap — on the gap's rest if there is one,
-otherwise on the next syllable's first note.  Within one token, events are
-ordered shape, contour, transition, strong/weak, pause, structure.
+Event timing convention: a syllable's shape and its sentence's contour fire
+on the token that closes the span (the next rest, the next syllable's first
+note, or the end of the melody); transition, strong/weak and structure fire
+on the syllable's first note; the pause reward fires once per syllable gap —
+on the gap's rest if there is one, otherwise on the next syllable's first
+note.  Within one token, events are ordered shape, contour, transition,
+strong/weak, pause, structure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConfigError
+from .errors import AlignmentError, ConfigError
 from .lyrics import (
     Intonation,
     Language,
@@ -44,13 +46,8 @@ from .lyrics import (
     WordPosition,
     build_structure_matrix,
 )
-from .melody import (
-    BeatStrength,
-    Melody,
-    TokenKind,
-    compute_beat_grid,
-    is_long_note,
-)
+from .melody import BeatStrength, Melody, TokenKind, check_meter, strong_offsets
+from .scorer import END
 
 __all__ = [
     "Aspect",
@@ -68,7 +65,7 @@ __all__ = [
     "strong_weak_reward",
     "pause_reward",
     "structure_reward",
-    "total_reward",
+    "weighted_total",
     "reward_events",
     "score_rewards",
     "boundary_kind",
@@ -173,13 +170,23 @@ class RewardConfig:
             raise ConfigError("transition rewards must not increase from excellent to bad")
         if self.long_note_threshold <= 0:
             raise ConfigError("long_note_threshold must be positive")
-
-    def lam(self, aspect: Aspect) -> float:
-        return {
+        # lookups the reward loops hit per event, built once per config
+        object.__setattr__(self, "_lambdas", {
             Aspect.TONE: self.lambda_tone,
             Aspect.RHYTHM: self.lambda_rhythm,
             Aspect.STRUCTURE: self.lambda_structure,
-        }[aspect]
+        })
+        object.__setattr__(self, "_maxima", {
+            "shape": self.shape_reward_on_match,
+            "contour": self.contour_reward_on_match,
+            "transition": self.transition_rewards[HarmonyDegree.EXCELLENT],
+            "sw": self.sw_reward_on_match,
+            "pause": self.pause_reward_on_match,
+            "structure": self.structure_reward_exact,
+        })
+
+    def lam(self, aspect: Aspect) -> float:
+        return self._lambdas[aspect]
 
     def with_lambdas(self, lambdas: tuple[float, float, float]) -> "RewardConfig":
         lt, lr, ls = lambdas
@@ -318,9 +325,6 @@ def structure_reward(delta_p_i: int, delta_p_j: int, config: RewardConfig) -> fl
 # event model
 # ---------------------------------------------------------------------------
 
-#: Canonical intra-token ordering of reward events.
-_EVENT_RANK = {"shape": 0, "contour": 1, "transition": 2, "sw": 3, "pause": 4, "structure": 5}
-
 
 @dataclass(frozen=True, slots=True)
 class RewardEvent:
@@ -338,14 +342,7 @@ class RewardEvent:
 
 
 def event_maximum(kind: str, config: RewardConfig) -> float:
-    return {
-        "shape": config.shape_reward_on_match,
-        "contour": config.contour_reward_on_match,
-        "transition": config.transition_rewards[HarmonyDegree.EXCELLENT],
-        "sw": config.sw_reward_on_match,
-        "pause": config.pause_reward_on_match,
-        "structure": config.structure_reward_exact,
-    }[kind]
+    return config._maxima[kind]
 
 
 def _event(kind: str, aspect: Aspect, value: Optional[float], config: RewardConfig):
@@ -355,44 +352,229 @@ def _event(kind: str, aspect: Aspect, value: Optional[float], config: RewardConf
 
 
 def weighted_total(
-    events: Iterable[RewardEvent], config: RewardConfig, active: frozenset[Aspect]
+    events: Iterable[RewardEvent],
+    config: RewardConfig,
+    active: frozenset[Aspect] = ALL_ASPECTS,
+    start: float = 0.0,
 ) -> float:
-    total = 0.0
+    """``start`` plus λ_t·R_t + λ_r·R_r + λ_s·R_s over the events, restricted
+    to the active aspects.  Events are added one at a time in order, so a
+    running total continued step by step equals one pass over all events to
+    the last bit."""
+    lambdas = config._lambdas
+    total = start
     for ev in events:
         if ev.aspect in active:
-            total += config.lam(ev.aspect) * ev.value
+            total += lambdas[ev.aspect] * ev.value
     return total
 
 
-def total_reward(
-    events: Iterable[RewardEvent], config: RewardConfig, active: frozenset[Aspect] = ALL_ASPECTS
-) -> float:
-    """λ_t·R_t + λ_r·R_r + λ_s·R_s over the events triggered by one step,
-    restricted to the active aspects."""
-    return weighted_total(events, config, active)
+def _token_view(token, domain: str) -> tuple[bool, Optional[int], Fraction, bool]:
+    """(is_note, pitch, duration, starts_syllable) of a melody token, or of a
+    rhythm token (``("note", duration, starts)`` / ``("rest", duration)``),
+    whose pitch is None."""
+    if domain == "melody":
+        if token.kind is TokenKind.REST:
+            return (False, None, token.duration, False)
+        return (True, token.pitch, token.duration, token.syllable_start)
+    if token[0] == "rest":
+        return (False, None, token[1], False)
+    return (True, None, token[1], token[2])
 
 
-# ---------------------------------------------------------------------------
-# whole-pair scan
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True, slots=True)
+class _State:
+    """What the event model remembers of a token prefix."""
+
+    onset: Fraction = Fraction(0)
+    syl: int = -1
+    span_open: bool = False
+    span_pitches: tuple = ()
+    span_len: int = 0
+    last_pitch: Optional[int] = None
+    last_duration: Optional[Fraction] = None
+    syl_first: tuple = ()
+    syl_delta: tuple = ()
+    sent_first: Optional[int] = None
+    sent_last: Optional[int] = None
 
 
-def _previous_note_pitch(melody: Melody, token_index: int) -> Optional[int]:
-    for idx in range(token_index - 1, -1, -1):
-        tok = melody.tokens[idx]
-        if tok.is_note:
-            return tok.pitch
-    return None
+class _EventModel:
+    """The reward events of a token sequence, one token at a time.
 
+    Holds the static per-pair data (lyric signals, structure partners,
+    meter); :meth:`step_events` gives what a token fires from a state and
+    :meth:`apply` the state after it.  Events of aspects outside ``active``
+    are not produced.
+    """
 
-def syllable_deltas(melody: Melody) -> list[Optional[int]]:
-    """Per syllable, the jump from the previous note to the syllable's first
-    note (None for the first note of the piece)."""
-    deltas: list[Optional[int]] = []
-    for start, _ in melody.alignment:
-        prev = _previous_note_pitch(melody, start)
-        deltas.append(None if prev is None else melody.tokens[start].pitch - prev)
-    return deltas
+    def __init__(
+        self,
+        lyrics: LyricSequence,
+        config: RewardConfig,
+        active: frozenset[Aspect],
+        time_signature: tuple[int, int],
+        structure: Optional[StructureMatrix] = None,
+    ):
+        self.lyrics = lyrics
+        self.config = config
+        self.active = active
+        self.n = len(lyrics)
+        self.structure = structure if structure is not None else build_structure_matrix(lyrics)
+        self.partner = dict(self.structure.partner)
+        num, den = time_signature
+        self.bar = Fraction(num) * Fraction(4, den)
+        self.strong = strong_offsets(time_signature)
+        tonal = lyrics.language is Language.TONAL
+        syls = lyrics.syllables
+        self.tone = [s.tone for s in syls]
+        self.sentence_final = [s.sentence_final for s in syls]
+        self.intonation = [lyrics.sentence_of(k).intonation for k in range(self.n)]
+        self.word_start = [s.word_position is WordPosition.WORD_START for s in syls]
+        self.stress = [s.stress_class for s in syls]
+        self.new_sentence = [
+            k == 0 or syls[k].sentence_index != syls[k - 1].sentence_index for k in range(self.n)
+        ]
+        self.boundary = [None] + [boundary_kind(lyrics, k) for k in range(1, self.n)]
+        self.tone_pair_ok = [
+            tonal
+            and k >= 1
+            and not self.new_sentence[k]
+            and syls[k].tone in TONAL_TONES
+            and syls[k - 1].tone in TONAL_TONES
+            for k in range(self.n)
+        ]
+
+    def strength_at(self, onset: Fraction) -> BeatStrength:
+        return BeatStrength.STRONG if onset % self.bar in self.strong else BeatStrength.WEAK
+
+    def _close_events(self, st: _State) -> list[RewardEvent]:
+        if st.syl < 0 or not st.span_open or Aspect.TONE not in self.active:
+            return []
+        events = []
+        if st.span_len >= 2:
+            ev = _event(
+                "shape",
+                Aspect.TONE,
+                pitch_shape_reward(self.tone[st.syl], st.span_pitches, self.config),
+                self.config,
+            )
+            if ev is not None:
+                events.append(ev)
+        if self.sentence_final[st.syl]:
+            events.append(
+                _event(
+                    "contour",
+                    Aspect.TONE,
+                    pitch_contour_reward(
+                        self.intonation[st.syl], st.sent_first, st.sent_last, self.config
+                    ),
+                    self.config,
+                )
+            )
+        return events
+
+    def step_events(self, st: _State, token, domain: str) -> list[RewardEvent]:
+        """Reward events the token (or END) triggers, in canonical order."""
+        config, active = self.config, self.active
+        if token == END:
+            return self._close_events(st)
+        is_note, pitch, _duration, starts = _token_view(token, domain)
+        if not is_note:
+            events = self._close_events(st)
+            gap_right = st.syl + 1
+            if Aspect.RHYTHM in active and gap_right < self.n:
+                events.append(
+                    _event(
+                        "pause",
+                        Aspect.RHYTHM,
+                        pause_reward(True, self.boundary[gap_right], config),
+                        config,
+                    )
+                )
+            return events
+        if not starts:
+            return []
+
+        events = self._close_events(st)
+        k = st.syl + 1
+        if Aspect.TONE in active and self.tone_pair_ok[k]:
+            ev = _event(
+                "transition",
+                Aspect.TONE,
+                pitch_transition_reward(
+                    (self.tone[k - 1], self.tone[k]),
+                    pitch - st.syl_first[k - 1],
+                    config.harmony_table,
+                    config,
+                ),
+                config,
+            )
+            if ev is not None:
+                events.append(ev)
+        if Aspect.RHYTHM in active and self.word_start[k]:
+            ev = _event(
+                "sw",
+                Aspect.RHYTHM,
+                strong_weak_reward(self.stress[k], self.strength_at(st.onset), config),
+                config,
+            )
+            if ev is not None:
+                events.append(ev)
+        if Aspect.RHYTHM in active and k >= 1 and st.span_open:
+            # no rest resolved this gap; a long final note still pauses
+            has_pause = st.last_duration is not None and st.last_duration >= config.long_note_threshold
+            events.append(
+                _event(
+                    "pause",
+                    Aspect.RHYTHM,
+                    pause_reward(has_pause, self.boundary[k], config),
+                    config,
+                )
+            )
+        if Aspect.STRUCTURE in active:
+            j = self.partner.get(k)
+            if j is not None and st.last_pitch is not None and st.syl_delta[j] is not None:
+                events.append(
+                    _event(
+                        "structure",
+                        Aspect.STRUCTURE,
+                        structure_reward(pitch - st.last_pitch, st.syl_delta[j], config),
+                        config,
+                    )
+                )
+        return events
+
+    def apply(self, st: _State, token, domain: str) -> _State:
+        """The state after a (non-END) token."""
+        is_note, pitch, duration, starts = _token_view(token, domain)
+        if not is_note:
+            return replace(st, onset=st.onset + duration, span_open=False)
+        if starts:
+            k = st.syl + 1
+            delta = None if st.last_pitch is None or pitch is None else pitch - st.last_pitch
+            return _State(
+                onset=st.onset + duration,
+                syl=k,
+                span_open=True,
+                span_pitches=(pitch,),
+                span_len=1,
+                last_pitch=pitch,
+                last_duration=duration,
+                syl_first=st.syl_first + (pitch,),
+                syl_delta=st.syl_delta + (delta,),
+                sent_first=pitch if self.new_sentence[k] else st.sent_first,
+                sent_last=pitch,
+            )
+        return replace(
+            st,
+            onset=st.onset + duration,
+            span_pitches=st.span_pitches + (pitch,),
+            span_len=st.span_len + 1,
+            last_pitch=pitch,
+            last_duration=duration,
+            sent_last=pitch,
+        )
 
 
 def reward_events(
@@ -404,126 +586,22 @@ def reward_events(
     """Every reward event of a complete pair, tagged with the token index it
     fires on (None = fires when the melody ends).
 
-    Derived from the alignment, beat grid and sentence spans only; events
-    come back sorted by (token position, canonical event order), matching
-    the decoder's incremental accumulation exactly.
+    The event model folded over the melody's tokens in the melody's own
+    meter, with every aspect on; events come back in firing order.
     """
     if melody.syllable_count != len(lyrics):
-        from .errors import AlignmentError
-
         raise AlignmentError(
             f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
         )
-    if structure is None:
-        structure = build_structure_matrix(lyrics)
-    grid = compute_beat_grid(melody)
-    deltas = syllable_deltas(melody)
-    tonal = lyrics.language is Language.TONAL
-    n_tokens = len(melody.tokens)
-    events: list[tuple[Optional[int], int, RewardEvent]] = []
-
-    def add(anchor: Optional[int], ev: Optional[RewardEvent]) -> None:
-        if ev is not None:
-            events.append((anchor, _EVENT_RANK[ev.kind], ev))
-
-    def closer_of(k: int) -> Optional[int]:
-        stop = melody.alignment[k][1]
-        return stop if stop < n_tokens else None
-
-    # shape: fires where each multi-note span closes
-    for k in range(len(lyrics)):
-        pitches = melody.span_pitches(k)
-        if len(pitches) >= 2:
-            add(
-                closer_of(k),
-                _event(
-                    "shape",
-                    Aspect.TONE,
-                    pitch_shape_reward(lyrics.syllables[k].tone, pitches, config),
-                    config,
-                ),
-            )
-
-    # contour: fires where the sentence-final syllable's span closes
-    for sent in lyrics.sentences:
-        pitches = [p for k in range(*sent.span) for p in melody.span_pitches(k)]
-        add(
-            closer_of(sent.span[1] - 1),
-            _event(
-                "contour",
-                Aspect.TONE,
-                pitch_contour_reward(sent.intonation, pitches[0], pitches[-1], config),
-                config,
-            ),
-        )
-
-    for k in range(len(lyrics)):
-        first_idx = melody.alignment[k][0]
-        syl = lyrics.syllables[k]
-
-        # transition: adjacent same-sentence pair, first notes of each span
-        if (
-            tonal
-            and k >= 1
-            and lyrics.syllables[k - 1].sentence_index == syl.sentence_index
-            and syl.tone in TONAL_TONES
-            and lyrics.syllables[k - 1].tone in TONAL_TONES
-        ):
-            delta = melody.tokens[first_idx].pitch - melody.tokens[melody.alignment[k - 1][0]].pitch
-            add(
-                first_idx,
-                _event(
-                    "transition",
-                    Aspect.TONE,
-                    pitch_transition_reward(
-                        (lyrics.syllables[k - 1].tone, syl.tone),
-                        delta,
-                        config.harmony_table,
-                        config,
-                    ),
-                    config,
-                ),
-            )
-
-        # strong/weak: first note of each constrained word
-        if syl.word_position is WordPosition.WORD_START:
-            add(
-                first_idx,
-                _event(
-                    "sw",
-                    Aspect.RHYTHM,
-                    strong_weak_reward(syl.stress_class, grid.strengths[first_idx], config),
-                    config,
-                ),
-            )
-
-        # pause: one event per gap, on the gap's rest if any, else here
-        if k >= 1:
-            prev_stop = melody.alignment[k - 1][1]
-            kind = boundary_kind(lyrics, k)
-            gap_rest = prev_stop < first_idx and melody.tokens[prev_stop].kind is TokenKind.REST
-            if gap_rest:
-                add(prev_stop, _event("pause", Aspect.RHYTHM, pause_reward(True, kind, config), config))
-            else:
-                last_note = melody.tokens[prev_stop - 1]
-                has_pause = is_long_note(last_note, config)
-                add(first_idx, _event("pause", Aspect.RHYTHM, pause_reward(has_pause, kind, config), config))
-
-        # structure: repeated position whose anchor interval is defined
-        j = structure.partner.get(k)
-        if j is not None and deltas[k] is not None and deltas[j] is not None:
-            add(
-                first_idx,
-                _event(
-                    "structure",
-                    Aspect.STRUCTURE,
-                    structure_reward(deltas[k], deltas[j], config),
-                    config,
-                ),
-            )
-
-    events.sort(key=lambda item: (n_tokens if item[0] is None else item[0], item[1]))
-    return [(anchor, ev) for anchor, _, ev in events]
+    check_meter(melody.time_signature)
+    model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature, structure)
+    state = _State()
+    events: list[tuple[Optional[int], RewardEvent]] = []
+    for i, token in enumerate(melody.tokens):
+        events.extend((i, ev) for ev in model.step_events(state, token, "melody"))
+        state = model.apply(state, token, "melody")
+    events.extend((None, ev) for ev in model.step_events(state, END, "melody"))
+    return events
 
 
 @dataclass(frozen=True)
@@ -542,12 +620,10 @@ def score_rewards(
 ) -> RewardSummary:
     """Weighted reward total of a complete pair, recomputed from scratch."""
     events = reward_events(lyrics, melody, config, structure)
-    total = 0.0
     by_aspect = {a: 0.0 for a in Aspect}
     for _, ev in events:
         by_aspect[ev.aspect] += ev.value
-        if ev.aspect in active:
-            total += config.lam(ev.aspect) * ev.value
+    total = weighted_total((ev for _, ev in events), config, active)
     return RewardSummary(total, by_aspect, tuple(events))
 
 

@@ -377,11 +377,14 @@ class ModelBundle:
             raise TrainingError(f"not a {cls.FORMAT} model file")
         if doc.get("version") != cls.VERSION:
             raise TrainingError(f"unsupported model file version {doc.get('version')}")
-        return cls(
-            NGramModel.from_dict(doc["token_model"]),
-            NGramModel.from_dict(doc["rhythm_model"]),
-            NGramModel.from_dict(doc["pitch_model"]),
-        )
+        try:
+            return cls(
+                NGramModel.from_dict(doc["token_model"]),
+                NGramModel.from_dict(doc["rhythm_model"]),
+                NGramModel.from_dict(doc["pitch_model"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TrainingError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
 
 
 def train_model_bundle(

@@ -1,13 +1,35 @@
 """Independent reference implementations used as test oracles.
 
-Deliberately simple re-statements of the decoding grammar: a plain beam
-search that knows nothing about rewards, and an exhaustive enumerator of
-every complete token sequence.  Kept separate from the package so the
-decoder is checked against a second, independently written route.
+Deliberately simple re-statements of the decoding grammar and of the reward
+rules: a plain beam search that knows nothing about rewards, an exhaustive
+enumerator of every complete token sequence, and a whole-pair scan that
+derives every reward event from the alignment, beat grid and sentence spans
+without the package's token-by-token event model.  Kept separate from the
+package so the decoder and the reward fold are checked against a second,
+independently written route.
 """
 
-from lyricmelody import END, Melody, TokenKind
+from lyricmelody import (
+    END,
+    AlignmentError,
+    Aspect,
+    Language,
+    Melody,
+    TokenKind,
+    WordPosition,
+    build_structure_matrix,
+    compute_beat_grid,
+    is_long_note,
+    pause_reward,
+    pitch_contour_reward,
+    pitch_shape_reward,
+    pitch_transition_reward,
+    strong_weak_reward,
+    structure_reward,
+)
 from lyricmelody.decoder import score_decode
+from lyricmelody.lyrics import TONAL_TONES
+from lyricmelody.rewards import RewardEvent, boundary_kind, event_maximum
 
 
 def _parts(tok):
@@ -104,3 +126,105 @@ def exhaustive_argmax(lyrics, scorer, config, active, max_notes, time_signature=
             best = cand
     assert best is not None
     return best
+
+
+#: Canonical intra-token ordering of reward events.
+EVENT_RANK = {"shape": 0, "contour": 1, "transition": 2, "sw": 3, "pause": 4, "structure": 5}
+
+
+def _previous_note_pitch(melody, token_index):
+    for idx in range(token_index - 1, -1, -1):
+        tok = melody.tokens[idx]
+        if tok.is_note:
+            return tok.pitch
+    return None
+
+
+def syllable_deltas(melody):
+    """Per syllable, the jump from the previous note to the syllable's first
+    note (None for the first note of the piece)."""
+    deltas = []
+    for start, _ in melody.alignment:
+        prev = _previous_note_pitch(melody, start)
+        deltas.append(None if prev is None else melody.tokens[start].pitch - prev)
+    return deltas
+
+
+def scan_reward_events(lyrics, melody, config, structure=None):
+    """Every reward event of a complete pair, tagged with the token index it
+    fires on (None = fires when the melody ends), sorted by (token position,
+    canonical event order).  Rule by rule over the whole pair."""
+    if melody.syllable_count != len(lyrics):
+        raise AlignmentError(
+            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
+        )
+    if structure is None:
+        structure = build_structure_matrix(lyrics)
+    grid = compute_beat_grid(melody)
+    deltas = syllable_deltas(melody)
+    tonal = lyrics.language is Language.TONAL
+    n_tokens = len(melody.tokens)
+    events = []
+
+    def add(anchor, kind, aspect, value):
+        if value is not None:
+            ev = RewardEvent(kind, aspect, value, event_maximum(kind, config))
+            events.append((anchor, EVENT_RANK[kind], ev))
+
+    def closer_of(k):
+        stop = melody.alignment[k][1]
+        return stop if stop < n_tokens else None
+
+    # shape: fires where each multi-note span closes
+    for k in range(len(lyrics)):
+        pitches = melody.span_pitches(k)
+        if len(pitches) >= 2:
+            add(closer_of(k), "shape", Aspect.TONE,
+                pitch_shape_reward(lyrics.syllables[k].tone, pitches, config))
+
+    # contour: fires where the sentence-final syllable's span closes
+    for sent in lyrics.sentences:
+        pitches = [p for k in range(*sent.span) for p in melody.span_pitches(k)]
+        add(closer_of(sent.span[1] - 1), "contour", Aspect.TONE,
+            pitch_contour_reward(sent.intonation, pitches[0], pitches[-1], config))
+
+    for k in range(len(lyrics)):
+        first_idx = melody.alignment[k][0]
+        syl = lyrics.syllables[k]
+
+        # transition: adjacent same-sentence pair, first notes of each span
+        if (
+            tonal
+            and k >= 1
+            and lyrics.syllables[k - 1].sentence_index == syl.sentence_index
+            and syl.tone in TONAL_TONES
+            and lyrics.syllables[k - 1].tone in TONAL_TONES
+        ):
+            delta = melody.tokens[first_idx].pitch - melody.tokens[melody.alignment[k - 1][0]].pitch
+            add(first_idx, "transition", Aspect.TONE,
+                pitch_transition_reward((lyrics.syllables[k - 1].tone, syl.tone), delta,
+                                        config.harmony_table, config))
+
+        # strong/weak: first note of each constrained word
+        if syl.word_position is WordPosition.WORD_START:
+            add(first_idx, "sw", Aspect.RHYTHM,
+                strong_weak_reward(syl.stress_class, grid.strengths[first_idx], config))
+
+        # pause: one event per gap, on the gap's rest if any, else here
+        if k >= 1:
+            prev_stop = melody.alignment[k - 1][1]
+            kind = boundary_kind(lyrics, k)
+            if prev_stop < first_idx and melody.tokens[prev_stop].kind is TokenKind.REST:
+                add(prev_stop, "pause", Aspect.RHYTHM, pause_reward(True, kind, config))
+            else:
+                has_pause = is_long_note(melody.tokens[prev_stop - 1], config)
+                add(first_idx, "pause", Aspect.RHYTHM, pause_reward(has_pause, kind, config))
+
+        # structure: repeated position whose anchor interval is defined
+        j = structure.partner.get(k)
+        if j is not None and deltas[k] is not None and deltas[j] is not None:
+            add(first_idx, "structure", Aspect.STRUCTURE,
+                structure_reward(deltas[k], deltas[j], config))
+
+    events.sort(key=lambda item: (n_tokens if item[0] is None else item[0], item[1]))
+    return [(anchor, ev) for anchor, _, ev in events]

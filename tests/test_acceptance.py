@@ -125,7 +125,8 @@ def test_criterion_2_oracle_equivalence(config):
         options = DecodeOptions(beam_width=8, max_notes_per_syllable=1,
                                 active=frozenset({Aspect.RHYTHM}))
         ctx = _Context(lyr, config, options, options.active)
-        from lyricmelody.decoder import _State, _group_vocab
+        from lyricmelody.decoder import _group_vocab
+        from lyricmelody.rewards import _State
 
         survivors = set()
         oracle = set()
@@ -182,14 +183,14 @@ def test_criterion_3_reward_unit_fixtures(config):
         assert lm.pitch_shape_reward(Tone.TONE2, [64, 60], config) == pytest.approx(0.0)
 
         # published lambda arithmetic: 1.2 * 3 + 1.5 * 1
-        from lyricmelody.rewards import RewardEvent, event_maximum, total_reward
+        from lyricmelody.rewards import RewardEvent, event_maximum, weighted_total
 
         events = [
             RewardEvent("transition", Aspect.TONE, 3.0, event_maximum("transition", config)),
             RewardEvent("sw", Aspect.RHYTHM, 1.0, event_maximum("sw", config)),
         ]
         cfg = config.with_lambdas((1.2, 1.5, 1.0))
-        assert total_reward(events, cfg) == pytest.approx(5.1, abs=1e-9)
+        assert weighted_total(events, cfg) == pytest.approx(5.1, abs=1e-9)
 
 
 def test_criterion_4_directional_improvement(config):

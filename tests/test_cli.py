@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from lyricmelody import read_midi, serialize_lyrics, write_midi
 from lyricmelody.cli import main
 from lyricmelody.synthetic import random_lyrics, random_training_melody
+from conftest import mk_melody
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +228,44 @@ class TestConfigHandling:
         assert main(["generate", str(workspace / "lyrics" / "song_0.txt"),
                      "-m", str(model_path), "-o", str(tmp_path / "x.mid")]) == 2
         assert "internal error" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    def test_partial_harmony_table_scores_covered_pairs_only(self, tmp_path):
+        from lyricmelody.rewards import default_reward_config, reward_config_to_dict
+
+        cfg = reward_config_to_dict(default_reward_config())
+        cfg["harmony_table"] = {"tone3,tone3": cfg["harmony_table"]["tone3,tone3"]}
+        cfg_path = tmp_path / "partial.json"
+        cfg_path.write_text(json.dumps(cfg), "utf-8")
+        lyrics = tmp_path / "s.txt"
+        lyrics.write_text("ni3|W hao3|I hen3|I ma1|I .\n", "utf-8")
+        midi = tmp_path / "s.mid"
+        midi.write_bytes(write_midi(mk_melody([(72, 1), (72, 1), (60, 1), (60, 1)])))
+        report = tmp_path / "report.json"
+        assert main(["evaluate", str(lyrics), str(midi), "--config", str(cfg_path),
+                     "--json", str(report)]) == 0
+        # T3->T3 jumps 0 (excellent, 1.0) and -12 (bad, 0.0); no T3->T1 cell
+        assert json.loads(report.read_text())["s"]["tone_transition"] == 0.5
+
+    def test_model_without_counts_exit_one(self, workspace, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        del doc["token_model"]["counts"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc), "utf-8")
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"),
+                     "-m", str(broken), "-o", str(tmp_path / "x.mid")]) == 1
+        err = capsys.readouterr().err
+        assert "counts" in err and "Traceback" not in err
+
+
+class TestStartup:
+    def test_import_leaves_numpy_unloaded(self):
+        import lyricmelody
+
+        src = str(Path(lyricmelody.__file__).resolve().parents[1])
+        code = "import sys, lyricmelody; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"

@@ -91,7 +91,7 @@ class TestOracleEquivalence:
         cfg = config.with_lambdas((0.0, 0.0, 1.0))
         got = beam_search(lyr, scorer, cfg, DecodeOptions(beam_width=50_000,
                                                           max_notes_per_syllable=1))
-        from lyricmelody.rewards import syllable_deltas
+        from reference import syllable_deltas
 
         deltas = syllable_deltas(got.melody)
         assert deltas[3] == deltas[1]  # pair (3, 1); (2, 0) is unconstrained

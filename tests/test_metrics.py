@@ -100,6 +100,17 @@ class TestTransition:
         melody = mk_melody([(60, 1), (62, 1)])
         assert tone_transition_score(lyr, melody, config) is None
 
+    def test_pairs_without_table_cell_not_scored(self, config):
+        from dataclasses import replace
+
+        from lyricmelody import HarmonyTable, Tone
+
+        cells = {pair: v for pair, v in config.harmony_table.cells.items() if Tone.TONE3 not in pair}
+        cfg = replace(config, harmony_table=HarmonyTable(cells))
+        lyr = parse_lyrics("ni3|W hao3|I .")
+        melody = mk_melody([(60, 1), (60, 1)])
+        assert tone_transition_score(lyr, melody, cfg) is None
+
     def test_cross_sentence_pairs_excluded(self, config):
         lyr = parse_lyrics("ni3|W .\nhao3|W .")
         melody = mk_melody([(60, 1), (48, 1)])  # huge jump, but across sentences
@@ -174,6 +185,10 @@ class TestStructureSimilarity:
         assert dd == 1.0
         assert pd < 1.0
         assert md == pytest.approx(12.0, abs=1e-9)
+
+    def test_md_tie_breaks_to_shortest_alignment(self):
+        # the diagonal and both length-3 paths all cost 2; the diagonal wins
+        assert melody_distance([60, 61], [61, 60]) == 1.0
 
     def test_symmetry(self, rng):
         for _ in range(200):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from lyricmelody import (
     HarmonyDegree,
     HarmonyTable,
     Intonation,
+    Melody,
     RewardConfig,
     StressClass,
     Tone,
@@ -21,7 +23,6 @@ from lyricmelody import (
     score_rewards,
     strong_weak_reward,
     structure_reward,
-    total_reward,
 )
 from lyricmelody.rewards import (
     ALL_ASPECTS,
@@ -32,9 +33,11 @@ from lyricmelody.rewards import (
     boundary_kind,
     event_maximum,
     reward_events,
+    weighted_total,
 )
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import mk_melody
+from reference import scan_reward_events
 
 
 class TestPitchShape:
@@ -223,7 +226,7 @@ class TestTotalReward:
             RewardEvent("sw", Aspect.RHYTHM, 1.0, event_maximum("sw", config)),
         ]
         cfg = config.with_lambdas((1.2, 1.5, 1.0))
-        assert total_reward(events, cfg) == pytest.approx(5.1, abs=1e-9)
+        assert weighted_total(events, cfg) == pytest.approx(5.1, abs=1e-9)
 
     def test_zero_lambdas_zero_total(self, config, rng):
         cfg = config.with_preset("off")
@@ -312,6 +315,31 @@ class TestWholePairScan:
         assert PRESET_LAMBDAS["telemelody"] == (1.2, 1.5, 1.0)
         assert PRESET_LAMBDAS["songmass"] == (1.5, 1.0, 1.0)
         assert PRESET_LAMBDAS["off"] == (0.0, 0.0, 0.0)
+
+
+class TestFoldMatchesReferenceScan:
+    METERS = [(4, 4), (3, 4), (6, 8), (2, 2)]
+
+    def test_events_equal_whole_pair_scan(self, config):
+        # every third pair runs under a table missing the tone-3 cells, so
+        # transitions the table cannot grade are covered too
+        cells = {p: v for p, v in config.harmony_table.cells.items() if Tone.TONE3 not in p}
+        partial = replace(config, harmony_table=HarmonyTable(cells), long_note_threshold=Fraction(1))
+        for seed in range(1500):
+            rng = random.Random(seed)
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=seed % 2 == 0,
+                                repeat=seed // 2 % 2 == 0)
+            melody = random_aligned_melody(lyr, rng)
+            cfg = partial if seed % 3 == 2 else config
+            for meter in self.METERS:
+                pair = Melody(melody.tokens, meter)
+                assert reward_events(lyr, pair, cfg) == scan_reward_events(lyr, pair, cfg), (
+                    seed, meter)
+
+    def test_unsupported_meter_rejected(self, config):
+        lyr = parse_lyrics("ni3|W hao3|I .")
+        with pytest.raises(ValueError, match="unsupported meter"):
+            reward_events(lyr, mk_melody([(60, 1), (62, 1)], (4, 6)), config)
 
 
 class TestConfigValidation:
