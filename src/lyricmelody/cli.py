@@ -26,7 +26,7 @@ from .decoder import (
 )
 from .errors import AlignmentError, ConfigError, InputError, InternalError
 from .lyrics import LyricSequence, parse_lyrics
-from .melody import melody_to_json
+from .melody import check_meter, melody_to_json
 from .metrics import EvaluationReport, aggregate_reports, evaluate_pair
 from .midi import read_midi, write_midi
 from .rewards import (
@@ -79,10 +79,13 @@ def _load_bundle(path: Path) -> ModelBundle:
 
 def _parse_time_signature(text: str) -> tuple[int, int]:
     try:
-        num, den = text.split("/")
-        return (int(num), int(den))
+        num, den = (int(part) for part in text.split("/"))
+        if num < 1 or den < 1:
+            raise ValueError("both parts must be at least 1")
+        check_meter((num, den))
     except ValueError as exc:
-        raise InputError(f"bad time signature {text!r}, expected e.g. 4/4") from exc
+        raise InputError(f"bad time signature {text!r} ({exc}), expected e.g. 4/4") from exc
+    return (num, den)
 
 
 def _format_value(value) -> str:

@@ -22,18 +22,29 @@ finished melody, so rescoring the returned token sequence reproduces the
 reported score to the last bit.  Ties break by vocabulary order, then by
 shorter sequence (lexicographic comparison of token index sequences).
 
+Expansion scores first and builds later: each legal move of each live
+hypothesis is a flat tuple of score parts, and only what is kept (the beam's
+top ``width``, the sampled token) gets a prefix, key and state.  Events never
+depend on a token's duration, so a parent fires them once per event
+signature (:meth:`lyricmelody.rewards._EventModel.signature`) and reuses the
+identical float.  Live keys share one length, so (parent's rank among live
+keys, token index) orders children as their full keys do; END keeps its
+parent's key, a prefix of its siblings' keys, so it ranks first on a tie.
+
 Hypothesis expansion is pure over immutable models; one decode owns its
 hypotheses, and independent decodes may run concurrently.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import InternalError, OptionError
@@ -52,6 +63,7 @@ from .rewards import (
 )
 from .scorer import (
     END,
+    REST_MARK,
     Scorer,
     Vocabulary,
     melody_sequence,
@@ -200,11 +212,13 @@ class _VocabGroups:
     continuations: tuple[tuple[int, object], ...]
     rests: tuple[tuple[int, object], ...]
     end: tuple[int, object]
+    signatures: tuple  # the event signature of each vocabulary index
 
 
 def _group_vocab(vocab: Vocabulary, domain: str) -> _VocabGroups:
     starts, continuations, rests = [], [], []
     end = None
+    signatures = tuple(_EventModel.signature(token, domain) for token in vocab.tokens)
     for idx, token in enumerate(vocab.tokens):
         if token == END:
             end = (idx, token)
@@ -216,7 +230,7 @@ def _group_vocab(vocab: Vocabulary, domain: str) -> _VocabGroups:
             starts.append((idx, token))
         else:
             continuations.append((idx, token))
-    return _VocabGroups(tuple(starts), tuple(continuations), tuple(rests), end)
+    return _VocabGroups(tuple(starts), tuple(continuations), tuple(rests), end, signatures)
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,14 +252,45 @@ class Hypothesis:
         return self.base + self.reward
 
 
-def _extend(h: Hypothesis, idx, token, lp: float, events, ctx: _Context, domain: str) -> Hypothesis:
+def _extend(ctx: _Context, h: Hypothesis, entry: tuple, domain: str) -> Hypothesis:
+    """The child of ``h`` that an :func:`_expand` entry of ``h`` describes."""
+    _, _, pos, token, base, reward, _ = entry
     return Hypothesis(
         tokens=h.tokens + (token,),
-        key=h.key if token == END else h.key + (idx,),
-        state=h.state if token == END else ctx.apply(h.state, token, domain),
-        base=h.base + lp,
-        reward=weighted_total(events, ctx.config, ctx.active, h.reward),
+        key=h.key if pos < 0 else h.key + (pos,),
+        state=h.state if pos < 0 else ctx.apply(h.state, token, domain),
+        base=base,
+        reward=reward,
     )
+
+
+def _expand(
+    ctx: _Context, h: Hypothesis, rank: int, moves, lps, signatures, domain: str
+) -> list[tuple]:
+    """``(-score, rank, pos, token, base, reward, masked)`` per ``(idx, token)``
+    move of ``h``, the ``rank``-th live hypothesis by key, with base
+    log-probabilities ``lps``; ``pos`` is ``idx``, or -1 for END.  Builds no
+    child and fires events once per ``signatures[idx]``."""
+    memo = {}
+    out = []
+    for (idx, token), lp in zip(moves, lps):
+        sig = signatures[idx]
+        hit = memo.get(sig)
+        if hit is None:
+            events = ctx.step_events(h.state, token, domain)
+            hit = memo[sig] = (
+                weighted_total(events, ctx.config, ctx.active, h.reward),
+                is_masked(events, ctx.active),
+                token == END,
+            )
+        base = h.base + lp
+        out.append((-(base + hit[0]), rank, -1 if hit[2] else idx, token, base, hit[0], hit[1]))
+    return out
+
+
+def _keep(ctx: _Context, live: list, pool: list, width: int, domain: str) -> list[Hypothesis]:
+    """The children of the ``width`` best :func:`_expand` entries, built."""
+    return [_extend(ctx, live[entry[1]], entry, domain) for entry in heapq.nsmallest(width, pool)]
 
 
 def is_masked(events: Sequence[RewardEvent], active: frozenset[Aspect]) -> bool:
@@ -266,53 +311,39 @@ class DecodeResult:
     stage_scores: Optional[dict] = None
 
 
-def _hyp_sort_key(h: Hypothesis):
-    return (-h.score, h.key)
-
-
-def _completed_better(a: Hypothesis, b: Optional[Hypothesis]) -> bool:
-    if b is None:
-        return True
-    return (-a.score, a.key) < (-b.score, b.key)
-
-
 def _max_steps(ctx: _Context) -> int:
     return ctx.n * (ctx.options.max_notes_per_syllable + 1) + 2
 
 
 def _beam(
-    ctx: _Context,
-    scorer: Scorer,
-    domain: str,
-    width: int,
-    hard: bool,
+    ctx: _Context, scorer: Scorer, domain: str, width: int, hard: bool
 ) -> tuple[Hypothesis, tuple[int, ...]]:
     groups = _group_vocab(scorer.vocab, domain)
     live = [Hypothesis(tokens=(), key=(), state=_State())]
     best: Optional[Hypothesis] = None
     relaxations: list[int] = []
     for step in range(_max_steps(ctx)):
-        pool: list[tuple[Hypothesis, list[RewardEvent]]] = []
-        for h in live:
+        live.sort(key=attrgetter("key"))
+        pool: list[tuple] = []
+        for rank, h in enumerate(live):
             dist = scorer.log_prob_dist(h.tokens)
-            for idx, token in ctx.legal(h.state, groups):
-                events = ctx.step_events(h.state, token, domain)
-                if token == END:
-                    done = _extend(h, idx, token, dist[END], events, ctx, domain)
-                    if _completed_better(done, best):
-                        best = done
-                else:
-                    pool.append((_extend(h, idx, token, dist[token], events, ctx, domain), events))
+            moves = ctx.legal(h.state, groups)
+            lps = [dist[t] for _, t in moves]
+            scored = _expand(ctx, h, rank, moves, lps, groups.signatures, domain)
+            if scored and scored[-1][2] < 0:  # END, always the last legal move
+                done = scored.pop()
+                if best is None or (done[0], h.key) < (-best.score, best.key):
+                    best = _extend(ctx, h, done, domain)
+            pool.extend(scored)
         if hard and pool:
-            survivors = [item for item in pool if not is_masked(item[1], ctx.active)]
+            survivors = [entry for entry in pool if not entry[6]]
             if not survivors:
                 relaxations.append(step)
                 survivors = pool
             pool = survivors
         if not pool:
             break
-        pool.sort(key=lambda item: _hyp_sort_key(item[0]))
-        live = [h for h, _ in pool[:width]]
+        live = _keep(ctx, live, pool, width, domain)
     else:
         raise InternalError("beam search exceeded the grammar's step bound")
     if best is None:
@@ -380,25 +411,22 @@ def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -
     temperature = ctx.options.temperature
     for _ in range(_max_steps(ctx)):
         dist = scorer.log_prob_dist(h.tokens)
-        candidates = []
-        for idx, token in ctx.legal(h.state, groups):
-            events = ctx.step_events(h.state, token, "melody")
-            candidates.append((_extend(h, idx, token, dist[token], events, ctx, "melody"), token))
-        candidates.sort(key=lambda item: _hyp_sort_key(item[0]))
-        kept = candidates[:top_k]
-        top = max(cand.score for cand, _ in kept)
-        weights = [math.exp((cand.score - top) / temperature) for cand, _ in kept]
+        moves = ctx.legal(h.state, groups)
+        lps = [dist[t] for _, t in moves]
+        kept = sorted(_expand(ctx, h, 0, moves, lps, groups.signatures, "melody"))[:top_k]
+        top = max(-entry[0] for entry in kept)
+        weights = [math.exp((-entry[0] - top) / temperature) for entry in kept]
         total = sum(weights)
         draw = rng.random() * total
         cumulative = 0.0
-        chosen, chosen_tok = kept[-1]
-        for (cand, token), w in zip(kept, weights):
+        chosen = kept[-1]
+        for entry, w in zip(kept, weights):
             cumulative += w
             if draw < cumulative:
-                chosen, chosen_tok = cand, token
+                chosen = entry
                 break
-        h = chosen
-        if chosen_tok == END:
+        h = _extend(ctx, h, chosen, "melody")
+        if chosen[2] < 0:
             return h
     raise InternalError("sampling exceeded the grammar's step bound")
 
@@ -434,14 +462,8 @@ def rerank(
     best: Optional[Hypothesis] = None
     for _ in range(options.rerank_candidates):
         h = _sample_run(free_ctx, scorer, rng, options.top_k)
-        rewarded = Hypothesis(
-            tokens=h.tokens,
-            key=h.key,
-            state=h.state,
-            base=h.base,
-            reward=_full_reward(scored_ctx, h.tokens),
-        )
-        if _completed_better(rewarded, best):
+        rewarded = replace(h, reward=_full_reward(scored_ctx, h.tokens))
+        if best is None or (-rewarded.score, rewarded.key) < (-best.score, best.key):
             best = rewarded
     return _result_from(scored_ctx, best, DecodeMode.RERANK)
 
@@ -527,53 +549,44 @@ def _pitch_fill(
 ) -> Hypothesis:
     """Beam over pitch choices for each note slot of the skeleton; rests and
     the final END are forced and only shift probability mass."""
-    from .scorer import REST_MARK
-
-    pitches = [t for t in pitch_scorer.vocab.tokens if isinstance(t, int)]
-    pitch_index = {p: pitch_scorer.vocab.index_of(p) for p in pitches}
-    slots = skeleton.rhythm_tokens()
+    vocab = pitch_scorer.vocab
+    pitches = [t for t in vocab.tokens if isinstance(t, int)]
     live = [Hypothesis(tokens=(), key=(), state=_State())]
-    for slot in slots:
-        if slot[0] == "rest":
-            advanced = []
-            for h in live:
-                dist = pitch_scorer.log_prob_dist(_pitch_context(h.tokens))
-                token = MelodyToken(TokenKind.REST, slot[1])
-                events = ctx.step_events(h.state, token, "melody")
-                advanced.append(
-                    _extend(h, pitch_scorer.vocab.index_of(REST_MARK), token, dist[REST_MARK], events, ctx, "melody")
-                )
-            live = advanced
-            continue
-        pool = []
-        for h in live:
+    # every slot, then END; the last step keeps the single best completion
+    for slot in skeleton.rhythm_tokens() + [None]:
+        if slot is None:
+            moves, keys = [(vocab.index_of(END), END)], [END]
+        elif slot[0] == "rest":
+            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot[1]))]
+            keys = [REST_MARK]
+        else:
+            moves = [(vocab.index_of(p), MelodyToken(TokenKind.NOTE, slot[1], p, slot[2]))
+                     for p in pitches]
+            keys = pitches
+        signatures = {idx: ctx.signature(token, "melody") for idx, token in moves}
+        live.sort(key=attrgetter("key"))
+        pool: list[tuple] = []
+        for rank, h in enumerate(live):
             dist = pitch_scorer.log_prob_dist(_pitch_context(h.tokens))
-            for pitch in pitches:
-                token = MelodyToken(TokenKind.NOTE, slot[1], pitch, slot[2])
-                events = ctx.step_events(h.state, token, "melody")
-                pool.append(_extend(h, pitch_index[pitch], token, dist[pitch], events, ctx, "melody"))
-        pool.sort(key=_hyp_sort_key)
-        live = pool[:width]
-    best: Optional[Hypothesis] = None
-    end_idx = pitch_scorer.vocab.index_of(END)
-    for h in live:
-        dist = pitch_scorer.log_prob_dist(_pitch_context(h.tokens))
-        events = ctx.step_events(h.state, END, "melody")
-        done = _extend(h, end_idx, END, dist[END], events, ctx, "melody")
-        if _completed_better(done, best):
-            best = done
-    return best
+            pool.extend(_expand(ctx, h, rank, moves, [dist[k] for k in keys], signatures, "melody"))
+        live = _keep(ctx, live, pool, 1 if slot is None else width, "melody")
+    return live[0]
 
 
 def _pitch_context(tokens: tuple) -> tuple:
-    from .scorer import REST_MARK
-
     return tuple(REST_MARK if t.kind is TokenKind.REST else t.pitch for t in tokens)
 
 
 # ---------------------------------------------------------------------------
 # from-scratch rescoring
 # ---------------------------------------------------------------------------
+
+
+def _sequence_log_prob(scorer: Scorer, sequence: tuple) -> float:
+    base = 0.0
+    for i, token in enumerate(sequence):
+        base += scorer.log_prob_dist(sequence[:i])[token]
+    return base
 
 
 def score_decode(
@@ -586,10 +599,7 @@ def score_decode(
 ) -> tuple[float, float, float]:
     """(base log-prob, weighted reward, combined score) of an existing melody,
     recomputed from the token sequence alone."""
-    sequence = melody_sequence(melody)
-    base = 0.0
-    for i, token in enumerate(sequence):
-        base += scorer.log_prob_dist(sequence[:i])[token]
+    base = _sequence_log_prob(scorer, melody_sequence(melody))
     reward = score_rewards(lyrics, melody, config, active, structure).total
     return base, reward, base + reward
 
@@ -605,14 +615,8 @@ def score_two_stage(
 ) -> tuple[float, float, float]:
     """Two-stage counterpart of :func:`score_decode`: rhythm model + rhythm
     rewards plus pitch model + tone/structure rewards."""
-    rhythm_seq = rhythm_sequence(melody)
-    base = 0.0
-    for i, token in enumerate(rhythm_seq):
-        base += rhythm_scorer.log_prob_dist(rhythm_seq[:i])[token]
-    pitch_seq = pitch_sequence(melody)
-    pitch_base = 0.0
-    for i, token in enumerate(pitch_seq):
-        pitch_base += pitch_scorer.log_prob_dist(pitch_seq[:i])[token]
+    base = _sequence_log_prob(rhythm_scorer, rhythm_sequence(melody))
+    pitch_base = _sequence_log_prob(pitch_scorer, pitch_sequence(melody))
     rhythm_reward = score_rewards(
         lyrics, melody, config, frozenset({Aspect.RHYTHM}) & active, structure
     ).total

@@ -70,10 +70,6 @@ class _Reader:
                 return value
         raise MidiFormatError("variable-length quantity longer than 4 bytes")
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
-
 
 def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
     """Serialize a melody to SMF format 0 at 480 TPQ.

@@ -474,6 +474,16 @@ class _EventModel:
             )
         return events
 
+    @staticmethod
+    def signature(token, domain: str):
+        """What :meth:`step_events` reads of a token (END, or its kind, start
+        flag and a start's pitch; never its duration): from one state, tokens
+        with equal signatures fire equal events."""
+        if token == END:
+            return END
+        is_note, pitch, _duration, starts = _token_view(token, domain)
+        return (is_note, starts, pitch if starts else None)
+
     def step_events(self, st: _State, token, domain: str) -> list[RewardEvent]:
         """Reward events the token (or END) triggers, in canonical order."""
         config, active = self.config, self.active

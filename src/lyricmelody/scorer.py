@@ -373,7 +373,7 @@ class ModelBundle:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise TrainingError(f"invalid model file: {exc}") from exc
-        if doc.get("format") != cls.FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
             raise TrainingError(f"not a {cls.FORMAT} model file")
         if doc.get("version") != cls.VERSION:
             raise TrainingError(f"unsupported model file version {doc.get('version')}")

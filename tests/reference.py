@@ -1,11 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately simple re-statements of the decoding grammar and of the reward
-rules: a plain beam search that knows nothing about rewards, an exhaustive
-enumerator of every complete token sequence, and a whole-pair scan that
-derives every reward event from the alignment, beat grid and sentence spans
-without the package's token-by-token event model.  Kept separate from the
-package so the decoder and the reward fold are checked against a second,
+rules: a plain beam search that knows nothing about rewards, a reward beam
+search that builds every candidate in full before it cuts the beam, an
+exhaustive enumerator of every complete token sequence, and a whole-pair scan
+that derives every reward event from the alignment, beat grid and sentence
+spans without the package's token-by-token event model.  Kept separate from
+the package so the decoder and the reward fold are checked against a second,
 independently written route.
 """
 
@@ -27,9 +28,9 @@ from lyricmelody import (
     strong_weak_reward,
     structure_reward,
 )
-from lyricmelody.decoder import score_decode
+from lyricmelody.decoder import Hypothesis, _group_vocab, _max_steps, is_masked, score_decode
 from lyricmelody.lyrics import TONAL_TONES
-from lyricmelody.rewards import RewardEvent, boundary_kind, event_maximum
+from lyricmelody.rewards import RewardEvent, _State, boundary_kind, event_maximum, weighted_total
 
 
 def _parts(tok):
@@ -96,6 +97,51 @@ def plain_beam_search(lyrics, scorer, width, max_notes=4):
         live = pool[:width]
     assert best is not None
     return best[2]
+
+
+def reward_beam_search(ctx, scorer, domain, width, hard):
+    """Reward-augmented beam search that builds every legal candidate as a
+    full hypothesis (prefix, key, state, events) and only then keeps the
+    ``width`` best by (-score, key); hard mode drops masked candidates unless
+    that would drop them all.  Returns (best completed hypothesis, steps that
+    relaxed)."""
+    groups = _group_vocab(scorer.vocab, domain)
+
+    def extend(h, idx, token, lp, events):
+        return Hypothesis(
+            tokens=h.tokens + (token,),
+            key=h.key if token == END else h.key + (idx,),
+            state=h.state if token == END else ctx.apply(h.state, token, domain),
+            base=h.base + lp,
+            reward=weighted_total(events, ctx.config, ctx.active, h.reward),
+        )
+
+    live = [Hypothesis(tokens=(), key=(), state=_State())]
+    best = None
+    relaxations = []
+    for step in range(_max_steps(ctx)):
+        pool = []
+        for h in live:
+            dist = scorer.log_prob_dist(h.tokens)
+            for idx, token in ctx.legal(h.state, groups):
+                events = ctx.step_events(h.state, token, domain)
+                cand = extend(h, idx, token, dist[token], events)
+                if token != END:
+                    pool.append((cand, events))
+                elif best is None or (-cand.score, cand.key) < (-best.score, best.key):
+                    best = cand
+        if hard and pool:
+            survivors = [item for item in pool if not is_masked(item[1], ctx.active)]
+            if not survivors:
+                relaxations.append(step)
+                survivors = pool
+            pool = survivors
+        if not pool:
+            break
+        pool.sort(key=lambda item: (-item[0].score, item[0].key))
+        live = [h for h, _ in pool[:width]]
+    assert best is not None
+    return best, tuple(relaxations)
 
 
 def enumerate_complete_sequences(vocab, n_syllables, max_notes):

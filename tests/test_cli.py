@@ -117,6 +117,28 @@ class TestGenerate:
                      "--pipeline", "two-stage"]) == 0
         assert out.is_file()
 
+    def test_non_object_model_file_exit_one(self, workspace, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text("[1]", "utf-8")
+        out = tmp_path / "x.mid"
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"),
+                     "-m", str(model), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "model file" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meter", ["4/6", "4/0", "0/4", "-4/4", "x/4"])
+    def test_bad_time_signature_exit_one_before_decoding(
+        self, workspace, model_path, tmp_path, capsys, meter
+    ):
+        out = tmp_path / "x.mid"
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"),
+                     "-m", str(model_path), "-o", str(out),
+                     f"--time-signature={meter}"]) == 1
+        err = capsys.readouterr().err
+        assert "time signature" in err and meter in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def generated(workspace, model_path, tmp_path_factory):
@@ -191,6 +213,14 @@ class TestCompare:
         assert main(["compare", str(workspace / "lyrics"), "-m", str(model_path),
                      "--modes", "off,quantum"]) == 1
         assert "quantum" in capsys.readouterr().err
+
+    def test_bad_time_signature_exit_one(self, workspace, model_path, tmp_path, capsys):
+        report = tmp_path / "t.json"
+        assert main(["compare", str(workspace / "lyrics"), "-m", str(model_path),
+                     "--modes", "off", "--time-signature", "4/6", "--json", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "4/6" in err and "Traceback" not in err
+        assert not report.exists()
 
 
 class TestConfigHandling:

@@ -29,7 +29,7 @@ from lyricmelody import (
 from lyricmelody.decoder import is_masked
 from lyricmelody.rewards import RewardEvent, reward_events
 from lyricmelody.scorer import END
-from lyricmelody.synthetic import random_lyrics, random_training_melody
+from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from reference import exhaustive_argmax, plain_beam_search
 
 from conftest import mk_melody
@@ -214,6 +214,16 @@ class TestSampling:
         with pytest.warns(UserWarning, match="clamp"):
             sample(lyr, trained, config,
                    DecodeOptions(mode=DecodeMode.SAMPLE, seed=0, top_k=10_000))
+
+
+    def test_end_wins_score_ties(self, config):
+        # all candidates tie; END's key is its parent's, a prefix of every
+        # sibling's, so top-1 sampling ends the melody as soon as it may
+        lyr = parse_lyrics("ni3|W,K hao3|I tian1|W .")
+        scorer = UniformScorer(small_vocab(continuations=True))
+        options = DecodeOptions(mode=DecodeMode.SAMPLE, top_k=1, active=frozenset())
+        got = sample(lyr, scorer, config, options)
+        assert len(got.melody.tokens) == len(lyr)
 
 
 class TestRerank:
@@ -407,3 +417,148 @@ class TestInvariants:
             assert result.melody.syllable_count == len(lyr)
             _, _, score = score_decode(lyr, result.melody, scorer, config)
             assert score == pytest.approx(result.score, abs=1e-9)
+
+
+class TestScoreFirstBeamMatchesReference:
+    """The score-first ``_beam`` against ``reference.reward_beam_search``,
+    which builds every candidate before it cuts the beam: the same tokens and
+    key, the same bits of ``base`` and ``reward``, the same relaxation steps."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(4111)
+        corpus = [random_training_melody(rng, pitch_range=(60, 66),
+                                         durations=[Fraction(1), Fraction(2)])
+                  for _ in range(10)]
+        bundle = train_model_bundle(corpus, order=2)
+        sheets = [random_lyrics(rng, sentences=rng.randint(1, 2), repeat=i % 2 == 0)
+                  for i in range(3)]
+        return bundle, sheets
+
+    @staticmethod
+    def check(ctx, scorer, domain, width, hard):
+        from lyricmelody.decoder import _beam
+        from reference import reward_beam_search
+
+        got, got_relaxed = _beam(ctx, scorer, domain, width, hard)
+        want, want_relaxed = reward_beam_search(ctx, scorer, domain, width, hard)
+        assert got.tokens == want.tokens and got.key == want.key
+        assert got.base.hex() == want.base.hex()
+        assert got.reward.hex() == want.reward.hex()
+        assert got_relaxed == want_relaxed
+        return got_relaxed
+
+    @pytest.mark.parametrize("preset", ["telemelody", "off"])
+    @pytest.mark.parametrize("hard", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_melody_domain(self, config, cases, width, hard, preset):
+        from lyricmelody.decoder import _Context
+
+        bundle, sheets = cases
+        cfg = config.with_preset(preset)
+        options = DecodeOptions(beam_width=width, max_notes_per_syllable=2)
+        for lyr in sheets:
+            ctx = _Context(lyr, cfg, options, options.active)
+            self.check(ctx, bundle.token_model, "melody", width, hard)
+
+    @pytest.mark.parametrize("preset", ["telemelody", "off"])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_rhythm_domain_of_stage_one(self, config, cases, width, preset):
+        from lyricmelody.decoder import _Context
+
+        bundle, sheets = cases
+        options = DecodeOptions(beam_width=width)
+        for lyr in sheets:
+            ctx = _Context(lyr, config.with_preset(preset), options, frozenset({Aspect.RHYTHM}))
+            self.check(ctx, bundle.rhythm_model, "rhythm", width, hard=False)
+
+    @pytest.mark.parametrize("preset", ["telemelody", "off"])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_uniform_scorer_ties_break_by_parent_rank_then_index(self, config, width, preset):
+        # every base score ties, and under "off" every reward too, so the
+        # (parent rank, index) tie-break alone picks the beam
+        from lyricmelody.decoder import _Context
+
+        scorer = UniformScorer(small_vocab(pitches=(60, 62, 64), durations=(1, 2),
+                                           continuations=True))
+        relaxed = []
+        for text in ("ni3|W,K hao3|I tian1|W .", "ni3|W hao3|W,K .\nni3|W hao3|W,K ?"):
+            lyr = parse_lyrics(text)
+            options = DecodeOptions(beam_width=width, max_notes_per_syllable=2)
+            ctx = _Context(lyr, config.with_preset(preset), options, options.active)
+            for hard in (False, True):
+                relaxed.extend(self.check(ctx, scorer, "melody", width, hard))
+        assert relaxed  # hard mode relaxed somewhere, so that path is compared too
+
+
+class TestEventSignature:
+    """Tokens with equal ``_EventModel.signature`` fire equal events from any
+    state reached by folding a melody, in both token domains."""
+
+    @staticmethod
+    def violations(ctx_class, domain, active, config, seed=7):
+        from lyricmelody.decoder import _group_vocab
+        from lyricmelody.rewards import _State
+        from lyricmelody.scorer import rhythm_projection, vocabulary_from_corpus
+
+        rng = random.Random(seed)
+        found, shared = [], 0
+        for _ in range(12):
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), repeat=rng.random() < 0.5)
+            melodies = [random_aligned_melody(lyr, rng) for _ in range(2)]
+            vocab = vocabulary_from_corpus(melodies)
+            if domain == "rhythm":
+                vocab = Vocabulary.build("rhythm", map(rhythm_projection, vocab.tokens[:-1]))
+            groups = _group_vocab(vocab, domain)
+            ctx = ctx_class(lyr, config, DecodeOptions(), active)
+            for melody in melodies:
+                state = _State()
+                tokens = melody.tokens
+                if domain == "rhythm":
+                    tokens = tuple(map(rhythm_projection, tokens))
+                for token in tokens + (None,):
+                    by_signature = {}
+                    for idx, cand in ctx.legal(state, groups):
+                        events = ctx.step_events(state, cand, domain)
+                        sig = groups.signatures[idx]
+                        if sig in by_signature:
+                            shared += 1
+                            if by_signature[sig][1] != events:
+                                found.append((by_signature[sig][0], cand))
+                        else:
+                            by_signature[sig] = (cand, events)
+                    if token is not None:
+                        state = ctx.apply(state, token, domain)
+        assert shared  # tokens that differ only in duration were compared
+        return found
+
+    @staticmethod
+    def reads_duration():
+        """A broken event model whose events depend on a token's duration."""
+        from lyricmelody.decoder import _Context
+        from lyricmelody.rewards import _token_view
+
+        class ReadsDuration(_Context):
+            def step_events(self, st, token, domain):
+                events = super().step_events(st, token, domain)
+                if token != END and _token_view(token, domain)[2] >= 2:
+                    events = events + [RewardEvent("pause", Aspect.RHYTHM, 0.0, 1.0)]
+                return events
+
+        return ReadsDuration
+
+    @pytest.mark.parametrize("domain, active", [
+        ("melody", frozenset(Aspect)),
+        ("rhythm", frozenset({Aspect.RHYTHM})),
+    ])
+    def test_equal_signature_equal_events(self, config, domain, active):
+        from lyricmelody.decoder import _Context
+
+        assert self.violations(_Context, domain, active, config) == []
+
+    @pytest.mark.parametrize("domain, active", [
+        ("melody", frozenset(Aspect)),
+        ("rhythm", frozenset({Aspect.RHYTHM})),
+    ])
+    def test_catches_events_that_read_duration(self, config, domain, active):
+        assert self.violations(self.reads_duration(), domain, active, config)
