@@ -25,11 +25,20 @@ shorter sequence (lexicographic comparison of token index sequences).
 Expansion scores first and builds later: each legal move of each live
 hypothesis is a flat tuple of score parts, and only what is kept (the beam's
 top ``width``, the sampled token) gets a prefix, key and state.  Events never
-depend on a token's duration, so a parent fires them once per event
-signature (:meth:`lyricmelody.rewards._EventModel.signature`) and reuses the
-identical float.  Live keys share one length, so (parent's rank among live
-keys, token index) orders children as their full keys do; END keeps its
-parent's key, a prefix of its siblings' keys, so it ranks first on a tie.
+depend on a token's duration, so a parent scores each event signature
+(:meth:`lyricmelody.rewards._EventModel.signature`) once and reuses the
+identical float.  Syllable starts, most of the legal moves, complete the
+parent's start plan at their pitch: the plan
+(:meth:`~lyricmelody.rewards._EventModel.start_plan`, built at the parent's
+first legal start) holds every term the pitch does not move, so a start
+adds only its transition and structure terms.  Any other move fires its
+events.  Live keys share one length, so (parent's rank among live keys,
+token index) orders children as their full keys do; END keeps its parent's
+key, a prefix of its siblings' keys, so it ranks first on a tie.
+
+A vocabulary with no syllable-start token (or, for the pitch stage, no
+pitch) cannot cover any lyrics; grouping it raises
+:class:`~lyricmelody.errors.TrainingError` before its stage decodes anything.
 
 Hypothesis expansion is pure over immutable models; one decode owns its
 hypotheses, and independent decodes may run concurrently.
@@ -47,7 +56,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .errors import InternalError, OptionError
+from .errors import InternalError, OptionError, TrainingError
 from .lyrics import LyricSequence, StructureMatrix
 from .melody import Melody, MelodyToken, TokenKind
 from .rewards import (
@@ -230,6 +239,11 @@ def _group_vocab(vocab: Vocabulary, domain: str) -> _VocabGroups:
             starts.append((idx, token))
         else:
             continuations.append((idx, token))
+    if not starts:
+        raise TrainingError(
+            f"the model's {vocab.kind} vocabulary has no syllable-start token, "
+            "so it cannot cover any lyrics"
+        )
     return _VocabGroups(tuple(starts), tuple(continuations), tuple(rests), end, signatures)
 
 
@@ -270,19 +284,27 @@ def _expand(
     """``(-score, rank, pos, token, base, reward, masked)`` per ``(idx, token)``
     move of ``h``, the ``rank``-th live hypothesis by key, with base
     log-probabilities ``lps``; ``pos`` is ``idx``, or -1 for END.  Builds no
-    child and fires events once per ``signatures[idx]``."""
+    child and scores each ``signatures[idx]`` once: a syllable start by
+    completing the parent's start plan (built on the first start), any other
+    move by firing its events."""
     memo = {}
+    plan = None
     out = []
     for (idx, token), lp in zip(moves, lps):
         sig = signatures[idx]
         hit = memo.get(sig)
         if hit is None:
-            events = ctx.step_events(h.state, token, domain)
-            hit = memo[sig] = (
-                weighted_total(events, ctx.config, ctx.active, h.reward),
-                is_masked(events, ctx.active),
-                token == END,
-            )
+            if sig != END and sig[1]:  # (is_note, starts, pitch) of a start
+                if plan is None:
+                    plan = ctx.start_plan(h.state, h.reward)
+                hit = memo[sig] = ctx.complete(plan, sig[2]) + (False,)
+            else:
+                events = ctx.step_events(h.state, token, domain)
+                hit = memo[sig] = (
+                    weighted_total(events, ctx.config, ctx.active, h.reward),
+                    is_masked(events, ctx.active),
+                    token == END,
+                )
         base = h.base + lp
         out.append((-(base + hit[0]), rank, -1 if hit[2] else idx, token, base, hit[0], hit[1]))
     return out
@@ -551,6 +573,14 @@ def _pitch_fill(
     the final END are forced and only shift probability mass."""
     vocab = pitch_scorer.vocab
     pitches = [t for t in vocab.tokens if isinstance(t, int)]
+    if not pitches:
+        raise TrainingError(
+            "the model's pitch vocabulary has no pitch, so it cannot cover any lyrics"
+        )
+    if REST_MARK not in vocab and any(r is not None for r in skeleton.trailing_rests):
+        raise TrainingError(
+            "the model's pitch vocabulary has no rest mark for the skeleton's rests"
+        )
     live = [Hypothesis(tokens=(), key=(), state=_State())]
     # every slot, then END; the last step keeps the single best completion
     for slot in skeleton.rhythm_tokens() + [None]:

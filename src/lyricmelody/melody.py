@@ -53,6 +53,19 @@ class MelodyToken:
     duration: Fraction
     pitch: Optional[int] = None
     syllable_start: bool = False
+    # the hash, computed on first use; not part of __init__, repr or ==
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        # Built from values that hash alike in every process (an Enum member
+        # and, before Python 3.12, None do not), so a cached hash stays valid
+        # in a token unpickled elsewhere.
+        h = self._hash
+        if h is None:
+            h = hash((self.kind is TokenKind.NOTE, self.duration,
+                      -1 if self.pitch is None else self.pitch, self.syllable_start))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __post_init__(self) -> None:
         if self.duration <= 0:

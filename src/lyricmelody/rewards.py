@@ -11,10 +11,19 @@ Six sub-rewards over three aspects:
 
 Each sub-reward is a pure function.  When each one fires is decided in one
 place, the token-by-token event model (:class:`_EventModel` over
-:class:`_State`): the decoder steps it once per candidate token, and
-:func:`reward_events` folds it over a finished melody, so a decode and the
+:class:`_State`): :func:`reward_events` folds it over a finished melody, and
+the decoder steps it from each live hypothesis, so a decode and the
 rescoring of its output fire the same events in the same order.  The tests
 check the fold against an independently written whole-pair scan.
+
+A syllable start is where most candidates differ, and only by pitch: its
+close, strong/weak and pause events, its tone-pair cell and its structure
+partner depend on the state alone.  :meth:`_EventModel.start_plan` weighs
+them once per state into a plan that carries the running reward past the
+close events; :meth:`_EventModel.complete` adds a pitch's transition and
+structure terms in canonical order, so it equals :func:`weighted_total`
+over the start's events to the last bit.  :meth:`_EventModel.step_events`
+builds a start's events from the same pitch-free parts and pitch rule.
 
 Event timing convention: a syllable's shape and its sentence's contour fire
 on the token that closes the span (the next rest, the next syllable's first
@@ -119,10 +128,14 @@ class HarmonyTable:
         intervals = self.cells.get((prev, cur))
         if intervals is None:
             return None
-        for lo, hi, degree in intervals:
-            if lo <= delta <= hi:
-                return degree
-        return HarmonyDegree.BAD
+        return _cell_degree(intervals, delta)
+
+
+def _cell_degree(intervals, delta: int) -> HarmonyDegree:
+    for lo, hi, degree in intervals:
+        if lo <= delta <= hi:
+            return degree
+    return HarmonyDegree.BAD
 
 
 #: λ presets matching the two published operating points plus a null setting.
@@ -399,6 +412,27 @@ class _State:
     sent_last: Optional[int] = None
 
 
+@dataclass(frozen=True, slots=True)
+class _StartPlan:
+    """What a syllable start fires from one state, short of its pitch.
+
+    A transition fires when ``cell`` (the tone pair's intervals) is set,
+    graded on the jump from ``anchor``; structure fires when
+    ``partner_delta`` is set, compared with the jump from ``last_pitch``.
+    ``reward`` is the running total after the close events (shape, contour),
+    ``masked`` whether one of them is below its maximum, and ``terms`` the
+    λ·v and below-maximum flag of each strong/weak and pause event.
+    """
+
+    cell: Optional[tuple]
+    anchor: Optional[int]
+    partner_delta: Optional[int]
+    last_pitch: Optional[int]
+    reward: float
+    masked: bool
+    terms: list
+
+
 class _EventModel:
     """The reward events of a token sequence, one token at a time.
 
@@ -505,23 +539,29 @@ class _EventModel:
             return events
         if not starts:
             return []
+        events, middle, cell, anchor, partner_delta = self._start_parts(st)
+        transition, structure = self._pitch_values(
+            cell, anchor, partner_delta, st.last_pitch, pitch
+        )
+        if transition is not None:
+            events.append(_event("transition", Aspect.TONE, transition, config))
+        events.extend(middle)
+        if structure is not None:
+            events.append(_event("structure", Aspect.STRUCTURE, structure, config))
+        return events
 
-        events = self._close_events(st)
+    def _start_parts(self, st: _State) -> tuple:
+        """What a syllable start fires from ``st`` whatever its pitch: (close
+        events, strong/weak and pause events, the tone pair's harmony cell or
+        None, the transition's anchor pitch, the structure partner's interval
+        or None)."""
+        config, active = self.config, self.active
+        close = self._close_events(st)
         k = st.syl + 1
-        if Aspect.TONE in active and self.tone_pair_ok[k]:
-            ev = _event(
-                "transition",
-                Aspect.TONE,
-                pitch_transition_reward(
-                    (self.tone[k - 1], self.tone[k]),
-                    pitch - st.syl_first[k - 1],
-                    config.harmony_table,
-                    config,
-                ),
-                config,
-            )
-            if ev is not None:
-                events.append(ev)
+        cell = None
+        if Aspect.TONE in active and self.tone_pair_ok[k] and config.harmony_table is not None:
+            cell = config.harmony_table.cells.get((self.tone[k - 1], self.tone[k]))
+        middle = []
         if Aspect.RHYTHM in active and self.word_start[k]:
             ev = _event(
                 "sw",
@@ -530,11 +570,11 @@ class _EventModel:
                 config,
             )
             if ev is not None:
-                events.append(ev)
+                middle.append(ev)
         if Aspect.RHYTHM in active and k >= 1 and st.span_open:
             # no rest resolved this gap; a long final note still pauses
             has_pause = st.last_duration is not None and st.last_duration >= config.long_note_threshold
-            events.append(
+            middle.append(
                 _event(
                     "pause",
                     Aspect.RHYTHM,
@@ -542,18 +582,59 @@ class _EventModel:
                     config,
                 )
             )
+        partner_delta = None
         if Aspect.STRUCTURE in active:
             j = self.partner.get(k)
-            if j is not None and st.last_pitch is not None and st.syl_delta[j] is not None:
-                events.append(
-                    _event(
-                        "structure",
-                        Aspect.STRUCTURE,
-                        structure_reward(pitch - st.last_pitch, st.syl_delta[j], config),
-                        config,
-                    )
-                )
-        return events
+            if j is not None and st.last_pitch is not None:
+                partner_delta = st.syl_delta[j]
+        anchor = st.syl_first[k - 1] if cell is not None else None
+        return close, middle, cell, anchor, partner_delta
+
+    def _pitch_values(self, cell, anchor, partner_delta, last_pitch, pitch):
+        """The transition and structure values a start at ``pitch`` earns
+        (None where the event does not fire)."""
+        transition = structure = None
+        if cell is not None:
+            transition = self.config.transition_rewards[_cell_degree(cell, pitch - anchor)]
+        if partner_delta is not None:
+            structure = structure_reward(pitch - last_pitch, partner_delta, self.config)
+        return transition, structure
+
+    def start_plan(self, st: _State, start: float = 0.0) -> _StartPlan:
+        """The pitch-free part of a syllable start from ``st``, with the
+        running reward ``start`` carried past its close events."""
+        close, middle, cell, anchor, partner_delta = self._start_parts(st)
+        config = self.config
+        return _StartPlan(
+            cell,
+            anchor,
+            partner_delta,
+            st.last_pitch,
+            weighted_total(close, config, self.active, start),
+            any(not ev.is_maximal for ev in close),
+            # strong/weak and pause are rhythm events
+            [(config.lambda_rhythm * ev.value, not ev.is_maximal) for ev in middle],
+        )
+
+    def complete(self, plan: _StartPlan, pitch) -> tuple[float, bool]:
+        """(running reward, masked) after a start at ``pitch``: the plan's
+        terms added in canonical order, so the reward equals
+        ``weighted_total(step_events(...), start=...)`` bit for bit."""
+        transition, structure = self._pitch_values(
+            plan.cell, plan.anchor, plan.partner_delta, plan.last_pitch, pitch
+        )
+        config = self.config
+        total, masked = plan.reward, plan.masked
+        if transition is not None:
+            total += config.lambda_tone * transition
+            masked = masked or not transition >= config._maxima["transition"]
+        for term, below in plan.terms:
+            total += term
+            masked = masked or below
+        if structure is not None:
+            total += config.lambda_structure * structure
+            masked = masked or not structure >= config._maxima["structure"]
+        return total, masked
 
     def apply(self, st: _State, token, domain: str) -> _State:
         """The state after a (non-END) token."""

@@ -288,6 +288,31 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "counts" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, part, keep", [
+        (["--mode", "beam"], "token_model", ":C"),
+        (["--mode", "sample"], "token_model", ":C"),
+        (["--mode", "rerank"], "token_model", ":C"),
+        (["--pipeline", "two-stage"], "pitch_model", "R"),
+    ])
+    def test_vocabulary_that_cannot_cover_lyrics_exit_one(
+        self, workspace, model_path, tmp_path, capsys, flags, part, keep
+    ):
+        # a token vocabulary of continuations, rests and <end> only, or a
+        # pitch vocabulary of the rest mark and <end> only
+        doc = json.loads(model_path.read_text())
+        vocab = doc[part]["vocab"]
+        vocab["tokens"] = [t for t in vocab["tokens"]
+                           if t == "<end>" or t.startswith("R") or t.endswith(keep)]
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps(doc), "utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"), "-m", str(narrow),
+                     "-o", str(out_dir / "x.mid"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "vocabulary" in err and "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
 
 class TestStartup:
     def test_import_leaves_numpy_unloaded(self):

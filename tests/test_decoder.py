@@ -9,6 +9,7 @@ from lyricmelody import (
     DecodeOptions,
     OptionError,
     Pipeline,
+    TrainingError,
     UniformScorer,
     Vocabulary,
     beam_search,
@@ -349,6 +350,32 @@ class TestTwoStage:
             options,
         )
         assert single.melody == double.melody
+
+
+class TestVocabularyCoverage:
+    """A scorer vocabulary that cannot cover the lyrics is a TrainingError,
+    whichever decoder is handed it."""
+
+    LYRICS = "ni3|W hao3|I .\ntian1|W kong1|I ."
+
+    @pytest.mark.parametrize("fn", [beam_search, beam_search_hard, sample, rerank])
+    def test_no_syllable_start(self, config, fn):
+        scorer = UniformScorer(Vocabulary.build("melody", [note(60, 1, False), rest(1)]))
+        with pytest.raises(TrainingError, match="syllable-start"):
+            fn(parse_lyrics(self.LYRICS), scorer, config, DecodeOptions())
+
+    @pytest.mark.parametrize("rhythm, pitch, match", [
+        ([("note", Fraction(1), False), ("rest", Fraction(1))], [60, "R"], "syllable-start"),
+        ([("note", Fraction(1), True), ("rest", Fraction(1))], ["R"], "no pitch"),
+        # the pause reward puts a rest at the sentence boundary
+        ([("note", Fraction(1), True), ("rest", Fraction(1))], [60], "rest mark"),
+    ])
+    def test_two_stage(self, config, rhythm, pitch, match):
+        rhythm_scorer = UniformScorer(Vocabulary.build("rhythm", rhythm))
+        pitch_scorer = UniformScorer(Vocabulary.build("pitch", pitch))
+        with pytest.raises(TrainingError, match=match):
+            decode_two_stage(parse_lyrics(self.LYRICS), rhythm_scorer, pitch_scorer, config,
+                             DecodeOptions())
 
 
 class TestInvariants:

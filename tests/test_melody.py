@@ -1,4 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +44,72 @@ class TestTokens:
     def test_pitch_range(self):
         with pytest.raises(ValueError):
             note(128, 1)
+
+
+class TestTokenHash:
+    """The hash a token caches on first use: equal tokens hash equal, the
+    cache is invisible to ``repr`` and ``==``, and a cached value holds in a
+    process under another hash seed."""
+
+    def test_equal_tokens_hash_equal(self):
+        from lyricmelody.scorer import Vocabulary, build_melody_vocabulary
+
+        a = note(60, Fraction(3, 2), False)
+        hash(a)
+        assert hash(note(60, Fraction(3, 2), False)) == hash(a)
+        assert hash(dataclasses.replace(a)) == hash(a)
+        moved = dataclasses.replace(note(62, 2, True), pitch=60, duration=Fraction(3, 2),
+                                    syllable_start=False)
+        assert moved == a and hash(moved) == hash(a)
+        assert hash(rest(1)) == hash(rest(Fraction(1)))
+        vocab = build_melody_vocabulary((59, 61), [1, Fraction(3, 2)])
+        decoded = Vocabulary.from_dict(vocab.to_dict())
+        for built, loaded in zip(vocab.tokens[:-1], decoded.tokens):  # END is a str
+            assert built is not loaded and loaded == built and hash(loaded) == hash(built)
+        assert decoded.index_of(a) == vocab.index_of(a)
+
+    def test_cache_is_not_in_repr_or_eq(self):
+        fresh, hashed = note(64, 1), note(64, 1)
+        hash(hashed)
+        assert repr(hashed) == repr(fresh) == (
+            "MelodyToken(kind=<TokenKind.NOTE: 'note'>, duration=Fraction(1, 1), "
+            "pitch=64, syllable_start=True)"
+        )
+        assert hashed == fresh and not hashed != fresh
+        assert rest(1) != note(64, 1)
+        with pytest.raises(TypeError):
+            MelodyToken(TokenKind.NOTE, Fraction(1), 64, True, 0)
+
+    def test_pickled_hash_valid_under_another_seed(self, tmp_path):
+        import lyricmelody
+
+        src = str(Path(lyricmelody.__file__).resolve().parents[1])
+        dump = tmp_path / "tokens.pickle"
+        write = (
+            "import pickle, sys\n"
+            "from fractions import Fraction\n"
+            "from lyricmelody.melody import note, rest\n"
+            "tokens = [note(61, Fraction(1, 2), True), rest(2), note(60, 1, False)]\n"
+            "for t in tokens: hash(t)\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps(tokens))\n"
+        )
+        read = (
+            "import pickle, sys\n"
+            "from lyricmelody.scorer import build_melody_vocabulary\n"
+            "vocab = build_melody_vocabulary((60, 62), [0.5, 1, 2])\n"
+            "tokens = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "print([vocab.index_of(t) for t in tokens])\n"
+        )
+        for code, seed in ((write, "1"), (read, "2")):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            out = subprocess.run([sys.executable, "-c", code, str(dump)], env=env,
+                                 capture_output=True, text=True, timeout=60, check=True)
+        from lyricmelody.scorer import build_melody_vocabulary
+
+        vocab = build_melody_vocabulary((60, 62), [0.5, 1, 2])
+        want = [vocab.index_of(t) for t in (note(61, Fraction(1, 2), True), rest(2),
+                                            note(60, 1, False))]
+        assert out.stdout.split("\n")[0] == str(want)
 
 
 class TestMelodyInvariants:

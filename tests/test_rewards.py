@@ -11,8 +11,10 @@ from lyricmelody import (
     HarmonyTable,
     Intonation,
     Melody,
+    MelodyToken,
     RewardConfig,
     StressClass,
+    TokenKind,
     Tone,
     build_structure_matrix,
     parse_lyrics,
@@ -377,3 +379,78 @@ class TestConfigValidation:
     def test_unknown_preset_rejected(self, config):
         with pytest.raises(ConfigError):
             config.with_preset("nonsense")
+
+
+class TestStartPlan:
+    """From every state of folded seeded melodies, completing the start plan
+    at every legal pitch gives ``weighted_total`` (to the last bit) and
+    ``is_masked`` of the events ``step_events`` fires for that start."""
+
+    # the presets' rhythm and structure weights are dyadic, so reordering
+    # their terms cannot change a bit; the last weights can, most often from
+    # a running reward of the same size as the terms, hence the start rewards
+    LAMBDAS = ["telemelody", "songmass", "off", (1.1, 0.7, 1.3)]
+    ACTIVE = [ALL_ASPECTS] + [frozenset({aspect}) for aspect in Aspect]
+    METERS = [(4, 4), (3, 4), (6, 8)]
+    PITCHES = range(57, 76)  # the melodies' 60-72 and jumps past an octave
+
+    @classmethod
+    def mismatches(cls, model_class, config, seeds=range(8)):
+        from lyricmelody.decoder import is_masked
+        from lyricmelody.rewards import _State
+
+        cells = {p: v for p, v in config.harmony_table.cells.items() if Tone.TONE3 not in p}
+        no_tone3 = replace(config, harmony_table=HarmonyTable(cells))
+        found, kinds = [], set()
+        for seed in seeds:
+            rng = random.Random(seed)
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=seed % 4 != 3,
+                                repeat=seed % 4 < 2)
+            melody = random_aligned_melody(lyr, rng)
+            table = no_tone3 if seed % 2 else config
+            for lambdas in cls.LAMBDAS:
+                cfg = (table.with_preset(lambdas) if isinstance(lambdas, str)
+                       else table.with_lambdas(lambdas))
+                for active in cls.ACTIVE:
+                    for meter in cls.METERS:
+                        model = model_class(lyr, cfg, active, meter)
+                        state = _State()
+                        for token in melody.tokens:
+                            if state.syl + 1 < len(lyr):
+                                start_reward = rng.uniform(0, 4)
+                                plan = model.start_plan(state, start_reward)
+                                for pitch in cls.PITCHES:
+                                    start = MelodyToken(TokenKind.NOTE, token.duration, pitch, True)
+                                    events = model.step_events(state, start, "melody")
+                                    kinds.update(ev.kind for ev in events)
+                                    want = (weighted_total(events, cfg, active, start_reward).hex(),
+                                            is_masked(events, active))
+                                    got_reward, got_masked = model.complete(plan, pitch)
+                                    if (got_reward.hex(), got_masked) != want:
+                                        found.append((seed, lambdas, meter, sorted(active, key=str),
+                                                      state.syl, pitch))
+                            state = model.apply(state, token, "melody")
+        assert kinds == {"shape", "contour", "transition", "sw", "pause", "structure"}
+        return found
+
+    def test_completion_equals_events(self, config):
+        from lyricmelody.rewards import _EventModel
+
+        assert self.mismatches(_EventModel, config) == []
+
+    def test_catches_structure_added_before_middle_terms(self, config):
+        from lyricmelody.rewards import _EventModel
+
+        class StructureFirst(_EventModel):
+            def complete(self, plan, pitch):
+                _, masked = super().complete(plan, pitch)
+                _, structure = self._pitch_values(plan.cell, plan.anchor, plan.partner_delta,
+                                                  plan.last_pitch, pitch)
+                total, _ = super().complete(replace(plan, terms=(), partner_delta=None), pitch)
+                if structure is not None:
+                    total += self.config.lambda_structure * structure
+                for term, _ in plan.terms:
+                    total += term
+                return total, masked
+
+        assert self.mismatches(StructureFirst, config)
