@@ -53,7 +53,8 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from typing import Optional, Sequence
 
 from .errors import InternalError, OptionError, TrainingError
@@ -438,7 +439,7 @@ def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -
         kept = sorted(_expand(ctx, h, 0, moves, lps, groups.signatures, "melody"))[:top_k]
         top = max(-entry[0] for entry in kept)
         weights = [math.exp((-entry[0] - top) / temperature) for entry in kept]
-        total = sum(weights)
+        total = reduce(add, weights, 0)  # left fold: builtin sum compensates on 3.12+
         draw = rng.random() * total
         cumulative = 0.0
         chosen = kept[-1]

@@ -54,6 +54,19 @@ __all__ = [
     "aggregate_reports",
 ]
 
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean by a left fold that rounds after every addition.
+
+    Python 3.12's builtin ``sum`` compensates float rounding, which would
+    change the reported figures' last bits between interpreters.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return float(total / len(values))
+
+
 #: Per-degree scores for the transition metric.
 DEGREE_SCORES = {
     HarmonyDegree.EXCELLENT: 1.0,
@@ -110,7 +123,7 @@ def tone_transition_score(
             scores.append(DEGREE_SCORES[degree])
     if not scores:
         return None
-    return float(sum(scores) / len(scores))
+    return _mean(scores)
 
 
 def tone_contour_score(lyrics: LyricSequence, melody: Melody) -> Optional[float]:
@@ -232,11 +245,7 @@ def structure_similarity(
         mds.append(melody_distance(pitches_a, pitches_b))
     if not pds:
         return (None, None, None)
-    return (
-        float(sum(pds) / len(pds)),
-        float(sum(dds) / len(dds)),
-        float(sum(mds) / len(mds)),
-    )
+    return (_mean(pds), _mean(dds), _mean(mds))
 
 
 def evaluate_pair(
@@ -260,5 +269,5 @@ def aggregate_reports(reports: Sequence[EvaluationReport]) -> dict[str, Optional
     out: dict[str, Optional[float]] = {}
     for name in EvaluationReport.FIELDS:
         values = [getattr(r, name) for r in reports if getattr(r, name) is not None]
-        out[name] = float(sum(values) / len(values)) if values else None
+        out[name] = _mean(values) if values else None
     return out

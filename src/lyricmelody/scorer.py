@@ -19,6 +19,19 @@ subtracted from every observed count and the freed mass backs off to the
 next shorter context, grounding in the empirical unigram distribution mixed
 with a uniform prior over the vocabulary.  Models are immutable once
 trained; scoring from concurrent decodes is safe.
+
+Every in-vocabulary token a model counts is the vocabulary's own instance:
+training swaps each token for it, and loading decodes each count string
+through the vocabulary's spellings (any other spelling is decoded once and
+mapped to the equal vocabulary token, or kept as is if it has none).  The
+decoder's contexts hold the same instances, so context lookups hit by
+identity instead of comparing tokens field by field.
+
+A context's distribution is built in O(|V|) from the probability table of
+its one-shorter suffix (the backed-off mass for every token, plus the
+discounted count of each observed successor), and the tables of proper
+suffixes are memoised.  Each entry equals the per-token recursion bit for
+bit, because an unseen token's kept mass is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -230,7 +243,9 @@ class NGramModel:
 
     P(t | ctx) = max(c(ctx,t) - d, 0)/c(ctx) + d*distinct(ctx)/c(ctx) * P(t | ctx[1:]),
     grounding at unigrams interpolated with 1/|V|.  Unseen contexts back off
-    with all their mass.
+    with all their mass.  Model files must count every successor at least
+    once and every counted context must have a successor, or loading raises
+    :class:`TrainingError`.
     """
 
     def __init__(
@@ -249,6 +264,7 @@ class NGramModel:
         self.vocab = vocab
         self.counts = counts
         self.totals = {ctx: sum(succ.values()) for ctx, succ in counts.items()}
+        self._tables: dict[tuple, list[float]] = {}
         self._dist_cache: dict[tuple, dict[Token, float]] = {}
 
     @classmethod
@@ -261,11 +277,15 @@ class NGramModel:
     ) -> "NGramModel":
         if not sequences:
             raise TrainingError("training corpus is empty")
+        index = getattr(vocab, "_index")
         counts: dict[tuple, dict[Token, int]] = {}
-        for seq in sequences:
-            for token in seq:
-                if token not in vocab:
+        for raw in sequences:
+            seq = []
+            for token in raw:
+                i = index.get(token)
+                if i is None:
                     raise TrainingError(f"out-of-vocabulary token {vocab.encode(token)!r}")
+                seq.append(vocab.tokens[i])
             for i, token in enumerate(seq):
                 for ctx_len in range(min(i, order - 1) + 1):
                     ctx = tuple(seq[i - ctx_len : i])
@@ -273,33 +293,49 @@ class NGramModel:
                     counts[ctx][token] = counts[ctx].get(token, 0) + 1
         return cls(order, discount, vocab, counts)
 
-    def prob(self, token: Token, context: Sequence[Token]) -> float:
-        ctx = tuple(context[-(self.order - 1) :]) if self.order > 1 else ()
-        return self._prob(token, ctx)
-
-    def _prob(self, token: Token, ctx: tuple) -> float:
-        if ctx not in self.counts:
-            if ctx:
-                return self._prob(token, ctx[1:])
-            # empty corpus cannot happen post-training; uniform for safety
-            return 1.0 / len(self.vocab)
-        total = self.totals[ctx]
-        succ = self.counts[ctx]
-        kept = max(succ.get(token, 0) - self.discount, 0.0) / total
-        backoff_mass = self.discount * len(succ) / total
-        if ctx:
-            lower = self._prob(token, ctx[1:])
-        else:
-            lower = 1.0 / len(self.vocab)
-        return kept + backoff_mass * lower
-
-    def log_prob_dist(self, context: Sequence[Token]) -> dict[Token, float]:
+    def _context(self, context: Sequence[Token]) -> tuple:
+        """The longest suffix of the last ``order - 1`` tokens seen in training."""
         ctx = tuple(context[-(self.order - 1) :]) if self.order > 1 else ()
         while ctx and ctx not in self.counts:
             ctx = ctx[1:]
+        return ctx
+
+    def _table(self, ctx: tuple) -> list[float]:
+        """P(t | ctx) for every vocabulary token, in vocabulary order.
+
+        Built in O(|V|) from the table of ``ctx[1:]``: every token gets the
+        backed-off mass, and each observed successor adds its discounted
+        count.  An unseen token's kept mass would be exactly 0.0, so the
+        entries equal the per-token formula bit for bit.
+        """
+        table = self._tables.get(ctx)
+        if table is not None:
+            return table
+        lower = self._table(ctx[1:]) if ctx else [1.0 / len(self.vocab)] * len(self.vocab)
+        succ = self.counts.get(ctx)
+        if succ is None:
+            table = lower
+        else:
+            total = self.totals[ctx]
+            backoff_mass = self.discount * len(succ) / total
+            table = [backoff_mass * p for p in lower]
+            index = getattr(self.vocab, "_index")
+            for token, count in succ.items():
+                i = index.get(token)
+                if i is not None:
+                    table[i] = max(count - self.discount, 0.0) / total + backoff_mass * lower[i]
+        if len(ctx) < self.order - 1:
+            self._tables[ctx] = table
+        return table
+
+    def prob(self, token: Token, context: Sequence[Token]) -> float:
+        return self._table(self._context(context))[self.vocab.index_of(token)]
+
+    def log_prob_dist(self, context: Sequence[Token]) -> dict[Token, float]:
+        ctx = self._context(context)
         cached = self._dist_cache.get(ctx)
         if cached is None:
-            cached = {t: math.log(self._prob(t, ctx)) for t in self.vocab.tokens}
+            cached = dict(zip(self.vocab.tokens, map(math.log, self._table(ctx))))
             self._dist_cache[ctx] = cached
         return cached
 
@@ -324,11 +360,29 @@ class NGramModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "NGramModel":
         vocab = Vocabulary.from_dict(doc["vocab"])
-        dec = lambda s: _decode(vocab.kind, s)
-        counts = {
-            tuple(dec(t) for t in ctx): {dec(tok): int(n) for tok, n in succ}
-            for ctx, succ in doc["counts"]
-        }
+        index = getattr(vocab, "_index")
+        decoded = dict(zip(doc["vocab"]["tokens"], vocab.tokens))
+
+        def dec(text: str) -> Token:
+            token = decoded.get(text)
+            if token is None:
+                token = _decode(vocab.kind, text)
+                i = index.get(token)
+                token = decoded[text] = token if i is None else vocab.tokens[i]
+            return token
+
+        counts: dict[tuple, dict[Token, int]] = {}
+        for ctx, succ in doc["counts"]:
+            successors = {}
+            for tok, n in succ:
+                if type(n) is not int or n < 1:
+                    raise TrainingError(
+                        f"model count {n!r} after {ctx!r} is not a positive integer"
+                    )
+                successors[dec(tok)] = n
+            if not successors:
+                raise TrainingError(f"model context {ctx!r} has no successors")
+            counts[tuple(map(dec, ctx))] = successors
         return cls(int(doc["order"]), float(doc["discount"]), vocab, counts)
 
 

@@ -5,9 +5,11 @@ rules: a plain beam search that knows nothing about rewards, a reward beam
 search that builds every candidate in full before it cuts the beam, an
 exhaustive enumerator of every complete token sequence, and a whole-pair scan
 that derives every reward event from the alignment, beat grid and sentence
-spans without the package's token-by-token event model.  Kept separate from
-the package so the decoder and the reward fold are checked against a second,
-independently written route.
+spans without the package's token-by-token event model, and the n-gram
+backoff probability evaluated one token and one backoff level at a time.
+Kept separate from the package so the decoder, the reward fold and the
+scorer's suffix tables are checked against a second, independently written
+route.
 """
 
 from lyricmelody import (
@@ -31,6 +33,25 @@ from lyricmelody import (
 from lyricmelody.decoder import Hypothesis, _group_vocab, _max_steps, is_masked, score_decode
 from lyricmelody.lyrics import TONAL_TONES
 from lyricmelody.rewards import RewardEvent, _State, boundary_kind, event_maximum, weighted_total
+
+
+def ngram_prob(model, token, ctx):
+    """P(token | ctx) under ``model``'s interpolated absolute discounting,
+    recursing through every backoff level for this one token; a context
+    missing from the counts passes all its mass to its suffix."""
+    if ctx not in model.counts:
+        if ctx:
+            return ngram_prob(model, token, ctx[1:])
+        return 1.0 / len(model.vocab)
+    succ = model.counts[ctx]
+    total = sum(succ.values())
+    kept = max(succ.get(token, 0) - model.discount, 0.0) / total
+    backoff_mass = model.discount * len(succ) / total
+    if ctx:
+        lower = ngram_prob(model, token, ctx[1:])
+    else:
+        lower = 1.0 / len(model.vocab)
+    return kept + backoff_mass * lower
 
 
 def _parts(tok):

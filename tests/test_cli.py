@@ -313,6 +313,24 @@ class TestMalformedInputs:
         assert "vocabulary" in err and "Traceback" not in err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("count, which", [(0, "all"), (-5, "first"), ("3", "first")])
+    def test_non_positive_or_non_integer_count_exit_one(
+        self, workspace, model_path, tmp_path, capsys, count, which
+    ):
+        doc = json.loads(model_path.read_text())
+        pairs = [pair for _, succ in doc["token_model"]["counts"] for pair in succ]
+        for pair in pairs if which == "all" else pairs[:1]:
+            pair[1] = count
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc), "utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"), "-m", str(broken),
+                     "-o", str(out_dir / "x.mid"), "--mode", "beam"]) == 1
+        err = capsys.readouterr().err
+        assert "count" in err and "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
 
 class TestStartup:
     def test_import_leaves_numpy_unloaded(self):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from lyricmelody import (
 from lyricmelody.scorer import melody_sequence, pitch_sequence, rhythm_sequence
 from lyricmelody.synthetic import random_training_melody
 from conftest import mk_melody
+from reference import ngram_prob
 
 
 def fraction_backoff_oracle(sequences, order, discount, vocab_tokens):
@@ -171,3 +173,153 @@ class TestSerialization:
         pitch_ctx = pitch_sequence(corpus[0])[:3]
         assert abs(sum(math.exp(p) for p in bundle.rhythm_model.log_prob_dist(rhythm_ctx).values()) - 1) < 1e-9
         assert abs(sum(math.exp(p) for p in bundle.pitch_model.log_prob_dist(pitch_ctx).values()) - 1) < 1e-9
+
+
+def _contexts(model, sequences, rng, n=8):
+    """Contexts one token longer than the model reads: seen in training,
+    made of random tokens, and seen ones with a random token swapped in."""
+    tokens = model.vocab.tokens
+    length = model.order
+    seen = []
+    for _ in range(n):
+        seq = rng.choice(sequences)
+        i = rng.randint(0, len(seq) - 1)
+        seen.append(tuple(seq[max(0, i - length) : i]))
+    unseen = [tuple(rng.choice(tokens) for _ in range(rng.randint(0, length))) for _ in range(n)]
+    partly = []
+    for ctx in seen:
+        if ctx:
+            j = rng.randrange(len(ctx))
+            partly.append(ctx[:j] + (rng.choice(tokens),) + ctx[j + 1 :])
+        partly.append((rng.choice(tokens),) + ctx)
+    return seen + unseen + partly
+
+
+def _hand_built_model_doc():
+    """Order 3 over pitches 60-62: context (60, 61) is counted but its
+    suffix (61,) is not, and one successor, 63, is outside the vocabulary."""
+    return {
+        "order": 3,
+        "discount": 0.5,
+        "vocab": {"kind": "pitch", "tokens": ["60", "61", "62", "R", "<end>"]},
+        "counts": [
+            [[], [["60", 3], ["61", 2], ["62", 1], ["<end>", 1]]],
+            [["60"], [["61", 2], ["62", 1]]],
+            [["60", "61"], [["62", 2], ["63", 1]]],
+            [["62"], [["<end>", 1]]],
+        ],
+    }
+
+
+def _assert_matches_oracle(model, contexts):
+    for ctx in contexts:
+        full = tuple(ctx[-(model.order - 1) :]) if model.order > 1 else ()
+        dist = model.log_prob_dist(ctx)
+        assert list(dist) == list(model.vocab.tokens)
+        for token in model.vocab.tokens:
+            expected = math.log(ngram_prob(model, token, full))
+            assert dist[token].hex() == expected.hex(), (ctx, token)
+
+
+class TestSuffixTables:
+    """Distributions built from suffix tables equal the per-token recursive
+    formula of tests/reference.py bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_trained_and_loaded_bundles_match_oracle(self, seed, order):
+        rng = random.Random(seed * 10 + order)
+        corpus = [random_training_melody(rng) for _ in range(6)]
+        bundle = train_model_bundle(corpus, order=order, discount=rng.choice([0.3, 0.5, 0.7]))
+        for b in (bundle, ModelBundle.from_json(bundle.to_json())):
+            for model, to_sequence in (
+                (b.token_model, melody_sequence),
+                (b.rhythm_model, rhythm_sequence),
+                (b.pitch_model, pitch_sequence),
+            ):
+                sequences = [to_sequence(m) for m in corpus]
+                _assert_matches_oracle(model, _contexts(model, sequences, rng))
+
+    def test_context_whose_suffix_is_missing_matches_oracle(self):
+        model = NGramModel.from_dict(_hand_built_model_doc())
+        tokens = model.vocab.tokens
+        contexts = [()] + [(a,) for a in tokens] + [(a, b) for a in tokens for b in tokens]
+        contexts += [(62, 60, 61), (60, 61, 62)]
+        _assert_matches_oracle(model, contexts)
+        # (61,) is not counted, so (60, 61) builds on the unigram table
+        assert (61,) not in model.counts
+        assert model.log_prob_dist((60, 61)) != model.log_prob_dist(())
+
+    def test_prob_reads_the_distribution(self):
+        model = NGramModel.from_dict(_hand_built_model_doc())
+        for ctx in [(), (60,), (60, 61), (5, 60, 61), (61, 62)]:
+            dist = model.log_prob_dist(ctx)
+            for token in model.vocab.tokens:
+                assert math.log(model.prob(token, ctx)) == dist[token]
+        with pytest.raises(KeyError):
+            model.prob(63, (60, 61))
+
+
+def _assert_interned(model):
+    vocab = model.vocab
+    checked = 0
+    for ctx, succ in model.counts.items():
+        for token in ctx + tuple(succ):
+            if token in vocab:
+                assert token is vocab.tokens[vocab.index_of(token)], token
+                checked += 1
+    assert checked
+
+
+def _respell(text):
+    """The same rhythm token with its duration written as 2n/2d."""
+    if text == END:
+        return text
+    parts = text.split(":")
+    d = Fraction(parts[1])
+    parts[1] = f"{2 * d.numerator}/{2 * d.denominator}"
+    return ":".join(parts)
+
+
+class TestInternedTokens:
+    """Every in-vocabulary token in a model's counts is the vocabulary's own
+    instance, so context lookups from decoded hypotheses hit by identity."""
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_trained_and_loaded_bundles(self, rng, order):
+        corpus = [random_training_melody(rng) for _ in range(5)]
+        bundle = train_model_bundle(corpus, order=order)
+        for b in (bundle, ModelBundle.from_json(bundle.to_json())):
+            for model in (b.token_model, b.rhythm_model, b.pitch_model):
+                _assert_interned(model)
+
+    def test_non_canonical_spellings_are_interned(self, rng):
+        corpus = [random_training_melody(rng) for _ in range(5)]
+        text = train_model_bundle(corpus, order=3).to_json()
+        doc = json.loads(text)
+        for ctx, succ in doc["rhythm_model"]["counts"]:
+            ctx[:] = [_respell(t) for t in ctx]
+            for pair in succ:
+                pair[0] = _respell(pair[0])
+        respelled = ModelBundle.from_json(json.dumps(doc))
+        _assert_interned(respelled.rhythm_model)
+        assert respelled.to_json() == text
+
+    def test_out_of_vocabulary_successors_are_kept(self):
+        model = NGramModel.from_dict(_hand_built_model_doc())
+        assert model.counts[(60, 61)] == {62: 2, 63: 1}
+
+
+class TestModelCountsValidated:
+    @pytest.mark.parametrize("count", [0, -5, "3", 3.0, True, None])
+    def test_count_must_be_a_positive_int(self, count):
+        doc = _hand_built_model_doc()
+        doc["counts"][2][1][0][1] = count
+        with pytest.raises(TrainingError, match="count"):
+            NGramModel.from_dict(doc)
+
+    def test_context_without_successors_rejected(self):
+        doc = _hand_built_model_doc()
+        doc["counts"][3][1] = []
+        with pytest.raises(TrainingError, match="no successors"):
+            NGramModel.from_dict(doc)
