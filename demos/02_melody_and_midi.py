@@ -1,4 +1,4 @@
-"""Melody tokens, the beat grid, pause detection, and MIDI round-trips.
+"""Melody tokens, the beat grid, pause events, and MIDI round-trips.
 
 A melody is a flat list of note/rest tokens with exact rational durations
 (quarter-note units).  The syllable flag on each note encodes melisma:
@@ -10,7 +10,6 @@ from fractions import Fraction
 from lyricmelody import (
     compute_beat_grid,
     default_reward_config,
-    detect_pauses,
     note,
     parse_lyrics,
     read_midi,
@@ -18,6 +17,7 @@ from lyricmelody import (
     write_midi,
     Melody,
 )
+from lyricmelody.rewards import boundary_kind, reward_events
 
 lyrics = parse_lyrics("shan1|W,K shui3|I yun2|W,A hai3|I .")
 
@@ -42,9 +42,12 @@ for tok, onset, strength in zip(melody.tokens, grid.onsets, grid.strengths):
     print(f"  offset {str(onset):4s}  {strength.value:6s}  {label}")
 
 config = default_reward_config()
-print("\npause events (rests, long notes, missing sentence-final pauses):")
-for event in detect_pauses(melody, lyrics, config):
-    print(f"  gap {event.position}: {event.cause.value}")
+print("\npause events, one per syllable gap (a rest or a long final note pauses;")
+print("pauses belong at word and sentence boundaries, never inside a word):")
+pauses = [(i, ev) for i, ev in reward_events(lyrics, melody, config) if ev.kind == "pause"]
+for gap, (index, event) in enumerate(pauses):
+    kind = boundary_kind(lyrics, gap + 1).value
+    print(f"  gap {gap} ({kind}) at token {index}: reward {event.value} of {event.maximum}")
 
 # MIDI round-trip: 480 ticks per quarter, lyrics embedded at syllable starts
 data = write_midi(melody, lyrics)

@@ -44,11 +44,9 @@ from .melody import (
     BeatStrength,
     Melody,
     MelodyToken,
-    PauseCause,
-    PauseEvent,
+    RhythmToken,
     TokenKind,
     compute_beat_grid,
-    detect_pauses,
     is_long_note,
     melody_from_json,
     melody_to_json,

@@ -13,6 +13,9 @@ grammar over the scorer's vocabulary:
 * the end-of-melody symbol is legal once every syllable has started — an
   optional trailing rest may precede it.
 
+Rhythm tokens (:class:`~lyricmelody.melody.RhythmToken`) read like melody
+tokens whose pitch is None, so one grammar and one search serve
+single-stage decoding and the rhythm stage of the two-stage pipeline.
 Which rewards a candidate triggers comes from the reward-event model in
 :mod:`lyricmelody.rewards`; this module adds only the grammar and the
 search.  Scores stay re-derivable: the base log-probability and the
@@ -59,7 +62,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalError, OptionError, TrainingError
 from .lyrics import LyricSequence, StructureMatrix
-from .melody import Melody, MelodyToken, TokenKind
+from .melody import Melody, MelodyToken, RhythmToken, TokenKind
 from .rewards import (
     ALL_ASPECTS,
     Aspect,
@@ -67,7 +70,6 @@ from .rewards import (
     RewardEvent,
     _EventModel,
     _State,
-    _token_view,
     score_rewards,
     weighted_total,
 )
@@ -157,30 +159,30 @@ class RhythmSkeleton:
         return len(self.note_durations)
 
     @classmethod
-    def from_rhythm_tokens(cls, tokens: Sequence[tuple]) -> "RhythmSkeleton":
+    def from_rhythm_tokens(cls, tokens: Sequence[RhythmToken]) -> "RhythmSkeleton":
         groups: list[list[Fraction]] = []
         rests: list[Optional[Fraction]] = []
         for tok in tokens:
-            if tok[0] == "rest":
+            if not tok.is_note:
                 if not groups or rests[-1] is not None:
                     raise InternalError("skeleton rest without a preceding syllable")
-                rests[-1] = tok[1]
-            elif tok[2]:
-                groups.append([tok[1]])
+                rests[-1] = tok.duration
+            elif tok.syllable_start:
+                groups.append([tok.duration])
                 rests.append(None)
             else:
                 if not groups or rests[-1] is not None:
                     raise InternalError("skeleton continuation without an open syllable")
-                groups[-1].append(tok[1])
+                groups[-1].append(tok.duration)
         return cls(tuple(tuple(g) for g in groups), tuple(rests))
 
-    def rhythm_tokens(self) -> list[tuple]:
-        out: list[tuple] = []
+    def rhythm_tokens(self) -> list[RhythmToken]:
+        out: list[RhythmToken] = []
         for group, trailing in zip(self.note_durations, self.trailing_rests):
-            out.append(("note", group[0], True))
-            out.extend(("note", d, False) for d in group[1:])
+            out.append(RhythmToken(TokenKind.NOTE, group[0], True))
+            out.extend(RhythmToken(TokenKind.NOTE, d, False) for d in group[1:])
             if trailing is not None:
-                out.append(("rest", trailing))
+                out.append(RhythmToken(TokenKind.REST, trailing))
         return out
 
 
@@ -225,18 +227,17 @@ class _VocabGroups:
     signatures: tuple  # the event signature of each vocabulary index
 
 
-def _group_vocab(vocab: Vocabulary, domain: str) -> _VocabGroups:
+def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
     starts, continuations, rests = [], [], []
     end = None
-    signatures = tuple(_EventModel.signature(token, domain) for token in vocab.tokens)
+    signatures = tuple(map(_EventModel.signature, vocab.tokens))
     for idx, token in enumerate(vocab.tokens):
         if token == END:
             end = (idx, token)
             continue
-        is_note, _, _, starts_syllable = _token_view(token, domain)
-        if not is_note:
+        if not token.is_note:
             rests.append((idx, token))
-        elif starts_syllable:
+        elif token.syllable_start:
             starts.append((idx, token))
         else:
             continuations.append((idx, token))
@@ -267,20 +268,20 @@ class Hypothesis:
         return self.base + self.reward
 
 
-def _extend(ctx: _Context, h: Hypothesis, entry: tuple, domain: str) -> Hypothesis:
+def _extend(ctx: _Context, h: Hypothesis, entry: tuple) -> Hypothesis:
     """The child of ``h`` that an :func:`_expand` entry of ``h`` describes."""
     _, _, pos, token, base, reward, _ = entry
     return Hypothesis(
         tokens=h.tokens + (token,),
         key=h.key if pos < 0 else h.key + (pos,),
-        state=h.state if pos < 0 else ctx.apply(h.state, token, domain),
+        state=h.state if pos < 0 else ctx.apply(h.state, token),
         base=base,
         reward=reward,
     )
 
 
 def _expand(
-    ctx: _Context, h: Hypothesis, rank: int, moves, lps, signatures, domain: str
+    ctx: _Context, h: Hypothesis, rank: int, moves, lps, signatures
 ) -> list[tuple]:
     """``(-score, rank, pos, token, base, reward, masked)`` per ``(idx, token)``
     move of ``h``, the ``rank``-th live hypothesis by key, with base
@@ -300,7 +301,7 @@ def _expand(
                     plan = ctx.start_plan(h.state, h.reward)
                 hit = memo[sig] = ctx.complete(plan, sig[2]) + (False,)
             else:
-                events = ctx.step_events(h.state, token, domain)
+                events = ctx.step_events(h.state, token)
                 hit = memo[sig] = (
                     weighted_total(events, ctx.config, ctx.active, h.reward),
                     is_masked(events, ctx.active),
@@ -311,9 +312,9 @@ def _expand(
     return out
 
 
-def _keep(ctx: _Context, live: list, pool: list, width: int, domain: str) -> list[Hypothesis]:
+def _keep(ctx: _Context, live: list, pool: list, width: int) -> list[Hypothesis]:
     """The children of the ``width`` best :func:`_expand` entries, built."""
-    return [_extend(ctx, live[entry[1]], entry, domain) for entry in heapq.nsmallest(width, pool)]
+    return [_extend(ctx, live[entry[1]], entry) for entry in heapq.nsmallest(width, pool)]
 
 
 def is_masked(events: Sequence[RewardEvent], active: frozenset[Aspect]) -> bool:
@@ -339,9 +340,9 @@ def _max_steps(ctx: _Context) -> int:
 
 
 def _beam(
-    ctx: _Context, scorer: Scorer, domain: str, width: int, hard: bool
+    ctx: _Context, scorer: Scorer, width: int, hard: bool
 ) -> tuple[Hypothesis, tuple[int, ...]]:
-    groups = _group_vocab(scorer.vocab, domain)
+    groups = _group_vocab(scorer.vocab)
     live = [Hypothesis(tokens=(), key=(), state=_State())]
     best: Optional[Hypothesis] = None
     relaxations: list[int] = []
@@ -352,11 +353,11 @@ def _beam(
             dist = scorer.log_prob_dist(h.tokens)
             moves = ctx.legal(h.state, groups)
             lps = [dist[t] for _, t in moves]
-            scored = _expand(ctx, h, rank, moves, lps, groups.signatures, domain)
+            scored = _expand(ctx, h, rank, moves, lps, groups.signatures)
             if scored and scored[-1][2] < 0:  # END, always the last legal move
                 done = scored.pop()
                 if best is None or (done[0], h.key) < (-best.score, best.key):
-                    best = _extend(ctx, h, done, domain)
+                    best = _extend(ctx, h, done)
             pool.extend(scored)
         if hard and pool:
             survivors = [entry for entry in pool if not entry[6]]
@@ -366,7 +367,7 @@ def _beam(
             pool = survivors
         if not pool:
             break
-        live = _keep(ctx, live, pool, width, domain)
+        live = _keep(ctx, live, pool, width)
     else:
         raise InternalError("beam search exceeded the grammar's step bound")
     if best is None:
@@ -403,7 +404,7 @@ def beam_search(
     """Constrained beam search keeping ``beam_width`` hypotheses ranked by the
     combined score; deterministic, returns the best completed hypothesis."""
     ctx = _Context(lyrics, config, options, options.active, structure)
-    best, _ = _beam(ctx, scorer, "melody", options.beam_width, hard=False)
+    best, _ = _beam(ctx, scorer, options.beam_width, hard=False)
     return _result_from(ctx, best, DecodeMode.BEAM_SOFT)
 
 
@@ -418,12 +419,12 @@ def beam_search_hard(
     constraint; steps where everything is masked fall back to soft scoring
     and are recorded as relaxation events."""
     ctx = _Context(lyrics, config, options, options.active, structure)
-    best, relaxations = _beam(ctx, scorer, "melody", options.beam_width, hard=True)
+    best, relaxations = _beam(ctx, scorer, options.beam_width, hard=True)
     return _result_from(ctx, best, DecodeMode.BEAM_HARD, relaxations)
 
 
 def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -> Hypothesis:
-    groups = _group_vocab(scorer.vocab, "melody")
+    groups = _group_vocab(scorer.vocab)
     if top_k > len(scorer.vocab):
         warnings.warn(
             f"top_k={top_k} exceeds the vocabulary size {len(scorer.vocab)}; clamping",
@@ -436,7 +437,7 @@ def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -
         dist = scorer.log_prob_dist(h.tokens)
         moves = ctx.legal(h.state, groups)
         lps = [dist[t] for _, t in moves]
-        kept = sorted(_expand(ctx, h, 0, moves, lps, groups.signatures, "melody"))[:top_k]
+        kept = sorted(_expand(ctx, h, 0, moves, lps, groups.signatures))[:top_k]
         top = max(-entry[0] for entry in kept)
         weights = [math.exp((-entry[0] - top) / temperature) for entry in kept]
         total = reduce(add, weights, 0)  # left fold: builtin sum compensates on 3.12+
@@ -448,7 +449,7 @@ def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -
             if draw < cumulative:
                 chosen = entry
                 break
-        h = _extend(ctx, h, chosen, "melody")
+        h = _extend(ctx, h, chosen)
         if chosen[2] < 0:
             return h
     raise InternalError("sampling exceeded the grammar's step bound")
@@ -539,7 +540,7 @@ def decode_two_stage(
     """
     rhythm_active = frozenset({Aspect.RHYTHM}) & options.active
     stage1_ctx = _Context(lyrics, config, options, rhythm_active, structure)
-    stage1, _ = _beam(stage1_ctx, rhythm_scorer, "rhythm", options.beam_width, hard=False)
+    stage1, _ = _beam(stage1_ctx, rhythm_scorer, options.beam_width, hard=False)
     skeleton = RhythmSkeleton.from_rhythm_tokens([t for t in stage1.tokens if t != END])
     if skeleton.syllable_count != len(lyrics):
         raise InternalError(
@@ -587,20 +588,21 @@ def _pitch_fill(
     for slot in skeleton.rhythm_tokens() + [None]:
         if slot is None:
             moves, keys = [(vocab.index_of(END), END)], [END]
-        elif slot[0] == "rest":
-            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot[1]))]
+        elif not slot.is_note:
+            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration))]
             keys = [REST_MARK]
         else:
-            moves = [(vocab.index_of(p), MelodyToken(TokenKind.NOTE, slot[1], p, slot[2]))
+            moves = [(vocab.index_of(p),
+                      MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start))
                      for p in pitches]
             keys = pitches
-        signatures = {idx: ctx.signature(token, "melody") for idx, token in moves}
+        signatures = {idx: ctx.signature(token) for idx, token in moves}
         live.sort(key=attrgetter("key"))
         pool: list[tuple] = []
         for rank, h in enumerate(live):
             dist = pitch_scorer.log_prob_dist(_pitch_context(h.tokens))
-            pool.extend(_expand(ctx, h, rank, moves, [dist[k] for k in keys], signatures, "melody"))
-        live = _keep(ctx, live, pool, 1 if slot is None else width, "melody")
+            pool.extend(_expand(ctx, h, rank, moves, [dist[k] for k in keys], signatures))
+        live = _keep(ctx, live, pool, 1 if slot is None else width)
     return live[0]
 
 

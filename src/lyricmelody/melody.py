@@ -1,4 +1,4 @@
-"""Melody tokens, syllable alignment, beat grid, and pause detection.
+"""Melody and rhythm tokens, syllable alignment, and the beat grid.
 
 A melody is a flat stream of note/rest tokens.  Melisma is encoded on the
 note itself: ``syllable_start=True`` opens the span of the next syllable,
@@ -21,22 +21,19 @@ from typing import Optional, TYPE_CHECKING
 from .errors import AlignmentError, MidiFormatError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .lyrics import LyricSequence
     from .rewards import RewardConfig
 
 __all__ = [
     "TokenKind",
     "MelodyToken",
+    "RhythmToken",
     "Melody",
     "BeatStrength",
     "BeatGrid",
-    "PauseCause",
-    "PauseEvent",
     "note",
     "rest",
     "compute_beat_grid",
     "is_long_note",
-    "detect_pauses",
     "melody_to_json",
     "melody_from_json",
 ]
@@ -45,6 +42,21 @@ __all__ = [
 class TokenKind(Enum):
     NOTE = "note"
     REST = "rest"
+
+
+def _token_hash(token) -> int:
+    """A token's hash, computed on first use and cached in its ``_hash``.
+
+    Built from values that hash alike in every process (an Enum member and,
+    before Python 3.12, None do not), so a cached hash stays valid in a
+    token unpickled elsewhere.
+    """
+    h = token._hash
+    if h is None:
+        h = hash((token.kind is TokenKind.NOTE, token.duration,
+                  -1 if token.pitch is None else token.pitch, token.syllable_start))
+        object.__setattr__(token, "_hash", h)
+    return h
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,16 +68,7 @@ class MelodyToken:
     # the hash, computed on first use; not part of __init__, repr or ==
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
-    def __hash__(self) -> int:
-        # Built from values that hash alike in every process (an Enum member
-        # and, before Python 3.12, None do not), so a cached hash stays valid
-        # in a token unpickled elsewhere.
-        h = self._hash
-        if h is None:
-            h = hash((self.kind is TokenKind.NOTE, self.duration,
-                      -1 if self.pitch is None else self.pitch, self.syllable_start))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __hash__ = _token_hash
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -82,6 +85,28 @@ class MelodyToken:
     @property
     def is_note(self) -> bool:
         return self.kind is TokenKind.NOTE
+
+
+@dataclass(frozen=True, slots=True)
+class RhythmToken:
+    """A melody token without its pitch: what rhythm-first decoding emits.
+
+    Reads like a :class:`MelodyToken` whose ``pitch`` is always None, and
+    shares its hash, but never equals one.
+    """
+
+    kind: TokenKind
+    duration: Fraction
+    syllable_start: bool = False
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    pitch = None
+    __hash__ = _token_hash
+    is_note = MelodyToken.is_note
+
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ValueError(f"token duration must be positive, got {self.duration}")
 
 
 def note(pitch: int, duration, start: bool = True) -> MelodyToken:
@@ -217,55 +242,6 @@ def is_long_note(token: MelodyToken, config: "RewardConfig") -> bool:
     if not token.is_note:
         raise ValueError("is_long_note is defined for notes only")
     return token.duration >= config.long_note_threshold
-
-
-class PauseCause(Enum):
-    REST_NOTE = "rest"
-    LONG_NOTE = "long_note"
-    SENTENCE_BOUNDARY_MISSING = "missing"
-
-
-@dataclass(frozen=True, slots=True)
-class PauseEvent:
-    """Something pause-related at the gap between syllables ``position`` and
-    ``position + 1``: an actual pause (rest / long note) or the absence of an
-    expected one at a sentence boundary."""
-
-    position: int
-    cause: PauseCause
-
-
-def detect_pauses(
-    melody: Melody, lyrics: "LyricSequence", config: "RewardConfig"
-) -> list[PauseEvent]:
-    """Scan every syllable gap for pauses and missing sentence-final pauses.
-
-    Per gap: each rest emits a REST_NOTE event; a long span-final note emits
-    LONG_NOTE unless the gap is a sentence boundary (where the long note is
-    the expected ending); a sentence boundary with neither emits
-    SENTENCE_BOUNDARY_MISSING.
-    """
-    if melody.syllable_count != len(lyrics):
-        raise AlignmentError(
-            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
-        )
-    events: list[PauseEvent] = []
-    for gap in range(len(lyrics) - 1):
-        left_stop = melody.alignment[gap][1]
-        right_start = melody.alignment[gap + 1][0]
-        rests = [
-            t for t in melody.tokens[left_stop:right_start] if t.kind is TokenKind.REST
-        ]
-        at_sentence_boundary = lyrics.syllables[gap].sentence_final
-        last_note = melody.tokens[melody.alignment[gap][1] - 1]
-        long_final = last_note.is_note and is_long_note(last_note, config)
-        for _ in rests:
-            events.append(PauseEvent(gap, PauseCause.REST_NOTE))
-        if long_final and not at_sentence_boundary:
-            events.append(PauseEvent(gap, PauseCause.LONG_NOTE))
-        if at_sentence_boundary and not rests and not long_final:
-            events.append(PauseEvent(gap, PauseCause.SENTENCE_BOUNDARY_MISSING))
-    return events
 
 
 def gap_has_pause(melody: Melody, gap: int, config: "RewardConfig") -> bool:

@@ -13,8 +13,11 @@ Each sub-reward is a pure function.  When each one fires is decided in one
 place, the token-by-token event model (:class:`_EventModel` over
 :class:`_State`): :func:`reward_events` folds it over a finished melody, and
 the decoder steps it from each live hypothesis, so a decode and the
-rescoring of its output fire the same events in the same order.  The tests
-check the fold against an independently written whole-pair scan.
+rescoring of its output fire the same events in the same order.  It reads
+a token's ``is_note``, ``syllable_start``, ``pitch`` and ``duration`` only, so
+it steps a :class:`~lyricmelody.melody.MelodyToken` and the pitch-free
+:class:`~lyricmelody.melody.RhythmToken` of rhythm-first decoding alike.
+The tests check the fold against an independently written whole-pair scan.
 
 A syllable start is where most candidates differ, and only by pitch: its
 close, strong/weak and pause events, its tone-pair cell and its structure
@@ -55,7 +58,7 @@ from .lyrics import (
     WordPosition,
     build_structure_matrix,
 )
-from .melody import BeatStrength, Melody, TokenKind, check_meter, strong_offsets
+from .melody import BeatStrength, Melody, check_meter, strong_offsets
 from .scorer import END
 
 __all__ = [
@@ -382,19 +385,6 @@ def weighted_total(
     return total
 
 
-def _token_view(token, domain: str) -> tuple[bool, Optional[int], Fraction, bool]:
-    """(is_note, pitch, duration, starts_syllable) of a melody token, or of a
-    rhythm token (``("note", duration, starts)`` / ``("rest", duration)``),
-    whose pitch is None."""
-    if domain == "melody":
-        if token.kind is TokenKind.REST:
-            return (False, None, token.duration, False)
-        return (True, token.pitch, token.duration, token.syllable_start)
-    if token[0] == "rest":
-        return (False, None, token[1], False)
-    return (True, None, token[1], token[2])
-
-
 @dataclass(frozen=True, slots=True)
 class _State:
     """What the event model remembers of a token prefix."""
@@ -509,22 +499,21 @@ class _EventModel:
         return events
 
     @staticmethod
-    def signature(token, domain: str):
+    def signature(token):
         """What :meth:`step_events` reads of a token (END, or its kind, start
         flag and a start's pitch; never its duration): from one state, tokens
         with equal signatures fire equal events."""
         if token == END:
             return END
-        is_note, pitch, _duration, starts = _token_view(token, domain)
-        return (is_note, starts, pitch if starts else None)
+        starts = token.syllable_start
+        return (token.is_note, starts, token.pitch if starts else None)
 
-    def step_events(self, st: _State, token, domain: str) -> list[RewardEvent]:
+    def step_events(self, st: _State, token) -> list[RewardEvent]:
         """Reward events the token (or END) triggers, in canonical order."""
         config, active = self.config, self.active
         if token == END:
             return self._close_events(st)
-        is_note, pitch, _duration, starts = _token_view(token, domain)
-        if not is_note:
+        if not token.is_note:
             events = self._close_events(st)
             gap_right = st.syl + 1
             if Aspect.RHYTHM in active and gap_right < self.n:
@@ -537,11 +526,11 @@ class _EventModel:
                     )
                 )
             return events
-        if not starts:
+        if not token.syllable_start:
             return []
         events, middle, cell, anchor, partner_delta = self._start_parts(st)
         transition, structure = self._pitch_values(
-            cell, anchor, partner_delta, st.last_pitch, pitch
+            cell, anchor, partner_delta, st.last_pitch, token.pitch
         )
         if transition is not None:
             events.append(_event("transition", Aspect.TONE, transition, config))
@@ -636,12 +625,12 @@ class _EventModel:
             masked = masked or not structure >= config._maxima["structure"]
         return total, masked
 
-    def apply(self, st: _State, token, domain: str) -> _State:
+    def apply(self, st: _State, token) -> _State:
         """The state after a (non-END) token."""
-        is_note, pitch, duration, starts = _token_view(token, domain)
-        if not is_note:
+        pitch, duration = token.pitch, token.duration
+        if not token.is_note:
             return replace(st, onset=st.onset + duration, span_open=False)
-        if starts:
+        if token.syllable_start:
             k = st.syl + 1
             delta = None if st.last_pitch is None or pitch is None else pitch - st.last_pitch
             return _State(
@@ -689,9 +678,9 @@ def reward_events(
     state = _State()
     events: list[tuple[Optional[int], RewardEvent]] = []
     for i, token in enumerate(melody.tokens):
-        events.extend((i, ev) for ev in model.step_events(state, token, "melody"))
-        state = model.apply(state, token, "melody")
-    events.extend((None, ev) for ev in model.step_events(state, END, "melody"))
+        events.extend((i, ev) for ev in model.step_events(state, token))
+        state = model.apply(state, token)
+    events.extend((None, ev) for ev in model.step_events(state, END))
     return events
 
 

@@ -5,11 +5,16 @@ the log-probability of each vocabulary token?" — so anything implementing
 ``log_prob_dist`` can drive it.  The shipped models are lyric-agnostic pure
 melody language models; every lyric signal enters through the rewards.
 
-Three token domains share the same machinery:
+Three vocabulary kinds share the same machinery:
 
-* melody tokens — the full (pitch, duration, syllable flag) alphabet;
-* rhythm tokens — the pitch-free projection, for rhythm-first decoding;
-* pitch tokens — pitches plus a rest marker, for pitch-onto-skeleton decoding.
+* ``melody`` — :class:`MelodyToken`, the full (pitch, duration, syllable
+  flag) alphabet, spelled ``N:60:1/2:S`` / ``R:1/2`` in model files;
+* ``rhythm`` — :class:`RhythmToken`, the pitch-free projection for
+  rhythm-first decoding, spelled ``N:1/2:S`` / ``R:1/2``;
+* ``pitch`` — pitches plus a rest marker, for pitch-onto-skeleton decoding.
+
+A model token of any other shape fails to load with an error that names
+it.
 
 Every sequence is trained and scored with a terminal end-of-melody symbol so
 stopping has a probability like everything else.
@@ -43,7 +48,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Protocol, Sequence, Union
 
 from .errors import TrainingError
-from .melody import Melody, MelodyToken, TokenKind
+from .melody import Melody, MelodyToken, RhythmToken, TokenKind
 
 __all__ = [
     "END",
@@ -70,7 +75,7 @@ END = "<end>"
 #: Rest marker inside pitch-token sequences.
 REST_MARK = "R"
 
-Token = Union[MelodyToken, tuple, int, str]
+Token = Union[MelodyToken, RhythmToken, int, str]
 
 
 def _encode_duration(d: Fraction) -> str:
@@ -80,52 +85,61 @@ def _encode_duration(d: Fraction) -> str:
 def _encode(kind: str, token: Token) -> str:
     if token == END:
         return END
-    if kind == "melody":
-        if token.kind is TokenKind.REST:
-            return f"R:{_encode_duration(token.duration)}"
-        flag = "S" if token.syllable_start else "C"
-        return f"N:{token.pitch}:{_encode_duration(token.duration)}:{flag}"
-    if kind == "rhythm":
-        if token[0] == "rest":
-            return f"R:{_encode_duration(token[1])}"
-        return f"N:{_encode_duration(token[1])}:{'S' if token[2] else 'C'}"
     if kind == "pitch":
         return REST_MARK if token == REST_MARK else str(token)
-    raise ValueError(f"unknown vocabulary kind {kind!r}")
+    if kind not in ("melody", "rhythm"):
+        raise ValueError(f"unknown vocabulary kind {kind!r}")
+    duration = _encode_duration(token.duration)
+    if not token.is_note:
+        return f"R:{duration}"
+    pitch = f"{token.pitch}:" if kind == "melody" else ""
+    return f"N:{pitch}{duration}:{'S' if token.syllable_start else 'C'}"
 
 
-def _decode(kind: str, text: str) -> Token:
+def _decode(kind: str, text) -> Token:
+    """The token a model file spells ``text``.  ValueError, naming ``text``,
+    for a value that is no string or a string of the wrong shape."""
     if text == END:
         return END
-    if kind == "melody":
+    if kind not in ("melody", "rhythm", "pitch"):
+        raise ValueError(f"unknown vocabulary kind {kind!r}")
+    if isinstance(text, str):
         parts = text.split(":")
-        if parts[0] == "R":
-            return MelodyToken(TokenKind.REST, Fraction(parts[1]))
-        return MelodyToken(TokenKind.NOTE, Fraction(parts[2]), int(parts[1]), parts[3] == "S")
-    if kind == "rhythm":
-        parts = text.split(":")
-        if parts[0] == "R":
-            return ("rest", Fraction(parts[1]))
-        return ("note", Fraction(parts[1]), parts[2] == "S")
-    if kind == "pitch":
-        return REST_MARK if text == REST_MARK else int(text)
-    raise ValueError(f"unknown vocabulary kind {kind!r}")
+        try:
+            if kind == "pitch":
+                if text == REST_MARK:
+                    return REST_MARK
+                pitch = int(text)
+                if not 0 <= pitch <= 127:
+                    raise ValueError("not a MIDI pitch 0-127")
+                return pitch
+            if parts[0] == "R" and len(parts) == 2:
+                if kind == "melody":
+                    return MelodyToken(TokenKind.REST, Fraction(parts[1]))
+                return RhythmToken(TokenKind.REST, Fraction(parts[1]))
+            if (parts[0] == "N" and len(parts) == (4 if kind == "melody" else 3)
+                    and parts[-1] in ("S", "C")):
+                duration, starts = Fraction(parts[-2]), parts[-1] == "S"
+                if kind == "melody":
+                    return MelodyToken(TokenKind.NOTE, duration, int(parts[1]), starts)
+                return RhythmToken(TokenKind.NOTE, duration, starts)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"malformed {kind} token {text!r}: {exc}") from None
+    raise ValueError(f"malformed {kind} token {text!r}")
 
 
 def _sort_key(kind: str, token: Token):
     if token == END:
         return (9,)
-    if kind == "melody":
-        if token.kind is TokenKind.NOTE:
-            return (0, token.pitch, token.duration, not token.syllable_start)
-        return (1, token.duration)
-    if kind == "rhythm":
-        if token[0] == "note":
-            return (0, token[1], not token[2])
-        return (1, token[1])
     if kind == "pitch":
         return (1,) if token == REST_MARK else (0, token)
-    raise ValueError(f"unknown vocabulary kind {kind!r}")
+    if kind not in ("melody", "rhythm"):
+        raise ValueError(f"unknown vocabulary kind {kind!r}")
+    if not token.is_note:
+        return (1, token.duration)
+    if kind == "melody":
+        return (0, token.pitch, token.duration, not token.syllable_start)
+    return (0, token.duration, not token.syllable_start)
 
 
 @dataclass(frozen=True)
@@ -187,10 +201,8 @@ def build_melody_vocabulary(
     return Vocabulary.build("melody", tokens)
 
 
-def rhythm_projection(token: MelodyToken) -> tuple:
-    if token.kind is TokenKind.REST:
-        return ("rest", token.duration)
-    return ("note", token.duration, token.syllable_start)
+def rhythm_projection(token: MelodyToken) -> RhythmToken:
+    return RhythmToken(token.kind, token.duration, token.syllable_start)
 
 
 def pitch_projection(token: MelodyToken) -> Token:

@@ -120,19 +120,19 @@ def plain_beam_search(lyrics, scorer, width, max_notes=4):
     return best[2]
 
 
-def reward_beam_search(ctx, scorer, domain, width, hard):
+def reward_beam_search(ctx, scorer, width, hard):
     """Reward-augmented beam search that builds every legal candidate as a
     full hypothesis (prefix, key, state, events) and only then keeps the
     ``width`` best by (-score, key); hard mode drops masked candidates unless
     that would drop them all.  Returns (best completed hypothesis, steps that
     relaxed)."""
-    groups = _group_vocab(scorer.vocab, domain)
+    groups = _group_vocab(scorer.vocab)
 
     def extend(h, idx, token, lp, events):
         return Hypothesis(
             tokens=h.tokens + (token,),
             key=h.key if token == END else h.key + (idx,),
-            state=h.state if token == END else ctx.apply(h.state, token, domain),
+            state=h.state if token == END else ctx.apply(h.state, token),
             base=h.base + lp,
             reward=weighted_total(events, ctx.config, ctx.active, h.reward),
         )
@@ -145,7 +145,7 @@ def reward_beam_search(ctx, scorer, domain, width, hard):
         for h in live:
             dist = scorer.log_prob_dist(h.tokens)
             for idx, token in ctx.legal(h.state, groups):
-                events = ctx.step_events(h.state, token, domain)
+                events = ctx.step_events(h.state, token)
                 cand = extend(h, idx, token, dist[token], events)
                 if token != END:
                     pool.append((cand, events))

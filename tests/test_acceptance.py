@@ -130,13 +130,13 @@ def test_criterion_2_oracle_equivalence(config):
 
         survivors = set()
         oracle = set()
-        groups = _group_vocab(vocab, "melody")
+        groups = _group_vocab(vocab)
         for first in vocab.tokens[:-1]:
-            state = ctx.apply(_State(), first, "melody")
+            state = ctx.apply(_State(), first)
             for idx, tok in ctx.legal(state, groups):
                 if tok == END:
                     continue
-                events = ctx.step_events(state, tok, "melody")
+                events = ctx.step_events(state, tok)
                 if not is_masked(events, options.active):
                     survivors.add((first, tok))
                 # hand-rolled rule: the keyword's first note must fall on

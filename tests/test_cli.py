@@ -331,6 +331,32 @@ class TestMalformedInputs:
         assert "count" in err and "Traceback" not in err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("part, where, bad", [
+        ("token_model", "counts", "N:60"),
+        ("token_model", "counts", "R"),
+        ("token_model", "counts", 5),
+        ("rhythm_model", "vocab", "N:1"),
+        ("pitch_model", "vocab", "200"),
+    ])
+    def test_malformed_model_token_exit_one(
+        self, workspace, model_path, tmp_path, capsys, part, where, bad
+    ):
+        # a successor, or a vocabulary token, that is no token of its kind
+        doc = json.loads(model_path.read_text())
+        if where == "vocab":
+            doc[part]["vocab"]["tokens"][0] = bad
+        else:
+            doc[part]["counts"][0][1][0][0] = bad
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc), "utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"), "-m", str(broken),
+                     "-o", str(out_dir / "x.mid")]) == 1
+        err = capsys.readouterr().err
+        assert f"token {bad!r}" in err and "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
 
 class TestStartup:
     def test_import_leaves_numpy_unloaded(self):

@@ -9,6 +9,7 @@ from lyricmelody import (
     DecodeOptions,
     OptionError,
     Pipeline,
+    RhythmToken,
     TrainingError,
     UniformScorer,
     Vocabulary,
@@ -24,6 +25,7 @@ from lyricmelody import (
     sample,
     score_decode,
     score_two_stage,
+    TokenKind,
     train_model_bundle,
     train_ngram,
 )
@@ -288,7 +290,7 @@ class TestTwoStage:
 
         ctx = _Context(lyr, config, DecodeOptions(beam_width=3),
                        frozenset({Aspect.RHYTHM}))
-        best, _ = _beam(ctx, bundle.rhythm_model, "rhythm", 3, hard=False)
+        best, _ = _beam(ctx, bundle.rhythm_model, 3, hard=False)
         from lyricmelody.scorer import rhythm_sequence
 
         assert rhythm_sequence(result.melody)[:-1] == tuple(
@@ -319,16 +321,20 @@ class TestTwoStage:
         from lyricmelody import InternalError, RhythmSkeleton
 
         with pytest.raises(InternalError):
-            RhythmSkeleton.from_rhythm_tokens([("rest", Fraction(1))])
+            RhythmSkeleton.from_rhythm_tokens([RhythmToken(TokenKind.REST, Fraction(1))])
         with pytest.raises(InternalError):
-            RhythmSkeleton.from_rhythm_tokens([("note", Fraction(1), False)])
+            RhythmSkeleton.from_rhythm_tokens([RhythmToken(TokenKind.NOTE, Fraction(1), False)])
         skel = RhythmSkeleton.from_rhythm_tokens(
-            [("note", Fraction(1), True), ("note", Fraction(1), False), ("rest", Fraction(2))]
+            [RhythmToken(TokenKind.NOTE, Fraction(1), True),
+             RhythmToken(TokenKind.NOTE, Fraction(1), False),
+             RhythmToken(TokenKind.REST, Fraction(2))]
         )
         assert skel.note_durations == ((Fraction(1), Fraction(1)),)
         assert skel.trailing_rests == (Fraction(2),)
         assert skel.rhythm_tokens() == [
-            ("note", Fraction(1), True), ("note", Fraction(1), False), ("rest", Fraction(2))
+            RhythmToken(TokenKind.NOTE, Fraction(1), True),
+            RhythmToken(TokenKind.NOTE, Fraction(1), False),
+            RhythmToken(TokenKind.REST, Fraction(2)),
         ]
 
     def test_forced_rhythm_collapses_to_single_stage(self, config):
@@ -338,7 +344,7 @@ class TestTwoStage:
         melody_vocab = Vocabulary.build(
             "melody", [note(p, 1, True) for p in pitches]
         )
-        rhythm_vocab = Vocabulary.build("rhythm", [("note", Fraction(1), True)])
+        rhythm_vocab = Vocabulary.build("rhythm", [RhythmToken(TokenKind.NOTE, Fraction(1), True)])
         pitch_vocab = Vocabulary.build("pitch", list(pitches))
         options = DecodeOptions(beam_width=50_000, max_notes_per_syllable=1)
         single = beam_search(lyr, UniformScorer(melody_vocab), config, options)
@@ -365,10 +371,13 @@ class TestVocabularyCoverage:
             fn(parse_lyrics(self.LYRICS), scorer, config, DecodeOptions())
 
     @pytest.mark.parametrize("rhythm, pitch, match", [
-        ([("note", Fraction(1), False), ("rest", Fraction(1))], [60, "R"], "syllable-start"),
-        ([("note", Fraction(1), True), ("rest", Fraction(1))], ["R"], "no pitch"),
+        ([RhythmToken(TokenKind.NOTE, Fraction(1), False), RhythmToken(TokenKind.REST, Fraction(1))],
+         [60, "R"], "syllable-start"),
+        ([RhythmToken(TokenKind.NOTE, Fraction(1), True), RhythmToken(TokenKind.REST, Fraction(1))],
+         ["R"], "no pitch"),
         # the pause reward puts a rest at the sentence boundary
-        ([("note", Fraction(1), True), ("rest", Fraction(1))], [60], "rest mark"),
+        ([RhythmToken(TokenKind.NOTE, Fraction(1), True), RhythmToken(TokenKind.REST, Fraction(1))],
+         [60], "rest mark"),
     ])
     def test_two_stage(self, config, rhythm, pitch, match):
         rhythm_scorer = UniformScorer(Vocabulary.build("rhythm", rhythm))
@@ -463,12 +472,12 @@ class TestScoreFirstBeamMatchesReference:
         return bundle, sheets
 
     @staticmethod
-    def check(ctx, scorer, domain, width, hard):
+    def check(ctx, scorer, width, hard):
         from lyricmelody.decoder import _beam
         from reference import reward_beam_search
 
-        got, got_relaxed = _beam(ctx, scorer, domain, width, hard)
-        want, want_relaxed = reward_beam_search(ctx, scorer, domain, width, hard)
+        got, got_relaxed = _beam(ctx, scorer, width, hard)
+        want, want_relaxed = reward_beam_search(ctx, scorer, width, hard)
         assert got.tokens == want.tokens and got.key == want.key
         assert got.base.hex() == want.base.hex()
         assert got.reward.hex() == want.reward.hex()
@@ -486,7 +495,7 @@ class TestScoreFirstBeamMatchesReference:
         options = DecodeOptions(beam_width=width, max_notes_per_syllable=2)
         for lyr in sheets:
             ctx = _Context(lyr, cfg, options, options.active)
-            self.check(ctx, bundle.token_model, "melody", width, hard)
+            self.check(ctx, bundle.token_model, width, hard)
 
     @pytest.mark.parametrize("preset", ["telemelody", "off"])
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -497,7 +506,7 @@ class TestScoreFirstBeamMatchesReference:
         options = DecodeOptions(beam_width=width)
         for lyr in sheets:
             ctx = _Context(lyr, config.with_preset(preset), options, frozenset({Aspect.RHYTHM}))
-            self.check(ctx, bundle.rhythm_model, "rhythm", width, hard=False)
+            self.check(ctx, bundle.rhythm_model, width, hard=False)
 
     @pytest.mark.parametrize("preset", ["telemelody", "off"])
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -514,7 +523,7 @@ class TestScoreFirstBeamMatchesReference:
             options = DecodeOptions(beam_width=width, max_notes_per_syllable=2)
             ctx = _Context(lyr, config.with_preset(preset), options, options.active)
             for hard in (False, True):
-                relaxed.extend(self.check(ctx, scorer, "melody", width, hard))
+                relaxed.extend(self.check(ctx, scorer, width, hard))
         assert relaxed  # hard mode relaxed somewhere, so that path is compared too
 
 
@@ -536,7 +545,7 @@ class TestEventSignature:
             vocab = vocabulary_from_corpus(melodies)
             if domain == "rhythm":
                 vocab = Vocabulary.build("rhythm", map(rhythm_projection, vocab.tokens[:-1]))
-            groups = _group_vocab(vocab, domain)
+            groups = _group_vocab(vocab)
             ctx = ctx_class(lyr, config, DecodeOptions(), active)
             for melody in melodies:
                 state = _State()
@@ -546,7 +555,7 @@ class TestEventSignature:
                 for token in tokens + (None,):
                     by_signature = {}
                     for idx, cand in ctx.legal(state, groups):
-                        events = ctx.step_events(state, cand, domain)
+                        events = ctx.step_events(state, cand)
                         sig = groups.signatures[idx]
                         if sig in by_signature:
                             shared += 1
@@ -555,7 +564,7 @@ class TestEventSignature:
                         else:
                             by_signature[sig] = (cand, events)
                     if token is not None:
-                        state = ctx.apply(state, token, domain)
+                        state = ctx.apply(state, token)
         assert shared  # tokens that differ only in duration were compared
         return found
 
@@ -563,12 +572,11 @@ class TestEventSignature:
     def reads_duration():
         """A broken event model whose events depend on a token's duration."""
         from lyricmelody.decoder import _Context
-        from lyricmelody.rewards import _token_view
 
         class ReadsDuration(_Context):
-            def step_events(self, st, token, domain):
-                events = super().step_events(st, token, domain)
-                if token != END and _token_view(token, domain)[2] >= 2:
+            def step_events(self, st, token):
+                events = super().step_events(st, token)
+                if token != END and token.duration >= 2:
                     events = events + [RewardEvent("pause", Aspect.RHYTHM, 0.0, 1.0)]
                 return events
 

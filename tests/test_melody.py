@@ -12,16 +12,14 @@ from lyricmelody import (
     BeatStrength,
     Melody,
     MelodyToken,
-    PauseCause,
+    RhythmToken,
     TokenKind,
     compute_beat_grid,
-    detect_pauses,
     is_long_note,
     melody_from_json,
     melody_to_json,
     note,
     rest,
-    parse_lyrics,
 )
 from conftest import mk_melody
 
@@ -49,10 +47,11 @@ class TestTokens:
 class TestTokenHash:
     """The hash a token caches on first use: equal tokens hash equal, the
     cache is invisible to ``repr`` and ``==``, and a cached value holds in a
-    process under another hash seed."""
+    process under another hash seed.  Rhythm tokens share the hash and
+    never equal a melody token."""
 
     def test_equal_tokens_hash_equal(self):
-        from lyricmelody.scorer import Vocabulary, build_melody_vocabulary
+        from lyricmelody.scorer import Vocabulary, build_melody_vocabulary, rhythm_projection
 
         a = note(60, Fraction(3, 2), False)
         hash(a)
@@ -67,6 +66,14 @@ class TestTokenHash:
         for built, loaded in zip(vocab.tokens[:-1], decoded.tokens):  # END is a str
             assert built is not loaded and loaded == built and hash(loaded) == hash(built)
         assert decoded.index_of(a) == vocab.index_of(a)
+        rhythm = Vocabulary.build("rhythm", map(rhythm_projection, vocab.tokens[:-1]))
+        decoded = Vocabulary.from_dict(rhythm.to_dict())
+        for built, loaded in zip(rhythm.tokens[:-1], decoded.tokens):
+            assert built is not loaded and loaded == built and hash(loaded) == hash(built)
+        r = RhythmToken(TokenKind.NOTE, Fraction(3, 2), False)
+        hash(r)
+        assert hash(RhythmToken(TokenKind.NOTE, Fraction(3, 2), False)) == hash(r)
+        assert decoded.index_of(r) == rhythm.index_of(rhythm_projection(a))
 
     def test_cache_is_not_in_repr_or_eq(self):
         fresh, hashed = note(64, 1), note(64, 1)
@@ -79,6 +86,15 @@ class TestTokenHash:
         assert rest(1) != note(64, 1)
         with pytest.raises(TypeError):
             MelodyToken(TokenKind.NOTE, Fraction(1), 64, True, 0)
+        # a rhythm rest with a melody rest's fields, and a note's projection
+        rhythm_rest = RhythmToken(TokenKind.REST, Fraction(1))
+        rhythm_note = RhythmToken(TokenKind.NOTE, Fraction(1), True)
+        assert (rhythm_rest.kind, rhythm_rest.duration, rhythm_rest.pitch,
+                rhythm_rest.syllable_start) == (TokenKind.REST, 1, None, False)
+        assert hash(rhythm_rest) == hash(rest(1))
+        assert rhythm_rest != rest(1) and rest(1) != rhythm_rest
+        assert rhythm_note != note(64, 1) and note(64, 1) != rhythm_note
+        assert len({rhythm_rest, rest(1)}) == 2
 
     def test_pickled_hash_valid_under_another_seed(self, tmp_path):
         import lyricmelody
@@ -88,27 +104,35 @@ class TestTokenHash:
         write = (
             "import pickle, sys\n"
             "from fractions import Fraction\n"
-            "from lyricmelody.melody import note, rest\n"
+            "from lyricmelody.melody import RhythmToken, TokenKind, note, rest\n"
             "tokens = [note(61, Fraction(1, 2), True), rest(2), note(60, 1, False)]\n"
-            "for t in tokens: hash(t)\n"
-            "open(sys.argv[1], 'wb').write(pickle.dumps(tokens))\n"
+            "rhythm = [RhythmToken(TokenKind.NOTE, Fraction(1, 2), True),\n"
+            "          RhythmToken(TokenKind.REST, Fraction(2))]\n"
+            "for t in tokens + rhythm: hash(t)\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps((tokens, rhythm)))\n"
         )
         read = (
             "import pickle, sys\n"
-            "from lyricmelody.scorer import build_melody_vocabulary\n"
-            "vocab = build_melody_vocabulary((60, 62), [0.5, 1, 2])\n"
-            "tokens = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-            "print([vocab.index_of(t) for t in tokens])\n"
+            "from lyricmelody import scorer as s\n"
+            "vocab = s.build_melody_vocabulary((60, 62), [0.5, 1, 2])\n"
+            "projected = map(s.rhythm_projection, vocab.tokens[:-1])\n"
+            "rhythm_vocab = s.Vocabulary.build('rhythm', projected)\n"
+            "tokens, rhythm = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "print([vocab.index_of(t) for t in tokens]\n"
+            "      + [rhythm_vocab.index_of(t) for t in rhythm])\n"
         )
         for code, seed in ((write, "1"), (read, "2")):
             env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
             out = subprocess.run([sys.executable, "-c", code, str(dump)], env=env,
                                  capture_output=True, text=True, timeout=60, check=True)
-        from lyricmelody.scorer import build_melody_vocabulary
+        from lyricmelody.scorer import Vocabulary, build_melody_vocabulary, rhythm_projection
 
         vocab = build_melody_vocabulary((60, 62), [0.5, 1, 2])
+        rhythm_vocab = Vocabulary.build("rhythm", map(rhythm_projection, vocab.tokens[:-1]))
         want = [vocab.index_of(t) for t in (note(61, Fraction(1, 2), True), rest(2),
                                             note(60, 1, False))]
+        want += [rhythm_vocab.index_of(rhythm_projection(t))
+                 for t in (note(61, Fraction(1, 2), True), rest(2))]
         assert out.stdout.split("\n")[0] == str(want)
 
 
@@ -208,50 +232,3 @@ class TestLongNote:
     def test_rest_rejected(self, config):
         with pytest.raises(ValueError):
             is_long_note(rest(1), config)
-
-
-class TestDetectPauses:
-    def test_rest_between_syllables(self, config):
-        lyr = parse_lyrics("ni3|W hao3|I tian1|W kong1|I .")
-        m = mk_melody([(60, 1), (62, 1), (64, 1), ("r", 1), (65, 1)])
-        events = detect_pauses(m, lyr, config)
-        assert events == [
-            type(events[0])(2, PauseCause.REST_NOTE),
-        ]
-
-    def test_missing_sentence_boundary_pause(self, config):
-        # sentence ends at syllable 4 (0-based) with a short final note
-        lyr = parse_lyrics("ni3|W hao3|I tian1|W kong1|I ming2|W .\nyue4|W liang4|I .")
-        m = mk_melody([(60, 1)] * 7)
-        events = detect_pauses(m, lyr, config)
-        assert [(e.position, e.cause) for e in events] == [
-            (4, PauseCause.SENTENCE_BOUNDARY_MISSING)
-        ]
-
-    def test_single_syllable_has_no_gaps(self, config):
-        lyr = parse_lyrics("ni3|W .")
-        m = mk_melody([(60, 1)])
-        assert detect_pauses(m, lyr, config) == []
-
-    def test_long_note_mid_sentence(self, config):
-        lyr = parse_lyrics("ni3|W hao3|I .")
-        m = mk_melody([(60, 2), (62, 1)])
-        events = detect_pauses(m, lyr, config)
-        assert [(e.position, e.cause) for e in events] == [(0, PauseCause.LONG_NOTE)]
-
-    def test_long_note_at_sentence_boundary_is_expected(self, config):
-        lyr = parse_lyrics("ni3|W .\nhao3|W .")
-        m = mk_melody([(60, 2), (62, 1)])
-        assert detect_pauses(m, lyr, config) == []
-
-    def test_alignment_mismatch_rejected(self, config):
-        lyr = parse_lyrics("ni3|W hao3|I .")
-        m = mk_melody([(60, 1)])
-        with pytest.raises(AlignmentError):
-            detect_pauses(m, lyr, config)
-
-    def test_rest_and_long_note_both_reported(self, config):
-        lyr = parse_lyrics("ni3|W hao3|I .")
-        m = mk_melody([(60, 2), ("r", 1), (62, 1)])
-        causes = {e.cause for e in detect_pauses(m, lyr, config)}
-        assert causes == {PauseCause.REST_NOTE, PauseCause.LONG_NOTE}

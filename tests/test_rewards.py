@@ -421,7 +421,7 @@ class TestStartPlan:
                                 plan = model.start_plan(state, start_reward)
                                 for pitch in cls.PITCHES:
                                     start = MelodyToken(TokenKind.NOTE, token.duration, pitch, True)
-                                    events = model.step_events(state, start, "melody")
+                                    events = model.step_events(state, start)
                                     kinds.update(ev.kind for ev in events)
                                     want = (weighted_total(events, cfg, active, start_reward).hex(),
                                             is_masked(events, active))
@@ -429,7 +429,7 @@ class TestStartPlan:
                                     if (got_reward.hex(), got_masked) != want:
                                         found.append((seed, lambdas, meter, sorted(active, key=str),
                                                       state.syl, pitch))
-                            state = model.apply(state, token, "melody")
+                            state = model.apply(state, token)
         assert kinds == {"shape", "contour", "transition", "sw", "pause", "structure"}
         return found
 

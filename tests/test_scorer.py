@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -165,6 +166,16 @@ class TestSerialization:
         b = train_model_bundle(corpus, order=2).to_json()
         assert a == b
         assert ModelBundle.from_json(a).to_json() == a
+
+    def test_bundle_json_pinned(self):
+        # the sha256 of a fixed corpus's model file; the file format, the
+        # vocabulary order and every count must stay as they are
+        rng = random.Random(20240811)
+        corpus = [random_training_melody(rng) for _ in range(8)]
+        text = train_model_bundle(corpus, order=3).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "69e5db56045b84fb94ee01bec0ff5d27dabb6303e3d6f10bf1ef3b0adbdedb27"
+        )
 
     def test_projection_domains(self, rng):
         corpus = [random_training_melody(rng) for _ in range(4)]
