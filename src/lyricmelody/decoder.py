@@ -79,6 +79,7 @@ from .scorer import (
     Scorer,
     Vocabulary,
     melody_sequence,
+    pitch_projection,
     pitch_sequence,
     rhythm_sequence,
 )
@@ -493,9 +494,8 @@ def rerank(
 
 
 def _full_reward(ctx: _Context, tokens: tuple) -> float:
-    melody = Melody(tuple(t for t in tokens if t != END), ctx.options.time_signature)
-    summary = score_rewards(ctx.lyrics, melody, ctx.config, ctx.active, ctx.structure)
-    return summary.total
+    events = ctx.fold(tokens[:-1])  # a sampled sequence ends with END
+    return weighted_total((ev for _, ev in events), ctx.config, ctx.active)
 
 
 def decode(
@@ -600,14 +600,10 @@ def _pitch_fill(
         live.sort(key=attrgetter("key"))
         pool: list[tuple] = []
         for rank, h in enumerate(live):
-            dist = pitch_scorer.log_prob_dist(_pitch_context(h.tokens))
+            dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
             pool.extend(_expand(ctx, h, rank, moves, [dist[k] for k in keys], signatures))
         live = _keep(ctx, live, pool, 1 if slot is None else width)
     return live[0]
-
-
-def _pitch_context(tokens: tuple) -> tuple:
-    return tuple(REST_MARK if t.kind is TokenKind.REST else t.pitch for t in tokens)
 
 
 # ---------------------------------------------------------------------------

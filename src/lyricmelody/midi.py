@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .errors import MidiFormatError
@@ -41,34 +42,23 @@ def _encode_vlq(value: int) -> bytes:
     return bytes(reversed(chunks))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+def _vlq(data: bytes, pos: int) -> tuple[int, int]:
+    """The variable-length quantity at ``pos`` and the position after it;
+    raises IndexError when the data ends inside it."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        b = data[pos]
+        value = (value << 7) | (b & 0x7F)
+        if not b & 0x80:
+            return value, pos + 1
+    raise MidiFormatError("variable-length quantity longer than 4 bytes")
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MidiFormatError("truncated MIDI file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
-    def byte(self) -> int:
-        return self.take(1)[0]
-
-    def peek(self) -> int:
-        if self.pos >= len(self.data):
-            raise MidiFormatError("truncated MIDI file")
-        return self.data[self.pos]
-
-    def vlq(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.byte()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise MidiFormatError("variable-length quantity longer than 4 bytes")
+def _take(data: bytes, pos: int, n: int) -> int:
+    """The position ``n`` bytes past ``pos``, if the data reaches it."""
+    if pos + n > len(data):
+        raise MidiFormatError("truncated MIDI file")
+    return pos + n
 
 
 def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
@@ -118,66 +108,88 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
     return header + b"MTrk" + struct.pack(">I", len(track)) + bytes(track)
 
 
-def _parse_track(reader: _Reader, length: int) -> list[tuple[int, str, tuple]]:
-    """Return (tick, kind, payload) events from one MTrk chunk."""
-    end = reader.pos + length
-    events: list[tuple[int, str, tuple]] = []
+# track event kinds, numbered in the order events at one tick are taken:
+# note-offs before note-ons, so back-to-back notes don't register as overlap
+_OFF, _LYRIC, _ON, _TIMESIG, _END = range(5)
+
+
+def _parse_track(data: bytes, pos: int, length: int) -> list[tuple[int, int, object]]:
+    """(tick, kind, value) events of the MTrk chunk whose body starts at
+    ``pos``: a pitch for a note-on or -off, the raw text of a lyric, a
+    (numerator, denominator) time signature.  Data bytes are read up to the
+    end of the file, even past the chunk's stated length."""
+    end = pos + length
+    events: list[tuple[int, int, object]] = []
     tick = 0
     status = None
-    while reader.pos < end:
-        tick += reader.vlq()
-        first = reader.peek()
-        if first >= 0x80:
-            status = reader.byte()
-        elif status is None:
-            raise MidiFormatError("running status with no prior status byte")
-        if status == 0xFF:
-            meta = reader.byte()
-            data = reader.take(reader.vlq())
-            if meta == 0x05:
-                events.append((tick, "lyric", (data.decode("utf-8", errors="replace"),)))
-            elif meta == 0x58 and len(data) >= 2:
-                events.append((tick, "timesig", (data[0], 1 << data[1])))
-            elif meta == 0x2F:
-                events.append((tick, "end", ()))
-                break
-            status = None  # meta events cancel running status
-            continue
-        if status in (0xF0, 0xF7):  # sysex
-            reader.take(reader.vlq())
-            status = None
-            continue
-        kind = status & 0xF0
-        if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-            d1, d2 = reader.byte(), reader.byte()
-        elif kind in (0xC0, 0xD0):
-            d1, d2 = reader.byte(), 0
+    try:
+        while pos < end:
+            if data[pos] < 0x80:  # most delta times fit one byte
+                tick += data[pos]
+                pos += 1
+            else:
+                delta, pos = _vlq(data, pos)
+                tick += delta
+            if data[pos] >= 0x80:
+                status = data[pos]
+                pos += 1
+            elif status is None:
+                raise MidiFormatError("running status with no prior status byte")
+            if status == 0xFF:
+                meta = data[pos]
+                size, pos = _vlq(data, pos + 1)
+                start, pos = pos, _take(data, pos, size)
+                if meta == 0x05:
+                    events.append((tick, _LYRIC, data[start:pos]))
+                elif meta == 0x58 and size >= 2:
+                    events.append((tick, _TIMESIG, (data[start], 1 << data[start + 1])))
+                elif meta == 0x2F:
+                    events.append((tick, _END, None))
+                    break
+                status = None  # meta events cancel running status
+                continue
+            if status in (0xF0, 0xF7):  # sysex
+                size, pos = _vlq(data, pos)
+                pos = _take(data, pos, size)
+                status = None
+                continue
+            kind = status & 0xF0
+            if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
+                d1, d2 = data[pos], data[pos + 1]
+                pos += 2
+            elif kind in (0xC0, 0xD0):
+                d1, d2 = data[pos], 0
+                pos += 1
+            else:
+                raise MidiFormatError(f"unexpected status byte 0x{status:02x}")
+            if kind == 0x90 and d2 > 0:
+                events.append((tick, _ON, d1))
+            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
+                events.append((tick, _OFF, d1))
         else:
-            raise MidiFormatError(f"unexpected status byte 0x{status:02x}")
-        if kind == 0x90 and d2 > 0:
-            events.append((tick, "on", (d1,)))
-        elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-            events.append((tick, "off", (d1,)))
-    else:
-        raise MidiFormatError("track chunk missing end-of-track event")
-    reader.pos = end
+            raise MidiFormatError("track chunk missing end-of-track event")
+    except IndexError:
+        raise MidiFormatError("truncated MIDI file") from None
     return events
 
 
 def read_midi(data: bytes) -> Melody:
     """Parse SMF bytes back into a Melody.
 
-    Rejects SMPTE timing, more than one note-bearing track, and any overlap
-    between notes (polyphony).
+    Rejects SMPTE timing, more than one note-bearing track, any overlap
+    between notes (polyphony), and a note pitch or time signature that
+    :class:`~lyricmelody.melody.Melody` rejects.
     """
-    reader = _Reader(data)
-    if reader.take(4) != b"MThd":
+    _take(data, 0, 4)
+    if data[:4] != b"MThd":
         raise MidiFormatError("not a Standard MIDI File (missing MThd)")
-    header_len = struct.unpack(">I", reader.take(4))[0]
+    _take(data, 4, 4)
+    header_len = struct.unpack_from(">I", data, 4)[0]
     if header_len < 6:
         raise MidiFormatError("malformed MThd chunk")
-    fmt, ntracks, division = struct.unpack(">HHH", reader.take(6))
-    reader.take(header_len - 6)
+    _take(data, 8, 6)
+    fmt, ntracks, division = struct.unpack_from(">HHH", data, 8)
+    pos = _take(data, 14, header_len - 6)
     if fmt not in (0, 1):
         raise MidiFormatError(f"unsupported MIDI format {fmt}")
     if division & 0x8000:
@@ -185,17 +197,19 @@ def read_midi(data: bytes) -> Melody:
     if division == 0:
         raise MidiFormatError("zero ticks-per-quarter division")
 
-    tracks: list[list[tuple[int, str, tuple]]] = []
+    tracks: list[list[tuple[int, int, object]]] = []
     for _ in range(ntracks):
         while True:
-            chunk_id = reader.take(4)
-            chunk_len = struct.unpack(">I", reader.take(4))[0]
+            body = _take(data, pos, 8)
+            chunk_id = data[pos:pos + 4]
+            chunk_len = struct.unpack_from(">I", data, pos + 4)[0]
             if chunk_id == b"MTrk":
                 break
-            reader.take(chunk_len)  # skip alien chunks
-        tracks.append(_parse_track(reader, chunk_len))
+            pos = _take(data, body, chunk_len)  # skip alien chunks
+        tracks.append(_parse_track(data, body, chunk_len))
+        pos = body + chunk_len
 
-    note_tracks = [t for t in tracks if any(kind == "on" for _, kind, _ in t)]
+    note_tracks = [t for t in tracks if any(kind == _ON for _, kind, _ in t)]
     if not note_tracks:
         raise MidiFormatError("no notes found in any track")
     if len(note_tracks) > 1:
@@ -204,55 +218,62 @@ def read_midi(data: bytes) -> Melody:
 
     time_signature = (4, 4)
     for track in tracks:
-        sigs = [payload for _, kind, payload in track if kind == "timesig"]
+        sigs = [value for _, kind, value in track if kind == _TIMESIG]
         if sigs:
             time_signature = sigs[0]
             break
+    melodic.sort(key=itemgetter(0, 1))
 
-    # note-offs sort before note-ons at the same tick so back-to-back notes
-    # don't register as overlap
-    order = {"off": 0, "lyric": 1, "on": 2, "timesig": 3, "end": 4}
-    melodic.sort(key=lambda e: (e[0], order[e[1]]))
-
-    lyric_at: dict[int, str] = {}
+    lyric_at: dict[int, bytes] = {}
     notes: list[tuple[int, int, int]] = []  # (start_tick, end_tick, pitch)
     active: Optional[tuple[int, int]] = None  # (pitch, start_tick)
     end_tick = None
-    for tick, kind, payload in melodic:
-        if kind == "lyric":
-            lyric_at[tick] = payload[0]
-        elif kind == "on":
+    for tick, kind, value in melodic:
+        if kind == _LYRIC:
+            lyric_at[tick] = value
+        elif kind == _ON:
             if active is not None:
                 raise MidiFormatError(
-                    f"polyphony at tick {tick}: note {payload[0]} starts while "
+                    f"polyphony at tick {tick}: note {value} starts while "
                     f"note {active[0]} is sounding"
                 )
-            active = (payload[0], tick)
-        elif kind == "off":
-            if active is None or active[0] != payload[0]:
-                raise MidiFormatError(f"unmatched note-off for pitch {payload[0]} at tick {tick}")
+            active = (value, tick)
+        elif kind == _OFF:
+            if active is None or active[0] != value:
+                raise MidiFormatError(f"unmatched note-off for pitch {value} at tick {tick}")
             if tick <= active[1]:
                 raise MidiFormatError(f"zero-length note at tick {active[1]}")
             notes.append((active[1], tick, active[0]))
             active = None
-        elif kind == "end":
+        elif kind == _END:
             end_tick = tick
     if active is not None:
         raise MidiFormatError(f"note {active[0]} never receives a note-off")
     if not notes:
         raise MidiFormatError("no complete notes in melodic track")
 
+    durations: dict[int, Fraction] = {}
+
+    def duration(ticks: int) -> Fraction:
+        d = durations.get(ticks)
+        if d is None:
+            d = durations[ticks] = Fraction(ticks, division)
+        return d
+
     tokens: list[MelodyToken] = []
     prev_end = notes[0][0]  # leading silence is dropped
-    for start, stop, pitch in notes:
-        if start > prev_end:
-            tokens.append(MelodyToken(TokenKind.REST, Fraction(start - prev_end, division)))
-        text = lyric_at.get(start)
-        starts_syllable = text != "-"
-        tokens.append(
-            MelodyToken(TokenKind.NOTE, Fraction(stop - start, division), pitch, starts_syllable)
-        )
-        prev_end = stop
-    if end_tick is not None and end_tick > prev_end:
-        tokens.append(MelodyToken(TokenKind.REST, Fraction(end_tick - prev_end, division)))
-    return Melody(tuple(tokens), time_signature)
+    try:
+        for start, stop, pitch in notes:
+            if start > prev_end:
+                tokens.append(MelodyToken(TokenKind.REST, duration(start - prev_end)))
+            # a melisma continuation carries the lyric "-"
+            starts_syllable = lyric_at.get(start) != b"-"
+            tokens.append(
+                MelodyToken(TokenKind.NOTE, duration(stop - start), pitch, starts_syllable)
+            )
+            prev_end = stop
+        if end_tick is not None and end_tick > prev_end:
+            tokens.append(MelodyToken(TokenKind.REST, duration(end_tick - prev_end)))
+        return Melody(tuple(tokens), time_signature)
+    except ValueError as exc:  # a pitch above 127, a zero-numerator meter
+        raise MidiFormatError(str(exc)) from exc

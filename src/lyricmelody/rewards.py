@@ -9,15 +9,19 @@ Six sub-rewards over three aspects:
   pauses landing on word or sentence boundaries rather than inside words;
 * structure — repeated lyric phrases repeating their pitch intervals.
 
-Each sub-reward is a pure function.  When each one fires is decided in one
-place, the token-by-token event model (:class:`_EventModel` over
-:class:`_State`): :func:`reward_events` folds it over a finished melody, and
-the decoder steps it from each live hypothesis, so a decode and the
-rescoring of its output fire the same events in the same order.  It reads
-a token's ``is_note``, ``syllable_start``, ``pitch`` and ``duration`` only, so
-it steps a :class:`~lyricmelody.melody.MelodyToken` and the pitch-free
-:class:`~lyricmelody.melody.RhythmToken` of rhythm-first decoding alike.
-The tests check the fold against an independently written whole-pair scan.
+Each sub-reward is a pure function.  When each one fires is decided by one
+token-by-token event model, :class:`_EventModel`.  The decoder steps it from
+each live hypothesis (:meth:`_EventModel.step_events` and
+:meth:`_EventModel.apply` over a frozen :class:`_State` that hypotheses
+share).  Rescoring a finished melody (:func:`reward_events`, rerank) runs
+:meth:`_EventModel.fold`, a fast loop over local mutable state that applies
+the same rules through the same tables and sub-reward functions, so a decode
+and the rescoring of its output fire the same events in the same order.  The
+model reads a token's ``is_note``, ``syllable_start``, ``pitch`` and
+``duration`` only, so it steps a :class:`~lyricmelody.melody.MelodyToken` and
+the pitch-free :class:`~lyricmelody.melody.RhythmToken` of rhythm-first
+decoding alike.  The tests pin the fold to the step/apply path event for
+event, and check both against an independently written whole-pair scan.
 
 A syllable start is where most candidates differ, and only by pitch: its
 close, strong/weak and pause events, its tone-pair cell and its structure
@@ -44,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import AlignmentError, ConfigError
@@ -446,6 +451,7 @@ class _EventModel:
         self.n = len(lyrics)
         self.structure = structure if structure is not None else build_structure_matrix(lyrics)
         self.partner = dict(self.structure.partner)
+        self.time_signature = time_signature
         num, den = time_signature
         self.bar = Fraction(num) * Fraction(4, den)
         self.strong = strong_offsets(time_signature)
@@ -656,6 +662,110 @@ class _EventModel:
             sent_last=pitch,
         )
 
+    def fold(self, tokens: Sequence) -> list[tuple[Optional[int], RewardEvent]]:
+        """The events of a complete token sequence (END excluded), tagged
+        with the index they fire on (None = at the end).
+
+        Equal, event for event and in order, to stepping :meth:`step_events`
+        and :meth:`apply` from ``_State()`` over the tokens and then END, but
+        one loop over local mutable state.  Onsets and the long-note
+        threshold are counted in integer ticks of the sequence's common
+        denominator.
+        """
+        check_meter(self.time_signature)
+        config, n = self.config, self.n
+        tone_on = Aspect.TONE in self.active
+        rhythm_on = Aspect.RHYTHM in self.active
+        structure_on = Aspect.STRUCTURE in self.active
+        tone, boundary, partner = self.tone, self.boundary, self.partner
+        word_start, stress, new_sentence = self.word_start, self.stress, self.new_sentence
+        tone_pair_ok = self.tone_pair_ok
+        maxima, transition_rewards = config._maxima, config.transition_rewards
+        cells = config.harmony_table.cells if config.harmony_table is not None else None
+
+        scale = lcm(self.bar.denominator, *{t.duration.denominator for t in tokens})
+        bar = self.bar.numerator * (scale // self.bar.denominator)
+        # a bar offset that is not a whole tick is never an onset
+        strong = {s.numerator * (scale // s.denominator)
+                  for s in self.strong if scale % s.denominator == 0}
+        threshold = config.long_note_threshold
+        long_note = -(-threshold.numerator * scale // threshold.denominator)  # ceiling
+
+        events: list[tuple[Optional[int], RewardEvent]] = []
+        onset = 0
+        syl = -1
+        span_open = False
+        span: list[int] = []  # the open span's pitches
+        first_pitch = last_pitch = last_ticks = sent_first = sent_last = None
+        syl_delta: list[Optional[int]] = []  # per syllable, the jump into it
+
+        def close(anchor):
+            if len(span) >= 2:
+                value = pitch_shape_reward(tone[syl], span, config)
+                if value is not None:
+                    ev = RewardEvent("shape", Aspect.TONE, value, maxima["shape"])
+                    events.append((anchor, ev))
+            if self.sentence_final[syl]:
+                value = pitch_contour_reward(self.intonation[syl], sent_first, sent_last, config)
+                ev = RewardEvent("contour", Aspect.TONE, value, maxima["contour"])
+                events.append((anchor, ev))
+
+        for i, token in enumerate(tokens):
+            d = token.duration
+            ticks = d.numerator * (scale // d.denominator)
+            if not token.is_note:
+                if span_open and tone_on:
+                    close(i)
+                if rhythm_on and syl + 1 < n:
+                    value = pause_reward(True, boundary[syl + 1], config)
+                    events.append((i, RewardEvent("pause", Aspect.RHYTHM, value, maxima["pause"])))
+                onset += ticks
+                span_open = False
+                continue
+            pitch = token.pitch
+            if not token.syllable_start:
+                onset += ticks
+                span.append(pitch)
+                last_pitch, last_ticks, sent_last = pitch, ticks, pitch
+                continue
+            if span_open and tone_on:
+                close(i)
+            k = syl + 1
+            if cells is not None and tone_on and tone_pair_ok[k]:
+                cell = cells.get((tone[k - 1], tone[k]))
+                if cell is not None:
+                    value = transition_rewards[_cell_degree(cell, pitch - first_pitch)]
+                    events.append(
+                        (i, RewardEvent("transition", Aspect.TONE, value, maxima["transition"]))
+                    )
+            if rhythm_on:
+                if word_start[k]:
+                    strength = BeatStrength.STRONG if onset % bar in strong else BeatStrength.WEAK
+                    value = strong_weak_reward(stress[k], strength, config)
+                    if value is not None:
+                        events.append((i, RewardEvent("sw", Aspect.RHYTHM, value, maxima["sw"])))
+                if span_open:
+                    # no rest resolved this gap; a long final note still pauses
+                    value = pause_reward(last_ticks >= long_note, boundary[k], config)
+                    events.append((i, RewardEvent("pause", Aspect.RHYTHM, value, maxima["pause"])))
+            delta = None if last_pitch is None else pitch - last_pitch
+            if structure_on and delta is not None:
+                j = partner.get(k)
+                if j is not None and syl_delta[j] is not None:
+                    value = structure_reward(delta, syl_delta[j], config)
+                    events.append(
+                        (i, RewardEvent("structure", Aspect.STRUCTURE, value, maxima["structure"]))
+                    )
+            onset += ticks
+            syl, span_open, span, first_pitch = k, True, [pitch], pitch
+            last_pitch, last_ticks, sent_last = pitch, ticks, pitch
+            if new_sentence[k]:
+                sent_first = pitch
+            syl_delta.append(delta)
+        if span_open and tone_on:
+            close(None)
+        return events
+
 
 def reward_events(
     lyrics: LyricSequence,
@@ -666,22 +776,16 @@ def reward_events(
     """Every reward event of a complete pair, tagged with the token index it
     fires on (None = fires when the melody ends).
 
-    The event model folded over the melody's tokens in the melody's own
-    meter, with every aspect on; events come back in firing order.
+    The event model's :meth:`~_EventModel.fold` over the melody's tokens in
+    the melody's own meter, with every aspect on; events come back in firing
+    order.
     """
     if melody.syllable_count != len(lyrics):
         raise AlignmentError(
             f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
         )
-    check_meter(melody.time_signature)
     model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature, structure)
-    state = _State()
-    events: list[tuple[Optional[int], RewardEvent]] = []
-    for i, token in enumerate(melody.tokens):
-        events.extend((i, ev) for ev in model.step_events(state, token))
-        state = model.apply(state, token)
-    events.extend((None, ev) for ev in model.step_events(state, END))
-    return events
+    return model.fold(melody.tokens)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,16 @@ rules: a plain beam search that knows nothing about rewards, a reward beam
 search that builds every candidate in full before it cuts the beam, an
 exhaustive enumerator of every complete token sequence, and a whole-pair scan
 that derives every reward event from the alignment, beat grid and sentence
-spans without the package's token-by-token event model, and the n-gram
-backoff probability evaluated one token and one backoff level at a time.
-Kept separate from the package so the decoder, the reward fold and the
-scorer's suffix tables are checked against a second, independently written
-route.
+spans without the package's token-by-token event model, the n-gram
+backoff probability evaluated one token and one backoff level at a time, and
+a MIDI reader that takes one byte slice at a time.  Kept separate from the
+package so the decoder, the reward fold, the scorer's suffix tables and the
+MIDI reader are checked against a second, independently written route.
 """
+
+import struct
+from fractions import Fraction
+from typing import Optional
 
 from lyricmelody import (
     END,
@@ -18,6 +22,8 @@ from lyricmelody import (
     Aspect,
     Language,
     Melody,
+    MelodyToken,
+    MidiFormatError,
     TokenKind,
     WordPosition,
     build_structure_matrix,
@@ -55,11 +61,7 @@ def ngram_prob(model, token, ctx):
 
 
 def _parts(tok):
-    """(is_rest, starts_syllable) for melody tokens and rhythm tuples alike."""
-    if isinstance(tok, tuple):
-        if tok[0] == "rest":
-            return True, False
-        return False, tok[2]
+    """(is_rest, starts_syllable) of a melody or rhythm token."""
     if tok.kind is TokenKind.REST:
         return True, False
     return False, tok.syllable_start
@@ -295,3 +297,173 @@ def scan_reward_events(lyrics, melody, config, structure=None):
 
     events.sort(key=lambda item: (n_tokens if item[0] is None else item[0], item[1]))
     return [(anchor, ev) for anchor, _, ev in events]
+
+
+class _Reader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise MidiFormatError("truncated MIDI file")
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def byte(self) -> int:
+        return self.take(1)[0]
+
+    def peek(self) -> int:
+        if self.pos >= len(self.data):
+            raise MidiFormatError("truncated MIDI file")
+        return self.data[self.pos]
+
+    def vlq(self) -> int:
+        value = 0
+        for _ in range(4):
+            b = self.byte()
+            value = (value << 7) | (b & 0x7F)
+            if not b & 0x80:
+                return value
+        raise MidiFormatError("variable-length quantity longer than 4 bytes")
+
+
+def _parse_track(reader: _Reader, length: int) -> list[tuple[int, str, tuple]]:
+    """Return (tick, kind, payload) events from one MTrk chunk."""
+    end = reader.pos + length
+    events: list[tuple[int, str, tuple]] = []
+    tick = 0
+    status = None
+    while reader.pos < end:
+        tick += reader.vlq()
+        first = reader.peek()
+        if first >= 0x80:
+            status = reader.byte()
+        elif status is None:
+            raise MidiFormatError("running status with no prior status byte")
+        if status == 0xFF:
+            meta = reader.byte()
+            data = reader.take(reader.vlq())
+            if meta == 0x05:
+                events.append((tick, "lyric", (data.decode("utf-8", errors="replace"),)))
+            elif meta == 0x58 and len(data) >= 2:
+                events.append((tick, "timesig", (data[0], 1 << data[1])))
+            elif meta == 0x2F:
+                events.append((tick, "end", ()))
+                break
+            status = None  # meta events cancel running status
+            continue
+        if status in (0xF0, 0xF7):  # sysex
+            reader.take(reader.vlq())
+            status = None
+            continue
+        kind = status & 0xF0
+        if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
+            d1, d2 = reader.byte(), reader.byte()
+        elif kind in (0xC0, 0xD0):
+            d1, d2 = reader.byte(), 0
+        else:
+            raise MidiFormatError(f"unexpected status byte 0x{status:02x}")
+        if kind == 0x90 and d2 > 0:
+            events.append((tick, "on", (d1,)))
+        elif kind == 0x80 or (kind == 0x90 and d2 == 0):
+            events.append((tick, "off", (d1,)))
+    else:
+        raise MidiFormatError("track chunk missing end-of-track event")
+    reader.pos = end
+    return events
+
+
+def reference_read_midi(data: bytes) -> Melody:
+    """Parse SMF bytes back into a Melody, one byte slice at a time.
+
+    Rejects SMPTE timing, more than one note-bearing track, and any overlap
+    between notes (polyphony).
+    """
+    reader = _Reader(data)
+    if reader.take(4) != b"MThd":
+        raise MidiFormatError("not a Standard MIDI File (missing MThd)")
+    header_len = struct.unpack(">I", reader.take(4))[0]
+    if header_len < 6:
+        raise MidiFormatError("malformed MThd chunk")
+    fmt, ntracks, division = struct.unpack(">HHH", reader.take(6))
+    reader.take(header_len - 6)
+    if fmt not in (0, 1):
+        raise MidiFormatError(f"unsupported MIDI format {fmt}")
+    if division & 0x8000:
+        raise MidiFormatError("SMPTE timing is not supported")
+    if division == 0:
+        raise MidiFormatError("zero ticks-per-quarter division")
+
+    tracks: list[list[tuple[int, str, tuple]]] = []
+    for _ in range(ntracks):
+        while True:
+            chunk_id = reader.take(4)
+            chunk_len = struct.unpack(">I", reader.take(4))[0]
+            if chunk_id == b"MTrk":
+                break
+            reader.take(chunk_len)  # skip alien chunks
+        tracks.append(_parse_track(reader, chunk_len))
+
+    note_tracks = [t for t in tracks if any(kind == "on" for _, kind, _ in t)]
+    if not note_tracks:
+        raise MidiFormatError("no notes found in any track")
+    if len(note_tracks) > 1:
+        raise MidiFormatError("more than one note-bearing track is not supported")
+    melodic = note_tracks[0]
+
+    time_signature = (4, 4)
+    for track in tracks:
+        sigs = [payload for _, kind, payload in track if kind == "timesig"]
+        if sigs:
+            time_signature = sigs[0]
+            break
+
+    # note-offs sort before note-ons at the same tick so back-to-back notes
+    # don't register as overlap
+    order = {"off": 0, "lyric": 1, "on": 2, "timesig": 3, "end": 4}
+    melodic.sort(key=lambda e: (e[0], order[e[1]]))
+
+    lyric_at: dict[int, str] = {}
+    notes: list[tuple[int, int, int]] = []  # (start_tick, end_tick, pitch)
+    active: Optional[tuple[int, int]] = None  # (pitch, start_tick)
+    end_tick = None
+    for tick, kind, payload in melodic:
+        if kind == "lyric":
+            lyric_at[tick] = payload[0]
+        elif kind == "on":
+            if active is not None:
+                raise MidiFormatError(
+                    f"polyphony at tick {tick}: note {payload[0]} starts while "
+                    f"note {active[0]} is sounding"
+                )
+            active = (payload[0], tick)
+        elif kind == "off":
+            if active is None or active[0] != payload[0]:
+                raise MidiFormatError(f"unmatched note-off for pitch {payload[0]} at tick {tick}")
+            if tick <= active[1]:
+                raise MidiFormatError(f"zero-length note at tick {active[1]}")
+            notes.append((active[1], tick, active[0]))
+            active = None
+        elif kind == "end":
+            end_tick = tick
+    if active is not None:
+        raise MidiFormatError(f"note {active[0]} never receives a note-off")
+    if not notes:
+        raise MidiFormatError("no complete notes in melodic track")
+
+    tokens: list[MelodyToken] = []
+    prev_end = notes[0][0]  # leading silence is dropped
+    for start, stop, pitch in notes:
+        if start > prev_end:
+            tokens.append(MelodyToken(TokenKind.REST, Fraction(start - prev_end, division)))
+        text = lyric_at.get(start)
+        starts_syllable = text != "-"
+        tokens.append(
+            MelodyToken(TokenKind.NOTE, Fraction(stop - start, division), pitch, starts_syllable)
+        )
+        prev_end = stop
+    if end_tick is not None and end_tick > prev_end:
+        tokens.append(MelodyToken(TokenKind.REST, Fraction(end_tick - prev_end, division)))
+    return Melody(tuple(tokens), time_signature)

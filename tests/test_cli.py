@@ -357,6 +357,18 @@ class TestMalformedInputs:
         assert f"token {bad!r}" in err and "Traceback" not in err
         assert list(out_dir.iterdir()) == []
 
+    def test_zero_time_signature_numerator_exit_one(self, tmp_path, capsys):
+        lyrics = tmp_path / "s.txt"
+        lyrics.write_text("ni3|W hao3|I .\n", "utf-8")
+        data = write_midi(mk_melody([(60, 1), (62, 1)]))
+        meter = bytes([0xFF, 0x58, 0x04, 4])  # time-signature meta event, numerator 4
+        assert data.count(meter) == 1
+        midi = tmp_path / "s.mid"
+        midi.write_bytes(data.replace(meter, meter[:3] + bytes([0])))
+        assert main(["evaluate", str(lyrics), str(midi)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "time signature" in err and "Traceback" not in err
+
 
 class TestStartup:
     def test_import_leaves_numpy_unloaded(self):

@@ -1,13 +1,15 @@
 import random
 import struct
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from lyricmelody import MidiFormatError, parse_lyrics, read_midi, write_midi
+from lyricmelody import InputError, Melody, MidiFormatError, parse_lyrics, read_midi, write_midi
 from lyricmelody.midi import TICKS_PER_QUARTER, _encode_vlq
-from lyricmelody.synthetic import random_training_melody
+from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from conftest import mk_melody
+from reference import reference_read_midi
 
 
 class TestRoundTrip:
@@ -97,6 +99,25 @@ class TestErrors:
         with pytest.raises(MidiFormatError):
             read_midi(_raw_track(events))
 
+    def test_zero_time_signature_numerator(self):
+        events = (
+            _encode_vlq(0) + bytes([0xFF, 0x58, 0x04, 0, 2, 24, 8])
+            + _encode_vlq(0) + bytes([0x90, 60, 80])
+            + _encode_vlq(480) + bytes([0x80, 60, 0])
+            + _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
+        )
+        with pytest.raises(MidiFormatError, match="time signature"):
+            read_midi(_raw_track(events))
+
+    def test_pitch_above_127(self):
+        events = (
+            _encode_vlq(0) + bytes([0x90, 200, 80])
+            + _encode_vlq(480) + bytes([0x80, 200, 0])
+            + _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
+        )
+        with pytest.raises(MidiFormatError, match="pitch"):
+            read_midi(_raw_track(events))
+
 
 class TestForeignFiles:
     def test_leading_silence_dropped(self):
@@ -130,3 +151,41 @@ class TestForeignFiles:
         )
         melody = read_midi(_raw_track(events))
         assert [t.pitch for t in melody.tokens] == [60, 62]
+
+
+class TestFuzzAgainstReference:
+    METERS = [(4, 4), (3, 4), (6, 8), (2, 2)]
+
+    def test_byte_mutations(self):
+        """Seeded single-byte replacements, deletions and insertions of
+        ``write_midi`` output: where the one-slice-per-byte reference reader
+        returns a melody, ``read_midi`` returns an equal one in the same
+        meter; anywhere else it raises an InputError and nothing else."""
+        rng = random.Random(5)
+        files = []
+        for j in range(12):
+            lyr = random_lyrics(rng, sentences=1 + j % 2, tonal=j % 2 == 0, repeat=j % 3 == 0)
+            melody = Melody(random_aligned_melody(lyr, rng).tokens, self.METERS[j % 4])
+            files.append(write_midi(melody, lyr if j % 2 else None))
+        outcomes = Counter()
+        for n in range(3000):
+            data = bytearray(files[n % len(files)])
+            op, i = rng.randrange(3), rng.randrange(len(data))
+            if op == 0:
+                data[i] = rng.randrange(256)
+            elif op == 1:
+                del data[i]
+            else:
+                data.insert(i, rng.randrange(256))
+            data = bytes(data)
+            try:
+                want = reference_read_midi(data)
+            except Exception:  # the reference may fail any way it likes
+                with pytest.raises(InputError):
+                    read_midi(data)
+                outcomes["error"] += 1
+                continue
+            got = read_midi(data)
+            assert got == want and got.time_signature == want.time_signature, n
+            outcomes["melody"] += 1
+        assert outcomes["melody"] > 300 and outcomes["error"] > 300

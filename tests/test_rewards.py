@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from lyricmelody import (
     BeatStrength,
     ConfigError,
+    END,
     HarmonyDegree,
     HarmonyTable,
     Intonation,
@@ -26,12 +29,15 @@ from lyricmelody import (
     strong_weak_reward,
     structure_reward,
 )
+from lyricmelody import rewards
 from lyricmelody.rewards import (
     ALL_ASPECTS,
     Aspect,
     BoundaryKind,
     PRESET_LAMBDAS,
     RewardEvent,
+    _EventModel,
+    _State,
     boundary_kind,
     event_maximum,
     reward_events,
@@ -342,6 +348,83 @@ class TestFoldMatchesReferenceScan:
         lyr = parse_lyrics("ni3|W hao3|I .")
         with pytest.raises(ValueError, match="unsupported meter"):
             reward_events(lyr, mk_melody([(60, 1), (62, 1)], (4, 6)), config)
+
+
+class TestFoldMatchesStepApply:
+    """The fold is its own loop, so it is pinned to the decoder's path: the
+    events of stepping ``step_events``/``apply`` from ``_State()`` over every
+    token and then END, compared with ``==``, and their weighted totals
+    compared bit for bit."""
+
+    METERS = [(4, 4), (3, 4), (6, 8), (2, 2)]
+
+    @staticmethod
+    def stepped(model, tokens):
+        state, events = _State(), []
+        for i, token in enumerate(tokens):
+            events.extend((i, ev) for ev in model.step_events(state, token))
+            state = model.apply(state, token)
+        events.extend((None, ev) for ev in model.step_events(state, END))
+        return events
+
+    @staticmethod
+    def configs(config):
+        excellent = config.transition_rewards[HarmonyDegree.EXCELLENT]
+        return {
+            "default": config,
+            "tied": replace(config, transition_rewards={
+                **config.transition_rewards, HarmonyDegree.GOOD: excellent}),
+            "zero pause": replace(config, pause_reward_on_match=0.0),
+            "one-beat long note": replace(config, long_note_threshold=Fraction(1)),
+        }
+
+    @staticmethod
+    def fold(lyrics, melody, config, active):
+        """``reward_events`` with every aspect on; the model's fold over
+        fewer aspects, as rerank runs it."""
+        if active == ALL_ASPECTS:
+            return reward_events(lyrics, melody, config)
+        return _EventModel(lyrics, config, active, melody.time_signature).fold(melody.tokens)
+
+    @classmethod
+    def mismatches(cls, config, fold, seeds=range(96)):
+        """(seed, config, meter, active) wherever ``fold`` differs from
+        stepping the event model."""
+        found, kinds = [], set()
+        for seed in seeds:
+            rng = random.Random(seed)
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=seed % 2 == 0,
+                                repeat=seed // 2 % 2 == 0)
+            melody = random_aligned_melody(lyr, rng)
+            for name, cfg in cls.configs(config).items():
+                for meter in cls.METERS:
+                    pair = Melody(melody.tokens, meter)
+                    for active in [ALL_ASPECTS] + [frozenset({a}) for a in Aspect]:
+                        want = cls.stepped(_EventModel(lyr, cfg, active, meter), pair.tokens)
+                        got = fold(lyr, pair, cfg, active)
+                        kinds.update(ev.kind for _, ev in want)
+                        totals = [weighted_total((ev for _, ev in evs), cfg, active).hex()
+                                  for evs in (got, want)]
+                        if got != want or totals[0] != totals[1]:
+                            found.append((seed, name, meter, sorted(a.value for a in active)))
+        assert kinds == {"shape", "contour", "transition", "sw", "pause", "structure"}
+        return found
+
+    def test_fold_equals_stepping(self, config):
+        assert self.mismatches(config, self.fold) == []
+
+    def test_catches_a_fold_without_the_long_note_test(self, config):
+        source = textwrap.dedent(inspect.getsource(_EventModel.fold))
+        long_note_test = "pause_reward(last_ticks >= long_note,"
+        assert source.count(long_note_test) == 1
+        namespace = dict(vars(rewards))
+        exec(source.replace(long_note_test, "pause_reward(False,"), namespace)
+        NoLongNotes = type("NoLongNotes", (_EventModel,), {"fold": namespace["fold"]})
+
+        def fold(lyrics, melody, config, active):
+            return NoLongNotes(lyrics, config, active, melody.time_signature).fold(melody.tokens)
+
+        assert self.mismatches(config, fold, seeds=range(40))
 
 
 class TestConfigValidation:
