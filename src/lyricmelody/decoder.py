@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalError, OptionError, TrainingError
 from .lyrics import LyricSequence, StructureMatrix
-from .melody import Melody, MelodyToken, RhythmToken, TokenKind
+from .melody import Melody, MelodyToken, RhythmToken, TokenKind, check_meter
 from .rewards import (
     ALL_ASPECTS,
     Aspect,
@@ -139,6 +139,13 @@ class DecodeOptions:
             raise OptionError(f"rerank_candidates must be >= 1, got {self.rerank_candidates}")
         if self.max_notes_per_syllable < 1:
             raise OptionError("max_notes_per_syllable must be >= 1")
+        num, den = self.time_signature
+        if num < 1 or den < 1:
+            raise OptionError(f"time_signature parts must be >= 1, got {self.time_signature}")
+        try:
+            check_meter(self.time_signature)
+        except ValueError as exc:
+            raise OptionError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import LyricFormatError
 
@@ -107,7 +107,6 @@ class Sentence:
 
     span: tuple[int, int]
     intonation: Intonation
-    structure_group: Optional[int] = None
 
     def __len__(self) -> int:
         return self.span[1] - self.span[0]
@@ -420,32 +419,14 @@ def _normalized_text(lyrics: LyricSequence, sent: Sentence) -> tuple[str, ...]:
     return tuple(lyrics.syllables[k].text.lower() for k in range(*sent.span))
 
 
-def group_repeated_sentences(lyrics: LyricSequence) -> tuple[Sentence, ...]:
-    """Assign structure-group ids to sentences with identical normalized text.
-
-    Groups are numbered in order of first occurrence; unrepeated sentences
-    keep ``structure_group=None``.
-    """
-    first_seen: dict[tuple[str, ...], int] = {}
-    counts: dict[tuple[str, ...], int] = {}
+def _repeat_anchors(lyrics: LyricSequence) -> Iterator[tuple[Sentence, Sentence]]:
+    """(earliest occurrence, later copy) for every sentence whose normalized
+    text occurred before, in sentence order."""
+    anchors: dict[tuple[str, ...], Sentence] = {}
     for sent in lyrics.sentences:
-        key = _normalized_text(lyrics, sent)
-        counts[key] = counts.get(key, 0) + 1
-
-    next_group = 0
-    out = []
-    for sent in lyrics.sentences:
-        key = _normalized_text(lyrics, sent)
-        if counts[key] < 2:
-            out.append(sent)
-            continue
-        if key not in first_seen:
-            first_seen[key] = next_group
-            next_group += 1
-        out.append(
-            Sentence(span=sent.span, intonation=sent.intonation, structure_group=first_seen[key])
-        )
-    return tuple(out)
+        anchor = anchors.setdefault(_normalized_text(lyrics, sent), sent)
+        if anchor is not sent:
+            yield anchor, sent
 
 
 def build_structure_matrix(lyrics: LyricSequence) -> StructureMatrix:
@@ -455,19 +436,7 @@ def build_structure_matrix(lyrics: LyricSequence) -> StructureMatrix:
     (exact repetition only).  Every later copy anchors to the *first* copy,
     so all repeats of one phrase share a single reference.
     """
-    anchors: dict[tuple[str, ...], Sentence] = {}
     pairs: set[tuple[int, int]] = set()
-    grouped = group_repeated_sentences(lyrics)
-    for sent in grouped:
-        if sent.structure_group is None:
-            continue
-        key = _normalized_text(lyrics, sent)
-        anchor = anchors.get(key)
-        if anchor is None:
-            anchors[key] = sent
-            continue
-        for offset in range(len(sent)):
-            i = sent.span[0] + offset
-            j = anchor.span[0] + offset
-            pairs.add((i, j))
+    for anchor, sent in _repeat_anchors(lyrics):
+        pairs.update(zip(range(*sent.span), range(*anchor.span)))
     return StructureMatrix(pairs=frozenset(pairs))

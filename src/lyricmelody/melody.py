@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, TYPE_CHECKING
+from math import lcm
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from .errors import AlignmentError, MidiFormatError
 
@@ -196,14 +197,16 @@ class BeatGrid:
     bar_length: Fraction
 
 
+_DOWNBEAT = frozenset({Fraction(0)})
+_DOWNBEAT_AND_THREE = frozenset({Fraction(0), Fraction(2)})
+
+
 def strong_offsets(time_signature: tuple[int, int]) -> frozenset[Fraction]:
     """Bar offsets (in quarters) that count as strong for a simple meter.
 
     Beat 1 is strong everywhere; 4/4 additionally accents beat 3.
     """
-    if time_signature == (4, 4):
-        return frozenset({Fraction(0), Fraction(2)})
-    return frozenset({Fraction(0)})
+    return _DOWNBEAT_AND_THREE if time_signature == (4, 4) else _DOWNBEAT
 
 
 def check_meter(time_signature: tuple[int, int]) -> None:
@@ -213,12 +216,33 @@ def check_meter(time_signature: tuple[int, int]) -> None:
         raise ValueError(f"unsupported meter {num}/{den}: denominator must be a power of two")
 
 
-def compute_beat_grid(melody: Melody) -> BeatGrid:
-    """Onset and strong/weak strength of every token, from the time signature.
+def _tick_clock(time_signature: tuple[int, int], tokens: Sequence) -> tuple[int, int, set[int]]:
+    """The integer-tick clock of a token sequence in a meter: (ticks per
+    quarter, bar length in ticks, strong bar offsets in ticks).
 
-    Onsets are running sums of the preceding durations; the bar length is
-    ``numerator * 4/denominator`` quarters.  Raises ValueError for a meter
-    :func:`check_meter` rejects.
+    A quarter holds the lcm of the bar's and every token duration's
+    denominator in ticks, so every onset is a whole number of ticks.  A
+    strong offset that is not a whole tick is never an onset and is left
+    out.  Raises ValueError for a meter :func:`check_meter` rejects.
+    """
+    check_meter(time_signature)
+    num, den = time_signature
+    bar = Fraction(4 * num, den)
+    scale = lcm(bar.denominator, *{t.duration.denominator for t in tokens})
+    strong = {s.numerator * (scale // s.denominator)
+              for s in strong_offsets(time_signature) if scale % s.denominator == 0}
+    return scale, bar.numerator * (scale // bar.denominator), strong
+
+
+def compute_beat_grid(melody: Melody) -> BeatGrid:
+    """Onset and strong/weak strength of every token: the reference clock.
+
+    Onsets are running ``Fraction`` sums of the preceding durations, and
+    the bar length is ``numerator * 4/denominator`` quarters.  The reward
+    fold and the metrics count the same onsets in integer ticks
+    (:func:`_tick_clock`); this exact-rational grid is what they are
+    checked against.  Raises ValueError for a meter :func:`check_meter`
+    rejects.
     """
     check_meter(melody.time_signature)
     num, den = melody.time_signature

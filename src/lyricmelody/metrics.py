@@ -31,9 +31,9 @@ from .lyrics import (
     StressClass,
     TONAL_TONES,
     WordPosition,
-    group_repeated_sentences,
+    _repeat_anchors,
 )
-from .melody import BeatStrength, Melody, compute_beat_grid, gap_has_pause
+from .melody import Melody, _tick_clock, gap_has_pause
 from .rewards import (
     HarmonyDegree,
     RewardConfig,
@@ -141,20 +141,27 @@ def matched_sw_ratio(lyrics: LyricSequence, melody: Melody) -> Optional[float]:
     """Matched keyword/auxiliary words over all keyword/auxiliary words.
 
     A keyword matches when its first note falls on a strong beat, an
-    auxiliary when it falls on a weak one.  None when the lyrics annotate
-    neither keywords nor auxiliaries.
+    auxiliary when it falls on a weak one (onsets counted on the melody's
+    integer-tick clock).  None when the lyrics annotate neither keywords nor
+    auxiliaries.
     """
     _check_aligned(lyrics, melody)
-    grid = compute_beat_grid(melody)
+    tokens, alignment = melody.tokens, melody.alignment
+    scale, bar, strong = _tick_clock(melody.time_signature, tokens)
     total = matched = 0
+    onset = i = 0  # the onset, in ticks, of token i
     for k, syl in enumerate(lyrics.syllables):
         if syl.word_position is not WordPosition.WORD_START:
             continue
         if syl.stress_class is StressClass.NEUTRAL:
             continue
         total += 1
-        strong = grid.strengths[melody.alignment[k][0]] is BeatStrength.STRONG
-        if (syl.stress_class is StressClass.KEYWORD) == strong:
+        start = alignment[k][0]
+        for token in tokens[i:start]:
+            d = token.duration
+            onset += d.numerator * (scale // d.denominator)
+        i = start
+        if (syl.stress_class is StressClass.KEYWORD) == (onset % bar in strong):
             matched += 1
     if total == 0:
         return None
@@ -228,16 +235,8 @@ def structure_similarity(
     """(PD, DD, MD) averaged over every repeated sentence vs. its earliest
     occurrence; all None when the lyrics repeat nothing."""
     _check_aligned(lyrics, melody)
-    grouped = group_repeated_sentences(lyrics)
-    anchors: dict[int, object] = {}
     pds, dds, mds = [], [], []
-    for sent in grouped:
-        if sent.structure_group is None:
-            continue
-        anchor = anchors.get(sent.structure_group)
-        if anchor is None:
-            anchors[sent.structure_group] = sent
-            continue
+    for anchor, sent in _repeat_anchors(lyrics):
         pitches_a, durs_a = _sentence_notes(lyrics, melody, anchor)
         pitches_b, durs_b = _sentence_notes(lyrics, melody, sent)
         pds.append(histogram_similarity(pitches_a, pitches_b))

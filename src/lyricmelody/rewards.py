@@ -48,7 +48,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import AlignmentError, ConfigError
@@ -63,7 +62,7 @@ from .lyrics import (
     WordPosition,
     build_structure_matrix,
 )
-from .melody import BeatStrength, Melody, check_meter, strong_offsets
+from .melody import BeatStrength, Melody, _tick_clock, strong_offsets
 from .scorer import END
 
 __all__ = [
@@ -669,10 +668,9 @@ class _EventModel:
         Equal, event for event and in order, to stepping :meth:`step_events`
         and :meth:`apply` from ``_State()`` over the tokens and then END, but
         one loop over local mutable state.  Onsets and the long-note
-        threshold are counted in integer ticks of the sequence's common
-        denominator.
+        threshold are counted in integer ticks of the sequence's
+        :func:`~lyricmelody.melody._tick_clock`.
         """
-        check_meter(self.time_signature)
         config, n = self.config, self.n
         tone_on = Aspect.TONE in self.active
         rhythm_on = Aspect.RHYTHM in self.active
@@ -683,11 +681,7 @@ class _EventModel:
         maxima, transition_rewards = config._maxima, config.transition_rewards
         cells = config.harmony_table.cells if config.harmony_table is not None else None
 
-        scale = lcm(self.bar.denominator, *{t.duration.denominator for t in tokens})
-        bar = self.bar.numerator * (scale // self.bar.denominator)
-        # a bar offset that is not a whole tick is never an onset
-        strong = {s.numerator * (scale // s.denominator)
-                  for s in self.strong if scale % s.denominator == 0}
+        scale, bar, strong = _tick_clock(self.time_signature, tokens)
         threshold = config.long_note_threshold
         long_note = -(-threshold.numerator * scale // threshold.denominator)  # ceiling
 

@@ -12,7 +12,9 @@ from lyricmelody import (
     build_melody_vocabulary,
     default_reward_config,
     parse_lyrics,
+    serialize_lyrics,
 )
+from lyricmelody.synthetic import random_lyrics
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +54,31 @@ def mk_melody(spec, time_signature=(4, 4)):
             starts = item[2] if len(item) > 2 else True
             tokens.append(MelodyToken(TokenKind.NOTE, duration, pitch, starts))
     return Melody(tuple(tokens), time_signature)
+
+
+_RECASE = (str.lower, str.upper, str.title)
+
+
+def repeat_layout_lyrics(rng, tonal, repeat):
+    """1-3 random base sentences, each used once or, with ``repeat``, laid
+    out in a random order that repeats some of them; every copy's syllable
+    text is lower-, upper- or title-cased at random."""
+    base = serialize_lyrics(
+        random_lyrics(rng, sentences=rng.randint(1, 3), tonal=tonal)
+    ).splitlines()
+    order = list(range(len(base)))
+    if repeat:
+        order += rng.choices(order, k=rng.randint(1, 3))
+        rng.shuffle(order)
+    lines = []
+    for b in order:
+        *syllables, mark = base[b].split()
+        recased = []
+        for token in syllables:
+            body, _, flags = token.partition("|")
+            recased.append(f"{rng.choice(_RECASE)(body)}|{flags}")
+        lines.append(" ".join(recased + [mark]))
+    return parse_lyrics("\n".join(lines))
 
 
 @pytest.fixture

@@ -6,10 +6,13 @@ search that builds every candidate in full before it cuts the beam, an
 exhaustive enumerator of every complete token sequence, and a whole-pair scan
 that derives every reward event from the alignment, beat grid and sentence
 spans without the package's token-by-token event model, the n-gram
-backoff probability evaluated one token and one backoff level at a time, and
-a MIDI reader that takes one byte slice at a time.  Kept separate from the
-package so the decoder, the reward fold, the scorer's suffix tables and the
-MIDI reader are checked against a second, independently written route.
+backoff probability evaluated one token and one backoff level at a time, a
+MIDI reader that takes one byte slice at a time, the strong/weak metric read
+off the ``Fraction`` beat grid, and the repetition structure (structure
+matrix and PD/DD/MD) taken from numbered sentence groups.  Kept separate
+from the package so the decoder, the reward fold, the scorer's suffix
+tables, the MIDI reader and the metrics' integer-tick clock and repeat
+anchors are checked against a second, independently written route.
 """
 
 import struct
@@ -20,13 +23,15 @@ from lyricmelody import (
     END,
     AlignmentError,
     Aspect,
+    BeatStrength,
     Language,
     Melody,
     MelodyToken,
     MidiFormatError,
+    StressClass,
+    StructureMatrix,
     TokenKind,
     WordPosition,
-    build_structure_matrix,
     compute_beat_grid,
     is_long_note,
     pause_reward,
@@ -38,6 +43,7 @@ from lyricmelody import (
 )
 from lyricmelody.decoder import Hypothesis, _group_vocab, _max_steps, is_masked, score_decode
 from lyricmelody.lyrics import TONAL_TONES
+from lyricmelody.metrics import _mean, histogram_similarity, melody_distance
 from lyricmelody.rewards import RewardEvent, _State, boundary_kind, event_maximum, weighted_total
 
 
@@ -228,7 +234,7 @@ def scan_reward_events(lyrics, melody, config, structure=None):
             f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
         )
     if structure is None:
-        structure = build_structure_matrix(lyrics)
+        structure = reference_build_structure_matrix(lyrics)
     grid = compute_beat_grid(melody)
     deltas = syllable_deltas(melody)
     tonal = lyrics.language is Language.TONAL
@@ -297,6 +303,91 @@ def scan_reward_events(lyrics, melody, config, structure=None):
 
     events.sort(key=lambda item: (n_tokens if item[0] is None else item[0], item[1]))
     return [(anchor, ev) for anchor, _, ev in events]
+
+
+def reference_matched_sw_ratio(lyrics, melody):
+    """Matched keyword/auxiliary word starts over all of them, each read off
+    the beat grid's strength at the word's first token; None without any."""
+    if melody.syllable_count != len(lyrics):
+        raise AlignmentError(
+            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
+        )
+    grid = compute_beat_grid(melody)
+    total = matched = 0
+    for k, syl in enumerate(lyrics.syllables):
+        if syl.word_position is not WordPosition.WORD_START:
+            continue
+        if syl.stress_class is StressClass.NEUTRAL:
+            continue
+        total += 1
+        strong = grid.strengths[melody.alignment[k][0]] is BeatStrength.STRONG
+        if (syl.stress_class is StressClass.KEYWORD) == strong:
+            matched += 1
+    if total == 0:
+        return None
+    return matched / total
+
+
+def reference_sentence_groups(lyrics):
+    """Per sentence, the number of its repeat group (groups numbered in order
+    of first occurrence), or None when its lowercased text occurs once."""
+    texts = [
+        tuple(lyrics.syllables[k].text.lower() for k in range(*sent.span))
+        for sent in lyrics.sentences
+    ]
+    numbers = {}
+    groups = []
+    for text in texts:
+        if texts.count(text) < 2:
+            groups.append(None)
+            continue
+        groups.append(numbers.setdefault(text, len(numbers)))
+    return groups
+
+
+def _group_anchors(lyrics):
+    """(anchor sentence, repeat sentence) for every later member of a group."""
+    first = {}
+    for sent, group in zip(lyrics.sentences, reference_sentence_groups(lyrics)):
+        if group is None:
+            continue
+        if group not in first:
+            first[group] = sent
+            continue
+        yield first[group], sent
+
+
+def reference_build_structure_matrix(lyrics):
+    """Each syllable of a repeat paired with the same offset in its group's
+    first sentence."""
+    pairs = set()
+    for anchor, sent in _group_anchors(lyrics):
+        for offset in range(len(sent)):
+            pairs.add((sent.span[0] + offset, anchor.span[0] + offset))
+    return StructureMatrix(pairs=frozenset(pairs))
+
+
+def reference_structure_similarity(lyrics, melody):
+    """(PD, DD, MD) averaged over every repeat against its group's first
+    sentence; all None when nothing repeats."""
+    if melody.syllable_count != len(lyrics):
+        raise AlignmentError(
+            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
+        )
+
+    def notes(sent):
+        tokens = [t for k in range(*sent.span) for t in melody.span_notes(k)]
+        return [t.pitch for t in tokens], [t.duration for t in tokens]
+
+    pds, dds, mds = [], [], []
+    for anchor, sent in _group_anchors(lyrics):
+        (pitches_a, durs_a), (pitches_b, durs_b) = notes(anchor), notes(sent)
+        pds.append(histogram_similarity(pitches_a, pitches_b))
+        dds.append(histogram_similarity(durs_a, durs_b))
+        mds.append(melody_distance(pitches_a, pitches_b))
+    if not pds:
+        return (None, None, None)
+    return (_mean(pds), _mean(dds), _mean(mds))
 
 
 class _Reader:

@@ -440,6 +440,18 @@ class TestInvariants:
         with pytest.raises(OptionError):
             DecodeOptions(rerank_candidates=0)
 
+    @pytest.mark.parametrize("meter", [(4, 6), (3, 12), (0, 4), (4, 0), (-2, 4)])
+    def test_bad_time_signature_rejected(self, meter):
+        with pytest.raises(OptionError):
+            DecodeOptions(time_signature=meter)
+
+    @pytest.mark.parametrize("decoder", [beam_search, rerank])
+    def test_bad_meter_never_decodes(self, decoder, config, tiny_lyrics, uniform_scorer):
+        # beam search used to return a 4/6 melody that write_midi refuses,
+        # and rerank to fail later with a plain ValueError from the fold
+        with pytest.raises(OptionError, match="4/6"):
+            decoder(tiny_lyrics, uniform_scorer, config, DecodeOptions(time_signature=(4, 6)))
+
     def test_scorers_swap_without_decoder_changes(self, config, rng):
         # the log-prob interface is the only coupling point
         corpus = [random_training_melody(rng, pitch_range=(60, 63),

@@ -17,6 +17,8 @@ from lyricmelody import (
     serialize_lyrics,
 )
 from lyricmelody.synthetic import random_lyrics
+from conftest import repeat_layout_lyrics
+from reference import reference_build_structure_matrix
 
 
 class TestParse:
@@ -167,6 +169,18 @@ class TestStructureMatrix:
         src = "ma1|W ma1|I .\nma3|W ma3|I ."
         matrix = build_structure_matrix(parse_lyrics(src))
         assert matrix.pairs == frozenset({(2, 0), (3, 1)})
+
+    def test_matches_sentence_groups(self):
+        # mixed-case copies in random layouts, tonal and stress-accent
+        rng = random.Random(20261020)
+        repeated = 0
+        for case in range(300):
+            lyr = repeat_layout_lyrics(rng, tonal=case % 2 == 0, repeat=case % 3 != 0)
+            got = build_structure_matrix(lyr)
+            assert got.pairs == reference_build_structure_matrix(lyr).pairs
+            assert got.partner == dict(got.pairs)
+            repeated += bool(got.pairs)
+        assert repeated >= 200  # every repeat layout
 
     def test_pair_offsets_agree(self):
         rng = random.Random(11)

@@ -5,6 +5,7 @@ import pytest
 
 from lyricmelody import (
     AlignmentError,
+    Melody,
     evaluate_pair,
     matched_pause_ratio,
     matched_sw_ratio,
@@ -17,7 +18,8 @@ from lyricmelody import (
 from lyricmelody.metrics import aggregate_reports, histogram_similarity
 from lyricmelody.rewards import Aspect, reward_events
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
-from conftest import mk_melody
+from conftest import mk_melody, repeat_layout_lyrics
+from reference import reference_matched_sw_ratio, reference_structure_similarity
 
 
 # Five fixture songs with every populated metric worked out by hand from the
@@ -147,6 +149,14 @@ class TestMatchedSW:
         melody = mk_melody([(60, 2), (62, 2), (64, 2), (65, 2)])
         assert matched_sw_ratio(lyr, melody) == pytest.approx(0.75)
 
+    def test_bad_meter_raises(self):
+        melody = mk_melody([(60, 1), (62, 1)], (3, 6))
+        with pytest.raises(ValueError, match="unsupported meter"):
+            matched_sw_ratio(parse_lyrics("ni3|W,K hao3|I ."), melody)
+        # also with no word to score, as with the beat grid
+        with pytest.raises(ValueError, match="unsupported meter"):
+            matched_sw_ratio(parse_lyrics("ni3|W hao3|I ."), melody)
+
 
 class TestMatchedPauses:
     def test_no_pauses_is_one(self, config):
@@ -209,6 +219,57 @@ class TestStructureSimilarity:
                 value = getattr(report, name)
                 assert value is None or 0.0 <= value <= 1.0 + 1e-12, name
             assert report.md is None or report.md >= 0.0
+
+
+METERS = [(4, 4), (3, 4), (6, 8), (2, 2)]
+
+# plain, triplet, dotted and mixed duration sets for the seeded melodies
+DURATION_SETS = [
+    tuple(map(Fraction, ("1/2", "1", "2"))),
+    tuple(map(Fraction, ("1/3", "2/3", "1", "2"))),
+    tuple(map(Fraction, ("1/4", "3/4", "3/2", "1", "3"))),
+    tuple(map(Fraction, ("1/3", "1/2", "3/4", "1", "3/2"))),
+]
+
+
+def _hex(value):
+    return None if value is None else float.hex(value)
+
+
+def _seeded_pairs(seed, count):
+    """``count`` pairs over tonal / stress-accent lyrics with and without
+    repeats, in every meter, with plain, triplet and dotted durations."""
+    rng = random.Random(seed)
+    for case in range(count):
+        tonal, repeat = case % 2 == 0, (case // 2) % 2 == 0
+        lyrics = repeat_layout_lyrics(rng, tonal, repeat)
+        melody = random_aligned_melody(
+            lyrics, rng, durations=DURATION_SETS[(case // 4) % len(DURATION_SETS)]
+        )
+        yield lyrics, Melody(melody.tokens, METERS[(case // 16) % len(METERS)])
+
+
+class TestAgainstReference:
+    """The integer-tick strong/weak metric and the directly anchored
+    structure metrics against the Fraction beat grid and the numbered
+    sentence groups of ``tests/reference.py``."""
+
+    def test_matched_sw_matches_beat_grid(self):
+        scored = 0
+        for lyrics, melody in _seeded_pairs(20261018, 256):
+            got = matched_sw_ratio(lyrics, melody)
+            assert _hex(got) == _hex(reference_matched_sw_ratio(lyrics, melody))
+            scored += got is not None and 0.0 < got < 1.0
+        assert scored >= 64  # most pairs score both matched and missed words
+
+    def test_structure_similarity_matches_groups(self):
+        repeated = 0
+        for lyrics, melody in _seeded_pairs(20261019, 256):
+            got = structure_similarity(lyrics, melody)
+            want = reference_structure_similarity(lyrics, melody)
+            assert list(map(_hex, got)) == list(map(_hex, want))
+            repeated += got[0] is not None
+        assert repeated >= 128  # every repeat layout
 
 
 class TestConsistencyWithRewards:
