@@ -17,7 +17,7 @@ from lyricmelody import (
     write_midi,
     Melody,
 )
-from lyricmelody.rewards import boundary_kind, reward_events
+from lyricmelody.rewards import reward_events
 
 lyrics = parse_lyrics("shan1|W,K shui3|I yun2|W,A hai3|I .")
 
@@ -46,8 +46,9 @@ print("\npause events, one per syllable gap (a rest or a long final note pauses;
 print("pauses belong at word and sentence boundaries, never inside a word):")
 pauses = [(i, ev) for i, ev in reward_events(lyrics, melody, config) if ev.kind == "pause"]
 for gap, (index, event) in enumerate(pauses):
-    kind = boundary_kind(lyrics, gap + 1).value
-    print(f"  gap {gap} ({kind}) at token {index}: reward {event.value} of {event.maximum}")
+    verdict = "matched" if event.matched else "missed"
+    print(f"  gap {gap} ({event.boundary.value}) at token {index}: {verdict}, "
+          f"reward {event.value} of {event.maximum}")
 
 # MIDI round-trip: 480 ticks per quarter, lyrics embedded at syllable starts
 data = write_midi(melody, lyrics)

@@ -70,6 +70,7 @@ from .rewards import (
     RewardEvent,
     _EventModel,
     _State,
+    reward_events,
     score_rewards,
     weighted_total,
 )
@@ -653,12 +654,12 @@ def score_two_stage(
     rewards plus pitch model + tone/structure rewards."""
     base = _sequence_log_prob(rhythm_scorer, rhythm_sequence(melody))
     pitch_base = _sequence_log_prob(pitch_scorer, pitch_sequence(melody))
-    rhythm_reward = score_rewards(
-        lyrics, melody, config, frozenset({Aspect.RHYTHM}) & active, structure
-    ).total
-    pitch_reward = score_rewards(
-        lyrics, melody, config, frozenset({Aspect.TONE, Aspect.STRUCTURE}) & active, structure
-    ).total
+    # one fold; each stage weighs its own aspects in firing order
+    events = [ev for _, ev in reward_events(lyrics, melody, config, structure)]
+    rhythm_reward = weighted_total(events, config, frozenset({Aspect.RHYTHM}) & active)
+    pitch_reward = weighted_total(
+        events, config, frozenset({Aspect.TONE, Aspect.STRUCTURE}) & active
+    )
     total_base = base + pitch_base
     total_reward = rhythm_reward + pitch_reward
     return total_base, total_reward, total_base + total_reward

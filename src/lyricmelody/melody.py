@@ -268,16 +268,6 @@ def is_long_note(token: MelodyToken, config: "RewardConfig") -> bool:
     return token.duration >= config.long_note_threshold
 
 
-def gap_has_pause(melody: Melody, gap: int, config: "RewardConfig") -> bool:
-    """True if the gap after syllable ``gap`` holds a rest or ends on a long note."""
-    left_stop = melody.alignment[gap][1]
-    right_start = melody.alignment[gap + 1][0]
-    if any(t.kind is TokenKind.REST for t in melody.tokens[left_stop:right_start]):
-        return True
-    last_note = melody.tokens[left_stop - 1]
-    return last_note.is_note and is_long_note(last_note, config)
-
-
 def melody_to_json(melody: Melody) -> str:
     import json
 

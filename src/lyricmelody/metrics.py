@@ -5,10 +5,18 @@ strong/weak ratio, matched pause ratio, and three structure-similarity
 figures (pitch distribution, duration distribution, melody distance)
 computed over repeated phrases.
 
-Every ratio uses the matching predicate of the corresponding reward, so a
-melody whose triggered rewards are all maximal scores 1.0 on transition,
-strong/weak and pauses.  A metric whose denominator population is empty is
-None - never silently zero - so corpus averages stay honest.
+The first four are counts over the pair's reward events
+(:func:`~lyricmelody.rewards.reward_events`, one fold of the reward-event
+model), not a second model of when each rule applies: the transition score
+is the mean degree score of the transition events, the contour score and
+the strong/weak ratio are the share of contour and strong/weak events that
+matched, and the pause ratio is one minus the share of word-inner gaps
+whose pause event found a pause there.  Each event states whether its rule
+matched, its harmony degree or its boundary kind, so no figure is read off
+a reward value, and a melody whose triggered rewards are all maximal
+scores 1.0 on transition, strong/weak and pauses.  A metric whose
+denominator population is empty is None - never silently zero - so corpus
+averages stay honest.
 
 Pinned interpretations (repetition metrics defer to no external tool):
 PD/DD are total-variation similarity ``1 - 0.5 * sum |h_a - h_b|`` of the
@@ -25,20 +33,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import AlignmentError
-from .lyrics import (
-    Language,
-    LyricSequence,
-    StressClass,
-    TONAL_TONES,
-    WordPosition,
-    _repeat_anchors,
-)
-from .melody import Melody, _tick_clock, gap_has_pause
-from .rewards import (
-    HarmonyDegree,
-    RewardConfig,
-    contour_matches,
-)
+from .lyrics import LyricSequence, _repeat_anchors
+from .melody import Melody
+from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, reward_events
 
 __all__ = [
     "EvaluationReport",
@@ -99,90 +96,65 @@ def _check_aligned(lyrics: LyricSequence, melody: Melody) -> None:
         )
 
 
+def _event_metrics(
+    lyrics: LyricSequence, melody: Melody, config: RewardConfig
+) -> tuple[Optional[float], Optional[float], Optional[float], Optional[float]]:
+    """(transition, contour, strong/weak, pauses), counted in one pass over
+    the pair's reward events."""
+    scores = []
+    # per kind, [fired, matched]; "pause" counts word-inner gaps only, each
+    # of which fires one pause event, since a melody has no two rests in a row
+    counts = {"contour": [0, 0], "sw": [0, 0], "pause": [0, 0]}
+    for _, ev in reward_events(lyrics, melody, config):
+        kind = ev.kind
+        if kind == "transition":
+            scores.append(DEGREE_SCORES[ev.degree])
+        elif kind in counts and (kind != "pause" or ev.boundary is BoundaryKind.WORD_INNER):
+            tally = counts[kind]
+            tally[0] += 1
+            tally[1] += ev.matched
+    contour, sw, (inner, unbroken) = counts["contour"], counts["sw"], counts["pause"]
+    return (
+        _mean(scores) if scores else None,
+        contour[1] / contour[0],  # one contour event per sentence
+        sw[1] / sw[0] if sw[0] else None,
+        1.0 - (inner - unbroken) / inner if inner else None,
+    )
+
+
+#: The event metrics need no reward value, so the ones without a config
+#: fold under the defaults.
+_PLAIN = RewardConfig()
+
+
 def tone_transition_score(
     lyrics: LyricSequence, melody: Melody, config: RewardConfig
 ) -> Optional[float]:
-    """Mean harmony-degree score over intra-sentence adjacent tone pairs.
-
-    Pairs the harmony table has no cell for are not scored, as the
-    transition reward does not apply to them.
-    """
-    _check_aligned(lyrics, melody)
-    if lyrics.language is not Language.TONAL or config.harmony_table is None:
-        return None
-    scores = []
-    for k in range(1, len(lyrics)):
-        left, right = lyrics.syllables[k - 1], lyrics.syllables[k]
-        if left.sentence_index != right.sentence_index:
-            continue
-        if left.tone not in TONAL_TONES or right.tone not in TONAL_TONES:
-            continue
-        delta = melody.tokens[melody.alignment[k][0]].pitch - melody.tokens[melody.alignment[k - 1][0]].pitch
-        degree = config.harmony_table.degree_of(left.tone, right.tone, delta)
-        if degree is not None:
-            scores.append(DEGREE_SCORES[degree])
-    if not scores:
-        return None
-    return _mean(scores)
+    """Mean harmony-degree score over the transition events: the
+    intra-sentence adjacent tone pairs the harmony table has a cell for."""
+    return _event_metrics(lyrics, melody, config)[0]
 
 
 def tone_contour_score(lyrics: LyricSequence, melody: Melody) -> Optional[float]:
     """Fraction of sentences whose pitch direction matches their intonation."""
-    _check_aligned(lyrics, melody)
-    matched = 0
-    for sent in lyrics.sentences:
-        pitches = [p for k in range(*sent.span) for p in melody.span_pitches(k)]
-        if contour_matches(sent.intonation, pitches[0], pitches[-1]):
-            matched += 1
-    return matched / len(lyrics.sentences)
+    return _event_metrics(lyrics, melody, _PLAIN)[1]
 
 
 def matched_sw_ratio(lyrics: LyricSequence, melody: Melody) -> Optional[float]:
     """Matched keyword/auxiliary words over all keyword/auxiliary words.
 
     A keyword matches when its first note falls on a strong beat, an
-    auxiliary when it falls on a weak one (onsets counted on the melody's
-    integer-tick clock).  None when the lyrics annotate neither keywords nor
-    auxiliaries.
+    auxiliary when it falls on a weak one.  None when the lyrics annotate
+    neither keywords nor auxiliaries.
     """
-    _check_aligned(lyrics, melody)
-    tokens, alignment = melody.tokens, melody.alignment
-    scale, bar, strong = _tick_clock(melody.time_signature, tokens)
-    total = matched = 0
-    onset = i = 0  # the onset, in ticks, of token i
-    for k, syl in enumerate(lyrics.syllables):
-        if syl.word_position is not WordPosition.WORD_START:
-            continue
-        if syl.stress_class is StressClass.NEUTRAL:
-            continue
-        total += 1
-        start = alignment[k][0]
-        for token in tokens[i:start]:
-            d = token.duration
-            onset += d.numerator * (scale // d.denominator)
-        i = start
-        if (syl.stress_class is StressClass.KEYWORD) == (onset % bar in strong):
-            matched += 1
-    if total == 0:
-        return None
-    return matched / total
+    return _event_metrics(lyrics, melody, _PLAIN)[2]
 
 
 def matched_pause_ratio(
     lyrics: LyricSequence, melody: Melody, config: RewardConfig
 ) -> Optional[float]:
     """One minus the share of word-inner syllables preceded by a pause."""
-    _check_aligned(lyrics, melody)
-    inner = broken = 0
-    for k in range(1, len(lyrics)):
-        if lyrics.syllables[k].word_position is not WordPosition.WORD_INNER:
-            continue
-        inner += 1
-        if gap_has_pause(melody, k - 1, config):
-            broken += 1
-    if inner == 0:
-        return None
-    return 1.0 - broken / inner
+    return _event_metrics(lyrics, melody, config)[3]
 
 
 def histogram_similarity(a: Sequence, b: Sequence) -> float:
@@ -251,12 +223,13 @@ def evaluate_pair(
     lyrics: LyricSequence, melody: Melody, config: RewardConfig
 ) -> EvaluationReport:
     """All objective metrics for one lyrics/melody pair."""
+    transition, contour, sw, pauses = _event_metrics(lyrics, melody, config)
     pd, dd, md = structure_similarity(lyrics, melody)
     return EvaluationReport(
-        tone_transition=tone_transition_score(lyrics, melody, config),
-        tone_contour=tone_contour_score(lyrics, melody),
-        matched_sw=matched_sw_ratio(lyrics, melody),
-        matched_pauses=matched_pause_ratio(lyrics, melody, config),
+        tone_transition=transition,
+        tone_contour=contour,
+        matched_sw=sw,
+        matched_pauses=pauses,
         pd=pd,
         dd=dd,
         md=md,

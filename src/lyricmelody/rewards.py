@@ -9,19 +9,24 @@ Six sub-rewards over three aspects:
   pauses landing on word or sentence boundaries rather than inside words;
 * structure — repeated lyric phrases repeating their pitch intervals.
 
-Each sub-reward is a pure function.  When each one fires is decided by one
+Each sub-reward is a pure function of what its rule decides: whether a
+shape, contour, strong/weak beat or pause matched, the harmony degree of a
+transition, how a repeat's interval echoes its anchor.  A config builds
+every event it can fire once (:class:`RewardEvent`, with that outcome on
+it), and the rules pick one.  When each rule fires is decided by one
 token-by-token event model, :class:`_EventModel`.  The decoder steps it from
 each live hypothesis (:meth:`_EventModel.step_events` and
 :meth:`_EventModel.apply` over a frozen :class:`_State` that hypotheses
-share).  Rescoring a finished melody (:func:`reward_events`, rerank) runs
-:meth:`_EventModel.fold`, a fast loop over local mutable state that applies
-the same rules through the same tables and sub-reward functions, so a decode
-and the rescoring of its output fire the same events in the same order.  The
-model reads a token's ``is_note``, ``syllable_start``, ``pitch`` and
-``duration`` only, so it steps a :class:`~lyricmelody.melody.MelodyToken` and
-the pitch-free :class:`~lyricmelody.melody.RhythmToken` of rhythm-first
-decoding alike.  The tests pin the fold to the step/apply path event for
-event, and check both against an independently written whole-pair scan.
+share).  Rescoring a finished melody (:func:`reward_events`, rerank, the
+objective metrics) runs :meth:`_EventModel.fold`, a fast loop over local
+mutable state that applies the same rules through the same tables, so a
+decode and the rescoring of its output fire the same events in the same
+order.  The model reads a token's ``is_note``, ``syllable_start``, ``pitch``
+and ``duration`` only, so it steps a
+:class:`~lyricmelody.melody.MelodyToken` and the pitch-free
+:class:`~lyricmelody.melody.RhythmToken` of rhythm-first decoding alike.
+The tests pin the fold to the step/apply path event for event, and check
+both against an independently written whole-pair scan.
 
 A syllable start is where most candidates differ, and only by pitch: its
 close, strong/weak and pause events, its tone-pair cell and its structure
@@ -48,7 +53,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import AlignmentError, ConfigError
 from .lyrics import (
@@ -135,14 +141,16 @@ class HarmonyTable:
         intervals = self.cells.get((prev, cur))
         if intervals is None:
             return None
-        return _cell_degree(intervals, delta)
+        return _cell_degree(intervals, delta, HarmonyDegree.BAD)
 
 
-def _cell_degree(intervals, delta: int) -> HarmonyDegree:
-    for lo, hi, degree in intervals:
+def _cell_degree(intervals, delta: int, outside):
+    """The label of the ``(lo, hi, label)`` interval holding ``delta``, or
+    ``outside``."""
+    for lo, hi, label in intervals:
         if lo <= delta <= hi:
-            return degree
-    return HarmonyDegree.BAD
+            return label
+    return outside
 
 
 #: λ presets matching the two published operating points plus a null setting.
@@ -204,6 +212,7 @@ class RewardConfig:
             "pause": self.pause_reward_on_match,
             "structure": self.structure_reward_exact,
         })
+        object.__setattr__(self, "_events", _event_table(self))
 
     def lam(self, aspect: Aspect) -> float:
         return self._lambdas[aspect]
@@ -254,9 +263,7 @@ def pitch_shape_reward(
     if len(syllable_pitches) < 2:
         return None
     matched = _shape_matches(tone, syllable_pitches)
-    if matched is None:
-        return None
-    return config.shape_reward_on_match if matched else 0.0
+    return None if matched is None else config._events.shape[matched].value
 
 
 def pitch_transition_reward(
@@ -287,9 +294,7 @@ def pitch_contour_reward(
     intonation: Intonation, first_pitch: int, last_pitch: int, config: RewardConfig
 ) -> float:
     """Reward when a sentence's overall pitch direction matches its intonation."""
-    if contour_matches(intonation, first_pitch, last_pitch):
-        return config.contour_reward_on_match
-    return 0.0
+    return config._events.contour[contour_matches(intonation, first_pitch, last_pitch)].value
 
 
 def strong_weak_reward(
@@ -301,8 +306,9 @@ def strong_weak_reward(
     """
     if stress_class is StressClass.NEUTRAL:
         return None
-    matched = (stress_class is StressClass.KEYWORD) == (strength is BeatStrength.STRONG)
-    return config.sw_reward_on_match if matched else 0.0
+    table = config._events
+    beats = table.keyword if stress_class is StressClass.KEYWORD else table.auxiliary
+    return beats[strength is BeatStrength.STRONG].value
 
 
 class BoundaryKind(Enum):
@@ -324,21 +330,20 @@ def boundary_kind(lyrics: LyricSequence, k: int) -> BoundaryKind:
 def pause_reward(has_pause: bool, kind: BoundaryKind, config: RewardConfig) -> float:
     """Reward pauses at split positions and penalize the two bad cases:
     a pause inside a word, and a sentence boundary without one."""
-    if has_pause:
-        matched = kind is not BoundaryKind.WORD_INNER
-    else:
-        matched = kind is not BoundaryKind.SENTENCE_BOUNDARY
-    return config.pause_reward_on_match if matched else 0.0
+    return config._events.gaps[kind][has_pause].value
+
+
+def _echo(delta_p_i: int, delta_p_j: int) -> int:
+    """2 for an equal interval, 1 for an octave-shifted one, else 0."""
+    if delta_p_i == delta_p_j:
+        return 2
+    return 1 if (delta_p_i - delta_p_j) % 12 == 0 else 0
 
 
 def structure_reward(delta_p_i: int, delta_p_j: int, config: RewardConfig) -> float:
     """Reward a repeated position whose pitch interval echoes its anchor:
     full value for an equal interval, partial for an octave-shifted one."""
-    if delta_p_i == delta_p_j:
-        return config.structure_reward_exact
-    if (delta_p_i - delta_p_j) % 12 == 0:
-        return config.structure_reward_octave
-    return 0.0
+    return config._events.structure[_echo(delta_p_i, delta_p_j)].value
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +351,25 @@ def structure_reward(delta_p_i: int, delta_p_j: int, config: RewardConfig) -> fl
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RewardEvent:
-    """One triggered sub-reward: its aspect, unweighted value, and the value a
-    perfectly matching candidate would have earned (used by hard masking)."""
+class RewardEvent(NamedTuple):
+    """One triggered sub-reward: its aspect, unweighted value, the value a
+    perfectly matching candidate would have earned (used by hard masking),
+    and what its rule decided.
+
+    ``matched`` is whether the rule matched (a transition matches when it is
+    Excellent, a repeat when its interval is equal); it is never read off
+    the value, since a config may tie degree rewards or set a match reward
+    to 0.  A transition carries its ``degree`` and a pause the ``boundary``
+    kind of its gap.
+    """
 
     kind: str
     aspect: Aspect
     value: float
     maximum: float
+    matched: Optional[bool] = None
+    degree: Optional[HarmonyDegree] = None
+    boundary: Optional[BoundaryKind] = None
 
     @property
     def is_maximal(self) -> bool:
@@ -365,10 +380,64 @@ def event_maximum(kind: str, config: RewardConfig) -> float:
     return config._maxima[kind]
 
 
-def _event(kind: str, aspect: Aspect, value: Optional[float], config: RewardConfig):
-    if value is None:
-        return None
-    return RewardEvent(kind, aspect, value, event_maximum(kind, config))
+def _event_table(config: RewardConfig) -> SimpleNamespace:
+    """Every event a config can fire, built once per config; the outcome of
+    a rule picks one, and the sub-rewards are the picked events' values.
+
+    ``shape`` and ``contour`` are (missed, matched) pairs; ``keyword`` and
+    ``auxiliary`` the strong/weak events of such a word starting on a
+    (weak, strong) beat; ``gaps`` maps a boundary kind to its pause events
+    (no pause, pause); ``structure`` is indexed by :func:`_echo`; and
+    ``cells`` holds the harmony table's tonal cells with each interval's
+    degree replaced by its transition event (``bad`` outside every
+    interval).
+    """
+    maxima = config._maxima
+
+    def event(kind: str, aspect: Aspect, on_match: float, matched: bool, **outcome):
+        return RewardEvent(kind, aspect, on_match if matched else 0.0, maxima[kind], matched,
+                           **outcome)
+
+    def pair(kind: str, aspect: Aspect, on_match: float) -> tuple:
+        return tuple(event(kind, aspect, on_match, ok) for ok in (False, True))
+
+    missed, matched = pair("sw", Aspect.RHYTHM, config.sw_reward_on_match)
+    # a pause belongs at a word or sentence boundary, and a sentence boundary needs one
+    gaps = {
+        kind: tuple(
+            event("pause", Aspect.RHYTHM, config.pause_reward_on_match,
+                  kind is not BoundaryKind.WORD_INNER if has_pause
+                  else kind is not BoundaryKind.SENTENCE_BOUNDARY, boundary=kind)
+            for has_pause in (False, True)
+        )
+        for kind in BoundaryKind
+    }
+    transition = {
+        d: RewardEvent("transition", Aspect.TONE, config.transition_rewards[d],
+                       maxima["transition"], d is HarmonyDegree.EXCELLENT, degree=d)
+        for d in HarmonyDegree
+    }
+    cells = None
+    if config.harmony_table is not None:
+        cells = {
+            tones: tuple((lo, hi, transition[d]) for lo, hi, d in intervals)
+            for tones, intervals in config.harmony_table.cells.items()
+            if tones[0] in TONAL_TONES and tones[1] in TONAL_TONES
+        }
+    echoes = (0.0, config.structure_reward_octave, config.structure_reward_exact)
+    return SimpleNamespace(
+        shape=pair("shape", Aspect.TONE, config.shape_reward_on_match),
+        contour=pair("contour", Aspect.TONE, config.contour_reward_on_match),
+        keyword=(missed, matched),  # a keyword belongs on a strong beat
+        auxiliary=(matched, missed),  # an auxiliary on a weak one
+        gaps=gaps,
+        structure=tuple(
+            RewardEvent("structure", Aspect.STRUCTURE, value, maxima["structure"], echo == 2)
+            for echo, value in enumerate(echoes)
+        ),
+        cells=cells,
+        bad=transition[HarmonyDegree.BAD],
+    )
 
 
 def weighted_total(
@@ -410,8 +479,8 @@ class _State:
 class _StartPlan:
     """What a syllable start fires from one state, short of its pitch.
 
-    A transition fires when ``cell`` (the tone pair's intervals) is set,
-    graded on the jump from ``anchor``; structure fires when
+    A transition fires when ``cell`` (the tone pair's graded intervals) is
+    set, graded on the jump from ``anchor``; structure fires when
     ``partner_delta`` is set, compared with the jump from ``last_pitch``.
     ``reward`` is the running total after the close events (shape, contour),
     ``masked`` whether one of them is below its maximum, and ``terms`` the
@@ -430,10 +499,13 @@ class _StartPlan:
 class _EventModel:
     """The reward events of a token sequence, one token at a time.
 
-    Holds the static per-pair data (lyric signals, structure partners,
-    meter); :meth:`step_events` gives what a token fires from a state and
-    :meth:`apply` the state after it.  Events of aspects outside ``active``
-    are not produced.
+    Holds the static per-pair data: per syllable, its tone, its sentence's
+    intonation if it ends the sentence, whether it opens a sentence, the
+    graded harmony cell of the transition into it, its (weak, strong)
+    strong/weak events and the (no pause, pause) events of the gap in front
+    of it; plus the structure partners and the meter.  :meth:`step_events`
+    gives what a token fires from a state and :meth:`apply` the state after
+    it.  Events of aspects outside ``active`` are not produced.
     """
 
     def __init__(
@@ -444,63 +516,51 @@ class _EventModel:
         time_signature: tuple[int, int],
         structure: Optional[StructureMatrix] = None,
     ):
-        self.lyrics = lyrics
         self.config = config
         self.active = active
         self.n = len(lyrics)
-        self.structure = structure if structure is not None else build_structure_matrix(lyrics)
-        self.partner = dict(self.structure.partner)
+        if structure is None:
+            structure = build_structure_matrix(lyrics)
+        self.partner = structure.partner
         self.time_signature = time_signature
         num, den = time_signature
-        self.bar = Fraction(num) * Fraction(4, den)
+        self.bar = Fraction(4 * num, den)
         self.strong = strong_offsets(time_signature)
-        tonal = lyrics.language is Language.TONAL
-        syls = lyrics.syllables
-        self.tone = [s.tone for s in syls]
-        self.sentence_final = [s.sentence_final for s in syls]
-        self.intonation = [lyrics.sentence_of(k).intonation for k in range(self.n)]
-        self.word_start = [s.word_position is WordPosition.WORD_START for s in syls]
-        self.stress = [s.stress_class for s in syls]
-        self.new_sentence = [
-            k == 0 or syls[k].sentence_index != syls[k - 1].sentence_index for k in range(self.n)
-        ]
-        self.boundary = [None] + [boundary_kind(lyrics, k) for k in range(1, self.n)]
-        self.tone_pair_ok = [
-            tonal
-            and k >= 1
-            and not self.new_sentence[k]
-            and syls[k].tone in TONAL_TONES
-            and syls[k - 1].tone in TONAL_TONES
-            for k in range(self.n)
-        ]
-
-    def strength_at(self, onset: Fraction) -> BeatStrength:
-        return BeatStrength.STRONG if onset % self.bar in self.strong else BeatStrength.WEAK
+        table = config._events
+        cells = table.cells if lyrics.language is Language.TONAL else None
+        keyword, auxiliary, gaps = table.keyword, table.auxiliary, table.gaps
+        tone, final_intonation, new_sentence, cell, sw, pause = [], [], [], [], [], []
+        prev = None
+        for k, syl in enumerate(lyrics.syllables):
+            new = prev is None or syl.sentence_index != prev.sentence_index
+            word_start = syl.word_position is WordPosition.WORD_START
+            tone.append(syl.tone)
+            final_intonation.append(
+                lyrics.sentences[syl.sentence_index].intonation if syl.sentence_final else None
+            )
+            new_sentence.append(new)
+            # the cells hold tonal tone pairs only
+            cell.append(None if cells is None or new else cells.get((prev.tone, syl.tone)))
+            stress = syl.stress_class if word_start else StressClass.NEUTRAL
+            sw.append(keyword if stress is StressClass.KEYWORD
+                      else auxiliary if stress is StressClass.AUXILIARY else None)
+            pause.append(None if prev is None else gaps[boundary_kind(lyrics, k)])
+            prev = syl
+        self.tone, self.final_intonation, self.new_sentence = tone, final_intonation, new_sentence
+        self.cell, self.sw, self.pause = cell, sw, pause
 
     def _close_events(self, st: _State) -> list[RewardEvent]:
         if st.syl < 0 or not st.span_open or Aspect.TONE not in self.active:
             return []
+        table = self.config._events
         events = []
         if st.span_len >= 2:
-            ev = _event(
-                "shape",
-                Aspect.TONE,
-                pitch_shape_reward(self.tone[st.syl], st.span_pitches, self.config),
-                self.config,
-            )
-            if ev is not None:
-                events.append(ev)
-        if self.sentence_final[st.syl]:
-            events.append(
-                _event(
-                    "contour",
-                    Aspect.TONE,
-                    pitch_contour_reward(
-                        self.intonation[st.syl], st.sent_first, st.sent_last, self.config
-                    ),
-                    self.config,
-                )
-            )
+            matched = _shape_matches(self.tone[st.syl], st.span_pitches)
+            if matched is not None:
+                events.append(table.shape[matched])
+        intonation = self.final_intonation[st.syl]
+        if intonation is not None:
+            events.append(table.contour[contour_matches(intonation, st.sent_first, st.sent_last)])
         return events
 
     @staticmethod
@@ -515,67 +575,46 @@ class _EventModel:
 
     def step_events(self, st: _State, token) -> list[RewardEvent]:
         """Reward events the token (or END) triggers, in canonical order."""
-        config, active = self.config, self.active
         if token == END:
             return self._close_events(st)
         if not token.is_note:
             events = self._close_events(st)
             gap_right = st.syl + 1
-            if Aspect.RHYTHM in active and gap_right < self.n:
-                events.append(
-                    _event(
-                        "pause",
-                        Aspect.RHYTHM,
-                        pause_reward(True, self.boundary[gap_right], config),
-                        config,
-                    )
-                )
+            if Aspect.RHYTHM in self.active and gap_right < self.n:
+                events.append(self.pause[gap_right][True])
             return events
         if not token.syllable_start:
             return []
         events, middle, cell, anchor, partner_delta = self._start_parts(st)
-        transition, structure = self._pitch_values(
+        transition, structure = self._pitch_events(
             cell, anchor, partner_delta, st.last_pitch, token.pitch
         )
         if transition is not None:
-            events.append(_event("transition", Aspect.TONE, transition, config))
+            events.append(transition)
         events.extend(middle)
         if structure is not None:
-            events.append(_event("structure", Aspect.STRUCTURE, structure, config))
+            events.append(structure)
         return events
 
     def _start_parts(self, st: _State) -> tuple:
         """What a syllable start fires from ``st`` whatever its pitch: (close
-        events, strong/weak and pause events, the tone pair's harmony cell or
-        None, the transition's anchor pitch, the structure partner's interval
-        or None)."""
-        config, active = self.config, self.active
+        events, strong/weak and pause events, the tone pair's graded harmony
+        cell or None, the transition's anchor pitch, the structure partner's
+        interval or None)."""
+        active = self.active
         close = self._close_events(st)
         k = st.syl + 1
-        cell = None
-        if Aspect.TONE in active and self.tone_pair_ok[k] and config.harmony_table is not None:
-            cell = config.harmony_table.cells.get((self.tone[k - 1], self.tone[k]))
+        cell = self.cell[k] if Aspect.TONE in active else None
         middle = []
-        if Aspect.RHYTHM in active and self.word_start[k]:
-            ev = _event(
-                "sw",
-                Aspect.RHYTHM,
-                strong_weak_reward(self.stress[k], self.strength_at(st.onset), config),
-                config,
-            )
-            if ev is not None:
-                middle.append(ev)
-        if Aspect.RHYTHM in active and k >= 1 and st.span_open:
-            # no rest resolved this gap; a long final note still pauses
-            has_pause = st.last_duration is not None and st.last_duration >= config.long_note_threshold
-            middle.append(
-                _event(
-                    "pause",
-                    Aspect.RHYTHM,
-                    pause_reward(has_pause, self.boundary[k], config),
-                    config,
-                )
-            )
+        if Aspect.RHYTHM in active:
+            sw = self.sw[k]
+            if sw is not None:
+                middle.append(sw[st.onset % self.bar in self.strong])
+            if st.span_open:
+                # no rest resolved this gap; a long final note still pauses
+                has_pause = (st.last_duration is not None
+                             and st.last_duration >= self.config.long_note_threshold)
+                middle.append(self.pause[k][has_pause])
         partner_delta = None
         if Aspect.STRUCTURE in active:
             j = self.partner.get(k)
@@ -584,14 +623,15 @@ class _EventModel:
         anchor = st.syl_first[k - 1] if cell is not None else None
         return close, middle, cell, anchor, partner_delta
 
-    def _pitch_values(self, cell, anchor, partner_delta, last_pitch, pitch):
-        """The transition and structure values a start at ``pitch`` earns
+    def _pitch_events(self, cell, anchor, partner_delta, last_pitch, pitch):
+        """The transition and structure events a start at ``pitch`` fires
         (None where the event does not fire)."""
+        table = self.config._events
         transition = structure = None
         if cell is not None:
-            transition = self.config.transition_rewards[_cell_degree(cell, pitch - anchor)]
+            transition = _cell_degree(cell, pitch - anchor, table.bad)
         if partner_delta is not None:
-            structure = structure_reward(pitch - last_pitch, partner_delta, self.config)
+            structure = table.structure[_echo(pitch - last_pitch, partner_delta)]
         return transition, structure
 
     def start_plan(self, st: _State, start: float = 0.0) -> _StartPlan:
@@ -614,20 +654,20 @@ class _EventModel:
         """(running reward, masked) after a start at ``pitch``: the plan's
         terms added in canonical order, so the reward equals
         ``weighted_total(step_events(...), start=...)`` bit for bit."""
-        transition, structure = self._pitch_values(
+        transition, structure = self._pitch_events(
             plan.cell, plan.anchor, plan.partner_delta, plan.last_pitch, pitch
         )
         config = self.config
         total, masked = plan.reward, plan.masked
         if transition is not None:
-            total += config.lambda_tone * transition
-            masked = masked or not transition >= config._maxima["transition"]
+            total += config.lambda_tone * transition.value
+            masked = masked or not transition.is_maximal
         for term, below in plan.terms:
             total += term
             masked = masked or below
         if structure is not None:
-            total += config.lambda_structure * structure
-            masked = masked or not structure >= config._maxima["structure"]
+            total += config.lambda_structure * structure.value
+            masked = masked or not structure.is_maximal
         return total, masked
 
     def apply(self, st: _State, token) -> _State:
@@ -671,18 +711,18 @@ class _EventModel:
         threshold are counted in integer ticks of the sequence's
         :func:`~lyricmelody.melody._tick_clock`.
         """
-        config, n = self.config, self.n
+        n = self.n
         tone_on = Aspect.TONE in self.active
         rhythm_on = Aspect.RHYTHM in self.active
         structure_on = Aspect.STRUCTURE in self.active
-        tone, boundary, partner = self.tone, self.boundary, self.partner
-        word_start, stress, new_sentence = self.word_start, self.stress, self.new_sentence
-        tone_pair_ok = self.tone_pair_ok
-        maxima, transition_rewards = config._maxima, config.transition_rewards
-        cells = config.harmony_table.cells if config.harmony_table is not None else None
+        tone, final_intonation, new_sentence = self.tone, self.final_intonation, self.new_sentence
+        cells, sws, pauses, partner = self.cell, self.sw, self.pause, self.partner
+        table = self.config._events
+        shape_events, contour_events, echo_events, bad = (
+            table.shape, table.contour, table.structure, table.bad)
 
         scale, bar, strong = _tick_clock(self.time_signature, tokens)
-        threshold = config.long_note_threshold
+        threshold = self.config.long_note_threshold
         long_note = -(-threshold.numerator * scale // threshold.denominator)  # ceiling
 
         events: list[tuple[Optional[int], RewardEvent]] = []
@@ -695,14 +735,13 @@ class _EventModel:
 
         def close(anchor):
             if len(span) >= 2:
-                value = pitch_shape_reward(tone[syl], span, config)
-                if value is not None:
-                    ev = RewardEvent("shape", Aspect.TONE, value, maxima["shape"])
-                    events.append((anchor, ev))
-            if self.sentence_final[syl]:
-                value = pitch_contour_reward(self.intonation[syl], sent_first, sent_last, config)
-                ev = RewardEvent("contour", Aspect.TONE, value, maxima["contour"])
-                events.append((anchor, ev))
+                matched = _shape_matches(tone[syl], span)
+                if matched is not None:
+                    events.append((anchor, shape_events[matched]))
+            intonation = final_intonation[syl]
+            if intonation is not None:
+                matched = contour_matches(intonation, sent_first, sent_last)
+                events.append((anchor, contour_events[matched]))
 
         for i, token in enumerate(tokens):
             d = token.duration
@@ -711,8 +750,7 @@ class _EventModel:
                 if span_open and tone_on:
                     close(i)
                 if rhythm_on and syl + 1 < n:
-                    value = pause_reward(True, boundary[syl + 1], config)
-                    events.append((i, RewardEvent("pause", Aspect.RHYTHM, value, maxima["pause"])))
+                    events.append((i, pauses[syl + 1][True]))
                 onset += ticks
                 span_open = False
                 continue
@@ -725,31 +763,22 @@ class _EventModel:
             if span_open and tone_on:
                 close(i)
             k = syl + 1
-            if cells is not None and tone_on and tone_pair_ok[k]:
-                cell = cells.get((tone[k - 1], tone[k]))
+            if tone_on:
+                cell = cells[k]
                 if cell is not None:
-                    value = transition_rewards[_cell_degree(cell, pitch - first_pitch)]
-                    events.append(
-                        (i, RewardEvent("transition", Aspect.TONE, value, maxima["transition"]))
-                    )
+                    events.append((i, _cell_degree(cell, pitch - first_pitch, bad)))
             if rhythm_on:
-                if word_start[k]:
-                    strength = BeatStrength.STRONG if onset % bar in strong else BeatStrength.WEAK
-                    value = strong_weak_reward(stress[k], strength, config)
-                    if value is not None:
-                        events.append((i, RewardEvent("sw", Aspect.RHYTHM, value, maxima["sw"])))
+                sw = sws[k]
+                if sw is not None:
+                    events.append((i, sw[onset % bar in strong]))
                 if span_open:
                     # no rest resolved this gap; a long final note still pauses
-                    value = pause_reward(last_ticks >= long_note, boundary[k], config)
-                    events.append((i, RewardEvent("pause", Aspect.RHYTHM, value, maxima["pause"])))
+                    events.append((i, pauses[k][last_ticks >= long_note]))
             delta = None if last_pitch is None else pitch - last_pitch
             if structure_on and delta is not None:
                 j = partner.get(k)
                 if j is not None and syl_delta[j] is not None:
-                    value = structure_reward(delta, syl_delta[j], config)
-                    events.append(
-                        (i, RewardEvent("structure", Aspect.STRUCTURE, value, maxima["structure"]))
-                    )
+                    events.append((i, echo_events[_echo(delta, syl_delta[j])]))
             onset += ticks
             syl, span_open, span, first_pitch = k, True, [pitch], pitch
             last_pitch, last_ticks, sent_last = pitch, ticks, pitch

@@ -4,15 +4,17 @@ Deliberately simple re-statements of the decoding grammar and of the reward
 rules: a plain beam search that knows nothing about rewards, a reward beam
 search that builds every candidate in full before it cuts the beam, an
 exhaustive enumerator of every complete token sequence, and a whole-pair scan
-that derives every reward event from the alignment, beat grid and sentence
-spans without the package's token-by-token event model, the n-gram
-backoff probability evaluated one token and one backoff level at a time, a
-MIDI reader that takes one byte slice at a time, the strong/weak metric read
-off the ``Fraction`` beat grid, and the repetition structure (structure
-matrix and PD/DD/MD) taken from numbered sentence groups.  Kept separate
-from the package so the decoder, the reward fold, the scorer's suffix
-tables, the MIDI reader and the metrics' integer-tick clock and repeat
-anchors are checked against a second, independently written route.
+that derives every reward event (with its matched flag, harmony degree and
+boundary kind) from the alignment, beat grid and sentence spans without the
+package's token-by-token event model, the n-gram backoff probability
+evaluated one token and one backoff level at a time, a MIDI reader that
+takes one byte slice at a time, the four event metrics walked over the
+alignment (the strong/weak one read off the ``Fraction`` beat grid), and the
+repetition structure (structure matrix and PD/DD/MD) taken from numbered
+sentence groups.  Kept separate from the package so the decoder, the reward
+fold, the scorer's suffix tables, the MIDI reader and the metrics counted
+over reward events and anchored on repeats are checked against a second,
+independently written route.
 """
 
 import struct
@@ -24,6 +26,7 @@ from lyricmelody import (
     AlignmentError,
     Aspect,
     BeatStrength,
+    Intonation,
     Language,
     Melody,
     MelodyToken,
@@ -31,6 +34,7 @@ from lyricmelody import (
     StressClass,
     StructureMatrix,
     TokenKind,
+    Tone,
     WordPosition,
     compute_beat_grid,
     is_long_note,
@@ -43,8 +47,16 @@ from lyricmelody import (
 )
 from lyricmelody.decoder import Hypothesis, _group_vocab, _max_steps, is_masked, score_decode
 from lyricmelody.lyrics import TONAL_TONES
-from lyricmelody.metrics import _mean, histogram_similarity, melody_distance
-from lyricmelody.rewards import RewardEvent, _State, boundary_kind, event_maximum, weighted_total
+from lyricmelody.metrics import DEGREE_SCORES, _mean, histogram_similarity, melody_distance
+from lyricmelody.rewards import (
+    BoundaryKind,
+    HarmonyDegree,
+    RewardEvent,
+    _State,
+    contour_matches,
+    event_maximum,
+    weighted_total,
+)
 
 
 def ngram_prob(model, token, ctx):
@@ -203,6 +215,13 @@ def exhaustive_argmax(lyrics, scorer, config, active, max_notes, time_signature=
     return best
 
 
+def _check_aligned(lyrics, melody):
+    if melody.syllable_count != len(lyrics):
+        raise AlignmentError(
+            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
+        )
+
+
 #: Canonical intra-token ordering of reward events.
 EVENT_RANK = {"shape": 0, "contour": 1, "transition": 2, "sw": 3, "pause": 4, "structure": 5}
 
@@ -225,14 +244,44 @@ def syllable_deltas(melody):
     return deltas
 
 
+def _shape_rule(tone, pitches):
+    """Does a melisma's pitch flow match its tone (None for non-tonal
+    tones)?  Level stays flat, rising never falls and ends higher, falling
+    the mirror image, dipping has an interior low point below both ends
+    (two notes: falls), light matches anything."""
+    steps = [b - a for a, b in zip(pitches, pitches[1:])]
+    if tone is Tone.TONE1:
+        return len(set(pitches)) == 1
+    if tone is Tone.TONE2:
+        return min(steps) >= 0 and pitches[-1] > pitches[0]
+    if tone is Tone.TONE4:
+        return max(steps) <= 0 and pitches[-1] < pitches[0]
+    if tone is Tone.TONE3:
+        if len(pitches) == 2:
+            return pitches[1] < pitches[0]
+        return min(pitches[1:-1]) < min(pitches[0], pitches[-1])
+    if tone is Tone.TONE5:
+        return True
+    return None
+
+
+def _gap_kind(lyrics, k):
+    """The boundary in front of syllable ``k``: a new sentence, a new word,
+    or inside a word."""
+    if lyrics.syllables[k].sentence_index != lyrics.syllables[k - 1].sentence_index:
+        return BoundaryKind.SENTENCE_BOUNDARY
+    if lyrics.syllables[k].word_position is WordPosition.WORD_START:
+        return BoundaryKind.WORD_BOUNDARY
+    return BoundaryKind.WORD_INNER
+
+
 def scan_reward_events(lyrics, melody, config, structure=None):
     """Every reward event of a complete pair, tagged with the token index it
     fires on (None = fires when the melody ends), sorted by (token position,
-    canonical event order).  Rule by rule over the whole pair."""
-    if melody.syllable_count != len(lyrics):
-        raise AlignmentError(
-            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
-        )
+    canonical event order).  Rule by rule over the whole pair; each event's
+    ``matched`` flag, harmony degree and boundary kind are decided here
+    too, never read off its value."""
+    _check_aligned(lyrics, melody)
     if structure is None:
         structure = reference_build_structure_matrix(lyrics)
     grid = compute_beat_grid(melody)
@@ -241,9 +290,9 @@ def scan_reward_events(lyrics, melody, config, structure=None):
     n_tokens = len(melody.tokens)
     events = []
 
-    def add(anchor, kind, aspect, value):
+    def add(anchor, kind, aspect, value, matched, **outcome):
         if value is not None:
-            ev = RewardEvent(kind, aspect, value, event_maximum(kind, config))
+            ev = RewardEvent(kind, aspect, value, event_maximum(kind, config), matched, **outcome)
             events.append((anchor, EVENT_RANK[kind], ev))
 
     def closer_of(k):
@@ -254,14 +303,17 @@ def scan_reward_events(lyrics, melody, config, structure=None):
     for k in range(len(lyrics)):
         pitches = melody.span_pitches(k)
         if len(pitches) >= 2:
+            tone = lyrics.syllables[k].tone
             add(closer_of(k), "shape", Aspect.TONE,
-                pitch_shape_reward(lyrics.syllables[k].tone, pitches, config))
+                pitch_shape_reward(tone, pitches, config), _shape_rule(tone, pitches))
 
     # contour: fires where the sentence-final syllable's span closes
     for sent in lyrics.sentences:
         pitches = [p for k in range(*sent.span) for p in melody.span_pitches(k)]
+        rise = pitches[-1] - pitches[0]
         add(closer_of(sent.span[1] - 1), "contour", Aspect.TONE,
-            pitch_contour_reward(sent.intonation, pitches[0], pitches[-1], config))
+            pitch_contour_reward(sent.intonation, pitches[0], pitches[-1], config),
+            {Intonation.RISING: rise > 0, Intonation.FALLING: rise < 0}.get(sent.intonation, True))
 
     for k in range(len(lyrics)):
         first_idx = melody.alignment[k][0]
@@ -276,30 +328,41 @@ def scan_reward_events(lyrics, melody, config, structure=None):
             and lyrics.syllables[k - 1].tone in TONAL_TONES
         ):
             delta = melody.tokens[first_idx].pitch - melody.tokens[melody.alignment[k - 1][0]].pitch
+            pair = (lyrics.syllables[k - 1].tone, syl.tone)
+            intervals = config.harmony_table.cells.get(pair, ()) if config.harmony_table else ()
+            degrees = [d for lo, hi, d in intervals if lo <= delta <= hi]
+            degree = degrees[0] if degrees else HarmonyDegree.BAD
             add(first_idx, "transition", Aspect.TONE,
-                pitch_transition_reward((lyrics.syllables[k - 1].tone, syl.tone), delta,
-                                        config.harmony_table, config))
+                pitch_transition_reward(pair, delta, config.harmony_table, config),
+                degree is HarmonyDegree.EXCELLENT, degree=degree)
 
         # strong/weak: first note of each constrained word
         if syl.word_position is WordPosition.WORD_START:
+            strength = grid.strengths[first_idx]
             add(first_idx, "sw", Aspect.RHYTHM,
-                strong_weak_reward(syl.stress_class, grid.strengths[first_idx], config))
+                strong_weak_reward(syl.stress_class, strength, config),
+                (syl.stress_class is StressClass.KEYWORD) == (strength is BeatStrength.STRONG))
 
         # pause: one event per gap, on the gap's rest if any, else here
         if k >= 1:
             prev_stop = melody.alignment[k - 1][1]
-            kind = boundary_kind(lyrics, k)
+            kind = _gap_kind(lyrics, k)
             if prev_stop < first_idx and melody.tokens[prev_stop].kind is TokenKind.REST:
-                add(prev_stop, "pause", Aspect.RHYTHM, pause_reward(True, kind, config))
+                anchor, has_pause = prev_stop, True
             else:
-                has_pause = is_long_note(melody.tokens[prev_stop - 1], config)
-                add(first_idx, "pause", Aspect.RHYTHM, pause_reward(has_pause, kind, config))
+                anchor, has_pause = first_idx, is_long_note(melody.tokens[prev_stop - 1], config)
+            # a pause belongs at a boundary; a sentence boundary needs one
+            good = {BoundaryKind.WORD_INNER: not has_pause,
+                    BoundaryKind.WORD_BOUNDARY: True,
+                    BoundaryKind.SENTENCE_BOUNDARY: has_pause}[kind]
+            add(anchor, "pause", Aspect.RHYTHM, pause_reward(has_pause, kind, config), good,
+                boundary=kind)
 
         # structure: repeated position whose anchor interval is defined
         j = structure.partner.get(k)
         if j is not None and deltas[k] is not None and deltas[j] is not None:
             add(first_idx, "structure", Aspect.STRUCTURE,
-                structure_reward(deltas[k], deltas[j], config))
+                structure_reward(deltas[k], deltas[j], config), deltas[k] == deltas[j])
 
     events.sort(key=lambda item: (n_tokens if item[0] is None else item[0], item[1]))
     return [(anchor, ev) for anchor, _, ev in events]
@@ -308,10 +371,7 @@ def scan_reward_events(lyrics, melody, config, structure=None):
 def reference_matched_sw_ratio(lyrics, melody):
     """Matched keyword/auxiliary word starts over all of them, each read off
     the beat grid's strength at the word's first token; None without any."""
-    if melody.syllable_count != len(lyrics):
-        raise AlignmentError(
-            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
-        )
+    _check_aligned(lyrics, melody)
     grid = compute_beat_grid(melody)
     total = matched = 0
     for k, syl in enumerate(lyrics.syllables):
@@ -326,6 +386,66 @@ def reference_matched_sw_ratio(lyrics, melody):
     if total == 0:
         return None
     return matched / total
+
+
+def reference_tone_transition_score(lyrics, melody, config):
+    """Mean harmony-degree score over intra-sentence adjacent tone pairs,
+    walked over the alignment; pairs the harmony table has no cell for are
+    not scored."""
+    _check_aligned(lyrics, melody)
+    if lyrics.language is not Language.TONAL or config.harmony_table is None:
+        return None
+    scores = []
+    for k in range(1, len(lyrics)):
+        left, right = lyrics.syllables[k - 1], lyrics.syllables[k]
+        if left.sentence_index != right.sentence_index:
+            continue
+        if left.tone not in TONAL_TONES or right.tone not in TONAL_TONES:
+            continue
+        delta = melody.tokens[melody.alignment[k][0]].pitch - melody.tokens[melody.alignment[k - 1][0]].pitch
+        degree = config.harmony_table.degree_of(left.tone, right.tone, delta)
+        if degree is not None:
+            scores.append(DEGREE_SCORES[degree])
+    if not scores:
+        return None
+    return _mean(scores)
+
+
+def reference_tone_contour_score(lyrics, melody):
+    """Fraction of sentences whose first-to-last pitch direction matches
+    their intonation."""
+    _check_aligned(lyrics, melody)
+    matched = 0
+    for sent in lyrics.sentences:
+        pitches = [p for k in range(*sent.span) for p in melody.span_pitches(k)]
+        if contour_matches(sent.intonation, pitches[0], pitches[-1]):
+            matched += 1
+    return matched / len(lyrics.sentences)
+
+
+def reference_gap_has_pause(melody, gap, config):
+    """True if the gap after syllable ``gap`` holds a rest or ends on a long note."""
+    left_stop = melody.alignment[gap][1]
+    right_start = melody.alignment[gap + 1][0]
+    if any(t.kind is TokenKind.REST for t in melody.tokens[left_stop:right_start]):
+        return True
+    last_note = melody.tokens[left_stop - 1]
+    return last_note.is_note and is_long_note(last_note, config)
+
+
+def reference_matched_pause_ratio(lyrics, melody, config):
+    """One minus the share of word-inner syllables preceded by a pause."""
+    _check_aligned(lyrics, melody)
+    inner = broken = 0
+    for k in range(1, len(lyrics)):
+        if lyrics.syllables[k].word_position is not WordPosition.WORD_INNER:
+            continue
+        inner += 1
+        if reference_gap_has_pause(melody, k - 1, config):
+            broken += 1
+    if inner == 0:
+        return None
+    return 1.0 - broken / inner
 
 
 def reference_sentence_groups(lyrics):
@@ -370,10 +490,7 @@ def reference_build_structure_matrix(lyrics):
 def reference_structure_similarity(lyrics, melody):
     """(PD, DD, MD) averaged over every repeat against its group's first
     sentence; all None when nothing repeats."""
-    if melody.syllable_count != len(lyrics):
-        raise AlignmentError(
-            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
-        )
+    _check_aligned(lyrics, melody)
 
     def notes(sent):
         tokens = [t for k in range(*sent.span) for t in melody.span_notes(k)]

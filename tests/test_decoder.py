@@ -305,6 +305,28 @@ class TestTwoStage:
                                       bundle.pitch_model, config)
         assert score == pytest.approx(result.score, abs=1e-9)
 
+    def test_one_fold_scores_both_stages(self, config, bundle):
+        """The stage rewards come from one fold, and equal two
+        ``score_rewards`` calls, one per stage's aspects, to the last bit."""
+        from lyricmelody.rewards import score_rewards
+
+        stages = (frozenset({Aspect.RHYTHM}), frozenset({Aspect.TONE, Aspect.STRUCTURE}))
+        actives = [frozenset(Aspect), frozenset({Aspect.TONE, Aspect.RHYTHM}),
+                   frozenset({Aspect.STRUCTURE})]
+        rng = random.Random(20261022)
+        for case in range(24):
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 2), tonal=case % 2 == 0,
+                                repeat=case % 4 < 2)
+            cfg = config.with_lambdas((1.1, 0.7, 1.3)) if case % 3 else config
+            melody = decode_two_stage(lyr, bundle.rhythm_model, bundle.pitch_model, cfg,
+                                      DecodeOptions(beam_width=2)).melody
+            for active in actives:
+                _, reward, _ = score_two_stage(lyr, melody, bundle.rhythm_model,
+                                               bundle.pitch_model, cfg, active)
+                rhythm, pitch = (score_rewards(lyr, melody, cfg, stage & active).total
+                                 for stage in stages)
+                assert reward.hex() == (rhythm + pitch).hex(), (case, active)
+
     def test_zero_rhythm_weight_gives_unconstrained_skeleton(self, config, bundle):
         # with the rhythm reward weight at zero, stage 1 is plain beam search
         # over the rhythm model

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lyricmelody import (
+    InputError,
     Intonation,
     Language,
     LyricFormatError,
@@ -123,6 +124,42 @@ class TestRoundTrip:
     def test_json_detected_by_leading_brace(self):
         lyr = parse_lyrics("ni3|W,K cai3|I .")
         assert parse_lyrics(lyrics_to_json(lyr)) == lyr
+
+
+class TestLoaderFuzz:
+    """Seeded character mutations of serialized lyrics: every mutated text
+    either parses or raises an ``InputError``, and whatever parses
+    round-trips through ``serialize_lyrics``."""
+
+    # the format's own characters, plus a few it never writes
+    ALPHABET = "abnoy AWIKEei|,.?!'12345\n\t{}[]\":-0"
+
+    @classmethod
+    def mutate(cls, rng, text):
+        i = rng.randrange(len(text) + 1)
+        op = rng.choice(("insert", "delete", "replace"))
+        if op == "insert" or not text:
+            return text[:i] + rng.choice(cls.ALPHABET) + text[i:]
+        i = min(i, len(text) - 1)
+        if op == "delete":
+            return text[:i] + text[i + 1:]
+        return text[:i] + rng.choice(cls.ALPHABET) + text[i + 1:]
+
+    def test_mutations_parse_or_fail_cleanly(self):
+        rng = random.Random(20261023)
+        parsed = 0
+        for case in range(3000):
+            text = serialize_lyrics(random_lyrics(rng, sentences=rng.randint(1, 3),
+                                                  tonal=case % 2 == 0))
+            for _ in range(rng.randint(1, 3)):
+                text = self.mutate(rng, text)
+            try:
+                lyrics = parse_lyrics(text)
+            except InputError:
+                continue
+            parsed += 1
+            assert parse_lyrics(serialize_lyrics(lyrics)) == lyrics, text
+        assert 300 <= parsed <= 2700  # both outcomes are common
 
 
 class TestStructureMatrix:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,16 @@ from lyricmelody import (
     tone_transition_score,
 )
 from lyricmelody.metrics import aggregate_reports, histogram_similarity
-from lyricmelody.rewards import Aspect, reward_events
+from lyricmelody.rewards import HarmonyDegree, reward_events
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import mk_melody, repeat_layout_lyrics
-from reference import reference_matched_sw_ratio, reference_structure_similarity
+from reference import (
+    reference_matched_pause_ratio,
+    reference_matched_sw_ratio,
+    reference_structure_similarity,
+    reference_tone_contour_score,
+    reference_tone_transition_score,
+)
 
 
 # Five fixture songs with every populated metric worked out by hand from the
@@ -249,10 +256,67 @@ def _seeded_pairs(seed, count):
         yield lyrics, Melody(melody.tokens, METERS[(case // 16) % len(METERS)])
 
 
+EVENT_METRICS = ("tone_transition", "tone_contour", "matched_sw", "matched_pauses")
+
+
+def _reference_event_metrics(lyrics, melody, config):
+    """The four event metrics as the walks of ``tests/reference.py`` give them."""
+    return (
+        reference_tone_transition_score(lyrics, melody, config),
+        reference_tone_contour_score(lyrics, melody),
+        reference_matched_sw_ratio(lyrics, melody),
+        reference_matched_pause_ratio(lyrics, melody, config),
+    )
+
+
+def _odd_configs(config):
+    """A config whose degrees all earn the same reward, and one whose match
+    rewards are all 0 (with one-beat long notes), so no metric can be read
+    off a reward value."""
+    tied = replace(config, transition_rewards=dict.fromkeys(HarmonyDegree, 1.0))
+    zero = replace(config, shape_reward_on_match=0.0, contour_reward_on_match=0.0,
+                   sw_reward_on_match=0.0, pause_reward_on_match=0.0,
+                   structure_reward_exact=0.0, structure_reward_octave=0.0,
+                   long_note_threshold=Fraction(1))
+    return {"tied": tied, "zero": zero}
+
+
 class TestAgainstReference:
-    """The integer-tick strong/weak metric and the directly anchored
-    structure metrics against the Fraction beat grid and the numbered
-    sentence groups of ``tests/reference.py``."""
+    """The metrics counted over reward events and the directly anchored
+    structure metrics against the alignment walks, the Fraction beat grid
+    and the numbered sentence groups of ``tests/reference.py``."""
+
+    def test_event_metrics_match_walks(self, config):
+        between = dict.fromkeys(EVENT_METRICS, 0)
+        for lyrics, melody in _seeded_pairs(20261020, 256):
+            want = list(map(_hex, _reference_event_metrics(lyrics, melody, config)))
+            got = [tone_transition_score(lyrics, melody, config),
+                   tone_contour_score(lyrics, melody),
+                   matched_sw_ratio(lyrics, melody),
+                   matched_pause_ratio(lyrics, melody, config)]
+            assert list(map(_hex, got)) == want, (lyrics, melody)
+            report = evaluate_pair(lyrics, melody, config)
+            assert [_hex(getattr(report, name)) for name in EVENT_METRICS] == want
+            for name, value in zip(EVENT_METRICS, got):
+                between[name] += value is not None and 0.0 < value < 1.0
+        # every figure is often strictly between its bounds
+        assert min(between.values()) >= 16, between
+
+    @pytest.mark.parametrize("name", ["tied", "zero"])
+    def test_event_metrics_match_walks_under_odd_configs(self, config, name):
+        cfg = _odd_configs(config)[name]
+        rng = random.Random(20261021)
+        between = dict.fromkeys(EVENT_METRICS, 0)
+        for case in range(3000):
+            lyrics = repeat_layout_lyrics(rng, case % 2 == 0, (case // 2) % 2 == 0)
+            melody = random_aligned_melody(lyrics, rng)
+            report = evaluate_pair(lyrics, melody, cfg)
+            want = list(map(_hex, _reference_event_metrics(lyrics, melody, cfg)))
+            assert [_hex(getattr(report, n)) for n in EVENT_METRICS] == want, (case, lyrics)
+            for n in EVENT_METRICS:
+                value = getattr(report, n)
+                between[n] += value is not None and 0.0 < value < 1.0
+        assert min(between.values()) >= 100, between
 
     def test_matched_sw_matches_beat_grid(self):
         scored = 0

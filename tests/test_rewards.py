@@ -319,6 +319,17 @@ class TestWholePairScan:
         assert len(events) == 1
         assert events[0].value == 0.0
 
+    def test_octave_echo_is_partial_not_matched(self, config):
+        # syllable 3 jumps +14 where its anchor (syllable 1) jumps +2
+        lyr = parse_lyrics("ni3|W hao3|I .\nni3|W hao3|I .")
+        melody = mk_melody([(60, 1), (62, 1), (60, 1), (74, 1)])
+        events = reward_events(lyr, melody, config)
+        assert events == scan_reward_events(lyr, melody, config)
+        structure = [ev for _, ev in events if ev.kind == "structure"]
+        assert structure == [RewardEvent("structure", Aspect.STRUCTURE,
+                                         config.structure_reward_octave,
+                                         config.structure_reward_exact, False)]
+
     def test_presets_match_published_operating_points(self):
         assert PRESET_LAMBDAS["telemelody"] == (1.2, 1.5, 1.0)
         assert PRESET_LAMBDAS["songmass"] == (1.5, 1.0, 1.0)
@@ -415,10 +426,10 @@ class TestFoldMatchesStepApply:
 
     def test_catches_a_fold_without_the_long_note_test(self, config):
         source = textwrap.dedent(inspect.getsource(_EventModel.fold))
-        long_note_test = "pause_reward(last_ticks >= long_note,"
+        long_note_test = "pauses[k][last_ticks >= long_note]"
         assert source.count(long_note_test) == 1
         namespace = dict(vars(rewards))
-        exec(source.replace(long_note_test, "pause_reward(False,"), namespace)
+        exec(source.replace(long_note_test, "pauses[k][False]"), namespace)
         NoLongNotes = type("NoLongNotes", (_EventModel,), {"fold": namespace["fold"]})
 
         def fold(lyrics, melody, config, active):
@@ -527,11 +538,11 @@ class TestStartPlan:
         class StructureFirst(_EventModel):
             def complete(self, plan, pitch):
                 _, masked = super().complete(plan, pitch)
-                _, structure = self._pitch_values(plan.cell, plan.anchor, plan.partner_delta,
+                _, structure = self._pitch_events(plan.cell, plan.anchor, plan.partner_delta,
                                                   plan.last_pitch, pitch)
                 total, _ = super().complete(replace(plan, terms=(), partner_delta=None), pitch)
                 if structure is not None:
-                    total += self.config.lambda_structure * structure
+                    total += self.config.lambda_structure * structure.value
                 for term, _ in plan.terms:
                     total += term
                 return total, masked
