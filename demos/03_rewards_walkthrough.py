@@ -35,7 +35,7 @@ print("  tone3 dipping [62,58,61] ->", pitch_shape_reward(Tone.TONE3, [62, 58, 6
 print("\npitch transition (harmony degrees -> 3/2/1/0):")
 for delta in (3, 1, 0, -6):
     degree = config.harmony_table.degree_of(Tone.TONE4, Tone.TONE1, delta)
-    reward = pitch_transition_reward((Tone.TONE4, Tone.TONE1), delta, config.harmony_table, config)
+    reward = pitch_transition_reward((Tone.TONE4, Tone.TONE1), delta, config)
     print(f"  tone4->tone1, jump {delta:+d}: {degree.value:9s} -> {reward}")
 
 print("\npitch contour (sentence intonation vs first/last pitch):")

@@ -86,7 +86,6 @@ from .decoder import (
     DecodeOptions,
     DecodeResult,
     Pipeline,
-    RhythmSkeleton,
     beam_search,
     beam_search_hard,
     decode,

@@ -14,12 +14,16 @@ grammar over the scorer's vocabulary:
   optional trailing rest may precede it.
 
 Rhythm tokens (:class:`~lyricmelody.melody.RhythmToken`) read like melody
-tokens whose pitch is None, so one grammar and one search serve
-single-stage decoding and the rhythm stage of the two-stage pipeline.
-Which rewards a candidate triggers comes from the reward-event model in
-:mod:`lyricmelody.rewards`; this module adds only the grammar and the
-search.  Scores stay re-derivable: the base log-probability and the
-weighted reward are accumulated separately, event by event, and
+tokens whose pitch is None, so one grammar serves single-stage decoding and
+the rhythm stage of the two-stage pipeline.  One beam search serves every
+stage: it runs over a moves function that gives each hypothesis its legal
+moves, their base log-probabilities and their event signatures, built from
+the grammar or, for the pitch stage, from one slot per rhythm token (a note
+offers every pitch, a rest is forced, END closes).  Which rewards a
+candidate triggers comes from the reward-event model in
+:mod:`lyricmelody.rewards`; this module adds only the moves and the search.
+Scores stay re-derivable: the base log-probability and the weighted reward
+are accumulated separately, event by event, and
 :func:`lyricmelody.rewards.reward_events` folds the same model over a
 finished melody, so rescoring the returned token sequence reproduces the
 reported score to the last bit.  Ties break by vocabulary order, then by
@@ -40,7 +44,8 @@ token index) orders children as their full keys do; END keeps its parent's
 key, a prefix of its siblings' keys, so it ranks first on a tie.
 
 A vocabulary with no syllable-start token (or, for the pitch stage, no
-pitch) cannot cover any lyrics; grouping it raises
+pitch, or no rest mark for the rhythm's rests) cannot cover the lyrics;
+building its moves function raises
 :class:`~lyricmelody.errors.TrainingError` before its stage decodes anything.
 
 Hypothesis expansion is pure over immutable models; one decode owns its
@@ -55,13 +60,12 @@ import random
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from functools import reduce
 from operator import add, attrgetter
 from typing import Optional, Sequence
 
 from .errors import InternalError, OptionError, TrainingError
-from .lyrics import LyricSequence, StructureMatrix
+from .lyrics import LyricSequence
 from .melody import Melody, MelodyToken, RhythmToken, TokenKind, check_meter
 from .rewards import (
     ALL_ASPECTS,
@@ -91,7 +95,6 @@ __all__ = [
     "DecodeOptions",
     "DecodeResult",
     "Hypothesis",
-    "RhythmSkeleton",
     "beam_search",
     "beam_search_hard",
     "sample",
@@ -149,52 +152,6 @@ class DecodeOptions:
             raise OptionError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class RhythmSkeleton:
-    """Pitch-free template: per-syllable note durations (with melisma) and the
-    rest, if any, trailing each syllable."""
-
-    note_durations: tuple[tuple[Fraction, ...], ...]
-    trailing_rests: tuple[Optional[Fraction], ...]
-
-    def __post_init__(self) -> None:
-        if any(not group for group in self.note_durations):
-            raise InternalError("every syllable needs at least one note in the skeleton")
-        if len(self.trailing_rests) != len(self.note_durations):
-            raise InternalError("skeleton rest list out of step with syllables")
-
-    @property
-    def syllable_count(self) -> int:
-        return len(self.note_durations)
-
-    @classmethod
-    def from_rhythm_tokens(cls, tokens: Sequence[RhythmToken]) -> "RhythmSkeleton":
-        groups: list[list[Fraction]] = []
-        rests: list[Optional[Fraction]] = []
-        for tok in tokens:
-            if not tok.is_note:
-                if not groups or rests[-1] is not None:
-                    raise InternalError("skeleton rest without a preceding syllable")
-                rests[-1] = tok.duration
-            elif tok.syllable_start:
-                groups.append([tok.duration])
-                rests.append(None)
-            else:
-                if not groups or rests[-1] is not None:
-                    raise InternalError("skeleton continuation without an open syllable")
-                groups[-1].append(tok.duration)
-        return cls(tuple(tuple(g) for g in groups), tuple(rests))
-
-    def rhythm_tokens(self) -> list[RhythmToken]:
-        out: list[RhythmToken] = []
-        for group, trailing in zip(self.note_durations, self.trailing_rests):
-            out.append(RhythmToken(TokenKind.NOTE, group[0], True))
-            out.extend(RhythmToken(TokenKind.NOTE, d, False) for d in group[1:])
-            if trailing is not None:
-                out.append(RhythmToken(TokenKind.REST, trailing))
-        return out
-
-
 # ---------------------------------------------------------------------------
 # decode grammar
 # ---------------------------------------------------------------------------
@@ -209,9 +166,8 @@ class _Context(_EventModel):
         config: RewardConfig,
         options: DecodeOptions,
         active: frozenset[Aspect],
-        structure: Optional[StructureMatrix] = None,
     ):
-        super().__init__(lyrics, config, active, options.time_signature, structure)
+        super().__init__(lyrics, config, active, options.time_signature)
         self.options = options
 
     def legal(self, st: _State, groups: "_VocabGroups") -> list[tuple[int, object]]:
@@ -348,10 +304,25 @@ def _max_steps(ctx: _Context) -> int:
     return ctx.n * (ctx.options.max_notes_per_syllable + 1) + 2
 
 
-def _beam(
-    ctx: _Context, scorer: Scorer, width: int, hard: bool
-) -> tuple[Hypothesis, tuple[int, ...]]:
+def _grammar(ctx: _Context, scorer: Scorer):
+    """The moves function of single-stage decoding and the rhythm stage: a
+    hypothesis's legal moves under the grammar, their base log-probabilities
+    and the vocabulary's event signatures."""
     groups = _group_vocab(scorer.vocab)
+
+    def moves_of(h: Hypothesis) -> tuple:
+        dist = scorer.log_prob_dist(h.tokens)
+        moves = ctx.legal(h.state, groups)
+        return moves, [dist[t] for _, t in moves], groups.signatures
+
+    return moves_of
+
+
+def _beam(
+    ctx: _Context, moves_of, width: int, hard: bool
+) -> tuple[Hypothesis, tuple[int, ...]]:
+    """Beam search over the moves ``moves_of(h)`` offers each hypothesis:
+    (best completion by ``(-score, key)``, steps where hard mode relaxed)."""
     live = [Hypothesis(tokens=(), key=(), state=_State())]
     best: Optional[Hypothesis] = None
     relaxations: list[int] = []
@@ -359,10 +330,7 @@ def _beam(
         live.sort(key=attrgetter("key"))
         pool: list[tuple] = []
         for rank, h in enumerate(live):
-            dist = scorer.log_prob_dist(h.tokens)
-            moves = ctx.legal(h.state, groups)
-            lps = [dist[t] for _, t in moves]
-            scored = _expand(ctx, h, rank, moves, lps, groups.signatures)
+            scored = _expand(ctx, h, rank, *moves_of(h))
             if scored and scored[-1][2] < 0:  # END, always the last legal move
                 done = scored.pop()
                 if best is None or (done[0], h.key) < (-best.score, best.key):
@@ -408,12 +376,11 @@ def beam_search(
     scorer: Scorer,
     config: RewardConfig,
     options: DecodeOptions,
-    structure: Optional[StructureMatrix] = None,
 ) -> DecodeResult:
     """Constrained beam search keeping ``beam_width`` hypotheses ranked by the
     combined score; deterministic, returns the best completed hypothesis."""
-    ctx = _Context(lyrics, config, options, options.active, structure)
-    best, _ = _beam(ctx, scorer, options.beam_width, hard=False)
+    ctx = _Context(lyrics, config, options, options.active)
+    best, _ = _beam(ctx, _grammar(ctx, scorer), options.beam_width, hard=False)
     return _result_from(ctx, best, DecodeMode.BEAM_SOFT)
 
 
@@ -422,18 +389,17 @@ def beam_search_hard(
     scorer: Scorer,
     config: RewardConfig,
     options: DecodeOptions,
-    structure: Optional[StructureMatrix] = None,
 ) -> DecodeResult:
     """Beam search that masks out candidates violating any triggered active
     constraint; steps where everything is masked fall back to soft scoring
     and are recorded as relaxation events."""
-    ctx = _Context(lyrics, config, options, options.active, structure)
-    best, relaxations = _beam(ctx, scorer, options.beam_width, hard=True)
+    ctx = _Context(lyrics, config, options, options.active)
+    best, relaxations = _beam(ctx, _grammar(ctx, scorer), options.beam_width, hard=True)
     return _result_from(ctx, best, DecodeMode.BEAM_HARD, relaxations)
 
 
 def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -> Hypothesis:
-    groups = _group_vocab(scorer.vocab)
+    moves_of = _grammar(ctx, scorer)
     if top_k > len(scorer.vocab):
         warnings.warn(
             f"top_k={top_k} exceeds the vocabulary size {len(scorer.vocab)}; clamping",
@@ -443,10 +409,7 @@ def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -
     h = Hypothesis(tokens=(), key=(), state=_State())
     temperature = ctx.options.temperature
     for _ in range(_max_steps(ctx)):
-        dist = scorer.log_prob_dist(h.tokens)
-        moves = ctx.legal(h.state, groups)
-        lps = [dist[t] for _, t in moves]
-        kept = sorted(_expand(ctx, h, 0, moves, lps, groups.signatures))[:top_k]
+        kept = sorted(_expand(ctx, h, 0, *moves_of(h)))[:top_k]
         top = max(-entry[0] for entry in kept)
         weights = [math.exp((-entry[0] - top) / temperature) for entry in kept]
         total = reduce(add, weights, 0)  # left fold: builtin sum compensates on 3.12+
@@ -469,12 +432,11 @@ def sample(
     scorer: Scorer,
     config: RewardConfig,
     options: DecodeOptions,
-    structure: Optional[StructureMatrix] = None,
 ) -> DecodeResult:
     """Constrained stochastic decoding: per step, keep the top-k candidates by
     combined score, soften them with the temperature, and draw from the
     seeded generator.  Reproducible per seed."""
-    ctx = _Context(lyrics, config, options, options.active, structure)
+    ctx = _Context(lyrics, config, options, options.active)
     rng = random.Random(options.seed)
     h = _sample_run(ctx, scorer, rng, options.top_k)
     return _result_from(ctx, h, DecodeMode.SAMPLE)
@@ -485,12 +447,11 @@ def rerank(
     scorer: Scorer,
     config: RewardConfig,
     options: DecodeOptions,
-    structure: Optional[StructureMatrix] = None,
 ) -> DecodeResult:
     """Unconstrained sampling of ``rerank_candidates`` melodies, then pick the
     one whose full-sequence combined score (base + weighted rewards) wins."""
-    free_ctx = _Context(lyrics, config, options, frozenset(), structure)
-    scored_ctx = _Context(lyrics, config, options, options.active, structure)
+    free_ctx = _Context(lyrics, config, options, frozenset())
+    scored_ctx = _Context(lyrics, config, options, options.active)
     rng = random.Random(options.seed)
     best: Optional[Hypothesis] = None
     for _ in range(options.rerank_candidates):
@@ -511,7 +472,6 @@ def decode(
     scorer: Scorer,
     config: RewardConfig,
     options: DecodeOptions,
-    structure: Optional[StructureMatrix] = None,
     rhythm_scorer: Optional[Scorer] = None,
     pitch_scorer: Optional[Scorer] = None,
 ) -> DecodeResult:
@@ -519,14 +479,14 @@ def decode(
     if options.pipeline is Pipeline.TWO_STAGE:
         if rhythm_scorer is None or pitch_scorer is None:
             raise OptionError("two-stage decoding needs rhythm and pitch scorers")
-        return decode_two_stage(lyrics, rhythm_scorer, pitch_scorer, config, options, structure)
+        return decode_two_stage(lyrics, rhythm_scorer, pitch_scorer, config, options)
     dispatch = {
         DecodeMode.BEAM_SOFT: beam_search,
         DecodeMode.BEAM_HARD: beam_search_hard,
         DecodeMode.SAMPLE: sample,
         DecodeMode.RERANK: rerank,
     }
-    return dispatch[options.mode](lyrics, scorer, config, options, structure)
+    return dispatch[options.mode](lyrics, scorer, config, options)
 
 
 # ---------------------------------------------------------------------------
@@ -540,26 +500,25 @@ def decode_two_stage(
     pitch_scorer: Scorer,
     config: RewardConfig,
     options: DecodeOptions,
-    structure: Optional[StructureMatrix] = None,
 ) -> DecodeResult:
     """Beam-decode a rhythm skeleton under the rhythm rewards only, then
-    beam-decode pitches onto the frozen skeleton under tone + structure
-    rewards.  Durations, rests and melisma grouping never change in stage 2.
+    beam-decode pitches onto it under tone + structure rewards.  Both stages
+    run :func:`_beam`: stage 1 over the grammar, stage 2 over one slot per
+    rhythm token (:func:`_pitch_slots`), so durations, rests and melisma
+    grouping never change in stage 2.
     """
     rhythm_active = frozenset({Aspect.RHYTHM}) & options.active
-    stage1_ctx = _Context(lyrics, config, options, rhythm_active, structure)
-    stage1, _ = _beam(stage1_ctx, rhythm_scorer, options.beam_width, hard=False)
-    skeleton = RhythmSkeleton.from_rhythm_tokens([t for t in stage1.tokens if t != END])
-    if skeleton.syllable_count != len(lyrics):
-        raise InternalError(
-            f"skeleton covers {skeleton.syllable_count} syllables, lyrics have {len(lyrics)}"
-        )
+    stage1_ctx = _Context(lyrics, config, options, rhythm_active)
+    stage1, _ = _beam(
+        stage1_ctx, _grammar(stage1_ctx, rhythm_scorer), options.beam_width, hard=False
+    )
 
     pitch_active = frozenset({Aspect.TONE, Aspect.STRUCTURE}) & options.active
-    stage2_ctx = _Context(lyrics, config, options, pitch_active, structure)
-    stage2 = _pitch_fill(stage2_ctx, pitch_scorer, skeleton, options.beam_width)
+    stage2_ctx = _Context(lyrics, config, options, pitch_active)
+    slots = _pitch_slots(pitch_scorer, stage1.tokens[:-1])
+    stage2, _ = _beam(stage2_ctx, slots, options.beam_width, hard=False)
 
-    melody = Melody(tuple(t for t in stage2.tokens if t != END), options.time_signature)
+    melody = Melody(stage2.tokens[:-1], options.time_signature)
     if melody.syllable_count != len(lyrics):
         raise InternalError("assembled melody does not cover the lyrics")
     return DecodeResult(
@@ -576,42 +535,40 @@ def decode_two_stage(
     )
 
 
-def _pitch_fill(
-    ctx: _Context, pitch_scorer: Scorer, skeleton: RhythmSkeleton, width: int
-) -> Hypothesis:
-    """Beam over pitch choices for each note slot of the skeleton; rests and
-    the final END are forced and only shift probability mass."""
+def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
+    """The moves function of the pitch stage: one slot per rhythm token, where
+    a note offers every pitch at the token's duration and start flag, a rest
+    is forced, and a last slot holds only END."""
     vocab = pitch_scorer.vocab
     pitches = [t for t in vocab.tokens if isinstance(t, int)]
     if not pitches:
         raise TrainingError(
             "the model's pitch vocabulary has no pitch, so it cannot cover any lyrics"
         )
-    if REST_MARK not in vocab and any(r is not None for r in skeleton.trailing_rests):
+    if REST_MARK not in vocab and not all(t.is_note for t in rhythm_tokens):
         raise TrainingError(
             "the model's pitch vocabulary has no rest mark for the skeleton's rests"
         )
-    live = [Hypothesis(tokens=(), key=(), state=_State())]
-    # every slot, then END; the last step keeps the single best completion
-    for slot in skeleton.rhythm_tokens() + [None]:
+    slots = []
+    for slot in (*rhythm_tokens, None):
         if slot is None:
             moves, keys = [(vocab.index_of(END), END)], [END]
-        elif not slot.is_note:
-            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration))]
-            keys = [REST_MARK]
-        else:
+        elif slot.is_note:
             moves = [(vocab.index_of(p),
                       MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start))
                      for p in pitches]
             keys = pitches
-        signatures = {idx: ctx.signature(token) for idx, token in moves}
-        live.sort(key=attrgetter("key"))
-        pool: list[tuple] = []
-        for rank, h in enumerate(live):
-            dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
-            pool.extend(_expand(ctx, h, rank, moves, [dist[k] for k in keys], signatures))
-        live = _keep(ctx, live, pool, 1 if slot is None else width)
-    return live[0]
+        else:
+            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration))]
+            keys = [REST_MARK]
+        slots.append((moves, keys, {idx: _EventModel.signature(t) for idx, t in moves}))
+
+    def moves_of(h: Hypothesis) -> tuple:
+        moves, keys, signatures = slots[len(h.tokens)]
+        dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
+        return moves, [dist[k] for k in keys], signatures
+
+    return moves_of
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +589,11 @@ def score_decode(
     scorer: Scorer,
     config: RewardConfig,
     active: frozenset[Aspect] = ALL_ASPECTS,
-    structure: Optional[StructureMatrix] = None,
 ) -> tuple[float, float, float]:
     """(base log-prob, weighted reward, combined score) of an existing melody,
     recomputed from the token sequence alone."""
     base = _sequence_log_prob(scorer, melody_sequence(melody))
-    reward = score_rewards(lyrics, melody, config, active, structure).total
+    reward = score_rewards(lyrics, melody, config, active).total
     return base, reward, base + reward
 
 
@@ -648,14 +604,13 @@ def score_two_stage(
     pitch_scorer: Scorer,
     config: RewardConfig,
     active: frozenset[Aspect] = ALL_ASPECTS,
-    structure: Optional[StructureMatrix] = None,
 ) -> tuple[float, float, float]:
     """Two-stage counterpart of :func:`score_decode`: rhythm model + rhythm
     rewards plus pitch model + tone/structure rewards."""
     base = _sequence_log_prob(rhythm_scorer, rhythm_sequence(melody))
     pitch_base = _sequence_log_prob(pitch_scorer, pitch_sequence(melody))
     # one fold; each stage weighs its own aspects in firing order
-    events = [ev for _, ev in reward_events(lyrics, melody, config, structure)]
+    events = [ev for _, ev in reward_events(lyrics, melody, config)]
     rhythm_reward = weighted_total(events, config, frozenset({Aspect.RHYTHM}) & active)
     pitch_reward = weighted_total(
         events, config, frozenset({Aspect.TONE, Aspect.STRUCTURE}) & active

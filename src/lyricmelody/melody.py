@@ -206,7 +206,7 @@ def strong_offsets(time_signature: tuple[int, int]) -> frozenset[Fraction]:
 
     Beat 1 is strong everywhere; 4/4 additionally accents beat 3.
     """
-    return _DOWNBEAT_AND_THREE if time_signature == (4, 4) else _DOWNBEAT
+    return _DOWNBEAT_AND_THREE if tuple(time_signature) == (4, 4) else _DOWNBEAT
 
 
 def check_meter(time_signature: tuple[int, int]) -> None:

@@ -62,7 +62,6 @@ from .lyrics import (
     Language,
     LyricSequence,
     StressClass,
-    StructureMatrix,
     TONAL_TONES,
     Tone,
     WordPosition,
@@ -214,9 +213,6 @@ class RewardConfig:
         })
         object.__setattr__(self, "_events", _event_table(self))
 
-    def lam(self, aspect: Aspect) -> float:
-        return self._lambdas[aspect]
-
     def with_lambdas(self, lambdas: tuple[float, float, float]) -> "RewardConfig":
         lt, lr, ls = lambdas
         return replace(self, lambda_tone=lt, lambda_rhythm=lr, lambda_structure=ls)
@@ -269,12 +265,12 @@ def pitch_shape_reward(
 def pitch_transition_reward(
     tone_pair: tuple[Tone, Tone],
     delta_p: int,
-    table: Optional[HarmonyTable],
     config: RewardConfig,
 ) -> Optional[float]:
     """Reward for the pitch jump between two adjacent same-sentence syllables,
-    graded by the harmony table.  None when the tone pair is outside the
-    table's domain (stress-accent input, unmarked tones, no table at all)."""
+    graded by ``config.harmony_table``.  None when the tone pair is outside
+    the table's domain (stress-accent input, unmarked tones, no table at all)."""
+    table = config.harmony_table
     degree = table.degree_of(tone_pair[0], tone_pair[1], delta_p) if table else None
     if degree is None:
         return None
@@ -514,14 +510,11 @@ class _EventModel:
         config: RewardConfig,
         active: frozenset[Aspect],
         time_signature: tuple[int, int],
-        structure: Optional[StructureMatrix] = None,
     ):
         self.config = config
         self.active = active
         self.n = len(lyrics)
-        if structure is None:
-            structure = build_structure_matrix(lyrics)
-        self.partner = structure.partner
+        self.partner = build_structure_matrix(lyrics).partner
         self.time_signature = time_signature
         num, den = time_signature
         self.bar = Fraction(4 * num, den)
@@ -794,7 +787,6 @@ def reward_events(
     lyrics: LyricSequence,
     melody: Melody,
     config: RewardConfig,
-    structure: Optional[StructureMatrix] = None,
 ) -> list[tuple[Optional[int], RewardEvent]]:
     """Every reward event of a complete pair, tagged with the token index it
     fires on (None = fires when the melody ends).
@@ -807,7 +799,7 @@ def reward_events(
         raise AlignmentError(
             f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
         )
-    model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature, structure)
+    model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature)
     return model.fold(melody.tokens)
 
 
@@ -823,10 +815,9 @@ def score_rewards(
     melody: Melody,
     config: RewardConfig,
     active: frozenset[Aspect] = ALL_ASPECTS,
-    structure: Optional[StructureMatrix] = None,
 ) -> RewardSummary:
     """Weighted reward total of a complete pair, recomputed from scratch."""
-    events = reward_events(lyrics, melody, config, structure)
+    events = reward_events(lyrics, melody, config)
     by_aspect = {a: 0.0 for a in Aspect}
     for _, ev in events:
         by_aspect[ev.aspect] += ev.value

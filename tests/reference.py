@@ -2,7 +2,8 @@
 
 Deliberately simple re-statements of the decoding grammar and of the reward
 rules: a plain beam search that knows nothing about rewards, a reward beam
-search that builds every candidate in full before it cuts the beam, an
+search that builds every candidate in full before it cuts the beam, the
+two-stage pipeline with its own pitch-filling loop over a rhythm skeleton, an
 exhaustive enumerator of every complete token sequence, and a whole-pair scan
 that derives every reward event (with its matched flag, harmony degree and
 boundary kind) from the alignment, beat grid and sentence spans without the
@@ -31,6 +32,7 @@ from lyricmelody import (
     Melody,
     MelodyToken,
     MidiFormatError,
+    RhythmToken,
     StressClass,
     StructureMatrix,
     TokenKind,
@@ -45,7 +47,18 @@ from lyricmelody import (
     strong_weak_reward,
     structure_reward,
 )
-from lyricmelody.decoder import Hypothesis, _group_vocab, _max_steps, is_masked, score_decode
+from lyricmelody.decoder import (
+    DecodeResult,
+    Hypothesis,
+    Pipeline,
+    _Context,
+    _expand,
+    _group_vocab,
+    _keep,
+    _max_steps,
+    is_masked,
+    score_decode,
+)
 from lyricmelody.lyrics import TONAL_TONES
 from lyricmelody.metrics import DEGREE_SCORES, _mean, histogram_similarity, melody_distance
 from lyricmelody.rewards import (
@@ -57,6 +70,7 @@ from lyricmelody.rewards import (
     event_maximum,
     weighted_total,
 )
+from lyricmelody.scorer import REST_MARK, pitch_projection
 
 
 def ngram_prob(model, token, ctx):
@@ -185,6 +199,91 @@ def reward_beam_search(ctx, scorer, width, hard):
     return best, tuple(relaxations)
 
 
+def rhythm_skeleton(tokens):
+    """Per syllable, its note durations (with melisma) and the duration of
+    the rest trailing it (None without one)."""
+    groups, rests = [], []
+    for tok in tokens:
+        if not tok.is_note:
+            assert groups and rests[-1] is None, "rest without a preceding syllable"
+            rests[-1] = tok.duration
+        elif tok.syllable_start:
+            groups.append([tok.duration])
+            rests.append(None)
+        else:
+            assert groups and rests[-1] is None, "continuation without an open syllable"
+            groups[-1].append(tok.duration)
+    return groups, rests
+
+
+def skeleton_rhythm_tokens(groups, rests):
+    """The rhythm tokens of a :func:`rhythm_skeleton`, in melody order."""
+    out = []
+    for group, trailing in zip(groups, rests):
+        out.append(RhythmToken(TokenKind.NOTE, group[0], True))
+        out.extend(RhythmToken(TokenKind.NOTE, d, False) for d in group[1:])
+        if trailing is not None:
+            out.append(RhythmToken(TokenKind.REST, trailing))
+    return out
+
+
+def reference_pitch_fill(ctx, pitch_scorer, slots, width):
+    """Beam over pitch choices for each rhythm token of ``slots``, with a loop
+    of its own: rests and the final END are forced and only shift
+    probability mass, and the END step keeps the single best completion of
+    the ``(-score, rank)`` ordered pool."""
+    vocab = pitch_scorer.vocab
+    pitches = [t for t in vocab.tokens if isinstance(t, int)]
+    assert pitches and (REST_MARK in vocab or all(t.is_note for t in slots))
+    live = [Hypothesis(tokens=(), key=(), state=_State())]
+    for slot in list(slots) + [None]:
+        if slot is None:
+            moves, keys = [(vocab.index_of(END), END)], [END]
+        elif not slot.is_note:
+            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration))]
+            keys = [REST_MARK]
+        else:
+            moves = [(vocab.index_of(p),
+                      MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start))
+                     for p in pitches]
+            keys = pitches
+        signatures = {idx: ctx.signature(token) for idx, token in moves}
+        live.sort(key=lambda h: h.key)
+        pool = []
+        for rank, h in enumerate(live):
+            dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
+            pool.extend(_expand(ctx, h, rank, moves, [dist[k] for k in keys], signatures))
+        live = _keep(ctx, live, pool, 1 if slot is None else width)
+    return live[0]
+
+
+def reference_decode_two_stage(lyrics, rhythm_scorer, pitch_scorer, config, options):
+    """The rhythm-then-pitch pipeline with stage 1 from
+    :func:`reward_beam_search`, its tokens turned into a rhythm skeleton and
+    back, and stage 2 from :func:`reference_pitch_fill`."""
+    stage1_ctx = _Context(lyrics, config, options, frozenset({Aspect.RHYTHM}) & options.active)
+    stage1, _ = reward_beam_search(stage1_ctx, rhythm_scorer, options.beam_width, hard=False)
+    groups, rests = rhythm_skeleton([t for t in stage1.tokens if t != END])
+    assert len(groups) == len(lyrics)
+    pitch_active = frozenset({Aspect.TONE, Aspect.STRUCTURE}) & options.active
+    stage2_ctx = _Context(lyrics, config, options, pitch_active)
+    stage2 = reference_pitch_fill(
+        stage2_ctx, pitch_scorer, skeleton_rhythm_tokens(groups, rests), options.beam_width
+    )
+    return DecodeResult(
+        melody=Melody(tuple(t for t in stage2.tokens if t != END), options.time_signature),
+        score=stage1.score + stage2.score,
+        base_logprob=stage1.base + stage2.base,
+        reward_total=stage1.reward + stage2.reward,
+        mode=options.mode,
+        pipeline=Pipeline.TWO_STAGE,
+        stage_scores={
+            "rhythm": {"base": stage1.base, "reward": stage1.reward, "score": stage1.score},
+            "pitch": {"base": stage2.base, "reward": stage2.reward, "score": stage2.score},
+        },
+    )
+
+
 def enumerate_complete_sequences(vocab, n_syllables, max_notes):
     """Every legal complete token sequence (END excluded), with its key."""
     out = []
@@ -275,15 +374,14 @@ def _gap_kind(lyrics, k):
     return BoundaryKind.WORD_INNER
 
 
-def scan_reward_events(lyrics, melody, config, structure=None):
+def scan_reward_events(lyrics, melody, config):
     """Every reward event of a complete pair, tagged with the token index it
     fires on (None = fires when the melody ends), sorted by (token position,
     canonical event order).  Rule by rule over the whole pair; each event's
     ``matched`` flag, harmony degree and boundary kind are decided here
     too, never read off its value."""
     _check_aligned(lyrics, melody)
-    if structure is None:
-        structure = reference_build_structure_matrix(lyrics)
+    structure = reference_build_structure_matrix(lyrics)
     grid = compute_beat_grid(melody)
     deltas = syllable_deltas(melody)
     tonal = lyrics.language is Language.TONAL
@@ -333,7 +431,7 @@ def scan_reward_events(lyrics, melody, config, structure=None):
             degrees = [d for lo, hi, d in intervals if lo <= delta <= hi]
             degree = degrees[0] if degrees else HarmonyDegree.BAD
             add(first_idx, "transition", Aspect.TONE,
-                pitch_transition_reward(pair, delta, config.harmony_table, config),
+                pitch_transition_reward(pair, delta, config),
                 degree is HarmonyDegree.EXCELLENT, degree=degree)
 
         # strong/weak: first note of each constrained word

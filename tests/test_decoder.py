@@ -286,11 +286,11 @@ class TestTwoStage:
         result = decode_two_stage(lyr, bundle.rhythm_model, bundle.pitch_model,
                                   config, DecodeOptions(beam_width=3))
         # re-decode the rhythm stage alone and compare the rhythm projection
-        from lyricmelody.decoder import _beam, _Context
+        from lyricmelody.decoder import _beam, _Context, _grammar
 
         ctx = _Context(lyr, config, DecodeOptions(beam_width=3),
                        frozenset({Aspect.RHYTHM}))
-        best, _ = _beam(ctx, bundle.rhythm_model, 3, hard=False)
+        best, _ = _beam(ctx, _grammar(ctx, bundle.rhythm_model), 3, hard=False)
         from lyricmelody.scorer import rhythm_sequence
 
         assert rhythm_sequence(result.melody)[:-1] == tuple(
@@ -339,25 +339,34 @@ class TestTwoStage:
         want = plain_beam_search(lyr, bundle.rhythm_model, width=3)
         assert rhythm_sequence(result.melody)[:-1] == want
 
-    def test_skeleton_stream_validation(self):
-        from lyricmelody import InternalError, RhythmSkeleton
+    @pytest.mark.parametrize("meter", [(4, 4), (3, 4), (6, 8)])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matches_reference_pipeline(self, config, bundle, meter, width):
+        """Both stages on one ``_beam`` give the tokens and the bits of the
+        old pitch-filling loop over a rhythm skeleton; the uniform pitch
+        model with rewards off makes every completion tie, so the END step's
+        tie-break decides there."""
+        from reference import reference_decode_two_stage
 
-        with pytest.raises(InternalError):
-            RhythmSkeleton.from_rhythm_tokens([RhythmToken(TokenKind.REST, Fraction(1))])
-        with pytest.raises(InternalError):
-            RhythmSkeleton.from_rhythm_tokens([RhythmToken(TokenKind.NOTE, Fraction(1), False)])
-        skel = RhythmSkeleton.from_rhythm_tokens(
-            [RhythmToken(TokenKind.NOTE, Fraction(1), True),
-             RhythmToken(TokenKind.NOTE, Fraction(1), False),
-             RhythmToken(TokenKind.REST, Fraction(2))]
-        )
-        assert skel.note_durations == ((Fraction(1), Fraction(1)),)
-        assert skel.trailing_rests == (Fraction(2),)
-        assert skel.rhythm_tokens() == [
-            RhythmToken(TokenKind.NOTE, Fraction(1), True),
-            RhythmToken(TokenKind.NOTE, Fraction(1), False),
-            RhythmToken(TokenKind.REST, Fraction(2)),
-        ]
+        def bits(result):
+            return (result.melody.tokens, result.score.hex(), result.base_logprob.hex(),
+                    result.reward_total.hex(),
+                    {stage: {k: v.hex() for k, v in parts.items()}
+                     for stage, parts in result.stage_scores.items()})
+
+        uniform = UniformScorer(bundle.pitch_model.vocab)
+        rng = random.Random(20261018 + width)
+        for case in range(16):
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 2), tonal=case % 2 == 0,
+                                repeat=case % 4 < 2)
+            cfg = config.with_preset("off") if case % 8 >= 6 else config
+            pitch_scorer = uniform if case % 8 >= 4 else bundle.pitch_model
+            options = DecodeOptions(beam_width=width, time_signature=meter,
+                                    max_notes_per_syllable=2)
+            got = decode_two_stage(lyr, bundle.rhythm_model, pitch_scorer, cfg, options)
+            want = reference_decode_two_stage(lyr, bundle.rhythm_model, pitch_scorer, cfg,
+                                              options)
+            assert bits(got) == bits(want), case
 
     def test_forced_rhythm_collapses_to_single_stage(self, config):
         # one rhythm option per step -> both pipelines reduce to pitch choice
@@ -474,6 +483,16 @@ class TestInvariants:
         with pytest.raises(OptionError, match="4/6"):
             decoder(tiny_lyrics, uniform_scorer, config, DecodeOptions(time_signature=(4, 6)))
 
+    def test_list_meter_decodes_as_the_tuple(self, config, tiny_lyrics, uniform_scorer):
+        # a list meter used to lose beat 3 of 4/4 and so decode other rewards
+        lyr = parse_lyrics("ni3|W,K hao3|I,A tian1|W,K qi4|I .")
+        for lyrics in (tiny_lyrics, lyr):
+            got, want = (beam_search(lyrics, uniform_scorer, config,
+                                     DecodeOptions(time_signature=meter))
+                         for meter in ([4, 4], (4, 4)))
+            assert got.melody.tokens == want.melody.tokens
+            assert got.score.hex() == want.score.hex()
+
     def test_scorers_swap_without_decoder_changes(self, config, rng):
         # the log-prob interface is the only coupling point
         corpus = [random_training_melody(rng, pitch_range=(60, 63),
@@ -507,10 +526,10 @@ class TestScoreFirstBeamMatchesReference:
 
     @staticmethod
     def check(ctx, scorer, width, hard):
-        from lyricmelody.decoder import _beam
+        from lyricmelody.decoder import _beam, _grammar
         from reference import reward_beam_search
 
-        got, got_relaxed = _beam(ctx, scorer, width, hard)
+        got, got_relaxed = _beam(ctx, _grammar(ctx, scorer), width, hard)
         want, want_relaxed = reward_beam_search(ctx, scorer, width, hard)
         assert got.tokens == want.tokens and got.key == want.key
         assert got.base.hex() == want.base.hex()

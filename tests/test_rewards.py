@@ -19,7 +19,6 @@ from lyricmelody import (
     StressClass,
     TokenKind,
     Tone,
-    build_structure_matrix,
     parse_lyrics,
     pitch_contour_reward,
     pitch_shape_reward,
@@ -100,21 +99,20 @@ class TestPitchTransition:
                 )
             }
         )
+        cfg = replace(config, harmony_table=table)
         pair = (Tone.TONE1, Tone.TONE1)
-        assert pitch_transition_reward(pair, 0, table, config) == 3.0
-        assert pitch_transition_reward(pair, 1, table, config) == 2.0
-        assert pitch_transition_reward(pair, 4, table, config) == 1.0
-        assert pitch_transition_reward(pair, 9, table, config) == 0.0  # outside: bad
+        assert pitch_transition_reward(pair, 0, cfg) == 3.0
+        assert pitch_transition_reward(pair, 1, cfg) == 2.0
+        assert pitch_transition_reward(pair, 4, cfg) == 1.0
+        assert pitch_transition_reward(pair, 9, cfg) == 0.0  # outside: bad
 
     def test_shipped_default_tone4_tone1_plus3_is_excellent(self, config):
         assert config.harmony_table.degree_of(Tone.TONE4, Tone.TONE1, 3) is HarmonyDegree.EXCELLENT
-        assert pitch_transition_reward((Tone.TONE4, Tone.TONE1), 3, config.harmony_table, config) == 3.0
+        assert pitch_transition_reward((Tone.TONE4, Tone.TONE1), 3, config) == 3.0
 
     def test_pair_outside_domain_not_applicable(self, config):
         assert (
-            pitch_transition_reward(
-                (Tone.STRESSED, Tone.UNSTRESSED), 0, config.harmony_table, config
-            )
+            pitch_transition_reward((Tone.STRESSED, Tone.UNSTRESSED), 0, config)
             is None
         )
 
@@ -175,6 +173,18 @@ class TestStrongWeak:
     def test_neutral_not_applicable(self, config):
         assert strong_weak_reward(StressClass.NEUTRAL, BeatStrength.WEAK, config) is None
 
+    def test_list_meter_scores_as_the_tuple(self, config):
+        # beat 3 of 4/4 is strong whether the meter is a tuple or a list
+        from lyricmelody import matched_sw_ratio
+
+        lyr = parse_lyrics("ni3|W,K hao3|I,A tian1|W,K qi4|I .")
+        tokens = mk_melody([(60, 1), (62, 1), (64, 1), (65, 1)]).tokens
+        as_tuple, as_list = Melody(tokens, (4, 4)), Melody(tokens, [4, 4])
+        assert matched_sw_ratio(lyr, as_list) == matched_sw_ratio(lyr, as_tuple) == 1.0
+        assert reward_events(lyr, as_list, config) == reward_events(lyr, as_tuple, config)
+        assert (score_rewards(lyr, as_list, config).total.hex()
+                == score_rewards(lyr, as_tuple, config).total.hex())
+
 
 class TestPause:
     def test_pause_inside_word_is_bad(self, config):
@@ -213,7 +223,6 @@ class TestStructure:
         # shifting every pitch (both paired phrases together) changes no
         # interval, so the structure contribution is untouched
         lyr = parse_lyrics("ni3|W hao3|I .\nni3|W hao3|I .")
-        structure = build_structure_matrix(lyr)
         for _ in range(50):
             pitches = [rng.randint(50, 70) for _ in range(4)]
             shift = rng.randint(-10, 10)
@@ -221,7 +230,7 @@ class TestStructure:
             shifted = mk_melody([(p + shift, 1) for p in pitches])
             values = lambda melody: [
                 ev.value
-                for _, ev in reward_events(lyr, melody, config, structure)
+                for _, ev in reward_events(lyr, melody, config)
                 if ev.kind == "structure"
             ]
             assert values(original) == values(shifted)
@@ -309,9 +318,8 @@ class TestWholePairScan:
         melody = mk_melody(
             [(60, 1), (62, 1), (64, 1), (66, 1, False), (66, 1)]
         )
-        structure = build_structure_matrix(lyr)
         events = [
-            ev for _, ev in reward_events(lyr, melody, config, structure)
+            ev for _, ev in reward_events(lyr, melody, config)
             if ev.kind == "structure"
         ]
         # syllable 2 pairs syllable 0 (delta undefined there: first note of piece)
@@ -454,7 +462,7 @@ class TestConfigValidation:
         cfg = RewardConfig()
         assert cfg.harmony_table is None
         assert (
-            pitch_transition_reward((Tone.TONE1, Tone.TONE2), 0, cfg.harmony_table, cfg)
+            pitch_transition_reward((Tone.TONE1, Tone.TONE2), 0, cfg)
             is None
         )
 
