@@ -1,4 +1,4 @@
-"""Melody tokens, the beat grid, pause events, and MIDI round-trips.
+"""Melody tokens, bar offsets, pause events, and MIDI round-trips.
 
 A melody is a flat list of note/rest tokens with exact rational durations
 (quarter-note units).  The syllable flag on each note encodes melisma:
@@ -8,7 +8,6 @@ True opens the next syllable's span, False continues the current one.
 from fractions import Fraction
 
 from lyricmelody import (
-    compute_beat_grid,
     default_reward_config,
     note,
     parse_lyrics,
@@ -35,11 +34,14 @@ melody = Melody(
 )
 print("syllable alignment (token spans):", melody.alignment)
 
-grid = compute_beat_grid(melody)
-print("\ntoken onsets and strengths in 4/4 (beats 1 and 3 are strong):")
-for tok, onset, strength in zip(melody.tokens, grid.onsets, grid.strengths):
+print("\ntoken offsets in the 4/4 bar, in quarters (beats 1 and 3 are strong):")
+position = Fraction(0)
+for tok in melody.tokens:
+    offset = position % 4
+    strength = "strong" if offset in (0, 2) else "weak"
     label = f"pitch {tok.pitch}" if tok.is_note else "rest"
-    print(f"  offset {str(onset):4s}  {strength.value:6s}  {label}")
+    print(f"  offset {str(offset):4s}  {strength:6s}  {label}")
+    position += tok.duration
 
 config = default_reward_config()
 print("\npause events, one per syllable gap (a rest or a long final note pauses;")

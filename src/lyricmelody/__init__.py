@@ -40,14 +40,11 @@ from .lyrics import (
     serialize_lyrics,
 )
 from .melody import (
-    BeatGrid,
     BeatStrength,
     Melody,
     MelodyToken,
     RhythmToken,
     TokenKind,
-    compute_beat_grid,
-    is_long_note,
     melody_from_json,
     melody_to_json,
     note,

@@ -80,8 +80,6 @@ def _load_bundle(path: Path) -> ModelBundle:
 def _parse_time_signature(text: str) -> tuple[int, int]:
     try:
         num, den = (int(part) for part in text.split("/"))
-        if num < 1 or den < 1:
-            raise ValueError("both parts must be at least 1")
         check_meter((num, den))
     except ValueError as exc:
         raise InputError(f"bad time signature {text!r} ({exc}), expected e.g. 4/4") from exc

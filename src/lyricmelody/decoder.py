@@ -38,10 +38,12 @@ identical float.  Syllable starts, most of the legal moves, complete the
 parent's start plan at their pitch: the plan
 (:meth:`~lyricmelody.rewards._EventModel.start_plan`, built at the parent's
 first legal start) holds every term the pitch does not move, so a start
-adds only its transition and structure terms.  Any other move fires its
-events.  Live keys share one length, so (parent's rank among live keys,
-token index) orders children as their full keys do; END keeps its parent's
-key, a prefix of its siblings' keys, so it ranks first on a tie.
+adds only its transition and structure terms; the event model has no other
+path for a start.  END, a rest or a continuation fires its events
+(:meth:`~lyricmelody.rewards._EventModel.step_events`).  Live keys share
+one length, so (parent's rank among live keys, token index) orders children
+as their full keys do; END keeps its parent's key, a prefix of its
+siblings' keys, so it ranks first on a tie.
 
 A vocabulary with no syllable-start token (or, for the pitch stage, no
 pitch, or no rest mark for the rhythm's rests) cannot cover the lyrics;
@@ -94,7 +96,6 @@ __all__ = [
     "Pipeline",
     "DecodeOptions",
     "DecodeResult",
-    "Hypothesis",
     "beam_search",
     "beam_search_hard",
     "sample",
@@ -103,7 +104,6 @@ __all__ = [
     "decode_two_stage",
     "score_decode",
     "score_two_stage",
-    "is_masked",
 ]
 
 
@@ -143,9 +143,7 @@ class DecodeOptions:
             raise OptionError(f"rerank_candidates must be >= 1, got {self.rerank_candidates}")
         if self.max_notes_per_syllable < 1:
             raise OptionError("max_notes_per_syllable must be >= 1")
-        num, den = self.time_signature
-        if num < 1 or den < 1:
-            raise OptionError(f"time_signature parts must be >= 1, got {self.time_signature}")
+        object.__setattr__(self, "time_signature", tuple(self.time_signature))
         try:
             check_meter(self.time_signature)
         except ValueError as exc:
@@ -215,7 +213,7 @@ def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
 
 
 @dataclass(frozen=True, slots=True)
-class Hypothesis:
+class _Hypothesis:
     """A partial decode: token prefix, its state, and split score accumulators.
 
     ``score`` is always base + reward; both parts are re-derivable from the
@@ -233,10 +231,10 @@ class Hypothesis:
         return self.base + self.reward
 
 
-def _extend(ctx: _Context, h: Hypothesis, entry: tuple) -> Hypothesis:
+def _extend(ctx: _Context, h: _Hypothesis, entry: tuple) -> _Hypothesis:
     """The child of ``h`` that an :func:`_expand` entry of ``h`` describes."""
     _, _, pos, token, base, reward, _ = entry
-    return Hypothesis(
+    return _Hypothesis(
         tokens=h.tokens + (token,),
         key=h.key if pos < 0 else h.key + (pos,),
         state=h.state if pos < 0 else ctx.apply(h.state, token),
@@ -246,7 +244,7 @@ def _extend(ctx: _Context, h: Hypothesis, entry: tuple) -> Hypothesis:
 
 
 def _expand(
-    ctx: _Context, h: Hypothesis, rank: int, moves, lps, signatures
+    ctx: _Context, h: _Hypothesis, rank: int, moves, lps, signatures
 ) -> list[tuple]:
     """``(-score, rank, pos, token, base, reward, masked)`` per ``(idx, token)``
     move of ``h``, the ``rank``-th live hypothesis by key, with base
@@ -269,7 +267,7 @@ def _expand(
                 events = ctx.step_events(h.state, token)
                 hit = memo[sig] = (
                     weighted_total(events, ctx.config, ctx.active, h.reward),
-                    is_masked(events, ctx.active),
+                    _is_masked(events, ctx.active),
                     token == END,
                 )
         base = h.base + lp
@@ -277,12 +275,12 @@ def _expand(
     return out
 
 
-def _keep(ctx: _Context, live: list, pool: list, width: int) -> list[Hypothesis]:
+def _keep(ctx: _Context, live: list, pool: list, width: int) -> list[_Hypothesis]:
     """The children of the ``width`` best :func:`_expand` entries, built."""
     return [_extend(ctx, live[entry[1]], entry) for entry in heapq.nsmallest(width, pool)]
 
 
-def is_masked(events: Sequence[RewardEvent], active: frozenset[Aspect]) -> bool:
+def _is_masked(events: Sequence[RewardEvent], active: frozenset[Aspect]) -> bool:
     """Hard-constraint rule: any triggered active sub-reward below its maximum
     disqualifies the candidate."""
     return any(ev.aspect in active and not ev.is_maximal for ev in events)
@@ -310,7 +308,7 @@ def _grammar(ctx: _Context, scorer: Scorer):
     and the vocabulary's event signatures."""
     groups = _group_vocab(scorer.vocab)
 
-    def moves_of(h: Hypothesis) -> tuple:
+    def moves_of(h: _Hypothesis) -> tuple:
         dist = scorer.log_prob_dist(h.tokens)
         moves = ctx.legal(h.state, groups)
         return moves, [dist[t] for _, t in moves], groups.signatures
@@ -320,11 +318,11 @@ def _grammar(ctx: _Context, scorer: Scorer):
 
 def _beam(
     ctx: _Context, moves_of, width: int, hard: bool
-) -> tuple[Hypothesis, tuple[int, ...]]:
+) -> tuple[_Hypothesis, tuple[int, ...]]:
     """Beam search over the moves ``moves_of(h)`` offers each hypothesis:
     (best completion by ``(-score, key)``, steps where hard mode relaxed)."""
-    live = [Hypothesis(tokens=(), key=(), state=_State())]
-    best: Optional[Hypothesis] = None
+    live = [_Hypothesis(tokens=(), key=(), state=_State())]
+    best: Optional[_Hypothesis] = None
     relaxations: list[int] = []
     for step in range(_max_steps(ctx)):
         live.sort(key=attrgetter("key"))
@@ -353,7 +351,7 @@ def _beam(
 
 
 def _result_from(
-    ctx: _Context, h: Hypothesis, mode: DecodeMode, relaxations: tuple[int, ...] = ()
+    ctx: _Context, h: _Hypothesis, mode: DecodeMode, relaxations: tuple[int, ...] = ()
 ) -> DecodeResult:
     tokens = tuple(t for t in h.tokens if t != END)
     melody = Melody(tokens, ctx.options.time_signature)
@@ -398,7 +396,7 @@ def beam_search_hard(
     return _result_from(ctx, best, DecodeMode.BEAM_HARD, relaxations)
 
 
-def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -> Hypothesis:
+def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -> _Hypothesis:
     moves_of = _grammar(ctx, scorer)
     if top_k > len(scorer.vocab):
         warnings.warn(
@@ -406,7 +404,7 @@ def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -
             stacklevel=3,
         )
         top_k = len(scorer.vocab)
-    h = Hypothesis(tokens=(), key=(), state=_State())
+    h = _Hypothesis(tokens=(), key=(), state=_State())
     temperature = ctx.options.temperature
     for _ in range(_max_steps(ctx)):
         kept = sorted(_expand(ctx, h, 0, *moves_of(h)))[:top_k]
@@ -453,7 +451,7 @@ def rerank(
     free_ctx = _Context(lyrics, config, options, frozenset())
     scored_ctx = _Context(lyrics, config, options, options.active)
     rng = random.Random(options.seed)
-    best: Optional[Hypothesis] = None
+    best: Optional[_Hypothesis] = None
     for _ in range(options.rerank_candidates):
         h = _sample_run(free_ctx, scorer, rng, options.top_k)
         rewarded = replace(h, reward=_full_reward(scored_ctx, h.tokens))
@@ -563,7 +561,7 @@ def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
             keys = [REST_MARK]
         slots.append((moves, keys, {idx: _EventModel.signature(t) for idx, t in moves}))
 
-    def moves_of(h: Hypothesis) -> tuple:
+    def moves_of(h: _Hypothesis) -> tuple:
         moves, keys, signatures = slots[len(h.tokens)]
         dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
         return moves, [dist[k] for k in keys], signatures

@@ -1,4 +1,4 @@
-"""Melody and rhythm tokens, syllable alignment, and the beat grid.
+"""Melody and rhythm tokens, syllable alignment, and the meter.
 
 A melody is a flat stream of note/rest tokens.  Melisma is encoded on the
 note itself: ``syllable_start=True`` opens the span of the next syllable,
@@ -17,12 +17,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence
 
 from .errors import AlignmentError, MidiFormatError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .rewards import RewardConfig
 
 __all__ = [
     "TokenKind",
@@ -30,11 +27,8 @@ __all__ = [
     "RhythmToken",
     "Melody",
     "BeatStrength",
-    "BeatGrid",
     "note",
     "rest",
-    "compute_beat_grid",
-    "is_long_note",
     "melody_to_json",
     "melody_from_json",
 ]
@@ -125,7 +119,9 @@ class Melody:
     ``alignment[k]`` is the half-open token-index span of syllable ``k``'s
     notes.  Construction enforces the stream grammar: starts with a
     syllable-opening note, continuations only while a span is open, no two
-    rests in a row.  Immutable after construction.
+    rests in a row.  The tokens and the meter are stored as tuples, so equal
+    melodies compare and hash alike however they were given.  Immutable
+    after construction.
     """
 
     tokens: tuple[MelodyToken, ...]
@@ -133,6 +129,8 @@ class Melody:
     alignment: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "time_signature", tuple(self.time_signature))
         if not self.tokens:
             raise AlignmentError("melody has no tokens")
         num, den = self.time_signature
@@ -188,15 +186,6 @@ class BeatStrength(Enum):
     WEAK = "weak"
 
 
-@dataclass(frozen=True, slots=True)
-class BeatGrid:
-    """Per-token bar offset and metrical strength."""
-
-    onsets: tuple[Fraction, ...]
-    strengths: tuple[BeatStrength, ...]
-    bar_length: Fraction
-
-
 _DOWNBEAT = frozenset({Fraction(0)})
 _DOWNBEAT_AND_THREE = frozenset({Fraction(0), Fraction(2)})
 
@@ -206,14 +195,24 @@ def strong_offsets(time_signature: tuple[int, int]) -> frozenset[Fraction]:
 
     Beat 1 is strong everywhere; 4/4 additionally accents beat 3.
     """
-    return _DOWNBEAT_AND_THREE if tuple(time_signature) == (4, 4) else _DOWNBEAT
+    return _DOWNBEAT_AND_THREE if time_signature == (4, 4) else _DOWNBEAT
 
 
 def check_meter(time_signature: tuple[int, int]) -> None:
-    """Only power-of-two denominators are metrically meaningful here."""
+    """The meter rule that decoding, scoring and MIDI writing share: both
+    parts at least 1, and parts a MIDI time-signature event can hold (a
+    numerator of at most 255, a power-of-two denominator up to 2**255;
+    other denominators are not metrically meaningful here).  Raises
+    ValueError."""
     num, den = time_signature
-    if den & (den - 1) != 0:
-        raise ValueError(f"unsupported meter {num}/{den}: denominator must be a power of two")
+    if num < 1 or den < 1:
+        raise ValueError(f"unsupported meter {num}/{den}: both parts must be at least 1")
+    if num > 255:
+        raise ValueError(f"unsupported meter {num}/{den}: numerator must be at most 255")
+    if den & (den - 1) != 0 or den.bit_length() > 256:
+        raise ValueError(
+            f"unsupported meter {num}/{den}: denominator must be a power of two up to 2**255"
+        )
 
 
 def _tick_clock(time_signature: tuple[int, int], tokens: Sequence) -> tuple[int, int, set[int]]:
@@ -232,40 +231,6 @@ def _tick_clock(time_signature: tuple[int, int], tokens: Sequence) -> tuple[int,
     strong = {s.numerator * (scale // s.denominator)
               for s in strong_offsets(time_signature) if scale % s.denominator == 0}
     return scale, bar.numerator * (scale // bar.denominator), strong
-
-
-def compute_beat_grid(melody: Melody) -> BeatGrid:
-    """Onset and strong/weak strength of every token: the reference clock.
-
-    Onsets are running ``Fraction`` sums of the preceding durations, and
-    the bar length is ``numerator * 4/denominator`` quarters.  The reward
-    fold and the metrics count the same onsets in integer ticks
-    (:func:`_tick_clock`); this exact-rational grid is what they are
-    checked against.  Raises ValueError for a meter :func:`check_meter`
-    rejects.
-    """
-    check_meter(melody.time_signature)
-    num, den = melody.time_signature
-    bar = Fraction(num) * Fraction(4, den)
-    strong = strong_offsets(melody.time_signature)
-    onsets: list[Fraction] = []
-    strengths: list[BeatStrength] = []
-    position = Fraction(0)
-    for tok in melody.tokens:
-        offset = position % bar
-        onsets.append(offset)
-        strengths.append(
-            BeatStrength.STRONG if offset in strong else BeatStrength.WEAK
-        )
-        position += tok.duration
-    return BeatGrid(tuple(onsets), tuple(strengths), bar)
-
-
-def is_long_note(token: MelodyToken, config: "RewardConfig") -> bool:
-    """A note long enough to read as a phrase-ending hold (threshold inclusive)."""
-    if not token.is_note:
-        raise ValueError("is_long_note is defined for notes only")
-    return token.duration >= config.long_note_threshold
 
 
 def melody_to_json(melody: Melody) -> str:

@@ -15,7 +15,9 @@ transition, how a repeat's interval echoes its anchor.  A config builds
 every event it can fire once (:class:`RewardEvent`, with that outcome on
 it), and the rules pick one.  When each rule fires is decided by one
 token-by-token event model, :class:`_EventModel`.  The decoder steps it from
-each live hypothesis (:meth:`_EventModel.step_events` and
+each live hypothesis (:meth:`_EventModel.start_plan` and
+:meth:`_EventModel.complete` for a syllable start,
+:meth:`_EventModel.step_events` for any other token, and
 :meth:`_EventModel.apply` over a frozen :class:`_State` that hypotheses
 share).  Rescoring a finished melody (:func:`reward_events`, rerank, the
 objective metrics) runs :meth:`_EventModel.fold`, a fast loop over local
@@ -34,8 +36,8 @@ partner depend on the state alone.  :meth:`_EventModel.start_plan` weighs
 them once per state into a plan that carries the running reward past the
 close events; :meth:`_EventModel.complete` adds a pitch's transition and
 structure terms in canonical order, so it equals :func:`weighted_total`
-over the start's events to the last bit.  :meth:`_EventModel.step_events`
-builds a start's events from the same pitch-free parts and pitch rule.
+over the start's events to the last bit.  This is the only path that
+scores a start; :meth:`_EventModel.step_events` refuses one.
 
 Event timing convention: a syllable's shape and its sentence's contour fire
 on the token that closes the span (the next rest, the next syllable's first
@@ -56,7 +58,7 @@ from importlib import resources
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, InternalError
 from .lyrics import (
     Intonation,
     Language,
@@ -202,14 +204,6 @@ class RewardConfig:
             Aspect.TONE: self.lambda_tone,
             Aspect.RHYTHM: self.lambda_rhythm,
             Aspect.STRUCTURE: self.lambda_structure,
-        })
-        object.__setattr__(self, "_maxima", {
-            "shape": self.shape_reward_on_match,
-            "contour": self.contour_reward_on_match,
-            "transition": self.transition_rewards[HarmonyDegree.EXCELLENT],
-            "sw": self.sw_reward_on_match,
-            "pause": self.pause_reward_on_match,
-            "structure": self.structure_reward_exact,
         })
         object.__setattr__(self, "_events", _event_table(self))
 
@@ -372,10 +366,6 @@ class RewardEvent(NamedTuple):
         return self.value >= self.maximum
 
 
-def event_maximum(kind: str, config: RewardConfig) -> float:
-    return config._maxima[kind]
-
-
 def _event_table(config: RewardConfig) -> SimpleNamespace:
     """Every event a config can fire, built once per config; the outcome of
     a rule picks one, and the sub-rewards are the picked events' values.
@@ -386,13 +376,12 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
     (no pause, pause); ``structure`` is indexed by :func:`_echo`; and
     ``cells`` holds the harmony table's tonal cells with each interval's
     degree replaced by its transition event (``bad`` outside every
-    interval).
+    interval).  An event's maximum is what its rule pays on a match: the
+    Excellent reward for a transition, the exact-echo reward for structure.
     """
-    maxima = config._maxima
 
     def event(kind: str, aspect: Aspect, on_match: float, matched: bool, **outcome):
-        return RewardEvent(kind, aspect, on_match if matched else 0.0, maxima[kind], matched,
-                           **outcome)
+        return RewardEvent(kind, aspect, on_match if matched else 0.0, on_match, matched, **outcome)
 
     def pair(kind: str, aspect: Aspect, on_match: float) -> tuple:
         return tuple(event(kind, aspect, on_match, ok) for ok in (False, True))
@@ -408,9 +397,10 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
         )
         for kind in BoundaryKind
     }
+    excellent = config.transition_rewards[HarmonyDegree.EXCELLENT]
     transition = {
-        d: RewardEvent("transition", Aspect.TONE, config.transition_rewards[d],
-                       maxima["transition"], d is HarmonyDegree.EXCELLENT, degree=d)
+        d: RewardEvent("transition", Aspect.TONE, config.transition_rewards[d], excellent,
+                       d is HarmonyDegree.EXCELLENT, degree=d)
         for d in HarmonyDegree
     }
     cells = None
@@ -428,7 +418,8 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
         auxiliary=(matched, missed),  # an auxiliary on a weak one
         gaps=gaps,
         structure=tuple(
-            RewardEvent("structure", Aspect.STRUCTURE, value, maxima["structure"], echo == 2)
+            RewardEvent("structure", Aspect.STRUCTURE, value, config.structure_reward_exact,
+                        echo == 2)
             for echo, value in enumerate(echoes)
         ),
         cells=cells,
@@ -499,9 +490,11 @@ class _EventModel:
     intonation if it ends the sentence, whether it opens a sentence, the
     graded harmony cell of the transition into it, its (weak, strong)
     strong/weak events and the (no pause, pause) events of the gap in front
-    of it; plus the structure partners and the meter.  :meth:`step_events`
-    gives what a token fires from a state and :meth:`apply` the state after
-    it.  Events of aspects outside ``active`` are not produced.
+    of it; plus the structure partners and the meter.  :meth:`start_plan`
+    and :meth:`complete` weigh a syllable start from a state,
+    :meth:`step_events` gives what any other token fires, and :meth:`apply`
+    the state after a token.  Events of aspects outside ``active`` are not
+    produced.
     """
 
     def __init__(
@@ -558,16 +551,18 @@ class _EventModel:
 
     @staticmethod
     def signature(token):
-        """What :meth:`step_events` reads of a token (END, or its kind, start
-        flag and a start's pitch; never its duration): from one state, tokens
-        with equal signatures fire equal events."""
+        """What the model reads of a token to score it (END, or its kind,
+        start flag and a start's pitch; never its duration): from one state,
+        tokens with equal signatures fire equal events."""
         if token == END:
             return END
         starts = token.syllable_start
         return (token.is_note, starts, token.pitch if starts else None)
 
     def step_events(self, st: _State, token) -> list[RewardEvent]:
-        """Reward events the token (or END) triggers, in canonical order."""
+        """Reward events END, a rest or a melisma continuation triggers, in
+        canonical order.  A syllable start is scored by :meth:`start_plan`
+        and :meth:`complete` only; stepping one here is a bug."""
         if token == END:
             return self._close_events(st)
         if not token.is_note:
@@ -576,25 +571,14 @@ class _EventModel:
             if Aspect.RHYTHM in self.active and gap_right < self.n:
                 events.append(self.pause[gap_right][True])
             return events
-        if not token.syllable_start:
-            return []
-        events, middle, cell, anchor, partner_delta = self._start_parts(st)
-        transition, structure = self._pitch_events(
-            cell, anchor, partner_delta, st.last_pitch, token.pitch
-        )
-        if transition is not None:
-            events.append(transition)
-        events.extend(middle)
-        if structure is not None:
-            events.append(structure)
-        return events
+        if token.syllable_start:
+            raise InternalError("a syllable start is scored by start_plan and complete")
+        return []
 
-    def _start_parts(self, st: _State) -> tuple:
-        """What a syllable start fires from ``st`` whatever its pitch: (close
-        events, strong/weak and pause events, the tone pair's graded harmony
-        cell or None, the transition's anchor pitch, the structure partner's
-        interval or None)."""
-        active = self.active
+    def start_plan(self, st: _State, start: float = 0.0) -> _StartPlan:
+        """The pitch-free part of a syllable start from ``st``, with the
+        running reward ``start`` carried past its close events."""
+        active, config = self.active, self.config
         close = self._close_events(st)
         k = st.syl + 1
         cell = self.cell[k] if Aspect.TONE in active else None
@@ -606,38 +590,19 @@ class _EventModel:
             if st.span_open:
                 # no rest resolved this gap; a long final note still pauses
                 has_pause = (st.last_duration is not None
-                             and st.last_duration >= self.config.long_note_threshold)
+                             and st.last_duration >= config.long_note_threshold)
                 middle.append(self.pause[k][has_pause])
         partner_delta = None
         if Aspect.STRUCTURE in active:
             j = self.partner.get(k)
             if j is not None and st.last_pitch is not None:
                 partner_delta = st.syl_delta[j]
-        anchor = st.syl_first[k - 1] if cell is not None else None
-        return close, middle, cell, anchor, partner_delta
-
-    def _pitch_events(self, cell, anchor, partner_delta, last_pitch, pitch):
-        """The transition and structure events a start at ``pitch`` fires
-        (None where the event does not fire)."""
-        table = self.config._events
-        transition = structure = None
-        if cell is not None:
-            transition = _cell_degree(cell, pitch - anchor, table.bad)
-        if partner_delta is not None:
-            structure = table.structure[_echo(pitch - last_pitch, partner_delta)]
-        return transition, structure
-
-    def start_plan(self, st: _State, start: float = 0.0) -> _StartPlan:
-        """The pitch-free part of a syllable start from ``st``, with the
-        running reward ``start`` carried past its close events."""
-        close, middle, cell, anchor, partner_delta = self._start_parts(st)
-        config = self.config
         return _StartPlan(
             cell,
-            anchor,
+            st.syl_first[k - 1] if cell is not None else None,
             partner_delta,
             st.last_pitch,
-            weighted_total(close, config, self.active, start),
+            weighted_total(close, config, active, start),
             any(not ev.is_maximal for ev in close),
             # strong/weak and pause are rhythm events
             [(config.lambda_rhythm * ev.value, not ev.is_maximal) for ev in middle],
@@ -645,20 +610,20 @@ class _EventModel:
 
     def complete(self, plan: _StartPlan, pitch) -> tuple[float, bool]:
         """(running reward, masked) after a start at ``pitch``: the plan's
-        terms added in canonical order, so the reward equals
-        ``weighted_total(step_events(...), start=...)`` bit for bit."""
-        transition, structure = self._pitch_events(
-            plan.cell, plan.anchor, plan.partner_delta, plan.last_pitch, pitch
-        )
-        config = self.config
+        terms and the pitch's transition and structure terms added in
+        canonical order, so the reward equals :func:`weighted_total` over
+        the start's events, continued from ``start``, bit for bit."""
+        config, table = self.config, self.config._events
         total, masked = plan.reward, plan.masked
-        if transition is not None:
+        if plan.cell is not None:
+            transition = _cell_degree(plan.cell, pitch - plan.anchor, table.bad)
             total += config.lambda_tone * transition.value
             masked = masked or not transition.is_maximal
         for term, below in plan.terms:
             total += term
             masked = masked or below
-        if structure is not None:
+        if plan.partner_delta is not None:
+            structure = table.structure[_echo(pitch - plan.last_pitch, plan.partner_delta)]
             total += config.lambda_structure * structure.value
             masked = masked or not structure.is_maximal
         return total, masked
@@ -698,9 +663,10 @@ class _EventModel:
         """The events of a complete token sequence (END excluded), tagged
         with the index they fire on (None = at the end).
 
-        Equal, event for event and in order, to stepping :meth:`step_events`
-        and :meth:`apply` from ``_State()`` over the tokens and then END, but
-        one loop over local mutable state.  Onsets and the long-note
+        Equal, event for event and in order, to stepping the model from
+        ``_State()`` over the tokens and then END (a start's events are the
+        ones :meth:`complete` weighs), but one loop over local mutable
+        state.  Onsets and the long-note
         threshold are counted in integer ticks of the sequence's
         :func:`~lyricmelody.melody._tick_clock`.
         """

@@ -340,9 +340,6 @@ class NGramModel:
             self._tables[ctx] = table
         return table
 
-    def prob(self, token: Token, context: Sequence[Token]) -> float:
-        return self._table(self._context(context))[self.vocab.index_of(token)]
-
     def log_prob_dist(self, context: Sequence[Token]) -> dict[Token, float]:
         ctx = self._context(context)
         cached = self._dist_cache.get(ctx)

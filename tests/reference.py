@@ -2,11 +2,13 @@
 
 Deliberately simple re-statements of the decoding grammar and of the reward
 rules: a plain beam search that knows nothing about rewards, a reward beam
-search that builds every candidate in full before it cuts the beam, the
-two-stage pipeline with its own pitch-filling loop over a rhythm skeleton, an
-exhaustive enumerator of every complete token sequence, and a whole-pair scan
-that derives every reward event (with its matched flag, harmony degree and
-boundary kind) from the alignment, beat grid and sentence spans without the
+search that builds every candidate in full before it cuts the beam (with a
+syllable start's events derived from the event model's static tables
+rather than from its start plan), the two-stage pipeline with its own
+pitch-filling loop over a rhythm skeleton, an exhaustive enumerator of
+every complete token sequence, and a whole-pair scan that derives every
+reward event (with its matched flag, harmony degree and boundary kind) from
+the alignment, the ``Fraction`` beat grid and sentence spans without the
 package's token-by-token event model, the n-gram backoff probability
 evaluated one token and one backoff level at a time, a MIDI reader that
 takes one byte slice at a time, the four event metrics walked over the
@@ -19,6 +21,7 @@ independently written route.
 """
 
 import struct
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,8 +41,6 @@ from lyricmelody import (
     TokenKind,
     Tone,
     WordPosition,
-    compute_beat_grid,
-    is_long_note,
     pause_reward,
     pitch_contour_reward,
     pitch_shape_reward,
@@ -49,17 +50,18 @@ from lyricmelody import (
 )
 from lyricmelody.decoder import (
     DecodeResult,
-    Hypothesis,
     Pipeline,
     _Context,
+    _Hypothesis,
     _expand,
     _group_vocab,
+    _is_masked,
     _keep,
     _max_steps,
-    is_masked,
     score_decode,
 )
 from lyricmelody.lyrics import TONAL_TONES
+from lyricmelody.melody import check_meter, strong_offsets
 from lyricmelody.metrics import DEGREE_SCORES, _mean, histogram_similarity, melody_distance
 from lyricmelody.rewards import (
     BoundaryKind,
@@ -67,7 +69,6 @@ from lyricmelody.rewards import (
     RewardEvent,
     _State,
     contour_matches,
-    event_maximum,
     weighted_total,
 )
 from lyricmelody.scorer import REST_MARK, pitch_projection
@@ -154,6 +155,51 @@ def plain_beam_search(lyrics, scorer, width, max_notes=4):
     return best[2]
 
 
+def start_events(model, st, token):
+    """The reward events a syllable start fires from state ``st`` of the
+    event model ``model``, in canonical order: the events closing the open
+    span, then transition, strong/weak, pause and structure.  Read off the
+    model's static per-syllable tables (``cell``, ``sw``, ``pause``,
+    ``partner``) without its start plan; the beat is placed by the
+    ``Fraction`` grid's rule, the echo by interval arithmetic."""
+    config, active = model.config, model.active
+    events = model._close_events(st)
+    k = st.syl + 1
+    if Aspect.TONE in active and model.cell[k] is not None:
+        jump = token.pitch - st.syl_first[k - 1]
+        graded = [ev for lo, hi, ev in model.cell[k] if lo <= jump <= hi]
+        events.append(graded[0] if graded else RewardEvent(
+            "transition", Aspect.TONE, config.transition_rewards[HarmonyDegree.BAD],
+            config.transition_rewards[HarmonyDegree.EXCELLENT], False,
+            degree=HarmonyDegree.BAD))
+    if Aspect.RHYTHM in active:
+        if model.sw[k] is not None:
+            weak, strong = model.sw[k]
+            events.append(strong if beat_strength(model.time_signature, st.onset)
+                          is BeatStrength.STRONG else weak)
+        if st.span_open:  # no rest in the gap: only a long last note pauses
+            no_pause, pause = model.pause[k]
+            long_note = st.last_duration >= config.long_note_threshold
+            events.append(pause if long_note else no_pause)
+    j = model.partner.get(k)
+    if (Aspect.STRUCTURE in active and j is not None and st.last_pitch is not None
+            and st.syl_delta[j] is not None):
+        delta, anchor = token.pitch - st.last_pitch, st.syl_delta[j]
+        events.append(RewardEvent("structure", Aspect.STRUCTURE,
+                                  structure_reward(delta, anchor, config),
+                                  config.structure_reward_exact, delta == anchor))
+    return events
+
+
+def step_events(model, st, token):
+    """The reward events ``token`` (or END) fires from state ``st``: a
+    syllable start's from :func:`start_events`, any other token's from the
+    model's own ``step_events``."""
+    if token != END and token.is_note and token.syllable_start:
+        return start_events(model, st, token)
+    return model.step_events(st, token)
+
+
 def reward_beam_search(ctx, scorer, width, hard):
     """Reward-augmented beam search that builds every legal candidate as a
     full hypothesis (prefix, key, state, events) and only then keeps the
@@ -163,7 +209,7 @@ def reward_beam_search(ctx, scorer, width, hard):
     groups = _group_vocab(scorer.vocab)
 
     def extend(h, idx, token, lp, events):
-        return Hypothesis(
+        return _Hypothesis(
             tokens=h.tokens + (token,),
             key=h.key if token == END else h.key + (idx,),
             state=h.state if token == END else ctx.apply(h.state, token),
@@ -171,7 +217,7 @@ def reward_beam_search(ctx, scorer, width, hard):
             reward=weighted_total(events, ctx.config, ctx.active, h.reward),
         )
 
-    live = [Hypothesis(tokens=(), key=(), state=_State())]
+    live = [_Hypothesis(tokens=(), key=(), state=_State())]
     best = None
     relaxations = []
     for step in range(_max_steps(ctx)):
@@ -179,14 +225,14 @@ def reward_beam_search(ctx, scorer, width, hard):
         for h in live:
             dist = scorer.log_prob_dist(h.tokens)
             for idx, token in ctx.legal(h.state, groups):
-                events = ctx.step_events(h.state, token)
+                events = step_events(ctx, h.state, token)
                 cand = extend(h, idx, token, dist[token], events)
                 if token != END:
                     pool.append((cand, events))
                 elif best is None or (-cand.score, cand.key) < (-best.score, best.key):
                     best = cand
         if hard and pool:
-            survivors = [item for item in pool if not is_masked(item[1], ctx.active)]
+            survivors = [item for item in pool if not _is_masked(item[1], ctx.active)]
             if not survivors:
                 relaxations.append(step)
                 survivors = pool
@@ -235,7 +281,7 @@ def reference_pitch_fill(ctx, pitch_scorer, slots, width):
     vocab = pitch_scorer.vocab
     pitches = [t for t in vocab.tokens if isinstance(t, int)]
     assert pitches and (REST_MARK in vocab or all(t.is_note for t in slots))
-    live = [Hypothesis(tokens=(), key=(), state=_State())]
+    live = [_Hypothesis(tokens=(), key=(), state=_State())]
     for slot in list(slots) + [None]:
         if slot is None:
             moves, keys = [(vocab.index_of(END), END)], [END]
@@ -321,6 +367,51 @@ def _check_aligned(lyrics, melody):
         )
 
 
+@dataclass(frozen=True)
+class BeatGrid:
+    """Per-token bar offset and metrical strength."""
+
+    onsets: tuple
+    strengths: tuple
+    bar_length: Fraction
+
+
+def beat_strength(time_signature, onset):
+    """The strength of an onset (in quarters from the start) in a meter."""
+    num, den = time_signature
+    bar = Fraction(4 * num, den)
+    strong = onset % bar in strong_offsets(time_signature)
+    return BeatStrength.STRONG if strong else BeatStrength.WEAK
+
+
+def compute_beat_grid(melody):
+    """Onset and strong/weak strength of every token: the reference clock.
+
+    Onsets are running ``Fraction`` sums of the preceding durations, and
+    the bar length is ``numerator * 4/denominator`` quarters.  The reward
+    fold and the metrics count the same onsets in integer ticks; this
+    exact-rational grid is what they are checked against.  Raises
+    ValueError for a meter ``check_meter`` rejects.
+    """
+    check_meter(melody.time_signature)
+    num, den = melody.time_signature
+    bar = Fraction(num) * Fraction(4, den)
+    onsets, strengths = [], []
+    position = Fraction(0)
+    for tok in melody.tokens:
+        onsets.append(position % bar)
+        strengths.append(beat_strength(melody.time_signature, position))
+        position += tok.duration
+    return BeatGrid(tuple(onsets), tuple(strengths), bar)
+
+
+def is_long_note(token, config):
+    """A note long enough to read as a phrase-ending hold (threshold inclusive)."""
+    if not token.is_note:
+        raise ValueError("is_long_note is defined for notes only")
+    return token.duration >= config.long_note_threshold
+
+
 #: Canonical intra-token ordering of reward events.
 EVENT_RANK = {"shape": 0, "contour": 1, "transition": 2, "sw": 3, "pause": 4, "structure": 5}
 
@@ -387,10 +478,18 @@ def scan_reward_events(lyrics, melody, config):
     tonal = lyrics.language is Language.TONAL
     n_tokens = len(melody.tokens)
     events = []
+    maxima = {  # what each rule pays on a match
+        "shape": config.shape_reward_on_match,
+        "contour": config.contour_reward_on_match,
+        "transition": config.transition_rewards[HarmonyDegree.EXCELLENT],
+        "sw": config.sw_reward_on_match,
+        "pause": config.pause_reward_on_match,
+        "structure": config.structure_reward_exact,
+    }
 
     def add(anchor, kind, aspect, value, matched, **outcome):
         if value is not None:
-            ev = RewardEvent(kind, aspect, value, event_maximum(kind, config), matched, **outcome)
+            ev = RewardEvent(kind, aspect, value, maxima[kind], matched, **outcome)
             events.append((anchor, EVENT_RANK[kind], ev))
 
     def closer_of(k):

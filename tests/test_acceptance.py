@@ -40,14 +40,14 @@ from lyricmelody import (
     rest,
 )
 from lyricmelody.cli import main as cli_main
-from lyricmelody.decoder import _Context, is_masked, score_decode, score_two_stage
+from lyricmelody.decoder import _Context, _is_masked, score_decode, score_two_stage
 from lyricmelody.metrics import aggregate_reports
 from lyricmelody.rewards import HarmonyDegree
 from lyricmelody.scorer import END, NGramModel
 from lyricmelody.synthetic import random_lyrics, random_training_melody
 
 from conftest import mk_melody
-from reference import exhaustive_argmax, plain_beam_search
+from reference import exhaustive_argmax, plain_beam_search, step_events
 from test_metrics import HAND_FIXTURES
 
 
@@ -136,8 +136,8 @@ def test_criterion_2_oracle_equivalence(config):
             for idx, tok in ctx.legal(state, groups):
                 if tok == END:
                     continue
-                events = ctx.step_events(state, tok)
-                if not is_masked(events, options.active):
+                events = step_events(ctx, state, tok)
+                if not _is_masked(events, options.active):
                     survivors.add((first, tok))
                 # hand-rolled rule: the keyword's first note must fall on
                 # beat 1 or 3 of the 4/4 bar
@@ -183,11 +183,12 @@ def test_criterion_3_reward_unit_fixtures(config):
         assert lm.pitch_shape_reward(Tone.TONE2, [64, 60], config) == pytest.approx(0.0)
 
         # published lambda arithmetic: 1.2 * 3 + 1.5 * 1
-        from lyricmelody.rewards import RewardEvent, event_maximum, weighted_total
+        from lyricmelody.rewards import RewardEvent, weighted_total
 
         events = [
-            RewardEvent("transition", Aspect.TONE, 3.0, event_maximum("transition", config)),
-            RewardEvent("sw", Aspect.RHYTHM, 1.0, event_maximum("sw", config)),
+            RewardEvent("transition", Aspect.TONE, 3.0,
+                        config.transition_rewards[HarmonyDegree.EXCELLENT]),
+            RewardEvent("sw", Aspect.RHYTHM, 1.0, config.sw_reward_on_match),
         ]
         cfg = config.with_lambdas((1.2, 1.5, 1.0))
         assert weighted_total(events, cfg) == pytest.approx(5.1, abs=1e-9)

@@ -29,11 +29,11 @@ from lyricmelody import (
     train_model_bundle,
     train_ngram,
 )
-from lyricmelody.decoder import is_masked
+from lyricmelody.decoder import _is_masked
 from lyricmelody.rewards import RewardEvent, reward_events
 from lyricmelody.scorer import END
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
-from reference import exhaustive_argmax, plain_beam_search
+from reference import exhaustive_argmax, plain_beam_search, step_events
 
 from conftest import mk_melody
 
@@ -122,10 +122,10 @@ class TestHardMode:
         events_bad = [RewardEvent("sw", Aspect.RHYTHM, 0.0, 1.0)]
         events_inactive = [RewardEvent("structure", Aspect.STRUCTURE, 0.0, 2.0)]
         active = frozenset({Aspect.RHYTHM})
-        assert not is_masked(events_ok, active)
-        assert is_masked(events_bad, active)
-        assert not is_masked(events_inactive, active)  # inactive aspects don't mask
-        assert not is_masked([], active)
+        assert not _is_masked(events_ok, active)
+        assert _is_masked(events_bad, active)
+        assert not _is_masked(events_inactive, active)  # inactive aspects don't mask
+        assert not _is_masked([], active)
 
     def test_relaxation_recorded_when_nothing_satisfies(self, config):
         # a single harmony cell that only accepts jumps the vocab cannot make
@@ -471,7 +471,7 @@ class TestInvariants:
         with pytest.raises(OptionError):
             DecodeOptions(rerank_candidates=0)
 
-    @pytest.mark.parametrize("meter", [(4, 6), (3, 12), (0, 4), (4, 0), (-2, 4)])
+    @pytest.mark.parametrize("meter", [(4, 6), (3, 12), (0, 4), (4, 0), (-2, 4), (300, 4)])
     def test_bad_time_signature_rejected(self, meter):
         with pytest.raises(OptionError):
             DecodeOptions(time_signature=meter)
@@ -492,6 +492,11 @@ class TestInvariants:
                          for meter in ([4, 4], (4, 4)))
             assert got.melody.tokens == want.melody.tokens
             assert got.score.hex() == want.score.hex()
+
+    def test_list_meter_options_hash_as_the_tuple(self):
+        # a list meter is stored as a tuple, so the options stay hashable
+        as_list, as_tuple = (DecodeOptions(time_signature=meter) for meter in ([3, 4], (3, 4)))
+        assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
 
     def test_scorers_swap_without_decoder_changes(self, config, rng):
         # the log-prob interface is the only coupling point
@@ -608,7 +613,7 @@ class TestEventSignature:
                 for token in tokens + (None,):
                     by_signature = {}
                     for idx, cand in ctx.legal(state, groups):
-                        events = ctx.step_events(state, cand)
+                        events = step_events(ctx, state, cand)
                         sig = groups.signatures[idx]
                         if sig in by_signature:
                             shared += 1

@@ -14,14 +14,15 @@ from lyricmelody import (
     MelodyToken,
     RhythmToken,
     TokenKind,
-    compute_beat_grid,
-    is_long_note,
     melody_from_json,
     melody_to_json,
     note,
+    parse_lyrics,
     rest,
 )
+from lyricmelody.rewards import BoundaryKind, reward_events
 from conftest import mk_melody
+from reference import compute_beat_grid, is_long_note
 
 S, W = BeatStrength.STRONG, BeatStrength.WEAK
 
@@ -163,6 +164,17 @@ class TestMelodyInvariants:
         m = mk_melody([(60, "1/2"), (62, "1/2", False), ("r", 1), (64, 2)], (3, 4))
         assert melody_from_json(melody_to_json(m)) == m
 
+    def test_list_tokens_and_meter_equal_the_tuples(self):
+        tokens = [note(60, 1), note(62, 1)]
+        as_list, as_tuple = Melody(tokens, [4, 4]), Melody(tuple(tokens), (4, 4))
+        assert as_list == as_tuple
+        assert as_list.tokens == as_tuple.tokens and as_list.time_signature == (4, 4)
+
+    def test_hashable_from_lists(self):
+        tokens = [note(60, 1), note(62, 1)]
+        assert hash(Melody(tokens)) == hash(Melody(tuple(tokens), (4, 4)))
+        assert hash(Melody(tokens, [4, 4])) == hash(Melody(tuple(tokens)))
+
 
 class TestBeatGrid:
     def test_four_four_quarters(self):
@@ -227,7 +239,13 @@ class TestBeatGrid:
 class TestLongNote:
     @pytest.mark.parametrize("duration,expected", [(2, True), ("1/2", False), (3, True)])
     def test_threshold_inclusive(self, config, duration, expected):
-        assert is_long_note(note(60, duration), config) is expected
+        # the fold's rule: with no rest in the gap, the previous syllable's
+        # last note pauses when it lasts at least the threshold (2 beats)
+        lyr = parse_lyrics("ni3|W .\nhao3|W .")
+        melody = mk_melody([(60, 1), (60, duration, False), (62, 1)])
+        pauses = [(i, ev) for i, ev in reward_events(lyr, melody, config) if ev.kind == "pause"]
+        assert [(i, ev.boundary, ev.matched) for i, ev in pauses] == [
+            (2, BoundaryKind.SENTENCE_BOUNDARY, expected)]
 
     def test_rest_rejected(self, config):
         with pytest.raises(ValueError):

@@ -25,6 +25,12 @@ class TestRoundTrip:
         m = mk_melody([(60, 1), (62, 1)], (3, 4))
         assert read_midi(write_midi(m)).time_signature == (3, 4)
 
+    @pytest.mark.parametrize("meter", [(4, 6), (300, 4), (4, 2 ** 256)])
+    def test_meter_a_file_cannot_hold_rejected(self, meter):
+        # the numerator and the denominator's exponent are one byte each
+        with pytest.raises(MidiFormatError, match="unsupported meter"):
+            write_midi(mk_melody([(60, 1), (62, 1)], meter))
+
     def test_lyrics_attached_at_syllable_starts(self):
         lyr = parse_lyrics("ni3|W hao3|I .")
         m = mk_melody([(60, 1), (61, 1, False), (62, 1)])

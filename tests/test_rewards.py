@@ -12,6 +12,7 @@ from lyricmelody import (
     END,
     HarmonyDegree,
     HarmonyTable,
+    InternalError,
     Intonation,
     Melody,
     MelodyToken,
@@ -38,13 +39,12 @@ from lyricmelody.rewards import (
     _EventModel,
     _State,
     boundary_kind,
-    event_maximum,
     reward_events,
     weighted_total,
 )
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import mk_melody
-from reference import scan_reward_events
+from reference import scan_reward_events, step_events
 
 
 class TestPitchShape:
@@ -239,8 +239,9 @@ class TestStructure:
 class TestTotalReward:
     def test_published_lambda_arithmetic(self, config):
         events = [
-            RewardEvent("transition", Aspect.TONE, 3.0, event_maximum("transition", config)),
-            RewardEvent("sw", Aspect.RHYTHM, 1.0, event_maximum("sw", config)),
+            RewardEvent("transition", Aspect.TONE, 3.0,
+                        config.transition_rewards[HarmonyDegree.EXCELLENT]),
+            RewardEvent("sw", Aspect.RHYTHM, 1.0, config.sw_reward_on_match),
         ]
         cfg = config.with_lambdas((1.2, 1.5, 1.0))
         assert weighted_total(events, cfg) == pytest.approx(5.1, abs=1e-9)
@@ -371,9 +372,10 @@ class TestFoldMatchesReferenceScan:
 
 class TestFoldMatchesStepApply:
     """The fold is its own loop, so it is pinned to the decoder's path: the
-    events of stepping ``step_events``/``apply`` from ``_State()`` over every
-    token and then END, compared with ``==``, and their weighted totals
-    compared bit for bit."""
+    events of stepping ``reference.step_events``/``apply`` from ``_State()``
+    over every token and then END (a start's events from the reference
+    oracle, any other token's from the model), compared with ``==``, and
+    their weighted totals compared bit for bit."""
 
     METERS = [(4, 4), (3, 4), (6, 8), (2, 2)]
 
@@ -381,9 +383,9 @@ class TestFoldMatchesStepApply:
     def stepped(model, tokens):
         state, events = _State(), []
         for i, token in enumerate(tokens):
-            events.extend((i, ev) for ev in model.step_events(state, token))
+            events.extend((i, ev) for ev in step_events(model, state, token))
             state = model.apply(state, token)
-        events.extend((None, ev) for ev in model.step_events(state, END))
+        events.extend((None, ev) for ev in step_events(model, state, END))
         return events
 
     @staticmethod
@@ -486,7 +488,8 @@ class TestConfigValidation:
 class TestStartPlan:
     """From every state of folded seeded melodies, completing the start plan
     at every legal pitch gives ``weighted_total`` (to the last bit) and
-    ``is_masked`` of the events ``step_events`` fires for that start."""
+    ``_is_masked`` of the events the independent oracle
+    ``reference.start_events`` derives for that start."""
 
     # the presets' rhythm and structure weights are dyadic, so reordering
     # their terms cannot change a bit; the last weights can, most often from
@@ -498,8 +501,8 @@ class TestStartPlan:
 
     @classmethod
     def mismatches(cls, model_class, config, seeds=range(8)):
-        from lyricmelody.decoder import is_masked
-        from lyricmelody.rewards import _State
+        from lyricmelody.decoder import _is_masked
+        from reference import start_events
 
         cells = {p: v for p, v in config.harmony_table.cells.items() if Tone.TONE3 not in p}
         no_tone3 = replace(config, harmony_table=HarmonyTable(cells))
@@ -523,10 +526,10 @@ class TestStartPlan:
                                 plan = model.start_plan(state, start_reward)
                                 for pitch in cls.PITCHES:
                                     start = MelodyToken(TokenKind.NOTE, token.duration, pitch, True)
-                                    events = model.step_events(state, start)
+                                    events = start_events(model, state, start)
                                     kinds.update(ev.kind for ev in events)
                                     want = (weighted_total(events, cfg, active, start_reward).hex(),
-                                            is_masked(events, active))
+                                            _is_masked(events, active))
                                     got_reward, got_masked = model.complete(plan, pitch)
                                     if (got_reward.hex(), got_masked) != want:
                                         found.append((seed, lambdas, meter, sorted(active, key=str),
@@ -540,17 +543,24 @@ class TestStartPlan:
 
         assert self.mismatches(_EventModel, config) == []
 
+    def test_step_events_refuses_a_start(self, config):
+        # the plan is the one path that scores a start
+        model = _EventModel(parse_lyrics("ni3|W hao3|I ."), config, ALL_ASPECTS, (4, 4))
+        start = MelodyToken(TokenKind.NOTE, Fraction(1), 60, True)
+        with pytest.raises(InternalError):
+            model.step_events(_State(), start)
+
     def test_catches_structure_added_before_middle_terms(self, config):
         from lyricmelody.rewards import _EventModel
 
         class StructureFirst(_EventModel):
             def complete(self, plan, pitch):
                 _, masked = super().complete(plan, pitch)
-                _, structure = self._pitch_events(plan.cell, plan.anchor, plan.partner_delta,
-                                                  plan.last_pitch, pitch)
                 total, _ = super().complete(replace(plan, terms=(), partner_delta=None), pitch)
-                if structure is not None:
-                    total += self.config.lambda_structure * structure.value
+                if plan.partner_delta is not None:
+                    echo = structure_reward(pitch - plan.last_pitch, plan.partner_delta,
+                                            self.config)
+                    total += self.config.lambda_structure * echo
                 for term, _ in plan.terms:
                     total += term
                 return total, masked

@@ -261,15 +261,6 @@ class TestSuffixTables:
         assert (61,) not in model.counts
         assert model.log_prob_dist((60, 61)) != model.log_prob_dist(())
 
-    def test_prob_reads_the_distribution(self):
-        model = NGramModel.from_dict(_hand_built_model_doc())
-        for ctx in [(), (60,), (60, 61), (5, 60, 61), (61, 62)]:
-            dist = model.log_prob_dist(ctx)
-            for token in model.vocab.tokens:
-                assert math.log(model.prob(token, ctx)) == dist[token]
-        with pytest.raises(KeyError):
-            model.prob(63, (60, 61))
-
 
 def _assert_interned(model):
     vocab = model.vocab
