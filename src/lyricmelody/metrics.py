@@ -24,7 +24,9 @@ normalized pitch / duration histograms; MD is the mean absolute semitone
 difference along a minimal-cost monotone alignment of the two pitch
 sequences (dynamic time warping with unit steps, cost ``|pitch_a -
 pitch_b|``, shortest among minimal-cost alignments).  All functions are
-pure; evaluating many songs in parallel is safe.
+pure; evaluating many songs in parallel is safe.  :func:`evaluate_pair`
+followed by :func:`~lyricmelody.rewards.score_rewards` on the same objects
+folds the pair once, since ``reward_events`` memoises the last pair.
 """
 
 from __future__ import annotations

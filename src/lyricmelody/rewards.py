@@ -23,9 +23,13 @@ share).  Rescoring a finished melody (:func:`reward_events`, rerank, the
 objective metrics) runs :meth:`_EventModel.fold`, a fast loop over local
 mutable state that applies the same rules through the same tables, so a
 decode and the rescoring of its output fire the same events in the same
-order.  The model reads a token's ``is_note``, ``syllable_start``, ``pitch``
-and ``duration`` only, so it steps a
-:class:`~lyricmelody.melody.MelodyToken` and the pitch-free
+order.  :func:`reward_events` memoises its last pair, keyed on the identity
+of the lyrics, config and melody and holding them strongly; a hit returns a
+fresh copy of the events, and threads may share the memo.  So
+:func:`~lyricmelody.metrics.evaluate_pair` followed by :func:`score_rewards`
+on the same objects builds one model and folds once.  The model reads a
+token's ``is_note``, ``syllable_start``, ``pitch`` and ``duration`` only, so
+it steps a :class:`~lyricmelody.melody.MelodyToken` and the pitch-free
 :class:`~lyricmelody.melody.RhythmToken` of rhythm-first decoding alike.
 The tests pin the fold to the step/apply path event for event, and check
 both against an independently written whole-pair scan.
@@ -514,10 +518,13 @@ class _EventModel:
         self.strong = strong_offsets(time_signature)
         table = config._events
         cells = table.cells if lyrics.language is Language.TONAL else None
-        keyword, auxiliary, gaps = table.keyword, table.auxiliary, table.gaps
+        keyword, auxiliary = table.keyword, table.auxiliary
+        # the pause pairs of the three gap kinds, picked as boundary_kind picks them
+        sentence_gap, word_gap, inner_gap = (table.gaps[kind] for kind in (
+            BoundaryKind.SENTENCE_BOUNDARY, BoundaryKind.WORD_BOUNDARY, BoundaryKind.WORD_INNER))
         tone, final_intonation, new_sentence, cell, sw, pause = [], [], [], [], [], []
         prev = None
-        for k, syl in enumerate(lyrics.syllables):
+        for syl in lyrics.syllables:
             new = prev is None or syl.sentence_index != prev.sentence_index
             word_start = syl.word_position is WordPosition.WORD_START
             tone.append(syl.tone)
@@ -530,7 +537,8 @@ class _EventModel:
             stress = syl.stress_class if word_start else StressClass.NEUTRAL
             sw.append(keyword if stress is StressClass.KEYWORD
                       else auxiliary if stress is StressClass.AUXILIARY else None)
-            pause.append(None if prev is None else gaps[boundary_kind(lyrics, k)])
+            pause.append(None if prev is None else sentence_gap if new
+                         else word_gap if word_start else inner_gap)
             prev = syl
         self.tone, self.final_intonation, self.new_sentence = tone, final_intonation, new_sentence
         self.cell, self.sw, self.pause = cell, sw, pause
@@ -749,6 +757,10 @@ class _EventModel:
         return events
 
 
+#: (lyrics, config, model, melody, events) of the last pair reward_events folded
+_memo: tuple = (None, None, None, None, ())
+
+
 def reward_events(
     lyrics: LyricSequence,
     melody: Melody,
@@ -760,13 +772,26 @@ def reward_events(
     The event model's :meth:`~_EventModel.fold` over the melody's tokens in
     the melody's own meter, with every aspect on; events come back in firing
     order.
+
+    The last pair is memoised by ``is`` on its lyrics, config and melody (all
+    frozen, held strongly so that no other object takes their ids): the same
+    three get a fresh list of its events, the same lyrics and config in its
+    meter reuse its model.  The memo is one tuple replaced whole: thread-safe.
     """
+    global _memo
     if melody.syllable_count != len(lyrics):
         raise AlignmentError(
             f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
         )
-    model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature)
-    return model.fold(melody.tokens)
+    last_lyrics, last_config, model, last_melody, events = _memo
+    same_sheet = last_lyrics is lyrics and last_config is config
+    if same_sheet and last_melody is melody:
+        return list(events)
+    if not same_sheet or model.time_signature != melody.time_signature:
+        model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature)
+    events = model.fold(melody.tokens)
+    _memo = (lyrics, config, model, melody, tuple(events))
+    return events
 
 
 @dataclass(frozen=True)
@@ -782,13 +807,20 @@ def score_rewards(
     config: RewardConfig,
     active: frozenset[Aspect] = ALL_ASPECTS,
 ) -> RewardSummary:
-    """Weighted reward total of a complete pair, recomputed from scratch."""
+    """Weighted reward total of a complete pair, recomputed from scratch: one
+    pass sums each aspect and, in :func:`weighted_total`'s order, the total."""
     events = reward_events(lyrics, melody, config)
-    by_aspect = {a: 0.0 for a in Aspect}
+    tone, rhythm = Aspect.TONE, Aspect.RHYTHM
+    # per aspect, in Aspect's order: its λ, or None when it is inactive
+    lambdas = [lam if aspect in active else None for aspect, lam in zip(
+        Aspect, (config.lambda_tone, config.lambda_rhythm, config.lambda_structure))]
+    sums, total = [0.0, 0.0, 0.0], 0.0
     for _, ev in events:
-        by_aspect[ev.aspect] += ev.value
-    total = weighted_total((ev for _, ev in events), config, active)
-    return RewardSummary(total, by_aspect, tuple(events))
+        i = 0 if ev.aspect is tone else 1 if ev.aspect is rhythm else 2
+        sums[i] += ev.value
+        if lambdas[i] is not None:
+            total += lambdas[i] * ev.value
+    return RewardSummary(total, dict(zip(Aspect, sums)), tuple(events))
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,14 @@ class NGramModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NGramModel":
+        order, discount, raw_counts = doc["order"], doc["discount"], doc["counts"]
+        # JSON gives ints and floats; a bool is an int to Python, not to the schema
+        if type(order) is not int or order < 1:
+            raise TrainingError(f"model order {order!r} is not a positive integer")
+        if type(discount) not in (int, float):
+            raise TrainingError(f"model discount {discount!r} is not a number")
+        if type(raw_counts) is not list:
+            raise TrainingError(f"model counts must be a list, got {type(raw_counts).__name__}")
         vocab = Vocabulary.from_dict(doc["vocab"])
         index = getattr(vocab, "_index")
         decoded = dict(zip(doc["vocab"]["tokens"], vocab.tokens))
@@ -381,7 +389,9 @@ class NGramModel:
             return token
 
         counts: dict[tuple, dict[Token, int]] = {}
-        for ctx, succ in doc["counts"]:
+        for ctx, succ in raw_counts:
+            if len(ctx) >= order:
+                raise TrainingError(f"model context {ctx!r} is longer than order - 1 = {order - 1}")
             successors = {}
             for tok, n in succ:
                 if type(n) is not int or n < 1:
@@ -392,7 +402,7 @@ class NGramModel:
             if not successors:
                 raise TrainingError(f"model context {ctx!r} has no successors")
             counts[tuple(map(dec, ctx))] = successors
-        return cls(int(doc["order"]), float(doc["discount"]), vocab, counts)
+        return cls(order, float(discount), vocab, counts)
 
 
 def train_ngram(
@@ -439,7 +449,7 @@ class ModelBundle:
         if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
             raise TrainingError(f"not a {cls.FORMAT} model file")
         if doc.get("version") != cls.VERSION:
-            raise TrainingError(f"unsupported model file version {doc.get('version')}")
+            raise TrainingError(f"unsupported model file version {doc.get('version')!r}")
         try:
             return cls(
                 NGramModel.from_dict(doc["token_model"]),

@@ -9,7 +9,8 @@ pitch-filling loop over a rhythm skeleton, an exhaustive enumerator of
 every complete token sequence, and a whole-pair scan that derives every
 reward event (with its matched flag, harmony degree and boundary kind) from
 the alignment, the ``Fraction`` beat grid and sentence spans without the
-package's token-by-token event model, the n-gram backoff probability
+package's token-by-token event model, the per-aspect and weighted reward
+totals summed in two loops, the n-gram backoff probability
 evaluated one token and one backoff level at a time, a MIDI reader that
 takes one byte slice at a time, the four event metrics walked over the
 alignment (the strong/weak one read off the ``Fraction`` beat grid), and the
@@ -64,9 +65,11 @@ from lyricmelody.lyrics import TONAL_TONES
 from lyricmelody.melody import check_meter, strong_offsets
 from lyricmelody.metrics import DEGREE_SCORES, _mean, histogram_similarity, melody_distance
 from lyricmelody.rewards import (
+    ALL_ASPECTS,
     BoundaryKind,
     HarmonyDegree,
     RewardEvent,
+    _EventModel,
     _State,
     contour_matches,
     weighted_total,
@@ -563,6 +566,17 @@ def scan_reward_events(lyrics, melody, config):
 
     events.sort(key=lambda item: (n_tokens if item[0] is None else item[0], item[1]))
     return [(anchor, ev) for anchor, _, ev in events]
+
+
+def reference_score_rewards(lyrics, melody, config, active=ALL_ASPECTS):
+    """(total, by_aspect) of a pair the two-loop way: a per-aspect dict of
+    value sums, then ``weighted_total`` over the events of an uncached fold."""
+    model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature)
+    events = [ev for _, ev in model.fold(melody.tokens)]
+    by_aspect = {a: 0.0 for a in Aspect}
+    for ev in events:
+        by_aspect[ev.aspect] += ev.value
+    return weighted_total(events, config, active), by_aspect
 
 
 def reference_matched_sw_ratio(lyrics, melody):

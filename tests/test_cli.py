@@ -260,6 +260,13 @@ class TestConfigHandling:
         assert "internal error" in capsys.readouterr().err
 
 
+def _lengthen_a_context(doc):
+    """Count one of the token model's longest contexts again behind one more token."""
+    model = doc["token_model"]
+    ctx, succ = next(c for c in model["counts"] if len(c[0]) == model["order"] - 1)
+    model["counts"].append([ctx[:1] + ctx, succ])
+
+
 class TestMalformedInputs:
     def test_partial_harmony_table_scores_covered_pairs_only(self, tmp_path):
         from lyricmelody.rewards import default_reward_config, reward_config_to_dict
@@ -355,6 +362,31 @@ class TestMalformedInputs:
                      "-o", str(out_dir / "x.mid")]) == 1
         err = capsys.readouterr().err
         assert f"token {bad!r}" in err and "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("pipeline", ["single", "two-stage"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["token_model"].update(order=2.9), "model order 2.9 is not"),
+        (lambda doc: doc["rhythm_model"].update(order=True), "model order True is not"),
+        (lambda doc: doc["pitch_model"].update(discount="0.5"), "model discount '0.5' is not"),
+        (lambda doc: doc["token_model"].update(counts={}), "model counts must be a list"),
+        (_lengthen_a_context, "is longer than order - 1 = 2"),
+        (lambda doc: doc.update(version="1"), "unsupported model file version '1'"),
+    ], ids=["fractional order", "bool order", "string discount", "object counts",
+            "long context", "string version"])
+    def test_malformed_model_number_or_container_exit_one(
+        self, workspace, model_path, tmp_path, capsys, pipeline, edit, message
+    ):
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc), "utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"), "-m", str(broken),
+                     "-o", str(out_dir / "x.mid"), "--pipeline", pipeline]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert list(out_dir.iterdir()) == []
 
     def test_zero_time_signature_numerator_exit_one(self, tmp_path, capsys):

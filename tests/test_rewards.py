@@ -1,6 +1,9 @@
 import inspect
+import itertools
 import random
+import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from lyricmelody import (
     StressClass,
     TokenKind,
     Tone,
+    evaluate_pair,
     parse_lyrics,
     pitch_contour_reward,
     pitch_shape_reward,
@@ -44,7 +48,7 @@ from lyricmelody.rewards import (
 )
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import mk_melody
-from reference import scan_reward_events, step_events
+from reference import reference_score_rewards, scan_reward_events, step_events
 
 
 class TestPitchShape:
@@ -446,6 +450,110 @@ class TestFoldMatchesStepApply:
             return NoLongNotes(lyrics, config, active, melody.time_signature).fold(melody.tokens)
 
         assert self.mismatches(config, fold, seeds=range(40))
+
+
+def seeded_pair(seed):
+    """Lyrics (tonal or not, repeated or not, 1-3 sentences) and an aligned
+    melody, both built fresh from ``seed``."""
+    rng = random.Random(seed)
+    lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=seed % 2 == 0,
+                        repeat=seed // 2 % 2 == 0)
+    return lyr, random_aligned_melody(lyr, rng)
+
+
+class TestFoldMemo:
+    """``reward_events`` memoises its last pair by identity; a hit must never
+    be another pair's events, share a list with a caller, cross a meter or
+    mix entries between threads."""
+
+    def test_fresh_pairs_get_their_own_events(self, config):
+        # each pair is dropped before the next is built, so CPython hands the
+        # new objects freed ids; seeds repeat, so equal content comes back in
+        # new objects too
+        for i in range(1200):
+            lyr, melody = seeded_pair(i % 400)
+            want = _EventModel(lyr, config, ALL_ASPECTS, melody.time_signature).fold(melody.tokens)
+            assert reward_events(lyr, melody, config) == want, i
+            del lyr, melody
+
+    def test_mutating_a_result_leaves_the_next_call_alone(self, config):
+        lyr, melody = seeded_pair(5)
+        events = reward_events(lyr, melody, config)
+        want = list(events)
+        events.clear()
+        again = reward_events(lyr, melody, config)
+        assert again == want
+        again.reverse()
+        assert reward_events(lyr, melody, config) == want
+        summary = score_rewards(lyr, melody, config)
+        by_aspect = dict(summary.by_aspect)
+        summary.by_aspect[Aspect.TONE] += 1.0
+        assert score_rewards(lyr, melody, config).by_aspect == by_aspect
+
+    def test_same_lyrics_in_another_meter_rebuild_the_model(self, config):
+        differ = 0
+        for seed in range(40):
+            lyr, melody = seeded_pair(seed)
+            common = reward_events(lyr, Melody(melody.tokens, (4, 4)), config)
+            triple = reward_events(lyr, Melody(melody.tokens, (3, 4)), config)
+            assert triple == _EventModel(lyr, config, ALL_ASPECTS, (3, 4)).fold(melody.tokens)
+            differ += common != triple
+        assert differ > 10
+
+    def test_threads_match_a_serial_run(self, config):
+        # 256 pairs: 64 sheets, each with one melody in 4/4 and in 3/4, each
+        # of those twice in a row, so that threads run into one another's
+        # entries and take every path (hit, model reuse, rebuild)
+        pairs = []
+        for seed in range(64):
+            lyr, melody = seeded_pair(seed)
+            for meter in [(4, 4), (3, 4)]:
+                pairs += [(lyr, Melody(melody.tokens, meter))] * 2
+
+        def both(pair):
+            lyr, melody = pair
+            return evaluate_pair(lyr, melody, config), score_rewards(lyr, melody, config)
+
+        serial = [both(pair) for pair in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the memo's reads and writes
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for _ in range(16):
+                    assert list(pool.map(both, pairs, timeout=120)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestScoreRewardsMatchesReference:
+    """The one-pass ``score_rewards`` against the two-loop oracle, bit for
+    bit, and the model's branch-picked gap pairs against ``boundary_kind``."""
+
+    # the presets, and weights whose products round, so an add out of order shows
+    LAMBDAS = ["telemelody", "songmass", "off", (1.1, 0.7, 1.3)]
+    SUBSETS = [frozenset(c) for r in range(4) for c in itertools.combinations(Aspect, r)]
+
+    def test_totals_match_two_loops(self, config):
+        configs = [config.with_preset(lam) if isinstance(lam, str) else config.with_lambdas(lam)
+                   for lam in self.LAMBDAS]
+        for seed in range(120):
+            lyr, melody = seeded_pair(seed)
+            for cfg in configs:
+                for active in self.SUBSETS:
+                    got = score_rewards(lyr, melody, cfg, active)
+                    total, by_aspect = reference_score_rewards(lyr, melody, cfg, active)
+                    assert got.total.hex() == total.hex(), (seed, cfg, active)
+                    assert list(got.by_aspect) == list(by_aspect)
+                    assert [v.hex() for v in got.by_aspect.values()] == [
+                        v.hex() for v in by_aspect.values()], (seed, cfg, active)
+
+    def test_gap_pairs_follow_boundary_kind(self, config):
+        gaps = config._events.gaps
+        for seed in range(300):
+            lyr, _ = seeded_pair(seed)
+            pause = _EventModel(lyr, config, ALL_ASPECTS, (4, 4)).pause
+            assert pause[0] is None
+            assert pause[1:] == [gaps[boundary_kind(lyr, k)] for k in range(1, len(lyr))], seed
 
 
 class TestConfigValidation:
