@@ -34,16 +34,15 @@ hypothesis is a flat tuple of score parts, and only what is kept (the beam's
 top ``width``, the sampled token) gets a prefix, key and state.  Events never
 depend on a token's duration, so a parent scores each event signature
 (:meth:`lyricmelody.rewards._EventModel.signature`) once and reuses the
-identical float.  Syllable starts, most of the legal moves, complete the
-parent's start plan at their pitch: the plan
-(:meth:`~lyricmelody.rewards._EventModel.start_plan`, built at the parent's
-first legal start) holds every term the pitch does not move, so a start
-adds only its transition and structure terms; the event model has no other
-path for a start.  END, a rest or a continuation fires its events
-(:meth:`~lyricmelody.rewards._EventModel.step_events`).  Live keys share
-one length, so (parent's rank among live keys, token index) orders children
-as their full keys do; END keeps its parent's key, a prefix of its
-siblings' keys, so it ranks first on a tie.
+identical float.  Every move is scored off one plan of the parent's state
+(:meth:`~lyricmelody.rewards._EventModel.plan`, built at the parent's first
+move that fires an event): END and a rest read their (reward, masked) pair
+off it, a syllable start completes it at its pitch
+(:meth:`~lyricmelody.rewards._EventModel.complete`), and a melisma
+continuation fires nothing.  The event model has no other scoring path.
+Live keys share one length, so (parent's rank among live keys, token index)
+orders children as their full keys do; END keeps its parent's key, a prefix
+of its siblings' keys, so it ranks first on a tie.
 
 A vocabulary with no syllable-start token (or, for the pitch stage, no
 pitch, or no rest mark for the rhythm's rests) cannot cover the lyrics;
@@ -73,7 +72,6 @@ from .rewards import (
     ALL_ASPECTS,
     Aspect,
     RewardConfig,
-    RewardEvent,
     _EventModel,
     _State,
     reward_events,
@@ -143,6 +141,10 @@ class DecodeOptions:
             raise OptionError(f"rerank_candidates must be >= 1, got {self.rerank_candidates}")
         if self.max_notes_per_syllable < 1:
             raise OptionError("max_notes_per_syllable must be >= 1")
+        if self.pipeline is Pipeline.TWO_STAGE and self.mode is not DecodeMode.BEAM_SOFT:
+            raise OptionError(
+                f"two-stage decoding runs beam search only, got mode {self.mode.value!r}"
+            )
         object.__setattr__(self, "time_signature", tuple(self.time_signature))
         try:
             check_meter(self.time_signature)
@@ -172,9 +174,9 @@ class _Context(_EventModel):
         out: list[tuple[int, object]] = []
         if st.syl + 1 < self.n:
             out.extend(groups.starts)
-        if st.syl >= 0 and st.span_open and st.span_len < self.options.max_notes_per_syllable:
-            out.extend(groups.continuations)
         if st.syl >= 0 and st.span_open:
+            if len(st.span_pitches) < self.options.max_notes_per_syllable:
+                out.extend(groups.continuations)
             out.extend(groups.rests)
         if st.syl == self.n - 1:
             out.append(groups.end)
@@ -249,9 +251,10 @@ def _expand(
     """``(-score, rank, pos, token, base, reward, masked)`` per ``(idx, token)``
     move of ``h``, the ``rank``-th live hypothesis by key, with base
     log-probabilities ``lps``; ``pos`` is ``idx``, or -1 for END.  Builds no
-    child and scores each ``signatures[idx]`` once: a syllable start by
-    completing the parent's start plan (built on the first start), any other
-    move by firing its events."""
+    child and scores each ``signatures[idx]`` once, off one plan of the
+    parent's moves (built at the first move that fires an event): END and a
+    rest read their (reward, masked) pair off it, a syllable start completes
+    it at its pitch, and a melisma continuation fires nothing."""
     memo = {}
     plan = None
     out = []
@@ -259,31 +262,22 @@ def _expand(
         sig = signatures[idx]
         hit = memo.get(sig)
         if hit is None:
-            if sig != END and sig[1]:  # (is_note, starts, pitch) of a start
-                if plan is None:
-                    plan = ctx.start_plan(h.state, h.reward)
-                hit = memo[sig] = ctx.complete(plan, sig[2]) + (False,)
+            if sig != END and sig[0] and not sig[1]:  # (is_note, starts, pitch)
+                hit = (h.reward, False)  # a melisma continuation fires nothing
             else:
-                events = ctx.step_events(h.state, token)
-                hit = memo[sig] = (
-                    weighted_total(events, ctx.config, ctx.active, h.reward),
-                    _is_masked(events, ctx.active),
-                    token == END,
-                )
-        base = h.base + lp
-        out.append((-(base + hit[0]), rank, -1 if hit[2] else idx, token, base, hit[0], hit[1]))
+                if plan is None:
+                    plan = ctx.plan(h.state, h.reward)
+                hit = (plan.end if sig == END else plan.rest if not sig[0]
+                       else ctx.complete(plan, sig[2]))
+            memo[sig] = hit
+        base, pos = h.base + lp, -1 if sig == END else idx
+        out.append((-(base + hit[0]), rank, pos, token, base, hit[0], hit[1]))
     return out
 
 
 def _keep(ctx: _Context, live: list, pool: list, width: int) -> list[_Hypothesis]:
     """The children of the ``width`` best :func:`_expand` entries, built."""
     return [_extend(ctx, live[entry[1]], entry) for entry in heapq.nsmallest(width, pool)]
-
-
-def _is_masked(events: Sequence[RewardEvent], active: frozenset[Aspect]) -> bool:
-    """Hard-constraint rule: any triggered active sub-reward below its maximum
-    disqualifies the candidate."""
-    return any(ev.aspect in active and not ev.is_maximal for ev in events)
 
 
 @dataclass(frozen=True)
@@ -503,7 +497,8 @@ def decode_two_stage(
     beam-decode pitches onto it under tone + structure rewards.  Both stages
     run :func:`_beam`: stage 1 over the grammar, stage 2 over one slot per
     rhythm token (:func:`_pitch_slots`), so durations, rests and melisma
-    grouping never change in stage 2.
+    grouping never change in stage 2.  Both stages are soft beam searches,
+    whatever mode ``options`` names, and the result says so.
     """
     rhythm_active = frozenset({Aspect.RHYTHM}) & options.active
     stage1_ctx = _Context(lyrics, config, options, rhythm_active)
@@ -524,7 +519,7 @@ def decode_two_stage(
         score=stage1.score + stage2.score,
         base_logprob=stage1.base + stage2.base,
         reward_total=stage1.reward + stage2.reward,
-        mode=options.mode,
+        mode=DecodeMode.BEAM_SOFT,
         pipeline=Pipeline.TWO_STAGE,
         stage_scores={
             "rhythm": {"base": stage1.base, "reward": stage1.reward, "score": stage1.score},

@@ -14,34 +14,34 @@ shape, contour, strong/weak beat or pause matched, the harmony degree of a
 transition, how a repeat's interval echoes its anchor.  A config builds
 every event it can fire once (:class:`RewardEvent`, with that outcome on
 it), and the rules pick one.  When each rule fires is decided by one
-token-by-token event model, :class:`_EventModel`.  The decoder steps it from
-each live hypothesis (:meth:`_EventModel.start_plan` and
-:meth:`_EventModel.complete` for a syllable start,
-:meth:`_EventModel.step_events` for any other token, and
-:meth:`_EventModel.apply` over a frozen :class:`_State` that hypotheses
-share).  Rescoring a finished melody (:func:`reward_events`, rerank, the
-objective metrics) runs :meth:`_EventModel.fold`, a fast loop over local
-mutable state that applies the same rules through the same tables, so a
-decode and the rescoring of its output fire the same events in the same
-order.  :func:`reward_events` memoises its last pair, keyed on the identity
-of the lyrics, config and melody and holding them strongly; a hit returns a
-fresh copy of the events, and threads may share the memo.  So
+token-by-token event model, :class:`_EventModel`.  The decoder scores every
+move of a live hypothesis off one :meth:`_EventModel.plan` of its state and
+steps a frozen :class:`_State` that hypotheses share with
+:meth:`_EventModel.apply`.  Rescoring a finished melody
+(:func:`reward_events`, rerank, the objective metrics) runs
+:meth:`_EventModel.fold`, a fast loop over local mutable state that applies
+the same rules through the same tables and fires every aspect, so a decode
+and the rescoring of its output fire the same events in the same order;
+only the plan reads the model's active aspects.  :func:`reward_events`
+memoises its last pair, keyed on the identity of the lyrics, config and
+melody and holding them strongly; a hit returns a fresh copy of the events,
+and threads may share the memo.  So
 :func:`~lyricmelody.metrics.evaluate_pair` followed by :func:`score_rewards`
 on the same objects builds one model and folds once.  The model reads a
 token's ``is_note``, ``syllable_start``, ``pitch`` and ``duration`` only, so
 it steps a :class:`~lyricmelody.melody.MelodyToken` and the pitch-free
 :class:`~lyricmelody.melody.RhythmToken` of rhythm-first decoding alike.
-The tests pin the fold to the step/apply path event for event, and check
-both against an independently written whole-pair scan.
+The tests pin the fold and the plan to the same stepped events, and the
+fold to an independently written whole-pair scan.
 
-A syllable start is where most candidates differ, and only by pitch: its
-close, strong/weak and pause events, its tone-pair cell and its structure
-partner depend on the state alone.  :meth:`_EventModel.start_plan` weighs
-them once per state into a plan that carries the running reward past the
-close events; :meth:`_EventModel.complete` adds a pitch's transition and
-structure terms in canonical order, so it equals :func:`weighted_total`
-over the start's events to the last bit.  This is the only path that
-scores a start; :meth:`_EventModel.step_events` refuses one.
+A plan weighs what each move fires once per state: END closes the open
+span (shape, contour), a rest also pauses the gap in front of the next
+syllable, and a melisma continuation fires nothing.  A syllable start
+differs from its siblings only by pitch: its close, strong/weak and pause
+events, its tone-pair cell and its structure partner depend on the state
+alone, and :meth:`_EventModel.complete` adds a pitch's transition and
+structure terms in canonical order.  Each move's reward equals
+:func:`weighted_total` over its events to the last bit.
 
 Event timing convention: a syllable's shape and its sentence's contour fire
 on the token that closes the span (the next rest, the next syllable's first
@@ -55,14 +55,15 @@ strong/weak, pause, structure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import AlignmentError, ConfigError, InternalError
+from .errors import AlignmentError, ConfigError
 from .lyrics import (
     Intonation,
     Language,
@@ -130,15 +131,14 @@ class HarmonyTable:
 
     def __post_init__(self) -> None:
         for pair, intervals in self.cells.items():
-            covered: set[int] = set()
             for lo, hi, _ in intervals:
                 if lo > hi:
                     raise ConfigError(f"harmony cell {pair}: interval ({lo}, {hi}) is inverted")
-                span = set(range(lo, hi + 1))
-                if span & covered:
-                    raise ConfigError(f"harmony cell {pair}: overlapping intervals")
-                covered |= span
-            if 0 not in covered:
+            # compared by their ends, so a wide interval costs no more than a narrow one
+            ordered = sorted((lo, hi) for lo, hi, _ in intervals)
+            if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(ordered, ordered[1:])):
+                raise ConfigError(f"harmony cell {pair}: overlapping intervals")
+            if not any(lo <= 0 <= hi for lo, hi in ordered):
                 raise ConfigError(f"harmony cell {pair}: a zero pitch difference must be labeled")
 
     def degree_of(self, prev: Tone, cur: Tone, delta: int) -> Optional[HarmonyDegree]:
@@ -189,6 +189,12 @@ class RewardConfig:
     harmony_table: Optional[HarmonyTable] = None
 
     def __post_init__(self) -> None:
+        # λs and rewards: one non-finite value turns a score into NaN
+        values = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        values += [(f"{d.value} transition reward", v) for d, v in self.transition_rewards.items()]
+        for name, value in values:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for name in ("lambda_tone", "lambda_rhythm", "lambda_structure"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -457,34 +463,33 @@ class _State:
     syl: int = -1
     span_open: bool = False
     span_pitches: tuple = ()
-    span_len: int = 0
+    first_pitch: Optional[int] = None  # the current syllable's first pitch
     last_pitch: Optional[int] = None
     last_duration: Optional[Fraction] = None
-    syl_first: tuple = ()
     syl_delta: tuple = ()
     sent_first: Optional[int] = None
-    sent_last: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)
-class _StartPlan:
-    """What a syllable start fires from one state, short of its pitch.
+class _Plan:
+    """What every move fires from one state, short of a start's pitch.
 
-    A transition fires when ``cell`` (the tone pair's graded intervals) is
-    set, graded on the jump from ``anchor``; structure fires when
-    ``partner_delta`` is set, compared with the jump from ``last_pitch``.
-    ``reward`` is the running total after the close events (shape, contour),
-    ``masked`` whether one of them is below its maximum, and ``terms`` the
-    λ·v and below-maximum flag of each strong/weak and pause event.
+    ``end`` and ``rest`` are the (running reward, masked) pairs after END
+    and a rest; masked is whether an event fired below its maximum.  A
+    start adds to ``end``: a transition when ``cell`` (the tone pair's
+    graded intervals) is set, graded on the jump from ``anchor``; the λ·v
+    and below-maximum flag of each strong/weak and pause event in
+    ``terms``; and structure when ``partner_delta`` is set, compared with
+    the jump from ``last_pitch``.
     """
 
-    cell: Optional[tuple]
-    anchor: Optional[int]
-    partner_delta: Optional[int]
-    last_pitch: Optional[int]
-    reward: float
-    masked: bool
-    terms: list
+    end: tuple[float, bool]
+    rest: tuple[float, bool]
+    cell: Optional[tuple] = None
+    anchor: Optional[int] = None
+    partner_delta: Optional[int] = None
+    last_pitch: Optional[int] = None
+    terms: tuple = ()
 
 
 class _EventModel:
@@ -494,11 +499,10 @@ class _EventModel:
     intonation if it ends the sentence, whether it opens a sentence, the
     graded harmony cell of the transition into it, its (weak, strong)
     strong/weak events and the (no pause, pause) events of the gap in front
-    of it; plus the structure partners and the meter.  :meth:`start_plan`
-    and :meth:`complete` weigh a syllable start from a state,
-    :meth:`step_events` gives what any other token fires, and :meth:`apply`
-    the state after a token.  Events of aspects outside ``active`` are not
-    produced.
+    of it; plus the structure partners and the meter.  :meth:`plan` weighs
+    every move from a state (:meth:`complete` finishes a syllable start at
+    its pitch), and :meth:`apply` gives the state after a token.  Only the
+    plan reads ``active``: it weighs the events of those aspects alone.
     """
 
     def __init__(
@@ -544,17 +548,18 @@ class _EventModel:
         self.cell, self.sw, self.pause = cell, sw, pause
 
     def _close_events(self, st: _State) -> list[RewardEvent]:
-        if st.syl < 0 or not st.span_open or Aspect.TONE not in self.active:
+        """The shape and contour events of closing the open span of ``st``."""
+        if st.syl < 0 or not st.span_open:
             return []
         table = self.config._events
         events = []
-        if st.span_len >= 2:
+        if len(st.span_pitches) >= 2:
             matched = _shape_matches(self.tone[st.syl], st.span_pitches)
             if matched is not None:
                 events.append(table.shape[matched])
         intonation = self.final_intonation[st.syl]
         if intonation is not None:
-            events.append(table.contour[contour_matches(intonation, st.sent_first, st.sent_last)])
+            events.append(table.contour[contour_matches(intonation, st.sent_first, st.last_pitch)])
         return events
 
     @staticmethod
@@ -567,62 +572,44 @@ class _EventModel:
         starts = token.syllable_start
         return (token.is_note, starts, token.pitch if starts else None)
 
-    def step_events(self, st: _State, token) -> list[RewardEvent]:
-        """Reward events END, a rest or a melisma continuation triggers, in
-        canonical order.  A syllable start is scored by :meth:`start_plan`
-        and :meth:`complete` only; stepping one here is a bug."""
-        if token == END:
-            return self._close_events(st)
-        if not token.is_note:
-            events = self._close_events(st)
-            gap_right = st.syl + 1
-            if Aspect.RHYTHM in self.active and gap_right < self.n:
-                events.append(self.pause[gap_right][True])
-            return events
-        if token.syllable_start:
-            raise InternalError("a syllable start is scored by start_plan and complete")
-        return []
-
-    def start_plan(self, st: _State, start: float = 0.0) -> _StartPlan:
-        """The pitch-free part of a syllable start from ``st``, with the
-        running reward ``start`` carried past its close events."""
+    def plan(self, st: _State, start: float = 0.0) -> _Plan:
+        """Every move's reward from ``st`` with the running reward ``start``,
+        weighing the active aspects only: END's and a rest's in full, a
+        syllable start's short of its pitch."""
         active, config = self.active, self.config
-        close = self._close_events(st)
+        close = self._close_events(st) if Aspect.TONE in active else []
+        end = (weighted_total(close, config, start=start), any(not ev.is_maximal for ev in close))
         k = st.syl + 1
-        cell = self.cell[k] if Aspect.TONE in active else None
-        middle = []
+        if k == self.n:
+            return _Plan(end, end)  # no gap is left for a rest to pause
+        rest, middle = end, []
         if Aspect.RHYTHM in active:
+            if k > 0:
+                pause = self.pause[k][True]
+                rest = (end[0] + config.lambda_rhythm * pause.value, end[1] or not pause.is_maximal)
             sw = self.sw[k]
             if sw is not None:
                 middle.append(sw[st.onset % self.bar in self.strong])
             if st.span_open:
                 # no rest resolved this gap; a long final note still pauses
-                has_pause = (st.last_duration is not None
-                             and st.last_duration >= config.long_note_threshold)
-                middle.append(self.pause[k][has_pause])
+                middle.append(self.pause[k][st.last_duration >= config.long_note_threshold])
         partner_delta = None
         if Aspect.STRUCTURE in active:
             j = self.partner.get(k)
             if j is not None and st.last_pitch is not None:
                 partner_delta = st.syl_delta[j]
-        return _StartPlan(
-            cell,
-            st.syl_first[k - 1] if cell is not None else None,
-            partner_delta,
-            st.last_pitch,
-            weighted_total(close, config, active, start),
-            any(not ev.is_maximal for ev in close),
-            # strong/weak and pause are rhythm events
-            [(config.lambda_rhythm * ev.value, not ev.is_maximal) for ev in middle],
-        )
+        cell = self.cell[k] if Aspect.TONE in active else None
+        # strong/weak and pause are rhythm events
+        terms = tuple((config.lambda_rhythm * ev.value, not ev.is_maximal) for ev in middle)
+        return _Plan(end, rest, cell, st.first_pitch, partner_delta, st.last_pitch, terms)
 
-    def complete(self, plan: _StartPlan, pitch) -> tuple[float, bool]:
+    def complete(self, plan: _Plan, pitch) -> tuple[float, bool]:
         """(running reward, masked) after a start at ``pitch``: the plan's
-        terms and the pitch's transition and structure terms added in
-        canonical order, so the reward equals :func:`weighted_total` over
-        the start's events, continued from ``start``, bit for bit."""
+        terms and the pitch's transition and structure terms added to END's
+        pair in canonical order, so the reward equals :func:`weighted_total`
+        over the start's events, continued from ``start``, bit for bit."""
         config, table = self.config, self.config._events
-        total, masked = plan.reward, plan.masked
+        total, masked = plan.end
         if plan.cell is not None:
             transition = _cell_degree(plan.cell, pitch - plan.anchor, table.bad)
             total += config.lambda_tone * transition.value
@@ -649,39 +636,32 @@ class _EventModel:
                 syl=k,
                 span_open=True,
                 span_pitches=(pitch,),
-                span_len=1,
+                first_pitch=pitch,
                 last_pitch=pitch,
                 last_duration=duration,
-                syl_first=st.syl_first + (pitch,),
                 syl_delta=st.syl_delta + (delta,),
                 sent_first=pitch if self.new_sentence[k] else st.sent_first,
-                sent_last=pitch,
             )
         return replace(
             st,
             onset=st.onset + duration,
             span_pitches=st.span_pitches + (pitch,),
-            span_len=st.span_len + 1,
             last_pitch=pitch,
             last_duration=duration,
-            sent_last=pitch,
         )
 
     def fold(self, tokens: Sequence) -> list[tuple[Optional[int], RewardEvent]]:
         """The events of a complete token sequence (END excluded), tagged
         with the index they fire on (None = at the end).
 
-        Equal, event for event and in order, to stepping the model from
-        ``_State()`` over the tokens and then END (a start's events are the
-        ones :meth:`complete` weighs), but one loop over local mutable
-        state.  Onsets and the long-note
-        threshold are counted in integer ticks of the sequence's
-        :func:`~lyricmelody.melody._tick_clock`.
+        Fires every aspect, whatever ``active`` holds.  Equal, event for
+        event and in order, to the events the plans weigh when the model is
+        stepped from ``_State()`` over the tokens and then END with every
+        aspect active, but one loop over local mutable state.  Onsets and
+        the long-note threshold are counted in integer ticks of the
+        sequence's :func:`~lyricmelody.melody._tick_clock`.
         """
         n = self.n
-        tone_on = Aspect.TONE in self.active
-        rhythm_on = Aspect.RHYTHM in self.active
-        structure_on = Aspect.STRUCTURE in self.active
         tone, final_intonation, new_sentence = self.tone, self.final_intonation, self.new_sentence
         cells, sws, pauses, partner = self.cell, self.sw, self.pause, self.partner
         table = self.config._events
@@ -697,7 +677,7 @@ class _EventModel:
         syl = -1
         span_open = False
         span: list[int] = []  # the open span's pitches
-        first_pitch = last_pitch = last_ticks = sent_first = sent_last = None
+        first_pitch = last_pitch = last_ticks = sent_first = None
         syl_delta: list[Optional[int]] = []  # per syllable, the jump into it
 
         def close(anchor):
@@ -707,16 +687,16 @@ class _EventModel:
                     events.append((anchor, shape_events[matched]))
             intonation = final_intonation[syl]
             if intonation is not None:
-                matched = contour_matches(intonation, sent_first, sent_last)
+                matched = contour_matches(intonation, sent_first, last_pitch)
                 events.append((anchor, contour_events[matched]))
 
         for i, token in enumerate(tokens):
             d = token.duration
             ticks = d.numerator * (scale // d.denominator)
             if not token.is_note:
-                if span_open and tone_on:
+                if span_open:
                     close(i)
-                if rhythm_on and syl + 1 < n:
+                if syl + 1 < n:
                     events.append((i, pauses[syl + 1][True]))
                 onset += ticks
                 span_open = False
@@ -725,34 +705,32 @@ class _EventModel:
             if not token.syllable_start:
                 onset += ticks
                 span.append(pitch)
-                last_pitch, last_ticks, sent_last = pitch, ticks, pitch
+                last_pitch, last_ticks = pitch, ticks
                 continue
-            if span_open and tone_on:
+            if span_open:
                 close(i)
             k = syl + 1
-            if tone_on:
-                cell = cells[k]
-                if cell is not None:
-                    events.append((i, _cell_degree(cell, pitch - first_pitch, bad)))
-            if rhythm_on:
-                sw = sws[k]
-                if sw is not None:
-                    events.append((i, sw[onset % bar in strong]))
-                if span_open:
-                    # no rest resolved this gap; a long final note still pauses
-                    events.append((i, pauses[k][last_ticks >= long_note]))
+            cell = cells[k]
+            if cell is not None:
+                events.append((i, _cell_degree(cell, pitch - first_pitch, bad)))
+            sw = sws[k]
+            if sw is not None:
+                events.append((i, sw[onset % bar in strong]))
+            if span_open:
+                # no rest resolved this gap; a long final note still pauses
+                events.append((i, pauses[k][last_ticks >= long_note]))
             delta = None if last_pitch is None else pitch - last_pitch
-            if structure_on and delta is not None:
+            if delta is not None:
                 j = partner.get(k)
                 if j is not None and syl_delta[j] is not None:
                     events.append((i, echo_events[_echo(delta, syl_delta[j])]))
             onset += ticks
             syl, span_open, span, first_pitch = k, True, [pitch], pitch
-            last_pitch, last_ticks, sent_last = pitch, ticks, pitch
+            last_pitch, last_ticks = pitch, ticks
             if new_sentence[k]:
                 sent_first = pitch
             syl_delta.append(delta)
-        if span_open and tone_on:
+        if span_open:
             close(None)
         return events
 
@@ -857,11 +835,23 @@ def _table_to_dict(table: HarmonyTable) -> dict:
     }
 
 
+def _object(value, where: str) -> dict:
+    """``value``, which a reward config document must hold as a JSON object
+    ``where``."""
+    if not isinstance(value, dict):
+        kind = type(value).__name__
+        raise ConfigError(f"reward config {where} must be a JSON object, got {kind}")
+    return value
+
+
 def reward_config_from_dict(doc: dict) -> RewardConfig:
+    # the document's shape; sections other than the harmony table may be absent
+    doc = _object(doc, "document")
+    lam = _object(doc.get("lambda", {}), "'lambda'")
+    rewards = _object(doc.get("rewards", {}), "'rewards'")
+    transition = _object(rewards.get("transition", {}), "'rewards.transition'")
+    table = _object(doc.get("harmony_table"), "'harmony_table'")
     try:
-        lam = doc.get("lambda", {})
-        rewards = doc.get("rewards", {})
-        transition = rewards.get("transition", {})
         config = RewardConfig(
             lambda_tone=float(lam.get("tone", 1.2)),
             lambda_rhythm=float(lam.get("rhythm", 1.5)),
@@ -879,7 +869,7 @@ def reward_config_from_dict(doc: dict) -> RewardConfig:
             structure_reward_exact=float(rewards.get("structure_exact", 2.0)),
             structure_reward_octave=float(rewards.get("structure_octave", 1.0)),
             long_note_threshold=Fraction(str(doc.get("long_note_threshold", "2"))),
-            harmony_table=_table_from_dict(doc["harmony_table"]),
+            harmony_table=_table_from_dict(table),
         )
     except ConfigError:
         raise

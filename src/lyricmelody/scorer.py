@@ -419,6 +419,10 @@ def train_ngram(
     return NGramModel.train([melody_sequence(m) for m in corpus], order, discount, vocab)
 
 
+#: the vocabulary kind each model slot of a model file must hold
+_SLOT_KINDS = {"token_model": "melody", "rhythm_model": "rhythm", "pitch_model": "pitch"}
+
+
 @dataclass(frozen=True)
 class ModelBundle:
     """The three models one training run produces, saved as a single file."""
@@ -451,13 +455,15 @@ class ModelBundle:
         if doc.get("version") != cls.VERSION:
             raise TrainingError(f"unsupported model file version {doc.get('version')!r}")
         try:
-            return cls(
-                NGramModel.from_dict(doc["token_model"]),
-                NGramModel.from_dict(doc["rhythm_model"]),
-                NGramModel.from_dict(doc["pitch_model"]),
-            )
+            models = [NGramModel.from_dict(doc[slot]) for slot in _SLOT_KINDS]
         except (KeyError, TypeError, ValueError) as exc:
             raise TrainingError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
+        for (slot, kind), model in zip(_SLOT_KINDS.items(), models):
+            if model.vocab.kind != kind:
+                raise TrainingError(
+                    f"model file slot {slot} holds a {model.vocab.kind} model, expected {kind}"
+                )
+        return cls(*models)
 
 
 def train_model_bundle(

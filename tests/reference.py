@@ -2,23 +2,23 @@
 
 Deliberately simple re-statements of the decoding grammar and of the reward
 rules: a plain beam search that knows nothing about rewards, a reward beam
-search that builds every candidate in full before it cuts the beam (with a
-syllable start's events derived from the event model's static tables
-rather than from its start plan), the two-stage pipeline with its own
-pitch-filling loop over a rhythm skeleton, an exhaustive enumerator of
-every complete token sequence, and a whole-pair scan that derives every
-reward event (with its matched flag, harmony degree and boundary kind) from
-the alignment, the ``Fraction`` beat grid and sentence spans without the
-package's token-by-token event model, the per-aspect and weighted reward
-totals summed in two loops, the n-gram backoff probability
-evaluated one token and one backoff level at a time, a MIDI reader that
-takes one byte slice at a time, the four event metrics walked over the
-alignment (the strong/weak one read off the ``Fraction`` beat grid), and the
-repetition structure (structure matrix and PD/DD/MD) taken from numbered
-sentence groups.  Kept separate from the package so the decoder, the reward
-fold, the scorer's suffix tables, the MIDI reader and the metrics counted
-over reward events and anchored on repeats are checked against a second,
-independently written route.
+search that builds every candidate in full before it cuts the beam (with
+every move's events derived from the event model's static tables rather than
+from its plan, and hard mode's mask read off those events), the two-stage
+pipeline with its own pitch-filling loop over a rhythm skeleton, an
+exhaustive enumerator of every complete token sequence, and a whole-pair
+scan that derives every reward event (with its matched flag, harmony degree
+and boundary kind) from the alignment, the ``Fraction`` beat grid and
+sentence spans without the package's token-by-token event model, the
+per-aspect and weighted reward totals summed in two loops, the n-gram
+backoff probability evaluated one token and one backoff level at a time, a
+MIDI reader that takes one byte slice at a time, the four event metrics
+walked over the alignment (the strong/weak one read off the ``Fraction``
+beat grid), and the repetition structure (structure matrix and PD/DD/MD)
+taken from numbered sentence groups.  Kept separate from the package so the
+decoder, the reward fold, the scorer's suffix tables, the MIDI reader and
+the metrics counted over reward events and anchored on repeats are checked
+against a second, independently written route.
 """
 
 import struct
@@ -50,13 +50,13 @@ from lyricmelody import (
     structure_reward,
 )
 from lyricmelody.decoder import (
+    DecodeMode,
     DecodeResult,
     Pipeline,
     _Context,
     _Hypothesis,
     _expand,
     _group_vocab,
-    _is_masked,
     _keep,
     _max_steps,
     score_decode,
@@ -158,18 +158,24 @@ def plain_beam_search(lyrics, scorer, width, max_notes=4):
     return best[2]
 
 
+def close_events(model, st):
+    """The shape and contour events closing the open span of ``st``, when
+    tone is one of ``model``'s active aspects."""
+    return model._close_events(st) if Aspect.TONE in model.active else []
+
+
 def start_events(model, st, token):
     """The reward events a syllable start fires from state ``st`` of the
     event model ``model``, in canonical order: the events closing the open
     span, then transition, strong/weak, pause and structure.  Read off the
     model's static per-syllable tables (``cell``, ``sw``, ``pause``,
-    ``partner``) without its start plan; the beat is placed by the
-    ``Fraction`` grid's rule, the echo by interval arithmetic."""
+    ``partner``) without its plan; the beat is placed by the ``Fraction``
+    grid's rule, the echo by interval arithmetic."""
     config, active = model.config, model.active
-    events = model._close_events(st)
+    events = close_events(model, st)
     k = st.syl + 1
     if Aspect.TONE in active and model.cell[k] is not None:
-        jump = token.pitch - st.syl_first[k - 1]
+        jump = token.pitch - st.first_pitch
         graded = [ev for lo, hi, ev in model.cell[k] if lo <= jump <= hi]
         events.append(graded[0] if graded else RewardEvent(
             "transition", Aspect.TONE, config.transition_rewards[HarmonyDegree.BAD],
@@ -195,12 +201,27 @@ def start_events(model, st, token):
 
 
 def step_events(model, st, token):
-    """The reward events ``token`` (or END) fires from state ``st``: a
-    syllable start's from :func:`start_events`, any other token's from the
-    model's own ``step_events``."""
-    if token != END and token.is_note and token.syllable_start:
+    """The reward events of ``model``'s active aspects that ``token`` (or
+    END) fires from state ``st``, in canonical order: a syllable start's
+    from :func:`start_events`; END's close the open span; a rest's close it
+    and pause the gap in front of the next syllable; a melisma continuation
+    fires none."""
+    if token == END:
+        return close_events(model, st)
+    if not token.is_note:
+        events = close_events(model, st)
+        if Aspect.RHYTHM in model.active and st.syl + 1 < model.n:
+            events.append(model.pause[st.syl + 1][True])
+        return events
+    if token.syllable_start:
         return start_events(model, st, token)
-    return model.step_events(st, token)
+    return []
+
+
+def is_masked(events, active):
+    """Hard-constraint rule: any triggered active sub-reward below its
+    maximum disqualifies the candidate."""
+    return any(ev.aspect in active and not ev.is_maximal for ev in events)
 
 
 def reward_beam_search(ctx, scorer, width, hard):
@@ -235,7 +256,7 @@ def reward_beam_search(ctx, scorer, width, hard):
                 elif best is None or (-cand.score, cand.key) < (-best.score, best.key):
                     best = cand
         if hard and pool:
-            survivors = [item for item in pool if not _is_masked(item[1], ctx.active)]
+            survivors = [item for item in pool if not is_masked(item[1], ctx.active)]
             if not survivors:
                 relaxations.append(step)
                 survivors = pool
@@ -324,7 +345,7 @@ def reference_decode_two_stage(lyrics, rhythm_scorer, pitch_scorer, config, opti
         score=stage1.score + stage2.score,
         base_logprob=stage1.base + stage2.base,
         reward_total=stage1.reward + stage2.reward,
-        mode=options.mode,
+        mode=DecodeMode.BEAM_SOFT,
         pipeline=Pipeline.TWO_STAGE,
         stage_scores={
             "rhythm": {"base": stage1.base, "reward": stage1.reward, "score": stage1.score},

@@ -40,14 +40,14 @@ from lyricmelody import (
     rest,
 )
 from lyricmelody.cli import main as cli_main
-from lyricmelody.decoder import _Context, _is_masked, score_decode, score_two_stage
+from lyricmelody.decoder import _Context, _Hypothesis, _expand, score_decode, score_two_stage
 from lyricmelody.metrics import aggregate_reports
 from lyricmelody.rewards import HarmonyDegree
 from lyricmelody.scorer import END, NGramModel
 from lyricmelody.synthetic import random_lyrics, random_training_melody
 
 from conftest import mk_melody
-from reference import exhaustive_argmax, plain_beam_search, step_events
+from reference import exhaustive_argmax, plain_beam_search
 from test_metrics import HAND_FIXTURES
 
 
@@ -132,12 +132,14 @@ def test_criterion_2_oracle_equivalence(config):
         oracle = set()
         groups = _group_vocab(vocab)
         for first in vocab.tokens[:-1]:
-            state = ctx.apply(_State(), first)
-            for idx, tok in ctx.legal(state, groups):
-                if tok == END:
+            h = _Hypothesis(tokens=(first,), key=(), state=ctx.apply(_State(), first))
+            moves = ctx.legal(h.state, groups)
+            # the decoder's own scoring of each move
+            entries = _expand(ctx, h, 0, moves, [0.0] * len(moves), groups.signatures)
+            for _, _, pos, tok, _, _, masked in entries:
+                if pos < 0:  # END
                     continue
-                events = step_events(ctx, state, tok)
-                if not _is_masked(events, options.active):
+                if not masked:
                     survivors.add((first, tok))
                 # hand-rolled rule: the keyword's first note must fall on
                 # beat 1 or 3 of the 4/4 bar

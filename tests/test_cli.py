@@ -117,6 +117,20 @@ class TestGenerate:
                      "--pipeline", "two-stage"]) == 0
         assert out.is_file()
 
+    @pytest.mark.parametrize("mode", ["beam-hard", "sample", "rerank"])
+    def test_two_stage_other_than_beam_exit_one(
+        self, workspace, model_path, tmp_path, capsys, mode
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"),
+                     "-m", str(model_path), "-o", str(out_dir / "x.mid"),
+                     "--pipeline", "two-stage", "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert f"two-stage decoding runs beam search only, got mode {mode!r}" in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
     def test_non_object_model_file_exit_one(self, workspace, tmp_path, capsys):
         model = tmp_path / "m.json"
         model.write_text("[1]", "utf-8")
@@ -267,7 +281,89 @@ def _lengthen_a_context(doc):
     model["counts"].append([ctx[:1] + ctx, succ])
 
 
+#: reward config edits, each of which must end as a documented error
+BAD_CONFIGS = [
+    (lambda doc: [], "reward config document must be a JSON object, got list"),
+    (lambda doc: {**doc, "lambda": [1]}, "reward config 'lambda' must be a JSON object"),
+    (lambda doc: {**doc, "rewards": "x"}, "reward config 'rewards' must be a JSON object"),
+    (lambda doc: {**doc, "rewards": {"transition": 1}},
+     "reward config 'rewards.transition' must be a JSON object"),
+    (lambda doc: {**doc, "harmony_table": []},
+     "reward config 'harmony_table' must be a JSON object"),
+    (lambda doc: {**doc, "lambda": {"tone": float("nan")}}, "lambda_tone must be finite"),
+    (lambda doc: {**doc, "lambda": {"rhythm": float("inf")}}, "lambda_rhythm must be finite"),
+    (lambda doc: {**doc, "rewards": {"shape_match": float("inf")}},
+     "shape_reward_on_match must be finite"),
+    (lambda doc: {**doc, "rewards": {"transition": {"bad": float("-inf")}}},
+     "bad transition reward must be finite"),
+]
+BAD_CONFIG_IDS = ["list document", "list lambda", "string rewards", "number transition",
+                  "list harmony table", "NaN lambda", "infinite lambda", "infinite reward",
+                  "infinite transition reward"]
+
+
+def _write_config(edit, path):
+    from lyricmelody.rewards import default_reward_config, reward_config_to_dict
+
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    path.write_text(json.dumps(edit(reward_config_to_dict(default_reward_config()))), "utf-8")
+    return path
+
+
 class TestMalformedInputs:
+    @pytest.mark.parametrize("edit, message", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_config_document_generate_exit_one(
+        self, workspace, model_path, tmp_path, capsys, edit, message
+    ):
+        config = _write_config(edit, tmp_path / "config.json")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"), "-m", str(model_path),
+                     "-o", str(out_dir / "x.mid"), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("edit, message", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_config_document_evaluate_exit_one(
+        self, workspace, generated, tmp_path, capsys, edit, message
+    ):
+        config = _write_config(edit, tmp_path / "config.json")
+        report = tmp_path / "report.json"
+        assert main(["evaluate", str(workspace / "lyrics" / "song_0.txt"),
+                     str(generated / "song_0.mid"), "--config", str(config),
+                     "--json", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("pipeline", ["single", "two-stage"])
+    @pytest.mark.parametrize("slot, source", [
+        ("token_model", "rhythm_model"),
+        ("token_model", "pitch_model"),
+        ("rhythm_model", "token_model"),
+        ("rhythm_model", "pitch_model"),
+        ("pitch_model", "token_model"),
+        ("pitch_model", "rhythm_model"),
+    ])
+    def test_model_slot_of_another_kind_exit_one(
+        self, workspace, model_path, tmp_path, capsys, pipeline, slot, source
+    ):
+        doc = json.loads(model_path.read_text())
+        doc[slot] = doc[source]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc), "utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"), "-m", str(broken),
+                     "-o", str(out_dir / "x.mid"), "--pipeline", pipeline]) == 1
+        err = capsys.readouterr().err
+        kinds = {"token_model": "melody", "rhythm_model": "rhythm", "pitch_model": "pitch"}
+        assert (f"model file slot {slot} holds a {kinds[source]} model, expected {kinds[slot]}"
+                in err)
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
     def test_partial_harmony_table_scores_covered_pairs_only(self, tmp_path):
         from lyricmelody.rewards import default_reward_config, reward_config_to_dict
 

@@ -29,8 +29,7 @@ from lyricmelody import (
     train_model_bundle,
     train_ngram,
 )
-from lyricmelody.decoder import _is_masked
-from lyricmelody.rewards import RewardEvent, reward_events
+from lyricmelody.rewards import RewardEvent, _EventModel, _State, reward_events
 from lyricmelody.scorer import END
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from reference import exhaustive_argmax, plain_beam_search, step_events
@@ -118,14 +117,21 @@ class TestHardMode:
         assert got.melody.tokens[0].duration == Fraction(2)
 
     def test_mask_rule_matches_hand_filter(self, config):
-        events_ok = [RewardEvent("sw", Aspect.RHYTHM, 1.0, 1.0)]
-        events_bad = [RewardEvent("sw", Aspect.RHYTHM, 0.0, 1.0)]
-        events_inactive = [RewardEvent("structure", Aspect.STRUCTURE, 0.0, 2.0)]
-        active = frozenset({Aspect.RHYTHM})
-        assert not _is_masked(events_ok, active)
-        assert _is_masked(events_bad, active)
-        assert not _is_masked(events_inactive, active)  # inactive aspects don't mask
-        assert not _is_masked([], active)
+        # the two-note span of "ni3" matches its dipping tone only by falling,
+        # and a rest in front of "hao3" pauses inside a word
+        lyr = parse_lyrics("ni3|W hao3|I .")
+        for second in (58, 65):
+            shape_missed = second > 60
+            for active in [frozenset(), frozenset(Aspect)] + [frozenset({a}) for a in Aspect]:
+                model = _EventModel(lyr, config, active, (4, 4))
+                state = _State()
+                for token in (note(60, 1, True), note(second, 1, False)):
+                    state = model.apply(state, token)
+                plan = model.plan(state)
+                tone_missed = shape_missed and Aspect.TONE in active
+                # an event below its maximum masks only when its aspect is active
+                assert plan.end[1] == tone_missed, (second, active)
+                assert plan.rest[1] == (tone_missed or Aspect.RHYTHM in active), (second, active)
 
     def test_relaxation_recorded_when_nothing_satisfies(self, config):
         # a single harmony cell that only accepts jumps the vocab cannot make
@@ -280,6 +286,14 @@ class TestTwoStage:
                                          durations=[Fraction(1), Fraction(2)])
                   for _ in range(12)]
         return train_model_bundle(corpus, order=2)
+
+    def test_reports_the_beam_mode_it_ran(self, config, bundle):
+        # a direct call runs beam search whatever mode its options name
+        lyr = parse_lyrics("ni3|W,K hao3|I .")
+        for mode in DecodeMode:
+            result = decode_two_stage(lyr, bundle.rhythm_model, bundle.pitch_model, config,
+                                      DecodeOptions(mode=mode, beam_width=2))
+            assert result.mode is DecodeMode.BEAM_SOFT
 
     def test_stage_two_preserves_rhythm(self, config, bundle):
         lyr = parse_lyrics("ni3|W,K hao3|I .\ntian1|W kong1|I ?")
@@ -471,6 +485,12 @@ class TestInvariants:
         with pytest.raises(OptionError):
             DecodeOptions(rerank_candidates=0)
 
+    @pytest.mark.parametrize("mode", [DecodeMode.BEAM_HARD, DecodeMode.SAMPLE, DecodeMode.RERANK])
+    def test_two_stage_runs_beam_only(self, mode):
+        with pytest.raises(OptionError, match="two-stage decoding runs beam search only"):
+            DecodeOptions(mode=mode, pipeline=Pipeline.TWO_STAGE)
+        assert DecodeOptions(mode=mode).pipeline is Pipeline.SINGLE_STAGE
+
     @pytest.mark.parametrize("meter", [(4, 6), (3, 12), (0, 4), (4, 0), (-2, 4), (300, 4)])
     def test_bad_time_signature_rejected(self, meter):
         with pytest.raises(OptionError):
@@ -586,13 +606,13 @@ class TestScoreFirstBeamMatchesReference:
 
 
 class TestEventSignature:
-    """Tokens with equal ``_EventModel.signature`` fire equal events from any
-    state reached by folding a melody, in both token domains."""
+    """Tokens with equal ``_EventModel.signature`` fire equal events
+    (``reference.step_events``) from any state reached by folding a melody,
+    in both token domains."""
 
     @staticmethod
-    def violations(ctx_class, domain, active, config, seed=7):
-        from lyricmelody.decoder import _group_vocab
-        from lyricmelody.rewards import _State
+    def violations(events_of, domain, active, config, seed=7):
+        from lyricmelody.decoder import _Context, _group_vocab
         from lyricmelody.scorer import rhythm_projection, vocabulary_from_corpus
 
         rng = random.Random(seed)
@@ -604,7 +624,7 @@ class TestEventSignature:
             if domain == "rhythm":
                 vocab = Vocabulary.build("rhythm", map(rhythm_projection, vocab.tokens[:-1]))
             groups = _group_vocab(vocab)
-            ctx = ctx_class(lyr, config, DecodeOptions(), active)
+            ctx = _Context(lyr, config, DecodeOptions(), active)
             for melody in melodies:
                 state = _State()
                 tokens = melody.tokens
@@ -613,7 +633,7 @@ class TestEventSignature:
                 for token in tokens + (None,):
                     by_signature = {}
                     for idx, cand in ctx.legal(state, groups):
-                        events = step_events(ctx, state, cand)
+                        events = events_of(ctx, state, cand)
                         sig = groups.signatures[idx]
                         if sig in by_signature:
                             shared += 1
@@ -627,31 +647,23 @@ class TestEventSignature:
         return found
 
     @staticmethod
-    def reads_duration():
-        """A broken event model whose events depend on a token's duration."""
-        from lyricmelody.decoder import _Context
-
-        class ReadsDuration(_Context):
-            def step_events(self, st, token):
-                events = super().step_events(st, token)
-                if token != END and token.duration >= 2:
-                    events = events + [RewardEvent("pause", Aspect.RHYTHM, 0.0, 1.0)]
-                return events
-
-        return ReadsDuration
+    def reads_duration(model, st, token):
+        """The events of a broken rule set that reads a token's duration."""
+        events = step_events(model, st, token)
+        if token != END and token.duration >= 2:
+            events = events + [RewardEvent("pause", Aspect.RHYTHM, 0.0, 1.0)]
+        return events
 
     @pytest.mark.parametrize("domain, active", [
         ("melody", frozenset(Aspect)),
         ("rhythm", frozenset({Aspect.RHYTHM})),
     ])
     def test_equal_signature_equal_events(self, config, domain, active):
-        from lyricmelody.decoder import _Context
-
-        assert self.violations(_Context, domain, active, config) == []
+        assert self.violations(step_events, domain, active, config) == []
 
     @pytest.mark.parametrize("domain, active", [
         ("melody", frozenset(Aspect)),
         ("rhythm", frozenset({Aspect.RHYTHM})),
     ])
     def test_catches_events_that_read_duration(self, config, domain, active):
-        assert self.violations(self.reads_duration(), domain, active, config)
+        assert self.violations(self.reads_duration, domain, active, config)

@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion against the package in src/."""
+"""Every script under demos/, and the README's Quick start, runs to
+completion against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,15 @@ def test_demo_runs(demo, tmp_path):
     assert out.returncode == 0, out.stderr
     assert "Traceback" not in out.stderr
     assert out.stdout
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the block writes song.mid into its working directory
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", blocks[0]], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout
+    assert (tmp_path / "song.mid").read_bytes()[:4] == b"MThd"

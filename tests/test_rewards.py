@@ -1,5 +1,7 @@
 import inspect
 import itertools
+import json
+import math
 import random
 import sys
 import textwrap
@@ -15,11 +17,11 @@ from lyricmelody import (
     END,
     HarmonyDegree,
     HarmonyTable,
-    InternalError,
     Intonation,
     Melody,
     MelodyToken,
     RewardConfig,
+    RhythmToken,
     StressClass,
     TokenKind,
     Tone,
@@ -46,6 +48,7 @@ from lyricmelody.rewards import (
     reward_events,
     weighted_total,
 )
+from lyricmelody.scorer import rhythm_projection
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import mk_melody
 from reference import reference_score_rewards, scan_reward_events, step_events
@@ -377,9 +380,9 @@ class TestFoldMatchesReferenceScan:
 class TestFoldMatchesStepApply:
     """The fold is its own loop, so it is pinned to the decoder's path: the
     events of stepping ``reference.step_events``/``apply`` from ``_State()``
-    over every token and then END (a start's events from the reference
-    oracle, any other token's from the model), compared with ``==``, and
-    their weighted totals compared bit for bit."""
+    over every token and then END, with some aspects active, equal the
+    fold's events of those aspects (``==``), and their weighted totals
+    agree bit for bit."""
 
     METERS = [(4, 4), (3, 4), (6, 8), (2, 2)]
 
@@ -405,8 +408,8 @@ class TestFoldMatchesStepApply:
 
     @staticmethod
     def fold(lyrics, melody, config, active):
-        """``reward_events`` with every aspect on; the model's fold over
-        fewer aspects, as rerank runs it."""
+        """``reward_events`` with every aspect on; the model's fold under
+        fewer active aspects, as rerank runs it.  Both fire every aspect."""
         if active == ALL_ASPECTS:
             return reward_events(lyrics, melody, config)
         return _EventModel(lyrics, config, active, melody.time_signature).fold(melody.tokens)
@@ -426,7 +429,8 @@ class TestFoldMatchesStepApply:
                     pair = Melody(melody.tokens, meter)
                     for active in [ALL_ASPECTS] + [frozenset({a}) for a in Aspect]:
                         want = cls.stepped(_EventModel(lyr, cfg, active, meter), pair.tokens)
-                        got = fold(lyr, pair, cfg, active)
+                        got = [(i, ev) for i, ev in fold(lyr, pair, cfg, active)
+                               if ev.aspect in active]
                         kinds.update(ev.kind for _, ev in want)
                         totals = [weighted_total((ev for _, ev in evs), cfg, active).hex()
                                   for evs in (got, want)]
@@ -437,6 +441,15 @@ class TestFoldMatchesStepApply:
 
     def test_fold_equals_stepping(self, config):
         assert self.mismatches(config, self.fold) == []
+
+    def test_fold_fires_every_aspect(self, config):
+        # only the plan reads the active aspects; callers weigh the fold's
+        for seed in range(24):
+            lyr, melody = seeded_pair(seed)
+            want = reward_events(lyr, melody, config)
+            for active in [frozenset()] + [frozenset({a}) for a in Aspect]:
+                model = _EventModel(lyr, config, active, melody.time_signature)
+                assert model.fold(melody.tokens) == want, (seed, active)
 
     def test_catches_a_fold_without_the_long_note_test(self, config):
         source = textwrap.dedent(inspect.getsource(_EventModel.fold))
@@ -592,12 +605,87 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config.with_preset("nonsense")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, config, value):
+        with pytest.raises(ConfigError, match="lambda_structure must be finite"):
+            config.with_lambdas((1.0, 1.0, value))
+        with pytest.raises(ConfigError, match="pause_reward_on_match must be finite"):
+            replace(config, pause_reward_on_match=value)
+        with pytest.raises(ConfigError, match="fair transition reward must be finite"):
+            replace(config, transition_rewards={
+                **config.transition_rewards, HarmonyDegree.FAIR: value})
+
+    def test_wide_harmony_interval_checked_by_its_ends(self):
+        # a set of every covered difference would need 10**12 entries here
+        wide = {(Tone.TONE1, Tone.TONE2): ((-10**12, 0, HarmonyDegree.GOOD),
+                                           (1, 10**12, HarmonyDegree.FAIR))}
+        assert HarmonyTable(wide).degree_of(Tone.TONE1, Tone.TONE2, 10**9) is HarmonyDegree.FAIR
+        with pytest.raises(ConfigError, match="overlapping"):
+            HarmonyTable({(Tone.TONE1, Tone.TONE2): ((-10**12, 5, HarmonyDegree.GOOD),
+                                                     (0, 0, HarmonyDegree.EXCELLENT))})
+        with pytest.raises(ConfigError, match="zero"):
+            HarmonyTable({(Tone.TONE1, Tone.TONE2): ((1, 10**12, HarmonyDegree.GOOD),)})
+
+    #: JSON values a mutation puts in place of a node of the document
+    FUZZ_VALUES = [None, True, False, 0, -1, 2, 1.5, 1e308, -1e308, float("nan"),
+                   float("inf"), float("-inf"), "", "x", "2", "1/2", "tone1,tone2",
+                   "excellent", [], [1], [0, 0, "excellent"], [[0, 0, "excellent"]],
+                   [[-10**12, 10**12, "good"]], {}, {"tone": 1}]
+
+    @staticmethod
+    def nodes(doc):
+        """Every (container, key) of a JSON document, depth first."""
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in list(items):
+            yield doc, key
+            if isinstance(value, (dict, list)):
+                yield from TestConfigValidation.nodes(value)
+
+    def test_mutated_documents_load_or_raise_config_error(self, config):
+        from copy import deepcopy
+
+        from lyricmelody import load_reward_config
+        from lyricmelody.rewards import reward_config_to_dict
+
+        base = reward_config_to_dict(config)
+        outcomes = {"loaded": 0, "refused": 0}
+        for seed in range(1500):
+            rng = random.Random(seed)
+            doc = deepcopy(base)
+            for _ in range(rng.randint(1, 3)):
+                nodes = list(self.nodes(doc)) if isinstance(doc, (dict, list)) else []
+                if not nodes or rng.random() < 0.03:
+                    doc = rng.choice(self.FUZZ_VALUES)
+                    continue
+                container, key = rng.choice(nodes)
+                if isinstance(container, dict) and rng.random() < 0.3:
+                    del container[key]
+                else:
+                    container[key] = deepcopy(rng.choice(self.FUZZ_VALUES))
+            text = json.dumps(doc)
+            if rng.random() < 0.05:
+                cut = rng.randrange(len(text) + 1)
+                text = text[:cut] + rng.choice(["", "]", "{", ",", '"']) + text[cut + 1:]
+            try:
+                loaded = load_reward_config(text)
+            except ConfigError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["loaded"] += 1
+            assert all(map(math.isfinite, (
+                loaded.lambda_tone, loaded.lambda_rhythm, loaded.lambda_structure,
+                *loaded.transition_rewards.values()))), seed
+        assert min(outcomes.values()) >= 20, outcomes  # both ends were reached
+
 
 class TestStartPlan:
-    """From every state of folded seeded melodies, completing the start plan
-    at every legal pitch gives ``weighted_total`` (to the last bit) and
-    ``_is_masked`` of the events the independent oracle
-    ``reference.start_events`` derives for that start."""
+    """From every state of folded seeded melodies, the plan gives each move
+    ``weighted_total`` (to the last bit) and ``reference.is_masked`` of the
+    events the independent oracle ``reference.step_events`` derives for
+    that move: END and a rest read off the plan, a start completed at every
+    pitch.  Melody states run under every active set; the pitch-free states
+    of rhythm tokens under the sets that leave tone off, as the rhythm stage
+    does, since a pitch-free span has no shape."""
 
     # the presets' rhythm and structure weights are dyadic, so reordering
     # their terms cannot change a bit; the last weights can, most often from
@@ -609,58 +697,76 @@ class TestStartPlan:
 
     @classmethod
     def mismatches(cls, model_class, config, seeds=range(8)):
-        from lyricmelody.decoder import _is_masked
-        from reference import start_events
+        from reference import is_masked
 
         cells = {p: v for p, v in config.harmony_table.cells.items() if Tone.TONE3 not in p}
         no_tone3 = replace(config, harmony_table=HarmonyTable(cells))
-        found, kinds = [], set()
+        found, kinds, moves = [], set(), set()
         for seed in seeds:
             rng = random.Random(seed)
             lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=seed % 4 != 3,
                                 repeat=seed % 4 < 2)
             melody = random_aligned_melody(lyr, rng)
             table = no_tone3 if seed % 2 else config
+            domains = [(melody.tokens, cls.ACTIVE, MelodyToken, cls.PITCHES),
+                       (tuple(map(rhythm_projection, melody.tokens)),
+                        [a for a in cls.ACTIVE if Aspect.TONE not in a], RhythmToken, [None])]
             for lambdas in cls.LAMBDAS:
                 cfg = (table.with_preset(lambdas) if isinstance(lambdas, str)
                        else table.with_lambdas(lambdas))
-                for active in cls.ACTIVE:
-                    for meter in cls.METERS:
+                for tokens, actives, token_class, pitches in domains:
+                    for active, meter in itertools.product(actives, cls.METERS):
                         model = model_class(lyr, cfg, active, meter)
                         state = _State()
-                        for token in melody.tokens:
+                        for token in tokens:
+                            start_reward = rng.uniform(0, 4)
+                            plan = model.plan(state, start_reward)
+                            d = token.duration
+                            scored = [("end", END, plan.end)]
+                            if state.syl >= 0:
+                                scored.append(("rest", token_class(TokenKind.REST, d), plan.rest))
                             if state.syl + 1 < len(lyr):
-                                start_reward = rng.uniform(0, 4)
-                                plan = model.start_plan(state, start_reward)
-                                for pitch in cls.PITCHES:
-                                    start = MelodyToken(TokenKind.NOTE, token.duration, pitch, True)
-                                    events = start_events(model, state, start)
-                                    kinds.update(ev.kind for ev in events)
-                                    want = (weighted_total(events, cfg, active, start_reward).hex(),
-                                            _is_masked(events, active))
-                                    got_reward, got_masked = model.complete(plan, pitch)
-                                    if (got_reward.hex(), got_masked) != want:
-                                        found.append((seed, lambdas, meter, sorted(active, key=str),
-                                                      state.syl, pitch))
+                                for pitch in pitches:
+                                    start = (RhythmToken(TokenKind.NOTE, d, True) if pitch is None
+                                             else MelodyToken(TokenKind.NOTE, d, pitch, True))
+                                    scored.append(("start", start, model.complete(plan, pitch)))
+                            for move, cand, (got_reward, got_masked) in scored:
+                                events = step_events(model, state, cand)
+                                kinds.update(ev.kind for ev in events)
+                                moves.add(move)
+                                want = (weighted_total(events, cfg, active, start_reward).hex(),
+                                        is_masked(events, active))
+                                if (got_reward.hex(), got_masked) != want:
+                                    found.append((seed, lambdas, meter, sorted(active, key=str),
+                                                  state.syl, move, cand))
                             state = model.apply(state, token)
         assert kinds == {"shape", "contour", "transition", "sw", "pause", "structure"}
+        assert moves == {"end", "rest", "start"}
         return found
 
     def test_completion_equals_events(self, config):
-        from lyricmelody.rewards import _EventModel
-
         assert self.mismatches(_EventModel, config) == []
 
-    def test_step_events_refuses_a_start(self, config):
-        # the plan is the one path that scores a start
-        model = _EventModel(parse_lyrics("ni3|W hao3|I ."), config, ALL_ASPECTS, (4, 4))
-        start = MelodyToken(TokenKind.NOTE, Fraction(1), 60, True)
-        with pytest.raises(InternalError):
-            model.step_events(_State(), start)
+    def test_catches_a_rest_without_its_pause(self, config):
+        class NoRestPause(_EventModel):
+            def plan(self, st, start=0.0):
+                plan = super().plan(st, start)
+                return replace(plan, rest=plan.end)
+
+        assert self.mismatches(NoRestPause, config, seeds=range(2))
+
+    def test_catches_an_end_without_contour(self, config):
+        class NoEndContour(_EventModel):
+            def plan(self, st, start=0.0):
+                close = [ev for ev in self._close_events(st) if ev.kind != "contour"
+                         ] if Aspect.TONE in self.active else []
+                end = (weighted_total(close, self.config, start=start),
+                       any(not ev.is_maximal for ev in close))
+                return replace(super().plan(st, start), end=end)
+
+        assert self.mismatches(NoEndContour, config, seeds=range(2))
 
     def test_catches_structure_added_before_middle_terms(self, config):
-        from lyricmelody.rewards import _EventModel
-
         class StructureFirst(_EventModel):
             def complete(self, plan, pitch):
                 _, masked = super().complete(plan, pitch)
