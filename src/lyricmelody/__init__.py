@@ -96,11 +96,7 @@ from .metrics import (
     EvaluationReport,
     aggregate_reports,
     evaluate_pair,
-    matched_pause_ratio,
-    matched_sw_ratio,
     melody_distance,
     structure_similarity,
-    tone_contour_score,
-    tone_transition_score,
 )
 from .synthetic import random_aligned_melody, random_lyrics, random_training_melody

@@ -127,17 +127,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decode_options(args: argparse.Namespace) -> DecodeOptions:
+def _decode_options(
+    args: argparse.Namespace,
+    mode: DecodeMode,
+    pipeline: Pipeline,
+    seed: int,
+    time_signature: tuple[int, int],
+) -> DecodeOptions:
+    """The options of one decode: the shared decode flags of ``args`` and
+    what the subcommand picks per run."""
     return DecodeOptions(
-        mode=DecodeMode(args.mode),
+        mode=mode,
         beam_width=args.beam_width,
         top_k=args.top_k,
         temperature=args.temperature,
         rerank_candidates=args.candidates,
-        pipeline=Pipeline(args.pipeline),
+        pipeline=pipeline,
         max_notes_per_syllable=args.max_notes,
-        seed=args.seed,
-        time_signature=_parse_time_signature(args.time_signature),
+        seed=seed,
+        time_signature=time_signature,
     )
 
 
@@ -162,7 +170,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config, config_path = _load_config(args.config)
     if args.preset:
         config = config.with_preset(args.preset)
-    options = _decode_options(args)
+    options = _decode_options(args, DecodeMode(args.mode), Pipeline(args.pipeline), args.seed,
+                              _parse_time_signature(args.time_signature))
 
     result = _run_decode(lyrics, bundle, config, options)
 
@@ -297,24 +306,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if unknown:
         raise InputError(f"unknown compare mode(s) {unknown}, expected {sorted(COMPARE_MODES)}")
 
+    meter = _parse_time_signature(args.time_signature)
+    corpus = [_load_lyrics(lp) for lp in lyric_paths]
+
     rows = []
     for name in mode_names:
         preset, mode, pipeline = COMPARE_MODES[name]
         config = base_config.with_preset(preset) if preset else base_config
         reports = []
-        for index, lp in enumerate(lyric_paths):
-            lyrics = _load_lyrics(lp)
-            options = DecodeOptions(
-                mode=mode,
-                pipeline=pipeline,
-                beam_width=args.beam_width,
-                top_k=args.top_k,
-                temperature=args.temperature,
-                rerank_candidates=args.candidates,
-                max_notes_per_syllable=args.max_notes,
-                seed=args.seed + index,
-                time_signature=_parse_time_signature(args.time_signature),
-            )
+        for index, lyrics in enumerate(corpus):
+            options = _decode_options(args, mode, pipeline, args.seed + index, meter)
             result = _run_decode(lyrics, bundle, config, options)
             reports.append(evaluate_pair(lyrics, result.melody, config))
         rows.append((name, aggregate_reports(reports)))

@@ -24,10 +24,12 @@ candidate triggers comes from the reward-event model in
 :mod:`lyricmelody.rewards`; this module adds only the moves and the search.
 Scores stay re-derivable: the base log-probability and the weighted reward
 are accumulated separately, event by event, and
-:func:`lyricmelody.rewards.reward_events` folds the same model over a
+:func:`lyricmelody.rewards.score_rewards` weighs the same model's fold of a
 finished melody, so rescoring the returned token sequence reproduces the
-reported score to the last bit.  Ties break by vocabulary order, then by
-shorter sequence (lexicographic comparison of token index sequences).
+reported score to the last bit.  Rerank's candidates and the two-stage
+rescoring are weighed by that same call, so whole-melody rewards have one
+entry point.  Ties break by vocabulary order, then by shorter sequence
+(lexicographic comparison of token index sequences).
 
 Expansion scores first and builds later: each legal move of each live
 hypothesis is a flat tuple of score parts, and only what is kept (the beam's
@@ -74,9 +76,7 @@ from .rewards import (
     RewardConfig,
     _EventModel,
     _State,
-    reward_events,
     score_rewards,
-    weighted_total,
 )
 from .scorer import (
     END,
@@ -442,21 +442,16 @@ def rerank(
 ) -> DecodeResult:
     """Unconstrained sampling of ``rerank_candidates`` melodies, then pick the
     one whose full-sequence combined score (base + weighted rewards) wins."""
-    free_ctx = _Context(lyrics, config, options, frozenset())
-    scored_ctx = _Context(lyrics, config, options, options.active)
+    ctx = _Context(lyrics, config, options, frozenset())
     rng = random.Random(options.seed)
     best: Optional[_Hypothesis] = None
     for _ in range(options.rerank_candidates):
-        h = _sample_run(free_ctx, scorer, rng, options.top_k)
-        rewarded = replace(h, reward=_full_reward(scored_ctx, h.tokens))
+        h = _sample_run(ctx, scorer, rng, options.top_k)
+        melody = Melody(h.tokens[:-1], options.time_signature)  # a sample ends with END
+        rewarded = replace(h, reward=score_rewards(lyrics, melody, config, options.active).total)
         if best is None or (-rewarded.score, rewarded.key) < (-best.score, best.key):
             best = rewarded
-    return _result_from(scored_ctx, best, DecodeMode.RERANK)
-
-
-def _full_reward(ctx: _Context, tokens: tuple) -> float:
-    events = ctx.fold(tokens[:-1])  # a sampled sequence ends with END
-    return weighted_total((ev for _, ev in events), ctx.config, ctx.active)
+    return _result_from(ctx, best, DecodeMode.RERANK)
 
 
 def decode(
@@ -486,6 +481,11 @@ def decode(
 # ---------------------------------------------------------------------------
 
 
+#: the aspects each stage of the two-stage pipeline is rewarded for
+_RHYTHM_STAGE = frozenset({Aspect.RHYTHM})
+_PITCH_STAGE = frozenset({Aspect.TONE, Aspect.STRUCTURE})
+
+
 def decode_two_stage(
     lyrics: LyricSequence,
     rhythm_scorer: Scorer,
@@ -500,14 +500,12 @@ def decode_two_stage(
     grouping never change in stage 2.  Both stages are soft beam searches,
     whatever mode ``options`` names, and the result says so.
     """
-    rhythm_active = frozenset({Aspect.RHYTHM}) & options.active
-    stage1_ctx = _Context(lyrics, config, options, rhythm_active)
+    stage1_ctx = _Context(lyrics, config, options, _RHYTHM_STAGE & options.active)
     stage1, _ = _beam(
         stage1_ctx, _grammar(stage1_ctx, rhythm_scorer), options.beam_width, hard=False
     )
 
-    pitch_active = frozenset({Aspect.TONE, Aspect.STRUCTURE}) & options.active
-    stage2_ctx = _Context(lyrics, config, options, pitch_active)
+    stage2_ctx = _Context(lyrics, config, options, _PITCH_STAGE & options.active)
     slots = _pitch_slots(pitch_scorer, stage1.tokens[:-1])
     stage2, _ = _beam(stage2_ctx, slots, options.beam_width, hard=False)
 
@@ -602,12 +600,9 @@ def score_two_stage(
     rewards plus pitch model + tone/structure rewards."""
     base = _sequence_log_prob(rhythm_scorer, rhythm_sequence(melody))
     pitch_base = _sequence_log_prob(pitch_scorer, pitch_sequence(melody))
-    # one fold; each stage weighs its own aspects in firing order
-    events = [ev for _, ev in reward_events(lyrics, melody, config)]
-    rhythm_reward = weighted_total(events, config, frozenset({Aspect.RHYTHM}) & active)
-    pitch_reward = weighted_total(
-        events, config, frozenset({Aspect.TONE, Aspect.STRUCTURE}) & active
-    )
+    # the second call reuses the first one's fold
+    rhythm_reward = score_rewards(lyrics, melody, config, _RHYTHM_STAGE & active).total
+    pitch_reward = score_rewards(lyrics, melody, config, _PITCH_STAGE & active).total
     total_base = base + pitch_base
     total_reward = rhythm_reward + pitch_reward
     return total_base, total_reward, total_base + total_reward

@@ -66,6 +66,11 @@ TONAL_TONES = frozenset(
 )
 
 
+#: The tones a syllable of a tonal / stress-accent sequence may carry.
+_TONAL_ALLOWED = TONAL_TONES | {Tone.NONE}
+_STRESS_ALLOWED = frozenset({Tone.STRESSED, Tone.UNSTRESSED, Tone.NONE})
+
+
 class WordPosition(Enum):
     WORD_START = "start"
     WORD_INNER = "inner"
@@ -141,11 +146,7 @@ class LyricSequence:
                 raise LyricFormatError(f"sentence {si} does not begin at a word start")
         if cursor != len(self.syllables):
             raise LyricFormatError("sentence spans do not cover the syllable sequence")
-        allowed = (
-            TONAL_TONES | {Tone.NONE}
-            if self.language is Language.TONAL
-            else {Tone.STRESSED, Tone.UNSTRESSED, Tone.NONE}
-        )
+        allowed = _TONAL_ALLOWED if self.language is Language.TONAL else _STRESS_ALLOWED
         for k, syl in enumerate(self.syllables):
             if syl.tone not in allowed:
                 raise LyricFormatError(
@@ -278,10 +279,11 @@ def parse_lyrics(source: str) -> LyricSequence:
             )
         parsed = [_parse_token(tok, lineno) for tok in tokens[:-1]]
         for pos, (_, tone, _, _, has_e) in enumerate(parsed):
-            if tone in TONAL_TONES:
-                saw_digit = True
-            elif tone is Tone.STRESSED:
+            # the mark read: a digit made a tonal tone, an apostrophe STRESSED
+            if tone is Tone.STRESSED:
                 saw_apostrophe = True
+            elif tone is not Tone.NONE:
+                saw_digit = True
             if has_e and pos != len(parsed) - 1:
                 raise LyricFormatError(
                     f"line {lineno}: flag E is only valid on the sentence-final syllable"

@@ -1,22 +1,24 @@
 """Objective lyric-melody evaluation.
 
-Seven numbers per pair: tone transition and contour scores, matched
-strong/weak ratio, matched pause ratio, and three structure-similarity
-figures (pitch distribution, duration distribution, melody distance)
-computed over repeated phrases.
+Seven numbers per pair, all from one call, :func:`evaluate_pair`: tone
+transition and contour scores, matched strong/weak ratio, matched pause
+ratio, and three structure-similarity figures (pitch distribution, duration
+distribution, melody distance) computed over repeated phrases.
 
 The first four are counts over the pair's reward events
 (:func:`~lyricmelody.rewards.reward_events`, one fold of the reward-event
 model), not a second model of when each rule applies: the transition score
-is the mean degree score of the transition events, the contour score and
-the strong/weak ratio are the share of contour and strong/weak events that
-matched, and the pause ratio is one minus the share of word-inner gaps
-whose pause event found a pause there.  Each event states whether its rule
-matched, its harmony degree or its boundary kind, so no figure is read off
-a reward value, and a melody whose triggered rewards are all maximal
-scores 1.0 on transition, strong/weak and pauses.  A metric whose
-denominator population is empty is None - never silently zero - so corpus
-averages stay honest.
+is the mean degree score of the transition events (the intra-sentence
+adjacent tone pairs the harmony table has a cell for), the contour score
+is the share of sentences whose pitch direction matches their intonation,
+the strong/weak ratio the share of keywords starting on a strong beat and
+auxiliaries on a weak one, and the pause ratio is one minus the share of
+word-inner gaps whose pause event found a pause there.  Each event states
+whether its rule matched, its harmony degree or its boundary kind, so no
+figure is read off a reward value, and a melody whose triggered rewards
+are all maximal scores 1.0 on transition, strong/weak and pauses.  A
+metric whose denominator population is empty is None - never silently
+zero - so corpus averages stay honest.
 
 Pinned interpretations (repetition metrics defer to no external tool):
 PD/DD are total-variation similarity ``1 - 0.5 * sum |h_a - h_b|`` of the
@@ -42,10 +44,6 @@ from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, reward_events
 __all__ = [
     "EvaluationReport",
     "DEGREE_SCORES",
-    "tone_transition_score",
-    "tone_contour_score",
-    "matched_sw_ratio",
-    "matched_pause_ratio",
     "structure_similarity",
     "melody_distance",
     "histogram_similarity",
@@ -96,67 +94,6 @@ def _check_aligned(lyrics: LyricSequence, melody: Melody) -> None:
         raise AlignmentError(
             f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
         )
-
-
-def _event_metrics(
-    lyrics: LyricSequence, melody: Melody, config: RewardConfig
-) -> tuple[Optional[float], Optional[float], Optional[float], Optional[float]]:
-    """(transition, contour, strong/weak, pauses), counted in one pass over
-    the pair's reward events."""
-    scores = []
-    # per kind, [fired, matched]; "pause" counts word-inner gaps only, each
-    # of which fires one pause event, since a melody has no two rests in a row
-    counts = {"contour": [0, 0], "sw": [0, 0], "pause": [0, 0]}
-    for _, ev in reward_events(lyrics, melody, config):
-        kind = ev.kind
-        if kind == "transition":
-            scores.append(DEGREE_SCORES[ev.degree])
-        elif kind in counts and (kind != "pause" or ev.boundary is BoundaryKind.WORD_INNER):
-            tally = counts[kind]
-            tally[0] += 1
-            tally[1] += ev.matched
-    contour, sw, (inner, unbroken) = counts["contour"], counts["sw"], counts["pause"]
-    return (
-        _mean(scores) if scores else None,
-        contour[1] / contour[0],  # one contour event per sentence
-        sw[1] / sw[0] if sw[0] else None,
-        1.0 - (inner - unbroken) / inner if inner else None,
-    )
-
-
-#: The event metrics need no reward value, so the ones without a config
-#: fold under the defaults.
-_PLAIN = RewardConfig()
-
-
-def tone_transition_score(
-    lyrics: LyricSequence, melody: Melody, config: RewardConfig
-) -> Optional[float]:
-    """Mean harmony-degree score over the transition events: the
-    intra-sentence adjacent tone pairs the harmony table has a cell for."""
-    return _event_metrics(lyrics, melody, config)[0]
-
-
-def tone_contour_score(lyrics: LyricSequence, melody: Melody) -> Optional[float]:
-    """Fraction of sentences whose pitch direction matches their intonation."""
-    return _event_metrics(lyrics, melody, _PLAIN)[1]
-
-
-def matched_sw_ratio(lyrics: LyricSequence, melody: Melody) -> Optional[float]:
-    """Matched keyword/auxiliary words over all keyword/auxiliary words.
-
-    A keyword matches when its first note falls on a strong beat, an
-    auxiliary when it falls on a weak one.  None when the lyrics annotate
-    neither keywords nor auxiliaries.
-    """
-    return _event_metrics(lyrics, melody, _PLAIN)[2]
-
-
-def matched_pause_ratio(
-    lyrics: LyricSequence, melody: Melody, config: RewardConfig
-) -> Optional[float]:
-    """One minus the share of word-inner syllables preceded by a pause."""
-    return _event_metrics(lyrics, melody, config)[3]
 
 
 def histogram_similarity(a: Sequence, b: Sequence) -> float:
@@ -224,14 +161,28 @@ def structure_similarity(
 def evaluate_pair(
     lyrics: LyricSequence, melody: Melody, config: RewardConfig
 ) -> EvaluationReport:
-    """All objective metrics for one lyrics/melody pair."""
-    transition, contour, sw, pauses = _event_metrics(lyrics, melody, config)
+    """All objective metrics for one lyrics/melody pair: the four event
+    metrics counted in one pass over its reward events, then the structure
+    figures."""
+    scores = []
+    # per kind, [fired, matched]; "pause" counts word-inner gaps only, each
+    # of which fires one pause event, since a melody has no two rests in a row
+    counts = {"contour": [0, 0], "sw": [0, 0], "pause": [0, 0]}
+    for _, ev in reward_events(lyrics, melody, config):
+        kind = ev.kind
+        if kind == "transition":
+            scores.append(DEGREE_SCORES[ev.degree])
+        elif kind in counts and (kind != "pause" or ev.boundary is BoundaryKind.WORD_INNER):
+            tally = counts[kind]
+            tally[0] += 1
+            tally[1] += ev.matched
+    contour, sw, (inner, unbroken) = counts["contour"], counts["sw"], counts["pause"]
     pd, dd, md = structure_similarity(lyrics, melody)
     return EvaluationReport(
-        tone_transition=transition,
-        tone_contour=contour,
-        matched_sw=sw,
-        matched_pauses=pauses,
+        tone_transition=_mean(scores) if scores else None,
+        tone_contour=contour[1] / contour[0],  # one contour event per sentence
+        matched_sw=sw[1] / sw[0] if sw[0] else None,
+        matched_pauses=1.0 - (inner - unbroken) / inner if inner else None,
         pd=pd,
         dd=dd,
         md=md,

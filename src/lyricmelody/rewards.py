@@ -66,7 +66,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import AlignmentError, ConfigError
 from .lyrics import (
     Intonation,
-    Language,
     LyricSequence,
     StressClass,
     TONAL_TONES,
@@ -123,7 +122,7 @@ class HarmonyTable:
     """Per tone pair, labeled semitone intervals for the pitch jump between
     adjacent syllables.  Differences outside every interval are Bad.
 
-    ``cells`` maps (previous tone, current tone) to a tuple of
+    ``cells`` maps (previous tone, current tone), both tonal, to a tuple of
     ``(lo, hi, degree)`` inclusive intervals.
     """
 
@@ -131,6 +130,8 @@ class HarmonyTable:
 
     def __post_init__(self) -> None:
         for pair, intervals in self.cells.items():
+            if not (pair[0] in TONAL_TONES and pair[1] in TONAL_TONES):
+                raise ConfigError(f"harmony cell {pair}: both tones must be tonal (tone1-tone5)")
             for lo, hi, _ in intervals:
                 if lo > hi:
                     raise ConfigError(f"harmony cell {pair}: interval ({lo}, {hi}) is inverted")
@@ -166,18 +167,22 @@ PRESET_LAMBDAS = {
 }
 
 
+#: the transition reward of each harmony degree unless a config sets it
+_TRANSITION_REWARDS = {
+    HarmonyDegree.EXCELLENT: 3.0,
+    HarmonyDegree.GOOD: 2.0,
+    HarmonyDegree.FAIR: 1.0,
+    HarmonyDegree.BAD: 0.0,
+}
+
+
 @dataclass(frozen=True)
 class RewardConfig:
     lambda_tone: float = 1.2
     lambda_rhythm: float = 1.5
     lambda_structure: float = 1.0
     transition_rewards: dict[HarmonyDegree, float] = field(
-        default_factory=lambda: {
-            HarmonyDegree.EXCELLENT: 3.0,
-            HarmonyDegree.GOOD: 2.0,
-            HarmonyDegree.FAIR: 1.0,
-            HarmonyDegree.BAD: 0.0,
-        }
+        default_factory=lambda: dict(_TRANSITION_REWARDS)
     )
     shape_reward_on_match: float = 1.0
     contour_reward_on_match: float = 1.0
@@ -384,7 +389,7 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
     ``auxiliary`` the strong/weak events of such a word starting on a
     (weak, strong) beat; ``gaps`` maps a boundary kind to its pause events
     (no pause, pause); ``structure`` is indexed by :func:`_echo`; and
-    ``cells`` holds the harmony table's tonal cells with each interval's
+    ``cells`` holds the harmony table's cells with each interval's
     degree replaced by its transition event (``bad`` outside every
     interval).  An event's maximum is what its rule pays on a match: the
     Excellent reward for a transition, the exact-echo reward for structure.
@@ -418,7 +423,6 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
         cells = {
             tones: tuple((lo, hi, transition[d]) for lo, hi, d in intervals)
             for tones, intervals in config.harmony_table.cells.items()
-            if tones[0] in TONAL_TONES and tones[1] in TONAL_TONES
         }
     echoes = (0.0, config.structure_reward_octave, config.structure_reward_exact)
     return SimpleNamespace(
@@ -521,7 +525,7 @@ class _EventModel:
         self.bar = Fraction(4 * num, den)
         self.strong = strong_offsets(time_signature)
         table = config._events
-        cells = table.cells if lyrics.language is Language.TONAL else None
+        cells = table.cells  # None without a harmony table
         keyword, auxiliary = table.keyword, table.auxiliary
         # the pause pairs of the three gap kinds, picked as boundary_kind picks them
         sentence_gap, word_gap, inner_gap = (table.gaps[kind] for kind in (
@@ -536,7 +540,7 @@ class _EventModel:
                 lyrics.sentences[syl.sentence_index].intonation if syl.sentence_final else None
             )
             new_sentence.append(new)
-            # the cells hold tonal tone pairs only
+            # the cells hold tonal tone pairs only, so stress-accent lyrics get none
             cell.append(None if cells is None or new else cells.get((prev.tone, syl.tone)))
             stress = syl.stress_class if word_start else StressClass.NEUTRAL
             sw.append(keyword if stress is StressClass.KEYWORD
@@ -816,12 +820,19 @@ def _table_from_dict(doc: dict) -> HarmonyTable:
             pair = (Tone(prev_name), Tone(cur_name))
         except ValueError as exc:
             raise ConfigError(f"bad harmony table key {key!r}") from exc
+        if not isinstance(intervals, list):
+            raise ConfigError(f"harmony cell {key} must be a list of [low, high, degree]")
         parsed = []
         for item in intervals:
+            # bounds are ints proper: a bool is an int, and a float would truncate
+            if not (isinstance(item, list) and len(item) == 3
+                    and type(item[0]) is int and type(item[1]) is int):
+                raise ConfigError(f"harmony cell {key}: {item!r} is not [low, high, degree] "
+                                  "with integer bounds")
             lo, hi, degree = item
             if degree not in _DEGREE_BY_NAME:
                 raise ConfigError(f"unknown harmony degree {degree!r} in cell {key}")
-            parsed.append((int(lo), int(hi), _DEGREE_BY_NAME[degree]))
+            parsed.append((lo, hi, _DEGREE_BY_NAME[degree]))
         cells[pair] = tuple(parsed)
     return HarmonyTable(cells)
 
@@ -835,39 +846,62 @@ def _table_to_dict(table: HarmonyTable) -> dict:
     }
 
 
-def _object(value, where: str) -> dict:
+#: the RewardConfig field each key of the document's "lambda" and "rewards" sections sets
+_LAMBDA_KEYS = {"tone": "lambda_tone", "rhythm": "lambda_rhythm", "structure": "lambda_structure"}
+_REWARD_KEYS = {
+    "shape_match": "shape_reward_on_match",
+    "contour_match": "contour_reward_on_match",
+    "strong_weak_match": "sw_reward_on_match",
+    "pause_match": "pause_reward_on_match",
+    "structure_exact": "structure_reward_exact",
+    "structure_octave": "structure_reward_octave",
+}
+_DOCUMENT_KEYS = {"description", "lambda", "rewards", "long_note_threshold", "harmony_table"}
+
+
+def _object(value, where: str, keys=None) -> dict:
     """``value``, which a reward config document must hold as a JSON object
-    ``where``."""
+    ``where``, with no key outside ``keys`` when they are given."""
     if not isinstance(value, dict):
         kind = type(value).__name__
         raise ConfigError(f"reward config {where} must be a JSON object, got {kind}")
+    if keys is not None:
+        unknown = sorted(str(key) for key in value if key not in keys)
+        if unknown:
+            raise ConfigError(f"reward config {where} has unknown keys {unknown}")
     return value
 
 
+def _numbers(section: dict, keys: dict, where: str) -> dict:
+    """``{keys[key]: float}`` of each key of ``keys`` that ``section`` holds;
+    each value must be a JSON number, which a bool is not."""
+    out = {}
+    for key, name in keys.items():
+        if key in section:
+            value = section[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                kind = type(value).__name__
+                raise ConfigError(f"reward config '{where}.{key}' must be a number, got {kind}")
+            out[name] = float(value)
+    return out
+
+
 def reward_config_from_dict(doc: dict) -> RewardConfig:
-    # the document's shape; sections other than the harmony table may be absent
-    doc = _object(doc, "document")
-    lam = _object(doc.get("lambda", {}), "'lambda'")
-    rewards = _object(doc.get("rewards", {}), "'rewards'")
-    transition = _object(rewards.get("transition", {}), "'rewards.transition'")
+    # the document's shape and keys, before any value is read; sections
+    # other than the harmony table may be absent
+    doc = _object(doc, "document", _DOCUMENT_KEYS)
+    lam = _object(doc.get("lambda", {}), "'lambda'", _LAMBDA_KEYS)
+    rewards = _object(doc.get("rewards", {}), "'rewards'", {"transition", *_REWARD_KEYS})
+    transition = _object(rewards.get("transition", {}), "'rewards.transition'", _DEGREE_BY_NAME)
     table = _object(doc.get("harmony_table"), "'harmony_table'")
     try:
         config = RewardConfig(
-            lambda_tone=float(lam.get("tone", 1.2)),
-            lambda_rhythm=float(lam.get("rhythm", 1.5)),
-            lambda_structure=float(lam.get("structure", 1.0)),
+            **_numbers(lam, _LAMBDA_KEYS, "lambda"),
+            **_numbers(rewards, _REWARD_KEYS, "rewards"),
             transition_rewards={
-                HarmonyDegree.EXCELLENT: float(transition.get("excellent", 3.0)),
-                HarmonyDegree.GOOD: float(transition.get("good", 2.0)),
-                HarmonyDegree.FAIR: float(transition.get("fair", 1.0)),
-                HarmonyDegree.BAD: float(transition.get("bad", 0.0)),
+                **_TRANSITION_REWARDS,
+                **_numbers(transition, _DEGREE_BY_NAME, "rewards.transition"),
             },
-            shape_reward_on_match=float(rewards.get("shape_match", 1.0)),
-            contour_reward_on_match=float(rewards.get("contour_match", 1.0)),
-            sw_reward_on_match=float(rewards.get("strong_weak_match", 1.0)),
-            pause_reward_on_match=float(rewards.get("pause_match", 1.0)),
-            structure_reward_exact=float(rewards.get("structure_exact", 2.0)),
-            structure_reward_octave=float(rewards.get("structure_octave", 1.0)),
             long_note_threshold=Fraction(str(doc.get("long_note_threshold", "2"))),
             harmony_table=_table_from_dict(table),
         )
@@ -880,19 +914,10 @@ def reward_config_from_dict(doc: dict) -> RewardConfig:
 
 def reward_config_to_dict(config: RewardConfig) -> dict:
     return {
-        "lambda": {
-            "tone": config.lambda_tone,
-            "rhythm": config.lambda_rhythm,
-            "structure": config.lambda_structure,
-        },
+        "lambda": {key: getattr(config, name) for key, name in _LAMBDA_KEYS.items()},
         "rewards": {
             "transition": {d.value: config.transition_rewards[d] for d in HarmonyDegree},
-            "shape_match": config.shape_reward_on_match,
-            "contour_match": config.contour_reward_on_match,
-            "strong_weak_match": config.sw_reward_on_match,
-            "pause_match": config.pause_reward_on_match,
-            "structure_exact": config.structure_reward_exact,
-            "structure_octave": config.structure_reward_octave,
+            **{key: getattr(config, name) for key, name in _REWARD_KEYS.items()},
         },
         "long_note_threshold": str(config.long_note_threshold),
         "harmony_table": _table_to_dict(config.harmony_table),

@@ -296,10 +296,14 @@ BAD_CONFIGS = [
      "shape_reward_on_match must be finite"),
     (lambda doc: {**doc, "rewards": {"transition": {"bad": float("-inf")}}},
      "bad transition reward must be finite"),
+    (lambda doc: {**doc, "lambda": {"tone": True}},
+     "reward config 'lambda.tone' must be a number, got bool"),
+    (lambda doc: {"lamda": doc.pop("lambda"), **doc},
+     "reward config document has unknown keys ['lamda']"),
 ]
 BAD_CONFIG_IDS = ["list document", "list lambda", "string rewards", "number transition",
                   "list harmony table", "NaN lambda", "infinite lambda", "infinite reward",
-                  "infinite transition reward"]
+                  "infinite transition reward", "bool lambda", "misspelt section"]
 
 
 def _write_config(edit, path):

@@ -24,6 +24,7 @@ from lyricmelody import (
     rest,
     sample,
     score_decode,
+    score_rewards,
     score_two_stage,
     TokenKind,
     train_model_bundle,
@@ -268,6 +269,19 @@ class TestRerank:
                 best = score
         assert got.score == pytest.approx(best, abs=1e-9)
 
+    def test_reward_weighs_the_active_aspects_only(self, config, rng):
+        scorer = train_ngram([random_training_melody(rng) for _ in range(6)], order=2)
+        lyr = parse_lyrics("ni3|W,K hao3|I tian1|W,A .\nni3|W,K hao3|I tian1|W,A ?")
+        differs = 0
+        for active in [frozenset(), *(frozenset({aspect}) for aspect in Aspect)]:
+            options = DecodeOptions(mode=DecodeMode.RERANK, rerank_candidates=4, seed=3,
+                                    active=active)
+            got = rerank(lyr, scorer, config, options)
+            want = score_rewards(lyr, got.melody, config, active).total
+            assert got.reward_total.hex() == want.hex(), active
+            differs += want != score_rewards(lyr, got.melody, config).total
+        assert differs == 4  # every restricted set leaves some reward out
+
     @pytest.mark.filterwarnings("ignore:top_k")
     def test_bounded_by_exhaustive_argmax(self, config):
         lyr = parse_lyrics("ni3|W hao3|I .")
@@ -322,7 +336,6 @@ class TestTwoStage:
     def test_one_fold_scores_both_stages(self, config, bundle):
         """The stage rewards come from one fold, and equal two
         ``score_rewards`` calls, one per stage's aspects, to the last bit."""
-        from lyricmelody.rewards import score_rewards
 
         stages = (frozenset({Aspect.RHYTHM}), frozenset({Aspect.TONE, Aspect.STRUCTURE}))
         actives = [frozenset(Aspect), frozenset({Aspect.TONE, Aspect.RHYTHM}),

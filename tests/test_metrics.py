@@ -7,14 +7,11 @@ import pytest
 from lyricmelody import (
     AlignmentError,
     Melody,
+    RewardConfig,
     evaluate_pair,
-    matched_pause_ratio,
-    matched_sw_ratio,
     melody_distance,
     parse_lyrics,
     structure_similarity,
-    tone_contour_score,
-    tone_transition_score,
 )
 from lyricmelody.metrics import aggregate_reports, histogram_similarity
 from lyricmelody.rewards import HarmonyDegree, reward_events
@@ -96,18 +93,18 @@ class TestTransition:
     def test_all_excellent_is_one(self, config):
         lyr = parse_lyrics("ni3|W hao3|I .")
         melody = mk_melody([(60, 1), (60, 1)])  # T3->T3 jump 0: excellent
-        assert tone_transition_score(lyr, melody, config) == pytest.approx(1.0)
+        assert evaluate_pair(lyr, melody, config).tone_transition == pytest.approx(1.0)
 
     def test_excellent_and_bad_average(self, config):
         # jump 0 (excellent) then jump -12 (outside every T3 cell: bad)
         lyr = parse_lyrics("ni3|W hao3|I hen3|I .")
         melody = mk_melody([(72, 1), (72, 1), (60, 1)])
-        assert tone_transition_score(lyr, melody, config) == pytest.approx(0.5)
+        assert evaluate_pair(lyr, melody, config).tone_transition == pytest.approx(0.5)
 
     def test_stress_accent_not_applicable(self, config):
         lyr = parse_lyrics("hello'|W world|W .")
         melody = mk_melody([(60, 1), (62, 1)])
-        assert tone_transition_score(lyr, melody, config) is None
+        assert evaluate_pair(lyr, melody, config).tone_transition is None
 
     def test_pairs_without_table_cell_not_scored(self, config):
         from dataclasses import replace
@@ -118,68 +115,68 @@ class TestTransition:
         cfg = replace(config, harmony_table=HarmonyTable(cells))
         lyr = parse_lyrics("ni3|W hao3|I .")
         melody = mk_melody([(60, 1), (60, 1)])
-        assert tone_transition_score(lyr, melody, cfg) is None
+        assert evaluate_pair(lyr, melody, cfg).tone_transition is None
 
     def test_cross_sentence_pairs_excluded(self, config):
         lyr = parse_lyrics("ni3|W .\nhao3|W .")
         melody = mk_melody([(60, 1), (48, 1)])  # huge jump, but across sentences
-        assert tone_transition_score(lyr, melody, config) is None
+        assert evaluate_pair(lyr, melody, config).tone_transition is None
 
 
 class TestContour:
     def test_all_neutral_matches(self, config):
         lyr = parse_lyrics("ni3|W hao3|I ,\nxin1|W qing2|I ,")
         melody = mk_melody([(60, 1), (72, 1), (72, 1), (60, 1)])
-        assert tone_contour_score(lyr, melody) == 1.0
+        assert evaluate_pair(lyr, melody, config).tone_contour == 1.0
 
     def test_quarter_matched(self, config):
         lyr = parse_lyrics("ni3|W ?\nhao3|W ?\nxin1|W ?\nqing2|W ?")
         melody = mk_melody([(60, 2, True), (62, 1, False)] + [(60, 1)] * 3)
         # only sentence 1 rises (60->62 inside its melisma); rest are flat
-        assert tone_contour_score(lyr, melody) == 0.25
+        assert evaluate_pair(lyr, melody, config).tone_contour == 0.25
 
     def test_one_rising_matched_one_falling_missed(self, config):
         lyr = parse_lyrics("ni3|W hao3|I ?\nxin1|W qing2|I .")
         melody = mk_melody([(60, 1), (64, 1), (60, 1), (64, 1)])
-        assert tone_contour_score(lyr, melody) == 0.5
+        assert evaluate_pair(lyr, melody, config).tone_contour == 0.5
 
 
 class TestMatchedSW:
     def test_no_annotations_is_null_not_zero(self, config):
         lyr = parse_lyrics("ni3|W hao3|I .")
         melody = mk_melody([(60, 1), (62, 1)])
-        assert matched_sw_ratio(lyr, melody) is None
+        assert evaluate_pair(lyr, melody, config).matched_sw is None
 
     def test_three_of_four(self, config):
         lyr = parse_lyrics("a1|W,K b1|W,K c1|W,K d1|W,A .")
         # onsets 0, 2, 4(bar start), 6: strong, strong, strong, strong
         melody = mk_melody([(60, 2), (62, 2), (64, 2), (65, 2)])
-        assert matched_sw_ratio(lyr, melody) == pytest.approx(0.75)
+        assert evaluate_pair(lyr, melody, config).matched_sw == pytest.approx(0.75)
 
     def test_bad_meter_raises(self):
         melody = mk_melody([(60, 1), (62, 1)], (3, 6))
         with pytest.raises(ValueError, match="unsupported meter"):
-            matched_sw_ratio(parse_lyrics("ni3|W,K hao3|I ."), melody)
+            evaluate_pair(parse_lyrics("ni3|W,K hao3|I ."), melody, RewardConfig()).matched_sw
         # also with no word to score, as with the beat grid
         with pytest.raises(ValueError, match="unsupported meter"):
-            matched_sw_ratio(parse_lyrics("ni3|W hao3|I ."), melody)
+            evaluate_pair(parse_lyrics("ni3|W hao3|I ."), melody, RewardConfig()).matched_sw
 
 
 class TestMatchedPauses:
     def test_no_pauses_is_one(self, config):
         lyr = parse_lyrics("ni3|W hao3|I tian1|W kong1|I .")
         melody = mk_melody([(60, 1)] * 4)
-        assert matched_pause_ratio(lyr, melody, config) == 1.0
+        assert evaluate_pair(lyr, melody, config).matched_pauses == 1.0
 
     def test_one_of_five_inner_pauses(self, config):
         lyr = parse_lyrics("a1|W b1|I c1|I d1|I e1|I f1|I .")
         melody = mk_melody([(60, 1), (60, 1), ("r", 1), (60, 1), (60, 1), (60, 1), (60, 1)])
-        assert matched_pause_ratio(lyr, melody, config) == pytest.approx(0.8)
+        assert evaluate_pair(lyr, melody, config).matched_pauses == pytest.approx(0.8)
 
     def test_no_inner_syllables_is_null(self, config):
         lyr = parse_lyrics("ni3|W hao3|W .")
         melody = mk_melody([(60, 1), (62, 1)])
-        assert matched_pause_ratio(lyr, melody, config) is None
+        assert evaluate_pair(lyr, melody, config).matched_pauses is None
 
 
 class TestStructureSimilarity:
@@ -290,10 +287,10 @@ class TestAgainstReference:
         between = dict.fromkeys(EVENT_METRICS, 0)
         for lyrics, melody in _seeded_pairs(20261020, 256):
             want = list(map(_hex, _reference_event_metrics(lyrics, melody, config)))
-            got = [tone_transition_score(lyrics, melody, config),
-                   tone_contour_score(lyrics, melody),
-                   matched_sw_ratio(lyrics, melody),
-                   matched_pause_ratio(lyrics, melody, config)]
+            got = [evaluate_pair(lyrics, melody, config).tone_transition,
+                   evaluate_pair(lyrics, melody, config).tone_contour,
+                   evaluate_pair(lyrics, melody, config).matched_sw,
+                   evaluate_pair(lyrics, melody, config).matched_pauses]
             assert list(map(_hex, got)) == want, (lyrics, melody)
             report = evaluate_pair(lyrics, melody, config)
             assert [_hex(getattr(report, name)) for name in EVENT_METRICS] == want
@@ -321,7 +318,7 @@ class TestAgainstReference:
     def test_matched_sw_matches_beat_grid(self):
         scored = 0
         for lyrics, melody in _seeded_pairs(20261018, 256):
-            got = matched_sw_ratio(lyrics, melody)
+            got = evaluate_pair(lyrics, melody, RewardConfig()).matched_sw
             assert _hex(got) == _hex(reference_matched_sw_ratio(lyrics, melody))
             scored += got is not None and 0.0 < got < 1.0
         assert scored >= 64  # most pairs score both matched and missed words
@@ -345,9 +342,9 @@ class TestConsistencyWithRewards:
             if ev.kind in ("transition", "sw", "pause")
         ]
         assert maximal and all(ev.is_maximal for ev in maximal)
-        assert tone_transition_score(lyr, melody, config) == 1.0
-        assert matched_sw_ratio(lyr, melody) == 1.0
-        assert matched_pause_ratio(lyr, melody, config) == 1.0
+        assert evaluate_pair(lyr, melody, config).tone_transition == 1.0
+        assert evaluate_pair(lyr, melody, config).matched_sw == 1.0
+        assert evaluate_pair(lyr, melody, config).matched_pauses == 1.0
 
     def test_purity(self, config, rng):
         lyr = random_lyrics(rng, sentences=2, repeat=True)

@@ -182,12 +182,11 @@ class TestStrongWeak:
 
     def test_list_meter_scores_as_the_tuple(self, config):
         # beat 3 of 4/4 is strong whether the meter is a tuple or a list
-        from lyricmelody import matched_sw_ratio
-
         lyr = parse_lyrics("ni3|W,K hao3|I,A tian1|W,K qi4|I .")
         tokens = mk_melody([(60, 1), (62, 1), (64, 1), (65, 1)]).tokens
         as_tuple, as_list = Melody(tokens, (4, 4)), Melody(tokens, [4, 4])
-        assert matched_sw_ratio(lyr, as_list) == matched_sw_ratio(lyr, as_tuple) == 1.0
+        assert (evaluate_pair(lyr, as_list, config).matched_sw
+                == evaluate_pair(lyr, as_tuple, config).matched_sw == 1.0)
         assert reward_events(lyr, as_list, config) == reward_events(lyr, as_tuple, config)
         assert (score_rewards(lyr, as_list, config).total.hex()
                 == score_rewards(lyr, as_tuple, config).total.hex())
@@ -625,6 +624,75 @@ class TestConfigValidation:
                                                      (0, 0, HarmonyDegree.EXCELLENT))})
         with pytest.raises(ConfigError, match="zero"):
             HarmonyTable({(Tone.TONE1, Tone.TONE2): ((1, 10**12, HarmonyDegree.GOOD),)})
+
+    @staticmethod
+    def edited_default(edit) -> str:
+        """The shipped default document with ``edit`` applied, as JSON."""
+        from importlib import resources
+
+        doc = json.loads(resources.files("lyricmelody.data").joinpath(
+            "default_rewards.json").read_text("utf-8"))
+        edit(doc)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["lambda"].update(tone=True), "'lambda.tone' must be a number, got bool"),
+        (lambda doc: doc["lambda"].update(tone="1.5"), "'lambda.tone' must be a number, got str"),
+        (lambda doc: doc["rewards"].update(pause_match=None), "'rewards.pause_match' must be a"),
+        (lambda doc: doc["rewards"]["transition"].update(good=False),
+         "'rewards.transition.good' must be a number, got bool"),
+        (lambda doc: doc["harmony_table"]["tone1,tone2"].append([-0.9, 2.7, "excellent"]),
+         "integer bounds"),
+        (lambda doc: doc["harmony_table"]["tone1,tone2"].append([True, 9, "good"]),
+         "integer bounds"),
+        (lambda doc: doc["harmony_table"]["tone1,tone2"].append([8, 9]), "integer bounds"),
+        (lambda doc: doc["harmony_table"].update({"tone1,tone2": "good"}),
+         "must be a list of [low, high, degree]"),
+    ], ids=["bool lambda", "string lambda", "null reward", "bool transition reward",
+            "float bounds", "bool bound", "two-item interval", "string cell"])
+    def test_wrong_json_types_rejected(self, edit, message):
+        from lyricmelody import load_reward_config
+
+        with pytest.raises(ConfigError) as info:
+            load_reward_config(self.edited_default(edit))
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(lamda=doc.pop("lambda")), "document has unknown keys ['lamda']"),
+        (lambda doc: doc["lambda"].update(tones=1.0), "'lambda' has unknown keys ['tones']"),
+        (lambda doc: doc["rewards"].update(shape=1.0), "'rewards' has unknown keys ['shape']"),
+        (lambda doc: doc["rewards"]["transition"].update(great=4.0),
+         "'rewards.transition' has unknown keys ['great']"),
+    ], ids=["document", "lambda", "rewards", "transition"])
+    def test_unknown_keys_rejected(self, edit, message):
+        from lyricmelody import load_reward_config
+
+        with pytest.raises(ConfigError) as info:
+            load_reward_config(self.edited_default(edit))
+        assert message in str(info.value)
+
+    def test_integer_values_and_a_description_load(self, config):
+        from lyricmelody import load_reward_config
+
+        def edit(doc):
+            doc["lambda"].update(tone=2, rhythm=0)
+            doc["description"] = "any text"
+
+        loaded = load_reward_config(self.edited_default(edit))
+        assert (loaded.lambda_tone, loaded.lambda_rhythm) == (2.0, 0.0)
+        assert loaded.harmony_table == config.harmony_table
+
+    @pytest.mark.parametrize("pair", [(Tone.STRESSED, Tone.NONE), (Tone.TONE1, Tone.UNSTRESSED),
+                                      (Tone.NONE, Tone.TONE2)])
+    def test_harmony_table_holds_tonal_pairs_only(self, pair):
+        from lyricmelody import load_reward_config
+
+        with pytest.raises(ConfigError, match="tonal"):
+            HarmonyTable({pair: ((0, 0, HarmonyDegree.EXCELLENT),)})
+        key = f"{pair[0].value},{pair[1].value}"
+        with pytest.raises(ConfigError, match="tonal"):
+            load_reward_config(self.edited_default(
+                lambda doc: doc["harmony_table"].update({key: [[0, 0, "excellent"]]})))
 
     #: JSON values a mutation puts in place of a node of the document
     FUZZ_VALUES = [None, True, False, 0, -1, 2, 1.5, 1e308, -1e308, float("nan"),
