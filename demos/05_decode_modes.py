@@ -4,8 +4,9 @@ Soft constraints add the weighted rewards to each step's score; hard
 constraints mask out candidates that violate any triggered constraint
 (falling back to soft scoring when nothing survives); sampling draws from
 a temperature-softened top-k; re-ranking generates unconstrained samples
-and keeps the best by combined score; the two-stage pipeline decodes a
-rhythm skeleton first and pitches second.
+and keeps the best by combined score; two-stage decoding beam-decodes a
+rhythm skeleton first and pitches second.  One ``DecodeOptions.mode``
+picks the decoder.
 """
 
 import random
@@ -13,7 +14,6 @@ import random
 from lyricmelody import (
     DecodeMode,
     DecodeOptions,
-    Pipeline,
     decode,
     default_reward_config,
     evaluate_pair,
@@ -35,7 +35,7 @@ runs = [
     ("hard beam", DecodeOptions(mode=DecodeMode.BEAM_HARD, beam_width=4, seed=1)),
     ("sampling", DecodeOptions(mode=DecodeMode.SAMPLE, top_k=5, temperature=0.5, seed=1)),
     ("re-ranking", DecodeOptions(mode=DecodeMode.RERANK, rerank_candidates=10, seed=1)),
-    ("two-stage", DecodeOptions(pipeline=Pipeline.TWO_STAGE, beam_width=4, seed=1)),
+    ("two-stage", DecodeOptions(mode=DecodeMode.TWO_STAGE, beam_width=4, seed=1)),
 ]
 
 print(f"{'mode':12s} {'score':>9s} {'transition':>11s} {'s/w':>6s} {'pauses':>7s} {'MD':>6s}")

@@ -82,7 +82,6 @@ from .decoder import (
     DecodeMode,
     DecodeOptions,
     DecodeResult,
-    Pipeline,
     beam_search,
     beam_search_hard,
     decode,

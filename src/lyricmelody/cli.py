@@ -1,9 +1,10 @@
 """Command-line front end: train, generate, evaluate, compare.
 
-Exit codes: 0 success, 1 bad input or configuration, 2 broken internal
-invariant.  Every generate run writes a manifest (inputs, config snapshot,
-seed, output hashes) sufficient to reproduce it bit-exactly; all randomness
-flows through the single seed passed on the command line.
+Exit codes: 0 success, 1 bad input or configuration or a file that cannot
+be read or written, 2 broken internal invariant.  Every generate run writes
+a manifest (inputs, config snapshot, seed, output hashes) sufficient to
+reproduce it bit-exactly; all randomness flows through the single seed
+passed on the command line.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .decoder import (
-    DecodeMode,
-    DecodeOptions,
-    DecodeResult,
-    Pipeline,
-    decode,
-)
-from .errors import AlignmentError, ConfigError, InputError, InternalError
+from .decoder import DecodeMode, DecodeOptions, decode
+from .errors import AlignmentError, InputError, InternalError, OptionError
 from .lyrics import LyricSequence, parse_lyrics
 from .melody import check_meter, melody_to_json
 from .metrics import EvaluationReport, aggregate_reports, evaluate_pair
@@ -55,26 +50,28 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of an input file; an OSError names the path itself."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_config(path: Optional[str]) -> tuple[RewardConfig, Optional[Path]]:
     chosen = path or os.environ.get(CONFIG_ENV_VAR)
     if chosen:
         p = Path(chosen)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        return load_reward_config(p.read_text("utf-8")), p
+        return load_reward_config(_read_text(p)), p
     return default_reward_config(), None
 
 
 def _load_lyrics(path: Path) -> LyricSequence:
-    if not path.is_file():
-        raise InputError(f"lyrics file not found: {path}")
-    return parse_lyrics(path.read_text("utf-8"))
+    return parse_lyrics(_read_text(path))
 
 
 def _load_bundle(path: Path) -> ModelBundle:
-    if not path.is_file():
-        raise InputError(f"model file not found: {path}")
-    return ModelBundle.from_json(path.read_text("utf-8"))
+    return ModelBundle.from_json(_read_text(path))
 
 
 def _parse_time_signature(text: str) -> tuple[int, int]:
@@ -111,8 +108,6 @@ def render_table(rows: Sequence[tuple[str, dict]], label_header: str = "input") 
 
 def cmd_train(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus_dir)
-    if not corpus_dir.is_dir():
-        raise InputError(f"corpus directory not found: {corpus_dir}")
     midi_paths = sorted(p for p in corpus_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))
     if not midi_paths:
         raise InputError(f"no MIDI files in {corpus_dir}")
@@ -130,7 +125,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _decode_options(
     args: argparse.Namespace,
     mode: DecodeMode,
-    pipeline: Pipeline,
     seed: int,
     time_signature: tuple[int, int],
 ) -> DecodeOptions:
@@ -142,23 +136,9 @@ def _decode_options(
         top_k=args.top_k,
         temperature=args.temperature,
         rerank_candidates=args.candidates,
-        pipeline=pipeline,
         max_notes_per_syllable=args.max_notes,
         seed=seed,
         time_signature=time_signature,
-    )
-
-
-def _run_decode(
-    lyrics: LyricSequence, bundle: ModelBundle, config: RewardConfig, options: DecodeOptions
-) -> DecodeResult:
-    return decode(
-        lyrics,
-        bundle.token_model,
-        config,
-        options,
-        rhythm_scorer=bundle.rhythm_model,
-        pitch_scorer=bundle.pitch_model,
     )
 
 
@@ -170,10 +150,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config, config_path = _load_config(args.config)
     if args.preset:
         config = config.with_preset(args.preset)
-    options = _decode_options(args, DecodeMode(args.mode), Pipeline(args.pipeline), args.seed,
-                              _parse_time_signature(args.time_signature))
+    meter = _parse_time_signature(args.time_signature)
+    # --pipeline two-stage is the command-line spelling of DecodeMode.TWO_STAGE
+    if args.pipeline == "single":
+        mode = DecodeMode(args.mode)
+    elif args.mode == DecodeMode.BEAM_SOFT.value:
+        mode = DecodeMode.TWO_STAGE
+    else:
+        raise OptionError(f"two-stage decoding runs beam search only, got mode {args.mode!r}")
+    options = _decode_options(args, mode, args.seed, meter)
 
-    result = _run_decode(lyrics, bundle, config, options)
+    result = decode(lyrics, bundle.token_model, config, options, bundle.rhythm_model,
+                    bundle.pitch_model)
 
     out_midi = Path(args.out)
     out_midi.write_bytes(write_midi(result.melody, lyrics))
@@ -194,8 +182,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             },
         },
         "options": {
-            "mode": options.mode.value,
-            "pipeline": options.pipeline.value,
+            "mode": args.mode,
+            "pipeline": args.pipeline,
             "beam_width": options.beam_width,
             "top_k": options.top_k,
             "temperature": options.temperature,
@@ -277,21 +265,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: compare-mode presets: (λ preset, decode mode, pipeline)
+#: compare-mode presets: (λ preset, decode mode)
 COMPARE_MODES = {
-    "off": ("off", DecodeMode.BEAM_SOFT, Pipeline.SINGLE_STAGE),
-    "soft": (None, DecodeMode.BEAM_SOFT, Pipeline.SINGLE_STAGE),
-    "hard": (None, DecodeMode.BEAM_HARD, Pipeline.SINGLE_STAGE),
-    "sample": (None, DecodeMode.SAMPLE, Pipeline.SINGLE_STAGE),
-    "rerank": (None, DecodeMode.RERANK, Pipeline.SINGLE_STAGE),
-    "two-stage": (None, DecodeMode.BEAM_SOFT, Pipeline.TWO_STAGE),
+    "off": ("off", DecodeMode.BEAM_SOFT),
+    "soft": (None, DecodeMode.BEAM_SOFT),
+    "hard": (None, DecodeMode.BEAM_HARD),
+    "sample": (None, DecodeMode.SAMPLE),
+    "rerank": (None, DecodeMode.RERANK),
+    "two-stage": (None, DecodeMode.TWO_STAGE),
 }
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     lyrics_dir = Path(args.lyrics_dir)
-    if not lyrics_dir.is_dir():
-        raise InputError(f"lyrics directory not found: {lyrics_dir}")
     lyric_paths = sorted(
         p for p in lyrics_dir.iterdir() if p.suffix in (".txt", ".lyrics", ".json")
     )
@@ -311,12 +297,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     rows = []
     for name in mode_names:
-        preset, mode, pipeline = COMPARE_MODES[name]
+        preset, mode = COMPARE_MODES[name]
         config = base_config.with_preset(preset) if preset else base_config
         reports = []
         for index, lyrics in enumerate(corpus):
-            options = _decode_options(args, mode, pipeline, args.seed + index, meter)
-            result = _run_decode(lyrics, bundle, config, options)
+            options = _decode_options(args, mode, args.seed + index, meter)
+            result = decode(lyrics, bundle.token_model, config, options, bundle.rhythm_model,
+                            bundle.pitch_model)
             reports.append(evaluate_pair(lyrics, result.melody, config))
         rows.append((name, aggregate_reports(reports)))
     print(render_table(rows, label_header="mode"))
@@ -364,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("lyrics")
     p_gen.add_argument("-m", "--model", required=True)
     p_gen.add_argument("-o", "--out", required=True, help="output MIDI path")
-    p_gen.add_argument("--mode", choices=[m.value for m in DecodeMode], default="beam")
-    p_gen.add_argument("--pipeline", choices=[p.value for p in Pipeline], default="single")
+    p_gen.add_argument("--mode", default="beam",
+                       choices=[m.value for m in DecodeMode if m is not DecodeMode.TWO_STAGE])
+    p_gen.add_argument("--pipeline", choices=["single", "two-stage"], default="single")
     _add_decode_flags(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -391,7 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:

@@ -1,5 +1,7 @@
-"""Reward-augmented decoding: beam search (soft/hard), top-k sampling,
-re-ranking, and the rhythm-then-pitch two-stage pipeline.
+"""Reward-augmented decoding: one decoder per :class:`DecodeMode` (soft and
+hard beam search, top-k sampling, re-ranking, and the rhythm-then-pitch
+two-stage beam search), and :func:`decode`, which runs the one
+``DecodeOptions.mode`` names.
 
 The per-step score is the base model's log-probability plus the weighted
 reward of everything the candidate token triggers.  Decoding walks a small
@@ -15,7 +17,7 @@ grammar over the scorer's vocabulary:
 
 Rhythm tokens (:class:`~lyricmelody.melody.RhythmToken`) read like melody
 tokens whose pitch is None, so one grammar serves single-stage decoding and
-the rhythm stage of the two-stage pipeline.  One beam search serves every
+the rhythm stage of two-stage decoding.  One beam search serves every
 stage: it runs over a moves function that gives each hypothesis its legal
 moves, their base log-probabilities and their event signatures, built from
 the grammar or, for the pitch stage, from one slot per rhythm token (a note
@@ -91,7 +93,6 @@ from .scorer import (
 
 __all__ = [
     "DecodeMode",
-    "Pipeline",
     "DecodeOptions",
     "DecodeResult",
     "beam_search",
@@ -110,10 +111,6 @@ class DecodeMode(Enum):
     BEAM_HARD = "beam-hard"
     SAMPLE = "sample"
     RERANK = "rerank"
-
-
-class Pipeline(Enum):
-    SINGLE_STAGE = "single"
     TWO_STAGE = "two-stage"
 
 
@@ -124,7 +121,6 @@ class DecodeOptions:
     top_k: int = 5
     temperature: float = 0.5
     rerank_candidates: int = 10
-    pipeline: Pipeline = Pipeline.SINGLE_STAGE
     max_notes_per_syllable: int = 4
     seed: int = 0
     time_signature: tuple[int, int] = (4, 4)
@@ -141,10 +137,6 @@ class DecodeOptions:
             raise OptionError(f"rerank_candidates must be >= 1, got {self.rerank_candidates}")
         if self.max_notes_per_syllable < 1:
             raise OptionError("max_notes_per_syllable must be >= 1")
-        if self.pipeline is Pipeline.TWO_STAGE and self.mode is not DecodeMode.BEAM_SOFT:
-            raise OptionError(
-                f"two-stage decoding runs beam search only, got mode {self.mode.value!r}"
-            )
         object.__setattr__(self, "time_signature", tuple(self.time_signature))
         try:
             check_meter(self.time_signature)
@@ -287,7 +279,6 @@ class DecodeResult:
     base_logprob: float
     reward_total: float
     mode: DecodeMode
-    pipeline: Pipeline = Pipeline.SINGLE_STAGE
     relaxation_steps: tuple[int, ...] = ()
     stage_scores: Optional[dict] = None
 
@@ -462,8 +453,9 @@ def decode(
     rhythm_scorer: Optional[Scorer] = None,
     pitch_scorer: Optional[Scorer] = None,
 ) -> DecodeResult:
-    """Dispatch on mode/pipeline."""
-    if options.pipeline is Pipeline.TWO_STAGE:
+    """Run the decoder ``options.mode`` names; two-stage decoding runs on the
+    rhythm and pitch scorers instead of ``scorer``."""
+    if options.mode is DecodeMode.TWO_STAGE:
         if rhythm_scorer is None or pitch_scorer is None:
             raise OptionError("two-stage decoding needs rhythm and pitch scorers")
         return decode_two_stage(lyrics, rhythm_scorer, pitch_scorer, config, options)
@@ -477,11 +469,11 @@ def decode(
 
 
 # ---------------------------------------------------------------------------
-# two-stage pipeline
+# two-stage decoding
 # ---------------------------------------------------------------------------
 
 
-#: the aspects each stage of the two-stage pipeline is rewarded for
+#: the aspects each stage of two-stage decoding is rewarded for
 _RHYTHM_STAGE = frozenset({Aspect.RHYTHM})
 _PITCH_STAGE = frozenset({Aspect.TONE, Aspect.STRUCTURE})
 
@@ -498,7 +490,8 @@ def decode_two_stage(
     run :func:`_beam`: stage 1 over the grammar, stage 2 over one slot per
     rhythm token (:func:`_pitch_slots`), so durations, rests and melisma
     grouping never change in stage 2.  Both stages are soft beam searches,
-    whatever mode ``options`` names, and the result says so.
+    whatever mode ``options`` names; the result reports
+    :attr:`DecodeMode.TWO_STAGE` and, per stage, its base, reward and score.
     """
     stage1_ctx = _Context(lyrics, config, options, _RHYTHM_STAGE & options.active)
     stage1, _ = _beam(
@@ -509,16 +502,11 @@ def decode_two_stage(
     slots = _pitch_slots(pitch_scorer, stage1.tokens[:-1])
     stage2, _ = _beam(stage2_ctx, slots, options.beam_width, hard=False)
 
-    melody = Melody(stage2.tokens[:-1], options.time_signature)
-    if melody.syllable_count != len(lyrics):
-        raise InternalError("assembled melody does not cover the lyrics")
-    return DecodeResult(
-        melody=melody,
+    return replace(
+        _result_from(stage2_ctx, stage2, DecodeMode.TWO_STAGE),
         score=stage1.score + stage2.score,
         base_logprob=stage1.base + stage2.base,
         reward_total=stage1.reward + stage2.reward,
-        mode=DecodeMode.BEAM_SOFT,
-        pipeline=Pipeline.TWO_STAGE,
         stage_scores={
             "rhythm": {"base": stage1.base, "reward": stage1.reward, "score": stage1.score},
             "pitch": {"base": stage2.base, "reward": stage2.reward, "score": stage2.score},

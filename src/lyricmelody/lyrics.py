@@ -262,7 +262,7 @@ def parse_lyrics(source: str) -> LyricSequence:
     if source.lstrip()[0] == "{":
         return lyrics_from_json(source)
 
-    raw_sentences: list[tuple[int, list[tuple], Intonation]] = []
+    raw_sentences: list[tuple[Intonation, list[tuple]]] = []
     saw_digit = saw_apostrophe = False
     for lineno, line in enumerate(source.splitlines(), start=1):
         tokens = line.split()
@@ -290,33 +290,35 @@ def parse_lyrics(source: str) -> LyricSequence:
                 )
         if parsed[0][2] is not WordPosition.WORD_START:
             raise LyricFormatError(f"line {lineno}: first syllable of a sentence must carry W")
-        raw_sentences.append((lineno, parsed, detect_intonation(terminator)))
+        raw_sentences.append((detect_intonation(terminator), parsed))
 
     if not raw_sentences:
         raise LyricFormatError("no sentences found in lyrics input")
     if saw_digit and saw_apostrophe:
         raise LyricFormatError("tonal and stress-accent tone marks mixed in one input")
     language = Language.TONAL if saw_digit else Language.STRESS_ACCENT
+    # an unmarked syllable of stress-accent lyrics is unstressed
+    unmarked = Tone.NONE if saw_digit else Tone.UNSTRESSED
+    return _assemble([
+        (intonation, [(text, unmarked if tone is Tone.NONE else tone, wp, sc)
+                      for text, tone, wp, sc, _ in parsed])
+        for intonation, parsed in raw_sentences
+    ], language)
 
+
+def _assemble(
+    sentences: list[tuple[Intonation, list[tuple]]], language: Language
+) -> LyricSequence:
+    """The sequence of ``(intonation, [(text, tone, word position, stress
+    class), ...])`` sentences in ``language``."""
     syllables: list[Syllable] = []
-    sentences: list[Sentence] = []
-    for si, (_, parsed, intonation) in enumerate(raw_sentences):
+    spans: list[Sentence] = []
+    for si, (intonation, parsed) in enumerate(sentences):
         start = len(syllables)
-        for pos, (text, tone, wp, sc, _) in enumerate(parsed):
-            if language is Language.STRESS_ACCENT and tone is Tone.NONE:
-                tone = Tone.UNSTRESSED
-            syllables.append(
-                Syllable(
-                    text=text,
-                    tone=tone,
-                    word_position=wp,
-                    stress_class=sc,
-                    sentence_index=si,
-                    sentence_final=pos == len(parsed) - 1,
-                )
-            )
-        sentences.append(Sentence(span=(start, len(syllables)), intonation=intonation))
-    return LyricSequence(tuple(syllables), tuple(sentences), language)
+        syllables.extend(Syllable(text, tone, wp, sc, si, pos == len(parsed) - 1)
+                         for pos, (text, tone, wp, sc) in enumerate(parsed))
+        spans.append(Sentence((start, len(syllables)), intonation))
+    return LyricSequence(tuple(syllables), tuple(spans), language)
 
 
 _TONE_MARK = {
@@ -389,30 +391,16 @@ def lyrics_from_json(source: str) -> LyricSequence:
         raise LyricFormatError(f"invalid lyrics JSON: {exc}") from exc
     try:
         language = Language(doc["language"])
-        syllables: list[Syllable] = []
-        sentences: list[Sentence] = []
-        for si, sent in enumerate(doc["sentences"]):
-            start = len(syllables)
-            for pos, s in enumerate(sent["syllables"]):
-                syllables.append(
-                    Syllable(
-                        text=str(s["text"]),
-                        tone=Tone(s.get("tone", "none")),
-                        word_position=WordPosition(s["word_position"]),
-                        stress_class=StressClass(s.get("stress_class", "neutral")),
-                        sentence_index=si,
-                        sentence_final=pos == len(sent["syllables"]) - 1,
-                    )
-                )
-            sentences.append(
-                Sentence(
-                    span=(start, len(syllables)),
-                    intonation=Intonation(sent.get("intonation", "neutral")),
-                )
-            )
+        sentences = []
+        for sent in doc["sentences"]:
+            parsed = [(str(s["text"]), Tone(s.get("tone", "none")),
+                       WordPosition(s["word_position"]),
+                       StressClass(s.get("stress_class", "neutral")))
+                      for s in sent["syllables"]]
+            sentences.append((Intonation(sent.get("intonation", "neutral")), parsed))
     except (KeyError, TypeError, ValueError) as exc:
         raise LyricFormatError(f"lyrics JSON schema violation: {exc}") from exc
-    return LyricSequence(tuple(syllables), tuple(sentences), language)
+    return _assemble(sentences, language)
 
 
 def _normalized_text(lyrics: LyricSequence, sent: Sentence) -> tuple[str, ...]:

@@ -260,12 +260,18 @@ def melody_from_json(source: str) -> Melody:
             kind = TokenKind(t["kind"])
             duration = Fraction(t["duration"])
             if kind is TokenKind.NOTE:
-                tokens.append(
-                    MelodyToken(kind, duration, int(t["pitch"]), bool(t["syllable_start"]))
-                )
+                # a bool is an int, and int() would truncate a float pitch
+                pitch, start = t["pitch"], t["syllable_start"]
+                if type(pitch) is not int or type(start) is not bool:
+                    raise ValueError(f"a note needs an integer pitch and a boolean "
+                                     f"syllable_start, got {pitch!r} and {start!r}")
+                tokens.append(MelodyToken(kind, duration, pitch, start))
             else:
                 tokens.append(MelodyToken(kind, duration))
         num, den = doc.get("time_signature", [4, 4])
-        return Melody(tuple(tokens), (int(num), int(den)))
+        if type(num) is not int or type(den) is not int:
+            raise ValueError(f"time signature parts must be integers, got {num!r}/{den!r}")
+        check_meter((num, den))
+        return Melody(tuple(tokens), (num, den))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise MidiFormatError(f"invalid melody JSON: {exc}") from exc

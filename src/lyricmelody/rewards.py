@@ -920,7 +920,8 @@ def reward_config_to_dict(config: RewardConfig) -> dict:
             **{key: getattr(config, name) for key, name in _REWARD_KEYS.items()},
         },
         "long_note_threshold": str(config.long_note_threshold),
-        "harmony_table": _table_to_dict(config.harmony_table),
+        # no table writes an empty one, which likewise grades no tone pair
+        "harmony_table": _table_to_dict(config.harmony_table or HarmonyTable({})),
     }
 
 

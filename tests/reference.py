@@ -52,7 +52,6 @@ from lyricmelody import (
 from lyricmelody.decoder import (
     DecodeMode,
     DecodeResult,
-    Pipeline,
     _Context,
     _Hypothesis,
     _expand,
@@ -345,8 +344,7 @@ def reference_decode_two_stage(lyrics, rhythm_scorer, pitch_scorer, config, opti
         score=stage1.score + stage2.score,
         base_logprob=stage1.base + stage2.base,
         reward_total=stage1.reward + stage2.reward,
-        mode=DecodeMode.BEAM_SOFT,
-        pipeline=Pipeline.TWO_STAGE,
+        mode=DecodeMode.TWO_STAGE,
         stage_scores={
             "rhythm": {"base": stage1.base, "reward": stage1.reward, "score": stage1.score},
             "pitch": {"base": stage2.base, "reward": stage2.reward, "score": stage2.score},

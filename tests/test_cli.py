@@ -268,7 +268,7 @@ class TestConfigHandling:
         def boom(*args, **kwargs):
             raise InternalError("score mismatch")
 
-        monkeypatch.setattr(cli, "_run_decode", boom)
+        monkeypatch.setattr(cli, "decode", boom)
         assert main(["generate", str(workspace / "lyrics" / "song_0.txt"),
                      "-m", str(model_path), "-o", str(tmp_path / "x.mid")]) == 2
         assert "internal error" in capsys.readouterr().err
@@ -488,6 +488,47 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("case", [
+        "evaluate missing midi", "non-utf8 lyrics", "non-utf8 config", "non-utf8 model",
+        "generate into missing dir", "train into missing dir", "evaluate json into missing dir",
+        "compare json into missing dir", "missing config", "missing model", "missing corpus",
+        "missing compare dir",
+    ])
+    def test_os_or_encoding_error_exit_one(
+        self, workspace, model_path, generated, tmp_path, capsys, case
+    ):
+        lyrics, midi = str(workspace / "lyrics" / "song_0.txt"), str(generated / "song_0.mid")
+        missing = tmp_path / "nodir"
+        not_utf8 = tmp_path / "utf16.txt"
+        not_utf8.write_bytes("ni3|W hao3|I .\n".encode("utf-16"))
+        out = str(tmp_path / "x.mid")
+        generate = ["generate", lyrics, "-m", str(model_path), "-o", out]
+        argv, named = {
+            "evaluate missing midi": (["evaluate", lyrics, str(missing / "x.mid")], missing),
+            "non-utf8 lyrics": (["generate", str(not_utf8), "-m", str(model_path), "-o", out],
+                                not_utf8),
+            "non-utf8 config": ([*generate, "--config", str(not_utf8)], not_utf8),
+            "non-utf8 model": (["generate", lyrics, "-m", str(not_utf8), "-o", out], not_utf8),
+            "generate into missing dir": (
+                ["generate", lyrics, "-m", str(model_path), "-o", str(missing / "x.mid")],
+                missing),
+            "train into missing dir": (
+                ["train", str(workspace / "corpus"), "-o", str(missing / "m.json")], missing),
+            "evaluate json into missing dir": (
+                ["evaluate", lyrics, midi, "--json", str(missing / "r.json")], missing),
+            "compare json into missing dir": (
+                ["compare", str(workspace / "lyrics"), "-m", str(model_path), "--modes", "off",
+                 "--json", str(missing / "c.json")], missing),
+            "missing config": ([*generate, "--config", str(missing / "c.json")], missing),
+            "missing model": (["generate", lyrics, "-m", str(missing / "m.json"), "-o", out],
+                              missing),
+            "missing corpus": (["train", str(missing), "-o", str(tmp_path / "m.json")], missing),
+            "missing compare dir": (["compare", str(missing), "-m", str(model_path)], missing),
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(named) in err and "Traceback" not in err
 
     def test_zero_time_signature_numerator_exit_one(self, tmp_path, capsys):
         lyrics = tmp_path / "s.txt"

@@ -8,7 +8,6 @@ from lyricmelody import (
     DecodeMode,
     DecodeOptions,
     OptionError,
-    Pipeline,
     RhythmToken,
     TrainingError,
     UniformScorer,
@@ -45,6 +44,14 @@ def small_vocab(pitches=(60, 62), durations=(1,), continuations=False, rests=Tru
     if rests:
         tokens += [rest(d) for d in durations]
     return Vocabulary.build("melody", tokens)
+
+
+def two_stage_bits(result):
+    """A two-stage result's tokens and the bits of its scores."""
+    return (result.melody.tokens, result.score.hex(), result.base_logprob.hex(),
+            result.reward_total.hex(),
+            {stage: {k: v.hex() for k, v in parts.items()}
+             for stage, parts in result.stage_scores.items()})
 
 
 class TestZeroLambdaEquivalence:
@@ -307,7 +314,7 @@ class TestTwoStage:
         for mode in DecodeMode:
             result = decode_two_stage(lyr, bundle.rhythm_model, bundle.pitch_model, config,
                                       DecodeOptions(mode=mode, beam_width=2))
-            assert result.mode is DecodeMode.BEAM_SOFT
+            assert result.mode is DecodeMode.TWO_STAGE
 
     def test_stage_two_preserves_rhythm(self, config, bundle):
         lyr = parse_lyrics("ni3|W,K hao3|I .\ntian1|W kong1|I ?")
@@ -375,12 +382,6 @@ class TestTwoStage:
         tie-break decides there."""
         from reference import reference_decode_two_stage
 
-        def bits(result):
-            return (result.melody.tokens, result.score.hex(), result.base_logprob.hex(),
-                    result.reward_total.hex(),
-                    {stage: {k: v.hex() for k, v in parts.items()}
-                     for stage, parts in result.stage_scores.items()})
-
         uniform = UniformScorer(bundle.pitch_model.vocab)
         rng = random.Random(20261018 + width)
         for case in range(16):
@@ -393,7 +394,27 @@ class TestTwoStage:
             got = decode_two_stage(lyr, bundle.rhythm_model, pitch_scorer, cfg, options)
             want = reference_decode_two_stage(lyr, bundle.rhythm_model, pitch_scorer, cfg,
                                               options)
-            assert bits(got) == bits(want), case
+            assert two_stage_bits(got) == two_stage_bits(want), case
+
+    def test_rest_in_the_skeleton_gets_a_rest_slot(self, config):
+        """A rhythm model that rests often puts a rest into the skeleton of a
+        two-sentence sheet, and stage 2 keeps it in a forced rest slot, to
+        the bits of the reference pipeline."""
+        from reference import reference_decode_two_stage
+
+        rng = random.Random(20261019)
+        corpus = [random_training_melody(rng, pitch_range=(60, 65), rest_probability=0.5,
+                                         durations=[Fraction(1), Fraction(2)])
+                  for _ in range(12)]
+        bundle = train_model_bundle(corpus, order=2)
+        lyr = parse_lyrics("ni3|W,K hao3|I .\ntian1|W kong1|I .")
+        for width in (1, 2, 3):
+            options = DecodeOptions(beam_width=width)
+            got = decode_two_stage(lyr, bundle.rhythm_model, bundle.pitch_model, config, options)
+            want = reference_decode_two_stage(lyr, bundle.rhythm_model, bundle.pitch_model,
+                                              config, options)
+            assert any(not t.is_note for t in got.melody.tokens), width
+            assert two_stage_bits(got) == two_stage_bits(want), width
 
     def test_forced_rhythm_collapses_to_single_stage(self, config):
         # one rhythm option per step -> both pipelines reduce to pitch choice
@@ -497,12 +518,6 @@ class TestInvariants:
             DecodeOptions(top_k=0)
         with pytest.raises(OptionError):
             DecodeOptions(rerank_candidates=0)
-
-    @pytest.mark.parametrize("mode", [DecodeMode.BEAM_HARD, DecodeMode.SAMPLE, DecodeMode.RERANK])
-    def test_two_stage_runs_beam_only(self, mode):
-        with pytest.raises(OptionError, match="two-stage decoding runs beam search only"):
-            DecodeOptions(mode=mode, pipeline=Pipeline.TWO_STAGE)
-        assert DecodeOptions(mode=mode).pipeline is Pipeline.SINGLE_STAGE
 
     @pytest.mark.parametrize("meter", [(4, 6), (3, 12), (0, 4), (4, 0), (-2, 4), (300, 4)])
     def test_bad_time_signature_rejected(self, meter):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from lyricmelody import (
     BeatStrength,
     Melody,
     MelodyToken,
+    MidiFormatError,
     RhythmToken,
     TokenKind,
     melody_from_json,
@@ -163,6 +165,26 @@ class TestMelodyInvariants:
     def test_json_round_trip(self):
         m = mk_melody([(60, "1/2"), (62, "1/2", False), ("r", 1), (64, 2)], (3, 4))
         assert melody_from_json(melody_to_json(m)) == m
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pitch", 60.9, "integer pitch"),
+        ("pitch", True, "integer pitch"),
+        ("syllable_start", "no", "boolean syllable_start"),
+        ("time_signature", [4, 3], "power of two"),
+        ("time_signature", [300, 4], "at most 255"),
+        ("time_signature", [4.0, 4], "must be integers"),
+    ])
+    def test_json_wrong_type_or_meter_rejected(self, field, value, message):
+        # none may load: int() and bool() would turn them into pitch 60,
+        # pitch 1 and a syllable start, and write_midi and the reward fold
+        # refuse such a meter only later
+        doc = json.loads(melody_to_json(mk_melody([(60, 1), (62, 1)])))
+        if field == "time_signature":
+            doc[field] = value
+        else:
+            doc["tokens"][0][field] = value
+        with pytest.raises(MidiFormatError, match=message):
+            melody_from_json(json.dumps(doc))
 
     def test_list_tokens_and_meter_equal_the_tuples(self):
         tokens = [note(60, 1), note(62, 1)]

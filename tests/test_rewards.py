@@ -588,6 +588,25 @@ class TestConfigValidation:
             is None
         )
 
+    def test_config_without_table_round_trips(self):
+        # a config without a harmony table writes an empty one, which
+        # grades no tone pair either
+        from lyricmelody import load_reward_config
+        from lyricmelody.rewards import reward_config_to_dict
+
+        cfg = RewardConfig()
+        doc = reward_config_to_dict(cfg)
+        assert doc["harmony_table"] == {}
+        loaded = load_reward_config(json.dumps(doc))
+        rng = random.Random(20261019)
+        for case in range(24):
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=case % 2 == 0,
+                                repeat=case % 4 < 2)
+            melody = random_aligned_melody(lyr, rng)
+            want, got = score_rewards(lyr, melody, cfg), score_rewards(lyr, melody, loaded)
+            assert got.total.hex() == want.total.hex(), case
+            assert got.by_aspect == want.by_aspect, case
+
     def test_non_monotone_transitions_rejected(self, config):
         with pytest.raises(ConfigError):
             RewardConfig(
