@@ -225,9 +225,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     lyrics_path = Path(args.lyrics)
     midi_path = Path(args.midi)
     rows: list[tuple[str, dict]] = []
-    if lyrics_path.is_dir() != midi_path.is_dir():
-        raise InputError("lyrics and midi paths must both be files or both be directories")
     if lyrics_path.is_dir():
+        if not midi_path.is_dir():
+            raise InputError(f"{midi_path} is no directory, so it cannot pair with {lyrics_path}")
         pairs = []
         for lp in sorted(lyrics_path.iterdir()):
             if lp.suffix not in (".txt", ".lyrics", ".json"):

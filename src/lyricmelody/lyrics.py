@@ -8,8 +8,9 @@ is written down explicitly, one sentence per line::
     hello'|W,K world|W,A ?
 
 Each whitespace-separated token is ``text`` + tone mark + ``|`` + flags.
-The tone mark is a digit 1-5 (tonal languages), a trailing apostrophe
-(stressed syllable in stress-accent languages), or nothing.  Flags are a
+The tone mark is an ASCII digit 1-5 (tonal languages), a trailing
+apostrophe (stressed syllable in stress-accent languages), or nothing; a
+JSON syllable's text must be one that reads back as itself.  Flags are a
 comma list: ``W`` word start, ``I`` word inner (exactly one of the two),
 ``K`` keyword, ``A`` auxiliary (at most one; neither means unconstrained).
 A redundant ``E`` is tolerated on the last syllable of a line.  The line
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from .errors import LyricFormatError
 
@@ -207,15 +208,11 @@ def _parse_token(token: str, lineno: int) -> tuple[str, Tone, WordPosition, Stre
     body, sep, flag_part = token.partition("|")
     if not sep or not body:
         raise LyricFormatError(f"line {lineno}: malformed syllable token {token!r}")
-    tone_digit: Optional[int] = None
-    stressed = False
-    if body[-1].isdigit():
-        tone_digit = int(body[-1])
-        if not 1 <= tone_digit <= 5:
-            raise LyricFormatError(f"line {lineno}: tone digit out of range in {token!r}")
-        body = body[:-1]
-    elif body.endswith("'"):
-        stressed = True
+    # only an ASCII digit is a tone mark; "²" or "٣" is part of the text
+    if body[-1] in "06789":
+        raise LyricFormatError(f"line {lineno}: tone digit out of range in {token!r}")
+    tone = _MARK_TONE.get(body[-1], Tone.NONE)  # NONE: UNSTRESSED later for stress-accent
+    if tone is not Tone.NONE:
         body = body[:-1]
     if not body:
         raise LyricFormatError(f"line {lineno}: empty syllable text in {token!r}")
@@ -239,12 +236,6 @@ def _parse_token(token: str, lineno: int) -> tuple[str, Tone, WordPosition, Stre
         else StressClass.AUXILIARY if "A" in flags else StressClass.NEUTRAL
     )
     position = WordPosition.WORD_START if has_w else WordPosition.WORD_INNER
-    if tone_digit is not None:
-        tone = Tone(f"tone{tone_digit}")
-    elif stressed:
-        tone = Tone.STRESSED
-    else:
-        tone = Tone.NONE  # resolved to UNSTRESSED later for stress-accent input
     return body, tone, position, stress, "E" in flags
 
 
@@ -310,13 +301,20 @@ def _assemble(
     sentences: list[tuple[Intonation, list[tuple]]], language: Language
 ) -> LyricSequence:
     """The sequence of ``(intonation, [(text, tone, word position, stress
-    class), ...])`` sentences in ``language``."""
+    class), ...])`` sentences in ``language``; refuses a syllable text that
+    :func:`serialize_lyrics` could not write back, so both formats agree."""
     syllables: list[Syllable] = []
     spans: list[Sentence] = []
     for si, (intonation, parsed) in enumerate(sentences):
         start = len(syllables)
-        syllables.extend(Syllable(text, tone, wp, sc, si, pos == len(parsed) - 1)
-                         for pos, (text, tone, wp, sc) in enumerate(parsed))
+        for pos, (text, tone, wp, sc) in enumerate(parsed):
+            if type(text) is not str or text.split() != [text] or "|" in text:
+                raise LyricFormatError(f"syllable text {text!r} is not one word without '|'")
+            if tone in (Tone.NONE, Tone.UNSTRESSED) and text[-1] in "0123456789'":
+                raise LyricFormatError(f"unmarked syllable text {text!r} ends in a tone mark")
+            if not syllables and text[0] == "{":
+                raise LyricFormatError(f"first syllable text {text!r} opens with '{{'")
+            syllables.append(Syllable(text, tone, wp, sc, si, pos == len(parsed) - 1))
         spans.append(Sentence((start, len(syllables)), intonation))
     return LyricSequence(tuple(syllables), tuple(spans), language)
 
@@ -331,6 +329,8 @@ _TONE_MARK = {
     Tone.UNSTRESSED: "",
     Tone.NONE: "",
 }
+
+_MARK_TONE = {mark: tone for tone, mark in _TONE_MARK.items() if mark}
 
 _INTONATION_MARK = {
     Intonation.RISING: "?",
@@ -393,7 +393,7 @@ def lyrics_from_json(source: str) -> LyricSequence:
         language = Language(doc["language"])
         sentences = []
         for sent in doc["sentences"]:
-            parsed = [(str(s["text"]), Tone(s.get("tone", "none")),
+            parsed = [(s["text"], Tone(s.get("tone", "none")),
                        WordPosition(s["word_position"]),
                        StressClass(s.get("stress_class", "neutral")))
                       for s in sent["syllables"]]

@@ -13,8 +13,13 @@ Three vocabulary kinds share the same machinery:
   rhythm-first decoding, spelled ``N:1/2:S`` / ``R:1/2``;
 * ``pitch`` — pitches plus a rest marker, for pitch-onto-skeleton decoding.
 
-A model token of any other shape fails to load with an error that names
-it.
+A model file is checked in one pass as it loads: every key is present and
+of its JSON type, every context and successor is a token of the file's
+vocabulary (in any spelling), no context is longer than ``order - 1`` or
+counted twice, no successor is listed twice after one context, each count
+is an integer from 1 to 2**53 and each context has a successor.  The first
+fault raises :class:`TrainingError` naming it, so every distribution of a
+loaded model sums to 1.
 
 Every sequence is trained and scored with a terminal end-of-melody symbol so
 stopping has a probability like everything else.
@@ -25,12 +30,11 @@ next shorter context, grounding in the empirical unigram distribution mixed
 with a uniform prior over the vocabulary.  Models are immutable once
 trained; scoring from concurrent decodes is safe.
 
-Every in-vocabulary token a model counts is the vocabulary's own instance:
-training swaps each token for it, and loading decodes each count string
-through the vocabulary's spellings (any other spelling is decoded once and
-mapped to the equal vocabulary token, or kept as is if it has none).  The
-decoder's contexts hold the same instances, so context lookups hit by
-identity instead of comparing tokens field by field.
+Every token a model counts is the vocabulary's own instance: training swaps
+each token for it, and loading maps each count string to it (a spelling
+other than the vocabulary's is decoded once).  The decoder's contexts hold
+the same instances, so context lookups hit by identity instead of comparing
+tokens field by field.
 
 A context's distribution is built in O(|V|) from the probability table of
 its one-shorter suffix (the backed-off mass for every token, plus the
@@ -45,7 +49,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import TrainingError
 from .melody import Melody, MelodyToken, RhythmToken, TokenKind
@@ -78,68 +82,90 @@ REST_MARK = "R"
 Token = Union[MelodyToken, RhythmToken, int, str]
 
 
-def _encode_duration(d: Fraction) -> str:
-    return str(d)
+class _Codec(NamedTuple):
+    """A vocabulary kind's model-file spelling of a token (END aside), its reading
+    back (ValueError or ArithmeticError if none) and the vocabulary order."""
+
+    spell: Callable[[Token], str]
+    parse: Callable[[str], Token]
+    sort_key: Callable[[Token], tuple]
 
 
-def _encode(kind: str, token: Token) -> str:
-    if token == END:
-        return END
-    if kind == "pitch":
-        return REST_MARK if token == REST_MARK else str(token)
-    if kind not in ("melody", "rhythm"):
-        raise ValueError(f"unknown vocabulary kind {kind!r}")
-    duration = _encode_duration(token.duration)
-    if not token.is_note:
-        return f"R:{duration}"
-    pitch = f"{token.pitch}:" if kind == "melody" else ""
-    return f"N:{pitch}{duration}:{'S' if token.syllable_start else 'C'}"
+def _note_codec(cls) -> _Codec:
+    """The codec of melody (``cls`` MelodyToken) or rhythm tokens."""
+
+    def spell(t) -> str:
+        if not t.is_note:
+            return f"R:{t.duration}"
+        pitch = "" if t.pitch is None else f"{t.pitch}:"
+        return f"N:{pitch}{t.duration}:{'S' if t.syllable_start else 'C'}"
+
+    def parse(text: str) -> Token:
+        match text.split(":"):
+            case ["R", duration]:
+                return cls(TokenKind.REST, Fraction(duration))
+            case ["N", pitch, duration, "S" | "C" as flag] if cls is MelodyToken:
+                return cls(TokenKind.NOTE, Fraction(duration), int(pitch), flag == "S")
+            case ["N", duration, "S" | "C" as flag] if cls is RhythmToken:
+                return cls(TokenKind.NOTE, Fraction(duration), flag == "S")
+        raise ValueError("no token of this shape")
+
+    return _Codec(spell, parse, lambda t: (
+        (0, t.pitch, t.duration, not t.syllable_start) if t.is_note else (1, t.duration)))
+
+
+def _parse_pitch(text: str) -> Token:
+    if text == REST_MARK:
+        return REST_MARK
+    pitch = int(text)
+    if not 0 <= pitch <= 127:
+        raise ValueError("not a MIDI pitch 0-127")
+    return pitch
+
+
+_CODECS = {
+    "melody": _note_codec(MelodyToken),
+    "rhythm": _note_codec(RhythmToken),
+    "pitch": _Codec(str, _parse_pitch, lambda t: (1,) if t == REST_MARK else (0, t)),
+}
+
+
+def _codec(kind: str) -> _Codec:
+    if kind not in _CODECS:
+        raise TrainingError(f"unknown vocabulary kind {kind!r}")
+    return _CODECS[kind]
+
+
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,),
+               "a list": (list,), "an object": (dict,)}
+
+
+def _fields(doc, where: str, **expected: str) -> list:
+    """``doc``'s values of the keys ``expected`` names, each of the JSON type named
+    there (a bool is no number); TrainingError names the first missing or mistyped."""
+    if type(doc) is not dict:
+        raise TrainingError(f"{where} must be an object, got {type(doc).__name__}")
+    for key, json_type in expected.items():
+        if key not in doc:
+            raise TrainingError(f"{where} has no {key!r}")
+        value = doc[key]
+        if isinstance(value, (dict, list)) and type(value) not in _JSON_TYPES[json_type]:
+            raise TrainingError(f"{where} {key} must be {json_type}, got {type(value).__name__}")
+        if type(value) not in _JSON_TYPES[json_type]:  # a scalar: short enough to quote
+            raise TrainingError(f"{where} {key} {value!r} is not {json_type}")
+    return [doc[key] for key in expected]
 
 
 def _decode(kind: str, text) -> Token:
-    """The token a model file spells ``text``.  ValueError, naming ``text``,
-    for a value that is no string or a string of the wrong shape."""
+    """The token a model file spells ``text``; TrainingError if it spells none."""
     if text == END:
         return END
-    if kind not in ("melody", "rhythm", "pitch"):
-        raise ValueError(f"unknown vocabulary kind {kind!r}")
-    if isinstance(text, str):
-        parts = text.split(":")
+    if type(text) is str:
         try:
-            if kind == "pitch":
-                if text == REST_MARK:
-                    return REST_MARK
-                pitch = int(text)
-                if not 0 <= pitch <= 127:
-                    raise ValueError("not a MIDI pitch 0-127")
-                return pitch
-            if parts[0] == "R" and len(parts) == 2:
-                if kind == "melody":
-                    return MelodyToken(TokenKind.REST, Fraction(parts[1]))
-                return RhythmToken(TokenKind.REST, Fraction(parts[1]))
-            if (parts[0] == "N" and len(parts) == (4 if kind == "melody" else 3)
-                    and parts[-1] in ("S", "C")):
-                duration, starts = Fraction(parts[-2]), parts[-1] == "S"
-                if kind == "melody":
-                    return MelodyToken(TokenKind.NOTE, duration, int(parts[1]), starts)
-                return RhythmToken(TokenKind.NOTE, duration, starts)
+            return _codec(kind).parse(text)
         except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"malformed {kind} token {text!r}: {exc}") from None
-    raise ValueError(f"malformed {kind} token {text!r}")
-
-
-def _sort_key(kind: str, token: Token):
-    if token == END:
-        return (9,)
-    if kind == "pitch":
-        return (1,) if token == REST_MARK else (0, token)
-    if kind not in ("melody", "rhythm"):
-        raise ValueError(f"unknown vocabulary kind {kind!r}")
-    if not token.is_note:
-        return (1, token.duration)
-    if kind == "melody":
-        return (0, token.pitch, token.duration, not token.syllable_start)
-    return (0, token.duration, not token.syllable_start)
+            raise TrainingError(f"malformed {kind} token {text!r}: {exc}") from None
+    raise TrainingError(f"malformed {kind} token {text!r}")
 
 
 @dataclass(frozen=True)
@@ -150,11 +176,12 @@ class Vocabulary:
     tokens: tuple[Token, ...]
 
     def __post_init__(self) -> None:
+        _codec(self.kind)  # refuses an unknown kind
         if not self.tokens or self.tokens[-1] != END:
-            raise ValueError("vocabulary must end with the end-of-melody symbol")
+            raise TrainingError("vocabulary must end with the end-of-melody symbol")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
         if len(getattr(self, "_index")) != len(self.tokens):
-            raise ValueError("vocabulary contains duplicate tokens")
+            raise TrainingError("vocabulary contains duplicate tokens")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -166,19 +193,19 @@ class Vocabulary:
         return getattr(self, "_index")[token]
 
     def encode(self, token: Token) -> str:
-        return _encode(self.kind, token)
+        return END if token == END else _CODECS[self.kind].spell(token)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "tokens": [self.encode(t) for t in self.tokens]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Vocabulary":
-        kind = doc["kind"]
-        return cls(kind, tuple(_decode(kind, t) for t in doc["tokens"]))
+        kind, texts = _fields(doc, "model vocab", kind="a string", tokens="a list")
+        return cls(kind, tuple(_decode(kind, text) for text in texts))
 
     @classmethod
     def build(cls, kind: str, tokens: Iterable[Token]) -> "Vocabulary":
-        ordered = sorted(set(tokens), key=lambda t: _sort_key(kind, t))
+        ordered = sorted(set(tokens) - {END}, key=_codec(kind).sort_key)
         return cls(kind, tuple(ordered) + (END,))
 
 
@@ -192,12 +219,9 @@ def build_melody_vocabulary(
     durs = sorted({Fraction(d) for d in durations})
     if not durs or durs[0] <= 0:
         raise ValueError("durations must be a non-empty set of positive rationals")
-    tokens: list[Token] = []
-    for pitch in range(lo, hi + 1):
-        for dur in durs:
-            tokens.append(MelodyToken(TokenKind.NOTE, dur, pitch, True))
-            tokens.append(MelodyToken(TokenKind.NOTE, dur, pitch, False))
-    tokens.extend(MelodyToken(TokenKind.REST, dur) for dur in durs)
+    tokens = [MelodyToken(TokenKind.NOTE, dur, pitch, starts)
+              for pitch in range(lo, hi + 1) for dur in durs for starts in (True, False)]
+    tokens += [MelodyToken(TokenKind.REST, dur) for dur in durs]
     return Vocabulary.build("melody", tokens)
 
 
@@ -255,17 +279,11 @@ class NGramModel:
 
     P(t | ctx) = max(c(ctx,t) - d, 0)/c(ctx) + d*distinct(ctx)/c(ctx) * P(t | ctx[1:]),
     grounding at unigrams interpolated with 1/|V|.  Unseen contexts back off
-    with all their mass.  Model files must count every successor at least
-    once and every counted context must have a successor, or loading raises
-    :class:`TrainingError`.
+    with all their mass.
     """
 
     def __init__(
-        self,
-        order: int,
-        discount: float,
-        vocab: Vocabulary,
-        counts: dict[tuple, dict[Token, int]],
+        self, order: int, discount: float, vocab: Vocabulary, counts: dict[tuple, dict[Token, int]]
     ):
         if order < 1:
             raise TrainingError(f"order must be >= 1, got {order}")
@@ -281,11 +299,7 @@ class NGramModel:
 
     @classmethod
     def train(
-        cls,
-        sequences: Sequence[Sequence[Token]],
-        order: int,
-        discount: float,
-        vocab: Vocabulary,
+        cls, sequences: Sequence[Sequence[Token]], order: int, discount: float, vocab: Vocabulary
     ) -> "NGramModel":
         if not sequences:
             raise TrainingError("training corpus is empty")
@@ -333,9 +347,8 @@ class NGramModel:
             table = [backoff_mass * p for p in lower]
             index = getattr(self.vocab, "_index")
             for token, count in succ.items():
-                i = index.get(token)
-                if i is not None:
-                    table[i] = max(count - self.discount, 0.0) / total + backoff_mass * lower[i]
+                i = index[token]
+                table[i] = max(count - self.discount, 0.0) / total + backoff_mass * lower[i]
         if len(ctx) < self.order - 1:
             self._tables[ctx] = table
         return table
@@ -344,64 +357,63 @@ class NGramModel:
         ctx = self._context(context)
         cached = self._dist_cache.get(ctx)
         if cached is None:
-            cached = dict(zip(self.vocab.tokens, map(math.log, self._table(ctx))))
+            table, tokens = self._table(ctx), self.vocab.tokens
+            try:
+                cached = dict(zip(tokens, map(math.log, table)))
+            except ValueError:  # a probability below the float range came out 0.0
+                cached = {t: math.log(p or math.ulp(0.0)) for t, p in zip(tokens, table)}
             self._dist_cache[ctx] = cached
         return cached
 
     def to_dict(self) -> dict:
         enc = self.vocab.encode
-        counts = [
-            [
-                [enc(t) for t in ctx],
-                sorted([enc(tok), n] for tok, n in succ.items()),
-            ]
-            for ctx, succ in sorted(
-                self.counts.items(), key=lambda item: [self.vocab.encode(t) for t in item[0]]
-            )
-        ]
-        return {
-            "order": self.order,
-            "discount": self.discount,
-            "vocab": self.vocab.to_dict(),
-            "counts": counts,
-        }
+        # contexts are distinct, so their spellings alone order the entries
+        counts = sorted([[enc(t) for t in ctx], sorted([enc(tok), n] for tok, n in succ.items())]
+                        for ctx, succ in self.counts.items())
+        return {"order": self.order, "discount": self.discount, "vocab": self.vocab.to_dict(),
+                "counts": counts}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NGramModel":
-        order, discount, raw_counts = doc["order"], doc["discount"], doc["counts"]
-        # JSON gives ints and floats; a bool is an int to Python, not to the schema
-        if type(order) is not int or order < 1:
-            raise TrainingError(f"model order {order!r} is not a positive integer")
-        if type(discount) not in (int, float):
-            raise TrainingError(f"model discount {discount!r} is not a number")
-        if type(raw_counts) is not list:
-            raise TrainingError(f"model counts must be a list, got {type(raw_counts).__name__}")
-        vocab = Vocabulary.from_dict(doc["vocab"])
-        index = getattr(vocab, "_index")
-        decoded = dict(zip(doc["vocab"]["tokens"], vocab.tokens))
+        """The model a model file's object spells, checked in one pass that
+        raises TrainingError at the first fault (see the module docstring)."""
+        order, discount, vocab_doc, raw_counts = _fields(
+            doc, "model", order="an integer", discount="a number", vocab="an object", counts="a list")
+        vocab = Vocabulary.from_dict(vocab_doc)
+        spelled = dict(zip(vocab_doc["tokens"], vocab.tokens))
 
-        def dec(text: str) -> Token:
-            token = decoded.get(text)
-            if token is None:
-                token = _decode(vocab.kind, text)
-                i = index.get(token)
-                token = decoded[text] = token if i is None else vocab.tokens[i]
-            return token
+        def token(text) -> Token:  # the vocabulary's own instance of the token text spells
+            if type(text) is not str or text not in spelled:
+                found = _decode(vocab.kind, text)
+                if found not in vocab:
+                    raise TrainingError(f"model token {text!r} is not in the model's vocabulary")
+                spelled[text] = vocab.tokens[vocab.index_of(found)]
+            return spelled[text]
 
         counts: dict[tuple, dict[Token, int]] = {}
-        for ctx, succ in raw_counts:
-            if len(ctx) >= order:
-                raise TrainingError(f"model context {ctx!r} is longer than order - 1 = {order - 1}")
-            successors = {}
-            for tok, n in succ:
-                if type(n) is not int or n < 1:
+        for i, entry in enumerate(raw_counts):
+            if type(entry) is not list or list(map(type, entry)) != [list, list]:
+                raise TrainingError(f"model counts entry {i} is not a [context, successors] pair")
+            ctx_texts, succ = entry
+            if len(ctx_texts) >= order:
+                raise TrainingError(
+                    f"model context {ctx_texts!r} is longer than order - 1 = {order - 1}")
+            ctx = tuple(map(token, ctx_texts))
+            if ctx in counts:
+                raise TrainingError(f"model context {ctx_texts!r} is counted twice")
+            successors = counts[ctx] = {}
+            for pair in succ:
+                n = pair[1] if type(pair) is list and len(pair) == 2 else None
+                if type(n) is not int or not 1 <= n <= 2**53:  # so every total is a float
+                    raise TrainingError(f"model successor {pair!r} after {ctx_texts!r} is not a "
+                                        "[token, count from 1 to 2**53] pair")
+                successor = token(pair[0])
+                if successor in successors:
                     raise TrainingError(
-                        f"model count {n!r} after {ctx!r} is not a positive integer"
-                    )
-                successors[dec(tok)] = n
+                        f"model token {pair[0]!r} is listed twice after {ctx_texts!r}")
+                successors[successor] = n
             if not successors:
-                raise TrainingError(f"model context {ctx!r} has no successors")
-            counts[tuple(map(dec, ctx))] = successors
+                raise TrainingError(f"model context {ctx_texts!r} has no successors")
         return cls(order, float(discount), vocab, counts)
 
 
@@ -435,14 +447,8 @@ class ModelBundle:
     VERSION = 1
 
     def to_json(self) -> str:
-        doc = {
-            "format": self.FORMAT,
-            "version": self.VERSION,
-            "token_model": self.token_model.to_dict(),
-            "rhythm_model": self.rhythm_model.to_dict(),
-            "pitch_model": self.pitch_model.to_dict(),
-        }
-        return json.dumps(doc, sort_keys=True)
+        doc = {slot: getattr(self, slot).to_dict() for slot in _SLOT_KINDS}
+        return json.dumps({"format": self.FORMAT, "version": self.VERSION, **doc}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelBundle":
@@ -452,17 +458,14 @@ class ModelBundle:
             raise TrainingError(f"invalid model file: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
             raise TrainingError(f"not a {cls.FORMAT} model file")
-        if doc.get("version") != cls.VERSION:
+        if doc.get("version") != cls.VERSION or type(doc["version"]) is not int:
             raise TrainingError(f"unsupported model file version {doc.get('version')!r}")
-        try:
-            models = [NGramModel.from_dict(doc[slot]) for slot in _SLOT_KINDS]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TrainingError(f"malformed model file: {type(exc).__name__}: {exc}") from exc
+        slots = _fields(doc, "model file", **dict.fromkeys(_SLOT_KINDS, "an object"))
+        models = [NGramModel.from_dict(slot) for slot in slots]
         for (slot, kind), model in zip(_SLOT_KINDS.items(), models):
             if model.vocab.kind != kind:
                 raise TrainingError(
-                    f"model file slot {slot} holds a {model.vocab.kind} model, expected {kind}"
-                )
+                    f"model file slot {slot} holds a {model.vocab.kind} model, expected {kind}")
         return cls(*models)
 
 
@@ -473,12 +476,8 @@ def train_model_bundle(
     if not corpus:
         raise TrainingError("training corpus is empty")
     melody_vocab = vocabulary_from_corpus(corpus)
-    rhythm_vocab = Vocabulary.build(
-        "rhythm", (rhythm_projection(t) for t in melody_vocab.tokens[:-1])
-    )
-    pitch_vocab = Vocabulary.build(
-        "pitch", (pitch_projection(t) for t in melody_vocab.tokens[:-1])
-    )
+    rhythm_vocab = Vocabulary.build("rhythm", map(rhythm_projection, melody_vocab.tokens[:-1]))
+    pitch_vocab = Vocabulary.build("pitch", map(pitch_projection, melody_vocab.tokens[:-1]))
     return ModelBundle(
         NGramModel.train([melody_sequence(m) for m in corpus], order, discount, melody_vocab),
         NGramModel.train([rhythm_sequence(m) for m in corpus], order, discount, rhythm_vocab),

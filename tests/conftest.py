@@ -1,4 +1,6 @@
+import json
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,39 @@ def repeat_layout_lyrics(rng, tonal, repeat):
             recased.append(f"{rng.choice(_RECASE)(body)}|{flags}")
         lines.append(" ".join(recased + [mark]))
     return parse_lyrics("\n".join(lines))
+
+
+def json_nodes(doc, found=None):
+    """Every (container, key) of a JSON document, depth first."""
+    found = [] if found is None else found
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in list(items):
+        found.append((doc, key))
+        if isinstance(value, (dict, list)):
+            json_nodes(value, found)
+    return found
+
+
+def mutated_json(rng, doc, values):
+    """The JSON text of ``doc`` after 1-3 seeded mutations: a node replaced by
+    one of ``values`` or, in an object, deleted; rarely the whole document
+    replaced; and now and then one character of the text overwritten."""
+    doc = deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        nodes = json_nodes(doc) if isinstance(doc, (dict, list)) else []
+        if not nodes or rng.random() < 0.03:
+            doc = rng.choice(values)
+            continue
+        container, key = rng.choice(nodes)
+        if isinstance(container, dict) and rng.random() < 0.3:
+            del container[key]
+        else:
+            container[key] = deepcopy(rng.choice(values))
+    text = json.dumps(doc)
+    if rng.random() < 0.05:
+        cut = rng.randrange(len(text) + 1)
+        text = text[:cut] + rng.choice(["", "]", "{", ",", '"']) + text[cut + 1:]
+    return text
 
 
 @pytest.fixture

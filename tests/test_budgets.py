@@ -1,0 +1,100 @@
+"""Work budgets: exact counts of the work a call does.
+
+Timing is noisy and runs only in the benchmark; a count is exact, so each
+memo or shared pass a speed-up rests on gets a budget here.  A budget may
+only be raised by a change that says why.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from lyricmelody import (
+    DecodeMode,
+    DecodeOptions,
+    decode,
+    evaluate_pair,
+    score_rewards,
+    train_model_bundle,
+)
+from lyricmelody import decoder, rewards
+from lyricmelody.scorer import NGramModel
+from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
+
+
+def count_calls(monkeypatch, owner, name, calls):
+    """Count each call of ``owner.name`` in ``calls[name]``."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    rng = random.Random(20261101)
+    return train_model_bundle([random_training_melody(rng) for _ in range(6)], order=3)
+
+
+def sheets(seed, n):
+    rng = random.Random(seed)
+    return [random_lyrics(rng, sentences=rng.randint(1, 3), tonal=k % 2 == 0, repeat=k % 4 < 2)
+            for k in range(n)]
+
+
+def test_evaluate_then_score_builds_one_model_and_folds_once(monkeypatch, config):
+    # score_rewards reads the events evaluate_pair folded for the same objects
+    calls = Counter()
+    count_calls(monkeypatch, rewards._EventModel, "__init__", calls)
+    count_calls(monkeypatch, rewards._EventModel, "fold", calls)
+    rng = random.Random(20261102)
+    for k, lyrics in enumerate(sheets(20261102, 12)):
+        melody = random_aligned_melody(lyrics, rng)
+        calls.clear()
+        evaluate_pair(lyrics, melody, config)
+        score_rewards(lyrics, melody, config)
+        assert calls == {"__init__": 1, "fold": 1}, k
+
+
+@pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
+def test_beam_plans_each_expansion_at_most_once(monkeypatch, config, bundle, mode):
+    calls = Counter()
+    count_calls(monkeypatch, rewards._EventModel, "plan", calls)
+    plans = []  # per expansion, the plans it built
+    expand = decoder._expand
+
+    def counted_expand(*args):
+        before = calls["plan"]
+        out = expand(*args)
+        plans.append(calls["plan"] - before)
+        return out
+
+    monkeypatch.setattr(decoder, "_expand", counted_expand)
+    for lyrics in sheets(20261103, 4):
+        decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
+    assert plans and max(plans) == 1
+
+
+def test_each_probability_table_is_built_once_per_context(monkeypatch, config, bundle):
+    # the tables of proper suffixes are memoised, full contexts' distributions
+    # are cached, so no (model, context) table is computed twice
+    builds = Counter()
+    table = NGramModel._table
+
+    def counted_table(self, ctx):
+        if ctx not in self._tables:
+            builds[id(self), ctx] += 1
+        return table(self, ctx)
+
+    monkeypatch.setattr(NGramModel, "_table", counted_table)
+    for lyrics in sheets(20261104, 3):
+        for mode in (DecodeMode.BEAM_SOFT, DecodeMode.TWO_STAGE):
+            decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode),
+                   bundle.rhythm_model, bundle.pitch_model)
+    assert builds and max(builds.values()) == 1
+    assert {model for model, _ in builds} == {
+        id(bundle.token_model), id(bundle.rhythm_model), id(bundle.pitch_model)}

@@ -198,6 +198,17 @@ class TestEvaluate:
             else:
                 assert value is None
 
+    @pytest.mark.parametrize("mark", ["²", "٣"])
+    def test_non_ascii_digit_is_syllable_text(self, tmp_path, capsys, mark):
+        # the text reads as one toneless syllable, so three notes do not align
+        lyrics = tmp_path / "s.txt"
+        lyrics.write_text(f"ab{mark}|W .\n", "utf-8")
+        midi = tmp_path / "s.mid"
+        midi.write_bytes(write_midi(mk_melody([(60, 1), (62, 1), (64, 1)])))
+        assert main(["evaluate", str(lyrics), str(midi)]) == 1
+        err = capsys.readouterr().err
+        assert "vs 1 lyric syllables" in err and "Traceback" not in err
+
     def test_alignment_mismatch_exit_one(self, workspace, generated, tmp_path, capsys):
         wrong = tmp_path / "wrong.txt"
         wrong.write_text("ni3|W .\n", "utf-8")
@@ -472,8 +483,9 @@ class TestMalformedInputs:
         (lambda doc: doc["token_model"].update(counts={}), "model counts must be a list"),
         (_lengthen_a_context, "is longer than order - 1 = 2"),
         (lambda doc: doc.update(version="1"), "unsupported model file version '1'"),
+        (lambda doc: doc.update(version=True), "unsupported model file version True"),
     ], ids=["fractional order", "bool order", "string discount", "object counts",
-            "long context", "string version"])
+            "long context", "string version", "bool version"])
     def test_malformed_model_number_or_container_exit_one(
         self, workspace, model_path, tmp_path, capsys, pipeline, edit, message
     ):
@@ -493,7 +505,8 @@ class TestMalformedInputs:
         "evaluate missing midi", "non-utf8 lyrics", "non-utf8 config", "non-utf8 model",
         "generate into missing dir", "train into missing dir", "evaluate json into missing dir",
         "compare json into missing dir", "missing config", "missing model", "missing corpus",
-        "missing compare dir",
+        "missing compare dir", "evaluate missing lyrics dir", "evaluate missing midi dir",
+        "evaluate midi dir for a lyrics file",
     ])
     def test_os_or_encoding_error_exit_one(
         self, workspace, model_path, generated, tmp_path, capsys, case
@@ -525,6 +538,11 @@ class TestMalformedInputs:
                               missing),
             "missing corpus": (["train", str(missing), "-o", str(tmp_path / "m.json")], missing),
             "missing compare dir": (["compare", str(missing), "-m", str(model_path)], missing),
+            "evaluate missing lyrics dir": (["evaluate", str(missing), str(generated)], missing),
+            "evaluate missing midi dir": (["evaluate", str(workspace / "lyrics"), str(missing)],
+                                          missing),
+            "evaluate midi dir for a lyrics file": (["evaluate", lyrics, str(generated)],
+                                                    generated),
         }[case]
         assert main(argv) == 1
         err = capsys.readouterr().err

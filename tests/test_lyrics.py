@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from lyricmelody import (
     serialize_lyrics,
 )
 from lyricmelody.synthetic import random_lyrics
-from conftest import repeat_layout_lyrics
+from conftest import mutated_json, repeat_layout_lyrics
 from reference import reference_build_structure_matrix
 
 
@@ -78,6 +79,13 @@ class TestParse:
         lyr = parse_lyrics("ni3|W .\n\nhao3|W ?\n")
         assert len(lyr.sentences) == 2
 
+    @pytest.mark.parametrize("mark", ["²", "٣"])
+    def test_only_ascii_digits_are_tone_marks(self, mark):
+        lyrics = parse_lyrics(f"ab{mark}|W cd|I .")
+        assert lyrics.syllables[0].text == f"ab{mark}"
+        assert lyrics.syllables[0].tone is Tone.UNSTRESSED
+        assert parse_lyrics(serialize_lyrics(lyrics)) == lyrics
+
 
 class TestIntonation:
     @pytest.mark.parametrize(
@@ -125,11 +133,28 @@ class TestRoundTrip:
         lyr = parse_lyrics("ni3|W,K cai3|I .")
         assert parse_lyrics(lyrics_to_json(lyr)) == lyr
 
+    @pytest.mark.parametrize("text, message", [
+        (5, "syllable text 5 is not one word"),
+        ("", "syllable text '' is not one word"),
+        ("a b", "syllable text 'a b' is not one word"),
+        ("a|b", "syllable text 'a|b' is not one word"),
+        ("ni3", "unmarked syllable text 'ni3' ends in a tone mark"),
+        ("ni'", "unmarked syllable text \"ni'\" ends in a tone mark"),
+        ("{ni", "first syllable text '{ni' opens with '{'"),
+    ])
+    def test_json_text_that_cannot_be_written_back_refused(self, text, message):
+        doc = json.loads(lyrics_to_json(parse_lyrics("hao|W ma|I .")))
+        doc["sentences"][0]["syllables"][0]["text"] = text
+        with pytest.raises(LyricFormatError) as info:
+            lyrics_from_json(json.dumps(doc))
+        assert message in str(info.value)
+
 
 class TestLoaderFuzz:
-    """Seeded character mutations of serialized lyrics: every mutated text
-    either parses or raises an ``InputError``, and whatever parses
-    round-trips through ``serialize_lyrics``."""
+    """Seeded mutations of serialized lyrics, characters of the text format or
+    nodes of the JSON mirror: every mutated input either parses or raises an
+    ``InputError``, and whatever parses round-trips through
+    ``serialize_lyrics``."""
 
     # the format's own characters, plus a few it never writes
     ALPHABET = "abnoy AWIKEei|,.?!'12345\n\t{}[]\":-0"
@@ -160,6 +185,28 @@ class TestLoaderFuzz:
             parsed += 1
             assert parse_lyrics(serialize_lyrics(lyrics)) == lyrics, text
         assert 300 <= parsed <= 2700  # both outcomes are common
+
+    #: JSON values a mutation puts in place of a node of a JSON sheet
+    JSON_VALUES = [None, True, 0, 5, 1.5, "", " ", "a b", "a|b", "a\nb", "ni", "ni3", "ni'",
+                   "ni²", "{ni", "tone3", "stressed", "unstressed", "none", "start", "inner",
+                   "keyword", "rising", "tonal", "stress", [], {},
+                   {"text": "ni", "tone": "tone2", "word_position": "inner"}]
+
+    def test_json_mutations_load_or_fail_and_keep_texts(self):
+        outcomes = {"loaded": 0, "refused": 0}
+        for seed in range(1500):
+            rng = random.Random(seed)
+            sheet = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=seed % 2 == 0)
+            text = mutated_json(rng, json.loads(lyrics_to_json(sheet)), self.JSON_VALUES)
+            try:
+                lyrics = lyrics_from_json(text)
+            except InputError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["loaded"] += 1
+            again = parse_lyrics(serialize_lyrics(lyrics))
+            assert [s.text for s in again.syllables] == [s.text for s in lyrics.syllables], text
+        assert min(outcomes.values()) >= 20, outcomes
 
 
 class TestStructureMatrix:

@@ -50,7 +50,7 @@ from lyricmelody.rewards import (
 )
 from lyricmelody.scorer import rhythm_projection
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
-from conftest import mk_melody
+from conftest import mk_melody, mutated_json
 from reference import reference_score_rewards, scan_reward_events, step_events
 
 
@@ -719,18 +719,7 @@ class TestConfigValidation:
                    "excellent", [], [1], [0, 0, "excellent"], [[0, 0, "excellent"]],
                    [[-10**12, 10**12, "good"]], {}, {"tone": 1}]
 
-    @staticmethod
-    def nodes(doc):
-        """Every (container, key) of a JSON document, depth first."""
-        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-        for key, value in list(items):
-            yield doc, key
-            if isinstance(value, (dict, list)):
-                yield from TestConfigValidation.nodes(value)
-
     def test_mutated_documents_load_or_raise_config_error(self, config):
-        from copy import deepcopy
-
         from lyricmelody import load_reward_config
         from lyricmelody.rewards import reward_config_to_dict
 
@@ -738,21 +727,7 @@ class TestConfigValidation:
         outcomes = {"loaded": 0, "refused": 0}
         for seed in range(1500):
             rng = random.Random(seed)
-            doc = deepcopy(base)
-            for _ in range(rng.randint(1, 3)):
-                nodes = list(self.nodes(doc)) if isinstance(doc, (dict, list)) else []
-                if not nodes or rng.random() < 0.03:
-                    doc = rng.choice(self.FUZZ_VALUES)
-                    continue
-                container, key = rng.choice(nodes)
-                if isinstance(container, dict) and rng.random() < 0.3:
-                    del container[key]
-                else:
-                    container[key] = deepcopy(rng.choice(self.FUZZ_VALUES))
-            text = json.dumps(doc)
-            if rng.random() < 0.05:
-                cut = rng.randrange(len(text) + 1)
-                text = text[:cut] + rng.choice(["", "]", "{", ",", '"']) + text[cut + 1:]
+            text = mutated_json(rng, base, self.FUZZ_VALUES)
             try:
                 loaded = load_reward_config(text)
             except ConfigError:

@@ -8,6 +8,7 @@ import pytest
 
 from lyricmelody import (
     END,
+    InputError,
     ModelBundle,
     NGramModel,
     TrainingError,
@@ -19,7 +20,7 @@ from lyricmelody import (
 )
 from lyricmelody.scorer import melody_sequence, pitch_sequence, rhythm_sequence
 from lyricmelody.synthetic import random_training_melody
-from conftest import mk_melody
+from conftest import mk_melody, mutated_json
 from reference import ngram_prob
 
 
@@ -104,6 +105,15 @@ class TestNormalization:
             ctx = tuple(rng.choice(tokens[:-1]) for _ in range(rng.randint(0, 4)))
             total = sum(math.exp(lp) for lp in model.log_prob_dist(ctx).values())
             assert abs(total - 1.0) < 1e-9
+
+    def test_probability_below_the_float_range_keeps_a_finite_log(self):
+        # with a tiny discount an unseen token's backed-off mass underflows to
+        # 0.0; it gets the log of the least positive float
+        doc = _hand_built_model_doc()
+        doc["discount"] = 1e-300
+        dist = NGramModel.from_dict(doc).log_prob_dist((60, 61))
+        assert all(map(math.isfinite, dist.values()))
+        assert abs(sum(map(math.exp, dist.values())) - 1.0) < 1e-9
 
     def test_determinism(self, rng):
         corpus = [random_training_melody(rng) for _ in range(5)]
@@ -208,7 +218,7 @@ def _contexts(model, sequences, rng, n=8):
 
 def _hand_built_model_doc():
     """Order 3 over pitches 60-62: context (60, 61) is counted but its
-    suffix (61,) is not, and one successor, 63, is outside the vocabulary."""
+    suffix (61,) is not."""
     return {
         "order": 3,
         "discount": 0.5,
@@ -216,7 +226,7 @@ def _hand_built_model_doc():
         "counts": [
             [[], [["60", 3], ["61", 2], ["62", 1], ["<end>", 1]]],
             [["60"], [["61", 2], ["62", 1]]],
-            [["60", "61"], [["62", 2], ["63", 1]]],
+            [["60", "61"], [["62", 2]]],
             [["62"], [["<end>", 1]]],
         ],
     }
@@ -307,13 +317,21 @@ class TestInternedTokens:
         _assert_interned(respelled.rhythm_model)
         assert respelled.to_json() == text
 
-    def test_out_of_vocabulary_successors_are_kept(self):
-        model = NGramModel.from_dict(_hand_built_model_doc())
-        assert model.counts[(60, 61)] == {62: 2, 63: 1}
+    @pytest.mark.parametrize("where", ["successor", "context"])
+    def test_out_of_vocabulary_token_refused(self, where):
+        # a successor outside the vocabulary would leave its context's
+        # distribution summing to less than 1
+        doc = _hand_built_model_doc()
+        if where == "successor":
+            doc["counts"][2][1].append(["63", 1])
+        else:
+            doc["counts"][2][0] = ["63", "61"]
+        with pytest.raises(TrainingError, match="model token '63' is not in the model's vocab"):
+            NGramModel.from_dict(doc)
 
 
 class TestModelCountsValidated:
-    @pytest.mark.parametrize("count", [0, -5, "3", 3.0, True, None])
+    @pytest.mark.parametrize("count", [0, -5, "3", 3.0, True, None, 2**53 + 1])
     def test_count_must_be_a_positive_int(self, count):
         doc = _hand_built_model_doc()
         doc["counts"][2][1][0][1] = count
@@ -325,3 +343,66 @@ class TestModelCountsValidated:
         doc["counts"][3][1] = []
         with pytest.raises(TrainingError, match="no successors"):
             NGramModel.from_dict(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.clear(), "model has no 'order'"),
+        (lambda doc: [doc.clear(), doc.update(order=2)], "model has no 'discount'"),
+        (lambda doc: doc.update(vocab=[]), "model vocab must be an object, got list"),
+        (lambda doc: doc["vocab"].update(kind="chord"), "unknown vocabulary kind 'chord'"),
+        (lambda doc: doc["vocab"].update(kind=None), "model vocab kind None is not a string"),
+        (lambda doc: doc["counts"].append(["60", []]), "model counts entry 4 is not a [context"),
+        (lambda doc: doc["counts"][0][1].append(["61"]), "model successor ['61'] after []"),
+    ], ids=["empty", "order only", "list vocab", "unknown kind", "null kind", "flat entry",
+            "one-item successor"])
+    def test_missing_key_or_wrong_json_type_refused(self, edit, message):
+        doc = _hand_built_model_doc()
+        edit(doc)
+        with pytest.raises(TrainingError) as info:
+            NGramModel.from_dict(doc)
+        assert message in str(info.value)
+
+    def test_successor_listed_twice_refused(self):
+        # "062" spells 62 too; the second count used to overwrite the first
+        doc = _hand_built_model_doc()
+        doc["counts"][2][1].append(["062", 1])
+        with pytest.raises(TrainingError, match="model token '062' is listed twice after"):
+            NGramModel.from_dict(doc)
+
+    def test_context_counted_twice_refused(self):
+        doc = _hand_built_model_doc()
+        doc["counts"].append([["060"], [["62", 1]]])
+        with pytest.raises(TrainingError, match=r"model context \['060'\] is counted twice"):
+            NGramModel.from_dict(doc)
+
+
+class TestModelLoaderFuzz:
+    """Seeded mutations of a trained model file: each loads or raises an
+    ``InputError``, and every model that loads has proper distributions."""
+
+    #: JSON values a mutation puts in place of a node of the model file
+    FUZZ_VALUES = [None, True, False, 0, -1, 1, 2, 3, 5, 7, 12, 99, 2**53, 10**400, 0.25, 1.5,
+                   1e-300, 1e308, float("nan"), float("inf"), "", "x", END, "R", "60", "61",
+                   "64", "200", "N:60:1:S", "N:60:2/2:C", "N:70:1:S", "N:1:S", "N:2/2:C", "N:3:S",
+                   "R:1", "R:3", "R:0", "melody", "pitch", [], [[]], ["60", 1],
+                   [["60"], [["61", 1]]], {}, {"kind": "pitch", "tokens": [END]}]
+
+    def test_mutated_bundles_load_or_raise_input_error(self):
+        rng = random.Random(20261105)
+        corpus = [random_training_melody(rng, length=6, pitch_range=(60, 63),
+                                         durations=[Fraction(1), Fraction(2)]) for _ in range(2)]
+        base = json.loads(train_model_bundle(corpus, order=2).to_json())
+        outcomes = {"loaded": 0, "refused": 0}
+        for seed in range(1500):
+            rng = random.Random(seed)
+            text = mutated_json(rng, base, self.FUZZ_VALUES)
+            try:
+                bundle = ModelBundle.from_json(text)
+            except InputError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["loaded"] += 1
+            for model in (bundle.token_model, bundle.rhythm_model, bundle.pitch_model):
+                for ctx in model.counts:
+                    total = sum(math.exp(lp) for lp in model.log_prob_dist(ctx).values())
+                    assert abs(total - 1.0) < 1e-9, (seed, ctx)
+        assert min(outcomes.values()) >= 20, outcomes
