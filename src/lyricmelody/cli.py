@@ -5,6 +5,10 @@ be read or written, 2 broken internal invariant.  Every generate run writes
 a manifest (inputs, config snapshot, seed, output hashes) sufficient to
 reproduce it bit-exactly; all randomness flows through the single seed
 passed on the command line.
+
+Shared loaders: ``_decode_inputs`` (model, config, preset), ``_lyric_files``
+and ``_midi_files`` (a directory's inputs), ``_evaluate_one`` (one
+lyrics/MIDI pair) and ``_manifest`` (the record of a run).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .decoder import DecodeMode, DecodeOptions, decode
 from .errors import AlignmentError, InputError, InternalError, OptionError
-from .lyrics import LyricSequence, parse_lyrics
+from .lyrics import parse_lyrics
 from .melody import check_meter, melody_to_json
 from .metrics import EvaluationReport, aggregate_reports, evaluate_pair
 from .midi import read_midi, write_midi
@@ -46,8 +50,9 @@ _TABLE_COLUMNS = (
 )
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _file_entry(path: Path) -> dict:
+    """A manifest's record of a file: its path and the SHA-256 of its bytes."""
+    return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def _read_text(path: Path) -> str:
@@ -66,12 +71,43 @@ def _load_config(path: Optional[str]) -> tuple[RewardConfig, Optional[Path]]:
     return default_reward_config(), None
 
 
-def _load_lyrics(path: Path) -> LyricSequence:
-    return parse_lyrics(_read_text(path))
+def _decode_inputs(args: argparse.Namespace) -> tuple[ModelBundle, RewardConfig, Optional[Path]]:
+    """The model bundle of ``--model`` and the reward config (with ``--preset``
+    applied) and its path, read in that order."""
+    bundle = ModelBundle.from_json(_read_text(Path(args.model)))
+    config, config_path = _load_config(args.config)
+    if args.preset:
+        config = config.with_preset(args.preset)
+    return bundle, config, config_path
 
 
-def _load_bundle(path: Path) -> ModelBundle:
-    return ModelBundle.from_json(_read_text(path))
+def _lyric_files(directory: Path) -> list[Path]:
+    """The lyric files of ``directory`` by name; InputError if it holds none."""
+    paths = sorted(p for p in directory.iterdir() if p.suffix in (".txt", ".lyrics", ".json"))
+    if not paths:
+        raise InputError(f"no lyric files in {directory}")
+    return paths
+
+
+def _midi_files(directory: Path) -> list[Path]:
+    """The MIDI files of ``directory`` by name: suffix .mid or .midi, in any case."""
+    return sorted(p for p in directory.iterdir() if p.suffix.lower() in (".mid", ".midi"))
+
+
+def _manifest(command: str, inputs: dict, config: RewardConfig, config_path: Optional[Path],
+              **config_fields) -> dict:
+    """The manifest of a run: the tool, its version, the command and the
+    ``inputs``, with the config's path, snapshot and ``config_fields``."""
+    return {
+        "tool": "lyricmelody",
+        "version": __version__,
+        "command": command,
+        "inputs": {**inputs, "config": {
+            "path": str(config_path) if config_path else None,
+            "snapshot": reward_config_to_dict(config),
+            **config_fields,
+        }},
+    }
 
 
 def _parse_time_signature(text: str) -> tuple[int, int]:
@@ -108,7 +144,7 @@ def render_table(rows: Sequence[tuple[str, dict]], label_header: str = "input") 
 
 def cmd_train(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus_dir)
-    midi_paths = sorted(p for p in corpus_dir.iterdir() if p.suffix.lower() in (".mid", ".midi"))
+    midi_paths = _midi_files(corpus_dir)
     if not midi_paths:
         raise InputError(f"no MIDI files in {corpus_dir}")
     corpus = [read_midi(p.read_bytes()) for p in midi_paths]
@@ -144,12 +180,8 @@ def _decode_options(
 
 def cmd_generate(args: argparse.Namespace) -> int:
     lyrics_path = Path(args.lyrics)
-    lyrics = _load_lyrics(lyrics_path)
-    model_path = Path(args.model)
-    bundle = _load_bundle(model_path)
-    config, config_path = _load_config(args.config)
-    if args.preset:
-        config = config.with_preset(args.preset)
+    lyrics = parse_lyrics(_read_text(lyrics_path))
+    bundle, config, config_path = _decode_inputs(args)
     meter = _parse_time_signature(args.time_signature)
     # --pipeline two-stage is the command-line spelling of DecodeMode.TWO_STAGE
     if args.pipeline == "single":
@@ -168,48 +200,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tokens_path = out_midi.with_suffix(".tokens.json")
     tokens_path.write_text(melody_to_json(result.melody), "utf-8")
     manifest_path = out_midi.with_suffix(".manifest.json")
-    manifest = {
-        "tool": "lyricmelody",
-        "version": __version__,
-        "command": "generate",
-        "inputs": {
-            "lyrics": {"path": str(lyrics_path), "sha256": _sha256(lyrics_path)},
-            "model": {"path": str(model_path), "sha256": _sha256(model_path)},
-            "config": {
-                "path": str(config_path) if config_path else None,
-                "preset": args.preset,
-                "snapshot": reward_config_to_dict(config),
-            },
-        },
-        "options": {
-            "mode": args.mode,
-            "pipeline": args.pipeline,
-            "beam_width": options.beam_width,
-            "top_k": options.top_k,
-            "temperature": options.temperature,
-            "rerank_candidates": options.rerank_candidates,
-            "max_notes_per_syllable": options.max_notes_per_syllable,
-            "time_signature": list(options.time_signature),
-            "seed": options.seed,
-        },
-        "result": {
-            "score": result.score,
-            "base_logprob": result.base_logprob,
-            "reward_total": result.reward_total,
-            "relaxation_steps": list(result.relaxation_steps),
-        },
-        "outputs": {
-            "midi": {"path": str(out_midi), "sha256": _sha256(out_midi)},
-            "tokens": {"path": str(tokens_path), "sha256": _sha256(tokens_path)},
-        },
-    }
+    inputs = {"lyrics": _file_entry(lyrics_path), "model": _file_entry(Path(args.model))}
+    manifest = _manifest("generate", inputs, config, config_path, preset=args.preset)
+    manifest.update({
+        # the mode and pipeline as spelt on the command line, the rest as decoded
+        "options": {"mode": args.mode, "pipeline": args.pipeline, **{
+            name: getattr(options, name) for name in (
+                "beam_width", "top_k", "temperature", "rerank_candidates",
+                "max_notes_per_syllable", "time_signature", "seed")}},
+        "result": {name: getattr(result, name) for name in (
+            "score", "base_logprob", "reward_total", "relaxation_steps")},
+        "outputs": {"midi": _file_entry(out_midi), "tokens": _file_entry(tokens_path)},
+    })
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True), "utf-8")
     print(f"wrote {out_midi} (score {result.score:.4f})")
     return 0
 
 
 def _evaluate_one(lyrics_path: Path, midi_path: Path, config: RewardConfig) -> EvaluationReport:
-    lyrics = _load_lyrics(lyrics_path)
+    lyrics = parse_lyrics(_read_text(lyrics_path))
     melody = read_midi(midi_path.read_bytes())
     if melody.syllable_count != len(lyrics):
         mismatch = min(melody.syllable_count, len(lyrics))
@@ -224,43 +233,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config, config_path = _load_config(args.config)
     lyrics_path = Path(args.lyrics)
     midi_path = Path(args.midi)
-    rows: list[tuple[str, dict]] = []
     if lyrics_path.is_dir():
         if not midi_path.is_dir():
             raise InputError(f"{midi_path} is no directory, so it cannot pair with {lyrics_path}")
-        pairs = []
-        for lp in sorted(lyrics_path.iterdir()):
-            if lp.suffix not in (".txt", ".lyrics", ".json"):
-                continue
-            mp = midi_path / (lp.stem + ".mid")
-            if not mp.is_file():
+        lyric_paths = _lyric_files(lyrics_path)
+        # the MIDI file of each stem that sorts first: STEM.mid before STEM.midi
+        counterparts = {mp.stem: mp for mp in reversed(_midi_files(midi_path)) if mp.is_file()}
+        for lp in lyric_paths:
+            if lp.stem not in counterparts:
                 raise InputError(f"no MIDI counterpart for {lp.name} in {midi_path}")
-            pairs.append((lp, mp))
-        if not pairs:
-            raise InputError(f"no lyric files in {lyrics_path}")
-        for lp, mp in pairs:
-            rows.append((lp.stem, _evaluate_one(lp, mp, config).to_dict()))
-        rows.append(("mean", aggregate_reports([
-            EvaluationReport(**values) for _, values in rows
-        ])))
+        reports = [_evaluate_one(lp, counterparts[lp.stem], config) for lp in lyric_paths]
+        rows = [(lp.stem, r.to_dict()) for lp, r in zip(lyric_paths, reports)]
+        rows.append(("mean", aggregate_reports(reports)))
     else:
-        rows.append((lyrics_path.stem, _evaluate_one(lyrics_path, midi_path, config).to_dict()))
+        rows = [(lyrics_path.stem, _evaluate_one(lyrics_path, midi_path, config).to_dict())]
     print(render_table(rows))
     if args.json:
-        doc = {label: values for label, values in rows}
-        doc["manifest"] = {
-            "tool": "lyricmelody",
-            "version": __version__,
-            "command": "evaluate",
-            "inputs": {
-                "lyrics": str(lyrics_path),
-                "midi": str(midi_path),
-                "config": {
-                    "path": str(config_path) if config_path else None,
-                    "snapshot": reward_config_to_dict(config),
-                },
-            },
-        }
+        doc = dict(rows)
+        doc["manifest"] = _manifest(
+            "evaluate", {"lyrics": str(lyrics_path), "midi": str(midi_path)}, config, config_path)
         Path(args.json).write_text(json.dumps(doc, indent=2, sort_keys=True), "utf-8")
     return 0
 
@@ -277,23 +268,15 @@ COMPARE_MODES = {
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    lyrics_dir = Path(args.lyrics_dir)
-    lyric_paths = sorted(
-        p for p in lyrics_dir.iterdir() if p.suffix in (".txt", ".lyrics", ".json")
-    )
-    if not lyric_paths:
-        raise InputError(f"no lyric files in {lyrics_dir}")
-    bundle = _load_bundle(Path(args.model))
-    base_config, _ = _load_config(args.config)
-    if args.preset:
-        base_config = base_config.with_preset(args.preset)
+    lyric_paths = _lyric_files(Path(args.lyrics_dir))
+    bundle, base_config, _ = _decode_inputs(args)
     mode_names = [m.strip() for m in args.modes.split(",") if m.strip()]
     unknown = [m for m in mode_names if m not in COMPARE_MODES]
     if unknown:
         raise InputError(f"unknown compare mode(s) {unknown}, expected {sorted(COMPARE_MODES)}")
 
     meter = _parse_time_signature(args.time_signature)
-    corpus = [_load_lyrics(lp) for lp in lyric_paths]
+    corpus = [parse_lyrics(_read_text(lp)) for lp in lyric_paths]
 
     rows = []
     for name in mode_names:
@@ -308,10 +291,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rows.append((name, aggregate_reports(reports)))
     print(render_table(rows, label_header="mode"))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps({label: values for label, values in rows}, indent=2, sort_keys=True),
-            "utf-8",
-        )
+        Path(args.json).write_text(json.dumps(dict(rows), indent=2, sort_keys=True), "utf-8")
     return 0
 
 

@@ -172,11 +172,10 @@ class StructureMatrix:
     """
 
     pairs: frozenset[tuple[int, int]]
-    partner: Mapping[int, int] = field(hash=False, default_factory=dict)
+    partner: Mapping[int, int] = field(init=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.partner:
-            object.__setattr__(self, "partner", {i: j for i, j in self.pairs})
+        object.__setattr__(self, "partner", dict(self.pairs))
         for i, j in self.pairs:
             if j >= i:
                 raise ValueError(f"structure pair ({i}, {j}) must satisfy j < i")
@@ -301,8 +300,9 @@ def _assemble(
     sentences: list[tuple[Intonation, list[tuple]]], language: Language
 ) -> LyricSequence:
     """The sequence of ``(intonation, [(text, tone, word position, stress
-    class), ...])`` sentences in ``language``; refuses a syllable text that
-    :func:`serialize_lyrics` could not write back, so both formats agree."""
+    class), ...])`` sentences in ``language``; refuses a syllable text, or a
+    tonal sheet without a tonal tone, that :func:`serialize_lyrics` could not
+    write back, so both formats agree."""
     syllables: list[Syllable] = []
     spans: list[Sentence] = []
     for si, (intonation, parsed) in enumerate(sentences):
@@ -316,6 +316,10 @@ def _assemble(
                 raise LyricFormatError(f"first syllable text {text!r} opens with '{{'")
             syllables.append(Syllable(text, tone, wp, sc, si, pos == len(parsed) - 1))
         spans.append(Sentence((start, len(syllables)), intonation))
+    # serialize_lyrics writes a tone digit only for a tonal tone, and
+    # parse_lyrics reads a sheet without one as stress-accent
+    if language is Language.TONAL and not any(s.tone in TONAL_TONES for s in syllables):
+        raise LyricFormatError("a tonal sheet needs a syllable with a tonal tone (tone1-tone5)")
     return LyricSequence(tuple(syllables), tuple(spans), language)
 
 

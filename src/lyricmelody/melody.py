@@ -104,6 +104,21 @@ class RhythmToken:
             raise ValueError(f"token duration must be positive, got {self.duration}")
 
 
+def _duration(value) -> Fraction:
+    """The duration a model token or a JSON document spells: an ASCII ``n``
+    or ``n/d`` string (``d`` not 0), as ``str(Fraction)`` writes a positive
+    one, or a JSON integer that is not a bool.  No exponent, so a short text
+    never spells a huge number.  ValueError if it spells none."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        den = den if slash else "1"
+        if num.isdigit() and den.isdigit() and den.strip("0"):
+            return Fraction(int(num), int(den))
+    raise ValueError(f"duration {value!r} is not n or n/d")
+
+
 def note(pitch: int, duration, start: bool = True) -> MelodyToken:
     return MelodyToken(TokenKind.NOTE, Fraction(duration), pitch, start)
 
@@ -126,7 +141,7 @@ class Melody:
 
     tokens: tuple[MelodyToken, ...]
     time_signature: tuple[int, int] = (4, 4)
-    alignment: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+    alignment: tuple[tuple[int, int], ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -258,7 +273,7 @@ def melody_from_json(source: str) -> Melody:
         tokens = []
         for t in doc["tokens"]:
             kind = TokenKind(t["kind"])
-            duration = Fraction(t["duration"])
+            duration = _duration(t["duration"])
             if kind is TokenKind.NOTE:
                 # a bool is an int, and int() would truncate a float pitch
                 pitch, start = t["pitch"], t["syllable_start"]
@@ -273,5 +288,5 @@ def melody_from_json(source: str) -> Melody:
             raise ValueError(f"time signature parts must be integers, got {num!r}/{den!r}")
         check_meter((num, den))
         return Melody(tuple(tokens), (num, den))
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MidiFormatError(f"invalid melody JSON: {exc}") from exc

@@ -73,7 +73,7 @@ from .lyrics import (
     WordPosition,
     build_structure_matrix,
 )
-from .melody import BeatStrength, Melody, _tick_clock, strong_offsets
+from .melody import BeatStrength, Melody, _duration, _tick_clock, strong_offsets
 from .scorer import END
 
 __all__ = [
@@ -191,9 +191,12 @@ class RewardConfig:
     structure_reward_exact: float = 2.0
     structure_reward_octave: float = 1.0
     long_note_threshold: Fraction = Fraction(2)
-    harmony_table: Optional[HarmonyTable] = None
+    # the empty table grades no tone pair
+    harmony_table: HarmonyTable = field(default_factory=lambda: HarmonyTable({}))
 
     def __post_init__(self) -> None:
+        if not isinstance(self.harmony_table, HarmonyTable):
+            raise ConfigError(f"harmony_table must be a HarmonyTable, got {self.harmony_table!r}")
         # λs and rewards: one non-finite value turns a score into NaN
         values = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
         values += [(f"{d.value} transition reward", v) for d, v in self.transition_rewards.items()]
@@ -278,9 +281,8 @@ def pitch_transition_reward(
 ) -> Optional[float]:
     """Reward for the pitch jump between two adjacent same-sentence syllables,
     graded by ``config.harmony_table``.  None when the tone pair is outside
-    the table's domain (stress-accent input, unmarked tones, no table at all)."""
-    table = config.harmony_table
-    degree = table.degree_of(tone_pair[0], tone_pair[1], delta_p) if table else None
+    the table's domain (stress-accent input, unmarked tones, an empty table)."""
+    degree = config.harmony_table.degree_of(tone_pair[0], tone_pair[1], delta_p)
     if degree is None:
         return None
     return config.transition_rewards[degree]
@@ -418,12 +420,10 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
                        d is HarmonyDegree.EXCELLENT, degree=d)
         for d in HarmonyDegree
     }
-    cells = None
-    if config.harmony_table is not None:
-        cells = {
-            tones: tuple((lo, hi, transition[d]) for lo, hi, d in intervals)
-            for tones, intervals in config.harmony_table.cells.items()
-        }
+    cells = {
+        tones: tuple((lo, hi, transition[d]) for lo, hi, d in intervals)
+        for tones, intervals in config.harmony_table.cells.items()
+    }
     echoes = (0.0, config.structure_reward_octave, config.structure_reward_exact)
     return SimpleNamespace(
         shape=pair("shape", Aspect.TONE, config.shape_reward_on_match),
@@ -525,7 +525,7 @@ class _EventModel:
         self.bar = Fraction(4 * num, den)
         self.strong = strong_offsets(time_signature)
         table = config._events
-        cells = table.cells  # None without a harmony table
+        cells = table.cells
         keyword, auxiliary = table.keyword, table.auxiliary
         # the pause pairs of the three gap kinds, picked as boundary_kind picks them
         sentence_gap, word_gap, inner_gap = (table.gaps[kind] for kind in (
@@ -541,7 +541,7 @@ class _EventModel:
             )
             new_sentence.append(new)
             # the cells hold tonal tone pairs only, so stress-accent lyrics get none
-            cell.append(None if cells is None or new else cells.get((prev.tone, syl.tone)))
+            cell.append(None if new else cells.get((prev.tone, syl.tone)))
             stress = syl.stress_class if word_start else StressClass.NEUTRAL
             sw.append(keyword if stress is StressClass.KEYWORD
                       else auxiliary if stress is StressClass.AUXILIARY else None)
@@ -902,7 +902,7 @@ def reward_config_from_dict(doc: dict) -> RewardConfig:
                 **_TRANSITION_REWARDS,
                 **_numbers(transition, _DEGREE_BY_NAME, "rewards.transition"),
             },
-            long_note_threshold=Fraction(str(doc.get("long_note_threshold", "2"))),
+            long_note_threshold=_duration(doc.get("long_note_threshold", "2")),
             harmony_table=_table_from_dict(table),
         )
     except ConfigError:
@@ -920,8 +920,7 @@ def reward_config_to_dict(config: RewardConfig) -> dict:
             **{key: getattr(config, name) for key, name in _REWARD_KEYS.items()},
         },
         "long_note_threshold": str(config.long_note_threshold),
-        # no table writes an empty one, which likewise grades no tone pair
-        "harmony_table": _table_to_dict(config.harmony_table or HarmonyTable({})),
+        "harmony_table": _table_to_dict(config.harmony_table),
     }
 
 

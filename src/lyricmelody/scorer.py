@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import TrainingError
-from .melody import Melody, MelodyToken, RhythmToken, TokenKind
+from .melody import Melody, MelodyToken, RhythmToken, TokenKind, _duration
 
 __all__ = [
     "END",
@@ -84,7 +84,7 @@ Token = Union[MelodyToken, RhythmToken, int, str]
 
 class _Codec(NamedTuple):
     """A vocabulary kind's model-file spelling of a token (END aside), its reading
-    back (ValueError or ArithmeticError if none) and the vocabulary order."""
+    back (ValueError if none) and the vocabulary order."""
 
     spell: Callable[[Token], str]
     parse: Callable[[str], Token]
@@ -103,11 +103,11 @@ def _note_codec(cls) -> _Codec:
     def parse(text: str) -> Token:
         match text.split(":"):
             case ["R", duration]:
-                return cls(TokenKind.REST, Fraction(duration))
+                return cls(TokenKind.REST, _duration(duration))
             case ["N", pitch, duration, "S" | "C" as flag] if cls is MelodyToken:
-                return cls(TokenKind.NOTE, Fraction(duration), int(pitch), flag == "S")
+                return cls(TokenKind.NOTE, _duration(duration), int(pitch), flag == "S")
             case ["N", duration, "S" | "C" as flag] if cls is RhythmToken:
-                return cls(TokenKind.NOTE, Fraction(duration), flag == "S")
+                return cls(TokenKind.NOTE, _duration(duration), flag == "S")
         raise ValueError("no token of this shape")
 
     return _Codec(spell, parse, lambda t: (
@@ -163,7 +163,7 @@ def _decode(kind: str, text) -> Token:
     if type(text) is str:
         try:
             return _codec(kind).parse(text)
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             raise TrainingError(f"malformed {kind} token {text!r}: {exc}") from None
     raise TrainingError(f"malformed {kind} token {text!r}")
 

@@ -60,6 +60,13 @@ def mk_melody(spec, time_signature=(4, 4)):
 
 _RECASE = (str.lower, str.upper, str.title)
 
+#: duration texts no loader reads: ``Fraction`` reads every one but the
+#: last five, and ``str(Fraction)`` writes none of them
+BAD_DURATION_TEXTS = ["1e3", "1e10000000", "1.5", "1_0", " 1", "1 ", "+1", "-1", "0x10",
+                      "inf", "²", "1/0", "", "1/", "/2", "1/2/3"]
+#: the JSON values other than strings that are no duration
+BAD_DURATION_VALUES = [True, False, 0.1, 2.0, None, [1], {"n": 1}]
+
 
 def repeat_layout_lyrics(rng, tonal, repeat):
     """1-3 random base sentences, each used once or, with ``repeat``, laid

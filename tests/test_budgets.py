@@ -19,6 +19,7 @@ from lyricmelody import (
     train_model_bundle,
 )
 from lyricmelody import decoder, rewards
+from lyricmelody.decoder import score_two_stage
 from lyricmelody.scorer import NGramModel
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 
@@ -98,3 +99,42 @@ def test_each_probability_table_is_built_once_per_context(monkeypatch, config, b
     assert builds and max(builds.values()) == 1
     assert {model for model, _ in builds} == {
         id(bundle.token_model), id(bundle.rhythm_model), id(bundle.pitch_model)}
+
+
+def test_score_two_stage_folds_once_for_both_stages(monkeypatch, config, bundle):
+    # the pitch stage's score_rewards reads the rhythm stage's fold
+    calls = Counter()
+    count_calls(monkeypatch, rewards._EventModel, "__init__", calls)
+    count_calls(monkeypatch, rewards._EventModel, "fold", calls)
+    rng = random.Random(20261105)
+    for k, lyrics in enumerate(sheets(20261105, 8)):
+        melody = random_aligned_melody(lyrics, rng)
+        calls.clear()
+        score_two_stage(lyrics, melody, bundle.rhythm_model, bundle.pitch_model, config)
+        assert calls == {"__init__": 1, "fold": 1}, k
+
+
+@pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
+def test_beam_groups_the_vocabulary_once_and_asks_once_per_expansion(
+    monkeypatch, config, bundle, mode
+):
+    calls = Counter()
+    count_calls(monkeypatch, decoder, "_group_vocab", calls)
+    count_calls(monkeypatch, decoder, "_expand", calls)
+    count_calls(monkeypatch, NGramModel, "log_prob_dist", calls)
+    for k, lyrics in enumerate(sheets(20261106, 4)):
+        calls.clear()
+        decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
+        assert calls["_group_vocab"] == 1, k
+        assert 0 < calls["log_prob_dist"] <= calls["_expand"], k
+
+
+def test_rerank_builds_one_context_and_weighs_each_candidate_once(monkeypatch, config, bundle):
+    calls = Counter()
+    count_calls(monkeypatch, decoder._Context, "__init__", calls)
+    count_calls(monkeypatch, decoder, "score_rewards", calls)
+    for k, lyrics in enumerate(sheets(20261107, 4)):
+        calls.clear()
+        options = DecodeOptions(mode=DecodeMode.RERANK, rerank_candidates=3 + k, seed=k)
+        decode(lyrics, bundle.token_model, config, options)
+        assert calls == {"__init__": 1, "score_rewards": 3 + k}, k

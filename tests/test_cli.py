@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lyricmelody import read_midi, serialize_lyrics, write_midi
+from lyricmelody import __version__, read_midi, serialize_lyrics, write_midi
 from lyricmelody.cli import main
 from lyricmelody.synthetic import random_lyrics, random_training_melody
 from conftest import mk_melody
@@ -209,6 +210,36 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "vs 1 lyric syllables" in err and "Traceback" not in err
 
+    def test_directory_pairs_either_midi_suffix(self, workspace, generated, tmp_path):
+        # train reads .mid and .midi in any case, and so does the pairing;
+        # of two files of one stem, STEM.mid sorts first and is read
+        midi_dir = tmp_path / "midi"
+        midi_dir.mkdir()
+        for name, source in [("song_0.mid", "song_0"), ("song_0.midi", "song_1"),
+                             ("song_1.midi", "song_1"), ("song_2.MID", "song_2")]:
+            (midi_dir / name).write_bytes((generated / f"{source}.mid").read_bytes())
+        reports = []
+        for directory in (generated, midi_dir):
+            report = tmp_path / f"{directory.name}.json"
+            assert main(["evaluate", str(workspace / "lyrics"), str(directory),
+                         "--json", str(report)]) == 0
+            doc = json.loads(report.read_text("utf-8"))
+            doc.pop("manifest")
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
+    def test_tonal_sheet_without_tonal_tone_exit_one(self, tmp_path, capsys):
+        lyrics = tmp_path / "s.json"
+        lyrics.write_text(json.dumps({"language": "tonal", "sentences": [{"syllables": [
+            {"text": "ni", "tone": "none", "word_position": "start"},
+            {"text": "hao", "tone": "none", "word_position": "inner"}]}]}), "utf-8")
+        midi = tmp_path / "s.mid"
+        midi.write_bytes(write_midi(mk_melody([(60, 1), (62, 1)])))
+        assert main(["evaluate", str(lyrics), str(midi)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tonal sheet needs a syllable" in err
+        assert "Traceback" not in err
+
     def test_alignment_mismatch_exit_one(self, workspace, generated, tmp_path, capsys):
         wrong = tmp_path / "wrong.txt"
         wrong.write_text("ni3|W .\n", "utf-8")
@@ -246,6 +277,133 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "4/6" in err and "Traceback" not in err
         assert not report.exists()
+
+
+def _file_entry(path):
+    return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def _config(tmp_path, edit):
+    """The config a run reads, and the path of the file it was written to
+    (None for the shipped default, when there is no ``edit``)."""
+    from lyricmelody.rewards import (default_reward_config, load_reward_config,
+                                     reward_config_to_dict)
+
+    if edit is None:
+        return default_reward_config(), None
+    doc = reward_config_to_dict(default_reward_config())
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    return load_reward_config(path.read_text("utf-8")), path
+
+
+#: generate runs: flags, preset, config edit and the DecodeOptions fields they set
+GENERATE_RUNS = [
+    ([], None, None, dict(
+        mode="beam", pipeline="single", beam_width=4, top_k=5, temperature=0.5,
+        rerank_candidates=10, max_notes_per_syllable=4, seed=0, time_signature=[4, 4])),
+    (["--mode", "rerank", "--beam-width", "3", "--top-k", "4", "--temperature", "0.75",
+      "--candidates", "2", "--max-notes", "3", "--seed", "9", "--time-signature", "3/4"],
+     "songmass", lambda doc: doc["rewards"].update(pause_match=0.5), dict(
+        mode="rerank", pipeline="single", beam_width=3, top_k=4, temperature=0.75,
+        rerank_candidates=2, max_notes_per_syllable=3, seed=9, time_signature=[3, 4])),
+    (["--pipeline", "two-stage", "--seed", "2"], "off", None, dict(
+        mode="beam", pipeline="two-stage", beam_width=4, top_k=5, temperature=0.5,
+        rerank_candidates=10, max_notes_per_syllable=4, seed=2, time_signature=[4, 4])),
+]
+
+
+class TestManifest:
+    """Every key and value of the manifests the CLI writes."""
+
+    @pytest.mark.parametrize("flags, preset, edit, options", GENERATE_RUNS,
+                             ids=["defaults", "every flag", "two-stage"])
+    def test_generate_manifest(self, workspace, model_path, tmp_path, flags, preset, edit,
+                               options):
+        from lyricmelody import DecodeMode, DecodeOptions, ModelBundle, decode, parse_lyrics
+        from lyricmelody.rewards import reward_config_to_dict
+
+        lyrics_path = workspace / "lyrics" / "song_1.txt"
+        config, config_path = _config(tmp_path, edit)
+        out = tmp_path / "song.mid"
+        argv = ["generate", str(lyrics_path), "-m", str(model_path), "-o", str(out), *flags]
+        argv += ["--preset", preset] if preset else []
+        argv += ["--config", str(config_path)] if config_path else []
+        assert main(argv) == 0
+
+        config = config.with_preset(preset) if preset else config
+        two_stage = options["pipeline"] == "two-stage"
+        bundle = ModelBundle.from_json(model_path.read_text("utf-8"))
+        result = decode(
+            parse_lyrics(lyrics_path.read_text("utf-8")), bundle.token_model, config,
+            DecodeOptions(
+                mode=DecodeMode.TWO_STAGE if two_stage else DecodeMode(options["mode"]),
+                beam_width=options["beam_width"], top_k=options["top_k"],
+                temperature=options["temperature"],
+                rerank_candidates=options["rerank_candidates"],
+                max_notes_per_syllable=options["max_notes_per_syllable"],
+                seed=options["seed"], time_signature=tuple(options["time_signature"])),
+            bundle.rhythm_model, bundle.pitch_model)
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text("utf-8"))
+        assert manifest == {
+            "tool": "lyricmelody",
+            "version": __version__,
+            "command": "generate",
+            "inputs": {
+                "lyrics": _file_entry(lyrics_path),
+                "model": _file_entry(model_path),
+                "config": {
+                    "path": str(config_path) if config_path else None,
+                    "preset": preset,
+                    "snapshot": reward_config_to_dict(config),
+                },
+            },
+            "options": options,
+            "result": {
+                "score": result.score,
+                "base_logprob": result.base_logprob,
+                "reward_total": result.reward_total,
+                "relaxation_steps": list(result.relaxation_steps),
+            },
+            "outputs": {
+                "midi": _file_entry(out),
+                "tokens": _file_entry(out.with_suffix(".tokens.json")),
+            },
+        }
+
+    @pytest.mark.parametrize("directory, edit", [
+        (False, None),
+        (True, None),
+        (False, lambda doc: doc["lambda"].update(tone=0.25)),
+        (True, lambda doc: doc["harmony_table"].clear()),
+    ], ids=["file", "directory", "file with config", "directory with config"])
+    def test_evaluate_json_manifest(self, workspace, generated, tmp_path, directory, edit):
+        from lyricmelody.rewards import reward_config_to_dict
+
+        lyrics = workspace / "lyrics" if directory else workspace / "lyrics" / "song_0.txt"
+        midi = generated if directory else generated / "song_0.mid"
+        config, config_path = _config(tmp_path, edit)
+        report = tmp_path / "report.json"
+        argv = ["evaluate", str(lyrics), str(midi), "--json", str(report)]
+        argv += ["--config", str(config_path)] if config_path else []
+        assert main(argv) == 0
+        doc = json.loads(report.read_text("utf-8"))
+        assert doc.pop("manifest") == {
+            "tool": "lyricmelody",
+            "version": __version__,
+            "command": "evaluate",
+            "inputs": {
+                "lyrics": str(lyrics),
+                "midi": str(midi),
+                "config": {
+                    "path": str(config_path) if config_path else None,
+                    "snapshot": reward_config_to_dict(config),
+                },
+            },
+        }
+        assert sorted(doc) == (["mean", "song_0", "song_1", "song_2"] if directory
+                               else ["song_0"])
 
 
 class TestConfigHandling:
@@ -311,10 +469,15 @@ BAD_CONFIGS = [
      "reward config 'lambda.tone' must be a number, got bool"),
     (lambda doc: {"lamda": doc.pop("lambda"), **doc},
      "reward config document has unknown keys ['lamda']"),
+    (lambda doc: {**doc, "long_note_threshold": "1e3"},
+     "bad reward config: duration '1e3' is not n or n/d"),
+    (lambda doc: {**doc, "long_note_threshold": 0.1},
+     "bad reward config: duration 0.1 is not n or n/d"),
 ]
 BAD_CONFIG_IDS = ["list document", "list lambda", "string rewards", "number transition",
                   "list harmony table", "NaN lambda", "infinite lambda", "infinite reward",
-                  "infinite transition reward", "bool lambda", "misspelt section"]
+                  "infinite transition reward", "bool lambda", "misspelt section",
+                  "exponent threshold", "float threshold"]
 
 
 def _write_config(edit, path):
@@ -455,6 +618,8 @@ class TestMalformedInputs:
         ("token_model", "counts", 5),
         ("rhythm_model", "vocab", "N:1"),
         ("pitch_model", "vocab", "200"),
+        ("token_model", "vocab", "R:1e10000000"),
+        ("rhythm_model", "vocab", "N:1.5:S"),
     ])
     def test_malformed_model_token_exit_one(
         self, workspace, model_path, tmp_path, capsys, part, where, bad

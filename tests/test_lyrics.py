@@ -1,5 +1,6 @@
 import json
 import random
+from copy import deepcopy
 
 import pytest
 
@@ -9,6 +10,7 @@ from lyricmelody import (
     Language,
     LyricFormatError,
     StressClass,
+    StructureMatrix,
     Tone,
     WordPosition,
     build_structure_matrix,
@@ -197,7 +199,16 @@ class TestLoaderFuzz:
         for seed in range(1500):
             rng = random.Random(seed)
             sheet = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=seed % 2 == 0)
-            text = mutated_json(rng, json.loads(lyrics_to_json(sheet)), self.JSON_VALUES)
+            doc = json.loads(lyrics_to_json(sheet))
+            if sheet.language is Language.TONAL:
+                # with no tonal tone, the text format would read it back as stress-accent
+                toneless = deepcopy(doc)
+                for sent in toneless["sentences"]:
+                    for syllable in sent["syllables"]:
+                        syllable["tone"] = "none"
+                with pytest.raises(LyricFormatError, match="tonal sheet needs a syllable"):
+                    lyrics_from_json(json.dumps(toneless))
+            text = mutated_json(rng, doc, self.JSON_VALUES)
             try:
                 lyrics = lyrics_from_json(text)
             except InputError:
@@ -265,6 +276,11 @@ class TestStructureMatrix:
             assert got.partner == dict(got.pairs)
             repeated += bool(got.pairs)
         assert repeated >= 200  # every repeat layout
+
+    def test_partner_is_derived_only(self):
+        with pytest.raises(TypeError, match="partner"):
+            StructureMatrix(pairs=frozenset({(1, 0)}), partner={5: 9})
+        assert StructureMatrix(pairs=frozenset({(1, 0), (3, 2)})).partner == {1: 0, 3: 2}
 
     def test_pair_offsets_agree(self):
         rng = random.Random(11)

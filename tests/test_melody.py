@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from lyricmelody import (
     rest,
 )
 from lyricmelody.rewards import BoundaryKind, reward_events
-from conftest import mk_melody
+from conftest import BAD_DURATION_TEXTS, BAD_DURATION_VALUES, mk_melody
 from reference import compute_beat_grid, is_long_note
 
 S, W = BeatStrength.STRONG, BeatStrength.WEAK
@@ -185,6 +186,28 @@ class TestMelodyInvariants:
             doc["tokens"][0][field] = value
         with pytest.raises(MidiFormatError, match=message):
             melody_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("duration", BAD_DURATION_TEXTS + BAD_DURATION_VALUES)
+    def test_json_duration_other_than_n_or_n_over_d_rejected(self, duration):
+        doc = json.loads(melody_to_json(mk_melody([(60, 1), (62, 1)])))
+        doc["tokens"][1]["duration"] = duration
+        message = f"invalid melody JSON: duration {duration!r} is not n or n/d"
+        with pytest.raises(MidiFormatError, match=re.escape(message)):
+            melody_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("duration, value", [
+        ("3", 3), ("3/2", Fraction(3, 2)), ("2/4", Fraction(1, 2)), (2, 2)])
+    def test_json_duration_forms_read(self, duration, value):
+        doc = json.loads(melody_to_json(mk_melody([(60, 1), (62, 1)])))
+        doc["tokens"][1]["duration"] = duration
+        assert melody_from_json(json.dumps(doc)).tokens[1].duration == value
+
+    def test_alignment_is_derived_only(self):
+        tokens = (note(60, 1), note(62, 1))
+        with pytest.raises(TypeError, match="alignment"):
+            Melody(tokens, alignment=((0, 9),))
+        assert Melody(tokens).alignment == ((0, 1), (1, 2))
+        assert dataclasses.replace(Melody(tokens), tokens=tokens[:1]).alignment == ((0, 1),)
 
     def test_list_tokens_and_meter_equal_the_tuples(self):
         tokens = [note(60, 1), note(62, 1)]

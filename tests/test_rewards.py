@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +51,7 @@ from lyricmelody.rewards import (
 )
 from lyricmelody.scorer import rhythm_projection
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
-from conftest import mk_melody, mutated_json
+from conftest import BAD_DURATION_TEXTS, BAD_DURATION_VALUES, mk_melody, mutated_json
 from reference import reference_score_rewards, scan_reward_events, step_events
 
 
@@ -582,11 +583,38 @@ class TestConfigValidation:
 
     def test_missing_table_disables_transitions(self):
         cfg = RewardConfig()
-        assert cfg.harmony_table is None
+        assert cfg.harmony_table == HarmonyTable({})
         assert (
             pitch_transition_reward((Tone.TONE1, Tone.TONE2), 0, cfg)
             is None
         )
+
+    def test_no_table_is_the_empty_table(self, config):
+        with pytest.raises(ConfigError, match="harmony_table must be a HarmonyTable, got None"):
+            RewardConfig(harmony_table=None)
+        with pytest.raises(ConfigError, match="harmony_table must be a HarmonyTable"):
+            replace(config, harmony_table=None)
+
+    @pytest.mark.parametrize("threshold", BAD_DURATION_TEXTS + BAD_DURATION_VALUES)
+    def test_long_note_threshold_other_than_n_or_n_over_d_rejected(self, threshold):
+        from lyricmelody import load_reward_config
+        from lyricmelody.rewards import reward_config_to_dict
+
+        doc = reward_config_to_dict(RewardConfig())
+        doc["long_note_threshold"] = threshold
+        message = f"bad reward config: duration {threshold!r} is not n or n/d"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_reward_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("threshold, value", [
+        ("3", 3), ("3/2", Fraction(3, 2)), ("4/8", Fraction(1, 2)), (1, 1)])
+    def test_long_note_threshold_forms_read(self, threshold, value):
+        from lyricmelody import load_reward_config
+        from lyricmelody.rewards import reward_config_to_dict
+
+        doc = reward_config_to_dict(RewardConfig())
+        doc["long_note_threshold"] = threshold
+        assert load_reward_config(json.dumps(doc)).long_note_threshold == value
 
     def test_config_without_table_round_trips(self):
         # a config without a harmony table writes an empty one, which

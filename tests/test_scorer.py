@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from lyricmelody import (
 )
 from lyricmelody.scorer import melody_sequence, pitch_sequence, rhythm_sequence
 from lyricmelody.synthetic import random_training_melody
-from conftest import mk_melody, mutated_json
+from conftest import BAD_DURATION_TEXTS, mk_melody, mutated_json
 from reference import ngram_prob
 
 
@@ -373,6 +374,36 @@ class TestModelCountsValidated:
         doc["counts"].append([["060"], [["62", 1]]])
         with pytest.raises(TrainingError, match=r"model context \['060'\] is counted twice"):
             NGramModel.from_dict(doc)
+
+
+class TestModelTokenDurations:
+    @pytest.fixture(scope="class")
+    def model_doc(self):
+        corpus = [random_training_melody(random.Random(seed)) for seed in range(3)]
+        return json.loads(train_model_bundle(corpus, order=2).to_json())
+
+    @pytest.mark.parametrize("duration", BAD_DURATION_TEXTS)
+    @pytest.mark.parametrize("part, spelling", [
+        ("token_model", "R:{}"), ("token_model", "N:60:{}:S"), ("rhythm_model", "N:{}:C")])
+    def test_duration_other_than_n_or_n_over_d_refused(self, model_doc, part, spelling,
+                                                       duration):
+        doc = json.loads(json.dumps(model_doc))
+        token = spelling.format(duration)
+        doc[part]["vocab"]["tokens"][0] = token
+        kind = doc[part]["vocab"]["kind"]
+        with pytest.raises(TrainingError) as info:
+            ModelBundle.from_json(json.dumps(doc))
+        assert (f"malformed {kind} token {token!r}: duration {duration!r} is not n or n/d"
+                == str(info.value))
+
+    def test_sixteen_byte_exponent_token_refused_at_once(self, model_doc):
+        doc = json.loads(json.dumps(model_doc))
+        doc["token_model"]["vocab"]["tokens"][0] = "R:1e10000000"
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        with pytest.raises(TrainingError, match="'R:1e10000000'"):
+            ModelBundle.from_json(text)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestModelLoaderFuzz:
