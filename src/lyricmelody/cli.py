@@ -237,6 +237,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if not midi_path.is_dir():
             raise InputError(f"{midi_path} is no directory, so it cannot pair with {lyrics_path}")
         lyric_paths = _lyric_files(lyrics_path)
+        # rows are labelled by stem, and the last one is the mean row
+        labels = {"mean": "the mean row"}
+        for lp in lyric_paths:
+            if labels.setdefault(lp.stem, lp.name) != lp.name:
+                raise InputError(f"{labels[lp.stem]} and {lp.name} would both label row "
+                                 f"{lp.stem!r} in {lyrics_path}")
         # the MIDI file of each stem that sorts first: STEM.mid before STEM.midi
         counterparts = {mp.stem: mp for mp in reversed(_midi_files(midi_path)) if mp.is_file()}
         for lp in lyric_paths:

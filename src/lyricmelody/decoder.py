@@ -19,10 +19,10 @@ Rhythm tokens (:class:`~lyricmelody.melody.RhythmToken`) read like melody
 tokens whose pitch is None, so one grammar serves single-stage decoding and
 the rhythm stage of two-stage decoding.  One beam search serves every
 stage: it runs over a moves function that gives each hypothesis its legal
-moves, their base log-probabilities and their event signatures, built from
-the grammar or, for the pitch stage, from one slot per rhythm token (a note
-offers every pitch, a rest is forced, END closes).  Which rewards a
-candidate triggers comes from the reward-event model in
+moves, grouped by event signature, and its base log-probability
+distribution, built from the grammar or, for the pitch stage, from one slot
+per rhythm token (a note offers every pitch, a rest is forced, END closes).
+Which rewards a candidate triggers comes from the reward-event model in
 :mod:`lyricmelody.rewards`; this module adds only the moves and the search.
 Scores stay re-derivable: the base log-probability and the weighted reward
 are accumulated separately, event by event, and
@@ -36,14 +36,19 @@ entry point.  Ties break by vocabulary order, then by shorter sequence
 Expansion scores first and builds later: each legal move of each live
 hypothesis is a flat tuple of score parts, and only what is kept (the beam's
 top ``width``, the sampled token) gets a prefix, key and state.  Events never
-depend on a token's duration, so a parent scores each event signature
-(:meth:`lyricmelody.rewards._EventModel.signature`) once and reuses the
-identical float.  Every move is scored off one plan of the parent's state
+depend on a token's duration, so each decode groups its moves once into
+classes of one event signature
+(:meth:`lyricmelody.rewards._EventModel.signature`), and an expansion walks
+the legal classes, scores each once and gives all its moves the identical
+float.  Every class is scored off one plan of the parent's state
 (:meth:`~lyricmelody.rewards._EventModel.plan`, built at the parent's first
-move that fires an event): END and a rest read their (reward, masked) pair
+class that fires an event): END and a rest read their (reward, masked) pair
 off it, a syllable start completes it at its pitch
 (:meth:`~lyricmelody.rewards._EventModel.complete`), and a melisma
 continuation fires nothing.  The event model has no other scoring path.
+Beam-hard sets a masked class aside unbuilt and builds its moves only on a
+step where no unmasked move is left, the step it records as relaxed; END is
+always built.
 Live keys share one length, so (parent's rank among live keys, token index)
 orders children as their full keys do; END keeps its parent's key, a prefix
 of its siblings' keys, so it ranks first on a tie.
@@ -162,8 +167,9 @@ class _Context(_EventModel):
         super().__init__(lyrics, config, active, options.time_signature)
         self.options = options
 
-    def legal(self, st: _State, groups: "_VocabGroups") -> list[tuple[int, object]]:
-        out: list[tuple[int, object]] = []
+    def legal(self, st: _State, groups: "_VocabGroups") -> list[tuple]:
+        """The signature classes of ``st``'s legal moves, END's last."""
+        out: list[tuple] = []
         if st.syl + 1 < self.n:
             out.extend(groups.starts)
         if st.syl >= 0 and st.span_open:
@@ -171,39 +177,47 @@ class _Context(_EventModel):
                 out.extend(groups.continuations)
             out.extend(groups.rests)
         if st.syl == self.n - 1:
-            out.append(groups.end)
+            out.extend(groups.end)
         return out
+
+
+def _classes(moves) -> tuple:
+    """``(signature, ((pos, token, dist_key), ...))`` per distinct event
+    signature of the ``(pos, token, dist_key)`` moves, in order of first use;
+    ``pos`` is the vocabulary index, or -1 for END."""
+    by_signature: dict = {}
+    for move in moves:
+        by_signature.setdefault(_EventModel.signature(move[1]), []).append(move)
+    return tuple((sig, tuple(group)) for sig, group in by_signature.items())
 
 
 @dataclass(frozen=True)
 class _VocabGroups:
-    starts: tuple[tuple[int, object], ...]
-    continuations: tuple[tuple[int, object], ...]
-    rests: tuple[tuple[int, object], ...]
-    end: tuple[int, object]
-    signatures: tuple  # the event signature of each vocabulary index
+    """A vocabulary's moves by grammar role, as :func:`_classes`."""
+
+    starts: tuple
+    continuations: tuple
+    rests: tuple
+    end: tuple
 
 
 def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
     starts, continuations, rests = [], [], []
-    end = None
-    signatures = tuple(map(_EventModel.signature, vocab.tokens))
     for idx, token in enumerate(vocab.tokens):
         if token == END:
-            end = (idx, token)
             continue
         if not token.is_note:
-            rests.append((idx, token))
+            rests.append((idx, token, token))
         elif token.syllable_start:
-            starts.append((idx, token))
+            starts.append((idx, token, token))
         else:
-            continuations.append((idx, token))
+            continuations.append((idx, token, token))
     if not starts:
         raise TrainingError(
             f"the model's {vocab.kind} vocabulary has no syllable-start token, "
             "so it cannot cover any lyrics"
         )
-    return _VocabGroups(tuple(starts), tuple(continuations), tuple(rests), end, signatures)
+    return _VocabGroups(*map(_classes, (starts, continuations, rests, [(-1, END, END)])))
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,33 +252,38 @@ def _extend(ctx: _Context, h: _Hypothesis, entry: tuple) -> _Hypothesis:
 
 
 def _expand(
-    ctx: _Context, h: _Hypothesis, rank: int, moves, lps, signatures
+    ctx: _Context, h: _Hypothesis, rank: int, classes, dist, held: Optional[list] = None
 ) -> list[tuple]:
-    """``(-score, rank, pos, token, base, reward, masked)`` per ``(idx, token)``
-    move of ``h``, the ``rank``-th live hypothesis by key, with base
-    log-probabilities ``lps``; ``pos`` is ``idx``, or -1 for END.  Builds no
-    child and scores each ``signatures[idx]`` once, off one plan of the
-    parent's moves (built at the first move that fires an event): END and a
-    rest read their (reward, masked) pair off it, a syllable start completes
-    it at its pitch, and a melisma continuation fires nothing."""
-    memo = {}
+    """``(-score, rank, pos, token, base, reward, masked)`` per move of ``h``,
+    the ``rank``-th live hypothesis by key, over its signature ``classes``
+    (:func:`_classes`) with base log-probabilities ``dist[dist_key]``.  Builds
+    no child and scores each class once, off one plan of the parent's moves
+    (built at the first class that fires an event): END and a rest read their
+    (reward, masked) pair off it, a syllable start completes it at its pitch,
+    and a melisma continuation fires nothing.  Given ``held``, a masked class
+    other than END goes there as :func:`_entries` arguments, unbuilt."""
     plan = None
     out = []
-    for (idx, token), lp in zip(moves, lps):
-        sig = signatures[idx]
-        hit = memo.get(sig)
-        if hit is None:
-            if sig != END and sig[0] and not sig[1]:  # (is_note, starts, pitch)
-                hit = (h.reward, False)  # a melisma continuation fires nothing
-            else:
-                if plan is None:
-                    plan = ctx.plan(h.state, h.reward)
-                hit = (plan.end if sig == END else plan.rest if not sig[0]
-                       else ctx.complete(plan, sig[2]))
-            memo[sig] = hit
-        base, pos = h.base + lp, -1 if sig == END else idx
-        out.append((-(base + hit[0]), rank, pos, token, base, hit[0], hit[1]))
+    for sig, moves in classes:
+        if sig != END and sig[0] and not sig[1]:  # (is_note, starts, pitch)
+            reward, masked = h.reward, False  # a melisma continuation fires nothing
+        else:
+            if plan is None:
+                plan = ctx.plan(h.state, h.reward)
+            reward, masked = (plan.end if sig == END else plan.rest if not sig[0]
+                              else ctx.complete(plan, sig[2]))
+        args = (rank, h.base, reward, masked, moves, dist)
+        if masked and held is not None and sig != END:
+            held.append(args)
+        else:
+            out += _entries(*args)
     return out
+
+
+def _entries(rank: int, base: float, reward: float, masked: bool, moves, dist) -> list:
+    """The :func:`_expand` entries of one class's ``moves``."""
+    return [(-((b := base + dist[k]) + reward), rank, pos, token, b, reward, masked)
+            for pos, token, k in moves]
 
 
 def _keep(ctx: _Context, live: list, pool: list, width: int) -> list[_Hypothesis]:
@@ -288,15 +307,13 @@ def _max_steps(ctx: _Context) -> int:
 
 
 def _grammar(ctx: _Context, scorer: Scorer):
-    """The moves function of single-stage decoding and the rhythm stage: a
-    hypothesis's legal moves under the grammar, their base log-probabilities
-    and the vocabulary's event signatures."""
+    """The moves function of single-stage decoding and the rhythm stage: the
+    signature classes of a hypothesis's legal moves under the grammar, and its
+    base log-probability distribution."""
     groups = _group_vocab(scorer.vocab)
 
     def moves_of(h: _Hypothesis) -> tuple:
-        dist = scorer.log_prob_dist(h.tokens)
-        moves = ctx.legal(h.state, groups)
-        return moves, [dist[t] for _, t in moves], groups.signatures
+        return ctx.legal(h.state, groups), scorer.log_prob_dist(h.tokens)
 
     return moves_of
 
@@ -312,19 +329,17 @@ def _beam(
     for step in range(_max_steps(ctx)):
         live.sort(key=attrgetter("key"))
         pool: list[tuple] = []
+        held = [] if hard else None  # masked classes, built only if nothing else is left
         for rank, h in enumerate(live):
-            scored = _expand(ctx, h, rank, *moves_of(h))
+            scored = _expand(ctx, h, rank, *moves_of(h), held)
             if scored and scored[-1][2] < 0:  # END, always the last legal move
                 done = scored.pop()
                 if best is None or (done[0], h.key) < (-best.score, best.key):
                     best = _extend(ctx, h, done)
             pool.extend(scored)
-        if hard and pool:
-            survivors = [entry for entry in pool if not entry[6]]
-            if not survivors:
-                relaxations.append(step)
-                survivors = pool
-            pool = survivors
+        if held and not pool:
+            relaxations.append(step)
+            pool = [entry for args in held for entry in _entries(*args)]
         if not pool:
             break
         live = _keep(ctx, live, pool, width)
@@ -531,21 +546,19 @@ def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
     slots = []
     for slot in (*rhythm_tokens, None):
         if slot is None:
-            moves, keys = [(vocab.index_of(END), END)], [END]
+            moves = [(-1, END, END)]
         elif slot.is_note:
             moves = [(vocab.index_of(p),
-                      MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start))
+                      MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start), p)
                      for p in pitches]
-            keys = pitches
         else:
-            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration))]
-            keys = [REST_MARK]
-        slots.append((moves, keys, {idx: _EventModel.signature(t) for idx, t in moves}))
+            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration),
+                      REST_MARK)]
+        slots.append(_classes(moves))
 
     def moves_of(h: _Hypothesis) -> tuple:
-        moves, keys, signatures = slots[len(h.tokens)]
         dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
-        return moves, [dist[k] for k in keys], signatures
+        return slots[len(h.tokens)], dist
 
     return moves_of
 

@@ -287,11 +287,8 @@ def parse_lyrics(source: str) -> LyricSequence:
     if saw_digit and saw_apostrophe:
         raise LyricFormatError("tonal and stress-accent tone marks mixed in one input")
     language = Language.TONAL if saw_digit else Language.STRESS_ACCENT
-    # an unmarked syllable of stress-accent lyrics is unstressed
-    unmarked = Tone.NONE if saw_digit else Tone.UNSTRESSED
     return _assemble([
-        (intonation, [(text, unmarked if tone is Tone.NONE else tone, wp, sc)
-                      for text, tone, wp, sc, _ in parsed])
+        (intonation, [(text, tone, wp, sc) for text, tone, wp, sc, _ in parsed])
         for intonation, parsed in raw_sentences
     ], language)
 
@@ -302,7 +299,9 @@ def _assemble(
     """The sequence of ``(intonation, [(text, tone, word position, stress
     class), ...])`` sentences in ``language``; refuses a syllable text, or a
     tonal sheet without a tonal tone, that :func:`serialize_lyrics` could not
-    write back, so both formats agree."""
+    write back, and reads an unmarked (``none``) syllable of stress-accent
+    lyrics as unstressed, so both formats agree."""
+    unmarked = Tone.NONE if language is Language.TONAL else Tone.UNSTRESSED
     syllables: list[Syllable] = []
     spans: list[Sentence] = []
     for si, (intonation, parsed) in enumerate(sentences):
@@ -314,6 +313,7 @@ def _assemble(
                 raise LyricFormatError(f"unmarked syllable text {text!r} ends in a tone mark")
             if not syllables and text[0] == "{":
                 raise LyricFormatError(f"first syllable text {text!r} opens with '{{'")
+            tone = unmarked if tone is Tone.NONE else tone
             syllables.append(Syllable(text, tone, wp, sc, si, pos == len(parsed) - 1))
         spans.append(Sentence((start, len(syllables)), intonation))
     # serialize_lyrics writes a tone digit only for a tonal tone, and

@@ -105,7 +105,7 @@ def _note_codec(cls) -> _Codec:
             case ["R", duration]:
                 return cls(TokenKind.REST, _duration(duration))
             case ["N", pitch, duration, "S" | "C" as flag] if cls is MelodyToken:
-                return cls(TokenKind.NOTE, _duration(duration), int(pitch), flag == "S")
+                return cls(TokenKind.NOTE, _duration(duration), _pitch(pitch), flag == "S")
             case ["N", duration, "S" | "C" as flag] if cls is RhythmToken:
                 return cls(TokenKind.NOTE, _duration(duration), flag == "S")
         raise ValueError("no token of this shape")
@@ -114,13 +114,16 @@ def _note_codec(cls) -> _Codec:
         (0, t.pitch, t.duration, not t.syllable_start) if t.is_note else (1, t.duration)))
 
 
+def _pitch(text: str) -> int:
+    """The MIDI pitch a model token spells in ASCII digits; ValueError unless
+    it is 0-127 (``int`` alone would take signs, spaces and ``_``)."""
+    if not (text.isascii() and text.isdigit() and int(text) <= 127):
+        raise ValueError(f"pitch {text!r} is not a MIDI pitch 0-127")
+    return int(text)
+
+
 def _parse_pitch(text: str) -> Token:
-    if text == REST_MARK:
-        return REST_MARK
-    pitch = int(text)
-    if not 0 <= pitch <= 127:
-        raise ValueError("not a MIDI pitch 0-127")
-    return pitch
+    return REST_MARK if text == REST_MARK else _pitch(text)
 
 
 _CODECS = {

@@ -247,7 +247,8 @@ def reward_beam_search(ctx, scorer, width, hard):
         pool = []
         for h in live:
             dist = scorer.log_prob_dist(h.tokens)
-            for idx, token in ctx.legal(h.state, groups):
+            moves = [(pos, token) for _, cls in ctx.legal(h.state, groups) for pos, token, _ in cls]
+            for idx, token in moves:
                 events = step_events(ctx, h.state, token)
                 cand = extend(h, idx, token, dist[token], events)
                 if token != END:
@@ -307,21 +308,22 @@ def reference_pitch_fill(ctx, pitch_scorer, slots, width):
     live = [_Hypothesis(tokens=(), key=(), state=_State())]
     for slot in list(slots) + [None]:
         if slot is None:
-            moves, keys = [(vocab.index_of(END), END)], [END]
+            moves = [(-1, END, END)]
         elif not slot.is_note:
-            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration))]
-            keys = [REST_MARK]
+            moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration),
+                      REST_MARK)]
         else:
             moves = [(vocab.index_of(p),
-                      MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start))
+                      MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start), p)
                      for p in pitches]
-            keys = pitches
-        signatures = {idx: ctx.signature(token) for idx, token in moves}
+        classes = {}  # the moves of each event signature
+        for move in moves:
+            classes.setdefault(ctx.signature(move[1]), []).append(move)
         live.sort(key=lambda h: h.key)
         pool = []
         for rank, h in enumerate(live):
             dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
-            pool.extend(_expand(ctx, h, rank, moves, [dist[k] for k in keys], signatures))
+            pool.extend(_expand(ctx, h, rank, classes.items(), dist))
         live = _keep(ctx, live, pool, 1 if slot is None else width)
     return live[0]
 

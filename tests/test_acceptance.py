@@ -133,9 +133,9 @@ def test_criterion_2_oracle_equivalence(config):
         groups = _group_vocab(vocab)
         for first in vocab.tokens[:-1]:
             h = _Hypothesis(tokens=(first,), key=(), state=ctx.apply(_State(), first))
-            moves = ctx.legal(h.state, groups)
+            classes = ctx.legal(h.state, groups)
             # the decoder's own scoring of each move
-            entries = _expand(ctx, h, 0, moves, [0.0] * len(moves), groups.signatures)
+            entries = _expand(ctx, h, 0, classes, dict.fromkeys(vocab.tokens, 0.0))
             for _, _, pos, tok, _, _, masked in entries:
                 if pos < 0:  # END
                     continue

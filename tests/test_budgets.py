@@ -20,7 +20,7 @@ from lyricmelody import (
 )
 from lyricmelody import decoder, rewards
 from lyricmelody.decoder import score_two_stage
-from lyricmelody.scorer import NGramModel
+from lyricmelody.scorer import END, NGramModel
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 
 
@@ -138,3 +138,56 @@ def test_rerank_builds_one_context_and_weighs_each_candidate_once(monkeypatch, c
         options = DecodeOptions(mode=DecodeMode.RERANK, rerank_candidates=3 + k, seed=k)
         decode(lyrics, bundle.token_model, config, options)
         assert calls == {"__init__": 1, "score_rewards": 3 + k}, k
+
+
+@pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
+def test_beam_completes_each_start_signature_at_most_once_per_expansion(
+    monkeypatch, config, bundle, mode
+):
+    # starts that differ only in duration share one signature, so one
+    # complete serves them all
+    from reference import legal_moves
+
+    calls = Counter()
+    count_calls(monkeypatch, rewards._EventModel, "complete", calls)
+    vocab = bundle.token_model.vocab
+    over, shared = [], 0
+    expand = decoder._expand
+
+    def counted_expand(ctx, h, *args):
+        nonlocal shared
+        before = calls["complete"]
+        out = expand(ctx, h, *args)
+        state = (h.state.syl, h.state.span_open, len(h.state.span_pitches))
+        starts = [t for _, t in legal_moves(vocab, state, ctx.n, ctx.options.max_notes_per_syllable)
+                  if t != END and t.is_note and t.syllable_start]
+        signatures = {ctx.signature(t) for t in starts}
+        shared += len(starts) - len(signatures)
+        if calls["complete"] - before > len(signatures):
+            over.append((calls["complete"] - before, len(signatures)))
+        return out
+
+    monkeypatch.setattr(decoder, "_expand", counted_expand)
+    for lyrics in sheets(20261108, 3):
+        decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
+    assert calls["complete"] and shared  # some starts shared a signature
+    assert over == []
+
+
+def test_beam_hard_builds_masked_moves_only_on_steps_that_relax(monkeypatch, config, bundle):
+    # an expansion sets its masked classes aside; the step builds them only
+    # when no unmasked move is left, which is the step it records as relaxed
+    masked = []
+    expand = decoder._expand
+
+    def counted_expand(*args):
+        out = expand(*args)
+        masked.extend(entry for entry in out if entry[6] and entry[2] >= 0)  # END aside
+        return out
+
+    monkeypatch.setattr(decoder, "_expand", counted_expand)
+    relaxed = [decode(lyrics, bundle.token_model, config,
+                      DecodeOptions(mode=DecodeMode.BEAM_HARD)).relaxation_steps
+               for lyrics in sheets(20261109, 4)]
+    assert any(relaxed)  # the deferred moves were built and kept somewhere
+    assert masked == []

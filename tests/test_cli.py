@@ -228,6 +228,26 @@ class TestEvaluate:
             reports.append(doc)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("extra, first, second", [
+        ("song_0.lyrics", "song_0.lyrics", "song_0.txt"),
+        ("mean.txt", "the mean row", "mean.txt"),
+    ])
+    def test_two_files_for_one_row_exit_one(self, workspace, generated, tmp_path, capsys,
+                                            extra, first, second):
+        # --json keeps one row per label, so neither file may lose its row
+        lyrics_dir, midi_dir = tmp_path / "lyrics", tmp_path / "midi"
+        for target, source in ((lyrics_dir, workspace / "lyrics"), (midi_dir, generated)):
+            target.mkdir()
+            for path in source.iterdir():
+                (target / path.name).write_bytes(path.read_bytes())
+        (lyrics_dir / extra).write_bytes((workspace / "lyrics" / "song_0.txt").read_bytes())
+        (midi_dir / "mean.mid").write_bytes((generated / "song_0.mid").read_bytes())
+        report = tmp_path / "report.json"
+        assert main(["evaluate", str(lyrics_dir), str(midi_dir), "--json", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert f"{first} and {second} would both label row" in err and "Traceback" not in err
+        assert not report.exists()
+
     def test_tonal_sheet_without_tonal_tone_exit_one(self, tmp_path, capsys):
         lyrics = tmp_path / "s.json"
         lyrics.write_text(json.dumps({"language": "tonal", "sentences": [{"syllables": [
@@ -620,6 +640,12 @@ class TestMalformedInputs:
         ("pitch_model", "vocab", "200"),
         ("token_model", "vocab", "R:1e10000000"),
         ("rhythm_model", "vocab", "N:1.5:S"),
+        ("token_model", "vocab", "N:6_0:1/2:S"),
+        ("token_model", "vocab", "N: +60 :1/2:S"),
+        ("token_model", "vocab", "N:-0:1/2:S"),
+        ("pitch_model", "vocab", "6_0"),
+        ("pitch_model", "vocab", " +60 "),
+        ("pitch_model", "vocab", "-0"),
     ])
     def test_malformed_model_token_exit_one(
         self, workspace, model_path, tmp_path, capsys, part, where, bad

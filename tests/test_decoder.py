@@ -660,9 +660,9 @@ class TestEventSignature:
                     tokens = tuple(map(rhythm_projection, tokens))
                 for token in tokens + (None,):
                     by_signature = {}
-                    for idx, cand in ctx.legal(state, groups):
+                    for sig, cand in [(sig, t) for sig, cls in ctx.legal(state, groups)
+                                      for _, t, _ in cls]:
                         events = events_of(ctx, state, cand)
-                        sig = groups.signatures[idx]
                         if sig in by_signature:
                             shared += 1
                             if by_signature[sig][1] != events:

@@ -131,6 +131,18 @@ class TestRoundTrip:
         lyr = parse_lyrics("ni3|W,K cai3|I hong2|I .\nhao3|W ?")
         assert lyrics_from_json(lyrics_to_json(lyr)) == lyr
 
+    @pytest.mark.parametrize("tone", [None, "none", "unstressed"])
+    def test_json_stress_syllable_without_mark_reads_unstressed(self, tone):
+        # the text format writes no mark for either, and reads none back as unstressed
+        doc = json.loads(lyrics_to_json(parse_lyrics("hel'|W lo|I .")))
+        syllable = doc["sentences"][0]["syllables"][1]
+        syllable.pop("tone")
+        if tone is not None:
+            syllable["tone"] = tone
+        lyr = lyrics_from_json(json.dumps(doc))
+        assert lyr.syllables[1].tone is Tone.UNSTRESSED
+        assert lyr == parse_lyrics(serialize_lyrics(lyr)) == parse_lyrics("hel'|W lo|I .")
+
     def test_json_detected_by_leading_brace(self):
         lyr = parse_lyrics("ni3|W,K cai3|I .")
         assert parse_lyrics(lyrics_to_json(lyr)) == lyr
@@ -217,6 +229,7 @@ class TestLoaderFuzz:
             outcomes["loaded"] += 1
             again = parse_lyrics(serialize_lyrics(lyrics))
             assert [s.text for s in again.syllables] == [s.text for s in lyrics.syllables], text
+            assert again == lyrics, text  # tones, flags and intonations too
         assert min(outcomes.values()) >= 20, outcomes
 
 

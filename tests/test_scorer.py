@@ -406,6 +406,27 @@ class TestModelTokenDurations:
         assert time.perf_counter() - start < 0.5
 
 
+class TestModelTokenPitches:
+    @pytest.fixture(scope="class")
+    def model_doc(self):
+        corpus = [random_training_melody(random.Random(seed)) for seed in range(3)]
+        return json.loads(train_model_bundle(corpus, order=2).to_json())
+
+    # int() reads all of these but the last two as a pitch 0-127
+    @pytest.mark.parametrize("pitch", ["6_0", " +60 ", "-0", "+60", "60 ", "\u0666\u0660", "128", ""])
+    @pytest.mark.parametrize("part, spelling", [("token_model", "N:{}:1/2:S"), ("pitch_model", "{}")])
+    def test_pitch_other_than_ascii_digits_0_to_127_refused(self, model_doc, part, spelling,
+                                                            pitch):
+        doc = json.loads(json.dumps(model_doc))
+        token = spelling.format(pitch)
+        doc[part]["vocab"]["tokens"][0] = token
+        kind = doc[part]["vocab"]["kind"]
+        with pytest.raises(TrainingError) as info:
+            ModelBundle.from_json(json.dumps(doc))
+        assert (f"malformed {kind} token {token!r}: pitch {pitch!r} is not a MIDI pitch 0-127"
+                == str(info.value))
+
+
 class TestModelLoaderFuzz:
     """Seeded mutations of a trained model file: each loads or raises an
     ``InputError``, and every model that loads has proper distributions."""
