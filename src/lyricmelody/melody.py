@@ -9,6 +9,11 @@ constructed.
 
 Durations and onsets are exact rationals in quarter-note units; nothing in
 this module touches floats.
+
+Tokens are interned: building, unpickling, copying or ``replace``-ing one returns
+the one instance of its value, from a module-level table that keeps every value
+the process builds.  So ``==`` and ``hash`` are identity's, in C, and a token's
+fields never depend on the spelling (``1`` or ``Fraction(1)``) that built it first.
 """
 
 from __future__ import annotations
@@ -38,70 +43,78 @@ class TokenKind(Enum):
     NOTE = "note"
     REST = "rest"
 
-
-def _token_hash(token) -> int:
-    """A token's hash, computed on first use and cached in its ``_hash``.
-
-    Built from values that hash alike in every process (an Enum member and,
-    before Python 3.12, None do not), so a cached hash stays valid in a
-    token unpickled elsewhere.
-    """
-    h = token._hash
-    if h is None:
-        h = hash((token.kind is TokenKind.NOTE, token.duration,
-                  -1 if token.pitch is None else token.pitch, token.syllable_start))
-        object.__setattr__(token, "_hash", h)
-    return h
+    __hash__ = object.__hash__  # in C, for the token table's keys
 
 
-@dataclass(frozen=True, slots=True)
+#: (class, kind, duration's numerator, denominator, pitch, start flag) to its one token
+_TOKENS: dict = {}
+
+
+def _token(cls, kind, duration, pitch=None, syllable_start=False):
+    """The one ``cls`` token of these fields (``pitch`` None for a rhythm token).  A first
+    build is checked (a failure adds no entry), stores canonical field types, which equal
+    spellings' keys find, and enters by ``setdefault``: racing threads get the one winner."""
+    try:
+        num, den = duration.as_integer_ratio()
+    except AttributeError:
+        raise TypeError(f"token duration must be a number, got {duration!r}") from None
+    token = _TOKENS.get((cls, kind, num, den, pitch, syllable_start))
+    if token is not None:
+        return token
+    if num <= 0:
+        raise ValueError(f"token duration must be positive, got {duration}")
+    if cls is MelodyToken and kind is TokenKind.NOTE:
+        if pitch not in range(128):
+            raise ValueError(f"note pitch must be a MIDI number 0-127, got {pitch}")
+        pitch = int(pitch)
+    elif pitch is not None:  # a rhythm token's is always None
+        raise ValueError("rest tokens carry no pitch")
+    elif syllable_start and cls is MelodyToken:
+        raise ValueError("rest tokens never begin a syllable")
+    fields = {"kind": kind, "duration": Fraction(num, den), "pitch": pitch,
+              "syllable_start": bool(syllable_start)}
+    token = object.__new__(cls)
+    for name in cls.__slots__:
+        object.__setattr__(token, name, fields[name])
+    return _TOKENS.setdefault((cls, kind, num, den, pitch, fields["syllable_start"]), token)
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class MelodyToken:
+    """A note or a rest, interned: ``==`` and ``hash`` are identity's."""
+
     kind: TokenKind
     duration: Fraction
     pitch: Optional[int] = None
     syllable_start: bool = False
-    # the hash, computed on first use; not part of __init__, repr or ==
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
-    __hash__ = _token_hash
+    __new__ = _token
 
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"token duration must be positive, got {self.duration}")
-        if self.kind is TokenKind.NOTE:
-            if self.pitch is None or not 0 <= self.pitch <= 127:
-                raise ValueError(f"note pitch must be a MIDI number 0-127, got {self.pitch}")
-        else:
-            if self.pitch is not None:
-                raise ValueError("rest tokens carry no pitch")
-            if self.syllable_start:
-                raise ValueError("rest tokens never begin a syllable")
+    def __reduce__(self):  # through the constructor, so pickle and copy get the one instance
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     @property
     def is_note(self) -> bool:
         return self.kind is TokenKind.NOTE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class RhythmToken:
     """A melody token without its pitch: what rhythm-first decoding emits.
 
-    Reads like a :class:`MelodyToken` whose ``pitch`` is always None, and
-    shares its hash, but never equals one.
+    Reads like a :class:`MelodyToken` whose ``pitch`` is always None, but never equals one.
     """
 
     kind: TokenKind
     duration: Fraction
     syllable_start: bool = False
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     pitch = None
-    __hash__ = _token_hash
+    __reduce__ = MelodyToken.__reduce__
     is_note = MelodyToken.is_note
 
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"token duration must be positive, got {self.duration}")
+    def __new__(cls, kind: TokenKind, duration, syllable_start: bool = False) -> "RhythmToken":
+        return _token(cls, kind, duration, None, syllable_start)
 
 
 def _duration(value) -> Fraction:

@@ -506,7 +506,7 @@ class _EventModel:
     of it; plus the structure partners and the meter.  :meth:`plan` weighs
     every move from a state (:meth:`complete` finishes a syllable start at
     its pitch), and :meth:`apply` gives the state after a token.  Only the
-    plan reads ``active``: it weighs the events of those aspects alone.
+    plan reads ``active`` (as flags bound once): it weighs those aspects' events.
     """
 
     def __init__(
@@ -518,6 +518,8 @@ class _EventModel:
     ):
         self.config = config
         self.active = active
+        self.tone_on, self.rhythm_on, self.structure_on = (
+            aspect in active for aspect in (Aspect.TONE, Aspect.RHYTHM, Aspect.STRUCTURE))
         self.n = len(lyrics)
         self.partner = build_structure_matrix(lyrics).partner
         self.time_signature = time_signature
@@ -580,14 +582,14 @@ class _EventModel:
         """Every move's reward from ``st`` with the running reward ``start``,
         weighing the active aspects only: END's and a rest's in full, a
         syllable start's short of its pitch."""
-        active, config = self.active, self.config
-        close = self._close_events(st) if Aspect.TONE in active else []
+        config = self.config
+        close = self._close_events(st) if self.tone_on else []
         end = (weighted_total(close, config, start=start), any(not ev.is_maximal for ev in close))
         k = st.syl + 1
         if k == self.n:
             return _Plan(end, end)  # no gap is left for a rest to pause
         rest, middle = end, []
-        if Aspect.RHYTHM in active:
+        if self.rhythm_on:
             if k > 0:
                 pause = self.pause[k][True]
                 rest = (end[0] + config.lambda_rhythm * pause.value, end[1] or not pause.is_maximal)
@@ -598,11 +600,11 @@ class _EventModel:
                 # no rest resolved this gap; a long final note still pauses
                 middle.append(self.pause[k][st.last_duration >= config.long_note_threshold])
         partner_delta = None
-        if Aspect.STRUCTURE in active:
+        if self.structure_on:
             j = self.partner.get(k)
             if j is not None and st.last_pitch is not None:
                 partner_delta = st.syl_delta[j]
-        cell = self.cell[k] if Aspect.TONE in active else None
+        cell = self.cell[k] if self.tone_on else None
         # strong/weak and pause are rhythm events
         terms = tuple((config.lambda_rhythm * ev.value, not ev.is_maximal) for ev in middle)
         return _Plan(end, rest, cell, st.first_pitch, partner_delta, st.last_pitch, terms)

@@ -30,11 +30,11 @@ next shorter context, grounding in the empirical unigram distribution mixed
 with a uniform prior over the vocabulary.  Models are immutable once
 trained; scoring from concurrent decodes is safe.
 
-Every token a model counts is the vocabulary's own instance: training swaps
-each token for it, and loading maps each count string to it (a spelling
-other than the vocabulary's is decoded once).  The decoder's contexts hold
-the same instances, so context lookups hit by identity instead of comparing
-tokens field by field.
+Melody and rhythm tokens are interned (:mod:`lyricmelody.melody`), so every
+token a model counts, trained or loaded, is the vocabulary's own instance,
+and so is every token in the decoder's contexts: context lookups hash and
+compare tokens by identity, in C.  Loading decodes each distinct count
+string once, whatever its spelling.
 
 A context's distribution is built in O(|V|) from the probability table of
 its one-shorter suffix (the backed-off mass for every token, plus the
@@ -306,16 +306,11 @@ class NGramModel:
     ) -> "NGramModel":
         if not sequences:
             raise TrainingError("training corpus is empty")
-        index = getattr(vocab, "_index")
         counts: dict[tuple, dict[Token, int]] = {}
-        for raw in sequences:
-            seq = []
-            for token in raw:
-                i = index.get(token)
-                if i is None:
-                    raise TrainingError(f"out-of-vocabulary token {vocab.encode(token)!r}")
-                seq.append(vocab.tokens[i])
+        for seq in sequences:
             for i, token in enumerate(seq):
+                if token not in vocab:
+                    raise TrainingError(f"out-of-vocabulary token {vocab.encode(token)!r}")
                 for ctx_len in range(min(i, order - 1) + 1):
                     ctx = tuple(seq[i - ctx_len : i])
                     counts.setdefault(ctx, {})
@@ -385,12 +380,12 @@ class NGramModel:
         vocab = Vocabulary.from_dict(vocab_doc)
         spelled = dict(zip(vocab_doc["tokens"], vocab.tokens))
 
-        def token(text) -> Token:  # the vocabulary's own instance of the token text spells
+        def token(text) -> Token:  # the token text spells, decoded once per spelling
             if type(text) is not str or text not in spelled:
                 found = _decode(vocab.kind, text)
                 if found not in vocab:
                     raise TrainingError(f"model token {text!r} is not in the model's vocabulary")
-                spelled[text] = vocab.tokens[vocab.index_of(found)]
+                spelled[text] = found
             return spelled[text]
 
         counts: dict[tuple, dict[Token, int]] = {}

@@ -6,6 +6,7 @@ only be raised by a change that says why.
 """
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -18,9 +19,10 @@ from lyricmelody import (
     score_rewards,
     train_model_bundle,
 )
-from lyricmelody import decoder, rewards
+from lyricmelody import decoder, parse_lyrics, rewards
 from lyricmelody.decoder import score_two_stage
-from lyricmelody.scorer import END, NGramModel
+from lyricmelody.melody import MelodyToken, RhythmToken
+from lyricmelody.scorer import END, NGramModel, UniformScorer
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 
 
@@ -191,3 +193,49 @@ def test_beam_hard_builds_masked_moves_only_on_steps_that_relax(monkeypatch, con
                for lyrics in sheets(20261109, 4)]
     assert any(relaxed)  # the deferred moves were built and kept somewhere
     assert masked == []
+
+
+@pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
+def test_beam_hashes_and_compares_tokens_in_c(config, bundle, mode):
+    # tokens are interned, so a token's hash and == are identity's, with no
+    # Python frame; a Python-level __hash__ or __eq__ runs per dict lookup
+    token_code = {f.__code__ for cls in (MelodyToken, RhythmToken)
+                  for f in (cls.__hash__, cls.__eq__) if hasattr(f, "__code__")}
+    plan_code = rewards._EventModel.plan.__code__
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code in token_code:
+                calls[frame.f_code.co_name] += 1
+            elif frame.f_code is plan_code:
+                calls["plan"] += 1
+
+    lyrics = sheets(20261110, 2)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for sheet in lyrics:
+            decode(sheet, bundle.token_model, config, DecodeOptions(mode=mode))
+    finally:
+        sys.setprofile(previous)
+    assert calls.pop("plan") > 0  # the profile saw the decode
+    assert calls == {}
+
+
+def test_criterion_2_oracle_builds_one_event_model_per_sheet_and_preset(monkeypatch, config):
+    # the exhaustive oracle rescores every complete sequence for one sheet
+    # and preset; the reward_events memo reuses that pair's event model
+    from reference import exhaustive_argmax
+    from test_acceptance import _tiny_vocab
+
+    calls = Counter()
+    count_calls(monkeypatch, rewards._EventModel, "__init__", calls)
+    scorer = UniformScorer(_tiny_vocab(False))
+    for text in ("ni3|W,K hao3|I .", "ni3|W hao3|I .\nni3|W hao3|I ."):
+        lyrics = parse_lyrics(text)
+        for preset in ("telemelody", "songmass", "off"):
+            cfg = config.with_preset(preset)
+            calls.clear()
+            exhaustive_argmax(lyrics, scorer, cfg, DecodeOptions().active, 2)
+            assert calls == {"__init__": 1}, (text, preset)

@@ -49,9 +49,9 @@ class TestTokens:
 
 
 class TestTokenHash:
-    """The hash a token caches on first use: equal tokens hash equal, the
-    cache is invisible to ``repr`` and ``==``, and a cached value holds in a
-    process under another hash seed.  Rhythm tokens share the hash and
+    """Tokens are interned: equal tokens are one object, so they hash equal,
+    ``repr`` shows the fields alone, and a token unpickled in a process
+    under another hash seed is that process's instance.  Rhythm tokens
     never equal a melody token."""
 
     def test_equal_tokens_hash_equal(self):
@@ -68,12 +68,12 @@ class TestTokenHash:
         vocab = build_melody_vocabulary((59, 61), [1, Fraction(3, 2)])
         decoded = Vocabulary.from_dict(vocab.to_dict())
         for built, loaded in zip(vocab.tokens[:-1], decoded.tokens):  # END is a str
-            assert built is not loaded and loaded == built and hash(loaded) == hash(built)
+            assert built is loaded and loaded == built and hash(loaded) == hash(built)
         assert decoded.index_of(a) == vocab.index_of(a)
         rhythm = Vocabulary.build("rhythm", map(rhythm_projection, vocab.tokens[:-1]))
         decoded = Vocabulary.from_dict(rhythm.to_dict())
         for built, loaded in zip(rhythm.tokens[:-1], decoded.tokens):
-            assert built is not loaded and loaded == built and hash(loaded) == hash(built)
+            assert built is loaded and loaded == built and hash(loaded) == hash(built)
         r = RhythmToken(TokenKind.NOTE, Fraction(3, 2), False)
         hash(r)
         assert hash(RhythmToken(TokenKind.NOTE, Fraction(3, 2), False)) == hash(r)
@@ -95,7 +95,7 @@ class TestTokenHash:
         rhythm_note = RhythmToken(TokenKind.NOTE, Fraction(1), True)
         assert (rhythm_rest.kind, rhythm_rest.duration, rhythm_rest.pitch,
                 rhythm_rest.syllable_start) == (TokenKind.REST, 1, None, False)
-        assert hash(rhythm_rest) == hash(rest(1))
+        assert rhythm_rest is RhythmToken(TokenKind.REST, 1) and rhythm_rest is not rest(1)
         assert rhythm_rest != rest(1) and rest(1) != rhythm_rest
         assert rhythm_note != note(64, 1) and note(64, 1) != rhythm_note
         assert len({rhythm_rest, rest(1)}) == 2
@@ -138,6 +138,91 @@ class TestTokenHash:
         want += [rhythm_vocab.index_of(rhythm_projection(t))
                  for t in (note(61, Fraction(1, 2), True), rest(2))]
         assert out.stdout.split("\n")[0] == str(want)
+
+
+class TestInterning:
+    """Each token value is one object, whatever spelling, copy or thread
+    built it, with canonical field types; a failed build adds nothing."""
+
+    def test_spellings_give_one_object_with_canonical_fields(self):
+        # values no other test builds, so the int spelling builds them first
+        first = MelodyToken(TokenKind.NOTE, 1009, 60, True)
+        assert first is note(60, Fraction(1009)) is note(60, 1009.0)
+        assert type(first.duration) is Fraction and first.duration == Fraction(1009)
+        floated = MelodyToken(TokenKind.NOTE, 0.375, 61.0, 1)
+        assert floated is note(61, Fraction(3, 8))
+        assert (type(floated.duration), type(floated.pitch), floated.syllable_start) == (
+            Fraction, int, True)
+        assert repr(floated) == (
+            "MelodyToken(kind=<TokenKind.NOTE: 'note'>, duration=Fraction(3, 8), "
+            "pitch=61, syllable_start=True)")
+        assert MelodyToken(TokenKind.REST, 1013, None, 0) is rest(Fraction(1013))
+        rhythm = RhythmToken(TokenKind.NOTE, 1019, 1)
+        assert rhythm is RhythmToken(TokenKind.NOTE, Fraction(1019), True)
+        assert type(rhythm.duration) is Fraction and rhythm.syllable_start is True
+        assert rhythm != note(60, 1019) and hash(first) == hash(note(60, 1009))
+
+    @pytest.mark.parametrize("token", [
+        note(60, Fraction(3, 2), False), rest(2), RhythmToken(TokenKind.NOTE, Fraction(1, 3), True),
+        RhythmToken(TokenKind.REST, Fraction(2))], ids=repr)
+    def test_copies_are_the_interned_instance(self, token):
+        import copy
+        import pickle
+
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(token, protocol)) is token
+        assert copy.copy(token) is token and copy.deepcopy(token) is token
+        [listed, (nested,)] = copy.deepcopy([token, (token,)])
+        assert listed is token and nested is token
+        assert dataclasses.replace(token) is token
+        moved = dataclasses.replace(token, duration=token.duration + 1)
+        assert moved.duration == token.duration + 1
+        assert moved is dataclasses.replace(token, duration=token.duration + 1)
+        assert dataclasses.replace(moved, duration=token.duration) is token
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            token.duration = Fraction(1)
+
+    def test_threads_building_the_same_tokens_share_one_object_per_value(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for denominator in (1021, 1031, 1033):  # fresh values each round
+                specs = [(k % 128, Fraction(k, denominator), k % 3 == 0) for k in range(1, 501)]
+
+                def build(order):
+                    return [(spec, (note(*spec) if spec[2] or spec[0] % 2 else rest(spec[1])))
+                            for spec in (specs if order else specs[::-1])]
+
+                with ThreadPoolExecutor(4) as pool:
+                    runs = list(pool.map(build, [0, 1, 0, 1], timeout=60))
+                by_value = {}
+                for run in runs:
+                    for spec, token in run:
+                        by_value.setdefault(spec, set()).add(id(token))
+                assert len(by_value) == 500
+                assert all(len(ids) == 1 for ids in by_value.values())
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("fields", [
+        (TokenKind.NOTE, Fraction(0), 60), (TokenKind.NOTE, Fraction(-1, 1039), 60),
+        (TokenKind.NOTE, Fraction(1, 1039), 128), (TokenKind.NOTE, Fraction(1, 1039), None),
+        (TokenKind.NOTE, Fraction(1, 1039), 60.5), (TokenKind.REST, Fraction(1, 1039), 60),
+        (TokenKind.REST, Fraction(1, 1039), None, True), (TokenKind.NOTE, float("inf"), 60),
+        (TokenKind.NOTE, float("nan"), 60), (TokenKind.NOTE, "1/1039", 60),
+    ], ids=repr)
+    def test_a_failed_build_raises_and_adds_no_entry(self, fields):
+        from lyricmelody import melody
+
+        before = dict(melody._TOKENS)
+        with pytest.raises((ValueError, OverflowError, TypeError)):
+            MelodyToken(*fields)
+        assert melody._TOKENS == before
+        with pytest.raises(ValueError):
+            RhythmToken(TokenKind.NOTE, Fraction(-1, 1039))
+        assert melody._TOKENS == before
 
 
 class TestMelodyInvariants:
