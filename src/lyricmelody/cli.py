@@ -111,12 +111,15 @@ def _manifest(command: str, inputs: dict, config: RewardConfig, config_path: Opt
 
 
 def _parse_time_signature(text: str) -> tuple[int, int]:
+    num, _, den = text.partition("/")
     try:
-        num, den = (int(part) for part in text.split("/"))
-        check_meter((num, den))
+        if not (text.isascii() and num.isdigit() and den.isdigit()):
+            raise ValueError("parts must be ASCII digits")
+        meter = (int(num), int(den))
+        check_meter(meter)
     except ValueError as exc:
         raise InputError(f"bad time signature {text!r} ({exc}), expected e.g. 4/4") from exc
-    return (num, den)
+    return meter
 
 
 def _format_value(value) -> str:

@@ -5,7 +5,8 @@ note itself: ``syllable_start=True`` opens the span of the next syllable,
 ``False`` continues the current one.  A rest closes whatever span is open
 and belongs to no syllable, so the syllable-to-note alignment is recoverable
 by a single scan and is recomputed (and validated) whenever a Melody is
-constructed.
+constructed, as is the meter (:func:`check_meter`): nothing that takes a
+Melody checks either again.
 
 Durations and onsets are exact rationals in quarter-note units; nothing in
 this module touches floats.
@@ -61,6 +62,8 @@ def _token(cls, kind, duration, pitch=None, syllable_start=False):
     token = _TOKENS.get((cls, kind, num, den, pitch, syllable_start))
     if token is not None:
         return token
+    if type(kind) is not TokenKind:
+        raise TypeError(f"token kind must be a TokenKind, got {kind!r}")
     if num <= 0:
         raise ValueError(f"token duration must be positive, got {duration}")
     if cls is MelodyToken and kind is TokenKind.NOTE:
@@ -147,9 +150,9 @@ class Melody:
     ``alignment[k]`` is the half-open token-index span of syllable ``k``'s
     notes.  Construction enforces the stream grammar: starts with a
     syllable-opening note, continuations only while a span is open, no two
-    rests in a row.  The tokens and the meter are stored as tuples, so equal
-    melodies compare and hash alike however they were given.  Immutable
-    after construction.
+    rests in a row, and a meter :func:`check_meter` accepts (ValueError).
+    The tokens and the meter are stored as tuples, so equal melodies compare
+    and hash alike however they were given.  Immutable after construction.
     """
 
     tokens: tuple[MelodyToken, ...]
@@ -159,11 +162,9 @@ class Melody:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "time_signature", tuple(self.time_signature))
+        check_meter(self.time_signature)
         if not self.tokens:
             raise AlignmentError("melody has no tokens")
-        num, den = self.time_signature
-        if num < 1 or den < 1:
-            raise ValueError(f"bad time signature {self.time_signature}")
         spans: list[tuple[int, int]] = []
         open_start: Optional[int] = None
         prev_rest = False
@@ -227,14 +228,16 @@ def strong_offsets(time_signature: tuple[int, int]) -> frozenset[Fraction]:
 
 
 def check_meter(time_signature: tuple[int, int]) -> None:
-    """The meter rule that decoding, scoring and MIDI writing share: both
-    parts at least 1, and parts a MIDI time-signature event can hold (a
-    numerator of at most 255, a power-of-two denominator up to 2**255;
-    other denominators are not metrically meaningful here).  Raises
-    ValueError."""
+    """The meter rule that every :class:`Melody` (so scoring and MIDI writing)
+    and every decode share: both parts ``int`` (not bool) and at least 1,
+    and parts a MIDI time-signature event can hold (a numerator of at most
+    255, a power-of-two denominator up to 2**255; other denominators are not
+    metrically meaningful here).  Raises ValueError."""
     num, den = time_signature
+    if type(num) is not int or type(den) is not int:
+        raise ValueError(f"unsupported meter {num!r}/{den!r}: both parts must be integers")
     if num < 1 or den < 1:
-        raise ValueError(f"unsupported meter {num}/{den}: both parts must be at least 1")
+        raise ValueError(f"unsupported meter {num}/{den}: time signature parts must be at least 1")
     if num > 255:
         raise ValueError(f"unsupported meter {num}/{den}: numerator must be at most 255")
     if den & (den - 1) != 0 or den.bit_length() > 256:
@@ -250,9 +253,8 @@ def _tick_clock(time_signature: tuple[int, int], tokens: Sequence) -> tuple[int,
     A quarter holds the lcm of the bar's and every token duration's
     denominator in ticks, so every onset is a whole number of ticks.  A
     strong offset that is not a whole tick is never an onset and is left
-    out.  Raises ValueError for a meter :func:`check_meter` rejects.
+    out.  The meter is a Melody's or a decode's, so :func:`check_meter` passed it.
     """
-    check_meter(time_signature)
     num, den = time_signature
     bar = Fraction(4 * num, den)
     scale = lcm(bar.denominator, *{t.duration.denominator for t in tokens})
@@ -296,10 +298,6 @@ def melody_from_json(source: str) -> Melody:
                 tokens.append(MelodyToken(kind, duration, pitch, start))
             else:
                 tokens.append(MelodyToken(kind, duration))
-        num, den = doc.get("time_signature", [4, 4])
-        if type(num) is not int or type(den) is not int:
-            raise ValueError(f"time signature parts must be integers, got {num!r}/{den!r}")
-        check_meter((num, den))
-        return Melody(tuple(tokens), (num, den))
+        return Melody(tuple(tokens), doc.get("time_signature", (4, 4)))
     except (KeyError, TypeError, ValueError) as exc:
         raise MidiFormatError(f"invalid melody JSON: {exc}") from exc

@@ -36,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import AlignmentError
 from .lyrics import LyricSequence, _repeat_anchors
 from .melody import Melody
-from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, reward_events
+from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, _check_aligned, reward_events
 
 __all__ = [
     "EvaluationReport",
@@ -87,13 +86,6 @@ class EvaluationReport:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
-
-
-def _check_aligned(lyrics: LyricSequence, melody: Melody) -> None:
-    if melody.syllable_count != len(lyrics):
-        raise AlignmentError(
-            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
-        )
 
 
 def histogram_similarity(a: Sequence, b: Sequence) -> float:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import MidiFormatError
 from .lyrics import LyricSequence
-from .melody import Melody, MelodyToken, TokenKind, check_meter
+from .melody import Melody, MelodyToken, TokenKind
 
 __all__ = ["read_midi", "write_midi", "TICKS_PER_QUARTER"]
 
@@ -66,8 +66,7 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
 
     With ``lyrics`` given, syllable texts are embedded at syllable-starting
     notes (counts must match).  Every duration must be representable in
-    whole ticks, and the meter must pass
-    :func:`~lyricmelody.melody.check_meter`.
+    whole ticks; the meter is one a Melody holds, so one the file can hold.
     """
     if lyrics is not None and melody.syllable_count != len(lyrics):
         raise MidiFormatError(
@@ -80,10 +79,6 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
             raise MidiFormatError(f"duration {duration} is not a whole number of ticks")
         return int(t)
 
-    try:
-        check_meter(melody.time_signature)
-    except ValueError as exc:
-        raise MidiFormatError(str(exc)) from None
     num, den = melody.time_signature
     track = bytearray()
     track += _encode_vlq(0) + bytes([0xFF, 0x58, 0x04, num, den.bit_length() - 1, 24, 8])

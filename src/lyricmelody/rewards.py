@@ -741,6 +741,12 @@ class _EventModel:
         return events
 
 
+def _check_aligned(lyrics: LyricSequence, melody: Melody) -> None:
+    if melody.syllable_count != len(lyrics):
+        raise AlignmentError(f"melody covers {melody.syllable_count} syllables, "
+                             f"lyrics have {len(lyrics)}")
+
+
 #: (lyrics, config, model, melody, events) of the last pair reward_events folded
 _memo: tuple = (None, None, None, None, ())
 
@@ -763,10 +769,7 @@ def reward_events(
     meter reuse its model.  The memo is one tuple replaced whole: thread-safe.
     """
     global _memo
-    if melody.syllable_count != len(lyrics):
-        raise AlignmentError(
-            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
-        )
+    _check_aligned(lyrics, melody)
     last_lyrics, last_config, model, last_melody, events = _memo
     same_sheet = last_lyrics is lyrics and last_config is config
     if same_sheet and last_melody is melody:

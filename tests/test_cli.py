@@ -142,7 +142,8 @@ class TestGenerate:
         assert "model file" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("meter", ["4/6", "4/0", "0/4", "-4/4", "x/4", "300/4"])
+    @pytest.mark.parametrize("meter", ["4/6", "4/0", "0/4", "-4/4", "x/4", "300/4",
+                                       "٤/٤", "+4/4", "0_4/4", "4/ 4"])
     def test_bad_time_signature_exit_one_before_decoding(
         self, workspace, model_path, tmp_path, capsys, meter
     ):

@@ -519,7 +519,8 @@ class TestInvariants:
         with pytest.raises(OptionError):
             DecodeOptions(rerank_candidates=0)
 
-    @pytest.mark.parametrize("meter", [(4, 6), (3, 12), (0, 4), (4, 0), (-2, 4), (300, 4)])
+    @pytest.mark.parametrize("meter", [(4, 6), (3, 12), (0, 4), (4, 0), (-2, 4), (300, 4),
+                                       (4.0, 4), (True, 4), (4, 4.0)])
     def test_bad_time_signature_rejected(self, meter):
         with pytest.raises(OptionError):
             DecodeOptions(time_signature=meter)

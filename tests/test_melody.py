@@ -224,6 +224,24 @@ class TestInterning:
             RhythmToken(TokenKind.NOTE, Fraction(-1, 1039))
         assert melody._TOKENS == before
 
+    @pytest.mark.parametrize("cls, fields", [
+        (MelodyToken, ("rest", 1)), (MelodyToken, (None, 1)), (RhythmToken, ("note", 1, True)),
+    ], ids=repr)
+    def test_kind_other_than_a_token_kind_rejected(self, cls, fields):
+        # a string kind used to build a token that is neither note nor rest,
+        # which a Melody read as a pitchless continuation note
+        import copy
+        import pickle
+
+        from lyricmelody import melody
+
+        before = dict(melody._TOKENS)
+        with pytest.raises(TypeError, match="must be a TokenKind"):
+            cls(*fields)
+        assert melody._TOKENS == before
+        token = cls(TokenKind.REST, 1)
+        assert copy.deepcopy(token) is token and pickle.loads(pickle.dumps(token)) is token
+
 
 class TestMelodyInvariants:
     def test_alignment_derived(self):
@@ -243,6 +261,13 @@ class TestMelodyInvariants:
     def test_continuation_after_rest_rejected(self):
         with pytest.raises(AlignmentError):
             mk_melody([(60, 1), ("r", 1), (62, 1, False)])
+
+    @pytest.mark.parametrize("meter", [
+        (4, 6), (0, 4), (300, 4), (4, 2 ** 256), (True, 4), (4.0, 4), (4, 4.0)], ids=repr)
+    def test_meter_check_meter_rejects_never_builds(self, meter):
+        # so nothing that takes a Melody (MIDI writing, the fold) checks it again
+        with pytest.raises(ValueError, match="unsupported meter"):
+            mk_melody([(60, 1), (62, 1)], meter)
 
     def test_total_duration(self):
         m = mk_melody([(60, "1/2"), ("r", "3/2"), (62, 2)])
@@ -340,9 +365,9 @@ class TestBeatGrid:
         assert list(grid.strengths) == [S, W, W, S, W]
 
     def test_non_power_of_two_denominator_rejected(self):
-        m = mk_melody([(60, 1)], (4, 6))
+        # a Melody holds no such meter, so no beat grid is ever asked of one
         with pytest.raises(ValueError, match="unsupported meter"):
-            compute_beat_grid(m)
+            mk_melody([(60, 1)], (4, 6))
 
     def test_onsets_are_monotone_positions_mod_bar(self, rng):
         from lyricmelody.synthetic import random_training_melody

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lyricmelody import InputError, Melody, MidiFormatError, parse_lyrics, read_midi, write_midi
+from lyricmelody import (InputError, Melody, MidiFormatError, evaluate_pair, melody_from_json,
+                         melody_to_json, parse_lyrics, read_midi, write_midi)
 from lyricmelody.midi import TICKS_PER_QUARTER, _encode_vlq
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from conftest import mk_melody
@@ -27,9 +28,10 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("meter", [(4, 6), (300, 4), (4, 2 ** 256)])
     def test_meter_a_file_cannot_hold_rejected(self, meter):
-        # the numerator and the denominator's exponent are one byte each
-        with pytest.raises(MidiFormatError, match="unsupported meter"):
-            write_midi(mk_melody([(60, 1), (62, 1)], meter))
+        # the numerator and the denominator's exponent are one byte each, and
+        # a Melody holds no meter a file cannot, so none reaches write_midi
+        with pytest.raises(ValueError, match="unsupported meter"):
+            mk_melody([(60, 1), (62, 1)], meter)
 
     def test_lyrics_attached_at_syllable_starts(self):
         lyr = parse_lyrics("ni3|W hao3|I .")
@@ -161,6 +163,37 @@ class TestForeignFiles:
 
 class TestFuzzAgainstReference:
     METERS = [(4, 4), (3, 4), (6, 8), (2, 2)]
+    #: meter parts to draw from: some a file can hold, and 0, 3 and 6 (no
+    #: denominator), 256 and 2**256 (too big), bools, floats and a negative
+    METER_PARTS = [1, 2, 4, 6, 8, 255, 2 ** 255, 0, 3, 256, 2 ** 256, True, False, 4.0, -4]
+
+    def test_seeded_meters_never_build_or_round_trip(self, config):
+        """Seeded meters beside ``METERS``: a Melody refuses each meter a MIDI
+        file cannot hold with ValueError, and one in any other meter comes
+        back equal, meter included, through MIDI and through JSON, and
+        evaluates alike."""
+        rng = random.Random(11)
+        built = 0
+        for n in range(120):
+            meter = self.METERS[n % 4] if n % 3 == 0 else (
+                rng.choice(self.METER_PARTS), rng.choice(self.METER_PARTS))
+            num, den = meter
+            holdable = (type(num) is int and type(den) is int and 1 <= num <= 255
+                        and den in {2 ** e for e in range(256)})
+            lyr = random_lyrics(rng, sentences=1 + n % 2, tonal=n % 2 == 0, repeat=n % 3 == 0)
+            tokens = random_aligned_melody(lyr, rng).tokens
+            if not holdable:
+                with pytest.raises(ValueError, match="unsupported meter"):
+                    Melody(tokens, meter)
+                continue
+            melody = Melody(tokens, meter)
+            report = evaluate_pair(lyr, melody, config)
+            for back in (read_midi(write_midi(melody, lyr)),
+                         melody_from_json(melody_to_json(melody))):
+                assert back == melody and back.time_signature == meter, (n, meter)
+                assert evaluate_pair(lyr, back, config) == report, (n, meter)
+            built += 1
+        assert 50 < built < 100
 
     def test_byte_mutations(self):
         """Seeded single-byte replacements, deletions and insertions of
