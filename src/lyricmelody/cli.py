@@ -223,13 +223,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _evaluate_one(lyrics_path: Path, midi_path: Path, config: RewardConfig) -> EvaluationReport:
     lyrics = parse_lyrics(_read_text(lyrics_path))
     melody = read_midi(midi_path.read_bytes())
-    if melody.syllable_count != len(lyrics):
-        mismatch = min(melody.syllable_count, len(lyrics))
-        raise AlignmentError(
-            f"{midi_path.name}: alignment fails at syllable {mismatch} "
-            f"({melody.syllable_count} melody syllables vs {len(lyrics)} lyric syllables)"
-        )
-    return evaluate_pair(lyrics, melody, config)
+    try:
+        return evaluate_pair(lyrics, melody, config)
+    except AlignmentError as exc:  # named by file, so directory mode names the pair
+        raise AlignmentError(f"{midi_path.name}: {exc}") from None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -132,21 +132,23 @@ class DecodeOptions:
     active: frozenset[Aspect] = ALL_ASPECTS
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise OptionError(f"beam_width must be >= 1, got {self.beam_width}")
-        if self.top_k < 1:
-            raise OptionError(f"top_k must be >= 1, got {self.top_k}")
-        if self.temperature <= 0:
-            raise OptionError(f"temperature must be positive, got {self.temperature}")
-        if self.rerank_candidates < 1:
-            raise OptionError(f"rerank_candidates must be >= 1, got {self.rerank_candidates}")
-        if self.max_notes_per_syllable < 1:
-            raise OptionError("max_notes_per_syllable must be >= 1")
-        object.__setattr__(self, "time_signature", tuple(self.time_signature))
-        try:
-            check_meter(self.time_signature)
-        except ValueError as exc:
-            raise OptionError(str(exc)) from None
+        for name in ("beam_width", "top_k", "rerank_candidates", "max_notes_per_syllable"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a bool is an int, and counts no moves
+                raise OptionError(f"{name} must be an integer >= 1, got {value!r}")
+        t = self.temperature
+        if isinstance(t, bool) or not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
+            raise OptionError(f"temperature must be a finite positive number, got {t!r}")
+        if type(self.mode) is not DecodeMode:
+            raise OptionError(f"mode must be a DecodeMode, got {self.mode!r}")
+        if not (isinstance(self.active, (set, frozenset)) and self.active <= ALL_ASPECTS):
+            raise OptionError(f"active must be a set of Aspects, got {self.active!r}")
+        try:  # a pair, then the meter rule
+            meter = tuple(self.time_signature)
+            check_meter(meter)
+        except (TypeError, ValueError) as exc:
+            raise OptionError(f"time_signature {self.time_signature!r}: {exc}") from None
+        object.__setattr__(self, "time_signature", meter)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,7 @@ class _Context(_EventModel):
         out: list[tuple] = []
         if st.syl + 1 < self.n:
             out.extend(groups.starts)
-        if st.syl >= 0 and st.span_open:
+        if st.span_open:
             if len(st.span_pitches) < self.options.max_notes_per_syllable:
                 out.extend(groups.continuations)
             out.extend(groups.rests)

@@ -60,6 +60,8 @@ class Tone(Enum):
     UNSTRESSED = "unstressed"
     NONE = "none"
 
+    __hash__ = object.__hash__  # in C, for the harmony cells' and allowed sets' lookups
+
 
 #: The tones that participate in shape/transition scoring.
 TONAL_TONES = frozenset(
@@ -282,8 +284,6 @@ def parse_lyrics(source: str) -> LyricSequence:
             raise LyricFormatError(f"line {lineno}: first syllable of a sentence must carry W")
         raw_sentences.append((detect_intonation(terminator), parsed))
 
-    if not raw_sentences:
-        raise LyricFormatError("no sentences found in lyrics input")
     if saw_digit and saw_apostrophe:
         raise LyricFormatError("tonal and stress-accent tone marks mixed in one input")
     language = Language.TONAL if saw_digit else Language.STRESS_ACCENT
@@ -387,6 +387,15 @@ def lyrics_to_json(lyrics: LyricSequence) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)
 
 
+def _check_keys(obj, keys, where: str) -> None:
+    """ValueError unless ``obj`` is a JSON object with no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(str(key) for key in obj if key not in keys)
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}")
+
+
 def lyrics_from_json(source: str) -> LyricSequence:
     """Parse the JSON mirror of the annotated-lyrics format."""
     try:
@@ -394,13 +403,17 @@ def lyrics_from_json(source: str) -> LyricSequence:
     except json.JSONDecodeError as exc:
         raise LyricFormatError(f"invalid lyrics JSON: {exc}") from exc
     try:
+        _check_keys(doc, {"language", "sentences"}, "document")
         language = Language(doc["language"])
         sentences = []
         for sent in doc["sentences"]:
-            parsed = [(s["text"], Tone(s.get("tone", "none")),
-                       WordPosition(s["word_position"]),
-                       StressClass(s.get("stress_class", "neutral")))
-                      for s in sent["syllables"]]
+            _check_keys(sent, {"intonation", "syllables"}, "sentence")
+            parsed = []
+            for s in sent["syllables"]:
+                _check_keys(s, {"text", "tone", "word_position", "stress_class"}, "syllable")
+                parsed.append((s["text"], Tone(s.get("tone", "none")),
+                               WordPosition(s["word_position"]),
+                               StressClass(s.get("stress_class", "neutral"))))
             sentences.append((Intonation(sent.get("intonation", "neutral")), parsed))
     except (KeyError, TypeError, ValueError) as exc:
         raise LyricFormatError(f"lyrics JSON schema violation: {exc}") from exc

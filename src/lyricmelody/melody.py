@@ -26,6 +26,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import AlignmentError, MidiFormatError
+from .lyrics import LyricSequence, _check_keys
 
 __all__ = [
     "TokenKind",
@@ -150,7 +151,8 @@ class Melody:
     ``alignment[k]`` is the half-open token-index span of syllable ``k``'s
     notes.  Construction enforces the stream grammar: starts with a
     syllable-opening note, continuations only while a span is open, no two
-    rests in a row, and a meter :func:`check_meter` accepts (ValueError).
+    rests in a row, no token but a :class:`MelodyToken` (TypeError), and a
+    meter :func:`check_meter` accepts (ValueError).
     The tokens and the meter are stored as tuples, so equal melodies compare
     and hash alike however they were given.  Immutable after construction.
     """
@@ -169,6 +171,8 @@ class Melody:
         open_start: Optional[int] = None
         prev_rest = False
         for idx, tok in enumerate(self.tokens):
+            if type(tok) is not MelodyToken:  # a rhythm token has no pitch to sound
+                raise TypeError(f"melody token {idx} must be a MelodyToken, got {tok!r}")
             if tok.kind is TokenKind.REST:
                 if idx == 0:
                     raise AlignmentError("melody must not begin with a rest")
@@ -191,8 +195,6 @@ class Melody:
                     )
         if open_start is not None:
             spans.append((open_start, len(self.tokens)))
-        if not spans:
-            raise AlignmentError("melody contains no syllable-starting note")
         object.__setattr__(self, "alignment", tuple(spans))
 
     @property
@@ -208,6 +210,13 @@ class Melody:
 
     def total_duration(self) -> Fraction:
         return sum((t.duration for t in self.tokens), Fraction(0))
+
+
+def _check_aligned(lyrics: LyricSequence, melody: Melody) -> None:
+    """The one alignment rule: a melody covers each lyric syllable once."""
+    if melody.syllable_count != len(lyrics):
+        raise AlignmentError(f"alignment fails: {melody.syllable_count} melody syllables "
+                             f"vs {len(lyrics)} lyric syllables")
 
 
 class BeatStrength(Enum):
@@ -285,11 +294,13 @@ def melody_from_json(source: str) -> Melody:
 
     try:
         doc = json.loads(source)
+        _check_keys(doc, {"time_signature", "tokens"}, "document")
         tokens = []
-        for t in doc["tokens"]:
+        for i, t in enumerate(doc["tokens"]):
             kind = TokenKind(t["kind"])
             duration = _duration(t["duration"])
             if kind is TokenKind.NOTE:
+                _check_keys(t, {"kind", "duration", "pitch", "syllable_start"}, f"token {i}")
                 # a bool is an int, and int() would truncate a float pitch
                 pitch, start = t["pitch"], t["syllable_start"]
                 if type(pitch) is not int or type(start) is not bool:
@@ -297,6 +308,7 @@ def melody_from_json(source: str) -> Melody:
                                      f"syllable_start, got {pitch!r} and {start!r}")
                 tokens.append(MelodyToken(kind, duration, pitch, start))
             else:
+                _check_keys(t, {"kind", "duration"}, f"token {i}")
                 tokens.append(MelodyToken(kind, duration))
         return Melody(tuple(tokens), doc.get("time_signature", (4, 4)))
     except (KeyError, TypeError, ValueError) as exc:

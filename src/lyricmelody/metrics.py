@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lyrics import LyricSequence, _repeat_anchors
-from .melody import Melody
-from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, _check_aligned, reward_events
+from .melody import Melody, _check_aligned
+from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, reward_events
 
 __all__ = [
     "EvaluationReport",
@@ -122,7 +122,7 @@ def melody_distance(a: Sequence[int], b: Sequence[int]) -> float:
     return cost / length
 
 
-def _sentence_notes(lyrics: LyricSequence, melody: Melody, sent) -> tuple[list[int], list]:
+def _sentence_notes(melody: Melody, sent) -> tuple[list[int], list]:
     pitches: list[int] = []
     durations: list = []
     for k in range(*sent.span):
@@ -140,8 +140,8 @@ def structure_similarity(
     _check_aligned(lyrics, melody)
     pds, dds, mds = [], [], []
     for anchor, sent in _repeat_anchors(lyrics):
-        pitches_a, durs_a = _sentence_notes(lyrics, melody, anchor)
-        pitches_b, durs_b = _sentence_notes(lyrics, melody, sent)
+        pitches_a, durs_a = _sentence_notes(melody, anchor)
+        pitches_b, durs_b = _sentence_notes(melody, sent)
         pds.append(histogram_similarity(pitches_a, pitches_b))
         dds.append(histogram_similarity(durs_a, durs_b))
         mds.append(melody_distance(pitches_a, pitches_b))

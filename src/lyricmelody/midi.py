@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import MidiFormatError
 from .lyrics import LyricSequence
-from .melody import Melody, MelodyToken, TokenKind
+from .melody import Melody, MelodyToken, TokenKind, _check_aligned
 
 __all__ = ["read_midi", "write_midi", "TICKS_PER_QUARTER"]
 
@@ -65,13 +65,11 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
     """Serialize a melody to SMF format 0 at 480 TPQ.
 
     With ``lyrics`` given, syllable texts are embedded at syllable-starting
-    notes (counts must match).  Every duration must be representable in
+    notes (counts must match, else AlignmentError).  Every duration must be representable in
     whole ticks; the meter is one a Melody holds, so one the file can hold.
     """
-    if lyrics is not None and melody.syllable_count != len(lyrics):
-        raise MidiFormatError(
-            f"melody covers {melody.syllable_count} syllables, lyrics have {len(lyrics)}"
-        )
+    if lyrics is not None:
+        _check_aligned(lyrics, melody)
 
     def ticks(duration: Fraction) -> int:
         t = duration * TICKS_PER_QUARTER
@@ -239,16 +237,12 @@ def read_midi(data: bytes) -> Melody:
         elif kind == _OFF:
             if active is None or active[0] != value:
                 raise MidiFormatError(f"unmatched note-off for pitch {value} at tick {tick}")
-            if tick <= active[1]:
-                raise MidiFormatError(f"zero-length note at tick {active[1]}")
             notes.append((active[1], tick, active[0]))
             active = None
         elif kind == _END:
             end_tick = tick
     if active is not None:
         raise MidiFormatError(f"note {active[0]} never receives a note-off")
-    if not notes:
-        raise MidiFormatError("no complete notes in melodic track")
 
     durations: dict[int, Fraction] = {}
 

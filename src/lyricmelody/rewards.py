@@ -22,10 +22,12 @@ steps a frozen :class:`_State` that hypotheses share with
 :meth:`_EventModel.fold`, a fast loop over local mutable state that applies
 the same rules through the same tables and fires every aspect, so a decode
 and the rescoring of its output fire the same events in the same order;
-only the plan reads the model's active aspects.  :func:`reward_events`
-memoises its last pair, keyed on the identity of the lyrics, config and
-melody and holding them strongly; a hit returns a fresh copy of the events,
-and threads may share the memo.  So
+only the plan reads the model's active aspects.  Each rule is written once:
+the plan and the fold close a span by :meth:`_EventModel._close`, and the
+model picks each gap's pause events by :func:`boundary_kind`.
+:func:`reward_events` memoises its last pair, keyed on the identity of the
+lyrics, config and melody and holding them strongly; a hit returns a fresh
+copy of the events, and threads may share the memo.  So
 :func:`~lyricmelody.metrics.evaluate_pair` followed by :func:`score_rewards`
 on the same objects builds one model and folds once.  The model reads a
 token's ``is_note``, ``syllable_start``, ``pitch`` and ``duration`` only, so
@@ -63,7 +65,7 @@ from importlib import resources
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import AlignmentError, ConfigError
+from .errors import ConfigError
 from .lyrics import (
     Intonation,
     LyricSequence,
@@ -73,7 +75,7 @@ from .lyrics import (
     WordPosition,
     build_structure_matrix,
 )
-from .melody import BeatStrength, Melody, _duration, _tick_clock, strong_offsets
+from .melody import BeatStrength, Melody, _check_aligned, _duration, _tick_clock, strong_offsets
 from .scorer import END
 
 __all__ = [
@@ -206,13 +208,7 @@ class RewardConfig:
         for name in ("lambda_tone", "lambda_rhythm", "lambda_structure"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        order = [
-            HarmonyDegree.EXCELLENT,
-            HarmonyDegree.GOOD,
-            HarmonyDegree.FAIR,
-            HarmonyDegree.BAD,
-        ]
-        values = [self.transition_rewards[d] for d in order]
+        values = [self.transition_rewards[d] for d in HarmonyDegree]  # excellent to bad
         if any(a < b for a, b in zip(values, values[1:])):
             raise ConfigError("transition rewards must not increase from excellent to bad")
         if self.long_note_threshold <= 0:
@@ -322,6 +318,8 @@ class BoundaryKind(Enum):
     WORD_INNER = "word_inner"
     WORD_BOUNDARY = "word_boundary"
     SENTENCE_BOUNDARY = "sentence_boundary"
+
+    __hash__ = object.__hash__  # in C, for the event table's gap lookups
 
 
 def boundary_kind(lyrics: LyricSequence, k: int) -> BoundaryKind:
@@ -466,9 +464,7 @@ class _State:
     onset: Fraction = Fraction(0)
     syl: int = -1
     span_open: bool = False
-    span_pitches: tuple = ()
-    first_pitch: Optional[int] = None  # the current syllable's first pitch
-    last_pitch: Optional[int] = None
+    span_pitches: tuple = (None,)  # the current or last syllable's; no pitch before one
     last_duration: Optional[Fraction] = None
     syl_delta: tuple = ()
     sent_first: Optional[int] = None
@@ -528,13 +524,10 @@ class _EventModel:
         self.strong = strong_offsets(time_signature)
         table = config._events
         cells = table.cells
-        keyword, auxiliary = table.keyword, table.auxiliary
-        # the pause pairs of the three gap kinds, picked as boundary_kind picks them
-        sentence_gap, word_gap, inner_gap = (table.gaps[kind] for kind in (
-            BoundaryKind.SENTENCE_BOUNDARY, BoundaryKind.WORD_BOUNDARY, BoundaryKind.WORD_INNER))
+        keyword, auxiliary, gaps = table.keyword, table.auxiliary, table.gaps
         tone, final_intonation, new_sentence, cell, sw, pause = [], [], [], [], [], []
         prev = None
-        for syl in lyrics.syllables:
+        for k, syl in enumerate(lyrics.syllables):
             new = prev is None or syl.sentence_index != prev.sentence_index
             word_start = syl.word_position is WordPosition.WORD_START
             tone.append(syl.tone)
@@ -547,26 +540,29 @@ class _EventModel:
             stress = syl.stress_class if word_start else StressClass.NEUTRAL
             sw.append(keyword if stress is StressClass.KEYWORD
                       else auxiliary if stress is StressClass.AUXILIARY else None)
-            pause.append(None if prev is None else sentence_gap if new
-                         else word_gap if word_start else inner_gap)
+            pause.append(None if prev is None else gaps[boundary_kind(lyrics, k)])
             prev = syl
         self.tone, self.final_intonation, self.new_sentence = tone, final_intonation, new_sentence
         self.cell, self.sw, self.pause = cell, sw, pause
 
+    def _close(self, out: list, at, syl: int, span: Sequence, sent_first) -> None:
+        """Append ``(at, event)`` to ``out`` for each shape and contour event of
+        closing syllable ``syl`` on pitches ``span``, its sentence opened at ``sent_first``."""
+        table = self.config._events
+        if len(span) >= 2:
+            matched = _shape_matches(self.tone[syl], span)
+            if matched is not None:
+                out.append((at, table.shape[matched]))
+        intonation = self.final_intonation[syl]
+        if intonation is not None:
+            out.append((at, table.contour[contour_matches(intonation, sent_first, span[-1])]))
+
     def _close_events(self, st: _State) -> list[RewardEvent]:
         """The shape and contour events of closing the open span of ``st``."""
-        if st.syl < 0 or not st.span_open:
-            return []
-        table = self.config._events
-        events = []
-        if len(st.span_pitches) >= 2:
-            matched = _shape_matches(self.tone[st.syl], st.span_pitches)
-            if matched is not None:
-                events.append(table.shape[matched])
-        intonation = self.final_intonation[st.syl]
-        if intonation is not None:
-            events.append(table.contour[contour_matches(intonation, st.sent_first, st.last_pitch)])
-        return events
+        out: list = []
+        if st.span_open:
+            self._close(out, None, st.syl, st.span_pitches, st.sent_first)
+        return [ev for _, ev in out]
 
     @staticmethod
     def signature(token):
@@ -599,15 +595,16 @@ class _EventModel:
             if st.span_open:
                 # no rest resolved this gap; a long final note still pauses
                 middle.append(self.pause[k][st.last_duration >= config.long_note_threshold])
+        first, last = st.span_pitches[0], st.span_pitches[-1]
         partner_delta = None
         if self.structure_on:
             j = self.partner.get(k)
-            if j is not None and st.last_pitch is not None:
+            if j is not None and last is not None:
                 partner_delta = st.syl_delta[j]
         cell = self.cell[k] if self.tone_on else None
         # strong/weak and pause are rhythm events
         terms = tuple((config.lambda_rhythm * ev.value, not ev.is_maximal) for ev in middle)
-        return _Plan(end, rest, cell, st.first_pitch, partner_delta, st.last_pitch, terms)
+        return _Plan(end, rest, cell, first, partner_delta, last, terms)
 
     def complete(self, plan: _Plan, pitch) -> tuple[float, bool]:
         """(running reward, masked) after a start at ``pitch``: the plan's
@@ -636,14 +633,13 @@ class _EventModel:
             return replace(st, onset=st.onset + duration, span_open=False)
         if token.syllable_start:
             k = st.syl + 1
-            delta = None if st.last_pitch is None or pitch is None else pitch - st.last_pitch
+            last = st.span_pitches[-1]
+            delta = None if last is None or pitch is None else pitch - last
             return _State(
                 onset=st.onset + duration,
                 syl=k,
                 span_open=True,
                 span_pitches=(pitch,),
-                first_pitch=pitch,
-                last_pitch=pitch,
                 last_duration=duration,
                 syl_delta=st.syl_delta + (delta,),
                 sent_first=pitch if self.new_sentence[k] else st.sent_first,
@@ -652,7 +648,6 @@ class _EventModel:
             st,
             onset=st.onset + duration,
             span_pitches=st.span_pitches + (pitch,),
-            last_pitch=pitch,
             last_duration=duration,
         )
 
@@ -667,12 +662,10 @@ class _EventModel:
         the long-note threshold are counted in integer ticks of the
         sequence's :func:`~lyricmelody.melody._tick_clock`.
         """
-        n = self.n
-        tone, final_intonation, new_sentence = self.tone, self.final_intonation, self.new_sentence
-        cells, sws, pauses, partner = self.cell, self.sw, self.pause, self.partner
+        n, partner = self.n, self.partner
+        new_sentence, cells, sws, pauses = self.new_sentence, self.cell, self.sw, self.pause
         table = self.config._events
-        shape_events, contour_events, echo_events, bad = (
-            table.shape, table.contour, table.structure, table.bad)
+        echo_events, bad, close = table.structure, table.bad, self._close
 
         scale, bar, strong = _tick_clock(self.time_signature, tokens)
         threshold = self.config.long_note_threshold
@@ -682,26 +675,16 @@ class _EventModel:
         onset = 0
         syl = -1
         span_open = False
-        span: list[int] = []  # the open span's pitches
-        first_pitch = last_pitch = last_ticks = sent_first = None
+        span: list[int] = []  # the current (or last closed) syllable's pitches
+        last_pitch = last_ticks = sent_first = None
         syl_delta: list[Optional[int]] = []  # per syllable, the jump into it
-
-        def close(anchor):
-            if len(span) >= 2:
-                matched = _shape_matches(tone[syl], span)
-                if matched is not None:
-                    events.append((anchor, shape_events[matched]))
-            intonation = final_intonation[syl]
-            if intonation is not None:
-                matched = contour_matches(intonation, sent_first, last_pitch)
-                events.append((anchor, contour_events[matched]))
 
         for i, token in enumerate(tokens):
             d = token.duration
             ticks = d.numerator * (scale // d.denominator)
             if not token.is_note:
                 if span_open:
-                    close(i)
+                    close(events, i, syl, span, sent_first)
                 if syl + 1 < n:
                     events.append((i, pauses[syl + 1][True]))
                 onset += ticks
@@ -714,11 +697,11 @@ class _EventModel:
                 last_pitch, last_ticks = pitch, ticks
                 continue
             if span_open:
-                close(i)
+                close(events, i, syl, span, sent_first)
             k = syl + 1
             cell = cells[k]
             if cell is not None:
-                events.append((i, _cell_degree(cell, pitch - first_pitch, bad)))
+                events.append((i, _cell_degree(cell, pitch - span[0], bad)))
             sw = sws[k]
             if sw is not None:
                 events.append((i, sw[onset % bar in strong]))
@@ -731,20 +714,14 @@ class _EventModel:
                 if j is not None and syl_delta[j] is not None:
                     events.append((i, echo_events[_echo(delta, syl_delta[j])]))
             onset += ticks
-            syl, span_open, span, first_pitch = k, True, [pitch], pitch
+            syl, span_open, span = k, True, [pitch]
             last_pitch, last_ticks = pitch, ticks
             if new_sentence[k]:
                 sent_first = pitch
             syl_delta.append(delta)
         if span_open:
-            close(None)
+            close(events, None, syl, span, sent_first)
         return events
-
-
-def _check_aligned(lyrics: LyricSequence, melody: Melody) -> None:
-    if melody.syllable_count != len(lyrics):
-        raise AlignmentError(f"melody covers {melody.syllable_count} syllables, "
-                             f"lyrics have {len(lyrics)}")
 
 
 #: (lyrics, config, model, melody, events) of the last pair reward_events folded

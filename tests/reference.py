@@ -174,7 +174,7 @@ def start_events(model, st, token):
     events = close_events(model, st)
     k = st.syl + 1
     if Aspect.TONE in active and model.cell[k] is not None:
-        jump = token.pitch - st.first_pitch
+        jump = token.pitch - st.span_pitches[0]
         graded = [ev for lo, hi, ev in model.cell[k] if lo <= jump <= hi]
         events.append(graded[0] if graded else RewardEvent(
             "transition", Aspect.TONE, config.transition_rewards[HarmonyDegree.BAD],
@@ -190,9 +190,9 @@ def start_events(model, st, token):
             long_note = st.last_duration >= config.long_note_threshold
             events.append(pause if long_note else no_pause)
     j = model.partner.get(k)
-    if (Aspect.STRUCTURE in active and j is not None and st.last_pitch is not None
+    if (Aspect.STRUCTURE in active and j is not None and st.span_pitches[-1] is not None
             and st.syl_delta[j] is not None):
-        delta, anchor = token.pitch - st.last_pitch, st.syl_delta[j]
+        delta, anchor = token.pitch - st.span_pitches[-1], st.syl_delta[j]
         events.append(RewardEvent("structure", Aspect.STRUCTURE,
                                   structure_reward(delta, anchor, config),
                                   config.structure_reward_exact, delta == anchor))

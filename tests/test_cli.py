@@ -132,7 +132,7 @@ class TestGenerate:
         assert "Traceback" not in err
         assert list(out_dir.iterdir()) == []
 
-    def test_non_object_model_file_exit_one(self, workspace, tmp_path, capsys):
+    def test_non_object_model_file_exit_one(self, workspace, model_path, tmp_path, capsys):
         model = tmp_path / "m.json"
         model.write_text("[1]", "utf-8")
         out = tmp_path / "x.mid"
@@ -140,6 +140,15 @@ class TestGenerate:
                      "-m", str(model), "-o", str(out)]) == 1
         err = capsys.readouterr().err
         assert "model file" in err and "Traceback" not in err
+        assert not out.exists()
+        # nor may a model of order 0 load, though no context of its is too long
+        doc = json.loads(model_path.read_text())
+        doc["token_model"].update(order=0, counts=[])
+        model.write_text(json.dumps(doc), "utf-8")
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"),
+                     "-m", str(model), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "order must be >= 1, got 0" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("meter", ["4/6", "4/0", "0/4", "-4/4", "x/4", "300/4",
@@ -261,11 +270,42 @@ class TestEvaluate:
         assert err.startswith("error: ") and "tonal sheet needs a syllable" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where, key", [
+        ("syllable", "stres_class"), ("sentence", "intonaton"), ("document", "title")])
+    def test_unknown_lyrics_json_key_exit_one(self, tmp_path, capsys, where, key):
+        # a misspelt optional key used to read as its default: a lost keyword
+        # or intonation
+        sentence = {"syllables": [{"text": "ni", "tone": "tone3", "word_position": "start"}]}
+        doc = {"language": "tonal", "sentences": [sentence]}
+        objects = {"document": doc, "sentence": sentence, "syllable": sentence["syllables"][0]}
+        objects[where][key] = "keyword"
+        lyrics = tmp_path / "s.json"
+        lyrics.write_text(json.dumps(doc), "utf-8")
+        midi = tmp_path / "s.mid"
+        midi.write_bytes(write_midi(mk_melody([(60, 1)])))
+        assert main(["evaluate", str(lyrics), str(midi)]) == 1
+        err = capsys.readouterr().err
+        assert f"{where} has unknown keys ['{key}']" in err and "Traceback" not in err
+
     def test_alignment_mismatch_exit_one(self, workspace, generated, tmp_path, capsys):
         wrong = tmp_path / "wrong.txt"
         wrong.write_text("ni3|W .\n", "utf-8")
         assert main(["evaluate", str(wrong), str(generated / "song_0.mid")]) == 1
         assert "alignment" in capsys.readouterr().err.lower()
+        # in directory mode the error names the file, and a lyric file must
+        # have a MIDI counterpart, and a directory a lyric file
+        lyrics_dir = tmp_path / "lyrics"
+        lyrics_dir.mkdir()
+        for midi_dir, message in [(generated, "song_0.mid: alignment fails: "),
+                                  (tmp_path, "no MIDI counterpart for song_0.txt in")]:
+            (lyrics_dir / "song_0.txt").write_text("ni3|W .\n", "utf-8")
+            assert main(["evaluate", str(lyrics_dir), str(midi_dir)]) == 1
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        (lyrics_dir / "song_0.txt").unlink()
+        assert main(["evaluate", str(lyrics_dir), str(generated)]) == 1
+        err = capsys.readouterr().err
+        assert f"no lyric files in {lyrics_dir}" in err and "Traceback" not in err
 
 
 class TestCompare:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -509,7 +510,9 @@ class TestInvariants:
         assert a.melody == b.melody
         assert a.score == b.score
 
-    def test_option_validation(self):
+    def test_option_validation(self, config, tiny_lyrics, uniform_scorer):
+        with pytest.raises(OptionError, match="two-stage decoding needs rhythm and pitch scorers"):
+            decode(tiny_lyrics, uniform_scorer, config, DecodeOptions(mode=DecodeMode.TWO_STAGE))
         with pytest.raises(OptionError):
             DecodeOptions(beam_width=0)
         with pytest.raises(OptionError):
@@ -518,12 +521,28 @@ class TestInvariants:
             DecodeOptions(top_k=0)
         with pytest.raises(OptionError):
             DecodeOptions(rerank_candidates=0)
+        with pytest.raises(OptionError):
+            DecodeOptions(max_notes_per_syllable=0)
 
     @pytest.mark.parametrize("meter", [(4, 6), (3, 12), (0, 4), (4, 0), (-2, 4), (300, 4),
                                        (4.0, 4), (True, 4), (4, 4.0)])
     def test_bad_time_signature_rejected(self, meter):
         with pytest.raises(OptionError):
             DecodeOptions(time_signature=meter)
+
+    # each of these used to build, or to raise a bare TypeError, KeyError or
+    # nothing until beam_search, sample or decode misread it
+    @pytest.mark.parametrize("name, value", [
+        ("beam_width", 2.5), ("beam_width", True), ("top_k", "3"), ("top_k", None),
+        ("rerank_candidates", True), ("max_notes_per_syllable", 1.5),
+        ("temperature", math.nan), ("temperature", math.inf), ("temperature", True),
+        ("temperature", "0.5"), ("mode", "beam"), ("mode", None),
+        ("active", {"tone"}), ("active", [Aspect.TONE]), ("active", "tone"),
+        ("time_signature", 4), ("time_signature", (4,)), ("time_signature", None),
+    ])
+    def test_ill_typed_option_rejected(self, name, value):
+        with pytest.raises(OptionError, match=name):
+            DecodeOptions(**{name: value})
 
     @pytest.mark.parametrize("decoder", [beam_search, rerank])
     def test_bad_meter_never_decodes(self, decoder, config, tiny_lyrics, uniform_scorer):

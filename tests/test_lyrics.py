@@ -1,6 +1,7 @@
 import json
 import random
 from copy import deepcopy
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from lyricmelody import (
     Intonation,
     Language,
     LyricFormatError,
+    LyricSequence,
     StressClass,
     StructureMatrix,
     Tone,
@@ -60,6 +62,8 @@ class TestParse:
     def test_malformed_line_names_line_number(self):
         with pytest.raises(LyricFormatError, match="line 2"):
             parse_lyrics("ni3|W .\nbroken .")
+        with pytest.raises(LyricFormatError, match="line 2: empty syllable text in '3|W'"):
+            parse_lyrics("ni3|W .\n3|W .")
 
     def test_missing_punctuation_rejected(self):
         with pytest.raises(LyricFormatError):
@@ -68,6 +72,16 @@ class TestParse:
     def test_sentence_must_open_with_word_start(self):
         with pytest.raises(LyricFormatError):
             parse_lyrics("ni3|I cai3|I .")
+        # nor may a sequence built directly misplace a syllable in its sentences
+        lyr = parse_lyrics("ni3|W cai3|I .")
+        for k, change, message in [
+            (1, {"sentence_index": 1}, "syllable 1 carries sentence index 1, expected 0"),
+            (0, {"sentence_final": True}, "syllable 0 has a wrong sentence_final flag"),
+        ]:
+            syllables = list(lyr.syllables)
+            syllables[k] = replace(syllables[k], **change)
+            with pytest.raises(LyricFormatError, match=message):
+                LyricSequence(tuple(syllables), lyr.sentences, lyr.language)
 
     def test_flag_e_only_sentence_final(self):
         with pytest.raises(LyricFormatError):
@@ -76,6 +90,8 @@ class TestParse:
     def test_unknown_flag_rejected(self):
         with pytest.raises(LyricFormatError, match="line 1"):
             parse_lyrics("ni3|W,Q .")
+        with pytest.raises(LyricFormatError, match="line 1: token 'ni3|W,K,A' is both keyword"):
+            parse_lyrics("ni3|W,K,A .")
 
     def test_blank_lines_skipped(self):
         lyr = parse_lyrics("ni3|W .\n\nhao3|W ?\n")

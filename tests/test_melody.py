@@ -242,6 +242,18 @@ class TestInterning:
         token = cls(TokenKind.REST, 1)
         assert copy.deepcopy(token) is token and pickle.loads(pickle.dumps(token)) is token
 
+    @pytest.mark.parametrize("tokens", [
+        (RhythmToken(TokenKind.NOTE, 1, True),),
+        (note(60, 1), RhythmToken(TokenKind.NOTE, 1, False)),
+        (note(60, 1), RhythmToken(TokenKind.REST, 1)),
+        (note(60, 1), (TokenKind.NOTE, 1, 62, True)),
+    ], ids=repr)
+    def test_token_other_than_a_melody_token_rejected(self, tokens):
+        # a rhythm token used to build, and write_midi and evaluate_pair then
+        # raised a bare TypeError on its missing pitch
+        with pytest.raises(TypeError, match="must be a MelodyToken"):
+            Melody(tokens)
+
 
 class TestMelodyInvariants:
     def test_alignment_derived(self):
@@ -253,6 +265,8 @@ class TestMelodyInvariants:
     def test_leading_rest_rejected(self):
         with pytest.raises(AlignmentError):
             mk_melody([("r", 1), (60, 1)])
+        with pytest.raises(AlignmentError, match="melody has no tokens"):
+            Melody(())
 
     def test_consecutive_rests_rejected(self):
         with pytest.raises(AlignmentError):
@@ -295,6 +309,16 @@ class TestMelodyInvariants:
         else:
             doc["tokens"][0][field] = value
         with pytest.raises(MidiFormatError, match=message):
+            melody_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where, key", [
+        (None, "time_signatur"), (0, "velocity"), (1, "pitch"), (1, "syllable_start"),
+    ])
+    def test_json_unknown_key_rejected(self, where, key):
+        # a misspelt meter used to load as 4/4; a rest has no pitch or start flag
+        doc = json.loads(melody_to_json(mk_melody([(60, 1), ("r", 1), (62, 1)], (3, 4))))
+        (doc if where is None else doc["tokens"][where])[key] = [3, 4] if where is None else 60
+        with pytest.raises(MidiFormatError, match=re.escape(f"unknown keys {[key]}")):
             melody_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("duration", BAD_DURATION_TEXTS + BAD_DURATION_VALUES)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lyricmelody import (InputError, Melody, MidiFormatError, evaluate_pair, melody_from_json,
-                         melody_to_json, parse_lyrics, read_midi, write_midi)
+from lyricmelody import (AlignmentError, InputError, Melody, MidiFormatError, evaluate_pair,
+                         melody_from_json, melody_to_json, parse_lyrics, read_midi, write_midi)
 from lyricmelody.midi import TICKS_PER_QUARTER, _encode_vlq
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from conftest import mk_melody
@@ -32,6 +32,9 @@ class TestRoundTrip:
         # a Melody holds no meter a file cannot, so none reaches write_midi
         with pytest.raises(ValueError, match="unsupported meter"):
             mk_melody([(60, 1), (62, 1)], meter)
+        # nor a duration of no whole number of ticks
+        with pytest.raises(MidiFormatError, match="1/7 is not a whole number of ticks"):
+            write_midi(mk_melody([(60, 1), (62, "1/7")], (4, 4)))
 
     def test_lyrics_attached_at_syllable_starts(self):
         lyr = parse_lyrics("ni3|W hao3|I .")
@@ -54,7 +57,7 @@ class TestRoundTrip:
     def test_syllable_count_mismatch_rejected(self):
         lyr = parse_lyrics("ni3|W hao3|I tian1|W .")
         m = mk_melody([(60, 1)])
-        with pytest.raises(MidiFormatError):
+        with pytest.raises(AlignmentError):
             write_midi(m, lyr)
 
 
@@ -69,6 +72,10 @@ class TestErrors:
         data = write_midi(m)
         with pytest.raises(MidiFormatError):
             read_midi(data[: len(data) // 2])
+        # a delta time whose continuation bits run past the 4 bytes SMF allows
+        events = bytes([0x81, 0x81, 0x81, 0x81, 0x01, 0xFF, 0x2F, 0x00])
+        with pytest.raises(MidiFormatError, match="longer than 4 bytes"):
+            read_midi(_raw_track(events))
 
     def test_not_midi(self):
         with pytest.raises(MidiFormatError):
@@ -85,11 +92,20 @@ class TestErrors:
         )
         with pytest.raises(MidiFormatError, match="polyphony"):
             read_midi(_raw_track(events))
+        # or in two tracks of a format 1 file
+        track = (_encode_vlq(0) + bytes([0x90, 60, 80]) + _encode_vlq(480) + bytes([0x80, 60, 0])
+                 + _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00]))
+        chunk = b"MTrk" + struct.pack(">I", len(track)) + track
+        data = b"MThd" + struct.pack(">IHHH", 6, 1, 2, TICKS_PER_QUARTER) + chunk * 2
+        with pytest.raises(MidiFormatError, match="more than one note-bearing track"):
+            read_midi(data)
 
     def test_smpte_division_rejected(self):
         header = b"MThd" + struct.pack(">IHHh", 6, 0, 1, -24 * 256 + 80)
         with pytest.raises(MidiFormatError):
             read_midi(header)
+        with pytest.raises(MidiFormatError, match="zero ticks-per-quarter"):
+            read_midi(b"MThd" + struct.pack(">IHHH", 6, 0, 1, 0))
 
     def test_unmatched_note_off(self):
         events = (
@@ -97,6 +113,15 @@ class TestErrors:
             + _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
         )
         with pytest.raises(MidiFormatError):
+            read_midi(_raw_track(events))
+        # note-offs are taken before note-ons at one tick, so a note that ends
+        # where it starts leaves its note-off unmatched: no zero-length note reads
+        events = (
+            _encode_vlq(0) + bytes([0x90, 60, 80])
+            + _encode_vlq(0) + bytes([0x80, 60, 0])
+            + _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
+        )
+        with pytest.raises(MidiFormatError, match="unmatched note-off for pitch 60 at tick 0"):
             read_midi(_raw_track(events))
 
     def test_note_without_off(self):
@@ -129,8 +154,10 @@ class TestErrors:
 
 class TestForeignFiles:
     def test_leading_silence_dropped(self):
+        # with a sysex event in it, which is skipped
         events = (
-            _encode_vlq(960) + bytes([0x90, 60, 80])
+            _encode_vlq(0) + bytes([0xF0, 0x03, 0x7E, 0x7F, 0xF7])
+            + _encode_vlq(960) + bytes([0x90, 60, 80])
             + _encode_vlq(480) + bytes([0x80, 60, 0])
             + _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
         )

@@ -52,7 +52,7 @@ from lyricmelody.rewards import (
 from lyricmelody.scorer import rhythm_projection
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import BAD_DURATION_TEXTS, BAD_DURATION_VALUES, mk_melody, mutated_json
-from reference import reference_score_rewards, scan_reward_events, step_events
+from reference import _gap_kind, reference_score_rewards, scan_reward_events, step_events
 
 
 class TestPitchShape:
@@ -540,7 +540,7 @@ class TestFoldMemo:
 
 class TestScoreRewardsMatchesReference:
     """The one-pass ``score_rewards`` against the two-loop oracle, bit for
-    bit, and the model's branch-picked gap pairs against ``boundary_kind``."""
+    bit, and the model's gap pairs against the oracle's gap kinds."""
 
     # the presets, and weights whose products round, so an add out of order shows
     LAMBDAS = ["telemelody", "songmass", "off", (1.1, 0.7, 1.3)]
@@ -566,7 +566,7 @@ class TestScoreRewardsMatchesReference:
             lyr, _ = seeded_pair(seed)
             pause = _EventModel(lyr, config, ALL_ASPECTS, (4, 4)).pause
             assert pause[0] is None
-            assert pause[1:] == [gaps[boundary_kind(lyr, k)] for k in range(1, len(lyr))], seed
+            assert pause[1:] == [gaps[_gap_kind(lyr, k)] for k in range(1, len(lyr))], seed
 
 
 class TestConfigValidation:
