@@ -43,15 +43,16 @@ the legal classes, scores each once and gives all its moves the identical
 float.  Every class is scored off one plan of the parent's state
 (:meth:`~lyricmelody.rewards._EventModel.plan`, built at the parent's first
 class that fires an event): END and a rest read their (reward, masked) pair
-off it, a syllable start completes it at its pitch
+off it, a syllable start completes it at its pitch by row reads
 (:meth:`~lyricmelody.rewards._EventModel.complete`), and a melisma
-continuation fires nothing.  The event model has no other scoring path.
-Beam-hard sets a masked class aside unbuilt and builds its moves only on a
-step where no unmasked move is left, the step it records as relaxed; END is
-always built.
-Live keys share one length, so (parent's rank among live keys, token index)
-orders children as their full keys do; END keeps its parent's key, a prefix
-of its siblings' keys, so it ranks first on a tie.
+continuation fires nothing.  The event model has no other scoring path,
+and steps a kept child on its stage's clock: integer ticks over every
+token the stage can emit.  Beam-hard sets a masked class aside unbuilt and
+builds its moves only on a step where no unmasked move is left, the step
+it records as relaxed; END is always built.  Live keys share one length,
+so (parent's rank among live keys, token index) orders children as their
+full keys do; END keeps its parent's key, a prefix of its siblings' keys,
+so it ranks first on a tie.
 
 A vocabulary with no syllable-start token (or, for the pitch stage, no
 pitch, or no rest mark for the rhythm's rests) cannot cover the lyrics;
@@ -143,6 +144,7 @@ class DecodeOptions:
             raise OptionError(f"mode must be a DecodeMode, got {self.mode!r}")
         if not (isinstance(self.active, (set, frozenset)) and self.active <= ALL_ASPECTS):
             raise OptionError(f"active must be a set of Aspects, got {self.active!r}")
+        object.__setattr__(self, "active", frozenset(self.active))  # hashable, not the caller's
         try:  # a pair, then the meter rule
             meter = tuple(self.time_signature)
             check_meter(meter)
@@ -157,7 +159,7 @@ class DecodeOptions:
 
 
 class _Context(_EventModel):
-    """The reward-event model of one decode plus its grammar."""
+    """The reward-event model of one decode stage, on the clock of ``tokens``, plus its grammar."""
 
     def __init__(
         self,
@@ -165,8 +167,10 @@ class _Context(_EventModel):
         config: RewardConfig,
         options: DecodeOptions,
         active: frozenset[Aspect],
+        tokens: Sequence,
     ):
-        super().__init__(lyrics, config, active, options.time_signature)
+        tokens = [t for t in tokens if t != END]
+        super().__init__(lyrics, config, active, options.time_signature, tokens)
         self.options = options
 
     def legal(self, st: _State, groups: "_VocabGroups") -> list[tuple]:
@@ -379,7 +383,7 @@ def beam_search(
 ) -> DecodeResult:
     """Constrained beam search keeping ``beam_width`` hypotheses ranked by the
     combined score; deterministic, returns the best completed hypothesis."""
-    ctx = _Context(lyrics, config, options, options.active)
+    ctx = _Context(lyrics, config, options, options.active, scorer.vocab.tokens)
     best, _ = _beam(ctx, _grammar(ctx, scorer), options.beam_width, hard=False)
     return _result_from(ctx, best, DecodeMode.BEAM_SOFT)
 
@@ -393,7 +397,7 @@ def beam_search_hard(
     """Beam search that masks out candidates violating any triggered active
     constraint; steps where everything is masked fall back to soft scoring
     and are recorded as relaxation events."""
-    ctx = _Context(lyrics, config, options, options.active)
+    ctx = _Context(lyrics, config, options, options.active, scorer.vocab.tokens)
     best, relaxations = _beam(ctx, _grammar(ctx, scorer), options.beam_width, hard=True)
     return _result_from(ctx, best, DecodeMode.BEAM_HARD, relaxations)
 
@@ -436,7 +440,7 @@ def sample(
     """Constrained stochastic decoding: per step, keep the top-k candidates by
     combined score, soften them with the temperature, and draw from the
     seeded generator.  Reproducible per seed."""
-    ctx = _Context(lyrics, config, options, options.active)
+    ctx = _Context(lyrics, config, options, options.active, scorer.vocab.tokens)
     rng = random.Random(options.seed)
     h = _sample_run(ctx, scorer, rng, options.top_k)
     return _result_from(ctx, h, DecodeMode.SAMPLE)
@@ -450,7 +454,7 @@ def rerank(
 ) -> DecodeResult:
     """Unconstrained sampling of ``rerank_candidates`` melodies, then pick the
     one whose full-sequence combined score (base + weighted rewards) wins."""
-    ctx = _Context(lyrics, config, options, frozenset())
+    ctx = _Context(lyrics, config, options, frozenset(), scorer.vocab.tokens)
     rng = random.Random(options.seed)
     best: Optional[_Hypothesis] = None
     for _ in range(options.rerank_candidates):
@@ -510,13 +514,14 @@ def decode_two_stage(
     whatever mode ``options`` names; the result reports
     :attr:`DecodeMode.TWO_STAGE` and, per stage, its base, reward and score.
     """
-    stage1_ctx = _Context(lyrics, config, options, _RHYTHM_STAGE & options.active)
+    stage1_ctx = _Context(lyrics, config, options, _RHYTHM_STAGE & options.active,
+                          rhythm_scorer.vocab.tokens)
     stage1, _ = _beam(
         stage1_ctx, _grammar(stage1_ctx, rhythm_scorer), options.beam_width, hard=False
     )
 
-    stage2_ctx = _Context(lyrics, config, options, _PITCH_STAGE & options.active)
-    slots = _pitch_slots(pitch_scorer, stage1.tokens[:-1])
+    slots, tokens = _pitch_slots(pitch_scorer, stage1.tokens[:-1])
+    stage2_ctx = _Context(lyrics, config, options, _PITCH_STAGE & options.active, tokens)
     stage2, _ = _beam(stage2_ctx, slots, options.beam_width, hard=False)
 
     return replace(
@@ -532,9 +537,9 @@ def decode_two_stage(
 
 
 def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
-    """The moves function of the pitch stage: one slot per rhythm token, where
-    a note offers every pitch at the token's duration and start flag, a rest
-    is forced, and a last slot holds only END."""
+    """The moves function of the pitch stage, and every token it offers: one
+    slot per rhythm token, where a note offers every pitch at the token's
+    duration and start flag, a rest is forced, and a last slot holds only END."""
     vocab = pitch_scorer.vocab
     pitches = [t for t in vocab.tokens if isinstance(t, int)]
     if not pitches:
@@ -545,7 +550,7 @@ def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
         raise TrainingError(
             "the model's pitch vocabulary has no rest mark for the skeleton's rests"
         )
-    slots = []
+    slots, tokens = [], []
     for slot in (*rhythm_tokens, None):
         if slot is None:
             moves = [(-1, END, END)]
@@ -557,12 +562,13 @@ def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
             moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration),
                       REST_MARK)]
         slots.append(_classes(moves))
+        tokens += [token for _, token, _ in moves]
 
     def moves_of(h: _Hypothesis) -> tuple:
         dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
         return slots[len(h.tokens)], dist
 
-    return moves_of
+    return moves_of, tokens
 
 
 # ---------------------------------------------------------------------------

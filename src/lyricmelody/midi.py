@@ -32,8 +32,7 @@ _DEFAULT_TEMPO_US = 500_000  # 120 bpm
 
 
 def _encode_vlq(value: int) -> bytes:
-    if value < 0:
-        raise MidiFormatError(f"negative delta time {value}")
+    """A MIDI variable-length quantity: ``value`` is a tick count, never negative."""
     chunks = [value & 0x7F]
     value >>= 7
     while value:

@@ -40,10 +40,13 @@ A plan weighs what each move fires once per state: END closes the open
 span (shape, contour), a rest also pauses the gap in front of the next
 syllable, and a melisma continuation fires nothing.  A syllable start
 differs from its siblings only by pitch: its close, strong/weak and pause
-events, its tone-pair cell and its structure partner depend on the state
-alone, and :meth:`_EventModel.complete` adds a pitch's transition and
-structure terms in canonical order.  Each move's reward equals
-:func:`weighted_total` over its events to the last bit.
+events, its tone pair and its structure partner depend on the state alone,
+and :meth:`_EventModel.complete` adds a pitch's transition and structure
+terms in canonical order, each read off a row of the event table indexed
+by pitch delta.  Each move's reward equals :func:`weighted_total` over its
+events to the last bit.  A decode's states count onsets and durations in
+integer ticks of one clock per stage, so stepping one does no ``Fraction``
+arithmetic.
 
 Event timing convention: a syllable's shape and its sentence's contour fire
 on the token that closes the span (the next rest, the next syllable's first
@@ -75,7 +78,7 @@ from .lyrics import (
     WordPosition,
     build_structure_matrix,
 )
-from .melody import BeatStrength, Melody, _check_aligned, _duration, _tick_clock, strong_offsets
+from .melody import BeatStrength, Melody, _check_aligned, _duration, _tick_clock
 from .scorer import END
 
 __all__ = [
@@ -388,15 +391,21 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
     ``shape`` and ``contour`` are (missed, matched) pairs; ``keyword`` and
     ``auxiliary`` the strong/weak events of such a word starting on a
     (weak, strong) beat; ``gaps`` maps a boundary kind to its pause events
-    (no pause, pause); ``structure`` is indexed by :func:`_echo`; and
-    ``cells`` holds the harmony table's cells with each interval's
-    degree replaced by its transition event (``bad`` outside every
-    interval).  An event's maximum is what its rule pays on a match: the
-    Excellent reward for a transition, the exact-echo reward for structure.
+    (no pause, pause); and ``structure`` is indexed by :func:`_echo`.  An
+    event's maximum is what its rule pays on a match: the Excellent reward
+    for a transition, the exact-echo reward for structure.
+
+    A start's pitch-dependent events are rows of shared ``(event, λ·value,
+    below maximum)`` entries: ``cells`` maps a tone pair to its row by pitch
+    delta (255, negative deltas by negative indexing; Bad outside intervals
+    clamped to ±127), ``echo`` by an interval minus its anchor's (509).
     """
 
     def event(kind: str, aspect: Aspect, on_match: float, matched: bool, **outcome):
         return RewardEvent(kind, aspect, on_match if matched else 0.0, on_match, matched, **outcome)
+
+    def entry(ev: RewardEvent, lam: float) -> tuple:
+        return ev, lam * ev.value, not ev.is_maximal
 
     def pair(kind: str, aspect: Aspect, on_match: float) -> tuple:
         return tuple(event(kind, aspect, on_match, ok) for ok in (False, True))
@@ -414,28 +423,32 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
     }
     excellent = config.transition_rewards[HarmonyDegree.EXCELLENT]
     transition = {
-        d: RewardEvent("transition", Aspect.TONE, config.transition_rewards[d], excellent,
-                       d is HarmonyDegree.EXCELLENT, degree=d)
+        d: entry(RewardEvent("transition", Aspect.TONE, config.transition_rewards[d], excellent,
+                             d is HarmonyDegree.EXCELLENT, degree=d), config.lambda_tone)
         for d in HarmonyDegree
     }
-    cells = {
-        tones: tuple((lo, hi, transition[d]) for lo, hi, d in intervals)
-        for tones, intervals in config.harmony_table.cells.items()
-    }
+    cells = {}
+    for tones, intervals in config.harmony_table.cells.items():
+        row = cells[tones] = [transition[HarmonyDegree.BAD]] * 255
+        for lo, hi, d in intervals:
+            for delta in range(max(lo, -127), min(hi, 127) + 1):
+                row[delta] = transition[d]
     echoes = (0.0, config.structure_reward_octave, config.structure_reward_exact)
+    structure = tuple(
+        RewardEvent("structure", Aspect.STRUCTURE, value, config.structure_reward_exact, echo == 2)
+        for echo, value in enumerate(echoes)
+    )
+    echo = [entry(structure[_echo(d, 0)], config.lambda_structure)
+            for d in (*range(255), *range(-254, 0))]
     return SimpleNamespace(
         shape=pair("shape", Aspect.TONE, config.shape_reward_on_match),
         contour=pair("contour", Aspect.TONE, config.contour_reward_on_match),
         keyword=(missed, matched),  # a keyword belongs on a strong beat
         auxiliary=(matched, missed),  # an auxiliary on a weak one
         gaps=gaps,
-        structure=tuple(
-            RewardEvent("structure", Aspect.STRUCTURE, value, config.structure_reward_exact,
-                        echo == 2)
-            for echo, value in enumerate(echoes)
-        ),
+        structure=structure,
         cells=cells,
-        bad=transition[HarmonyDegree.BAD],
+        echo=echo,
     )
 
 
@@ -459,13 +472,14 @@ def weighted_total(
 
 @dataclass(frozen=True, slots=True)
 class _State:
-    """What the event model remembers of a token prefix."""
+    """What the event model remembers of a token prefix; ``onset`` and the
+    last note's duration are integer ticks of the model's clock."""
 
-    onset: Fraction = Fraction(0)
+    onset: int = 0
     syl: int = -1
     span_open: bool = False
     span_pitches: tuple = (None,)  # the current or last syllable's; no pitch before one
-    last_duration: Optional[Fraction] = None
+    last_duration: Optional[int] = None
     syl_delta: tuple = ()
     sent_first: Optional[int] = None
 
@@ -476,11 +490,11 @@ class _Plan:
 
     ``end`` and ``rest`` are the (running reward, masked) pairs after END
     and a rest; masked is whether an event fired below its maximum.  A
-    start adds to ``end``: a transition when ``cell`` (the tone pair's
-    graded intervals) is set, graded on the jump from ``anchor``; the λ·v
-    and below-maximum flag of each strong/weak and pause event in
-    ``terms``; and structure when ``partner_delta`` is set, compared with
-    the jump from ``last_pitch``.
+    start adds to ``end``: a transition when ``cell`` (the tone pair's row
+    of the event table, by pitch delta) is set, read at the jump from
+    ``anchor``; the λ·v and below-maximum flag of each strong/weak and
+    pause event in ``terms``; and structure when ``partner_delta`` is set,
+    read off the echo row at the jump from ``last_pitch`` minus it.
     """
 
     end: tuple[float, bool]
@@ -503,6 +517,9 @@ class _EventModel:
     every move from a state (:meth:`complete` finishes a syllable start at
     its pitch), and :meth:`apply` gives the state after a token.  Only the
     plan reads ``active`` (as flags bound once): it weighs those aspects' events.
+
+    Plan and apply count in integer ticks of the clock (:meth:`_clock`) of
+    ``tokens``, every token they will step; a model without them only folds.
     """
 
     def __init__(
@@ -511,6 +528,7 @@ class _EventModel:
         config: RewardConfig,
         active: frozenset[Aspect],
         time_signature: tuple[int, int],
+        tokens: Optional[Sequence] = None,
     ):
         self.config = config
         self.active = active
@@ -519,9 +537,8 @@ class _EventModel:
         self.n = len(lyrics)
         self.partner = build_structure_matrix(lyrics).partner
         self.time_signature = time_signature
-        num, den = time_signature
-        self.bar = Fraction(4 * num, den)
-        self.strong = strong_offsets(time_signature)
+        if tokens is not None:
+            self.scale, self.ticks, self.bar, self.strong, self.long_note = self._clock(tokens)
         table = config._events
         cells = table.cells
         keyword, auxiliary, gaps = table.keyword, table.auxiliary, table.gaps
@@ -543,7 +560,15 @@ class _EventModel:
             pause.append(None if prev is None else gaps[boundary_kind(lyrics, k)])
             prev = syl
         self.tone, self.final_intonation, self.new_sentence = tone, final_intonation, new_sentence
-        self.cell, self.sw, self.pause = cell, sw, pause
+        self.cell, self.sw, self.pause, self.echo = cell, sw, pause, table.echo
+
+    def _clock(self, tokens: Sequence) -> tuple[int, dict, int, set[int], int]:
+        """(ticks per quarter, each token's ticks, bar, strong offsets, long-note threshold
+        rounded up) in the integer ticks of ``tokens``' :func:`~lyricmelody.melody._tick_clock`."""
+        scale, bar, strong = _tick_clock(self.time_signature, tokens)
+        ticks = {t: t.duration.numerator * (scale // t.duration.denominator) for t in set(tokens)}
+        threshold = self.config.long_note_threshold
+        return scale, ticks, bar, strong, -(-threshold.numerator * scale // threshold.denominator)
 
     def _close(self, out: list, at, syl: int, span: Sequence, sent_first) -> None:
         """Append ``(at, event)`` to ``out`` for each shape and contour event of
@@ -594,7 +619,7 @@ class _EventModel:
                 middle.append(sw[st.onset % self.bar in self.strong])
             if st.span_open:
                 # no rest resolved this gap; a long final note still pauses
-                middle.append(self.pause[k][st.last_duration >= config.long_note_threshold])
+                middle.append(self.pause[k][st.last_duration >= self.long_note])
         first, last = st.span_pitches[0], st.span_pitches[-1]
         partner_delta = None
         if self.structure_on:
@@ -610,46 +635,36 @@ class _EventModel:
         """(running reward, masked) after a start at ``pitch``: the plan's
         terms and the pitch's transition and structure terms added to END's
         pair in canonical order, so the reward equals :func:`weighted_total`
-        over the start's events, continued from ``start``, bit for bit."""
-        config, table = self.config, self.config._events
+        over the start's events, continued from ``start``, bit for bit: one
+        row read per pitch-dependent term."""
         total, masked = plan.end
         if plan.cell is not None:
-            transition = _cell_degree(plan.cell, pitch - plan.anchor, table.bad)
-            total += config.lambda_tone * transition.value
-            masked = masked or not transition.is_maximal
+            _, term, below = plan.cell[pitch - plan.anchor]
+            total += term
+            masked = masked or below
         for term, below in plan.terms:
             total += term
             masked = masked or below
         if plan.partner_delta is not None:
-            structure = table.structure[_echo(pitch - plan.last_pitch, plan.partner_delta)]
-            total += config.lambda_structure * structure.value
-            masked = masked or not structure.is_maximal
+            _, term, below = self.echo[pitch - plan.last_pitch - plan.partner_delta]
+            total += term
+            masked = masked or below
         return total, masked
 
     def apply(self, st: _State, token) -> _State:
-        """The state after a (non-END) token."""
-        pitch, duration = token.pitch, token.duration
+        """The state after a (non-END) token of the model's clock."""
+        ticks, pitch = self.ticks[token], token.pitch
         if not token.is_note:
-            return replace(st, onset=st.onset + duration, span_open=False)
+            return _State(st.onset + ticks, st.syl, False, st.span_pitches, st.last_duration,
+                          st.syl_delta, st.sent_first)
         if token.syllable_start:
             k = st.syl + 1
             last = st.span_pitches[-1]
             delta = None if last is None or pitch is None else pitch - last
-            return _State(
-                onset=st.onset + duration,
-                syl=k,
-                span_open=True,
-                span_pitches=(pitch,),
-                last_duration=duration,
-                syl_delta=st.syl_delta + (delta,),
-                sent_first=pitch if self.new_sentence[k] else st.sent_first,
-            )
-        return replace(
-            st,
-            onset=st.onset + duration,
-            span_pitches=st.span_pitches + (pitch,),
-            last_duration=duration,
-        )
+            return _State(st.onset + ticks, k, True, (pitch,), ticks, st.syl_delta + (delta,),
+                          pitch if self.new_sentence[k] else st.sent_first)
+        return _State(st.onset + ticks, st.syl, st.span_open, st.span_pitches + (pitch,), ticks,
+                      st.syl_delta, st.sent_first)
 
     def fold(self, tokens: Sequence) -> list[tuple[Optional[int], RewardEvent]]:
         """The events of a complete token sequence (END excluded), tagged
@@ -662,14 +677,9 @@ class _EventModel:
         the long-note threshold are counted in integer ticks of the
         sequence's :func:`~lyricmelody.melody._tick_clock`.
         """
-        n, partner = self.n, self.partner
+        n, partner, echo, close = self.n, self.partner, self.echo, self._close
         new_sentence, cells, sws, pauses = self.new_sentence, self.cell, self.sw, self.pause
-        table = self.config._events
-        echo_events, bad, close = table.structure, table.bad, self._close
-
-        scale, bar, strong = _tick_clock(self.time_signature, tokens)
-        threshold = self.config.long_note_threshold
-        long_note = -(-threshold.numerator * scale // threshold.denominator)  # ceiling
+        _, ticks_of, bar, strong, long_note = self._clock(tokens)
 
         events: list[tuple[Optional[int], RewardEvent]] = []
         onset = 0
@@ -680,8 +690,7 @@ class _EventModel:
         syl_delta: list[Optional[int]] = []  # per syllable, the jump into it
 
         for i, token in enumerate(tokens):
-            d = token.duration
-            ticks = d.numerator * (scale // d.denominator)
+            ticks = ticks_of[token]
             if not token.is_note:
                 if span_open:
                     close(events, i, syl, span, sent_first)
@@ -701,7 +710,7 @@ class _EventModel:
             k = syl + 1
             cell = cells[k]
             if cell is not None:
-                events.append((i, _cell_degree(cell, pitch - span[0], bad)))
+                events.append((i, cell[pitch - span[0]][0]))
             sw = sws[k]
             if sw is not None:
                 events.append((i, sw[onset % bar in strong]))
@@ -712,7 +721,7 @@ class _EventModel:
             if delta is not None:
                 j = partner.get(k)
                 if j is not None and syl_delta[j] is not None:
-                    events.append((i, echo_events[_echo(delta, syl_delta[j])]))
+                    events.append((i, echo[delta - syl_delta[j]][0]))
             onset += ticks
             syl, span_open, span = k, True, [pitch]
             last_pitch, last_ticks = pitch, ticks

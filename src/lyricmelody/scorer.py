@@ -143,9 +143,10 @@ _JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,
                "a list": (list,), "an object": (dict,)}
 
 
-def _fields(doc, where: str, **expected: str) -> list:
+def _fields(doc, where: str, known=(), **expected: str) -> list:
     """``doc``'s values of the keys ``expected`` names, each of the JSON type named
-    there (a bool is no number); TrainingError names the first missing or mistyped."""
+    there (a bool is no number); TrainingError names the first missing or mistyped
+    key, or the first key that is neither expected nor read elsewhere (``known``)."""
     if type(doc) is not dict:
         raise TrainingError(f"{where} must be an object, got {type(doc).__name__}")
     for key, json_type in expected.items():
@@ -156,6 +157,9 @@ def _fields(doc, where: str, **expected: str) -> list:
             raise TrainingError(f"{where} {key} must be {json_type}, got {type(value).__name__}")
         if type(value) not in _JSON_TYPES[json_type]:  # a scalar: short enough to quote
             raise TrainingError(f"{where} {key} {value!r} is not {json_type}")
+    unknown = [key for key in doc if key not in expected and key not in known]
+    if unknown:
+        raise TrainingError(f"{where} has unknown key {unknown[0]!r}")
     return [doc[key] for key in expected]
 
 
@@ -458,7 +462,8 @@ class ModelBundle:
             raise TrainingError(f"not a {cls.FORMAT} model file")
         if doc.get("version") != cls.VERSION or type(doc["version"]) is not int:
             raise TrainingError(f"unsupported model file version {doc.get('version')!r}")
-        slots = _fields(doc, "model file", **dict.fromkeys(_SLOT_KINDS, "an object"))
+        slots = _fields(doc, "model file", ("format", "version"),
+                        **dict.fromkeys(_SLOT_KINDS, "an object"))
         models = [NGramModel.from_dict(slot) for slot in slots]
         for (slot, kind), model in zip(_SLOT_KINDS.items(), models):
             if model.vocab.kind != kind:

@@ -168,26 +168,31 @@ def start_events(model, st, token):
     event model ``model``, in canonical order: the events closing the open
     span, then transition, strong/weak, pause and structure.  Read off the
     model's static per-syllable tables (``cell``, ``sw``, ``pause``,
-    ``partner``) without its plan; the beat is placed by the ``Fraction``
-    grid's rule, the echo by interval arithmetic."""
+    ``partner``) without its plan; the jump is graded by scanning the
+    harmony table's intervals, the beat is placed by the ``Fraction`` grid's
+    rule (the state's ticks over the model's ticks per quarter), the echo by
+    interval arithmetic."""
     config, active = model.config, model.active
     events = close_events(model, st)
     k = st.syl + 1
     if Aspect.TONE in active and model.cell[k] is not None:
         jump = token.pitch - st.span_pitches[0]
-        graded = [ev for lo, hi, ev in model.cell[k] if lo <= jump <= hi]
-        events.append(graded[0] if graded else RewardEvent(
-            "transition", Aspect.TONE, config.transition_rewards[HarmonyDegree.BAD],
-            config.transition_rewards[HarmonyDegree.EXCELLENT], False,
-            degree=HarmonyDegree.BAD))
+        intervals = config.harmony_table.cells[(model.tone[k - 1], model.tone[k])]
+        graded = [d for lo, hi, d in intervals if lo <= jump <= hi]
+        degree = graded[0] if graded else HarmonyDegree.BAD
+        events.append(RewardEvent(
+            "transition", Aspect.TONE, config.transition_rewards[degree],
+            config.transition_rewards[HarmonyDegree.EXCELLENT],
+            degree is HarmonyDegree.EXCELLENT, degree=degree))
     if Aspect.RHYTHM in active:
         if model.sw[k] is not None:
             weak, strong = model.sw[k]
-            events.append(strong if beat_strength(model.time_signature, st.onset)
+            onset = Fraction(st.onset, model.scale)
+            events.append(strong if beat_strength(model.time_signature, onset)
                           is BeatStrength.STRONG else weak)
         if st.span_open:  # no rest in the gap: only a long last note pauses
             no_pause, pause = model.pause[k]
-            long_note = st.last_duration >= config.long_note_threshold
+            long_note = Fraction(st.last_duration, model.scale) >= config.long_note_threshold
             events.append(pause if long_note else no_pause)
     j = model.partner.get(k)
     if (Aspect.STRUCTURE in active and j is not None and st.span_pitches[-1] is not None
@@ -332,15 +337,20 @@ def reference_decode_two_stage(lyrics, rhythm_scorer, pitch_scorer, config, opti
     """The rhythm-then-pitch pipeline with stage 1 from
     :func:`reward_beam_search`, its tokens turned into a rhythm skeleton and
     back, and stage 2 from :func:`reference_pitch_fill`."""
-    stage1_ctx = _Context(lyrics, config, options, frozenset({Aspect.RHYTHM}) & options.active)
+    stage1_ctx = _Context(lyrics, config, options, frozenset({Aspect.RHYTHM}) & options.active,
+                          rhythm_scorer.vocab.tokens)
     stage1, _ = reward_beam_search(stage1_ctx, rhythm_scorer, options.beam_width, hard=False)
     groups, rests = rhythm_skeleton([t for t in stage1.tokens if t != END])
     assert len(groups) == len(lyrics)
     pitch_active = frozenset({Aspect.TONE, Aspect.STRUCTURE}) & options.active
-    stage2_ctx = _Context(lyrics, config, options, pitch_active)
-    stage2 = reference_pitch_fill(
-        stage2_ctx, pitch_scorer, skeleton_rhythm_tokens(groups, rests), options.beam_width
-    )
+    slots = skeleton_rhythm_tokens(groups, rests)
+    # the stage's clock: every melody token a slot can take
+    pitches = [t for t in pitch_scorer.vocab.tokens if isinstance(t, int)]
+    emitted = [MelodyToken(slot.kind, slot.duration, p, slot.syllable_start) if slot.is_note
+               else MelodyToken(slot.kind, slot.duration)
+               for slot in slots for p in (pitches if slot.is_note else [None])]
+    stage2_ctx = _Context(lyrics, config, options, pitch_active, emitted)
+    stage2 = reference_pitch_fill(stage2_ctx, pitch_scorer, slots, options.beam_width)
     return DecodeResult(
         melody=Melody(tuple(t for t in stage2.tokens if t != END), options.time_signature),
         score=stage1.score + stage2.score,

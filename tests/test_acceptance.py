@@ -124,7 +124,7 @@ def test_criterion_2_oracle_equivalence(config):
         )
         options = DecodeOptions(beam_width=8, max_notes_per_syllable=1,
                                 active=frozenset({Aspect.RHYTHM}))
-        ctx = _Context(lyr, config, options, options.active)
+        ctx = _Context(lyr, config, options, options.active, vocab.tokens)
         from lyricmelody.decoder import _group_vocab
         from lyricmelody.rewards import _State
 

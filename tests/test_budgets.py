@@ -5,6 +5,8 @@ memo or shared pass a speed-up rests on gets a budget here.  A budget may
 only be raised by a change that says why.
 """
 
+import dataclasses
+import fractions
 import random
 import sys
 from collections import Counter
@@ -220,6 +222,43 @@ def test_beam_hashes_and_compares_tokens_in_c(config, bundle, mode):
     finally:
         sys.setprofile(previous)
     assert calls.pop("plan") > 0  # the profile saw the decode
+    assert calls == {}
+
+
+@pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
+def test_beam_counts_ticks_and_reads_rows(config, bundle, mode):
+    # the decode state holds integer ticks and is built directly, and a
+    # start reads its pitch's terms off the event table's rows: inside the
+    # beam no Python-level Fraction method runs, no dataclasses.replace and
+    # no harmony interval scan
+    watched = {rewards._cell_degree.__code__: "_cell_degree",
+               dataclasses.replace.__code__: "dataclasses.replace"}
+    fraction_file = fractions.Fraction.__new__.__code__.co_filename
+    beam_code = decoder._beam.__code__
+    calls = Counter()
+    inside = False
+
+    def profile(frame, event, arg):
+        nonlocal inside
+        code = frame.f_code
+        if code is beam_code and event in ("call", "return"):  # not its C calls' events
+            inside = event == "call"
+            calls["_beam"] += inside
+        elif inside and event == "call":
+            if code.co_filename == fraction_file:
+                calls[f"Fraction {code.co_name}"] += 1
+            elif code in watched:
+                calls[watched[code]] += 1
+
+    lyrics = sheets(20261111, 3)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for sheet in lyrics:
+            decode(sheet, bundle.token_model, config, DecodeOptions(mode=mode))
+    finally:
+        sys.setprofile(previous)
+    assert calls.pop("_beam") == len(lyrics)  # the profile saw every beam
     assert calls == {}
 
 

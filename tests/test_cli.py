@@ -716,8 +716,13 @@ class TestMalformedInputs:
         (_lengthen_a_context, "is longer than order - 1 = 2"),
         (lambda doc: doc.update(version="1"), "unsupported model file version '1'"),
         (lambda doc: doc.update(version=True), "unsupported model file version True"),
+        (lambda doc: doc.update(extra=1), "model file has unknown key 'extra'"),
+        (lambda doc: doc["token_model"].update(bogus=[]), "model has unknown key 'bogus'"),
+        (lambda doc: doc["pitch_model"]["vocab"].update(size=3),
+         "model vocab has unknown key 'size'"),
     ], ids=["fractional order", "bool order", "string discount", "object counts",
-            "long context", "string version", "bool version"])
+            "long context", "string version", "bool version", "top-level key", "slot key",
+            "vocab key"])
     def test_malformed_model_number_or_container_exit_one(
         self, workspace, model_path, tmp_path, capsys, pipeline, edit, message
     ):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,6 +31,7 @@ from lyricmelody import (
     TokenKind,
     train_model_bundle,
     train_ngram,
+    write_midi,
 )
 from lyricmelody.rewards import RewardEvent, _EventModel, _State, reward_events
 from lyricmelody.scorer import END
@@ -132,9 +135,10 @@ class TestHardMode:
         for second in (58, 65):
             shape_missed = second > 60
             for active in [frozenset(), frozenset(Aspect)] + [frozenset({a}) for a in Aspect]:
-                model = _EventModel(lyr, config, active, (4, 4))
+                tokens = (note(60, 1, True), note(second, 1, False))
+                model = _EventModel(lyr, config, active, (4, 4), tokens)
                 state = _State()
-                for token in (note(60, 1, True), note(second, 1, False)):
+                for token in tokens:
                     state = model.apply(state, token)
                 plan = model.plan(state)
                 tone_missed = shape_missed and Aspect.TONE in active
@@ -265,7 +269,7 @@ class TestRerank:
         rng2 = random.Random(9)
         from lyricmelody.decoder import _Context, _sample_run
 
-        ctx = _Context(lyr, config, free, frozenset())
+        ctx = _Context(lyr, config, free, frozenset(), scorer.vocab.tokens)
         best = None
         for _ in range(6):
             h = _sample_run(ctx, scorer, rng2, free.top_k)
@@ -325,7 +329,7 @@ class TestTwoStage:
         from lyricmelody.decoder import _beam, _Context, _grammar
 
         ctx = _Context(lyr, config, DecodeOptions(beam_width=3),
-                       frozenset({Aspect.RHYTHM}))
+                       frozenset({Aspect.RHYTHM}), bundle.rhythm_model.vocab.tokens)
         best, _ = _beam(ctx, _grammar(ctx, bundle.rhythm_model), 3, hard=False)
         from lyricmelody.scorer import rhythm_sequence
 
@@ -566,6 +570,18 @@ class TestInvariants:
         as_list, as_tuple = (DecodeOptions(time_signature=meter) for meter in ([3, 4], (3, 4)))
         assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
 
+    def test_set_active_options_hash_as_the_frozenset(self):
+        # a set is stored as a frozenset: it used to raise "unhashable type: 'set'"
+        as_set, as_frozen = (DecodeOptions(active=kind({Aspect.TONE})) for kind in (set, frozenset))
+        assert type(as_set.active) is frozenset
+        assert as_set == as_frozen and hash(as_set) == hash(as_frozen)
+
+    def test_options_keep_their_aspects_when_the_callers_set_changes(self):
+        active = {Aspect.TONE}
+        options = DecodeOptions(active=active)
+        active.add(Aspect.RHYTHM)
+        assert options.active == {Aspect.TONE}
+
     def test_scorers_swap_without_decoder_changes(self, config, rng):
         # the log-prob interface is the only coupling point
         corpus = [random_training_melody(rng, pitch_range=(60, 63),
@@ -620,7 +636,7 @@ class TestScoreFirstBeamMatchesReference:
         cfg = config.with_preset(preset)
         options = DecodeOptions(beam_width=width, max_notes_per_syllable=2)
         for lyr in sheets:
-            ctx = _Context(lyr, cfg, options, options.active)
+            ctx = _Context(lyr, cfg, options, options.active, bundle.token_model.vocab.tokens)
             self.check(ctx, bundle.token_model, width, hard)
 
     @pytest.mark.parametrize("preset", ["telemelody", "off"])
@@ -631,7 +647,8 @@ class TestScoreFirstBeamMatchesReference:
         bundle, sheets = cases
         options = DecodeOptions(beam_width=width)
         for lyr in sheets:
-            ctx = _Context(lyr, config.with_preset(preset), options, frozenset({Aspect.RHYTHM}))
+            ctx = _Context(lyr, config.with_preset(preset), options, frozenset({Aspect.RHYTHM}),
+                           bundle.rhythm_model.vocab.tokens)
             self.check(ctx, bundle.rhythm_model, width, hard=False)
 
     @pytest.mark.parametrize("preset", ["telemelody", "off"])
@@ -647,7 +664,8 @@ class TestScoreFirstBeamMatchesReference:
         for text in ("ni3|W,K hao3|I tian1|W .", "ni3|W hao3|W,K .\nni3|W hao3|W,K ?"):
             lyr = parse_lyrics(text)
             options = DecodeOptions(beam_width=width, max_notes_per_syllable=2)
-            ctx = _Context(lyr, config.with_preset(preset), options, options.active)
+            ctx = _Context(lyr, config.with_preset(preset), options, options.active,
+                           scorer.vocab.tokens)
             for hard in (False, True):
                 relaxed.extend(self.check(ctx, scorer, width, hard))
         assert relaxed  # hard mode relaxed somewhere, so that path is compared too
@@ -672,7 +690,7 @@ class TestEventSignature:
             if domain == "rhythm":
                 vocab = Vocabulary.build("rhythm", map(rhythm_projection, vocab.tokens[:-1]))
             groups = _group_vocab(vocab)
-            ctx = _Context(lyr, config, DecodeOptions(), active)
+            ctx = _Context(lyr, config, DecodeOptions(), active, vocab.tokens)
             for melody in melodies:
                 state = _State()
                 tokens = melody.tokens
@@ -715,3 +733,33 @@ class TestEventSignature:
     ])
     def test_catches_events_that_read_duration(self, config, domain, active):
         assert self.violations(self.reads_duration, domain, active, config)
+
+
+class TestOutputPin:
+    """One SHA-256 over every decode mode's outputs on seeded sheets, widths
+    1 and 3 and three meters: ``perfbench/golden.json`` decodes each mode
+    once, on one sheet in 4/4.  The durations include triplets and dotted
+    notes, so onsets fall between beats.  A change that is meant to alter
+    outputs says so and rewrites the pin."""
+
+    PIN = "fb96ce271b3a7479211da061f44b59d47fc545aa107afe4a718299206418154c"
+    DURATIONS = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+    def test_every_mode_width_and_meter(self, config):
+        rng = random.Random(20261019)
+        corpus = [random_training_melody(rng, durations=self.DURATIONS) for _ in range(8)]
+        bundle = train_model_bundle(corpus, order=3)
+        digest = hashlib.sha256()
+        for k in range(8):
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=k % 2 == 0,
+                                repeat=k % 4 < 2)
+            for mode, width, meter in itertools.product(DecodeMode, (1, 3),
+                                                        [(4, 4), (3, 4), (6, 8)]):
+                options = DecodeOptions(mode=mode, beam_width=width, time_signature=meter,
+                                        rerank_candidates=4, seed=k)
+                got = decode(lyr, bundle.token_model, config, options,
+                             bundle.rhythm_model, bundle.pitch_model)
+                digest.update(write_midi(got.melody, lyr))
+                digest.update(repr((got.score, got.base_logprob, got.reward_total,
+                                    got.relaxation_steps, got.stage_scores)).encode())
+        assert digest.hexdigest() == self.PIN

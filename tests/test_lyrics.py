@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from copy import deepcopy
 from dataclasses import replace
 
@@ -82,6 +83,12 @@ class TestParse:
             syllables[k] = replace(syllables[k], **change)
             with pytest.raises(LyricFormatError, match=message):
                 LyricSequence(tuple(syllables), lyr.sentences, lyr.language)
+
+    def test_sentences_must_cover_every_syllable(self):
+        # a syllable past the last sentence's span belongs to no sentence
+        lyr = parse_lyrics("ni3|W cai3|I .\nhao3|W ma5|I ?")
+        with pytest.raises(LyricFormatError, match="sentence spans do not cover"):
+            LyricSequence(lyr.syllables, lyr.sentences[:1], lyr.language)
 
     def test_flag_e_only_sentence_final(self):
         with pytest.raises(LyricFormatError):
@@ -310,6 +317,12 @@ class TestStructureMatrix:
         with pytest.raises(TypeError, match="partner"):
             StructureMatrix(pairs=frozenset({(1, 0)}), partner={5: 9})
         assert StructureMatrix(pairs=frozenset({(1, 0), (3, 2)})).partner == {1: 0, 3: 2}
+
+    @pytest.mark.parametrize("pair", [(2, 2), (1, 3)])
+    def test_pair_must_point_back(self, pair):
+        message = re.escape(f"structure pair {pair} must satisfy j < i")
+        with pytest.raises(ValueError, match=message):
+            StructureMatrix(pairs=frozenset({(1, 0), pair}))
 
     def test_pair_offsets_agree(self):
         rng = random.Random(11)

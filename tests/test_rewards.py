@@ -428,7 +428,8 @@ class TestFoldMatchesStepApply:
                 for meter in cls.METERS:
                     pair = Melody(melody.tokens, meter)
                     for active in [ALL_ASPECTS] + [frozenset({a}) for a in Aspect]:
-                        want = cls.stepped(_EventModel(lyr, cfg, active, meter), pair.tokens)
+                        model = _EventModel(lyr, cfg, active, meter, pair.tokens)
+                        want = cls.stepped(model, pair.tokens)
                         got = [(i, ev) for i, ev in fold(lyr, pair, cfg, active)
                                if ev.aspect in active]
                         kinds.update(ev.kind for _, ev in want)
@@ -806,7 +807,7 @@ class TestStartPlan:
                        else table.with_lambdas(lambdas))
                 for tokens, actives, token_class, pitches in domains:
                     for active, meter in itertools.product(actives, cls.METERS):
-                        model = model_class(lyr, cfg, active, meter)
+                        model = model_class(lyr, cfg, active, meter, tokens)
                         state = _State()
                         for token in tokens:
                             start_reward = rng.uniform(0, 4)

@@ -19,7 +19,12 @@ from lyricmelody import (
     train_model_bundle,
     train_ngram,
 )
-from lyricmelody.scorer import melody_sequence, pitch_sequence, rhythm_sequence
+from lyricmelody.scorer import (
+    melody_sequence,
+    pitch_sequence,
+    rhythm_sequence,
+    vocabulary_from_corpus,
+)
 from lyricmelody.synthetic import random_training_melody
 from conftest import BAD_DURATION_TEXTS, mk_melody, mutated_json
 from reference import ngram_prob
@@ -141,6 +146,37 @@ class TestTrainingContracts:
     def test_empty_corpus_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
             train_ngram([], order=2)
+
+    @pytest.mark.parametrize("train", [
+        lambda: NGramModel.train([], 2, 0.5, build_melody_vocabulary((60, 60), [Fraction(1)])),
+        lambda: train_model_bundle([], order=2),
+    ], ids=["NGramModel.train", "train_model_bundle"])
+    def test_every_trainer_rejects_an_empty_corpus(self, train):
+        with pytest.raises(TrainingError, match="training corpus is empty"):
+            train()
+
+    def test_vocabulary_of_an_empty_corpus_rejected(self):
+        # every Melody opens with a note, so only an empty corpus has none
+        with pytest.raises(TrainingError, match="corpus contains no notes"):
+            vocabulary_from_corpus([])
+
+    @pytest.mark.parametrize("pitch_range", [(61, 60), (-1, 60), (60, 128)])
+    def test_bad_pitch_range_rejected(self, pitch_range):
+        with pytest.raises(ValueError, match="bad pitch range"):
+            build_melody_vocabulary(pitch_range, [Fraction(1)])
+
+    @pytest.mark.parametrize("durations", [[], [Fraction(0)], [Fraction(-1, 2), Fraction(1)]])
+    def test_bad_durations_rejected(self, durations):
+        with pytest.raises(ValueError, match="durations must be a non-empty set"):
+            build_melody_vocabulary((60, 62), durations)
+
+    @pytest.mark.parametrize("load, where", [(Vocabulary.from_dict, "model vocab"),
+                                             (NGramModel.from_dict, "model")])
+    @pytest.mark.parametrize("doc", [[], "tokens", 5, None])
+    def test_model_parts_must_be_objects(self, load, where, doc):
+        # the loader checks each part's type before it reads it; a direct call does not
+        with pytest.raises(TrainingError, match=f"^{where} must be an object, got"):
+            load(doc)
 
     def test_out_of_vocabulary_token_named(self):
         vocab = build_melody_vocabulary((60, 61), [Fraction(1)])
