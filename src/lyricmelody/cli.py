@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -363,14 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # a warning is one line, as an error is
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (InputError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except InternalError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

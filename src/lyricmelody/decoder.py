@@ -33,26 +33,30 @@ rescoring are weighed by that same call, so whole-melody rewards have one
 entry point.  Ties break by vocabulary order, then by shorter sequence
 (lexicographic comparison of token index sequences).
 
-Expansion scores first and builds later: each legal move of each live
-hypothesis is a flat tuple of score parts, and only what is kept (the beam's
-top ``width``, the sampled token) gets a prefix, key and state.  Events never
-depend on a token's duration, so each decode groups its moves once into
-classes of one event signature
-(:meth:`lyricmelody.rewards._EventModel.signature`), and an expansion walks
-the legal classes, scores each once and gives all its moves the identical
-float.  Every class is scored off one plan of the parent's state
+Expansion scores first and builds later.  Events never depend on a
+token's duration, so each decode groups its moves once into classes of one
+event signature (:meth:`lyricmelody.rewards._EventModel.signature`), and an
+expansion walks the legal classes and scores each once: a class's moves
+share one reward and differ only in base log-probability.  Every class is
+scored off one plan of the parent's state
 (:meth:`~lyricmelody.rewards._EventModel.plan`, built at the parent's first
 class that fires an event): END and a rest read their (reward, masked) pair
 off it, a syllable start completes it at its pitch by row reads
 (:meth:`~lyricmelody.rewards._EventModel.complete`), and a melisma
 continuation fires nothing.  The event model has no other scoring path,
 and steps a kept child on its stage's clock: integer ticks over every
-token the stage can emit.  Beam-hard sets a masked class aside unbuilt and
-builds its moves only on a step where no unmasked move is left, the step
-it records as relaxed; END is always built.  Live keys share one length,
-so (parent's rank among live keys, token index) orders children as their
-full keys do; END keeps its parent's key, a prefix of its siblings' keys,
-so it ranks first on a tie.
+token the stage can emit.  A step bounds each class by its best move's
+``-score``, ``-((base + max log-probability) + reward)``, the move's own
+float expression, so the bound is that move's ``-score`` to the bit.  The
+bar is the ``width``-th smallest bound (the sampler's ``top_k``-th): at
+least ``width`` moves are at or under it, so none past it can be kept.  Only
+moves at or under the bar, ties included, become flat tuples of score
+parts, and only what is kept gets a prefix, key and state.  Beam-hard sets
+a masked class aside, bounding and building it only on a step where no
+unmasked move is left, the step it records as relaxed; END is always
+built.  Live keys share one length, so (parent's rank among live keys,
+token index) orders children as their full keys do; END keeps its parent's
+key, a prefix of its siblings' keys, so it ranks first on a tie.
 
 A vocabulary with no syllable-start token (or, for the pitch stage, no
 pitch, or no rest mark for the rhythm's rests) cannot cover the lyrics;
@@ -65,9 +69,9 @@ hypotheses, and independent decodes may run concurrently.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -188,13 +192,13 @@ class _Context(_EventModel):
 
 
 def _classes(moves) -> tuple:
-    """``(signature, ((pos, token, dist_key), ...))`` per distinct event
-    signature of the ``(pos, token, dist_key)`` moves, in order of first use;
-    ``pos`` is the vocabulary index, or -1 for END."""
+    """``(signature, ((pos, token, dist_key), ...), (dist_key, ...))`` per
+    distinct event signature of the ``(pos, token, dist_key)`` moves, in order
+    of first use; ``pos`` is the vocabulary index, or -1 for END."""
     by_signature: dict = {}
     for move in moves:
         by_signature.setdefault(_EventModel.signature(move[1]), []).append(move)
-    return tuple((sig, tuple(group)) for sig, group in by_signature.items())
+    return tuple((sig, tuple(g), tuple(k for _, _, k in g)) for sig, g in by_signature.items())
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ class _Hypothesis:
 
 
 def _extend(ctx: _Context, h: _Hypothesis, entry: tuple) -> _Hypothesis:
-    """The child of ``h`` that an :func:`_expand` entry of ``h`` describes."""
+    """The child of ``h`` that an :func:`_entries` entry of ``h`` describes."""
     _, _, pos, token, base, reward, _ = entry
     return _Hypothesis(
         tokens=h.tokens + (token,),
@@ -260,17 +264,17 @@ def _extend(ctx: _Context, h: _Hypothesis, entry: tuple) -> _Hypothesis:
 def _expand(
     ctx: _Context, h: _Hypothesis, rank: int, classes, dist, held: Optional[list] = None
 ) -> list[tuple]:
-    """``(-score, rank, pos, token, base, reward, masked)`` per move of ``h``,
-    the ``rank``-th live hypothesis by key, over its signature ``classes``
-    (:func:`_classes`) with base log-probabilities ``dist[dist_key]``.  Builds
-    no child and scores each class once, off one plan of the parent's moves
-    (built at the first class that fires an event): END and a rest read their
-    (reward, masked) pair off it, a syllable start completes it at its pitch,
-    and a melisma continuation fires nothing.  Given ``held``, a masked class
-    other than END goes there as :func:`_entries` arguments, unbuilt."""
+    """``(rank, base, reward, masked, moves, dist_keys, dist)`` per signature
+    class (:func:`_classes`) of ``h``, the ``rank``-th live hypothesis by key,
+    with base log-probabilities ``dist[dist_key]``.  Builds no move and scores
+    each class once, off one plan of the parent's moves (built at the first
+    class that fires an event): END and a rest read their (reward, masked)
+    pair off it, a syllable start completes it at its pitch, and a melisma
+    continuation fires nothing.  Given ``held``, a masked class other than
+    END goes there instead."""
     plan = None
     out = []
-    for sig, moves in classes:
+    for sig, moves, keys in classes:
         if sig != END and sig[0] and not sig[1]:  # (is_note, starts, pitch)
             reward, masked = h.reward, False  # a melisma continuation fires nothing
         else:
@@ -278,23 +282,27 @@ def _expand(
                 plan = ctx.plan(h.state, h.reward)
             reward, masked = (plan.end if sig == END else plan.rest if not sig[0]
                               else ctx.complete(plan, sig[2]))
-        args = (rank, h.base, reward, masked, moves, dist)
-        if masked and held is not None and sig != END:
-            held.append(args)
-        else:
-            out += _entries(*args)
+        record = (rank, h.base, reward, masked, moves, keys, dist)
+        (held if masked and held is not None and sig != END else out).append(record)
     return out
 
 
-def _entries(rank: int, base: float, reward: float, masked: bool, moves, dist) -> list:
-    """The :func:`_expand` entries of one class's ``moves``."""
-    return [(-((b := base + dist[k]) + reward), rank, pos, token, b, reward, masked)
-            for pos, token, k in moves]
+def _entries(rank, base, reward, masked, moves, keys, dist, bar=math.inf) -> list:
+    """``(-score, rank, pos, token, base, reward, masked)`` per move of one
+    :func:`_expand` class whose ``-score`` is at most ``bar``."""
+    return [(s, rank, pos, token, b, reward, masked) for pos, token, k in moves
+            if (s := -((b := base + dist[k]) + reward)) <= bar]
 
 
-def _keep(ctx: _Context, live: list, pool: list, width: int) -> list[_Hypothesis]:
-    """The children of the ``width`` best :func:`_expand` entries, built."""
-    return [_extend(ctx, live[entry[1]], entry) for entry in heapq.nsmallest(width, pool)]
+def _best(classes: list, n: int) -> list[tuple]:
+    """The ``n`` smallest :func:`_entries` of the :func:`_expand` ``classes``,
+    built only at or under the bar: the ``n``-th smallest class bound, where
+    a class's bound is its best move's ``-score``, the same float."""
+    bounds = [-((base + max(map(dist.__getitem__, keys))) + reward)
+              for _, base, reward, _, _, keys, dist in classes]
+    bar = sorted(bounds)[n - 1] if len(bounds) >= n else math.inf
+    return sorted([entry for bound, cls in zip(bounds, classes) if bound <= bar
+                   for entry in _entries(*cls, bar)])[:n]
 
 
 @dataclass(frozen=True)
@@ -334,21 +342,21 @@ def _beam(
     relaxations: list[int] = []
     for step in range(_max_steps(ctx)):
         live.sort(key=attrgetter("key"))
-        pool: list[tuple] = []
+        pool: list[tuple] = []  # the live hypotheses' classes
         held = [] if hard else None  # masked classes, built only if nothing else is left
         for rank, h in enumerate(live):
-            scored = _expand(ctx, h, rank, *moves_of(h), held)
-            if scored and scored[-1][2] < 0:  # END, always the last legal move
-                done = scored.pop()
+            classes = _expand(ctx, h, rank, *moves_of(h), held)
+            if classes and classes[-1][4][0][0] < 0:  # END's class, always the last legal one
+                done, = _entries(*classes.pop())
                 if best is None or (done[0], h.key) < (-best.score, best.key):
                     best = _extend(ctx, h, done)
-            pool.extend(scored)
+            pool.extend(classes)
         if held and not pool:
             relaxations.append(step)
-            pool = [entry for args in held for entry in _entries(*args)]
+            pool = held
         if not pool:
             break
-        live = _keep(ctx, live, pool, width)
+        live = [_extend(ctx, live[entry[1]], entry) for entry in _best(pool, width)]
     else:
         raise InternalError("beam search exceeded the grammar's step bound")
     if best is None:
@@ -405,15 +413,18 @@ def beam_search_hard(
 def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -> _Hypothesis:
     moves_of = _grammar(ctx, scorer)
     if top_k > len(scorer.vocab):
+        depth = 1  # name the first caller outside this module: sample's, rerank's or decode's
+        while sys._getframe(depth).f_globals is globals():
+            depth += 1
         warnings.warn(
             f"top_k={top_k} exceeds the vocabulary size {len(scorer.vocab)}; clamping",
-            stacklevel=3,
+            stacklevel=depth + 1,
         )
         top_k = len(scorer.vocab)
     h = _Hypothesis(tokens=(), key=(), state=_State())
     temperature = ctx.options.temperature
     for _ in range(_max_steps(ctx)):
-        kept = sorted(_expand(ctx, h, 0, *moves_of(h)))[:top_k]
+        kept = _best(_expand(ctx, h, 0, *moves_of(h)), top_k)
         top = max(-entry[0] for entry in kept)
         weights = [math.exp((-entry[0] - top) / temperature) for entry in kept]
         total = reduce(add, weights, 0)  # left fold: builtin sum compensates on 3.12+

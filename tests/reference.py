@@ -21,6 +21,7 @@ the metrics counted over reward events and anchored on repeats are checked
 against a second, independently written route.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,9 +55,7 @@ from lyricmelody.decoder import (
     DecodeResult,
     _Context,
     _Hypothesis,
-    _expand,
     _group_vocab,
-    _keep,
     _max_steps,
     score_decode,
 )
@@ -228,6 +227,18 @@ def is_masked(events, active):
     return any(ev.aspect in active and not ev.is_maximal for ev in events)
 
 
+def build_child(ctx, h, idx, token, lp, events):
+    """The child of ``h`` by ``token`` (vocabulary index ``idx``, base
+    log-probability ``lp``, firing ``events``), built in full."""
+    return _Hypothesis(
+        tokens=h.tokens + (token,),
+        key=h.key if token == END else h.key + (idx,),
+        state=h.state if token == END else ctx.apply(h.state, token),
+        base=h.base + lp,
+        reward=weighted_total(events, ctx.config, ctx.active, h.reward),
+    )
+
+
 def reward_beam_search(ctx, scorer, width, hard):
     """Reward-augmented beam search that builds every legal candidate as a
     full hypothesis (prefix, key, state, events) and only then keeps the
@@ -235,16 +246,6 @@ def reward_beam_search(ctx, scorer, width, hard):
     that would drop them all.  Returns (best completed hypothesis, steps that
     relaxed)."""
     groups = _group_vocab(scorer.vocab)
-
-    def extend(h, idx, token, lp, events):
-        return _Hypothesis(
-            tokens=h.tokens + (token,),
-            key=h.key if token == END else h.key + (idx,),
-            state=h.state if token == END else ctx.apply(h.state, token),
-            base=h.base + lp,
-            reward=weighted_total(events, ctx.config, ctx.active, h.reward),
-        )
-
     live = [_Hypothesis(tokens=(), key=(), state=_State())]
     best = None
     relaxations = []
@@ -252,10 +253,11 @@ def reward_beam_search(ctx, scorer, width, hard):
         pool = []
         for h in live:
             dist = scorer.log_prob_dist(h.tokens)
-            moves = [(pos, token) for _, cls in ctx.legal(h.state, groups) for pos, token, _ in cls]
+            moves = [(pos, token) for _, cls, _ in ctx.legal(h.state, groups)
+                     for pos, token, _ in cls]
             for idx, token in moves:
                 events = step_events(ctx, h.state, token)
-                cand = extend(h, idx, token, dist[token], events)
+                cand = build_child(ctx, h, idx, token, dist[token], events)
                 if token != END:
                     pool.append((cand, events))
                 elif best is None or (-cand.score, cand.key) < (-best.score, best.key):
@@ -272,6 +274,34 @@ def reward_beam_search(ctx, scorer, width, hard):
         live = [h for h, _ in pool[:width]]
     assert best is not None
     return best, tuple(relaxations)
+
+
+def reference_sample(ctx, scorer, rng, top_k):
+    """Top-k sampling that builds every legal candidate in full, sorts them
+    all by ``(-score, key)`` and keeps the first ``top_k`` (END keeps its
+    parent's key, so it ranks first on a tie), then softens them with the
+    temperature and draws one from ``rng``, step by step until END."""
+    groups = _group_vocab(scorer.vocab)
+    h = _Hypothesis(tokens=(), key=(), state=_State())
+    for _ in range(_max_steps(ctx)):
+        dist = scorer.log_prob_dist(h.tokens)
+        pool = [build_child(ctx, h, pos, token, dist[token], step_events(ctx, h.state, token))
+                for _, cls, _ in ctx.legal(h.state, groups) for pos, token, _ in cls]
+        kept = sorted(pool, key=lambda cand: (-cand.score, cand.key))[:top_k]
+        weights = [math.exp((cand.score - kept[0].score) / ctx.options.temperature)
+                   for cand in kept]
+        total = 0.0
+        for w in weights:
+            total += w
+        draw, cumulative, h = rng.random() * total, 0.0, kept[-1]
+        for cand, w in zip(kept, weights):
+            cumulative += w
+            if draw < cumulative:
+                h = cand
+                break
+        if h.tokens[-1] == END:
+            return h
+    raise AssertionError("sampling exceeded the grammar's step bound")
 
 
 def rhythm_skeleton(tokens):
@@ -304,9 +334,10 @@ def skeleton_rhythm_tokens(groups, rests):
 
 def reference_pitch_fill(ctx, pitch_scorer, slots, width):
     """Beam over pitch choices for each rhythm token of ``slots``, with a loop
-    of its own: rests and the final END are forced and only shift
-    probability mass, and the END step keeps the single best completion of
-    the ``(-score, rank)`` ordered pool."""
+    of its own that builds every candidate in full (as
+    :func:`reward_beam_search` does) and sorts them by ``(-score, key)``:
+    rests and the final END are forced and only shift probability mass, and
+    the END step keeps the single best completion."""
     vocab = pitch_scorer.vocab
     pitches = [t for t in vocab.tokens if isinstance(t, int)]
     assert pitches and (REST_MARK in vocab or all(t.is_note for t in slots))
@@ -321,15 +352,13 @@ def reference_pitch_fill(ctx, pitch_scorer, slots, width):
             moves = [(vocab.index_of(p),
                       MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start), p)
                      for p in pitches]
-        classes = {}  # the moves of each event signature
-        for move in moves:
-            classes.setdefault(ctx.signature(move[1]), []).append(move)
-        live.sort(key=lambda h: h.key)
         pool = []
-        for rank, h in enumerate(live):
+        for h in live:
             dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
-            pool.extend(_expand(ctx, h, rank, classes.items(), dist))
-        live = _keep(ctx, live, pool, 1 if slot is None else width)
+            pool.extend(build_child(ctx, h, idx, token, dist[key], step_events(ctx, h.state, token))
+                        for idx, token, key in moves)
+        pool.sort(key=lambda cand: (-cand.score, cand.key))
+        live = pool[:1 if slot is None else width]
     return live[0]
 
 

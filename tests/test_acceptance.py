@@ -134,17 +134,18 @@ def test_criterion_2_oracle_equivalence(config):
         for first in vocab.tokens[:-1]:
             h = _Hypothesis(tokens=(first,), key=(), state=ctx.apply(_State(), first))
             classes = ctx.legal(h.state, groups)
-            # the decoder's own scoring of each move
-            entries = _expand(ctx, h, 0, classes, dict.fromkeys(vocab.tokens, 0.0))
-            for _, _, pos, tok, _, _, masked in entries:
-                if pos < 0:  # END
-                    continue
-                if not masked:
-                    survivors.add((first, tok))
-                # hand-rolled rule: the keyword's first note must fall on
-                # beat 1 or 3 of the 4/4 bar
-                if first.duration % 4 in (0, 2):
-                    oracle.add((first, tok))
+            # the decoder's own scoring of each move, one record per class
+            records = _expand(ctx, h, 0, classes, dict.fromkeys(vocab.tokens, 0.0))
+            for _, _, _, masked, moves, _, _ in records:
+                for pos, tok, _ in moves:
+                    if pos < 0:  # END
+                        continue
+                    if not masked:
+                        survivors.add((first, tok))
+                    # hand-rolled rule: the keyword's first note must fall on
+                    # beat 1 or 3 of the 4/4 bar
+                    if first.duration % 4 in (0, 2):
+                        oracle.add((first, tok))
         assert survivors == oracle and survivors
 
 

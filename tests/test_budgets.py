@@ -181,20 +181,63 @@ def test_beam_completes_each_start_signature_at_most_once_per_expansion(
 def test_beam_hard_builds_masked_moves_only_on_steps_that_relax(monkeypatch, config, bundle):
     # an expansion sets its masked classes aside; the step builds them only
     # when no unmasked move is left, which is the step it records as relaxed
-    masked = []
-    expand = decoder._expand
+    returned, built = [], Counter()
+    expand, entries = decoder._expand, decoder._entries
 
     def counted_expand(*args):
         out = expand(*args)
-        masked.extend(entry for entry in out if entry[6] and entry[2] >= 0)  # END aside
+        returned.extend(cls for cls in out if cls[3] and cls[4][0][0] >= 0)  # END aside
+        return out
+
+    def counted_entries(*args):
+        out = entries(*args)
+        built[k] += sum(1 for entry in out if entry[6] and entry[2] >= 0)
         return out
 
     monkeypatch.setattr(decoder, "_expand", counted_expand)
-    relaxed = [decode(lyrics, bundle.token_model, config,
-                      DecodeOptions(mode=DecodeMode.BEAM_HARD)).relaxation_steps
-               for lyrics in sheets(20261109, 4)]
-    assert any(relaxed)  # the deferred moves were built and kept somewhere
-    assert masked == []
+    monkeypatch.setattr(decoder, "_entries", counted_entries)
+    relaxed = {}
+    for k, lyrics in enumerate(sheets(20261109, 4)):
+        relaxed[k] = decode(lyrics, bundle.token_model, config,
+                            DecodeOptions(mode=DecodeMode.BEAM_HARD)).relaxation_steps
+    assert any(relaxed.values()) and sum(built.values())  # deferred moves were built somewhere
+    assert returned == []
+    assert {k for k in built if built[k]} <= {k for k in relaxed if relaxed[k]}
+
+
+@pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
+def test_beam_builds_only_the_moves_at_or_under_the_bar(monkeypatch, config, bundle, mode):
+    # a class's bound is its best move's -score; a step's bar is the width-th
+    # smallest bound, and only moves at or under it are built
+    entries, best = decoder._entries, decoder._best
+    calls = Counter()
+    built = []  # the entries the current selection built
+
+    def counted_entries(*args):
+        out = entries(*args)
+        built.extend(out)
+        return out
+
+    def counted_best(classes, n):
+        every = [entry for cls in classes for entry in entries(*cls)]
+        bounds = sorted(min(entry[0] for entry in entries(*cls)) for cls in classes)
+        bar = bounds[n - 1] if len(bounds) >= n else float("inf")
+        built.clear()
+        out = best(classes, n)
+        calls["steps"] += 1
+        calls["moves"] += len(every)
+        calls["built"] += len(built)
+        calls["past the bar"] += sum(1 for entry in built if entry[0] > bar)
+        calls["at or under the bar"] += sum(1 for entry in every if entry[0] <= bar)
+        return out
+
+    monkeypatch.setattr(decoder, "_entries", counted_entries)
+    monkeypatch.setattr(decoder, "_best", counted_best)
+    for lyrics in sheets(20261112, 4):
+        decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
+    assert calls["past the bar"] == 0
+    assert calls["built"] == calls["at or under the bar"]  # ties at the bar are built too
+    assert calls["steps"] and calls["built"] * 4 < calls["moves"]  # the bar pruned most moves
 
 
 @pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])

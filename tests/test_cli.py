@@ -82,6 +82,20 @@ class TestGenerate:
         assert main(args("b.mid")) == 0
         assert (tmp_path / "a.mid").read_bytes() == (tmp_path / "b.mid").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["sample", "rerank"])
+    def test_top_k_clamp_prints_one_warning_line(self, workspace, model_path, tmp_path,
+                                                 capsys, mode):
+        from lyricmelody import ModelBundle
+
+        size = len(ModelBundle.from_json(model_path.read_text("utf-8")).token_model.vocab)
+        assert main(["generate", str(workspace / "lyrics" / "song_0.txt"), "-m",
+                     str(model_path), "-o", str(tmp_path / "s.mid"), "--mode", mode,
+                     "--top-k", "100000", "--candidates", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: top_k=100000 exceeds the vocabulary size {size}; clamping\n")
+        assert captured.out.startswith(f"wrote {tmp_path / 's.mid'}")
+
     def test_rerank_one_candidate_equals_sample_under_off(
         self, workspace, model_path, tmp_path
     ):

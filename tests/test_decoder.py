@@ -232,10 +232,15 @@ class TestSampling:
         assert hot.melody == cold.melody
 
     def test_top_k_clamped_with_warning(self, config, trained):
+        # the warning names the line that called the public function, not
+        # the decoder's own dispatch
         lyr = parse_lyrics("ni3|W .")
-        with pytest.warns(UserWarning, match="clamp"):
-            sample(lyr, trained, config,
-                   DecodeOptions(mode=DecodeMode.SAMPLE, seed=0, top_k=10_000))
+        for call, mode in [(sample, DecodeMode.SAMPLE), (rerank, DecodeMode.RERANK),
+                           (decode, DecodeMode.SAMPLE), (decode, DecodeMode.RERANK)]:
+            options = DecodeOptions(mode=mode, seed=0, top_k=10_000, rerank_candidates=2)
+            with pytest.warns(UserWarning, match="clamp") as record:
+                call(lyr, trained, config, options)
+            assert [w.filename for w in record] == [__file__] * len(record), (call, mode)
 
 
     def test_end_wins_score_ties(self, config):
@@ -671,6 +676,57 @@ class TestScoreFirstBeamMatchesReference:
         assert relaxed  # hard mode relaxed somewhere, so that path is compared too
 
 
+class TestTiesAtTheBar:
+    """With every log-probability equal, a step's moves tie in whole
+    classes, so many moves sit exactly at the bar (the ``width``-th best
+    class bound) that prunes the rest; ties there are kept and broken by
+    key, so each mode equals its every-candidate reference token for token
+    with widths and ``top_k`` below the tied pool."""
+
+    TEXTS = ("ni3|W,K hao3|I tian1|W .", "ni3|W hao3|W,K .\nni3|W hao3|W,K ?")
+
+    @staticmethod
+    def scorer():
+        return UniformScorer(small_vocab(pitches=(60, 62, 64), durations=(1, 2),
+                                         continuations=True))
+
+    @pytest.mark.parametrize("preset", ["off", "telemelody"])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_beam_modes_equal_the_every_candidate_beam(self, config, width, preset):
+        from lyricmelody.decoder import _Context
+        from reference import reward_beam_search
+
+        scorer, cfg = self.scorer(), config.with_preset(preset)
+        options = DecodeOptions(beam_width=width, max_notes_per_syllable=2)
+        for text in self.TEXTS:
+            lyr = parse_lyrics(text)
+            ctx = _Context(lyr, cfg, options, options.active, scorer.vocab.tokens)
+            for call, hard in ((beam_search, False), (beam_search_hard, True)):
+                got = call(lyr, scorer, cfg, options)
+                want, relaxed = reward_beam_search(ctx, scorer, width, hard)
+                assert got.melody.tokens == want.tokens[:-1], (text, hard)
+                assert (got.base_logprob.hex(), got.reward_total.hex(), got.relaxation_steps) \
+                    == (want.base.hex(), want.reward.hex(), relaxed), (text, hard)
+
+    @pytest.mark.parametrize("preset", ["off", "telemelody"])
+    @pytest.mark.parametrize("top_k", [1, 2, 3])
+    def test_sample_equals_the_sorted_every_candidate_top_k(self, config, top_k, preset):
+        from lyricmelody.decoder import _Context
+        from reference import reference_sample
+
+        scorer, cfg = self.scorer(), config.with_preset(preset)
+        for text, seed in itertools.product(self.TEXTS, range(4)):
+            lyr = parse_lyrics(text)
+            options = DecodeOptions(mode=DecodeMode.SAMPLE, top_k=top_k, seed=seed,
+                                    temperature=2.0, max_notes_per_syllable=2)
+            ctx = _Context(lyr, cfg, options, options.active, scorer.vocab.tokens)
+            got = sample(lyr, scorer, cfg, options)
+            want = reference_sample(ctx, scorer, random.Random(seed), top_k)
+            assert got.melody.tokens == want.tokens[:-1], (text, seed)
+            assert (got.base_logprob.hex(), got.reward_total.hex()) \
+                == (want.base.hex(), want.reward.hex()), (text, seed)
+
+
 class TestEventSignature:
     """Tokens with equal ``_EventModel.signature`` fire equal events
     (``reference.step_events``) from any state reached by folding a melody,
@@ -698,7 +754,7 @@ class TestEventSignature:
                     tokens = tuple(map(rhythm_projection, tokens))
                 for token in tokens + (None,):
                     by_signature = {}
-                    for sig, cand in [(sig, t) for sig, cls in ctx.legal(state, groups)
+                    for sig, cand in [(sig, t) for sig, cls, _ in ctx.legal(state, groups)
                                       for _, t, _ in cls]:
                         events = events_of(ctx, state, cand)
                         if sig in by_signature:
