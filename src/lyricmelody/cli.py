@@ -281,6 +281,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     unknown = [m for m in mode_names if m not in COMPARE_MODES]
     if unknown:
         raise InputError(f"unknown compare mode(s) {unknown}, expected {sorted(COMPARE_MODES)}")
+    if not mode_names:
+        raise InputError(f"--modes {args.modes!r} names no mode")
+    if len(set(mode_names)) < len(mode_names):  # the JSON report keeps one row per mode
+        raise InputError(f"--modes {args.modes!r} names a mode twice")
 
     meter = _parse_time_signature(args.time_signature)
     corpus = [parse_lyrics(_read_text(lp)) for lp in lyric_paths]

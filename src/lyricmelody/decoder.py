@@ -410,17 +410,18 @@ def beam_search_hard(
     return _result_from(ctx, best, DecodeMode.BEAM_HARD, relaxations)
 
 
-def _sample_run(ctx: _Context, scorer: Scorer, rng: random.Random, top_k: int) -> _Hypothesis:
-    moves_of = _grammar(ctx, scorer)
+def _top_k(scorer: Scorer, top_k: int) -> int:
+    """``top_k``, clamped to the vocabulary size with a warning; once per decode."""
     if top_k > len(scorer.vocab):
         depth = 1  # name the first caller outside this module: sample's, rerank's or decode's
         while sys._getframe(depth).f_globals is globals():
             depth += 1
-        warnings.warn(
-            f"top_k={top_k} exceeds the vocabulary size {len(scorer.vocab)}; clamping",
-            stacklevel=depth + 1,
-        )
-        top_k = len(scorer.vocab)
+        warnings.warn(f"top_k={top_k} exceeds the vocabulary size {len(scorer.vocab)}; "
+                      "clamping", stacklevel=depth + 1)
+    return min(top_k, len(scorer.vocab))
+
+
+def _sample_run(ctx: _Context, moves_of, rng: random.Random, top_k: int) -> _Hypothesis:
     h = _Hypothesis(tokens=(), key=(), state=_State())
     temperature = ctx.options.temperature
     for _ in range(_max_steps(ctx)):
@@ -453,7 +454,7 @@ def sample(
     seeded generator.  Reproducible per seed."""
     ctx = _Context(lyrics, config, options, options.active, scorer.vocab.tokens)
     rng = random.Random(options.seed)
-    h = _sample_run(ctx, scorer, rng, options.top_k)
+    h = _sample_run(ctx, _grammar(ctx, scorer), rng, _top_k(scorer, options.top_k))
     return _result_from(ctx, h, DecodeMode.SAMPLE)
 
 
@@ -467,9 +468,10 @@ def rerank(
     one whose full-sequence combined score (base + weighted rewards) wins."""
     ctx = _Context(lyrics, config, options, frozenset(), scorer.vocab.tokens)
     rng = random.Random(options.seed)
+    moves_of, top_k = _grammar(ctx, scorer), _top_k(scorer, options.top_k)
     best: Optional[_Hypothesis] = None
     for _ in range(options.rerank_candidates):
-        h = _sample_run(ctx, scorer, rng, options.top_k)
+        h = _sample_run(ctx, moves_of, rng, top_k)
         melody = Melody(h.tokens[:-1], options.time_signature)  # a sample ends with END
         rewarded = replace(h, reward=score_rewards(lyrics, melody, config, options.active).total)
         if best is None or (-rewarded.score, rewarded.key) < (-best.score, best.key):

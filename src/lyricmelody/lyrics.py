@@ -16,7 +16,8 @@ comma list: ``W`` word start, ``I`` word inner (exactly one of the two),
 A redundant ``E`` is tolerated on the last syllable of a line.  The line
 ends with a standalone punctuation token which fixes the sentence's
 intonation.  A JSON mirror of the same schema is accepted for machine
-producers (see :func:`lyrics_from_json`).
+producers (see :func:`lyrics_from_json`); every JSON input of the package
+passes one shape check, :func:`_fields`.
 
 All types here are frozen; a parsed sequence can be shared freely across
 threads.
@@ -387,13 +388,30 @@ def lyrics_to_json(lyrics: LyricSequence) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)
 
 
-def _check_keys(obj, keys, where: str) -> None:
-    """ValueError unless ``obj`` is a JSON object with no key outside ``keys``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(str(key) for key in obj if key not in keys)
+#: the Python types ``json.loads`` gives each JSON type: a bool is no number, a float no integer
+_JSON_TYPES = {"an object": (dict,), "a list": (list,), "a string": (str,),
+               "a number": (int, float), "an integer": (int,), "a boolean": (bool,)}
+
+
+def _fields(doc, where: str, required: dict, optional: dict = {}, error=ValueError) -> list:
+    """``doc``'s values for the keys of ``required``, then of ``optional`` (None if
+    absent); ``error`` names the first fault.  A key maps to the JSON type of its
+    value, to the reader that converts the value (a present null too, so a null
+    never reads as absent), or to None for any value."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(str(key) for key in doc if key not in required and key not in optional)
     if unknown:
-        raise ValueError(f"{where} has unknown keys {unknown}")
+        raise error(f"{where} has unknown keys {unknown}")
+    values = []
+    for key, kind in (*required.items(), *optional.items()):
+        if key not in doc:
+            if key in required:
+                raise error(f"{where} has no {key!r}")
+        elif isinstance(kind, str) and type(doc[key]) not in _JSON_TYPES[kind]:
+            raise error(f"{where} {key} must be {kind}, got {type(doc[key]).__name__}")
+        values.append(kind(doc[key]) if callable(kind) and key in doc else doc.get(key))
+    return values
 
 
 def lyrics_from_json(source: str) -> LyricSequence:
@@ -403,21 +421,22 @@ def lyrics_from_json(source: str) -> LyricSequence:
     except json.JSONDecodeError as exc:
         raise LyricFormatError(f"invalid lyrics JSON: {exc}") from exc
     try:
-        _check_keys(doc, {"language", "sentences"}, "document")
-        language = Language(doc["language"])
-        sentences = []
-        for sent in doc["sentences"]:
-            _check_keys(sent, {"intonation", "syllables"}, "sentence")
-            parsed = []
-            for s in sent["syllables"]:
-                _check_keys(s, {"text", "tone", "word_position", "stress_class"}, "syllable")
-                parsed.append((s["text"], Tone(s.get("tone", "none")),
-                               WordPosition(s["word_position"]),
-                               StressClass(s.get("stress_class", "neutral"))))
-            sentences.append((Intonation(sent.get("intonation", "neutral")), parsed))
-    except (KeyError, TypeError, ValueError) as exc:
+        language, sentences = _fields(doc, "document",
+                                      {"language": Language, "sentences": "a list"})
+        parsed = []
+        for sent in sentences:
+            syllables, intonation = _fields(sent, "sentence", {"syllables": "a list"},
+                                            {"intonation": Intonation})
+            words = []
+            for s in syllables:
+                text, wp, tone, sc = _fields(
+                    s, "syllable", {"text": None, "word_position": WordPosition},
+                    {"tone": Tone, "stress_class": StressClass})
+                words.append((text, tone or Tone.NONE, wp, sc or StressClass.NEUTRAL))
+            parsed.append((intonation or Intonation.NEUTRAL, words))
+    except ValueError as exc:
         raise LyricFormatError(f"lyrics JSON schema violation: {exc}") from exc
-    return _assemble(sentences, language)
+    return _assemble(parsed, language)
 
 
 def _normalized_text(lyrics: LyricSequence, sent: Sentence) -> tuple[str, ...]:

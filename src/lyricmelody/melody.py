@@ -26,7 +26,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import AlignmentError, MidiFormatError
-from .lyrics import LyricSequence, _check_keys
+from .lyrics import LyricSequence, _fields
 
 __all__ = [
     "TokenKind",
@@ -293,23 +293,14 @@ def melody_from_json(source: str) -> Melody:
     import json
 
     try:
-        doc = json.loads(source)
-        _check_keys(doc, {"time_signature", "tokens"}, "document")
-        tokens = []
-        for i, t in enumerate(doc["tokens"]):
-            kind = TokenKind(t["kind"])
-            duration = _duration(t["duration"])
-            if kind is TokenKind.NOTE:
-                _check_keys(t, {"kind", "duration", "pitch", "syllable_start"}, f"token {i}")
-                # a bool is an int, and int() would truncate a float pitch
-                pitch, start = t["pitch"], t["syllable_start"]
-                if type(pitch) is not int or type(start) is not bool:
-                    raise ValueError(f"a note needs an integer pitch and a boolean "
-                                     f"syllable_start, got {pitch!r} and {start!r}")
-                tokens.append(MelodyToken(kind, duration, pitch, start))
-            else:
-                _check_keys(t, {"kind", "duration"}, f"token {i}")
-                tokens.append(MelodyToken(kind, duration))
-        return Melody(tuple(tokens), doc.get("time_signature", (4, 4)))
-    except (KeyError, TypeError, ValueError) as exc:
+        tokens, meter = _fields(json.loads(source), "document", {"tokens": "a list"},
+                                {"time_signature": "a list"})
+        melody = []
+        for i, t in enumerate(tokens):
+            fields = {"kind": TokenKind, "duration": _duration}
+            if isinstance(t, dict) and t.get("kind") == TokenKind.NOTE.value:
+                fields.update(pitch="an integer", syllable_start="a boolean")
+            melody.append(MelodyToken(*_fields(t, f"token {i}", fields)))
+        return Melody(tuple(melody), (4, 4) if meter is None else meter)
+    except ValueError as exc:
         raise MidiFormatError(f"invalid melody JSON: {exc}") from exc

@@ -76,6 +76,7 @@ from .lyrics import (
     TONAL_TONES,
     Tone,
     WordPosition,
+    _fields,
     build_structure_matrix,
 )
 from .melody import BeatStrength, Melody, _check_aligned, _duration, _tick_clock
@@ -847,53 +848,34 @@ _REWARD_KEYS = {
     "structure_exact": "structure_reward_exact",
     "structure_octave": "structure_reward_octave",
 }
-_DOCUMENT_KEYS = {"description", "lambda", "rewards", "long_note_threshold", "harmony_table"}
 
 
-def _object(value, where: str, keys=None) -> dict:
-    """``value``, which a reward config document must hold as a JSON object
-    ``where``, with no key outside ``keys`` when they are given."""
-    if not isinstance(value, dict):
-        kind = type(value).__name__
-        raise ConfigError(f"reward config {where} must be a JSON object, got {kind}")
-    if keys is not None:
-        unknown = sorted(str(key) for key in value if key not in keys)
-        if unknown:
-            raise ConfigError(f"reward config {where} has unknown keys {unknown}")
-    return value
-
-
-def _numbers(section: dict, keys: dict, where: str) -> dict:
-    """``{keys[key]: float}`` of each key of ``keys`` that ``section`` holds;
-    each value must be a JSON number, which a bool is not."""
-    out = {}
-    for key, name in keys.items():
-        if key in section:
-            value = section[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                kind = type(value).__name__
-                raise ConfigError(f"reward config '{where}.{key}' must be a number, got {kind}")
-            out[name] = float(value)
-    return out
+def _given(names: Iterable, values: list) -> dict:
+    """``{name: float(value)}`` of each value a config section gives (not None)."""
+    return {name: float(value) for name, value in zip(names, values) if value is not None}
 
 
 def reward_config_from_dict(doc: dict) -> RewardConfig:
-    # the document's shape and keys, before any value is read; sections
-    # other than the harmony table may be absent
-    doc = _object(doc, "document", _DOCUMENT_KEYS)
-    lam = _object(doc.get("lambda", {}), "'lambda'", _LAMBDA_KEYS)
-    rewards = _object(doc.get("rewards", {}), "'rewards'", {"transition", *_REWARD_KEYS})
-    transition = _object(rewards.get("transition", {}), "'rewards.transition'", _DEGREE_BY_NAME)
-    table = _object(doc.get("harmony_table"), "'harmony_table'")
+    """The config a reward config document spells; a key left out (any but the
+    harmony table) keeps its :class:`RewardConfig` default."""
     try:
+        table, lam, rewards, threshold, _ = _fields(
+            doc, "reward config", {"harmony_table": "an object"},
+            {"lambda": "an object", "rewards": "an object", "long_note_threshold": _duration,
+             "description": None}, ConfigError)
+        lambdas = _fields(lam or {}, "reward config lambda", {},
+                          dict.fromkeys(_LAMBDA_KEYS, "a number"), ConfigError)
+        transition, *matches = _fields(
+            rewards or {}, "reward config rewards", {},
+            {"transition": "an object", **dict.fromkeys(_REWARD_KEYS, "a number")}, ConfigError)
+        degrees = _fields(transition or {}, "reward config rewards transition", {},
+                          dict.fromkeys(_DEGREE_BY_NAME, "a number"), ConfigError)
         config = RewardConfig(
-            **_numbers(lam, _LAMBDA_KEYS, "lambda"),
-            **_numbers(rewards, _REWARD_KEYS, "rewards"),
+            **_given(_LAMBDA_KEYS.values(), lambdas),
+            **_given(_REWARD_KEYS.values(), matches),
             transition_rewards={
-                **_TRANSITION_REWARDS,
-                **_numbers(transition, _DEGREE_BY_NAME, "rewards.transition"),
-            },
-            long_note_threshold=_duration(doc.get("long_note_threshold", "2")),
+                **_TRANSITION_REWARDS, **_given(_DEGREE_BY_NAME.values(), degrees)},
+            long_note_threshold=Fraction(2) if threshold is None else threshold,
             harmony_table=_table_from_dict(table),
         )
     except ConfigError:

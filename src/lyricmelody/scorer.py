@@ -13,8 +13,9 @@ Three vocabulary kinds share the same machinery:
   rhythm-first decoding, spelled ``N:1/2:S`` / ``R:1/2``;
 * ``pitch`` — pitches plus a rest marker, for pitch-onto-skeleton decoding.
 
-A model file is checked in one pass as it loads: every key is present and
-of its JSON type, every context and successor is a token of the file's
+A model file is checked in one pass as it loads: each object holds exactly
+its format's keys, each of its JSON type (the shared reader,
+:func:`lyricmelody.lyrics._fields`), every context and successor is a token of the file's
 vocabulary (in any spelling), no context is longer than ``order - 1`` or
 counted twice, no successor is listed twice after one context, each count
 is an integer from 1 to 2**53 and each context has a successor.  The first
@@ -52,6 +53,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import TrainingError
+from .lyrics import _fields
 from .melody import Melody, MelodyToken, RhythmToken, TokenKind, _duration
 
 __all__ = [
@@ -139,30 +141,6 @@ def _codec(kind: str) -> _Codec:
     return _CODECS[kind]
 
 
-_JSON_TYPES = {"an integer": (int,), "a number": (int, float), "a string": (str,),
-               "a list": (list,), "an object": (dict,)}
-
-
-def _fields(doc, where: str, known=(), **expected: str) -> list:
-    """``doc``'s values of the keys ``expected`` names, each of the JSON type named
-    there (a bool is no number); TrainingError names the first missing or mistyped
-    key, or the first key that is neither expected nor read elsewhere (``known``)."""
-    if type(doc) is not dict:
-        raise TrainingError(f"{where} must be an object, got {type(doc).__name__}")
-    for key, json_type in expected.items():
-        if key not in doc:
-            raise TrainingError(f"{where} has no {key!r}")
-        value = doc[key]
-        if isinstance(value, (dict, list)) and type(value) not in _JSON_TYPES[json_type]:
-            raise TrainingError(f"{where} {key} must be {json_type}, got {type(value).__name__}")
-        if type(value) not in _JSON_TYPES[json_type]:  # a scalar: short enough to quote
-            raise TrainingError(f"{where} {key} {value!r} is not {json_type}")
-    unknown = [key for key in doc if key not in expected and key not in known]
-    if unknown:
-        raise TrainingError(f"{where} has unknown key {unknown[0]!r}")
-    return [doc[key] for key in expected]
-
-
 def _decode(kind: str, text) -> Token:
     """The token a model file spells ``text``; TrainingError if it spells none."""
     if text == END:
@@ -207,7 +185,8 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Vocabulary":
-        kind, texts = _fields(doc, "model vocab", kind="a string", tokens="a list")
+        kind, texts = _fields(doc, "model vocab", {"kind": "a string", "tokens": "a list"},
+                              error=TrainingError)
         return cls(kind, tuple(_decode(kind, text) for text in texts))
 
     @classmethod
@@ -379,8 +358,9 @@ class NGramModel:
     def from_dict(cls, doc: dict) -> "NGramModel":
         """The model a model file's object spells, checked in one pass that
         raises TrainingError at the first fault (see the module docstring)."""
-        order, discount, vocab_doc, raw_counts = _fields(
-            doc, "model", order="an integer", discount="a number", vocab="an object", counts="a list")
+        order, discount, vocab_doc, raw_counts = _fields(doc, "model", {
+            "order": "an integer", "discount": "a number", "vocab": "an object",
+            "counts": "a list"}, error=TrainingError)
         vocab = Vocabulary.from_dict(vocab_doc)
         spelled = dict(zip(vocab_doc["tokens"], vocab.tokens))
 
@@ -462,8 +442,9 @@ class ModelBundle:
             raise TrainingError(f"not a {cls.FORMAT} model file")
         if doc.get("version") != cls.VERSION or type(doc["version"]) is not int:
             raise TrainingError(f"unsupported model file version {doc.get('version')!r}")
-        slots = _fields(doc, "model file", ("format", "version"),
-                        **dict.fromkeys(_SLOT_KINDS, "an object"))
+        _, _, *slots = _fields(doc, "model file", {  # the format and version are read above
+            "format": None, "version": None, **dict.fromkeys(_SLOT_KINDS, "an object")},
+            error=TrainingError)
         models = [NGramModel.from_dict(slot) for slot in slots]
         for (slot, kind), model in zip(_SLOT_KINDS.items(), models):
             if model.vocab.kind != kind:

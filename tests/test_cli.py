@@ -10,6 +10,7 @@ import pytest
 
 from lyricmelody import __version__, read_midi, serialize_lyrics, write_midi
 from lyricmelody.cli import main
+from lyricmelody.errors import ConfigError, LyricFormatError, MidiFormatError, TrainingError
 from lyricmelody.synthetic import random_lyrics, random_training_melody
 from conftest import mk_melody
 
@@ -345,6 +346,21 @@ class TestCompare:
                      "--modes", "off,quantum"]) == 1
         assert "quantum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("modes, message", [
+        (",", "--modes ',' names no mode"),
+        ("soft,off,soft", "--modes 'soft,off,soft' names a mode twice"),
+    ])
+    def test_empty_or_repeated_modes_exit_one(
+        self, workspace, model_path, tmp_path, capsys, modes, message
+    ):
+        # a repeated mode printed two rows but kept one key of the JSON report
+        report = tmp_path / "t.json"
+        assert main(["compare", str(workspace / "lyrics"), "-m", str(model_path),
+                     "--modes", modes, "--json", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not report.exists()
+
     def test_bad_time_signature_exit_one(self, workspace, model_path, tmp_path, capsys):
         report = tmp_path / "t.json"
         assert main(["compare", str(workspace / "lyrics"), "-m", str(model_path),
@@ -527,13 +543,13 @@ def _lengthen_a_context(doc):
 
 #: reward config edits, each of which must end as a documented error
 BAD_CONFIGS = [
-    (lambda doc: [], "reward config document must be a JSON object, got list"),
-    (lambda doc: {**doc, "lambda": [1]}, "reward config 'lambda' must be a JSON object"),
-    (lambda doc: {**doc, "rewards": "x"}, "reward config 'rewards' must be a JSON object"),
+    (lambda doc: [], "reward config must be a JSON object, got list"),
+    (lambda doc: {**doc, "lambda": [1]}, "reward config lambda must be an object, got list"),
+    (lambda doc: {**doc, "rewards": "x"}, "reward config rewards must be an object, got str"),
     (lambda doc: {**doc, "rewards": {"transition": 1}},
-     "reward config 'rewards.transition' must be a JSON object"),
+     "reward config rewards transition must be an object, got int"),
     (lambda doc: {**doc, "harmony_table": []},
-     "reward config 'harmony_table' must be a JSON object"),
+     "reward config harmony_table must be an object, got list"),
     (lambda doc: {**doc, "lambda": {"tone": float("nan")}}, "lambda_tone must be finite"),
     (lambda doc: {**doc, "lambda": {"rhythm": float("inf")}}, "lambda_rhythm must be finite"),
     (lambda doc: {**doc, "rewards": {"shape_match": float("inf")}},
@@ -541,9 +557,9 @@ BAD_CONFIGS = [
     (lambda doc: {**doc, "rewards": {"transition": {"bad": float("-inf")}}},
      "bad transition reward must be finite"),
     (lambda doc: {**doc, "lambda": {"tone": True}},
-     "reward config 'lambda.tone' must be a number, got bool"),
+     "reward config lambda tone must be a number, got bool"),
     (lambda doc: {"lamda": doc.pop("lambda"), **doc},
-     "reward config document has unknown keys ['lamda']"),
+     "reward config has unknown keys ['lamda']"),
     (lambda doc: {**doc, "long_note_threshold": "1e3"},
      "bad reward config: duration '1e3' is not n or n/d"),
     (lambda doc: {**doc, "long_note_threshold": 0.1},
@@ -723,17 +739,21 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("pipeline", ["single", "two-stage"])
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["token_model"].update(order=2.9), "model order 2.9 is not"),
-        (lambda doc: doc["rhythm_model"].update(order=True), "model order True is not"),
-        (lambda doc: doc["pitch_model"].update(discount="0.5"), "model discount '0.5' is not"),
-        (lambda doc: doc["token_model"].update(counts={}), "model counts must be a list"),
+        (lambda doc: doc["token_model"].update(order=2.9),
+         "model order must be an integer, got float"),
+        (lambda doc: doc["rhythm_model"].update(order=True),
+         "model order must be an integer, got bool"),
+        (lambda doc: doc["pitch_model"].update(discount="0.5"),
+         "model discount must be a number, got str"),
+        (lambda doc: doc["token_model"].update(counts={}),
+         "model counts must be a list, got dict"),
         (_lengthen_a_context, "is longer than order - 1 = 2"),
         (lambda doc: doc.update(version="1"), "unsupported model file version '1'"),
         (lambda doc: doc.update(version=True), "unsupported model file version True"),
-        (lambda doc: doc.update(extra=1), "model file has unknown key 'extra'"),
-        (lambda doc: doc["token_model"].update(bogus=[]), "model has unknown key 'bogus'"),
+        (lambda doc: doc.update(extra=1), "model file has unknown keys ['extra']"),
+        (lambda doc: doc["token_model"].update(bogus=[]), "model has unknown keys ['bogus']"),
         (lambda doc: doc["pitch_model"]["vocab"].update(size=3),
-         "model vocab has unknown key 'size'"),
+         "model vocab has unknown keys ['size']"),
     ], ids=["fractional order", "bool order", "string discount", "object counts",
             "long context", "string version", "bool version", "top-level key", "slot key",
             "vocab key"])
@@ -810,6 +830,108 @@ class TestMalformedInputs:
         assert main(["evaluate", str(lyrics), str(midi)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "time signature" in err and "Traceback" not in err
+
+
+#: (format, fault, path to the faulty node, its new value or _GONE, error class, message);
+#: each format meets each kind of fault its keys allow: lyrics hold no number, and a model
+#: file has no optional key, so its null goes to a required one
+_GONE = object()
+JSON_FAULTS = [
+    ("lyrics", "not an object", ("sentences", 0), 5, LyricFormatError,
+     "lyrics JSON schema violation: sentence must be a JSON object, got int"),
+    ("lyrics", "unknown key", ("title",), "x", LyricFormatError,
+     "lyrics JSON schema violation: document has unknown keys ['title']"),
+    ("lyrics", "missing key", ("language",), _GONE, LyricFormatError,
+     "lyrics JSON schema violation: document has no 'language'"),
+    ("lyrics", "true for a list", ("sentences",), True, LyricFormatError,
+     "lyrics JSON schema violation: document sentences must be a list, got bool"),
+    ("lyrics", "null for an optional key", ("sentences", 0, "syllables", 0, "tone"), None,
+     LyricFormatError, "lyrics JSON schema violation: None is not a valid Tone"),
+    ("melody", "not an object", ("tokens", 0), 5, MidiFormatError,
+     "invalid melody JSON: token 0 must be a JSON object, got int"),
+    ("melody", "unknown key", ("tokens", 0, "velocity"), 90, MidiFormatError,
+     "invalid melody JSON: token 0 has unknown keys ['velocity']"),
+    ("melody", "missing key", ("tokens", 0, "duration"), _GONE, MidiFormatError,
+     "invalid melody JSON: token 0 has no 'duration'"),
+    ("melody", "true for an integer", ("tokens", 0, "pitch"), True, MidiFormatError,
+     "invalid melody JSON: token 0 pitch must be an integer, got bool"),
+    ("melody", "float for an integer", ("tokens", 0, "pitch"), 60.0, MidiFormatError,
+     "invalid melody JSON: token 0 pitch must be an integer, got float"),
+    ("melody", "null for an optional key", ("time_signature",), None, MidiFormatError,
+     "invalid melody JSON: document time_signature must be a list, got NoneType"),
+    ("config", "not an object", (), [], ConfigError,
+     "reward config must be a JSON object, got list"),
+    ("config", "unknown key", ("colour",), "red", ConfigError,
+     "reward config has unknown keys ['colour']"),
+    ("config", "missing key", ("harmony_table",), _GONE, ConfigError,
+     "reward config has no 'harmony_table'"),
+    ("config", "true for a number", ("lambda", "tone"), True, ConfigError,
+     "reward config lambda tone must be a number, got bool"),
+    ("config", "float for an integer", ("harmony_table", "tone1,tone1", 0, 0), -6.0,
+     ConfigError, "harmony cell tone1,tone1: [-6.0, -4, 'fair'] is not [low, high, degree] "
+     "with integer bounds"),
+    ("config", "null for an optional key", ("lambda",), None, ConfigError,
+     "reward config lambda must be an object, got NoneType"),
+    ("config", "null for the threshold", ("long_note_threshold",), None, ConfigError,
+     "bad reward config: duration None is not n or n/d"),
+    ("model", "not an object", ("token_model",), [], TrainingError,
+     "model file token_model must be an object, got list"),
+    ("model", "unknown key", ("extra",), 1, TrainingError,
+     "model file has unknown keys ['extra']"),
+    ("model", "missing key", ("token_model", "counts"), _GONE, TrainingError,
+     "model has no 'counts'"),
+    ("model", "true for a number", ("pitch_model", "discount"), True, TrainingError,
+     "model discount must be a number, got bool"),
+    ("model", "float for an integer", ("rhythm_model", "order"), 2.0, TrainingError,
+     "model order must be an integer, got float"),
+    ("model", "null for a required key", ("token_model", "vocab", "kind"), None,
+     TrainingError, "model vocab kind must be a string, got NoneType"),
+]
+
+
+@pytest.mark.parametrize("fmt, fault, path, value, error, message", JSON_FAULTS,
+                         ids=[f"{fmt}: {fault}" for fmt, fault, *_ in JSON_FAULTS])
+def test_json_shape_fault(workspace, model_path, tmp_path, capsys, fmt, fault, path, value,
+                          error, message):
+    from lyricmelody import ModelBundle, load_reward_config, melody_from_json, parse_lyrics
+    from lyricmelody.rewards import default_reward_config, reward_config_to_dict
+
+    doc, load = {
+        "lyrics": ({"language": "tonal", "sentences": [
+            {"syllables": [{"text": "ni", "tone": "tone3", "word_position": "start"}]}]},
+            parse_lyrics),
+        "melody": ({"time_signature": [4, 4], "tokens": [
+            {"kind": "note", "duration": "1", "pitch": 60, "syllable_start": True}]},
+            melody_from_json),
+        "config": (reward_config_to_dict(default_reward_config()), load_reward_config),
+        "model": (json.loads(model_path.read_text()), ModelBundle.from_json),
+    }[fmt]
+    load(json.dumps(doc))  # the document loads before the fault
+    if not path:
+        doc = value
+    else:
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is _GONE:
+            del node[last]
+        else:
+            node[last] = value
+    text = json.dumps(doc)
+    with pytest.raises(error) as info:
+        load(text)
+    assert (type(info.value), str(info.value)) == (error, message)
+    if fmt == "melody":  # no command reads a melody JSON dump
+        return
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, "utf-8")
+    song, model = str(workspace / "lyrics" / "song_0.txt"), str(model_path)
+    args = {"lyrics": [str(bad), "-m", model], "config": [song, "-m", model, "--config", str(bad)],
+            "model": [song, "-m", str(bad)]}[fmt]
+    assert main(["generate", *args, "-o", str(tmp_path / "x.mid")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.mid").exists()
 
 
 class TestStartup:

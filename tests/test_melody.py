@@ -292,12 +292,13 @@ class TestMelodyInvariants:
         assert melody_from_json(melody_to_json(m)) == m
 
     @pytest.mark.parametrize("field, value, message", [
-        ("pitch", 60.9, "integer pitch"),
-        ("pitch", True, "integer pitch"),
-        ("syllable_start", "no", "boolean syllable_start"),
-        ("time_signature", [4, 3], "power of two"),
-        ("time_signature", [300, 4], "at most 255"),
-        ("time_signature", [4.0, 4], "must be integers"),
+        ("pitch", 60.9, "token 0 pitch must be an integer, got float"),
+        ("pitch", True, "token 0 pitch must be an integer, got bool"),
+        ("syllable_start", "no", "token 0 syllable_start must be a boolean, got str"),
+        ("time_signature", [4, 3],
+         "unsupported meter 4/3: denominator must be a power of two up to 2**255"),
+        ("time_signature", [300, 4], "unsupported meter 300/4: numerator must be at most 255"),
+        ("time_signature", [4.0, 4], "unsupported meter 4.0/4: both parts must be integers"),
     ])
     def test_json_wrong_type_or_meter_rejected(self, field, value, message):
         # none may load: int() and bool() would turn them into pitch 60,
@@ -308,7 +309,8 @@ class TestMelodyInvariants:
             doc[field] = value
         else:
             doc["tokens"][0][field] = value
-        with pytest.raises(MidiFormatError, match=message):
+        message = f"invalid melody JSON: {message}"
+        with pytest.raises(MidiFormatError, match=f"^{re.escape(message)}$"):
             melody_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("where, key", [

@@ -684,11 +684,14 @@ class TestConfigValidation:
         return json.dumps(doc)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["lambda"].update(tone=True), "'lambda.tone' must be a number, got bool"),
-        (lambda doc: doc["lambda"].update(tone="1.5"), "'lambda.tone' must be a number, got str"),
-        (lambda doc: doc["rewards"].update(pause_match=None), "'rewards.pause_match' must be a"),
+        (lambda doc: doc["lambda"].update(tone=True),
+         "reward config lambda tone must be a number, got bool"),
+        (lambda doc: doc["lambda"].update(tone="1.5"),
+         "reward config lambda tone must be a number, got str"),
+        (lambda doc: doc["rewards"].update(pause_match=None),
+         "reward config rewards pause_match must be a number, got NoneType"),
         (lambda doc: doc["rewards"]["transition"].update(good=False),
-         "'rewards.transition.good' must be a number, got bool"),
+         "reward config rewards transition good must be a number, got bool"),
         (lambda doc: doc["harmony_table"]["tone1,tone2"].append([-0.9, 2.7, "excellent"]),
          "integer bounds"),
         (lambda doc: doc["harmony_table"]["tone1,tone2"].append([True, 9, "good"]),
@@ -706,11 +709,14 @@ class TestConfigValidation:
         assert message in str(info.value)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.update(lamda=doc.pop("lambda")), "document has unknown keys ['lamda']"),
-        (lambda doc: doc["lambda"].update(tones=1.0), "'lambda' has unknown keys ['tones']"),
-        (lambda doc: doc["rewards"].update(shape=1.0), "'rewards' has unknown keys ['shape']"),
+        (lambda doc: doc.update(lamda=doc.pop("lambda")),
+         "reward config has unknown keys ['lamda']"),
+        (lambda doc: doc["lambda"].update(tones=1.0),
+         "reward config lambda has unknown keys ['tones']"),
+        (lambda doc: doc["rewards"].update(shape=1.0),
+         "reward config rewards has unknown keys ['shape']"),
         (lambda doc: doc["rewards"]["transition"].update(great=4.0),
-         "'rewards.transition' has unknown keys ['great']"),
+         "reward config rewards transition has unknown keys ['great']"),
     ], ids=["document", "lambda", "rewards", "transition"])
     def test_unknown_keys_rejected(self, edit, message):
         from lyricmelody import load_reward_config

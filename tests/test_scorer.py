@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -175,7 +176,8 @@ class TestTrainingContracts:
     @pytest.mark.parametrize("doc", [[], "tokens", 5, None])
     def test_model_parts_must_be_objects(self, load, where, doc):
         # the loader checks each part's type before it reads it; a direct call does not
-        with pytest.raises(TrainingError, match=f"^{where} must be an object, got"):
+        message = f"{where} must be a JSON object, got {type(doc).__name__}"
+        with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
             load(doc)
 
     def test_out_of_vocabulary_token_named(self):
@@ -386,7 +388,8 @@ class TestModelCountsValidated:
         (lambda doc: [doc.clear(), doc.update(order=2)], "model has no 'discount'"),
         (lambda doc: doc.update(vocab=[]), "model vocab must be an object, got list"),
         (lambda doc: doc["vocab"].update(kind="chord"), "unknown vocabulary kind 'chord'"),
-        (lambda doc: doc["vocab"].update(kind=None), "model vocab kind None is not a string"),
+        (lambda doc: doc["vocab"].update(kind=None),
+         "model vocab kind must be a string, got NoneType"),
         (lambda doc: doc["counts"].append(["60", []]), "model counts entry 4 is not a [context"),
         (lambda doc: doc["counts"][0][1].append(["61"]), "model successor ['61'] after []"),
     ], ids=["empty", "order only", "list vocab", "unknown kind", "null kind", "flat entry",
