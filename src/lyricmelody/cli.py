@@ -83,16 +83,18 @@ def _decode_inputs(args: argparse.Namespace) -> tuple[ModelBundle, RewardConfig,
 
 
 def _lyric_files(directory: Path) -> list[Path]:
-    """The lyric files of ``directory`` by name; InputError if it holds none."""
-    paths = sorted(p for p in directory.iterdir() if p.suffix in (".txt", ".lyrics", ".json"))
+    """The regular lyric files of ``directory`` by name; InputError if it holds none."""
+    paths = sorted(p for p in directory.iterdir()
+                   if p.suffix in (".txt", ".lyrics", ".json") and p.is_file())
     if not paths:
         raise InputError(f"no lyric files in {directory}")
     return paths
 
 
 def _midi_files(directory: Path) -> list[Path]:
-    """The MIDI files of ``directory`` by name: suffix .mid or .midi, in any case."""
-    return sorted(p for p in directory.iterdir() if p.suffix.lower() in (".mid", ".midi"))
+    """The regular MIDI files of ``directory`` by name: suffix .mid or .midi, in any case."""
+    return sorted(p for p in directory.iterdir()
+                  if p.suffix.lower() in (".mid", ".midi") and p.is_file())
 
 
 def _manifest(command: str, inputs: dict, config: RewardConfig, config_path: Optional[Path],
@@ -245,7 +247,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise InputError(f"{labels[lp.stem]} and {lp.name} would both label row "
                                  f"{lp.stem!r} in {lyrics_path}")
         # the MIDI file of each stem that sorts first: STEM.mid before STEM.midi
-        counterparts = {mp.stem: mp for mp in reversed(_midi_files(midi_path)) if mp.is_file()}
+        counterparts = {mp.stem: mp for mp in reversed(_midi_files(midi_path))}
         for lp in lyric_paths:
             if lp.stem not in counterparts:
                 raise InputError(f"no MIDI counterpart for {lp.name} in {midi_path}")

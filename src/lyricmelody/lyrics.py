@@ -17,7 +17,7 @@ A redundant ``E`` is tolerated on the last syllable of a line.  The line
 ends with a standalone punctuation token which fixes the sentence's
 intonation.  A JSON mirror of the same schema is accepted for machine
 producers (see :func:`lyrics_from_json`); every JSON input of the package
-passes one shape check, :func:`_fields`.
+is read by one gate, :func:`_json`, and passes one shape check, :func:`_fields`.
 
 All types here are frozen; a parsed sequence can be shared freely across
 threads.
@@ -388,9 +388,17 @@ def lyrics_to_json(lyrics: LyricSequence) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True)
 
 
-#: the Python types ``json.loads`` gives each JSON type: a bool is no number, a float no integer
+#: the Python types :func:`_json` reads each JSON type as: a bool is no number, a float no integer
 _JSON_TYPES = {"an object": (dict,), "a list": (list,), "a string": (str,),
                "a number": (int, float), "an integer": (int,), "a boolean": (bool,)}
+
+
+def _json(source: str, what: str, error):
+    """``source``'s document; ``error`` names a fault of its text: syntax, depth, digit limit."""
+    try:
+        return json.loads(source)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid {what}: {exc}") from exc
 
 
 def _fields(doc, where: str, required: dict, optional: dict = {}, error=ValueError) -> list:
@@ -416,10 +424,7 @@ def _fields(doc, where: str, required: dict, optional: dict = {}, error=ValueErr
 
 def lyrics_from_json(source: str) -> LyricSequence:
     """Parse the JSON mirror of the annotated-lyrics format."""
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise LyricFormatError(f"invalid lyrics JSON: {exc}") from exc
+    doc = _json(source, "lyrics JSON", LyricFormatError)
     try:
         language, sentences = _fields(doc, "document",
                                       {"language": Language, "sentences": "a list"})

@@ -26,7 +26,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import AlignmentError, MidiFormatError
-from .lyrics import LyricSequence, _fields
+from .lyrics import LyricSequence, _fields, _json
 
 __all__ = [
     "TokenKind",
@@ -290,11 +290,9 @@ def melody_to_json(melody: Melody) -> str:
 
 
 def melody_from_json(source: str) -> Melody:
-    import json
-
+    doc = _json(source, "melody JSON", MidiFormatError)
     try:
-        tokens, meter = _fields(json.loads(source), "document", {"tokens": "a list"},
-                                {"time_signature": "a list"})
+        tokens, meter = _fields(doc, "document", {"tokens": "a list"}, {"time_signature": "a list"})
         melody = []
         for i, t in enumerate(tokens):
             fields = {"kind": TokenKind, "duration": _duration}

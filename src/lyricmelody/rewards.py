@@ -59,7 +59,6 @@ strong/weak, pause, structure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -77,6 +76,7 @@ from .lyrics import (
     Tone,
     WordPosition,
     _fields,
+    _json,
     build_structure_matrix,
 )
 from .melody import BeatStrength, Melody, _check_aligned, _duration, _tick_clock
@@ -136,17 +136,18 @@ class HarmonyTable:
 
     def __post_init__(self) -> None:
         for pair, intervals in self.cells.items():
+            cell = ",".join(str(getattr(t, "value", t)) for t in pair)  # as a file spells it
             if not (pair[0] in TONAL_TONES and pair[1] in TONAL_TONES):
-                raise ConfigError(f"harmony cell {pair}: both tones must be tonal (tone1-tone5)")
+                raise ConfigError(f"harmony cell {cell}: both tones must be tonal (tone1-tone5)")
             for lo, hi, _ in intervals:
                 if lo > hi:
-                    raise ConfigError(f"harmony cell {pair}: interval ({lo}, {hi}) is inverted")
+                    raise ConfigError(f"harmony cell {cell}: interval ({lo}, {hi}) is inverted")
             # compared by their ends, so a wide interval costs no more than a narrow one
             ordered = sorted((lo, hi) for lo, hi, _ in intervals)
             if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(ordered, ordered[1:])):
-                raise ConfigError(f"harmony cell {pair}: overlapping intervals")
+                raise ConfigError(f"harmony cell {cell}: overlapping intervals")
             if not any(lo <= 0 <= hi for lo, hi in ordered):
-                raise ConfigError(f"harmony cell {pair}: a zero pitch difference must be labeled")
+                raise ConfigError(f"harmony cell {cell}: a zero pitch difference must be labeled")
 
     def degree_of(self, prev: Tone, cur: Tone, delta: int) -> Optional[HarmonyDegree]:
         """Degree for a semitone jump, or None when the pair has no cell."""
@@ -810,7 +811,7 @@ def _table_from_dict(doc: dict) -> HarmonyTable:
         try:
             prev_name, cur_name = key.split(",")
             pair = (Tone(prev_name), Tone(cur_name))
-        except ValueError as exc:
+        except (AttributeError, ValueError) as exc:  # AttributeError: the key is no string
             raise ConfigError(f"bad harmony table key {key!r}") from exc
         if not isinstance(intervals, list):
             raise ConfigError(f"harmony cell {key} must be a list of [low, high, degree]")
@@ -822,7 +823,7 @@ def _table_from_dict(doc: dict) -> HarmonyTable:
                 raise ConfigError(f"harmony cell {key}: {item!r} is not [low, high, degree] "
                                   "with integer bounds")
             lo, hi, degree = item
-            if degree not in _DEGREE_BY_NAME:
+            if type(degree) is not str or degree not in _DEGREE_BY_NAME:  # a list cannot hash
                 raise ConfigError(f"unknown harmony degree {degree!r} in cell {key}")
             parsed.append((lo, hi, _DEGREE_BY_NAME[degree]))
         cells[pair] = tuple(parsed)
@@ -899,11 +900,7 @@ def reward_config_to_dict(config: RewardConfig) -> dict:
 
 def load_reward_config(source: str) -> RewardConfig:
     """Parse a reward config JSON document (see data/default_rewards.json)."""
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid reward config JSON: {exc}") from exc
-    return reward_config_from_dict(doc)
+    return reward_config_from_dict(_json(source, "reward config JSON", ConfigError))
 
 
 def default_reward_config() -> RewardConfig:

@@ -13,14 +13,14 @@ Three vocabulary kinds share the same machinery:
   rhythm-first decoding, spelled ``N:1/2:S`` / ``R:1/2``;
 * ``pitch`` — pitches plus a rest marker, for pitch-onto-skeleton decoding.
 
-A model file is checked in one pass as it loads: each object holds exactly
-its format's keys, each of its JSON type (the shared reader,
-:func:`lyricmelody.lyrics._fields`), every context and successor is a token of the file's
-vocabulary (in any spelling), no context is longer than ``order - 1`` or
-counted twice, no successor is listed twice after one context, each count
-is an integer from 1 to 2**53 and each context has a successor.  The first
-fault raises :class:`TrainingError` naming it, so every distribution of a
-loaded model sums to 1.
+A model file is checked in one pass as it loads: its text passes the one JSON
+gate, :func:`lyricmelody.lyrics._json`, each object holds exactly its format's
+keys, each of its JSON type (:func:`lyricmelody.lyrics._fields`), every context
+and successor is a token of the file's vocabulary (in any spelling), no context
+is longer than ``order - 1`` or counted twice, no successor is listed twice
+after one context, each count is an integer from 1 to 2**53 and each context
+has a successor.  The first fault raises :class:`TrainingError` naming it, so
+every distribution of a loaded model sums to 1.
 
 Every sequence is trained and scored with a terminal end-of-melody symbol so
 stopping has a probability like everything else.
@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import TrainingError
-from .lyrics import _fields
+from .lyrics import _fields, _json
 from .melody import Melody, MelodyToken, RhythmToken, TokenKind, _duration
 
 __all__ = [
@@ -396,7 +396,7 @@ class NGramModel:
                 successors[successor] = n
             if not successors:
                 raise TrainingError(f"model context {ctx_texts!r} has no successors")
-        return cls(order, float(discount), vocab, counts)
+        return cls(order, discount, vocab, counts)
 
 
 def train_ngram(
@@ -434,10 +434,7 @@ class ModelBundle:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelBundle":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TrainingError(f"invalid model file: {exc}") from exc
+        doc = _json(text, "model file", TrainingError)
         if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
             raise TrainingError(f"not a {cls.FORMAT} model file")
         if doc.get("version") != cls.VERSION or type(doc["version"]) is not int:

@@ -52,6 +52,17 @@ class TestTrain:
         assert main(["train", str(empty), "-o", str(tmp_path / "m.json")]) == 1
         assert str(empty) in capsys.readouterr().err
 
+    def test_subdirectory_named_like_midi_skipped(self, workspace, model_path, tmp_path):
+        # a corpus reads its regular files only, as evaluate's pairing does
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for path in (workspace / "corpus").iterdir():
+            (corpus / path.name).write_bytes(path.read_bytes())
+        (corpus / "x.mid").mkdir()
+        out = tmp_path / "m.json"
+        assert main(["train", str(corpus), "-o", str(out)]) == 0
+        assert out.read_bytes() == model_path.read_bytes()
+
     def test_prints_counts(self, workspace, tmp_path, capsys):
         main(["train", str(workspace / "corpus"), "-o", str(tmp_path / "m.json")])
         out = capsys.readouterr().out
@@ -248,6 +259,22 @@ class TestEvaluate:
             report = tmp_path / f"{directory.name}.json"
             assert main(["evaluate", str(workspace / "lyrics"), str(directory),
                          "--json", str(report)]) == 0
+            doc = json.loads(report.read_text("utf-8"))
+            doc.pop("manifest")
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
+    def test_subdirectory_named_like_lyrics_skipped(self, workspace, generated, tmp_path):
+        # a lyrics directory reads its regular files only, as the MIDI side does
+        lyrics_dir = tmp_path / "lyrics"
+        lyrics_dir.mkdir()
+        for path in (workspace / "lyrics").iterdir():
+            (lyrics_dir / path.name).write_bytes(path.read_bytes())
+        (lyrics_dir / "b.txt").mkdir()
+        reports = []
+        for directory in (workspace / "lyrics", lyrics_dir):
+            report = tmp_path / "report.json"
+            assert main(["evaluate", str(directory), str(generated), "--json", str(report)]) == 0
             doc = json.loads(report.read_text("utf-8"))
             doc.pop("manifest")
             reports.append(doc)
@@ -564,11 +591,15 @@ BAD_CONFIGS = [
      "bad reward config: duration '1e3' is not n or n/d"),
     (lambda doc: {**doc, "long_note_threshold": 0.1},
      "bad reward config: duration 0.1 is not n or n/d"),
+    (lambda doc: {**doc, "harmony_table": {"tone1,tone1": [[0, 0, []]]}},
+     "unknown harmony degree [] in cell tone1,tone1"),
+    (lambda doc: {**doc, "harmony_table": {"tone1,tone1": [[0, 2, "good"], [2, 4, "fair"]]}},
+     "harmony cell tone1,tone1: overlapping intervals"),
 ]
 BAD_CONFIG_IDS = ["list document", "list lambda", "string rewards", "number transition",
                   "list harmony table", "NaN lambda", "infinite lambda", "infinite reward",
                   "infinite transition reward", "bool lambda", "misspelt section",
-                  "exponent threshold", "float threshold"]
+                  "exponent threshold", "float threshold", "list degree", "overlapping cell"]
 
 
 def _write_config(edit, path):
@@ -931,6 +962,53 @@ def test_json_shape_fault(workspace, model_path, tmp_path, capsys, fmt, fault, p
             "model": [song, "-m", str(bad)]}[fmt]
     assert main(["generate", *args, "-o", str(tmp_path / "x.mid")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.mid").exists()
+
+
+def _discount_past_the_float_range(doc):
+    doc["pitch_model"]["discount"] = 10**400  # a float() of it overflows
+    return json.dumps(doc)
+
+
+_DEEP = "[" * 200_000 + "]" * 200_000
+_LONG = "1" * 5_001  # over Python's 4,300-digit limit for reading an integer
+#: (format, fault, the faulty text made from the format's valid document, error class,
+#: start of the message): faults of the text itself, most of which json.dumps cannot write;
+#: each document is an object, so parse_lyrics reads the lyrics as JSON
+JSON_TEXT_FAULTS = [
+    *((fmt, fault, lambda doc, value=value: '{"a": %s}' % value, error, f"invalid {what}: ")
+      for fmt, error, what in [("lyrics", LyricFormatError, "lyrics JSON"),
+                               ("melody", MidiFormatError, "melody JSON"),
+                               ("config", ConfigError, "reward config JSON"),
+                               ("model", TrainingError, "model file")]
+      for fault, value in [("deep nesting", _DEEP), ("5001-digit integer", _LONG)]),
+    ("model", "discount 10**400", _discount_past_the_float_range, TrainingError,
+     "discount must lie in (0, 1), got 1000"),
+]
+
+
+@pytest.mark.parametrize("fmt, fault, make_text, error, message", JSON_TEXT_FAULTS,
+                         ids=[f"{fmt}: {fault}" for fmt, fault, *_ in JSON_TEXT_FAULTS])
+def test_json_text_fault(workspace, model_path, tmp_path, capsys, fmt, fault, make_text, error,
+                         message):
+    from lyricmelody import ModelBundle, load_reward_config, melody_from_json, parse_lyrics
+
+    load = {"lyrics": parse_lyrics, "melody": melody_from_json, "config": load_reward_config,
+            "model": ModelBundle.from_json}[fmt]
+    text = make_text(json.loads(model_path.read_text()))
+    with pytest.raises(error) as info:
+        load(text)
+    assert type(info.value) is error and str(info.value).startswith(message)
+    if fmt == "melody":  # no command reads a melody JSON dump
+        return
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, "utf-8")
+    song, model = str(workspace / "lyrics" / "song_0.txt"), str(model_path)
+    args = {"lyrics": [str(bad), "-m", model], "config": [song, "-m", model, "--config", str(bad)],
+            "model": [song, "-m", str(bad)]}[fmt]
+    assert main(["generate", *args, "-o", str(tmp_path / "x.mid")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "x.mid").exists()
 
 

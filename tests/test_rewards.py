@@ -148,6 +148,28 @@ class TestHarmonyTableValidation:
         with pytest.raises(ConfigError, match="zero"):
             HarmonyTable({(Tone.TONE1, Tone.TONE1): ((1, 3, HarmonyDegree.EXCELLENT),)})
 
+    @pytest.mark.parametrize("pair, intervals, message", [
+        ((Tone.NONE, Tone.TONE2), ((0, 0, HarmonyDegree.GOOD),),
+         "harmony cell none,tone2: both tones must be tonal (tone1-tone5)"),
+        ((Tone.TONE1, Tone.TONE2), ((0, 0, HarmonyDegree.GOOD), (3, 1, HarmonyDegree.FAIR)),
+         "harmony cell tone1,tone2: interval (3, 1) is inverted"),
+        ((Tone.TONE1, Tone.TONE2), ((0, 2, HarmonyDegree.GOOD), (2, 4, HarmonyDegree.FAIR)),
+         "harmony cell tone1,tone2: overlapping intervals"),
+        ((Tone.TONE1, Tone.TONE2), ((1, 3, HarmonyDegree.GOOD),),
+         "harmony cell tone1,tone2: a zero pitch difference must be labeled"),
+    ], ids=["not tonal", "inverted", "overlapping", "zero unlabeled"])
+    def test_fault_names_the_cell_as_a_file_spells_it(self, pair, intervals, message):
+        from lyricmelody import load_reward_config
+
+        with pytest.raises(ConfigError) as info:
+            HarmonyTable({pair: intervals})
+        assert str(info.value) == message
+        cell = [[lo, hi, degree.value] for lo, hi, degree in intervals]
+        key = f"{pair[0].value},{pair[1].value}"
+        with pytest.raises(ConfigError) as info:
+            load_reward_config(json.dumps({"harmony_table": {key: cell}}))
+        assert str(info.value) == message
+
 
 class TestPitchContour:
     def test_interrogative_wants_rise(self, config):
@@ -699,14 +721,23 @@ class TestConfigValidation:
         (lambda doc: doc["harmony_table"]["tone1,tone2"].append([8, 9]), "integer bounds"),
         (lambda doc: doc["harmony_table"].update({"tone1,tone2": "good"}),
          "must be a list of [low, high, degree]"),
+        (lambda doc: doc["harmony_table"].update({"tone1,tone1": [[0, 0, []]]}),
+         "unknown harmony degree [] in cell tone1,tone1"),
     ], ids=["bool lambda", "string lambda", "null reward", "bool transition reward",
-            "float bounds", "bool bound", "two-item interval", "string cell"])
+            "float bounds", "bool bound", "two-item interval", "string cell", "list degree"])
     def test_wrong_json_types_rejected(self, edit, message):
         from lyricmelody import load_reward_config
 
         with pytest.raises(ConfigError) as info:
             load_reward_config(self.edited_default(edit))
         assert message in str(info.value)
+
+    def test_table_key_that_is_no_string_rejected(self):
+        from lyricmelody.rewards import reward_config_from_dict
+
+        with pytest.raises(ConfigError) as info:
+            reward_config_from_dict({"harmony_table": {1: [[0, 0, "good"]]}})
+        assert str(info.value) == "bad harmony table key 1"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(lamda=doc.pop("lambda")),
