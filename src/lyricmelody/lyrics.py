@@ -205,20 +205,8 @@ def detect_intonation(terminator: str) -> Intonation:
 _FLAG_NAMES = {"W", "I", "K", "A", "E"}
 
 
-def _parse_token(token: str, lineno: int) -> tuple[str, Tone, WordPosition, StressClass, bool]:
-    """Split one syllable token into (text, tone mark, position, class, has_E)."""
-    body, sep, flag_part = token.partition("|")
-    if not sep or not body:
-        raise LyricFormatError(f"line {lineno}: malformed syllable token {token!r}")
-    # only an ASCII digit is a tone mark; "²" or "٣" is part of the text
-    if body[-1] in "06789":
-        raise LyricFormatError(f"line {lineno}: tone digit out of range in {token!r}")
-    tone = _MARK_TONE.get(body[-1], Tone.NONE)  # NONE: UNSTRESSED later for stress-accent
-    if tone is not Tone.NONE:
-        body = body[:-1]
-    if not body:
-        raise LyricFormatError(f"line {lineno}: empty syllable text in {token!r}")
-
+def _flags(flag_part: str, token: str, lineno: int) -> tuple[WordPosition, StressClass, bool]:
+    """(position, class, has_E) of a token's flag text; the checks every spelling passes."""
     flags = [f for f in flag_part.split(",") if f] if flag_part else []
     unknown = set(flags) - _FLAG_NAMES
     if unknown:
@@ -238,7 +226,28 @@ def _parse_token(token: str, lineno: int) -> tuple[str, Tone, WordPosition, Stre
         else StressClass.AUXILIARY if "A" in flags else StressClass.NEUTRAL
     )
     position = WordPosition.WORD_START if has_w else WordPosition.WORD_INNER
-    return body, tone, position, stress, "E" in flags
+    return position, stress, "E" in flags
+
+
+#: the flag texts :func:`serialize_lyrics` writes, read once here instead of per token
+_WRITTEN_FLAGS = {text: _flags(text, text, 0) for text in ("W", "I", "W,K", "W,A", "I,K", "I,A")}
+
+
+def _parse_token(token: str, lineno: int) -> tuple[str, Tone, WordPosition, StressClass, bool]:
+    """Split one syllable token into (text, tone mark, position, class, has_E)."""
+    body, sep, flag_part = token.partition("|")
+    if not sep or not body:
+        raise LyricFormatError(f"line {lineno}: malformed syllable token {token!r}")
+    # only an ASCII digit is a tone mark; "²" or "٣" is part of the text
+    if body[-1] in "06789":
+        raise LyricFormatError(f"line {lineno}: tone digit out of range in {token!r}")
+    tone = _MARK_TONE.get(body[-1], Tone.NONE)  # NONE: UNSTRESSED later for stress-accent
+    if tone is not Tone.NONE:
+        body = body[:-1]
+    if not body:
+        raise LyricFormatError(f"line {lineno}: empty syllable text in {token!r}")
+    flags = _WRITTEN_FLAGS.get(flag_part) or _flags(flag_part, token, lineno)
+    return (body, tone, *flags)
 
 
 def parse_lyrics(source: str) -> LyricSequence:

@@ -22,13 +22,17 @@ zero - so corpus averages stay honest.
 
 Pinned interpretations (repetition metrics defer to no external tool):
 PD/DD are total-variation similarity ``1 - 0.5 * sum |h_a - h_b|`` of the
-normalized pitch / duration histograms; MD is the mean absolute semitone
-difference along a minimal-cost monotone alignment of the two pitch
-sequences (dynamic time warping with unit steps, cost ``|pitch_a -
-pitch_b|``, shortest among minimal-cost alignments).  All functions are
-pure; evaluating many songs in parallel is safe.  :func:`evaluate_pair`
-followed by :func:`~lyricmelody.rewards.score_rewards` on the same objects
-folds the pair once, since ``reward_events`` memoises the last pair.
+normalized pitch / duration histograms, summed bin by bin in the order of
+the bins' text.  DD counts each duration as its exact ``(numerator,
+denominator)`` pair, so its bins hash and compare in C, and a pair's text
+sorts as its ``Fraction``'s would (:func:`histogram_similarity`).  MD is
+the mean absolute semitone difference along a minimal-cost monotone
+alignment of the two pitch sequences (dynamic time warping with unit
+steps, cost ``|pitch_a - pitch_b|``, shortest among minimal-cost
+alignments).  All functions are pure; evaluating many songs in parallel
+is safe.  :func:`evaluate_pair` followed by
+:func:`~lyricmelody.rewards.score_rewards` on the same objects folds the
+pair once, since ``reward_events`` memoises the last pair.
 """
 
 from __future__ import annotations
@@ -89,7 +93,13 @@ class EvaluationReport:
 
 
 def histogram_similarity(a: Sequence, b: Sequence) -> float:
-    """Total-variation similarity of two empirical distributions."""
+    """Total-variation similarity of two empirical distributions.
+
+    The values are summed in the order of their ``str``.  A duration counted
+    as its ``(numerator, denominator)`` pair sorts as its ``Fraction`` does,
+    ``"(n, d)"`` as ``"n/d"`` or ``"n"``: ``,`` and ``)`` sort before every
+    digit, as ``/`` and a text's end do.  So both score the same bits.
+    """
     values = set(a) | set(b)
     total = 0.0
     for v in sorted(values, key=str):
@@ -122,13 +132,16 @@ def melody_distance(a: Sequence[int], b: Sequence[int]) -> float:
     return cost / length
 
 
-def _sentence_notes(melody: Melody, sent) -> tuple[list[int], list]:
+def _sentence_notes(melody: Melody, sent) -> tuple[list[int], list[tuple[int, int]]]:
+    """The pitches of ``sent``'s notes, and their durations as ``(numerator,
+    denominator)`` pairs, which hash and compare in C."""
     pitches: list[int] = []
-    durations: list = []
-    for k in range(*sent.span):
-        for token in melody.span_notes(k):
+    durations: list[tuple[int, int]] = []
+    tokens = melody.tokens
+    for start, stop in melody.alignment[slice(*sent.span)]:  # a syllable's span holds notes only
+        for token in tokens[start:stop]:
             pitches.append(token.pitch)
-            durations.append(token.duration)
+            durations.append(token.duration.as_integer_ratio())
     return pitches, durations
 
 

@@ -119,9 +119,12 @@ def _parse_track(data: bytes, pos: int, length: int) -> list[tuple[int, int, obj
     status = None
     try:
         while pos < end:
-            if data[pos] < 0x80:  # most delta times fit one byte
+            if data[pos] < 0x80:  # most delta times fit one byte, a note's length two
                 tick += data[pos]
                 pos += 1
+            elif data[pos + 1] < 0x80:
+                tick += (data[pos] & 0x7F) << 7 | data[pos + 1]
+                pos += 2
             else:
                 delta, pos = _vlq(data, pos)
                 tick += delta
@@ -131,8 +134,11 @@ def _parse_track(data: bytes, pos: int, length: int) -> list[tuple[int, int, obj
             elif status is None:
                 raise MidiFormatError("running status with no prior status byte")
             if status == 0xFF:
-                meta = data[pos]
-                size, pos = _vlq(data, pos + 1)
+                meta, size = data[pos], data[pos + 1]
+                if size < 0x80:  # as is every lyric's length, up to 127 bytes
+                    pos += 2
+                else:
+                    size, pos = _vlq(data, pos + 1)
                 start, pos = pos, _take(data, pos, size)
                 if meta == 0x05:
                     events.append((tick, _LYRIC, data[start:pos]))

@@ -136,9 +136,20 @@ class HarmonyTable:
 
     def __post_init__(self) -> None:
         for pair, intervals in self.cells.items():
-            cell = ",".join(str(getattr(t, "value", t)) for t in pair)  # as a file spells it
+            tones = pair if type(pair) is tuple else (pair,)
+            cell = ",".join(str(getattr(t, "value", t)) for t in tones)  # as a file spells it
+            if len(tones) != 2:
+                raise ConfigError(f"harmony cell {cell}: the key must be a (previous, current) "
+                                  "pair of tones")
             if not (pair[0] in TONAL_TONES and pair[1] in TONAL_TONES):
                 raise ConfigError(f"harmony cell {cell}: both tones must be tonal (tone1-tone5)")
+            if type(intervals) is not tuple:
+                raise ConfigError(f"harmony cell {cell}: {intervals!r} is not a tuple of intervals")
+            for item in intervals:
+                lo, hi, degree = item if type(item) is tuple and len(item) == 3 else (None,) * 3
+                if not (type(lo) is int and type(hi) is int and type(degree) is HarmonyDegree):
+                    raise ConfigError(f"harmony cell {cell}: {item!r} is not (low, high, degree) "
+                                      "with integer bounds and a HarmonyDegree")
             for lo, hi, _ in intervals:
                 if lo > hi:
                     raise ConfigError(f"harmony cell {cell}: interval ({lo}, {hi}) is inverted")

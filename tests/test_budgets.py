@@ -21,7 +21,7 @@ from lyricmelody import (
     score_rewards,
     train_model_bundle,
 )
-from lyricmelody import decoder, parse_lyrics, rewards
+from lyricmelody import decoder, metrics, parse_lyrics, rewards
 from lyricmelody.decoder import score_two_stage
 from lyricmelody.melody import MelodyToken, RhythmToken
 from lyricmelody.scorer import END, NGramModel, UniformScorer
@@ -302,6 +302,40 @@ def test_beam_counts_ticks_and_reads_rows(config, bundle, mode):
     finally:
         sys.setprofile(previous)
     assert calls.pop("_beam") == len(lyrics)  # the profile saw every beam
+    assert calls == {}
+
+
+def test_structure_similarity_counts_durations_in_c():
+    # DD counts each duration as its (numerator, denominator) pair, so its
+    # sets hash and list.count compares in C, with no Python-level Fraction
+    # __eq__ or __hash__ per comparison
+    fraction_file = fractions.Fraction.__new__.__code__.co_filename
+    similarity_code = metrics.structure_similarity.__code__
+    histogram_code = metrics.histogram_similarity.__code__
+    calls = Counter()
+    inside = False
+
+    def profile(frame, event, arg):
+        nonlocal inside
+        code = frame.f_code
+        if code is similarity_code and event in ("call", "return"):
+            inside = event == "call"
+        elif inside and event == "call":
+            if code is histogram_code:
+                calls["histogram_similarity"] += 1
+            elif code.co_filename == fraction_file and code.co_name in ("__eq__", "__hash__"):
+                calls[f"Fraction {code.co_name}"] += 1
+
+    rng = random.Random(20261113)
+    pairs = [(lyrics, random_aligned_melody(lyrics, rng)) for lyrics in sheets(20261113, 24)]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        figures = [metrics.structure_similarity(lyrics, melody) for lyrics, melody in pairs]
+    finally:
+        sys.setprofile(previous)
+    assert any(dd is not None for _, dd, _ in figures)  # some sheets repeat a sentence
+    assert calls.pop("histogram_similarity") > 0  # the profile saw the histograms
     assert calls == {}
 
 

@@ -100,6 +100,58 @@ class TestParse:
         with pytest.raises(LyricFormatError, match="line 1: token 'ni3|W,K,A' is both keyword"):
             parse_lyrics("ni3|W,K,A .")
 
+    WRITTEN_FLAGS = {
+        "W": (WordPosition.WORD_START, StressClass.NEUTRAL),
+        "I": (WordPosition.WORD_INNER, StressClass.NEUTRAL),
+        "W,K": (WordPosition.WORD_START, StressClass.KEYWORD),
+        "W,A": (WordPosition.WORD_START, StressClass.AUXILIARY),
+        "I,K": (WordPosition.WORD_INNER, StressClass.KEYWORD),
+        "I,A": (WordPosition.WORD_INNER, StressClass.AUXILIARY),
+    }
+
+    @pytest.mark.parametrize("flags", sorted(WRITTEN_FLAGS))
+    def test_written_flag_texts_read_as_the_full_checks_do(self, flags):
+        from lyricmelody.lyrics import _flags, _parse_token
+
+        token = f"ni3|{flags}"
+        want = (*self.WRITTEN_FLAGS[flags], False)
+        assert _flags(flags, token, 1) == want
+        assert _parse_token(token, 1) == ("ni", Tone.TONE3, *want)
+
+    def test_serialize_writes_only_the_table_flag_texts(self):
+        # the synthetic sheets hold no inner keyword or auxiliary
+        from lyricmelody.lyrics import _WRITTEN_FLAGS
+
+        rng = random.Random(20261019)
+        written = {token.partition("|")[2]
+                   for _ in range(200)
+                   for token in serialize_lyrics(random_lyrics(rng, sentences=3)).split()
+                   if "|" in token}
+        assert {"W", "I", "W,K", "W,A"} <= written <= set(_WRITTEN_FLAGS)
+        assert set(_WRITTEN_FLAGS) == set(self.WRITTEN_FLAGS)
+
+    def test_other_flag_spellings_read_as_before(self):
+        lyr = parse_lyrics("ni3|K,W hao3|W,,K .\nni3|W,E .\nni3|W hao3|I,A,E .")
+        got = [(s.word_position, s.stress_class) for s in lyr.syllables]
+        assert got == [
+            (WordPosition.WORD_START, StressClass.KEYWORD),
+            (WordPosition.WORD_START, StressClass.KEYWORD),
+            (WordPosition.WORD_START, StressClass.NEUTRAL),
+            (WordPosition.WORD_START, StressClass.NEUTRAL),
+            (WordPosition.WORD_INNER, StressClass.AUXILIARY),
+        ]
+        for line, message in [
+            ("ni3|W,Q .", "unknown flag(s) ['Q'] in 'ni3|W,Q'"),
+            ("ni3|W,I .", "token 'ni3|W,I' needs exactly one of flags W or I"),
+            ("ni3| .", "token 'ni3|' needs exactly one of flags W or I"),
+            ("ni3|K .", "token 'ni3|K' needs exactly one of flags W or I"),
+            ("ni3|I,K,A .", "token 'ni3|I,K,A' is both keyword and auxiliary"),
+            ("ni3|W,E hao3|I .", "flag E is only valid on the sentence-final syllable"),
+        ]:
+            with pytest.raises(LyricFormatError) as info:
+                parse_lyrics(f"ni3|W .\n{line}")
+            assert str(info.value) == f"line 2: {message}"
+
     def test_blank_lines_skipped(self):
         lyr = parse_lyrics("ni3|W .\n\nhao3|W ?\n")
         assert len(lyr.sentences) == 2

@@ -210,6 +210,33 @@ class TestStructureSimilarity:
                 histogram_similarity(b, a), abs=1e-12
             )
 
+    def test_duration_pairs_score_bit_for_bit_as_their_fractions(self):
+        # as text 1 < 1/12 < 1/2 < 12 < 2 < 2/3 < 3/2 < 3/4, in neither the
+        # numeric nor the (numerator, denominator) order, and the order of a
+        # float sum shows in its last bits
+        values = [Fraction(v) for v in ("1", "1/2", "2/3", "3/2", "3/4", "1/12", "2", "12")]
+        rng = random.Random(20261019)
+
+        def summed(a, b, order):  # histogram_similarity's fold over the values in ``order``
+            total = 0.0
+            for v in order:
+                total += abs(a.count(v) / len(a) - b.count(v) / len(b))
+            return 1.0 - 0.5 * total
+
+        reordered = 0
+        for _ in range(500):
+            a = [rng.choice(values) for _ in range(rng.randint(1, 12))]
+            b = [rng.choice(values) for _ in range(rng.randint(1, 12))]
+            want = histogram_similarity(a, b)
+            got = histogram_similarity([v.as_integer_ratio() for v in a],
+                                       [v.as_integer_ratio() for v in b])
+            assert _hex(got) == _hex(want)
+            present = set(a) | set(b)
+            by_pair = sorted(present, key=Fraction.as_integer_ratio)
+            reordered += _hex(summed(a, b, sorted(present))) != _hex(want) and (
+                _hex(summed(a, b, by_pair)) != _hex(want))
+        assert reordered  # a numeric order, and a pair order, would each change some result
+
     def test_md_nonnegative_and_ratios_bounded(self, config, rng):
         for _ in range(50):
             lyr = random_lyrics(rng, sentences=2, repeat=True)

@@ -54,6 +54,17 @@ class TestRoundTrip:
         rest_token = back.tokens[1]
         assert rest_token.duration == Fraction(1)
 
+    def test_long_lyric_and_long_note_read_back(self):
+        # a lyric of 128 bytes or more has a two-byte length, and a note of
+        # 2**14 ticks or more a three-byte delta time: each past the inline read
+        for text in ("a" * 127, "a" * 128, "a" * 300):
+            lyr = parse_lyrics(f"{text}|W b|W c|W .")
+            m = mk_melody([(60, 1), (62, 40), ("r", 1), (64, "1/4")])
+            data = write_midi(m, lyr)
+            assert bytes([0xFF, 0x05]) + _encode_vlq(len(text)) + text.encode() in data
+            assert _encode_vlq(40 * TICKS_PER_QUARTER) + bytes([0x80, 62, 0]) in data
+            assert read_midi(data) == m
+
     def test_syllable_count_mismatch_rejected(self):
         lyr = parse_lyrics("ni3|W hao3|I tian1|W .")
         m = mk_melody([(60, 1)])
@@ -76,6 +87,18 @@ class TestErrors:
         events = bytes([0x81, 0x81, 0x81, 0x81, 0x01, 0xFF, 0x2F, 0x00])
         with pytest.raises(MidiFormatError, match="longer than 4 bytes"):
             read_midi(_raw_track(events))
+
+    @pytest.mark.parametrize("events", [
+        bytes([0x00, 0xFF, 0x05]),  # before its length
+        bytes([0x00, 0xFF, 0x05, 0x03]),  # after its one-byte length
+        bytes([0x00, 0xFF, 0x05, 0x03]) + b"ab",  # inside its text
+        bytes([0x00, 0xFF, 0x05, 0x81]),  # inside a two-byte length
+        bytes([0x00, 0x90, 60, 80, 0x83]),  # inside a two-byte delta time
+    ], ids=["no length", "no text", "short text", "short length", "short delta"])
+    def test_event_cut_off_is_truncated(self, events):
+        with pytest.raises(MidiFormatError) as info:
+            read_midi(_raw_track(events))
+        assert str(info.value) == "truncated MIDI file"
 
     def test_not_midi(self):
         with pytest.raises(MidiFormatError):

@@ -170,6 +170,33 @@ class TestHarmonyTableValidation:
             load_reward_config(json.dumps({"harmony_table": {key: cell}}))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("pair, intervals, message", [
+        ((Tone.TONE1, Tone.TONE1), ((-12, 12, "good"),),
+         "harmony cell tone1,tone1: (-12, 12, 'good') is not (low, high, degree) "
+         "with integer bounds and a HarmonyDegree"),
+        ((Tone.TONE1,), ((0, 0, HarmonyDegree.GOOD),),
+         "harmony cell tone1: the key must be a (previous, current) pair of tones"),
+        (Tone.TONE1, ((0, 0, HarmonyDegree.GOOD),),
+         "harmony cell tone1: the key must be a (previous, current) pair of tones"),
+        ((Tone.TONE1, Tone.TONE2, Tone.TONE3), ((0, 0, HarmonyDegree.GOOD),),
+         "harmony cell tone1,tone2,tone3: the key must be a (previous, current) pair of tones"),
+        ((Tone.TONE1, Tone.TONE2), ((-2, 2),),
+         "harmony cell tone1,tone2: (-2, 2) is not (low, high, degree) "
+         "with integer bounds and a HarmonyDegree"),
+        ((Tone.TONE1, Tone.TONE2), ((-2.0, 2, HarmonyDegree.GOOD),),
+         "harmony cell tone1,tone2: (-2.0, 2, <HarmonyDegree.GOOD: 'good'>) is not "
+         "(low, high, degree) with integer bounds and a HarmonyDegree"),
+        ((Tone.TONE1, Tone.TONE2), [(-2, 2, HarmonyDegree.GOOD)],
+         "harmony cell tone1,tone2: [(-2, 2, <HarmonyDegree.GOOD: 'good'>)] "
+         "is not a tuple of intervals"),
+    ], ids=["degree name", "one-tone key", "bare tone key", "three-tone key", "two-item interval",
+            "float bound", "list of intervals"])
+    def test_malformed_cell_names_the_cell_as_a_file_spells_it(self, pair, intervals, message):
+        # a library caller's table fails where it is built, not in RewardConfig
+        with pytest.raises(ConfigError) as info:
+            HarmonyTable({pair: intervals})
+        assert str(info.value) == message
+
 
 class TestPitchContour:
     def test_interrogative_wants_rise(self, config):
