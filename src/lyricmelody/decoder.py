@@ -43,9 +43,11 @@ scored off one plan of the parent's state
 class that fires an event): END and a rest read their (reward, masked) pair
 off it, a syllable start completes it at its pitch by row reads
 (:meth:`~lyricmelody.rewards._EventModel.complete`), and a melisma
-continuation fires nothing.  The event model has no other scoring path,
-and steps a kept child on its stage's clock: integer ticks over every
-token the stage can emit.  A step bounds each class by its best move's
+continuation fires nothing; with no aspect active, as in rerank's
+sampling, nothing fires and nothing is planned.  The event model has no
+other scoring path, and steps a kept child on its stage's clock: integer
+ticks over every token the stage can emit; it builds a new state, since
+the hypotheses share theirs.  A step bounds each class by its best move's
 ``-score``, ``-((base + max log-probability) + reward)``, the move's own
 float expression, so the bound is that move's ``-score`` to the bit.  The
 bar is the ``width``-th smallest bound (the sampler's ``top_k``-th): at
@@ -230,7 +232,7 @@ def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
     return _VocabGroups(*map(_classes, (starts, continuations, rests, [(-1, END, END)])))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Hypothesis:
     """A partial decode: token prefix, its state, and split score accumulators.
 
@@ -252,13 +254,9 @@ class _Hypothesis:
 def _extend(ctx: _Context, h: _Hypothesis, entry: tuple) -> _Hypothesis:
     """The child of ``h`` that an :func:`_entries` entry of ``h`` describes."""
     _, _, pos, token, base, reward, _ = entry
-    return _Hypothesis(
-        tokens=h.tokens + (token,),
-        key=h.key if pos < 0 else h.key + (pos,),
-        state=h.state if pos < 0 else ctx.apply(h.state, token),
-        base=base,
-        reward=reward,
-    )
+    if pos < 0:  # END: the key and state stay the parent's
+        return _Hypothesis(h.tokens + (token,), h.key, h.state, base, reward)
+    return _Hypothesis(h.tokens + (token,), h.key + (pos,), ctx.apply(h.state, token), base, reward)
 
 
 def _expand(
@@ -268,22 +266,26 @@ def _expand(
     class (:func:`_classes`) of ``h``, the ``rank``-th live hypothesis by key,
     with base log-probabilities ``dist[dist_key]``.  Builds no move and scores
     each class once, off one plan of the parent's moves (built at the first
-    class that fires an event): END and a rest read their (reward, masked)
-    pair off it, a syllable start completes it at its pitch, and a melisma
-    continuation fires nothing.  Given ``held``, a masked class other than
-    END goes there instead."""
-    plan = None
-    out = []
+    class that fires an event), END first by identity, then by the start
+    flag: END and a rest read their (reward, masked) pair off the plan, a
+    syllable start completes it at its pitch, and a melisma continuation
+    fires nothing.  With no aspect active nothing fires, and nothing is
+    planned.  Given ``held``, a masked class other than END goes there."""
+    base, start = h.base, h.reward
+    if not ctx.active:  # every class keeps the parent's reward
+        return [(rank, base, start, False, moves, keys, dist) for _, moves, keys in classes]
+    plan, out = None, []
+    held = out if held is None else held
     for sig, moves, keys in classes:
-        if sig != END and sig[0] and not sig[1]:  # (is_note, starts, pitch)
-            reward, masked = h.reward, False  # a melisma continuation fires nothing
-        else:
-            if plan is None:
-                plan = ctx.plan(h.state, h.reward)
-            reward, masked = (plan.end if sig == END else plan.rest if not sig[0]
-                              else ctx.complete(plan, sig[2]))
-        record = (rank, h.base, reward, masked, moves, keys, dist)
-        (held if masked and held is not None and sig != END else out).append(record)
+        if sig is END:  # the last legal class, never held
+            reward, masked = (plan or ctx.plan(h.state, start)).end
+            out.append((rank, base, reward, masked, moves, keys, dist))
+        elif sig[1] or not sig[0]:  # a syllable start, (is_note, starts, pitch), or a rest
+            plan = plan or ctx.plan(h.state, start)
+            reward, masked = ctx.complete(plan, sig[2]) if sig[1] else plan.rest
+            (held if masked else out).append((rank, base, reward, masked, moves, keys, dist))
+        else:  # a melisma continuation fires nothing
+            out.append((rank, base, start, False, moves, keys, dist))
     return out
 
 
@@ -337,7 +339,7 @@ def _beam(
 ) -> tuple[_Hypothesis, tuple[int, ...]]:
     """Beam search over the moves ``moves_of(h)`` offers each hypothesis:
     (best completion by ``(-score, key)``, steps where hard mode relaxed)."""
-    live = [_Hypothesis(tokens=(), key=(), state=_State())]
+    live = [_Hypothesis((), (), _State())]
     best: Optional[_Hypothesis] = None
     relaxations: list[int] = []
     for step in range(_max_steps(ctx)):
@@ -422,7 +424,7 @@ def _top_k(scorer: Scorer, top_k: int) -> int:
 
 
 def _sample_run(ctx: _Context, moves_of, rng: random.Random, top_k: int) -> _Hypothesis:
-    h = _Hypothesis(tokens=(), key=(), state=_State())
+    h = _Hypothesis((), (), _State())
     temperature = ctx.options.temperature
     for _ in range(_max_steps(ctx)):
         kept = _best(_expand(ctx, h, 0, *moves_of(h)), top_k)

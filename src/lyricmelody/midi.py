@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Optional
 
 from .errors import MidiFormatError
 from .lyrics import LyricSequence
-from .melody import Melody, MelodyToken, TokenKind, _check_aligned
+from .melody import Melody, MelodyToken, TokenKind, _TOKENS, _check_aligned
 
 __all__ = ["read_midi", "write_midi", "TICKS_PER_QUARTER"]
 
@@ -249,28 +250,24 @@ def read_midi(data: bytes) -> Melody:
     if active is not None:
         raise MidiFormatError(f"note {active[0]} never receives a note-off")
 
-    durations: dict[int, Fraction] = {}
-
-    def duration(ticks: int) -> Fraction:
-        d = durations.get(ticks)
-        if d is None:
-            d = durations[ticks] = Fraction(ticks, division)
-        return d
+    def token(kind: TokenKind, ticks: int, pitch=None, starts=False) -> MelodyToken:
+        # the interned token under its table key, ticks over division reduced;
+        # only a miss goes through the checked constructor
+        g = gcd(ticks, division)
+        found = _TOKENS.get((MelodyToken, kind, ticks // g, division // g, pitch, starts))
+        return found or MelodyToken(kind, Fraction(ticks, division), pitch, starts)
 
     tokens: list[MelodyToken] = []
     prev_end = notes[0][0]  # leading silence is dropped
     try:
         for start, stop, pitch in notes:
             if start > prev_end:
-                tokens.append(MelodyToken(TokenKind.REST, duration(start - prev_end)))
+                tokens.append(token(TokenKind.REST, start - prev_end))
             # a melisma continuation carries the lyric "-"
-            starts_syllable = lyric_at.get(start) != b"-"
-            tokens.append(
-                MelodyToken(TokenKind.NOTE, duration(stop - start), pitch, starts_syllable)
-            )
+            tokens.append(token(TokenKind.NOTE, stop - start, pitch, lyric_at.get(start) != b"-"))
             prev_end = stop
         if end_tick is not None and end_tick > prev_end:
-            tokens.append(MelodyToken(TokenKind.REST, duration(end_tick - prev_end)))
+            tokens.append(token(TokenKind.REST, end_tick - prev_end))
         return Melody(tuple(tokens), time_signature)
     except ValueError as exc:  # a pitch above 127, a zero-numerator meter
         raise MidiFormatError(str(exc)) from exc

@@ -16,9 +16,9 @@ every event it can fire once (:class:`RewardEvent`, with that outcome on
 it), and the rules pick one.  When each rule fires is decided by one
 token-by-token event model, :class:`_EventModel`.  The decoder scores every
 move of a live hypothesis off one :meth:`_EventModel.plan` of its state and
-steps a frozen :class:`_State` that hypotheses share with
-:meth:`_EventModel.apply`.  Rescoring a finished melody
-(:func:`reward_events`, rerank, the objective metrics) runs
+steps a :class:`_State` with :meth:`_EventModel.apply`, which builds a new
+one: hypotheses share states and plans, so none is mutated.  Rescoring a
+finished melody (:func:`reward_events`, rerank, the objective metrics) runs
 :meth:`_EventModel.fold`, a fast loop over local mutable state that applies
 the same rules through the same tables and fires every aspect, so a decode
 and the rescoring of its output fire the same events in the same order;
@@ -64,8 +64,8 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Optional, Sequence
+from types import MappingProxyType, SimpleNamespace
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError
 from .lyrics import (
@@ -129,10 +129,11 @@ class HarmonyTable:
     adjacent syllables.  Differences outside every interval are Bad.
 
     ``cells`` maps (previous tone, current tone), both tonal, to a tuple of
-    ``(lo, hi, degree)`` inclusive intervals.
+    ``(lo, hi, degree)`` inclusive intervals.  The table keeps a read-only
+    copy of the checked cells, so the event tables built from it stay true.
     """
 
-    cells: dict[tuple[Tone, Tone], tuple[tuple[int, int, HarmonyDegree], ...]]
+    cells: Mapping[tuple[Tone, Tone], tuple[tuple[int, int, HarmonyDegree], ...]]
 
     def __post_init__(self) -> None:
         for pair, intervals in self.cells.items():
@@ -159,6 +160,10 @@ class HarmonyTable:
                 raise ConfigError(f"harmony cell {cell}: overlapping intervals")
             if not any(lo <= 0 <= hi for lo, hi in ordered):
                 raise ConfigError(f"harmony cell {cell}: a zero pitch difference must be labeled")
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+
+    def __reduce__(self):  # through the constructor: a mapping proxy does not pickle
+        return type(self), (dict(self.cells),)
 
     def degree_of(self, prev: Tone, cur: Tone, delta: int) -> Optional[HarmonyDegree]:
         """Degree for a semitone jump, or None when the pair has no cell."""
@@ -483,7 +488,7 @@ def weighted_total(
     return total
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _State:
     """What the event model remembers of a token prefix; ``onset`` and the
     last note's duration are integer ticks of the model's clock."""
@@ -497,7 +502,7 @@ class _State:
     sent_first: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Plan:
     """What every move fires from one state, short of a start's pitch.
 
@@ -595,13 +600,6 @@ class _EventModel:
         if intonation is not None:
             out.append((at, table.contour[contour_matches(intonation, sent_first, span[-1])]))
 
-    def _close_events(self, st: _State) -> list[RewardEvent]:
-        """The shape and contour events of closing the open span of ``st``."""
-        out: list = []
-        if st.span_open:
-            self._close(out, None, st.syl, st.span_pitches, st.sent_first)
-        return [ev for _, ev in out]
-
     @staticmethod
     def signature(token):
         """What the model reads of a token to score it (END, or its kind,
@@ -615,10 +613,18 @@ class _EventModel:
     def plan(self, st: _State, start: float = 0.0) -> _Plan:
         """Every move's reward from ``st`` with the running reward ``start``,
         weighing the active aspects only: END's and a rest's in full, a
-        syllable start's short of its pitch."""
+        syllable start's short of its pitch.  The plan weighs each event
+        itself, λ·value added in firing order and masked when the value is
+        below its maximum, as :func:`weighted_total` would."""
         config = self.config
-        close = self._close_events(st) if self.tone_on else []
-        end = (weighted_total(close, config, start=start), any(not ev.is_maximal for ev in close))
+        total, masked = start, False
+        if self.tone_on and st.span_open:  # shape, then contour: tone events
+            close: list = []
+            self._close(close, None, st.syl, st.span_pitches, st.sent_first)
+            for _, ev in close:
+                total += config.lambda_tone * ev.value
+                masked = masked or ev.value < ev.maximum
+        end = (total, masked)
         k = st.syl + 1
         if k == self.n:
             return _Plan(end, end)  # no gap is left for a rest to pause
@@ -626,7 +632,8 @@ class _EventModel:
         if self.rhythm_on:
             if k > 0:
                 pause = self.pause[k][True]
-                rest = (end[0] + config.lambda_rhythm * pause.value, end[1] or not pause.is_maximal)
+                rest = (total + config.lambda_rhythm * pause.value,
+                        masked or pause.value < pause.maximum)
             sw = self.sw[k]
             if sw is not None:
                 middle.append(sw[st.onset % self.bar in self.strong])
@@ -641,7 +648,7 @@ class _EventModel:
                 partner_delta = st.syl_delta[j]
         cell = self.cell[k] if self.tone_on else None
         # strong/weak and pause are rhythm events
-        terms = tuple((config.lambda_rhythm * ev.value, not ev.is_maximal) for ev in middle)
+        terms = tuple((config.lambda_rhythm * ev.value, ev.value < ev.maximum) for ev in middle)
         return _Plan(end, rest, cell, first, partner_delta, last, terms)
 
     def complete(self, plan: _Plan, pitch) -> tuple[float, bool]:

@@ -159,7 +159,10 @@ def plain_beam_search(lyrics, scorer, width, max_notes=4):
 def close_events(model, st):
     """The shape and contour events closing the open span of ``st``, when
     tone is one of ``model``'s active aspects."""
-    return model._close_events(st) if Aspect.TONE in model.active else []
+    out = []
+    if Aspect.TONE in model.active and st.span_open:
+        model._close(out, None, st.syl, st.span_pitches, st.sent_first)
+    return [ev for _, ev in out]
 
 
 def start_events(model, st, token):

@@ -270,12 +270,15 @@ def test_beam_hashes_and_compares_tokens_in_c(config, bundle, mode):
 
 @pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
 def test_beam_counts_ticks_and_reads_rows(config, bundle, mode):
-    # the decode state holds integer ticks and is built directly, and a
-    # start reads its pitch's terms off the event table's rows: inside the
-    # beam no Python-level Fraction method runs, no dataclasses.replace and
-    # no harmony interval scan
+    # the decode state holds integer ticks and is built directly, a start
+    # reads its pitch's terms off the event table's rows, and a plan weighs
+    # its own events: inside the beam no Python-level Fraction method runs,
+    # no dataclasses.replace, no harmony interval scan, no weighted_total and
+    # no is_maximal
     watched = {rewards._cell_degree.__code__: "_cell_degree",
-               dataclasses.replace.__code__: "dataclasses.replace"}
+               dataclasses.replace.__code__: "dataclasses.replace",
+               rewards.weighted_total.__code__: "weighted_total",
+               rewards.RewardEvent.is_maximal.fget.__code__: "RewardEvent.is_maximal"}
     fraction_file = fractions.Fraction.__new__.__code__.co_filename
     beam_code = decoder._beam.__code__
     calls = Counter()

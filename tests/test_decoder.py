@@ -820,3 +820,61 @@ class TestOutputPin:
                 digest.update(repr((got.score, got.base_logprob, got.reward_total,
                                     got.relaxation_steps, got.stage_scores)).encode())
         assert digest.hexdigest() == self.PIN
+
+
+class TestSamplingPin:
+    """One SHA-256 over rerank's and sample's outputs at ``top_k`` 3, 5 and 40,
+    in 4/4 over seeded sheets.  Rerank samples its candidates with no
+    aspect active, so its sampling fires no event; the pin holds that path
+    and the rewarded sampling to the same bytes and score bits."""
+
+    PIN = "2ad5bb4966a5292b71cb9c779722438de8282fa730f21e8f4b4100734a28521c"
+
+    def test_rerank_and_sample_at_three_widths(self, config):
+        rng = random.Random(20261020)
+        bundle = train_model_bundle([random_training_melody(rng) for _ in range(8)], order=3)
+        digest = hashlib.sha256()
+        for k in range(6):
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=k % 2 == 0,
+                                repeat=k % 3 < 2)
+            for mode, top_k in itertools.product((DecodeMode.RERANK, DecodeMode.SAMPLE),
+                                                 (3, 5, 40)):
+                options = DecodeOptions(mode=mode, top_k=top_k, rerank_candidates=4, seed=k)
+                got = decode(lyr, bundle.token_model, config, options)
+                digest.update(write_midi(got.melody, lyr))
+                digest.update(repr((got.score.hex(), got.base_logprob.hex(),
+                                    got.reward_total.hex())).encode())
+        assert digest.hexdigest() == self.PIN
+
+
+class TestSharedRecordsStayUnchanged:
+    """Decode states, plans and hypotheses are plain slots records that every
+    hypothesis reaching them shares, so no code may assign to one after it is
+    built.  Each record's fields are taken when it is built and compared
+    after seeded soft, hard and two-stage decodes."""
+
+    def test_soft_hard_and_two_stage(self, monkeypatch, config):
+        from lyricmelody import decoder, rewards
+
+        def fields(record):  # a plan's cell is a list, an event-table row: copied
+            return tuple(tuple(v) if type(v) is list else v
+                         for v in map(record.__getattribute__, record.__slots__))
+
+        built = []
+        for cls in (rewards._State, rewards._Plan, decoder._Hypothesis):
+            def init(self, *args, _real=cls.__init__, **kwargs):
+                _real(self, *args, **kwargs)
+                built.append((self, fields(self)))
+
+            monkeypatch.setattr(cls, "__init__", init)
+        rng = random.Random(20261021)
+        bundle = train_model_bundle([random_training_melody(rng) for _ in range(6)], order=3)
+        for k in range(3):
+            lyr = random_lyrics(rng, sentences=2, tonal=k != 2, repeat=k < 2)
+            for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD, DecodeMode.TWO_STAGE):
+                decode(lyr, bundle.token_model, config, DecodeOptions(mode=mode, beam_width=3),
+                       bundle.rhythm_model, bundle.pitch_model)
+        assert {type(record) for record, _ in built} == {
+            rewards._State, rewards._Plan, decoder._Hypothesis}
+        changed = [(record, then) for record, then in built if fields(record) != then]
+        assert changed == []

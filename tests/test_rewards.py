@@ -1,7 +1,9 @@
+import copy
 import inspect
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import sys
@@ -52,7 +54,8 @@ from lyricmelody.rewards import (
 from lyricmelody.scorer import rhythm_projection
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import BAD_DURATION_TEXTS, BAD_DURATION_VALUES, mk_melody, mutated_json
-from reference import _gap_kind, reference_score_rewards, scan_reward_events, step_events
+from reference import (_gap_kind, close_events, reference_score_rewards, scan_reward_events,
+                       step_events)
 
 
 class TestPitchShape:
@@ -196,6 +199,23 @@ class TestHarmonyTableValidation:
         with pytest.raises(ConfigError) as info:
             HarmonyTable({pair: intervals})
         assert str(info.value) == message
+
+    def test_cells_stay_as_checked_through_pickle_and_deepcopy(self, config):
+        # the event tables are built from the checked cells, so a later change
+        # to the cells would grade a jump one way in degree_of and another in
+        # the events
+        pair, cell = (Tone.TONE3, Tone.TONE3), ((-127, 127, "good"),)
+        mine = {pair: ((0, 0, HarmonyDegree.GOOD),)}
+        table = HarmonyTable(mine)
+        mine[pair] = cell  # the caller's own dict, not the table's
+        assert table.degree_of(*pair, 0) is HarmonyDegree.GOOD
+        for copied in (config, pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+            assert copied == config
+            with pytest.raises(TypeError):
+                copied.harmony_table.cells[pair] = cell
+            with pytest.raises(TypeError):
+                del copied.harmony_table.cells[pair]
+            assert copied.harmony_table.degree_of(*pair, 0) is HarmonyDegree.EXCELLENT
 
 
 class TestPitchContour:
@@ -913,8 +933,7 @@ class TestStartPlan:
     def test_catches_an_end_without_contour(self, config):
         class NoEndContour(_EventModel):
             def plan(self, st, start=0.0):
-                close = [ev for ev in self._close_events(st) if ev.kind != "contour"
-                         ] if Aspect.TONE in self.active else []
+                close = [ev for ev in close_events(self, st) if ev.kind != "contour"]
                 end = (weighted_total(close, self.config, start=start),
                        any(not ev.is_maximal for ev in close))
                 return replace(super().plan(st, start), end=end)
