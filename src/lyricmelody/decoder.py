@@ -49,16 +49,20 @@ other scoring path, and steps a kept child on its stage's clock: integer
 ticks over every token the stage can emit; it builds a new state, since
 the hypotheses share theirs.  A step bounds each class by its best move's
 ``-score``, ``-((base + max log-probability) + reward)``, the move's own
-float expression, so the bound is that move's ``-score`` to the bit.  The
-bar is the ``width``-th smallest bound (the sampler's ``top_k``-th): at
-least ``width`` moves are at or under it, so none past it can be kept.  Only
-moves at or under the bar, ties included, become flat tuples of score
-parts, and only what is kept gets a prefix, key and state.  Beam-hard sets
-a masked class aside, bounding and building it only on a step where no
-unmasked move is left, the step it records as relaxed; END is always
-built.  Live keys share one length, so (parent's rank among live keys,
-token index) orders children as their full keys do; END keeps its parent's
-key, a prefix of its siblings' keys, so it ranks first on a tie.
+float expression, so the bound is that move's ``-score`` to the bit.  A
+vocabulary's groups, built once while it lives, memoise each class's max per
+table for as long as the table lives (a weakref's callback drops it); a
+table that cannot be weakly referenced, and the pitch stage's per-decode
+slots, are read per expansion.  The bar is the ``width``-th smallest bound
+(the sampler's ``top_k``-th): at least ``width`` moves are at or under it,
+so none past it can be kept.  Only moves at or under the bar, ties
+included, become flat tuples of score parts, and only what is kept gets a
+prefix, key and state.  Beam-hard sets a masked class aside, bounding and
+building it only on a step where no unmasked move is left, the step it
+records as relaxed; END is always built.  Live keys share one length, so
+(parent's rank among live keys, token index) orders children as their full
+keys do; END keeps its parent's key, a prefix of its siblings' keys, so it
+ranks first on a tie.
 
 A vocabulary with no syllable-start token (or, for the pitch stage, no
 pitch, or no rest mark for the rhythm's rests) cannot cover the lyrics;
@@ -75,10 +79,12 @@ import math
 import random
 import sys
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
-from operator import add, attrgetter
+from itertools import count
+from operator import add, attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from .errors import InternalError, OptionError, TrainingError
@@ -193,27 +199,60 @@ class _Context(_EventModel):
         return out
 
 
-def _classes(moves) -> tuple:
-    """``(signature, ((pos, token, dist_key), ...), (dist_key, ...))`` per
-    distinct event signature of the ``(pos, token, dist_key)`` moves, in order
-    of first use; ``pos`` is the vocabulary index, or -1 for END."""
+def _classes(moves, index=None) -> tuple:
+    """``(signature, ((pos, token, dist_key), ...), i)`` per distinct event
+    signature of the ``(pos, token, dist_key)`` moves, in order of first use,
+    ``i`` counted on ``index`` (or from 0); ``pos`` is the vocabulary index,
+    or -1 for END."""
     by_signature: dict = {}
     for move in moves:
         by_signature.setdefault(_EventModel.signature(move[1]), []).append(move)
-    return tuple((sig, tuple(g), tuple(k for _, _, k in g)) for sig, g in by_signature.items())
+    index = index or count()
+    return tuple((sig, tuple(g), next(index)) for sig, g in by_signature.items())
 
 
-@dataclass(frozen=True)
+def _maxima_of(classes: tuple):
+    """A table's best log-probability per class of ``classes``, by index."""
+    keys = [[k for _, _, k in moves] for _, moves, _ in classes]
+    if len(keys) > 1 and all(len(k) == 1 for k in keys):  # one C call reads them all
+        return itemgetter(*(k for k, in keys))
+    return lambda dist: [max(map(get, k)) for get in [dist.__getitem__] for k in keys]
+
+
+@dataclass
 class _VocabGroups:
-    """A vocabulary's moves by grammar role, as :func:`_classes`."""
+    """A vocabulary's moves by grammar role, as :func:`_classes` indexed
+    across all four, and a memo of each live table's best log-probability per
+    class: ``id(table) -> (weakref(table), maxima)``."""
 
     starts: tuple
     continuations: tuple
     rests: tuple
     end: tuple
 
+    def __post_init__(self) -> None:
+        self._maxima_of = _maxima_of(self.starts + self.continuations + self.rests + self.end)
+        self._memo: dict = {}
+
+    def maxima(self, dist) -> list:
+        hit = self._memo.get(id(dist))
+        if hit is not None and hit[0]() is dist:  # not a dead table's, at a reused id
+            return hit[1]
+        maxima, memo, key = self._maxima_of(dist), self._memo, id(dist)
+        try:  # the callback runs before the table's id can be reused
+            memo[key] = weakref.ref(dist, lambda _: memo.pop(key, None)), maxima
+        except TypeError:  # a plain dict, as UniformScorer's, is never stored
+            pass
+        return maxima
+
+
+#: each live vocabulary's groups, built once
+_GROUPS: "weakref.WeakKeyDictionary[Vocabulary, _VocabGroups]" = weakref.WeakKeyDictionary()
+
 
 def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
+    if (groups := _GROUPS.get(vocab)) is not None:
+        return groups
     starts, continuations, rests = [], [], []
     for idx, token in enumerate(vocab.tokens):
         if token == END:
@@ -229,7 +268,9 @@ def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
             f"the model's {vocab.kind} vocabulary has no syllable-start token, "
             "so it cannot cover any lyrics"
         )
-    return _VocabGroups(*map(_classes, (starts, continuations, rests, [(-1, END, END)])))
+    index, roles = count(), (starts, continuations, rests, [(-1, END, END)])
+    groups = _GROUPS[vocab] = _VocabGroups(*(_classes(moves, index) for moves in roles))
+    return groups
 
 
 @dataclass(slots=True)
@@ -260,36 +301,37 @@ def _extend(ctx: _Context, h: _Hypothesis, entry: tuple) -> _Hypothesis:
 
 
 def _expand(
-    ctx: _Context, h: _Hypothesis, rank: int, classes, dist, held: Optional[list] = None
+    ctx: _Context, h: _Hypothesis, rank: int, classes, dist, maxima, held: Optional[list] = None
 ) -> list[tuple]:
-    """``(rank, base, reward, masked, moves, dist_keys, dist)`` per signature
-    class (:func:`_classes`) of ``h``, the ``rank``-th live hypothesis by key,
-    with base log-probabilities ``dist[dist_key]``.  Builds no move and scores
-    each class once, off one plan of the parent's moves (built at the first
-    class that fires an event), END first by identity, then by the start
-    flag: END and a rest read their (reward, masked) pair off the plan, a
-    syllable start completes it at its pitch, and a melisma continuation
-    fires nothing.  With no aspect active nothing fires, and nothing is
-    planned.  Given ``held``, a masked class other than END goes there."""
+    """``(rank, base, reward, masked, moves, best, dist)`` per signature class
+    (:func:`_classes`) of ``h``, the ``rank``-th live hypothesis by key, with
+    base log-probabilities ``dist[dist_key]``, the best of them ``maxima[i]``.
+    Builds no move and scores each class once, off one plan of the parent's
+    moves (built at the first class that fires an event), END first by
+    identity, then by the start flag: END and a rest read their (reward,
+    masked) pair off the plan, a syllable start completes it at its pitch,
+    and a melisma continuation fires nothing.  With no aspect active nothing
+    fires, and nothing is planned.  Given ``held``, a masked class other than
+    END goes there."""
     base, start = h.base, h.reward
     if not ctx.active:  # every class keeps the parent's reward
-        return [(rank, base, start, False, moves, keys, dist) for _, moves, keys in classes]
+        return [(rank, base, start, False, moves, maxima[i], dist) for _, moves, i in classes]
     plan, out = None, []
     held = out if held is None else held
-    for sig, moves, keys in classes:
+    for sig, moves, i in classes:
         if sig is END:  # the last legal class, never held
             reward, masked = (plan or ctx.plan(h.state, start)).end
-            out.append((rank, base, reward, masked, moves, keys, dist))
+            out.append((rank, base, reward, masked, moves, maxima[i], dist))
         elif sig[1] or not sig[0]:  # a syllable start, (is_note, starts, pitch), or a rest
             plan = plan or ctx.plan(h.state, start)
             reward, masked = ctx.complete(plan, sig[2]) if sig[1] else plan.rest
-            (held if masked else out).append((rank, base, reward, masked, moves, keys, dist))
+            (held if masked else out).append((rank, base, reward, masked, moves, maxima[i], dist))
         else:  # a melisma continuation fires nothing
-            out.append((rank, base, start, False, moves, keys, dist))
+            out.append((rank, base, start, False, moves, maxima[i], dist))
     return out
 
 
-def _entries(rank, base, reward, masked, moves, keys, dist, bar=math.inf) -> list:
+def _entries(rank, base, reward, masked, moves, best, dist, bar=math.inf) -> list:
     """``(-score, rank, pos, token, base, reward, masked)`` per move of one
     :func:`_expand` class whose ``-score`` is at most ``bar``."""
     return [(s, rank, pos, token, b, reward, masked) for pos, token, k in moves
@@ -300,8 +342,7 @@ def _best(classes: list, n: int) -> list[tuple]:
     """The ``n`` smallest :func:`_entries` of the :func:`_expand` ``classes``,
     built only at or under the bar: the ``n``-th smallest class bound, where
     a class's bound is its best move's ``-score``, the same float."""
-    bounds = [-((base + max(map(dist.__getitem__, keys))) + reward)
-              for _, base, reward, _, _, keys, dist in classes]
+    bounds = [-((base + best) + reward) for _, base, reward, _, _, best, _ in classes]
     bar = sorted(bounds)[n - 1] if len(bounds) >= n else math.inf
     return sorted([entry for bound, cls in zip(bounds, classes) if bound <= bar
                    for entry in _entries(*cls, bar)])[:n]
@@ -324,12 +365,13 @@ def _max_steps(ctx: _Context) -> int:
 
 def _grammar(ctx: _Context, scorer: Scorer):
     """The moves function of single-stage decoding and the rhythm stage: the
-    signature classes of a hypothesis's legal moves under the grammar, and its
-    base log-probability distribution."""
+    signature classes of a hypothesis's legal moves under the grammar, its
+    base log-probability distribution and that table's maxima per class."""
     groups = _group_vocab(scorer.vocab)
 
     def moves_of(h: _Hypothesis) -> tuple:
-        return ctx.legal(h.state, groups), scorer.log_prob_dist(h.tokens)
+        dist = scorer.log_prob_dist(h.tokens)
+        return ctx.legal(h.state, groups), dist, groups.maxima(dist)
 
     return moves_of
 
@@ -576,12 +618,13 @@ def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
         else:
             moves = [(vocab.index_of(REST_MARK), MelodyToken(TokenKind.REST, slot.duration),
                       REST_MARK)]
-        slots.append(_classes(moves))
+        slots.append((classes := _classes(moves), _maxima_of(classes)))
         tokens += [token for _, token, _ in moves]
 
     def moves_of(h: _Hypothesis) -> tuple:
         dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
-        return slots[len(h.tokens)], dist
+        classes, maxima_of = slots[len(h.tokens)]
+        return classes, dist, maxima_of(dist)
 
     return moves_of, tokens
 

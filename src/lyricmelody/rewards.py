@@ -204,7 +204,7 @@ class RewardConfig:
     lambda_tone: float = 1.2
     lambda_rhythm: float = 1.5
     lambda_structure: float = 1.0
-    transition_rewards: dict[HarmonyDegree, float] = field(
+    transition_rewards: Mapping[HarmonyDegree, float] = field(
         default_factory=lambda: dict(_TRANSITION_REWARDS)
     )
     shape_reward_on_match: float = 1.0
@@ -234,6 +234,9 @@ class RewardConfig:
             raise ConfigError("transition rewards must not increase from excellent to bad")
         if self.long_note_threshold <= 0:
             raise ConfigError("long_note_threshold must be positive")
+        # a read-only copy of the checked rewards, so the event tables stay true
+        rewards = MappingProxyType(dict(self.transition_rewards))
+        object.__setattr__(self, "transition_rewards", rewards)
         # lookups the reward loops hit per event, built once per config
         object.__setattr__(self, "_lambdas", {
             Aspect.TONE: self.lambda_tone,
@@ -241,6 +244,10 @@ class RewardConfig:
             Aspect.STRUCTURE: self.lambda_structure,
         })
         object.__setattr__(self, "_events", _event_table(self))
+
+    def __reduce__(self):  # through the constructor: a mapping proxy does not pickle
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
     def with_lambdas(self, lambdas: tuple[float, float, float]) -> "RewardConfig":
         lt, lr, ls = lambdas
@@ -300,9 +307,7 @@ def pitch_transition_reward(
     graded by ``config.harmony_table``.  None when the tone pair is outside
     the table's domain (stress-accent input, unmarked tones, an empty table)."""
     degree = config.harmony_table.degree_of(tone_pair[0], tone_pair[1], delta_p)
-    if degree is None:
-        return None
-    return config.transition_rewards[degree]
+    return None if degree is None else config._events.transition[degree][0].value
 
 
 def contour_matches(intonation: Intonation, first_pitch: int, last_pitch: int) -> bool:
@@ -465,6 +470,7 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
         auxiliary=(matched, missed),  # an auxiliary on a weak one
         gaps=gaps,
         structure=structure,
+        transition=transition,
         cells=cells,
         echo=echo,
     )

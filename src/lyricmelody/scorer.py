@@ -242,7 +242,11 @@ def vocabulary_from_corpus(melodies: Sequence[Melody]) -> Vocabulary:
 
 
 class Scorer(Protocol):
-    """Anything that maps a token context to a log-probability table."""
+    """Anything that maps a token context to a log-probability table.
+
+    A table may be returned again for another call, and must then be left
+    unchanged; :class:`NGramModel`'s tables can be weakly referenced, so the
+    decoder keeps what it derives from one for as long as the table lives."""
 
     vocab: Vocabulary
 
@@ -258,6 +262,12 @@ class UniformScorer:
     def log_prob_dist(self, context: Sequence[Token]) -> dict[Token, float]:
         lp = -math.log(len(self.vocab))
         return {t: lp for t in self.vocab.tokens}
+
+
+class _Table(dict):
+    """A log-probability table that can be weakly referenced; a dict otherwise."""
+
+    __slots__ = ("__weakref__",)
 
 
 class NGramModel:
@@ -340,9 +350,9 @@ class NGramModel:
         if cached is None:
             table, tokens = self._table(ctx), self.vocab.tokens
             try:
-                cached = dict(zip(tokens, map(math.log, table)))
+                cached = _Table(zip(tokens, map(math.log, table)))
             except ValueError:  # a probability below the float range came out 0.0
-                cached = {t: math.log(p or math.ulp(0.0)) for t, p in zip(tokens, table)}
+                cached = _Table({t: math.log(p or math.ulp(0.0)) for t, p in zip(tokens, table)})
             self._dist_cache[ctx] = cached
         return cached
 

@@ -135,7 +135,8 @@ def test_criterion_2_oracle_equivalence(config):
             h = _Hypothesis(tokens=(first,), key=(), state=ctx.apply(_State(), first))
             classes = ctx.legal(h.state, groups)
             # the decoder's own scoring of each move, one record per class
-            records = _expand(ctx, h, 0, classes, dict.fromkeys(vocab.tokens, 0.0))
+            dist = dict.fromkeys(vocab.tokens, 0.0)
+            records = _expand(ctx, h, 0, classes, dist, groups.maxima(dist))
             for _, _, _, masked, moves, _, _ in records:
                 for pos, tok, _ in moves:
                     if pos < 0:  # END

@@ -7,9 +7,12 @@ only be raised by a change that says why.
 
 import dataclasses
 import fractions
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -20,11 +23,12 @@ from lyricmelody import (
     evaluate_pair,
     score_rewards,
     train_model_bundle,
+    train_ngram,
 )
-from lyricmelody import decoder, metrics, parse_lyrics, rewards
+from lyricmelody import build_melody_vocabulary, decoder, metrics, parse_lyrics, rewards
 from lyricmelody.decoder import score_two_stage
 from lyricmelody.melody import MelodyToken, RhythmToken
-from lyricmelody.scorer import END, NGramModel, UniformScorer
+from lyricmelody.scorer import END, NGramModel, UniformScorer, _Table
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 
 
@@ -131,6 +135,99 @@ def test_beam_groups_the_vocabulary_once_and_asks_once_per_expansion(
         decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
         assert calls["_group_vocab"] == 1, k
         assert 0 < calls["log_prob_dist"] <= calls["_expand"], k
+
+
+@pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
+def test_beam_reads_each_tables_class_maxima_once_per_model(monkeypatch, config, bundle, mode):
+    # each table's best log-probability per class is memoised for as long as
+    # the table lives, so a second decode with the same model computes none
+    calls = Counter()
+
+    def counted_max(*args, **kwargs):
+        calls["max"] += 1
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "max", counted_max, raising=False)  # shadows the builtin
+    for k, lyrics in enumerate(sheets(20261114, 4)):
+        decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
+        calls.clear()
+        decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
+        assert calls["max"] == 0, k
+
+
+def owned_model(seed):
+    """A model over a vocabulary no other test decodes with, so its groups'
+    memo holds only what the test puts there."""
+    rng = random.Random(seed)
+    durations = [fractions.Fraction(1), fractions.Fraction(2)]
+    vocab = build_melody_vocabulary((50, 55), durations)
+    corpus = [random_training_melody(rng, pitch_range=(50, 55), durations=durations)
+              for _ in range(4)]
+    return train_ngram(corpus, order=3, vocab=vocab)
+
+
+def test_memo_entries_die_with_their_tables(config):
+    model = owned_model(20261115)
+    groups = decoder._group_vocab(model.vocab)
+    for lyrics in sheets(20261115, 2):
+        decode(lyrics, model, config, DecodeOptions())
+    assert groups._memo  # the decodes memoised the model's tables
+    del model
+    gc.collect()
+    assert groups._memo == {}
+
+
+def test_plain_dict_tables_leave_no_memo_entry(config):
+    from test_decoder import FreshDicts
+
+    model = owned_model(20261116)
+    groups = decoder._group_vocab(model.vocab)
+    for lyrics in sheets(20261116, 2):
+        for scorer in (FreshDicts(model), UniformScorer(model.vocab)):
+            for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD, DecodeMode.SAMPLE):
+                decode(lyrics, scorer, config, DecodeOptions(mode=mode))
+    assert groups._memo == {}
+
+
+def test_a_stale_memo_entry_never_answers_for_a_new_table():
+    # CPython reuses a freed object's id, so an entry answers only for the
+    # table its weakref still names
+    model = owned_model(20261117)
+    groups = decoder._group_vocab(model.vocab)
+    table = model.log_prob_dist(())
+    want = groups._maxima_of(table)
+    dead = _Table()
+    stale = weakref.ref(dead)
+    del dead
+    groups._memo[id(table)] = (stale, [0.0] * len(want))  # a dead table's, at a reused id
+    assert groups.maxima(table) == want
+    assert groups._memo[id(table)][0]() is table
+
+
+def test_threads_sharing_a_model_decode_as_a_serial_run(config):
+    # decodes may run concurrently; threads race to store a cold table's
+    # maxima, and every entry must still hold its own table's
+    model = owned_model(20261118)
+    groups = decoder._group_vocab(model.vocab)
+    jobs = [(lyrics, DecodeOptions(mode=mode)) for lyrics in sheets(20261118, 4)
+            for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD)]
+
+    def run(job):
+        return repr(decode(job[0], model, config, job[1]))
+
+    serial = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the memo's reads and writes
+    try:
+        for _ in range(4):
+            groups._memo.clear()  # so the threads meet on cold entries
+            with ThreadPoolExecutor(4) as pool:
+                assert list(pool.map(run, jobs * 2, timeout=120)) == serial * 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert groups._memo
+    for key, (ref, maxima) in groups._memo.items():
+        assert id(ref()) == key and maxima == groups._maxima_of(ref())
 
 
 def test_rerank_builds_one_context_and_weighs_each_candidate_once(monkeypatch, config, bundle):

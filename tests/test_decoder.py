@@ -878,3 +878,49 @@ class TestSharedRecordsStayUnchanged:
             rewards._State, rewards._Plan, decoder._Hypothesis}
         changed = [(record, then) for record, then in built if fields(record) != then]
         assert changed == []
+
+
+class ProtocolProxy:
+    """A scorer with only the ``Scorer`` protocol's ``vocab`` and
+    ``log_prob_dist``, forwarding to a model, as the benchmark's traced scorer
+    does: it hands out the model's own tables."""
+
+    def __init__(self, model):
+        self.vocab = model.vocab
+        self.model = model
+
+    def log_prob_dist(self, context):
+        return self.model.log_prob_dist(context)
+
+
+class FreshDicts(ProtocolProxy):
+    """A scorer that hands out a fresh plain dict per call, which the decoder
+    cannot hold weakly, so it memoises nothing of it."""
+
+    def log_prob_dist(self, context):
+        return dict(self.model.log_prob_dist(context))
+
+
+class TestProtocolOnlyScorers:
+    """The decoder reads a scorer through the protocol alone: every mode
+    decodes through a bare proxy, or through fresh plain dicts, exactly as
+    through the model itself."""
+
+    @pytest.mark.parametrize("wrap", [ProtocolProxy, FreshDicts], ids=["proxy", "fresh dicts"])
+    def test_every_mode_decodes_as_the_model(self, config, wrap):
+        from dataclasses import fields
+
+        rng = random.Random(20261022)
+        bundle = train_model_bundle([random_training_melody(rng) for _ in range(6)], order=3)
+        models = (bundle.token_model, bundle.rhythm_model, bundle.pitch_model)
+        wrapped = [wrap(model) for model in models]
+        for k in range(4):
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=k % 2 == 0,
+                                repeat=k < 2)
+            for mode in DecodeMode:
+                options = DecodeOptions(mode=mode, beam_width=3, rerank_candidates=3, seed=k)
+                want = decode(lyr, models[0], config, options, *models[1:])
+                got = decode(lyr, wrapped[0], config, options, *wrapped[1:])
+                for field in fields(want):
+                    assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), \
+                        (k, mode, field.name)

@@ -717,6 +717,30 @@ class TestConfigValidation:
                 harmony_table=config.harmony_table,
             )
 
+    def test_transition_rewards_stay_as_checked(self, config):
+        # the event rows are built from the checked rewards, so a later change
+        # to the rewards would pay one value in pitch_transition_reward and
+        # another in the fold and the decoder
+        mine = dict(config.transition_rewards)
+        built = replace(config, transition_rewards=mine)
+        mine[HarmonyDegree.BAD] = 99.0  # the caller's own dict, not the config's
+        pair = (Tone.TONE1, Tone.TONE1)
+        assert pitch_transition_reward(pair, 50, built) == 0.0
+        copies = (pickle.loads(pickle.dumps(built)), copy.deepcopy(built), replace(built))
+        for copied in (config, built, *copies):
+            assert copied == config
+            with pytest.raises(TypeError):
+                copied.transition_rewards[HarmonyDegree.BAD] = 99.0
+            with pytest.raises(TypeError):
+                del copied.transition_rewards[HarmonyDegree.BAD]
+            assert pitch_transition_reward(pair, 50, copied) == 0.0
+
+    def test_transition_reward_reads_the_event_rows(self, config):
+        # the public unit and the rows the fold and the decoder read pay one value
+        for pair, row in config._events.cells.items():
+            for delta in range(-127, 128):
+                assert pitch_transition_reward(pair, delta, config) == row[delta][0].value
+
     def test_unknown_preset_rejected(self, config):
         with pytest.raises(ConfigError):
             config.with_preset("nonsense")
