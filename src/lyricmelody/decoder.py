@@ -57,9 +57,12 @@ slots, are read per expansion.  The bar is the ``width``-th smallest bound
 (the sampler's ``top_k``-th): at least ``width`` moves are at or under it,
 so none past it can be kept.  Only moves at or under the bar, ties
 included, become flat tuples of score parts, and only what is kept gets a
-prefix, key and state.  Beam-hard sets a masked class aside, bounding and
-building it only on a step where no unmasked move is left, the step it
-records as relaxed; END is always built.  Live keys share one length, so
+prefix, key and state.  Beam-hard completes a syllable start only at a
+pitch its plan may pay in full
+(:meth:`~lyricmelody.rewards._EventModel.candidates`) and sets a masked
+class aside; the other starts, masked for certain, are completed, and the
+classes set aside bounded and built, only on a step where no unmasked move
+is left, the step it records as relaxed; END is always built.  Live keys share one length, so
 (parent's rank among live keys, token index) orders children as their full
 keys do; END keeps its parent's key, a prefix of its siblings' keys, so it
 ranks first on a tie.
@@ -222,8 +225,8 @@ def _maxima_of(classes: tuple):
 @dataclass
 class _VocabGroups:
     """A vocabulary's moves by grammar role, as :func:`_classes` indexed
-    across all four, and a memo of each live table's best log-probability per
-    class: ``id(table) -> (weakref(table), maxima)``."""
+    across all four, its starts by pitch, and a memo of each live table's
+    best log-probability per class: ``id(table) -> (weakref(table), maxima)``."""
 
     starts: tuple
     continuations: tuple
@@ -233,6 +236,7 @@ class _VocabGroups:
     def __post_init__(self) -> None:
         self._maxima_of = _maxima_of(self.starts + self.continuations + self.rests + self.end)
         self._memo: dict = {}
+        self.start_of = {cls[0][2]: cls for cls in self.starts}
 
     def maxima(self, dist) -> list:
         hit = self._memo.get(id(dist))
@@ -301,7 +305,8 @@ def _extend(ctx: _Context, h: _Hypothesis, entry: tuple) -> _Hypothesis:
 
 
 def _expand(
-    ctx: _Context, h: _Hypothesis, rank: int, classes, dist, maxima, held: Optional[list] = None
+    ctx: _Context, h: _Hypothesis, rank: int, classes, dist, maxima, groups=None,
+    held: Optional[list] = None, deferred: Optional[list] = None,
 ) -> list[tuple]:
     """``(rank, base, reward, masked, moves, best, dist)`` per signature class
     (:func:`_classes`) of ``h``, the ``rank``-th live hypothesis by key, with
@@ -311,13 +316,23 @@ def _expand(
     identity, then by the start flag: END and a rest read their (reward,
     masked) pair off the plan, a syllable start completes it at its pitch,
     and a melisma continuation fires nothing.  With no aspect active nothing
-    fires, and nothing is planned.  Given ``held``, a masked class other than
-    END goes there."""
+    fires, and nothing is planned.  Given ``held`` (beam-hard), a masked class
+    other than END goes there, and only the start classes (the grammar's
+    first) of the plan's candidate pitches are completed: ``(rank, base,
+    plan, dist, maxima, starts, found)`` goes to ``deferred``."""
     base, start = h.base, h.reward
     if not ctx.active:  # every class keeps the parent's reward
         return [(rank, base, start, False, moves, maxima[i], dist) for _, moves, i in classes]
     plan, out = None, []
-    held = out if held is None else held
+    if held is None:
+        held = out
+    elif h.state.syl + 1 < ctx.n:  # starts are legal, and listed first
+        plan = ctx.plan(h.state, start)
+        pitches = ctx.candidates(h.state, plan)
+        if pitches is not None:
+            found = [cls for p in pitches if (cls := groups.start_of.get(p))]
+            deferred.append((rank, base, plan, dist, maxima, groups.starts, found))
+            classes = found + classes[len(groups.starts):]
     for sig, moves, i in classes:
         if sig is END:  # the last legal class, never held
             reward, masked = (plan or ctx.plan(h.state, start)).end
@@ -366,12 +381,12 @@ def _max_steps(ctx: _Context) -> int:
 def _grammar(ctx: _Context, scorer: Scorer):
     """The moves function of single-stage decoding and the rhythm stage: the
     signature classes of a hypothesis's legal moves under the grammar, its
-    base log-probability distribution and that table's maxima per class."""
+    base log-probability distribution, that table's class maxima and the groups."""
     groups = _group_vocab(scorer.vocab)
 
     def moves_of(h: _Hypothesis) -> tuple:
         dist = scorer.log_prob_dist(h.tokens)
-        return ctx.legal(h.state, groups), dist, groups.maxima(dist)
+        return ctx.legal(h.state, groups), dist, groups.maxima(dist), groups
 
     return moves_of
 
@@ -388,13 +403,18 @@ def _beam(
         live.sort(key=attrgetter("key"))
         pool: list[tuple] = []  # the live hypotheses' classes
         held = [] if hard else None  # masked classes, built only if nothing else is left
+        deferred: list[tuple] = []  # hard mode's starts left to complete, per expansion
         for rank, h in enumerate(live):
-            classes = _expand(ctx, h, rank, *moves_of(h), held)
+            classes = _expand(ctx, h, rank, *moves_of(h), held, deferred)
             if classes and classes[-1][4][0][0] < 0:  # END's class, always the last legal one
                 done, = _entries(*classes.pop())
                 if best is None or (done[0], h.key) < (-best.score, best.key):
                     best = _extend(ctx, h, done)
             pool.extend(classes)
+        if deferred and not pool:  # the starts no candidate named, each masked
+            held += [(rank, base, *ctx.complete(plan, cls[0][2]), cls[1], maxima[cls[2]], dist)
+                     for rank, base, plan, dist, maxima, starts, found in deferred
+                     for cls in starts if cls not in found]
         if held and not pool:
             relaxations.append(step)
             pool = held
@@ -624,7 +644,7 @@ def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
     def moves_of(h: _Hypothesis) -> tuple:
         dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
         classes, maxima_of = slots[len(h.tokens)]
-        return classes, dist, maxima_of(dist)
+        return classes, dist, maxima_of(dist), None  # no groups: never beam-hard
 
     return moves_of, tokens
 

@@ -422,6 +422,8 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
     below maximum)`` entries: ``cells`` maps a tone pair to its row by pitch
     delta (255, negative deltas by negative indexing; Bad outside intervals
     clamped to ±127), ``echo`` by an interval minus its anchor's (509).
+    ``tops`` maps a tone pair to the deltas its row pays at the maximum, and
+    ``echo_top`` lists the echo row's.
     """
 
     def event(kind: str, aspect: Aspect, on_match: float, matched: bool, **outcome):
@@ -450,19 +452,20 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
                              d is HarmonyDegree.EXCELLENT, degree=d), config.lambda_tone)
         for d in HarmonyDegree
     }
-    cells = {}
+    cells, tops, row_deltas = {}, {}, (*range(128), *range(-127, 0))  # by index
     for tones, intervals in config.harmony_table.cells.items():
         row = cells[tones] = [transition[HarmonyDegree.BAD]] * 255
         for lo, hi, d in intervals:
             for delta in range(max(lo, -127), min(hi, 127) + 1):
                 row[delta] = transition[d]
+        tops[tones] = [delta for delta, (_, _, below) in zip(row_deltas, row) if not below]
     echoes = (0.0, config.structure_reward_octave, config.structure_reward_exact)
     structure = tuple(
         RewardEvent("structure", Aspect.STRUCTURE, value, config.structure_reward_exact, echo == 2)
         for echo, value in enumerate(echoes)
     )
-    echo = [entry(structure[_echo(d, 0)], config.lambda_structure)
-            for d in (*range(255), *range(-254, 0))]
+    echo_deltas = (*range(255), *range(-254, 0))  # by index
+    echo = [entry(structure[_echo(d, 0)], config.lambda_structure) for d in echo_deltas]
     return SimpleNamespace(
         shape=pair("shape", Aspect.TONE, config.shape_reward_on_match),
         contour=pair("contour", Aspect.TONE, config.contour_reward_on_match),
@@ -472,7 +475,9 @@ def _event_table(config: RewardConfig) -> SimpleNamespace:
         structure=structure,
         transition=transition,
         cells=cells,
+        tops=tops,
         echo=echo,
+        echo_top=[delta for delta, (_, _, below) in zip(echo_deltas, echo) if not below],
     )
 
 
@@ -676,6 +681,19 @@ class _EventModel:
             total += term
             masked = masked or below
         return total, masked
+
+    def candidates(self, st: _State, plan: _Plan):
+        """The pitches at which a start from ``st`` may complete ``plan`` unmasked,
+        or more: none if END's pair or a term is masked, else those the echo
+        row (partner set) or the cell row pays in full; None means every pitch."""
+        if plan.end[1] or any(below for _, below in plan.terms):
+            return ()
+        if plan.partner_delta is not None:
+            return [plan.last_pitch + plan.partner_delta + d for d in self.config._events.echo_top]
+        if plan.cell is not None:
+            top = self.config._events.tops[self.tone[st.syl], self.tone[st.syl + 1]]
+            return [plan.anchor + d for d in top]
+        return None
 
     def apply(self, st: _State, token) -> _State:
         """The state after a (non-END) token of the model's clock."""

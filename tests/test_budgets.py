@@ -302,6 +302,58 @@ def test_beam_hard_builds_masked_moves_only_on_steps_that_relax(monkeypatch, con
     assert {k for k in built if built[k]} <= {k for k in relaxed if relaxed[k]}
 
 
+def test_beam_hard_completes_only_candidate_starts_on_steps_that_do_not_relax(
+    monkeypatch, config, bundle
+):
+    # a hard expansion completes a start only at a pitch its plan's candidate
+    # rule names; the other starts can only come back masked, so they are
+    # completed only on a step that relaxes.  Eager completion of every
+    # start class in each expansion fails both asserts
+    named, off_rule = {}, []  # per plan, its candidates; steps that completed off them
+    candidates, complete = rewards._EventModel.candidates, rewards._EventModel.complete
+    expand, best = decoder._expand, decoder._best
+    starts = len(decoder._group_vocab(bundle.token_model.vocab).starts)
+    calls = Counter()
+
+    def counted_candidates(self, st, plan):
+        pitches = candidates(self, st, plan)
+        named[id(plan)] = plan, pitches  # holds the plan, so its id stays its own
+        return pitches
+
+    def counted_complete(self, plan, pitch):
+        calls["complete"] += 1
+        pitches = named.get(id(plan), (None, None))[1]
+        if pitches is not None and pitch not in pitches:
+            off_rule.append(calls["steps"])
+        return complete(self, plan, pitch)
+
+    def counted_expand(ctx, h, *args):
+        if ctx.active and h.state.syl + 1 < ctx.n:  # an eager expansion completes every start
+            calls["eager"] += starts
+        return expand(ctx, h, *args)
+
+    def counted_best(classes, n):  # once per step, after the step's completions
+        calls["steps"] += 1
+        return best(classes, n)
+
+    monkeypatch.setattr(rewards._EventModel, "candidates", counted_candidates)
+    monkeypatch.setattr(rewards._EventModel, "complete", counted_complete)
+    monkeypatch.setattr(decoder, "_expand", counted_expand)
+    monkeypatch.setattr(decoder, "_best", counted_best)
+    relaxing = 0
+    for k, lyrics in enumerate(sheets(20261119, 8)):
+        for meter in ((4, 4), (3, 4), (6, 8)):
+            calls["steps"] = 0
+            named.clear()
+            off_rule.clear()
+            options = DecodeOptions(mode=DecodeMode.BEAM_HARD, time_signature=meter)
+            relaxed = decode(lyrics, bundle.token_model, config, options).relaxation_steps
+            relaxing += bool(relaxed)
+            assert set(off_rule) <= set(relaxed), (k, meter)
+    assert relaxing  # some decodes completed deferred starts
+    assert calls["complete"] * 3 <= calls["eager"], (calls["complete"], calls["eager"])
+
+
 @pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
 def test_beam_builds_only_the_moves_at_or_under_the_bar(monkeypatch, config, bundle, mode):
     # a class's bound is its best move's -score; a step's bar is the width-th

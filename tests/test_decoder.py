@@ -33,7 +33,7 @@ from lyricmelody import (
     train_ngram,
     write_midi,
 )
-from lyricmelody.rewards import RewardEvent, _EventModel, _State, reward_events
+from lyricmelody.rewards import HarmonyDegree, RewardEvent, _EventModel, _State, reward_events
 from lyricmelody.scorer import END
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from reference import exhaustive_argmax, plain_beam_search, step_events
@@ -675,6 +675,83 @@ class TestScoreFirstBeamMatchesReference:
             for hard in (False, True):
                 relaxed.extend(self.check(ctx, scorer, width, hard))
         assert relaxed  # hard mode relaxed somewhere, so that path is compared too
+
+
+    #: configs whose candidate sets are wide: more degrees or echoes pay in
+    #: full, or every one does
+    WIDE = {
+        "good-as-excellent": {"transition_rewards": dict(zip(HarmonyDegree, (3.0, 3.0, 1.0, 0.0)))},
+        "every-degree-tied": {"transition_rewards": dict.fromkeys(HarmonyDegree, 2.0)},
+        "octave-as-exact": {"structure_reward_octave": 2.0},
+        "exact-zero": {"structure_reward_exact": 0.0},
+    }
+
+    @pytest.mark.parametrize("wide", WIDE)
+    def test_wide_and_empty_candidate_sets(self, monkeypatch, config, cases, wide):
+        # beam-hard completes a start only at its plan's candidate pitches,
+        # and the rest only on a step that relaxes; with wide sets, and with
+        # the empty sets of plans masked before any pitch, it keeps what the
+        # every-candidate beam keeps
+        from dataclasses import replace
+
+        from lyricmelody.decoder import _Context
+
+        sizes = []
+        candidates = _EventModel.candidates
+
+        def counted(self, st, plan):
+            pitches = candidates(self, st, plan)
+            sizes.append(None if pitches is None else len(pitches))
+            return pitches
+
+        monkeypatch.setattr(_EventModel, "candidates", counted)
+        cfg = replace(config, **self.WIDE[wide])
+        bundle, _ = cases
+        rng = random.Random(4112)
+        sheets = [random_lyrics(rng, sentences=rng.randint(1, 2), tonal=tonal, repeat=True)
+                  for tonal in (True, True, True, False, False)]
+        relaxed = 0
+        for active, meter, lyr, width in itertools.product(
+            [{Aspect.TONE}, {Aspect.RHYTHM}, {Aspect.STRUCTURE}, {Aspect.TONE, Aspect.STRUCTURE}],
+            [(3, 4), (6, 8)], sheets, [1, 2, 4],
+        ):
+            options = DecodeOptions(beam_width=width, max_notes_per_syllable=2,
+                                    time_signature=meter)
+            ctx = _Context(lyr, cfg, options, frozenset(active), bundle.token_model.vocab.tokens)
+            relaxed += bool(self.check(ctx, bundle.token_model, width, hard=True))
+        assert relaxed  # deferred starts were completed on relaxing steps
+        assert 0 in sizes and max(size or 0 for size in sizes) > 3, wide
+
+
+class TestHardBeamWithoutRelaxation:
+    """A beam-hard decode that records no relaxation kept unmasked moves
+    only, so every active event it fires on a token pays its maximum.  END
+    is never masked, so the events ``reward_events`` tags ``None`` are
+    exempt."""
+
+    def test_fires_only_maximal_active_events(self, config):
+        rng = random.Random(4113)
+        bundle = train_model_bundle([random_training_melody(rng) for _ in range(8)], order=2)
+        aspect_sets = [frozenset({aspect}) for aspect in Aspect] + [frozenset(Aspect)]
+        violations, checked, unrelaxed = [], 0, 0
+        for k in range(20):
+            lyr = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=k % 2 == 0,
+                                repeat=k % 4 < 2)
+            cfg = config.with_preset(("telemelody", "songmass")[k % 2])
+            for meter, active in itertools.product([(4, 4), (3, 4), (6, 8)], aspect_sets):
+                options = DecodeOptions(mode=DecodeMode.BEAM_HARD, time_signature=meter,
+                                        active=active)
+                result = decode(lyr, bundle.token_model, cfg, options)
+                if result.relaxation_steps:
+                    continue
+                unrelaxed += 1
+                for at, ev in reward_events(lyr, result.melody, cfg):
+                    if at is not None and ev.aspect in active:
+                        checked += 1
+                        if not ev.is_maximal:
+                            violations.append((k, meter, sorted(a.value for a in active), at, ev))
+        assert unrelaxed and checked  # some decodes never relaxed, and fired events
+        assert violations == []
 
 
 class TestTiesAtTheBar:
