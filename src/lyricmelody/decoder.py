@@ -51,13 +51,17 @@ the hypotheses share theirs.  A step bounds each class by its best move's
 ``-score``, ``-((base + max log-probability) + reward)``, the move's own
 float expression, so the bound is that move's ``-score`` to the bit.  A
 vocabulary's groups, built once while it lives, memoise each class's max per
-table for as long as the table lives (a weakref's callback drops it); a
-table that cannot be weakly referenced, and the pitch stage's per-decode
-slots, are read per expansion.  The bar is the ``width``-th smallest bound
-(the sampler's ``top_k``-th): at least ``width`` moves are at or under it,
-so none past it can be kept.  Only moves at or under the bar, ties
-included, become flat tuples of score parts, and only what is kept gets a
-prefix, key and state.  Beam-hard completes a syllable start only at a
+table for as long as the table lives (a weakref's callback drops it), and
+the table's continuation moves, ranked best first (vocabulary order on ties)
+by their class's first walk; a table that cannot be weakly referenced, and
+the pitch stage's per-decode slots, are read per expansion, unranked.  The
+bar is the ``width``-th smallest bound (the sampler's ``top_k``-th): at
+least ``width`` moves are at or under it, so none past it can be kept.  Only
+moves at or under the bar, ties included, become flat tuples of score parts:
+a ranked walk stops at its first move past the bar (``fl(base + x)`` and
+``fl(· + reward)`` are monotone in ``x``) and, as its entries share rank and
+reward, after its ``width``-th entry but for ties with it.  Only what is
+kept gets a prefix, key and state.  Beam-hard completes a syllable start only at a
 pitch its plan may pay in full
 (:meth:`~lyricmelody.rewards._EventModel.candidates`) and sets a masked
 class aside; the other starts, masked for certain, are completed, and the
@@ -188,14 +192,14 @@ class _Context(_EventModel):
         super().__init__(lyrics, config, active, options.time_signature, tokens)
         self.options = options
 
-    def legal(self, st: _State, groups: "_VocabGroups") -> list[tuple]:
-        """The signature classes of ``st``'s legal moves, END's last."""
+    def legal(self, st: _State, groups: "_VocabGroups", continuations=None) -> list[tuple]:
+        """``st``'s legal signature classes, END's last; a table's ``continuations`` if given."""
         out: list[tuple] = []
         if st.syl + 1 < self.n:
             out.extend(groups.starts)
         if st.span_open:
             if len(st.span_pitches) < self.options.max_notes_per_syllable:
-                out.extend(groups.continuations)
+                out.extend(continuations or groups.continuations)
             out.extend(groups.rests)
         if st.syl == self.n - 1:
             out.extend(groups.end)
@@ -222,11 +226,21 @@ def _maxima_of(classes: tuple):
     return lambda dist: [max(map(get, k)) for get in [dist.__getitem__] for k in keys]
 
 
+class _Ranked:
+    """The continuation class's moves, walked off a memoised table's ranking."""
+
+    __slots__ = ("moves", "memo")
+
+    def __init__(self, moves: tuple, memo: dict):
+        self.moves, self.memo = moves, memo
+
+
 @dataclass
 class _VocabGroups:
     """A vocabulary's moves by grammar role, as :func:`_classes` indexed
     across all four, its starts by pitch, and a memo of each live table's
-    best log-probability per class: ``id(table) -> (weakref(table), maxima)``."""
+    best log-probability per class and its continuation class's moves, ranked
+    by their first walk: ``id(table) -> [weakref(table), maxima, ranked or None]``."""
 
     starts: tuple
     continuations: tuple
@@ -237,17 +251,24 @@ class _VocabGroups:
         self._maxima_of = _maxima_of(self.starts + self.continuations + self.rests + self.end)
         self._memo: dict = {}
         self.start_of = {cls[0][2]: cls for cls in self.starts}
+        self.ranked = tuple((sig, _Ranked(moves, self._memo), i)
+                            for sig, moves, i in self.continuations)
 
     def maxima(self, dist) -> list:
+        return self.lookup(dist)[0]
+
+    def lookup(self, dist) -> tuple:
+        """``(maxima, continuation classes)`` of ``dist``: :class:`_Ranked` if
+        it is memoised, unranked for a table that cannot be weakly referenced."""
         hit = self._memo.get(id(dist))
         if hit is not None and hit[0]() is dist:  # not a dead table's, at a reused id
-            return hit[1]
+            return hit[1], self.ranked
         maxima, memo, key = self._maxima_of(dist), self._memo, id(dist)
         try:  # the callback runs before the table's id can be reused
-            memo[key] = weakref.ref(dist, lambda _: memo.pop(key, None)), maxima
+            memo[key] = [weakref.ref(dist, lambda _: memo.pop(key, None)), maxima, None]
         except TypeError:  # a plain dict, as UniformScorer's, is never stored
-            pass
-        return maxima
+            return maxima, self.continuations
+        return maxima, self.ranked
 
 
 #: each live vocabulary's groups, built once
@@ -346,11 +367,24 @@ def _expand(
     return out
 
 
-def _entries(rank, base, reward, masked, moves, best, dist, bar=math.inf) -> list:
+def _entries(rank, base, reward, masked, moves, best, dist, bar=math.inf, n=0) -> list:
     """``(-score, rank, pos, token, base, reward, masked)`` per move of one
-    :func:`_expand` class whose ``-score`` is at most ``bar``."""
-    return [(s, rank, pos, token, b, reward, masked) for pos, token, k in moves
-            if (s := -((b := base + dist[k]) + reward)) <= bar]
+    :func:`_expand` class whose ``-score`` is at most ``bar``; :class:`_Ranked`
+    moves are walked best first, and the ``n``-th entry's ``-score`` becomes the bar."""
+    if type(moves) is tuple:
+        return [(s, rank, pos, token, b, reward, masked) for pos, token, k in moves
+                if (s := -((b := base + dist[k]) + reward)) <= bar]
+    entry = moves.memo[id(dist)]  # the walking expansion's lookup stored it
+    if (ranked := entry[2]) is None:
+        ranked = entry[2] = sorted(moves.moves, key=lambda m: dist[m[2]], reverse=True)
+    out = []
+    for pos, token, k in ranked:
+        if (s := -((b := base + dist[k]) + reward)) > bar:
+            break
+        out.append((s, rank, pos, token, b, reward, masked))
+        if len(out) == n:
+            bar = s
+    return out
 
 
 def _best(classes: list, n: int) -> list[tuple]:
@@ -360,7 +394,7 @@ def _best(classes: list, n: int) -> list[tuple]:
     bounds = [-((base + best) + reward) for _, base, reward, _, _, best, _ in classes]
     bar = sorted(bounds)[n - 1] if len(bounds) >= n else math.inf
     return sorted([entry for bound, cls in zip(bounds, classes) if bound <= bar
-                   for entry in _entries(*cls, bar)])[:n]
+                   for entry in _entries(*cls, bar, n)])[:n]
 
 
 @dataclass(frozen=True)
@@ -386,7 +420,8 @@ def _grammar(ctx: _Context, scorer: Scorer):
 
     def moves_of(h: _Hypothesis) -> tuple:
         dist = scorer.log_prob_dist(h.tokens)
-        return ctx.legal(h.state, groups), dist, groups.maxima(dist), groups
+        maxima, continuations = groups.lookup(dist)
+        return ctx.legal(h.state, groups, continuations), dist, maxima, groups
 
     return moves_of
 
@@ -406,7 +441,8 @@ def _beam(
         deferred: list[tuple] = []  # hard mode's starts left to complete, per expansion
         for rank, h in enumerate(live):
             classes = _expand(ctx, h, rank, *moves_of(h), held, deferred)
-            if classes and classes[-1][4][0][0] < 0:  # END's class, always the last legal one
+            # END's class, always the last legal one; a ranked one is a continuation's
+            if classes and type(last := classes[-1][4]) is tuple and last[0][0] < 0:
                 done, = _entries(*classes.pop())
                 if best is None or (done[0], h.key) < (-best.score, best.key):
                     best = _extend(ctx, h, done)

@@ -524,6 +524,7 @@ class _Plan:
     ``anchor``; the λ·v and below-maximum flag of each strong/weak and
     pause event in ``terms``; and structure when ``partner_delta`` is set,
     read off the echo row at the jump from ``last_pitch`` minus it.
+    ``masked`` is whether END's pair or a term is masked, so every start is.
     """
 
     end: tuple[float, bool]
@@ -533,6 +534,7 @@ class _Plan:
     partner_delta: Optional[int] = None
     last_pitch: Optional[int] = None
     terms: tuple = ()
+    masked: bool = False
 
 
 class _EventModel:
@@ -638,19 +640,23 @@ class _EventModel:
         end = (total, masked)
         k = st.syl + 1
         if k == self.n:
-            return _Plan(end, end)  # no gap is left for a rest to pause
-        rest, middle = end, []
-        if self.rhythm_on:
+            return _Plan(end, end, masked=masked)  # no gap is left for a rest to pause
+        rest, terms, below = end, (), masked
+        if self.rhythm_on:  # strong/weak and pause are rhythm events
+            lam = config.lambda_rhythm
             if k > 0:
                 pause = self.pause[k][True]
-                rest = (total + config.lambda_rhythm * pause.value,
-                        masked or pause.value < pause.maximum)
+                rest = (total + lam * pause.value, masked or pause.value < pause.maximum)
             sw = self.sw[k]
             if sw is not None:
-                middle.append(sw[st.onset % self.bar in self.strong])
+                ev = sw[st.onset % self.bar in self.strong]
+                terms = ((lam * ev.value, ev.value < ev.maximum),)
+                below = below or ev.value < ev.maximum
             if st.span_open:
                 # no rest resolved this gap; a long final note still pauses
-                middle.append(self.pause[k][st.last_duration >= self.long_note])
+                ev = self.pause[k][st.last_duration >= self.long_note]
+                terms += ((lam * ev.value, ev.value < ev.maximum),)
+                below = below or ev.value < ev.maximum
         first, last = st.span_pitches[0], st.span_pitches[-1]
         partner_delta = None
         if self.structure_on:
@@ -658,9 +664,7 @@ class _EventModel:
             if j is not None and last is not None:
                 partner_delta = st.syl_delta[j]
         cell = self.cell[k] if self.tone_on else None
-        # strong/weak and pause are rhythm events
-        terms = tuple((config.lambda_rhythm * ev.value, ev.value < ev.maximum) for ev in middle)
-        return _Plan(end, rest, cell, first, partner_delta, last, terms)
+        return _Plan(end, rest, cell, first, partner_delta, last, terms, below)
 
     def complete(self, plan: _Plan, pitch) -> tuple[float, bool]:
         """(running reward, masked) after a start at ``pitch``: the plan's
@@ -686,7 +690,7 @@ class _EventModel:
         """The pitches at which a start from ``st`` may complete ``plan`` unmasked,
         or more: none if END's pair or a term is masked, else those the echo
         row (partner set) or the cell row pays in full; None means every pitch."""
-        if plan.end[1] or any(below for _, below in plan.terms):
+        if plan.masked:
             return ()
         if plan.partner_delta is not None:
             return [plan.last_pitch + plan.partner_delta + d for d in self.config._events.echo_top]

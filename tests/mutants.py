@@ -1,0 +1,171 @@
+"""The mutant register: hand-made faults in hot paths, each with the tests
+that must catch it.
+
+A speed-up that rests on a budget or an exactness argument is only as safe
+as the tests that would notice it going wrong.  Each entry below names a
+source file, an exact ``old -> new`` patch that must match the file once,
+and the pytest node ids that must fail once the patch is in.  The runner
+copies ``src/``, ``tests/`` and ``pyproject.toml`` under
+``.bench_build/mutants/``, checks that every named node passes unpatched,
+then applies each mutant alone to a fresh copy of its file and runs its
+nodes.  It exits non-zero if a named node does not fail (a survivor) or a
+patch no longer matches exactly once (a stale entry).
+
+A mutant is removed or re-pointed only by a change that says why in
+CHANGES.md.  This file is a plain script, not collected by pytest:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py --list     # names only
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+BUILD = ROOT / ".bench_build" / "mutants"
+DECODER = "src/lyricmelody/decoder.py"
+REWARDS = "src/lyricmelody/rewards.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    nodes: tuple  # each must report at least one failed test
+
+
+MUTANTS = (
+    Mutant(
+        "a walk that stops at exactly n entries, dropping ties with the n-th",
+        DECODER,
+        "        if len(out) == n:\n            bar = s\n",
+        "        if len(out) == n:\n            break\n",
+        ("tests/test_decoder.py::TestNearTiesThroughTheWalk",),
+    ),
+    Mutant(
+        "a walk over unranked moves: a ranking by vocabulary position",
+        DECODER,
+        "ranked = entry[2] = sorted(moves.moves, key=lambda m: dist[m[2]], reverse=True)",
+        "ranked = entry[2] = list(moves.moves)",
+        ("tests/test_decoder.py::TestNearTiesThroughTheWalk",
+         "tests/test_budgets.py::test_threads_sharing_a_model_decode_as_a_serial_run"),
+    ),
+    Mutant(
+        "eager ranking: every memoised table's continuations ranked on its first lookup",
+        DECODER,
+        "lambda _: memo.pop(key, None)), maxima, None]",
+        "lambda _: memo.pop(key, None)), maxima,\n"
+        "                         sorted(self.continuations[0][1], key=lambda m: dist[m[2]],\n"
+        "                                reverse=True) if self.continuations else None]",
+        ("tests/test_budgets.py::"
+         "test_each_live_table_is_ranked_at_most_once_and_only_when_walked",),
+    ),
+    Mutant(
+        "-score < bar: moves tied at the bar are not built",
+        DECODER,
+        "if (s := -((b := base + dist[k]) + reward)) <= bar]",
+        "if (s := -((b := base + dist[k]) + reward)) < bar]",
+        ("tests/test_decoder.py::TestTiesAtTheBar",),
+    ),
+    Mutant(
+        "a walk that stops at the bar instead of past it",
+        DECODER,
+        "if (s := -((b := base + dist[k]) + reward)) > bar:",
+        "if (s := -((b := base + dist[k]) + reward)) >= bar:",
+        ("tests/test_decoder.py::TestTiesThroughTheWalk",),
+    ),
+    Mutant(
+        "weighted_total back in plan",
+        REWARDS,
+        "                total += config.lambda_tone * ev.value\n",
+        "                total = weighted_total([ev], config, self.active, total)\n",
+        ("tests/test_budgets.py::test_beam_counts_ticks_and_reads_rows",),
+    ),
+    Mutant(
+        "apply stepping st.onset in place",
+        REWARDS,
+        "        return _State(st.onset + ticks, st.syl, st.span_open,",
+        "        st.onset += ticks\n        return _State(st.onset, st.syl, st.span_open,",
+        ("tests/test_decoder.py::TestSharedRecordsStayUnchanged",),
+    ),
+    Mutant(
+        "a memo hit without the ref() is dist check",
+        DECODER,
+        "        if hit is not None and hit[0]() is dist:",
+        "        if hit is not None:",
+        ("tests/test_budgets.py::test_a_stale_memo_entry_never_answers_for_a_new_table",),
+    ),
+    Mutant(
+        "eager start completion in beam-hard",
+        DECODER,
+        "        pitches = ctx.candidates(h.state, plan)\n",
+        "        pitches = None\n",
+        ("tests/test_budgets.py::"
+         "test_beam_hard_completes_only_candidate_starts_on_steps_that_do_not_relax",),
+    ),
+)
+
+
+def pytest(nodes) -> tuple[int, list[str]]:
+    """(exit code, failed node ids) of one pytest run over ``nodes`` in the copy."""
+    env = dict(os.environ, PYTHONPATH=str(BUILD / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *nodes],
+        cwd=BUILD, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    return run.returncode, failed
+
+
+def caught(node: str, failed: list[str]) -> bool:
+    return any(f == node or f.startswith((node + "::", node + "[")) for f in failed)
+
+
+def main(argv: list[str]) -> int:
+    if "--list" in argv:
+        for mutant in MUTANTS:
+            print(f"{mutant.path}: {mutant.name}")
+        return 0
+    shutil.rmtree(BUILD, ignore_errors=True)
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, BUILD / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", BUILD / "pyproject.toml")
+    start = time.perf_counter()
+    nodes = sorted({node for mutant in MUTANTS for node in mutant.nodes})
+    code, failed = pytest(nodes)
+    if code != 0:
+        print(f"unpatched: pytest exited {code}; failed: {failed or 'none reported'}")
+        return 1
+    faults = 0
+    for mutant in MUTANTS:
+        target = BUILD / mutant.path
+        pristine = (ROOT / mutant.path).read_text()
+        if pristine.count(mutant.old) != 1:
+            print(f"STALE     {mutant.name}: the patch matches {pristine.count(mutant.old)} times")
+            faults += 1
+            continue
+        target.write_text(pristine.replace(mutant.old, mutant.new))
+        try:
+            code, failed = pytest(mutant.nodes)
+        finally:
+            target.write_text(pristine)
+        survived = [node for node in mutant.nodes if not caught(node, failed)]
+        if code not in (0, 1) or survived:
+            print(f"SURVIVED  {mutant.name}: pytest exited {code}; not caught by {survived}")
+            faults += 1
+        else:
+            print(f"caught    {mutant.name}: {len(failed)} failed")
+    print(f"{len(MUTANTS)} mutants, {faults} survived or stale, "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -189,9 +189,21 @@ def test_plain_dict_tables_leave_no_memo_entry(config):
     assert groups._memo == {}
 
 
+def check_rankings(groups):
+    """Each memo entry names its own table and holds that table's maxima, and
+    each ranking a walk filled is a fresh sort of that table's continuation
+    moves: by descending log-probability, vocabulary order on ties."""
+    (_, moves, _), = groups.continuations
+    for key, (ref, maxima, ranked) in groups._memo.items():
+        table = ref()
+        assert id(table) == key and maxima == groups._maxima_of(table)
+        if ranked is not None:
+            assert ranked == sorted(moves, key=lambda m: (-table[m[2]], m[0]))
+
+
 def test_a_stale_memo_entry_never_answers_for_a_new_table():
     # CPython reuses a freed object's id, so an entry answers only for the
-    # table its weakref still names
+    # table its weakref still names, and never hands out its ranking
     model = owned_model(20261117)
     groups = decoder._group_vocab(model.vocab)
     table = model.log_prob_dist(())
@@ -199,9 +211,15 @@ def test_a_stale_memo_entry_never_answers_for_a_new_table():
     dead = _Table()
     stale = weakref.ref(dead)
     del dead
-    groups._memo[id(table)] = (stale, [0.0] * len(want))  # a dead table's, at a reused id
+    (_, moves, _), = groups.continuations
+    # a dead table's, at a reused id, with its ranking filled backwards
+    groups._memo[id(table)] = [stale, [0.0] * len(want), list(reversed(moves))]
     assert groups.maxima(table) == want
-    assert groups._memo[id(table)][0]() is table
+    assert groups._memo[id(table)][0]() is table and groups._memo[id(table)][2] is None
+    (_, ranked, _), = groups.ranked
+    decoder._entries(0, 0.0, 0.0, False, ranked, 0.0, table)  # a walk ranks the new entry
+    assert groups._memo[id(table)][2] is not None
+    check_rankings(groups)
 
 
 def test_threads_sharing_a_model_decode_as_a_serial_run(config):
@@ -226,8 +244,101 @@ def test_threads_sharing_a_model_decode_as_a_serial_run(config):
     finally:
         sys.setswitchinterval(interval)
     assert groups._memo
-    for key, (ref, maxima) in groups._memo.items():
-        assert id(ref()) == key and maxima == groups._maxima_of(ref())
+    check_rankings(groups)
+    assert any(entry[2] for entry in groups._memo.values())  # the decodes walked some tables
+
+
+class Walk(list):
+    """A ranking that counts the moves walks read off it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for move in list.__iter__(self):
+            Walk.reads += 1
+            yield move
+
+
+@pytest.fixture
+def counted_walks(monkeypatch):
+    """What the decodes did with the continuation class of each table (by
+    id; the test's model keeps its tables alive): the tables ``_best``
+    bounded it on and walked it on, the rankings (sorts of a watched
+    model's continuation moves), and the moves the walks read and built.
+    ``seen["watch"](model)`` watches a model and returns its groups."""
+    entries, best = decoder._entries, decoder._best
+    seen = {"bounded": set(), "walked": set(), "rankings": 0, "reads": 0, "built": 0,
+            "moves": 0}
+    watched = set()  # ids of the watched continuation moves
+
+    def counted_sorted(iterable, **kwargs):
+        out = sorted(iterable, **kwargs)
+        if id(iterable) not in watched:
+            return out
+        seen["rankings"] += 1
+        return Walk(out)
+
+    def counted_entries(*args):
+        moves, dist = args[4], args[6]
+        if type(moves) is tuple:
+            return entries(*args)
+        Walk.reads = 0
+        out = entries(*args)
+        assert Walk.reads <= len(out) + 1  # the first move past the stop, at most
+        seen["walked"].add(id(dist))
+        seen["reads"] += Walk.reads
+        seen["built"] += len(out)
+        seen["moves"] += len(moves.moves)
+        return out
+
+    def counted_best(classes, n):
+        seen["bounded"].update(id(cls[6]) for cls in classes if type(cls[4]) is not tuple)
+        return best(classes, n)
+
+    def watch(model):
+        groups = decoder._group_vocab(model.vocab)
+        watched.update(id(moves) for _, moves, _ in groups.continuations)
+        return groups
+
+    monkeypatch.setattr(decoder, "sorted", counted_sorted, raising=False)  # shadows the builtin
+    monkeypatch.setattr(decoder, "_entries", counted_entries)
+    monkeypatch.setattr(decoder, "_best", counted_best)
+    seen["watch"] = watch
+    return seen
+
+
+def test_a_walk_reads_at_most_one_move_more_than_it_builds(config, counted_walks):
+    model = owned_model(20261120)
+    counted_walks["watch"](model)
+    for lyrics in sheets(20261120, 3):
+        for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD, DecodeMode.SAMPLE,
+                     DecodeMode.RERANK):
+            decode(lyrics, model, config, DecodeOptions(mode=mode, top_k=3))
+    assert counted_walks["walked"] and counted_walks["built"] <= counted_walks["reads"]
+    assert counted_walks["reads"] * 2 < counted_walks["moves"]  # the walks stopped early
+
+
+def test_each_live_table_is_ranked_at_most_once_and_only_when_walked(config, counted_walks):
+    # a table's continuation class is ranked on its first walk; one that
+    # is only bounded (bound past the bar) stays unranked, so eager ranking
+    # of every memoised table fails here
+    model = owned_model(20261121)
+    groups = counted_walks["watch"](model)
+    for lyrics in sheets(20261121, 3):
+        for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD, DecodeMode.SAMPLE,
+                     DecodeMode.RERANK):
+            decode(lyrics, model, config, DecodeOptions(mode=mode, top_k=3))
+            decode(lyrics, model, config, DecodeOptions(mode=mode, top_k=3))  # tables warm
+    filled = {key for key, entry in groups._memo.items() if entry[2] is not None}
+    assert filled == counted_walks["walked"]
+    assert counted_walks["rankings"] == len(filled)
+    assert counted_walks["bounded"] - counted_walks["walked"]  # some were bounded, never walked
+    single = owned_model(20261122)  # no continuation is legal, so nothing is walked or ranked
+    groups = counted_walks["watch"](single)
+    counted_walks["rankings"] = 0
+    for lyrics in sheets(20261122, 2):
+        decode(lyrics, single, config, DecodeOptions(max_notes_per_syllable=1))
+    assert groups._memo and counted_walks["rankings"] == 0
 
 
 def test_rerank_builds_one_context_and_weighs_each_candidate_once(monkeypatch, config, bundle):
@@ -357,27 +468,38 @@ def test_beam_hard_completes_only_candidate_starts_on_steps_that_do_not_relax(
 @pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
 def test_beam_builds_only_the_moves_at_or_under_the_bar(monkeypatch, config, bundle, mode):
     # a class's bound is its best move's -score; a step's bar is the width-th
-    # smallest bound, and only moves at or under it are built
+    # smallest bound, and only moves at or under it are built.  A ranked
+    # class (a live table's continuations) also stops after its own n-th
+    # best -score, ties included: it builds exactly its moves at or under
+    # both; any other class builds exactly its moves at or under the bar
     entries, best = decoder._entries, decoder._best
     calls = Counter()
-    built = []  # the entries the current selection built
+    built = []  # per class the current selection walked, what it built
 
     def counted_entries(*args):
         out = entries(*args)
-        built.extend(out)
+        built.append(out)
         return out
 
     def counted_best(classes, n):
-        every = [entry for cls in classes for entry in entries(*cls)]
-        bounds = sorted(min(entry[0] for entry in entries(*cls)) for cls in classes)
+        every = [sorted(entries(*cls)) for cls in classes]  # no bar, no n: every move
+        bounds = sorted(moves[0][0] for moves in every)
         bar = bounds[n - 1] if len(bounds) >= n else float("inf")
         built.clear()
         out = best(classes, n)
+        walked = [(cls, moves) for cls, moves in zip(classes, every) if moves[0][0] <= bar]
+        assert len(built) == len(walked)
+        for (cls, moves), got in zip(walked, built):
+            cap = min(bar, moves[n - 1][0] if len(moves) >= n else bar)
+            want = cap if isinstance(cls[4], decoder._Ranked) else bar
+            assert sorted(got) == [entry for entry in moves if entry[0] <= want]
+            calls["ranked"] += isinstance(cls[4], decoder._Ranked)
         calls["steps"] += 1
-        calls["moves"] += len(every)
-        calls["built"] += len(built)
-        calls["past the bar"] += sum(1 for entry in built if entry[0] > bar)
-        calls["at or under the bar"] += sum(1 for entry in every if entry[0] <= bar)
+        calls["moves"] += sum(map(len, every))
+        calls["built"] += sum(map(len, built))
+        calls["past the bar"] += sum(1 for got in built for entry in got if entry[0] > bar)
+        calls["at or under the bar"] += sum(1 for moves in every for entry in moves
+                                            if entry[0] <= bar)
         return out
 
     monkeypatch.setattr(decoder, "_entries", counted_entries)
@@ -385,7 +507,8 @@ def test_beam_builds_only_the_moves_at_or_under_the_bar(monkeypatch, config, bun
     for lyrics in sheets(20261112, 4):
         decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
     assert calls["past the bar"] == 0
-    assert calls["built"] == calls["at or under the bar"]  # ties at the bar are built too
+    # ranked classes stop at their own n-th best, short of every move at or under the bar
+    assert calls["ranked"] and calls["built"] < calls["at or under the bar"]
     assert calls["steps"] and calls["built"] * 4 < calls["moves"]  # the bar pruned most moves
 
 

@@ -34,7 +34,7 @@ from lyricmelody import (
     write_midi,
 )
 from lyricmelody.rewards import HarmonyDegree, RewardEvent, _EventModel, _State, reward_events
-from lyricmelody.scorer import END
+from lyricmelody.scorer import END, _Table
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from reference import exhaustive_argmax, plain_beam_search, step_events
 
@@ -803,6 +803,73 @@ class TestTiesAtTheBar:
             assert got.melody.tokens == want.tokens[:-1], (text, seed)
             assert (got.base_logprob.hex(), got.reward_total.hex()) \
                 == (want.base.hex(), want.reward.hex()), (text, seed)
+
+
+class TiedTable:
+    """A scorer that hands out one weakly referenceable table for every
+    context, every log-probability equal: the decoder memoises it, so its
+    continuation moves are walked ranked, and ties are whole classes."""
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+        self.tables = [_Table(dict.fromkeys(vocab.tokens, -math.log(len(vocab))))]
+
+    def log_prob_dist(self, context):
+        return self.tables[len(context) % len(self.tables)]
+
+
+class NearTies(TiedTable):
+    """Three live tables, by context length, equal but for the continuations'
+    log-probabilities: one ulp of a table's value apart, rotated so that a
+    higher one sits at a later vocabulary index, and less than half an ulp of
+    a running base from the third step on, so distinct log-probabilities round
+    to one score and the walk meets ties out of vocabulary order."""
+
+    def __init__(self, vocab):
+        super().__init__(vocab)
+        lp = self.tables[0][END]
+        tokens = [t for t in vocab.tokens if t != END and t.is_note and not t.syllable_start]
+        self.tables = [_Table(self.tables[0]) for _ in range(3)]
+        for shift, table in enumerate(self.tables):
+            for j, token in enumerate(tokens):
+                table[token] = lp + (j + shift) % len(tokens) * math.ulp(lp)
+
+
+class TestTiesThroughTheWalk(TestTiesAtTheBar):
+    """The tie tests on a live, fully tied table: its continuation moves are
+    walked best first and stop after the ``width``-th (``top_k``-th) entry,
+    ties with it included, and ties still break by key."""
+
+    @staticmethod
+    def scorer():
+        return TiedTable(small_vocab(pitches=(60, 62, 64), durations=(1, 2), continuations=True))
+
+    def test_the_walk_ranks_the_live_tables(self, config):
+        from lyricmelody.decoder import _group_vocab
+
+        scorer = self.scorer()
+        for text in self.TEXTS:
+            beam_search(parse_lyrics(text), scorer, config, DecodeOptions(max_notes_per_syllable=2))
+        memo = _group_vocab(scorer.vocab)._memo
+        assert {id(table) for table in scorer.tables} <= set(memo)
+        assert any(entry[2] for entry in memo.values())  # the decodes walked some
+
+
+class TestNearTiesThroughTheWalk(TestTiesThroughTheWalk):
+    """The tie tests on :class:`NearTies`: a walk that stopped at exactly its
+    ``n``-th entry would keep a higher log-probability at a later index over
+    a tied score at an earlier one."""
+
+    @staticmethod
+    def scorer():
+        return NearTies(small_vocab(pitches=(60, 62, 64), durations=(1, 2), continuations=True))
+
+    def test_distinct_log_probabilities_round_to_one_score(self):
+        scorer = self.scorer()
+        for table in scorer.tables:
+            values = set(table.values())
+            base = 3 * table[END]  # a running base at the third step
+            assert len(values) == 6 and len({base + lp for lp in values}) < len(values)
 
 
 class TestEventSignature:
