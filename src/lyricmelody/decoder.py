@@ -50,10 +50,10 @@ ticks over every token the stage can emit; it builds a new state, since
 the hypotheses share theirs.  A step bounds each class by its best move's
 ``-score``, ``-((base + max log-probability) + reward)``, the move's own
 float expression, so the bound is that move's ``-score`` to the bit.  A
-vocabulary's groups, built once while it lives, memoise each class's max per
-table for as long as the table lives (a weakref's callback drops it), and
-the table's continuation moves, ranked best first (vocabulary order on ties)
-by their class's first walk; a table that cannot be weakly referenced, and
+vocabulary's groups, built once while it lives, keep each class's max on
+the table itself (its ``derived`` slot, so it lives exactly as long as the
+table), and the table's continuation moves, ranked best first (vocabulary
+order on ties) by their class's first walk; a table with no such slot, and
 the pitch stage's per-decode slots, are read per expansion, unranked.  The
 bar is the ``width``-th smallest bound (the sampler's ``top_k``-th): at
 least ``width`` moves are at or under it, so none past it can be kept.  Only
@@ -210,12 +210,13 @@ def _classes(moves, index=None) -> tuple:
     """``(signature, ((pos, token, dist_key), ...), i)`` per distinct event
     signature of the ``(pos, token, dist_key)`` moves, in order of first use,
     ``i`` counted on ``index`` (or from 0); ``pos`` is the vocabulary index,
-    or -1 for END."""
+    or -1 for END, whose class's moves are :data:`_END_MOVES`."""
     by_signature: dict = {}
     for move in moves:
         by_signature.setdefault(_EventModel.signature(move[1]), []).append(move)
     index = index or count()
-    return tuple((sig, tuple(g), next(index)) for sig, g in by_signature.items())
+    return tuple((sig, _END_MOVES if sig is END else tuple(g), next(index))
+                 for sig, g in by_signature.items())
 
 
 def _maxima_of(classes: tuple):
@@ -226,21 +227,18 @@ def _maxima_of(classes: tuple):
     return lambda dist: [max(map(get, k)) for get in [dist.__getitem__] for k in keys]
 
 
-class _Ranked:
-    """The continuation class's moves, walked off a memoised table's ranking."""
+class _Ranked(tuple):
+    """The continuation class's moves, walked off their table's ranking."""
 
-    __slots__ = ("moves", "memo")
-
-    def __init__(self, moves: tuple, memo: dict):
-        self.moves, self.memo = moves, memo
+    __slots__ = ()
 
 
 @dataclass
 class _VocabGroups:
     """A vocabulary's moves by grammar role, as :func:`_classes` indexed
-    across all four, its starts by pitch, and a memo of each live table's
-    best log-probability per class and its continuation class's moves, ranked
-    by their first walk: ``id(table) -> [weakref(table), maxima, ranked or None]``."""
+    across all four, and its starts by pitch.  A table it looks up keeps
+    ``[groups, maxima, ranked or None]`` in its ``derived`` slot: its best
+    log-probability per class, and its continuations ranked by their first walk."""
 
     starts: tuple
     continuations: tuple
@@ -249,28 +247,25 @@ class _VocabGroups:
 
     def __post_init__(self) -> None:
         self._maxima_of = _maxima_of(self.starts + self.continuations + self.rests + self.end)
-        self._memo: dict = {}
         self.start_of = {cls[0][2]: cls for cls in self.starts}
-        self.ranked = tuple((sig, _Ranked(moves, self._memo), i)
-                            for sig, moves, i in self.continuations)
-
-    def maxima(self, dist) -> list:
-        return self.lookup(dist)[0]
+        self.ranked = tuple((sig, _Ranked(moves), i) for sig, moves, i in self.continuations)
 
     def lookup(self, dist) -> tuple:
         """``(maxima, continuation classes)`` of ``dist``: :class:`_Ranked` if
-        it is memoised, unranked for a table that cannot be weakly referenced."""
-        hit = self._memo.get(id(dist))
-        if hit is not None and hit[0]() is dist:  # not a dead table's, at a reused id
-            return hit[1], self.ranked
-        maxima, memo, key = self._maxima_of(dist), self._memo, id(dist)
-        try:  # the callback runs before the table's id can be reused
-            memo[key] = [weakref.ref(dist, lambda _: memo.pop(key, None)), maxima, None]
-        except TypeError:  # a plain dict, as UniformScorer's, is never stored
+        ``dist`` keeps them, unranked for a table with no ``derived`` slot."""
+        entry = getattr(dist, "derived", None)
+        if entry is not None and entry[0] is self:  # not another vocabulary's
+            return entry[1], self.ranked
+        maxima = self._maxima_of(dist)
+        try:
+            dist.derived = [self, maxima, None]
+        except AttributeError:  # a plain dict, as UniformScorer's, takes nothing
             return maxima, self.continuations
         return maxima, self.ranked
 
 
+#: END's class's moves in every stage, so that class is known by identity
+_END_MOVES = ((-1, END, END),)
 #: each live vocabulary's groups, built once
 _GROUPS: "weakref.WeakKeyDictionary[Vocabulary, _VocabGroups]" = weakref.WeakKeyDictionary()
 
@@ -293,7 +288,7 @@ def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
             f"the model's {vocab.kind} vocabulary has no syllable-start token, "
             "so it cannot cover any lyrics"
         )
-    index, roles = count(), (starts, continuations, rests, [(-1, END, END)])
+    index, roles = count(), (starts, continuations, rests, _END_MOVES)
     groups = _GROUPS[vocab] = _VocabGroups(*(_classes(moves, index) for moves in roles))
     return groups
 
@@ -374,9 +369,9 @@ def _entries(rank, base, reward, masked, moves, best, dist, bar=math.inf, n=0) -
     if type(moves) is tuple:
         return [(s, rank, pos, token, b, reward, masked) for pos, token, k in moves
                 if (s := -((b := base + dist[k]) + reward)) <= bar]
-    entry = moves.memo[id(dist)]  # the walking expansion's lookup stored it
+    entry = dist.derived  # the walking expansion's lookup stored it
     if (ranked := entry[2]) is None:
-        ranked = entry[2] = sorted(moves.moves, key=lambda m: dist[m[2]], reverse=True)
+        ranked = entry[2] = sorted(moves, key=lambda m: dist[m[2]], reverse=True)
     out = []
     for pos, token, k in ranked:
         if (s := -((b := base + dist[k]) + reward)) > bar:
@@ -441,8 +436,7 @@ def _beam(
         deferred: list[tuple] = []  # hard mode's starts left to complete, per expansion
         for rank, h in enumerate(live):
             classes = _expand(ctx, h, rank, *moves_of(h), held, deferred)
-            # END's class, always the last legal one; a ranked one is a continuation's
-            if classes and type(last := classes[-1][4]) is tuple and last[0][0] < 0:
+            if classes and classes[-1][4] is _END_MOVES:  # END's, always the last legal one
                 done, = _entries(*classes.pop())
                 if best is None or (done[0], h.key) < (-best.score, best.key):
                     best = _extend(ctx, h, done)
@@ -666,7 +660,7 @@ def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
     slots, tokens = [], []
     for slot in (*rhythm_tokens, None):
         if slot is None:
-            moves = [(-1, END, END)]
+            moves = _END_MOVES
         elif slot.is_note:
             moves = [(vocab.index_of(p),
                       MelodyToken(TokenKind.NOTE, slot.duration, p, slot.syllable_start), p)

@@ -245,8 +245,8 @@ class Scorer(Protocol):
     """Anything that maps a token context to a log-probability table.
 
     A table may be returned again for another call, and must then be left
-    unchanged; :class:`NGramModel`'s tables can be weakly referenced, so the
-    decoder keeps what it derives from one for as long as the table lives."""
+    unchanged; the decoder keeps what it derives from one of
+    :class:`NGramModel`'s tables on the table, for as long as the table lives."""
 
     vocab: Vocabulary
 
@@ -265,9 +265,13 @@ class UniformScorer:
 
 
 class _Table(dict):
-    """A log-probability table that can be weakly referenced; a dict otherwise."""
+    """A log-probability table whose ``derived`` slot holds what a consumer
+    derives from it, so that lives exactly as long as the table."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("derived",)
+
+    def __reduce__(self):  # from the items, so it pickles and copies as a dict, slot dropped
+        return _Table, (dict(self),)
 
 
 class NGramModel:

@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build" / "mutants"
 DECODER = "src/lyricmelody/decoder.py"
 REWARDS = "src/lyricmelody/rewards.py"
+SCORER = "src/lyricmelody/scorer.py"
 
 
 class Mutant(NamedTuple):
@@ -53,18 +54,18 @@ MUTANTS = (
     Mutant(
         "a walk over unranked moves: a ranking by vocabulary position",
         DECODER,
-        "ranked = entry[2] = sorted(moves.moves, key=lambda m: dist[m[2]], reverse=True)",
-        "ranked = entry[2] = list(moves.moves)",
+        "ranked = entry[2] = sorted(moves, key=lambda m: dist[m[2]], reverse=True)",
+        "ranked = entry[2] = list(moves)",
         ("tests/test_decoder.py::TestNearTiesThroughTheWalk",
          "tests/test_budgets.py::test_threads_sharing_a_model_decode_as_a_serial_run"),
     ),
     Mutant(
-        "eager ranking: every memoised table's continuations ranked on its first lookup",
+        "eager ranking: every table's continuations ranked on its first lookup",
         DECODER,
-        "lambda _: memo.pop(key, None)), maxima, None]",
-        "lambda _: memo.pop(key, None)), maxima,\n"
-        "                         sorted(self.continuations[0][1], key=lambda m: dist[m[2]],\n"
-        "                                reverse=True) if self.continuations else None]",
+        "            dist.derived = [self, maxima, None]\n",
+        "            dist.derived = [self, maxima, sorted(\n"
+        "                self.ranked[0][1], key=lambda m: dist[m[2]], reverse=True)\n"
+        "                if self.ranked else None]\n",
         ("tests/test_budgets.py::"
          "test_each_live_table_is_ranked_at_most_once_and_only_when_walked",),
     ),
@@ -97,11 +98,20 @@ MUTANTS = (
         ("tests/test_decoder.py::TestSharedRecordsStayUnchanged",),
     ),
     Mutant(
-        "a memo hit without the ref() is dist check",
+        "a lookup hit without the is-self check: another vocabulary's entry answers",
         DECODER,
-        "        if hit is not None and hit[0]() is dist:",
-        "        if hit is not None:",
-        ("tests/test_budgets.py::test_a_stale_memo_entry_never_answers_for_a_new_table",),
+        "        if entry is not None and entry[0] is self:",
+        "        if entry is not None:",
+        ("tests/test_budgets.py::"
+         "test_one_table_looked_up_under_two_vocabularies_answers_each_with_its_own",),
+    ),
+    Mutant(
+        "a table without __reduce__: a decoded model pickles its derived entries, or fails",
+        SCORER,
+        "\n    def __reduce__(self):",
+        "\n    def _unused_reduce(self):",
+        ("tests/test_scorer.py::TestSerialization::"
+         "test_a_bundle_that_has_decoded_copies_as_a_fresh_one",),
     ),
     Mutant(
         "eager start completion in beam-hard",
@@ -110,6 +120,29 @@ MUTANTS = (
         "        pitches = None\n",
         ("tests/test_budgets.py::"
          "test_beam_hard_completes_only_candidate_starts_on_steps_that_do_not_relax",),
+    ),
+    Mutant(
+        "echo tops cut to one: beam-hard skips pitches the echo row pays in full",
+        REWARDS,
+        "echo_top=[delta for delta, (_, _, below) in zip(echo_deltas, echo) if not below],",
+        "echo_top=[delta for delta, (_, _, below) in zip(echo_deltas, echo) if not below][:1],",
+        ("tests/test_decoder.py::TestScoreFirstBeamMatchesReference::"
+         "test_wide_and_empty_candidate_sets",),
+    ),
+    Mutant(
+        "no deferred completion: a relaxing step never builds the starts it set aside",
+        DECODER,
+        "        if deferred and not pool:",
+        "        if False:",
+        ("tests/test_decoder.py::TestScoreFirstBeamMatchesReference",),
+    ),
+    Mutant(
+        "a hard mask that ignores strong/weak and pause",
+        REWARDS,
+        "        return _Plan(end, rest, cell, first, partner_delta, last, terms, below)\n",
+        "        return _Plan(end, rest, cell, first, partner_delta, last,\n"
+        "                     tuple((term, False) for term, _ in terms), masked)\n",
+        ("tests/test_decoder.py::TestHardBeamWithoutRelaxation",),
     ),
 )
 

@@ -136,7 +136,7 @@ def test_criterion_2_oracle_equivalence(config):
             classes = ctx.legal(h.state, groups)
             # the decoder's own scoring of each move, one record per class
             dist = dict.fromkeys(vocab.tokens, 0.0)
-            records = _expand(ctx, h, 0, classes, dist, groups.maxima(dist))
+            records = _expand(ctx, h, 0, classes, dist, groups.lookup(dist)[0])
             for _, _, _, masked, moves, _, _ in records:
                 for pos, tok, _ in moves:
                     if pos < 0:  # END

@@ -28,7 +28,7 @@ from lyricmelody import (
 from lyricmelody import build_melody_vocabulary, decoder, metrics, parse_lyrics, rewards
 from lyricmelody.decoder import score_two_stage
 from lyricmelody.melody import MelodyToken, RhythmToken
-from lyricmelody.scorer import END, NGramModel, UniformScorer, _Table
+from lyricmelody.scorer import END, NGramModel, UniformScorer, Vocabulary
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 
 
@@ -156,8 +156,7 @@ def test_beam_reads_each_tables_class_maxima_once_per_model(monkeypatch, config,
 
 
 def owned_model(seed):
-    """A model over a vocabulary no other test decodes with, so its groups'
-    memo holds only what the test puts there."""
+    """A model over a vocabulary no other test decodes with."""
     rng = random.Random(seed)
     durations = [fractions.Fraction(1), fractions.Fraction(2)]
     vocab = build_melody_vocabulary((50, 55), durations)
@@ -166,86 +165,91 @@ def owned_model(seed):
     return train_ngram(corpus, order=3, vocab=vocab)
 
 
-def test_memo_entries_die_with_their_tables(config):
+def test_nothing_the_decoder_keeps_holds_a_model(config):
+    # what the decoder derives from a table lives on the table, so a model
+    # and its tables die once their owner lets go of them
     model = owned_model(20261115)
-    groups = decoder._group_vocab(model.vocab)
     for lyrics in sheets(20261115, 2):
-        decode(lyrics, model, config, DecodeOptions())
-    assert groups._memo  # the decodes memoised the model's tables
+        for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD, DecodeMode.RERANK):
+            decode(lyrics, model, config, DecodeOptions(mode=mode))
+    assert any(hasattr(table, "derived") for table in model._dist_cache.values())
+    ref = weakref.ref(model)
     del model
     gc.collect()
-    assert groups._memo == {}
+    assert ref() is None
 
 
-def test_plain_dict_tables_leave_no_memo_entry(config):
+def test_plain_dict_tables_gain_nothing(config):
     from test_decoder import FreshDicts
 
     model = owned_model(20261116)
-    groups = decoder._group_vocab(model.vocab)
     for lyrics in sheets(20261116, 2):
         for scorer in (FreshDicts(model), UniformScorer(model.vocab)):
             for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD, DecodeMode.SAMPLE):
                 decode(lyrics, scorer, config, DecodeOptions(mode=mode))
-    assert groups._memo == {}
+    # the fresh dicts' sources, the model's own tables, were never looked up
+    assert model._dist_cache
+    assert not any(hasattr(table, "derived") for table in model._dist_cache.values())
 
 
-def check_rankings(groups):
-    """Each memo entry names its own table and holds that table's maxima, and
-    each ranking a walk filled is a fresh sort of that table's continuation
-    moves: by descending log-probability, vocabulary order on ties."""
+def check_rankings(model) -> list:
+    """The ``derived`` entries on ``model``'s tables: each names groups of the
+    model's vocabulary (equal vocabularies share groups while one of them
+    lives, so by value) and holds its own table's maxima, and each ranking a
+    walk filled is a fresh sort of that table's continuation moves, by
+    descending log-probability, vocabulary order on ties."""
+    groups = decoder._group_vocab(model.vocab)
     (_, moves, _), = groups.continuations
-    for key, (ref, maxima, ranked) in groups._memo.items():
-        table = ref()
-        assert id(table) == key and maxima == groups._maxima_of(table)
+    entries = [(table, table.derived) for table in model._dist_cache.values()
+               if hasattr(table, "derived")]
+    for table, (owner, maxima, ranked) in entries:
+        assert owner == groups and maxima == groups._maxima_of(table)
         if ranked is not None:
             assert ranked == sorted(moves, key=lambda m: (-table[m[2]], m[0]))
+    return [entry for _, entry in entries]
 
 
-def test_a_stale_memo_entry_never_answers_for_a_new_table():
-    # CPython reuses a freed object's id, so an entry answers only for the
-    # table its weakref still names, and never hands out its ranking
+def test_one_table_looked_up_under_two_vocabularies_answers_each_with_its_own():
+    # a table keeps one vocabulary's entry at a time: a lookup under the
+    # other's groups computes its own maxima and never hands out the other's
+    # ranking; the smaller vocabulary is a strict subset of the larger
     model = owned_model(20261117)
-    groups = decoder._group_vocab(model.vocab)
     table = model.log_prob_dist(())
-    want = groups._maxima_of(table)
-    dead = _Table()
-    stale = weakref.ref(dead)
-    del dead
-    (_, moves, _), = groups.continuations
-    # a dead table's, at a reused id, with its ranking filled backwards
-    groups._memo[id(table)] = [stale, [0.0] * len(want), list(reversed(moves))]
-    assert groups.maxima(table) == want
-    assert groups._memo[id(table)][0]() is table and groups._memo[id(table)][2] is None
-    (_, ranked, _), = groups.ranked
-    decoder._entries(0, 0.0, 0.0, False, ranked, 0.0, table)  # a walk ranks the new entry
-    assert groups._memo[id(table)][2] is not None
-    check_rankings(groups)
+    small = Vocabulary.build("melody", [t for t in model.vocab.tokens[:-1]
+                                        if t.duration == 1 and t.pitch != 55])
+    both = [decoder._group_vocab(vocab) for vocab in (model.vocab, small)]
+    assert len(both[1]._maxima_of(table)) < len(both[0]._maxima_of(table))
+    for groups in both * 2:
+        maxima, ((_, ranked, _),) = groups.lookup(table)
+        assert table.derived[0] is groups and table.derived[2] is None
+        assert maxima == groups._maxima_of(table)
+        decoder._entries(0, 0.0, 0.0, False, ranked, 0.0, table)  # a walk ranks the entry
+        assert table.derived[2] == sorted(ranked, key=lambda m: (-table[m[2]], m[0]))
 
 
 def test_threads_sharing_a_model_decode_as_a_serial_run(config):
     # decodes may run concurrently; threads race to store a cold table's
     # maxima, and every entry must still hold its own table's
-    model = owned_model(20261118)
-    groups = decoder._group_vocab(model.vocab)
     jobs = [(lyrics, DecodeOptions(mode=mode)) for lyrics in sheets(20261118, 4)
             for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD)]
 
-    def run(job):
+    def run(model, job):
         return repr(decode(job[0], model, config, job[1]))
 
-    serial = [run(job) for job in jobs]
+    model = owned_model(20261118)
+    serial = [run(model, job) for job in jobs]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads inside the memo's reads and writes
+    sys.setswitchinterval(1e-6)  # switch threads inside the lookups' reads and writes
     try:
         for _ in range(4):
-            groups._memo.clear()  # so the threads meet on cold entries
+            model = owned_model(20261118)  # a fresh model, so the threads meet on cold tables
             with ThreadPoolExecutor(4) as pool:
-                assert list(pool.map(run, jobs * 2, timeout=120)) == serial * 2
+                assert list(pool.map(run, [model] * len(jobs) * 2, jobs * 2,
+                                     timeout=120)) == serial * 2
     finally:
         sys.setswitchinterval(interval)
-    assert groups._memo
-    check_rankings(groups)
-    assert any(entry[2] for entry in groups._memo.values())  # the decodes walked some tables
+    entries = check_rankings(model)
+    assert entries and any(ranked for _, _, ranked in entries)  # the decodes walked some
 
 
 class Walk(list):
@@ -265,7 +269,7 @@ def counted_walks(monkeypatch):
     id; the test's model keeps its tables alive): the tables ``_best``
     bounded it on and walked it on, the rankings (sorts of a watched
     model's continuation moves), and the moves the walks read and built.
-    ``seen["watch"](model)`` watches a model and returns its groups."""
+    ``seen["watch"](model)`` watches a model."""
     entries, best = decoder._entries, decoder._best
     seen = {"bounded": set(), "walked": set(), "rankings": 0, "reads": 0, "built": 0,
             "moves": 0}
@@ -288,7 +292,7 @@ def counted_walks(monkeypatch):
         seen["walked"].add(id(dist))
         seen["reads"] += Walk.reads
         seen["built"] += len(out)
-        seen["moves"] += len(moves.moves)
+        seen["moves"] += len(moves)
         return out
 
     def counted_best(classes, n):
@@ -296,9 +300,7 @@ def counted_walks(monkeypatch):
         return best(classes, n)
 
     def watch(model):
-        groups = decoder._group_vocab(model.vocab)
-        watched.update(id(moves) for _, moves, _ in groups.continuations)
-        return groups
+        watched.update(id(moves) for _, moves, _ in decoder._group_vocab(model.vocab).ranked)
 
     monkeypatch.setattr(decoder, "sorted", counted_sorted, raising=False)  # shadows the builtin
     monkeypatch.setattr(decoder, "_entries", counted_entries)
@@ -321,24 +323,25 @@ def test_a_walk_reads_at_most_one_move_more_than_it_builds(config, counted_walks
 def test_each_live_table_is_ranked_at_most_once_and_only_when_walked(config, counted_walks):
     # a table's continuation class is ranked on its first walk; one that
     # is only bounded (bound past the bar) stays unranked, so eager ranking
-    # of every memoised table fails here
+    # of every looked-up table fails here
     model = owned_model(20261121)
-    groups = counted_walks["watch"](model)
+    counted_walks["watch"](model)
     for lyrics in sheets(20261121, 3):
         for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD, DecodeMode.SAMPLE,
                      DecodeMode.RERANK):
             decode(lyrics, model, config, DecodeOptions(mode=mode, top_k=3))
             decode(lyrics, model, config, DecodeOptions(mode=mode, top_k=3))  # tables warm
-    filled = {key for key, entry in groups._memo.items() if entry[2] is not None}
+    filled = {id(table) for table in model._dist_cache.values()
+              if hasattr(table, "derived") and table.derived[2] is not None}
     assert filled == counted_walks["walked"]
     assert counted_walks["rankings"] == len(filled)
     assert counted_walks["bounded"] - counted_walks["walked"]  # some were bounded, never walked
     single = owned_model(20261122)  # no continuation is legal, so nothing is walked or ranked
-    groups = counted_walks["watch"](single)
+    counted_walks["watch"](single)
     counted_walks["rankings"] = 0
     for lyrics in sheets(20261122, 2):
         decode(lyrics, single, config, DecodeOptions(max_notes_per_syllable=1))
-    assert groups._memo and counted_walks["rankings"] == 0
+    assert check_rankings(single) and counted_walks["rankings"] == 0
 
 
 def test_rerank_builds_one_context_and_weighs_each_candidate_once(monkeypatch, config, bundle):

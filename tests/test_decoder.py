@@ -806,8 +806,8 @@ class TestTiesAtTheBar:
 
 
 class TiedTable:
-    """A scorer that hands out one weakly referenceable table for every
-    context, every log-probability equal: the decoder memoises it, so its
+    """A scorer that hands out one model table for every context, every
+    log-probability equal: the decoder keeps its maxima on it, so its
     continuation moves are walked ranked, and ties are whole classes."""
 
     def __init__(self, vocab):
@@ -850,9 +850,9 @@ class TestTiesThroughTheWalk(TestTiesAtTheBar):
         scorer = self.scorer()
         for text in self.TEXTS:
             beam_search(parse_lyrics(text), scorer, config, DecodeOptions(max_notes_per_syllable=2))
-        memo = _group_vocab(scorer.vocab)._memo
-        assert {id(table) for table in scorer.tables} <= set(memo)
-        assert any(entry[2] for entry in memo.values())  # the decodes walked some
+        groups = _group_vocab(scorer.vocab)  # equal to the decodes' groups, if not the same
+        assert all(table.derived[0] == groups for table in scorer.tables)
+        assert any(table.derived[2] for table in scorer.tables)  # the decodes walked some
 
 
 class TestNearTiesThroughTheWalk(TestTiesThroughTheWalk):
@@ -1038,8 +1038,8 @@ class ProtocolProxy:
 
 
 class FreshDicts(ProtocolProxy):
-    """A scorer that hands out a fresh plain dict per call, which the decoder
-    cannot hold weakly, so it memoises nothing of it."""
+    """A scorer that hands out a fresh plain dict per call, which takes no
+    attribute, so the decoder keeps nothing on it."""
 
     def log_prob_dist(self, context):
         return dict(self.model.log_prob_dist(context))

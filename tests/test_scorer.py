@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 import re
 import time
@@ -10,6 +12,8 @@ import pytest
 
 from lyricmelody import (
     END,
+    DecodeMode,
+    DecodeOptions,
     InputError,
     ModelBundle,
     NGramModel,
@@ -17,6 +21,7 @@ from lyricmelody import (
     UniformScorer,
     Vocabulary,
     build_melody_vocabulary,
+    decode,
     train_model_bundle,
     train_ngram,
 )
@@ -26,7 +31,7 @@ from lyricmelody.scorer import (
     rhythm_sequence,
     vocabulary_from_corpus,
 )
-from lyricmelody.synthetic import random_training_melody
+from lyricmelody.synthetic import random_lyrics, random_training_melody
 from conftest import BAD_DURATION_TEXTS, mk_melody, mutated_json
 from reference import ngram_prob
 
@@ -225,6 +230,36 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "69e5db56045b84fb94ee01bec0ff5d27dabb6303e3d6f10bf1ef3b0adbdedb27"
         )
+
+    def test_a_bundle_that_has_decoded_copies_as_a_fresh_one(self, config):
+        # pickle (every protocol) and deepcopy rebuild each table from its
+        # items, without what the decoder keeps on it, and the copy decodes
+        # every mode to the same tokens and score parts, to the bit
+        rng = random.Random(20261201)
+        bundle = train_model_bundle([random_training_melody(rng) for _ in range(4)], order=3)
+        sheets = [random_lyrics(rng, sentences=1, tonal=tonal) for tonal in (True, False)]
+
+        def decodes(b):
+            out = []
+            for lyrics in sheets:
+                for mode in DecodeMode:
+                    r = decode(lyrics, b.token_model, config, DecodeOptions(mode=mode),
+                               b.rhythm_model, b.pitch_model)
+                    out.append((r.melody.tokens, r.relaxation_steps, r.score.hex(),
+                                r.base_logprob.hex(), r.reward_total.hex()))
+            return out
+
+        def tables(b):
+            return [t for model in (b.token_model, b.rhythm_model, b.pitch_model)
+                    for t in model._dist_cache.values()]
+
+        want = decodes(bundle)
+        assert any(hasattr(t, "derived") for t in tables(bundle))  # the decodes kept some
+        copies = [pickle.loads(pickle.dumps(bundle, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies + [copy.deepcopy(bundle)]:
+            assert tables(back) and not any(hasattr(t, "derived") for t in tables(back))
+            assert decodes(back) == want
 
     def test_projection_domains(self, rng):
         corpus = [random_training_melody(rng) for _ in range(4)]
