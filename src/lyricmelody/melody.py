@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import AlignmentError, MidiFormatError
@@ -50,6 +50,10 @@ class TokenKind(Enum):
 
 #: (class, kind, duration's numerator, denominator, pitch, start flag) to its one token
 _TOKENS: dict = {}
+#: each interned token's duration as its (numerator, denominator), which hash and compare in C
+_RATIOS: dict = {}
+#: per meter, its strong offsets as (numerator, denominator) pairs
+_STRONG: dict = {}
 
 
 def _token(cls, kind, duration, pitch=None, syllable_start=False):
@@ -80,6 +84,7 @@ def _token(cls, kind, duration, pitch=None, syllable_start=False):
     token = object.__new__(cls)
     for name in cls.__slots__:
         object.__setattr__(token, name, fields[name])
+    _RATIOS[token] = num, den  # before the token is published, so any thread finds its ratio
     return _TOKENS.setdefault((cls, kind, num, den, pitch, fields["syllable_start"]), token)
 
 
@@ -263,13 +268,15 @@ def _tick_clock(time_signature: tuple[int, int], tokens: Sequence) -> tuple[int,
     denominator in ticks, so every onset is a whole number of ticks.  A
     strong offset that is not a whole tick is never an onset and is left
     out.  The meter is a Melody's or a decode's, so :func:`check_meter` passed it.
+    It reads interned duration ratios and a meter's strong offsets once: no ``Fraction``.
     """
-    num, den = time_signature
-    bar = Fraction(4 * num, den)
-    scale = lcm(bar.denominator, *{t.duration.denominator for t in tokens})
-    strong = {s.numerator * (scale // s.denominator)
-              for s in strong_offsets(time_signature) if scale % s.denominator == 0}
-    return scale, bar.numerator * (scale // bar.denominator), strong
+    num, den = time_signature  # the bar is 4 * num / den quarters
+    scale = lcm(den // gcd(4 * num, den), *{_RATIOS[t][1] for t in tokens})
+    strong = _STRONG.get(time_signature)
+    if strong is None:  # read once per meter
+        strong = [s.as_integer_ratio() for s in strong_offsets(time_signature)]
+        _STRONG[time_signature] = strong
+    return scale, 4 * num * scale // den, {n * (scale // d) for n, d in strong if scale % d == 0}
 
 
 def melody_to_json(melody: Melody) -> str:

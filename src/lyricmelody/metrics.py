@@ -29,20 +29,23 @@ sorts as its ``Fraction``'s would (:func:`histogram_similarity`).  MD is
 the mean absolute semitone difference along a minimal-cost monotone
 alignment of the two pitch sequences (dynamic time warping with unit
 steps, cost ``|pitch_a - pitch_b|``, shortest among minimal-cost
-alignments).  All functions are pure; evaluating many songs in parallel
-is safe.  :func:`evaluate_pair` followed by
-:func:`~lyricmelody.rewards.score_rewards` on the same objects folds the
-pair once, since ``reward_events`` memoises the last pair.
+alignments), a path's (cost, length) kept as the integer ``cost * 2**32 +
+length``, so paths compare in C.  All functions are pure; evaluating many
+songs in parallel is safe.  :func:`evaluate_pair` reads the repeats its
+fold's event model scanned, and followed by
+:func:`~lyricmelody.rewards.score_rewards` on the same objects it folds the
+pair once, since the fold memoises the last pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .lyrics import LyricSequence, _repeat_anchors
-from .melody import Melody, _check_aligned
-from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, reward_events
+from .melody import _RATIOS, Melody, _check_aligned
+from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, _fold
 
 __all__ = [
     "EvaluationReport",
@@ -93,13 +96,15 @@ class EvaluationReport:
 
 
 def histogram_similarity(a: Sequence, b: Sequence) -> float:
-    """Total-variation similarity of two empirical distributions.
+    """Total-variation similarity of two empirical distributions; ValueError if one is empty.
 
     The values are summed in the order of their ``str``.  A duration counted
     as its ``(numerator, denominator)`` pair sorts as its ``Fraction`` does,
     ``"(n, d)"`` as ``"n/d"`` or ``"n"``: ``,`` and ``)`` sort before every
     digit, as ``/`` and a text's end do.  So both score the same bits.
     """
+    if not a or not b:
+        raise ValueError(f"histogram_similarity: sequence {'b' if a else 'a'} is empty")
     values = set(a) | set(b)
     total = 0.0
     for v in sorted(values, key=str):
@@ -113,23 +118,22 @@ def melody_distance(a: Sequence[int], b: Sequence[int]) -> float:
 
     Among minimal-cost alignments the shortest is used, by a lexicographic
     (cost, length) recurrence; the set of optimal paths transposes with the
-    arguments, so the distance is symmetric.
+    arguments, so the distance is symmetric.  ValueError if a sequence is empty.
     """
-    # above[j] / row[j]: (cost, length) of the best path ending at (i-1, j) / (i, j)
-    above: list[tuple[float, int]] = []
-    for i, pitch_a in enumerate(a):
-        row: list[tuple[float, int]] = []
-        for j, pitch_b in enumerate(b):
-            if i == 0:
-                prev = row[j - 1] if j else (0.0, 0)
-            elif j == 0:
-                prev = above[0]
-            else:
-                prev = min(above[j - 1], above[j], row[j - 1])
-            row.append((prev[0] + abs(pitch_a - pitch_b), prev[1] + 1))
-        above = row
-    cost, length = above[-1]
-    return cost / length
+    if not a or not b:
+        raise ValueError(f"melody_distance: sequence {'b' if a else 'a'} is empty")
+    unit = 1 << 32  # a path's (cost, length) as the int cost * unit + length
+    row = list(accumulate([abs(a[0] - pitch_b) * unit + 1 for pitch_b in b]))  # paths to (0, j)
+    first, rest = b[0], b[1:]
+    for pitch_a in a[1:]:
+        best = row[0] + abs(pitch_a - first) * unit + 1
+        new = [best]
+        for up_left, up, pitch_b in zip(row, row[1:], rest):
+            best = min(up_left, up, best) + abs(pitch_a - pitch_b) * unit + 1
+            new.append(best)
+        row = new
+    cost, length = divmod(row[-1], unit)
+    return cost / length  # int / int: correctly rounded
 
 
 def _sentence_notes(melody: Melody, sent) -> tuple[list[int], list[tuple[int, int]]]:
@@ -141,18 +145,14 @@ def _sentence_notes(melody: Melody, sent) -> tuple[list[int], list[tuple[int, in
     for start, stop in melody.alignment[slice(*sent.span)]:  # a syllable's span holds notes only
         for token in tokens[start:stop]:
             pitches.append(token.pitch)
-            durations.append(token.duration.as_integer_ratio())
+            durations.append(_RATIOS[token])
     return pitches, durations
 
 
-def structure_similarity(
-    lyrics: LyricSequence, melody: Melody
-) -> tuple[Optional[float], Optional[float], Optional[float]]:
-    """(PD, DD, MD) averaged over every repeated sentence vs. its earliest
-    occurrence; all None when the lyrics repeat nothing."""
-    _check_aligned(lyrics, melody)
+def _structure(melody: Melody, anchors) -> tuple[Optional[float], Optional[float], Optional[float]]:
+    """(PD, DD, MD) averaged over ``(anchor, repeat)`` sentences; all None for none."""
     pds, dds, mds = [], [], []
-    for anchor, sent in _repeat_anchors(lyrics):
+    for anchor, sent in anchors:
         pitches_a, durs_a = _sentence_notes(melody, anchor)
         pitches_b, durs_b = _sentence_notes(melody, sent)
         pds.append(histogram_similarity(pitches_a, pitches_b))
@@ -163,17 +163,27 @@ def structure_similarity(
     return (_mean(pds), _mean(dds), _mean(mds))
 
 
+def structure_similarity(
+    lyrics: LyricSequence, melody: Melody
+) -> tuple[Optional[float], Optional[float], Optional[float]]:
+    """(PD, DD, MD) averaged over every repeated sentence vs. its earliest
+    occurrence; all None when the lyrics repeat nothing."""
+    _check_aligned(lyrics, melody)
+    return _structure(melody, _repeat_anchors(lyrics))
+
+
 def evaluate_pair(
     lyrics: LyricSequence, melody: Melody, config: RewardConfig
 ) -> EvaluationReport:
     """All objective metrics for one lyrics/melody pair: the four event
     metrics counted in one pass over its reward events, then the structure
-    figures."""
+    figures over the repeats the fold's event model scanned."""
     scores = []
     # per kind, [fired, matched]; "pause" counts word-inner gaps only, each
     # of which fires one pause event, since a melody has no two rests in a row
     counts = {"contour": [0, 0], "sw": [0, 0], "pause": [0, 0]}
-    for _, ev in reward_events(lyrics, melody, config):
+    model, events = _fold(lyrics, melody, config)
+    for _, ev in events:
         kind = ev.kind
         if kind == "transition":
             scores.append(DEGREE_SCORES[ev.degree])
@@ -182,7 +192,7 @@ def evaluate_pair(
             tally[0] += 1
             tally[1] += ev.matched
     contour, sw, (inner, unbroken) = counts["contour"], counts["sw"], counts["pause"]
-    pd, dd, md = structure_similarity(lyrics, melody)
+    pd, dd, md = _structure(melody, model.anchors)  # the fold's repeat scan
     return EvaluationReport(
         tone_transition=_mean(scores) if scores else None,
         tone_contour=contour[1] / contour[0],  # one contour event per sentence

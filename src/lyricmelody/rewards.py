@@ -25,11 +25,12 @@ and the rescoring of its output fire the same events in the same order;
 only the plan reads the model's active aspects.  Each rule is written once:
 the plan and the fold close a span by :meth:`_EventModel._close`, and the
 model picks each gap's pause events by :func:`boundary_kind`.
-:func:`reward_events` memoises its last pair, keyed on the identity of the
-lyrics, config and melody and holding them strongly; a hit returns a fresh
-copy of the events, and threads may share the memo.  So
+The fold of a pair (:func:`_fold`) memoises its last pair's model and events,
+keyed on the identity of the lyrics, config and melody and holding them
+strongly, and threads may share the memo.  So
 :func:`~lyricmelody.metrics.evaluate_pair` followed by :func:`score_rewards`
-on the same objects builds one model and folds once.  The model reads a
+on the same objects builds one model, scans the repeats once (the model's
+``anchors``, which the structure figures read) and folds once.  The model reads a
 token's ``is_note``, ``syllable_start``, ``pitch`` and ``duration`` only, so
 it steps a :class:`~lyricmelody.melody.MelodyToken` and the pitch-free
 :class:`~lyricmelody.melody.RhythmToken` of rhythm-first decoding alike.
@@ -77,9 +78,9 @@ from .lyrics import (
     WordPosition,
     _fields,
     _json,
-    build_structure_matrix,
+    _repeat_anchors,
 )
-from .melody import BeatStrength, Melody, _check_aligned, _duration, _tick_clock
+from .melody import _RATIOS, BeatStrength, Melody, _check_aligned, _duration, _tick_clock
 from .scorer import END
 
 __all__ = [
@@ -112,8 +113,11 @@ class Aspect(Enum):
     RHYTHM = "rhythm"
     STRUCTURE = "structure"
 
+    __hash__ = object.__hash__  # in C, for the per-event λ and active-set lookups
 
-ALL_ASPECTS = frozenset(Aspect)
+
+_ASPECTS = tuple(Aspect)  # iterated without a Python-level Enum method
+ALL_ASPECTS = frozenset(_ASPECTS)
 
 
 class HarmonyDegree(Enum):
@@ -121,6 +125,8 @@ class HarmonyDegree(Enum):
     GOOD = "good"
     FAIR = "fair"
     BAD = "bad"
+
+    __hash__ = object.__hash__  # in C, for the per-degree lookups
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,7 @@ class RewardConfig:
             Aspect.STRUCTURE: self.lambda_structure,
         })
         object.__setattr__(self, "_events", _event_table(self))
+        object.__setattr__(self, "_long_note", self.long_note_threshold.as_integer_ratio())
 
     def __reduce__(self):  # through the constructor: a mapping proxy does not pickle
         values = (getattr(self, f.name) for f in fields(self))
@@ -544,7 +551,9 @@ class _EventModel:
     intonation if it ends the sentence, whether it opens a sentence, the
     graded harmony cell of the transition into it, its (weak, strong)
     strong/weak events and the (no pause, pause) events of the gap in front
-    of it; plus the structure partners and the meter.  :meth:`plan` weighs
+    of it; plus the meter, and the pair's one repeat scan, ``anchors`` (each
+    ``(earliest, later)`` pair of equal sentences), which pairs each repeated
+    syllable with its structure ``partner``.  :meth:`plan` weighs
     every move from a state (:meth:`complete` finishes a syllable start at
     its pitch), and :meth:`apply` gives the state after a token.  Only the
     plan reads ``active`` (as flags bound once): it weighs those aspects' events.
@@ -563,10 +572,11 @@ class _EventModel:
     ):
         self.config = config
         self.active = active
-        self.tone_on, self.rhythm_on, self.structure_on = (
-            aspect in active for aspect in (Aspect.TONE, Aspect.RHYTHM, Aspect.STRUCTURE))
+        self.tone_on, self.rhythm_on, self.structure_on = (aspect in active for aspect in _ASPECTS)
         self.n = len(lyrics)
-        self.partner = build_structure_matrix(lyrics).partner
+        self.anchors = tuple(_repeat_anchors(lyrics))  # the pair's one repeat scan
+        self.partner = {i: j for anchor, sent in self.anchors
+                        for i, j in zip(range(*sent.span), range(*anchor.span))}
         self.time_signature = time_signature
         if tokens is not None:
             self.scale, self.ticks, self.bar, self.strong, self.long_note = self._clock(tokens)
@@ -597,9 +607,9 @@ class _EventModel:
         """(ticks per quarter, each token's ticks, bar, strong offsets, long-note threshold
         rounded up) in the integer ticks of ``tokens``' :func:`~lyricmelody.melody._tick_clock`."""
         scale, bar, strong = _tick_clock(self.time_signature, tokens)
-        ticks = {t: t.duration.numerator * (scale // t.duration.denominator) for t in set(tokens)}
-        threshold = self.config.long_note_threshold
-        return scale, ticks, bar, strong, -(-threshold.numerator * scale // threshold.denominator)
+        ticks = {t: num * (scale // den) for t in set(tokens) for num, den in (_RATIOS[t],)}
+        num, den = self.config._long_note
+        return scale, ticks, bar, strong, -(-num * scale // den)
 
     def _close(self, out: list, at, syl: int, span: Sequence, sent_first) -> None:
         """Append ``(at, event)`` to ``out`` for each shape and contour event of
@@ -781,8 +791,27 @@ class _EventModel:
         return events
 
 
-#: (lyrics, config, model, melody, events) of the last pair reward_events folded
+#: (lyrics, config, model, melody, events) of the last pair _fold folded
 _memo: tuple = (None, None, None, None, ())
+
+
+def _fold(lyrics: LyricSequence, melody: Melody, config: RewardConfig) -> tuple[_EventModel, tuple]:
+    """The event model of a complete pair in the melody's meter and the tuple of its
+    :meth:`~_EventModel.fold`, memoised by ``is`` on the last pair's lyrics, config and
+    melody (all frozen, held strongly so that no other object takes their ids); the same
+    lyrics and config in that meter reuse the model.  The memo is one tuple, replaced whole
+    and read once per call, so threads may share it: callers read what a call returns."""
+    global _memo
+    _check_aligned(lyrics, melody)
+    last_lyrics, last_config, model, last_melody, events = _memo
+    same_sheet = last_lyrics is lyrics and last_config is config
+    if same_sheet and last_melody is melody:
+        return model, events
+    if not same_sheet or model.time_signature != melody.time_signature:
+        model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature)
+    events = tuple(model.fold(melody.tokens))
+    _memo = (lyrics, config, model, melody, events)
+    return model, events
 
 
 def reward_events(
@@ -791,28 +820,10 @@ def reward_events(
     config: RewardConfig,
 ) -> list[tuple[Optional[int], RewardEvent]]:
     """Every reward event of a complete pair, tagged with the token index it
-    fires on (None = fires when the melody ends).
-
-    The event model's :meth:`~_EventModel.fold` over the melody's tokens in
-    the melody's own meter, with every aspect on; events come back in firing
-    order.
-
-    The last pair is memoised by ``is`` on its lyrics, config and melody (all
-    frozen, held strongly so that no other object takes their ids): the same
-    three get a fresh list of its events, the same lyrics and config in its
-    meter reuse its model.  The memo is one tuple replaced whole: thread-safe.
-    """
-    global _memo
-    _check_aligned(lyrics, melody)
-    last_lyrics, last_config, model, last_melody, events = _memo
-    same_sheet = last_lyrics is lyrics and last_config is config
-    if same_sheet and last_melody is melody:
-        return list(events)
-    if not same_sheet or model.time_signature != melody.time_signature:
-        model = _EventModel(lyrics, config, ALL_ASPECTS, melody.time_signature)
-    events = model.fold(melody.tokens)
-    _memo = (lyrics, config, model, melody, tuple(events))
-    return events
+    fires on (None = fires when the melody ends), in firing order: a fresh
+    list of the event model's :meth:`~_EventModel.fold` over the melody's
+    tokens in its own meter, every aspect on, memoised by :func:`_fold`."""
+    return list(_fold(lyrics, melody, config)[1])
 
 
 @dataclass(frozen=True)
@@ -830,18 +841,18 @@ def score_rewards(
 ) -> RewardSummary:
     """Weighted reward total of a complete pair, recomputed from scratch: one
     pass sums each aspect and, in :func:`weighted_total`'s order, the total."""
-    events = reward_events(lyrics, melody, config)
+    _, events = _fold(lyrics, melody, config)
     tone, rhythm = Aspect.TONE, Aspect.RHYTHM
     # per aspect, in Aspect's order: its λ, or None when it is inactive
     lambdas = [lam if aspect in active else None for aspect, lam in zip(
-        Aspect, (config.lambda_tone, config.lambda_rhythm, config.lambda_structure))]
+        _ASPECTS, (config.lambda_tone, config.lambda_rhythm, config.lambda_structure))]
     sums, total = [0.0, 0.0, 0.0], 0.0
     for _, ev in events:
         i = 0 if ev.aspect is tone else 1 if ev.aspect is rhythm else 2
         sums[i] += ev.value
         if lambdas[i] is not None:
             total += lambdas[i] * ev.value
-    return RewardSummary(total, dict(zip(Aspect, sums)), tuple(events))
+    return RewardSummary(total, dict(zip(_ASPECTS, sums)), events)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build" / "mutants"
 DECODER = "src/lyricmelody/decoder.py"
+METRICS = "src/lyricmelody/metrics.py"
 REWARDS = "src/lyricmelody/rewards.py"
 SCORER = "src/lyricmelody/scorer.py"
 
@@ -143,6 +144,46 @@ MUTANTS = (
         "        return _Plan(end, rest, cell, first, partner_delta, last,\n"
         "                     tuple((term, False) for term, _ in terms), masked)\n",
         ("tests/test_decoder.py::TestHardBeamWithoutRelaxation",),
+    ),
+    Mutant(
+        "row tops cut to three deltas: beam-hard skips pitches a cell row pays in full",
+        REWARDS,
+        "tops[tones] = [delta for delta, (_, _, below) in zip(row_deltas, row) if not below]",
+        "tops[tones] = [delta for delta, (_, _, below) in zip(row_deltas, row) if not below][:3]",
+        ("tests/test_decoder.py::TestScoreFirstBeamMatchesReference::"
+         "test_wide_and_empty_candidate_sets",),
+    ),
+    Mutant(
+        "a plain transition_rewards dict: a config's checked rewards can change after the check",
+        REWARDS,
+        "        rewards = MappingProxyType(dict(self.transition_rewards))\n",
+        "        rewards = dict(self.transition_rewards)\n",
+        ("tests/test_rewards.py::TestConfigValidation::test_transition_rewards_stay_as_checked",),
+    ),
+    Mutant(
+        "an MD packing whose length field is too narrow: a long path's length carries into its cost",
+        METRICS,
+        "    unit = 1 << 32  #",
+        "    unit = 1 << 7  #",
+        ("tests/test_metrics.py::TestAgainstReference::"
+         "test_md_and_histograms_match_on_long_random_sequences",),
+    ),
+    Mutant(
+        "a partner map zipped from the anchor's side: each anchor syllable maps to its repeat",
+        REWARDS,
+        "for i, j in zip(range(*sent.span), range(*anchor.span))}",
+        "for i, j in zip(range(*anchor.span), range(*sent.span))}",
+        ("tests/test_rewards.py::TestFoldMatchesReferenceScan::test_events_equal_whole_pair_scan",
+         "tests/test_rewards.py::TestWholePairScan::"
+         "test_structure_pairs_compare_first_notes_across_melisma"),
+    ),
+    Mutant(
+        "Aspect without its C hash: every λ and active-set lookup runs Enum.__hash__",
+        REWARDS,
+        "    __hash__ = object.__hash__  # in C, for the per-event λ and active-set lookups\n",
+        "",
+        ("tests/test_budgets.py::"
+         "test_evaluate_then_score_scans_repeats_once_with_no_python_fraction_or_enum_method",),
     ),
 )
 

@@ -15,7 +15,8 @@ backoff probability evaluated one token and one backoff level at a time, a
 MIDI reader that takes one byte slice at a time, the four event metrics
 walked over the alignment (the strong/weak one read off the ``Fraction``
 beat grid), and the repetition structure (structure matrix and PD/DD/MD)
-taken from numbered sentence groups.  Kept separate from the package so the
+taken from numbered sentence groups, with its own tuple-recurrence DTW and
+``Fraction``-binned histogram.  Kept separate from the package so the
 decoder, the reward fold, the scorer's suffix tables, the MIDI reader and
 the metrics counted over reward events and anchored on repeats are checked
 against a second, independently written route.
@@ -61,7 +62,7 @@ from lyricmelody.decoder import (
 )
 from lyricmelody.lyrics import TONAL_TONES
 from lyricmelody.melody import check_meter, strong_offsets
-from lyricmelody.metrics import DEGREE_SCORES, _mean, histogram_similarity, melody_distance
+from lyricmelody.metrics import DEGREE_SCORES, _mean
 from lyricmelody.rewards import (
     ALL_ASPECTS,
     BoundaryKind,
@@ -761,6 +762,40 @@ def reference_build_structure_matrix(lyrics):
     return StructureMatrix(pairs=frozenset(pairs))
 
 
+def reference_histogram_similarity(a, b):
+    """Total-variation similarity of two samples binned by value (durations
+    binned as their ``Fraction``): each bin's share in ``a`` minus its share
+    in ``b``, added up in the order of the bins' text."""
+    bins_a, bins_b = {}, {}
+    for bins, sample in ((bins_a, a), (bins_b, b)):
+        for value in sample:
+            bins[value] = bins.get(value, 0) + 1
+    total = 0.0
+    for value in sorted(bins_a.keys() | bins_b.keys(), key=str):
+        total += abs(bins_a.get(value, 0) / len(a) - bins_b.get(value, 0) / len(b))
+    return 1.0 - 0.5 * total
+
+
+def reference_melody_distance(a, b):
+    """Unit-step DTW over |pitch_a - pitch_b|, each cell's best path kept as
+    a (float cost, length) tuple and compared lexicographically, so the
+    shortest of the minimal-cost paths wins; its mean cost per step."""
+    above = []
+    for i, pitch_a in enumerate(a):
+        row = []
+        for j, pitch_b in enumerate(b):
+            if i == 0:
+                prev = row[j - 1] if j else (0.0, 0)
+            elif j == 0:
+                prev = above[0]
+            else:
+                prev = min(above[j - 1], above[j], row[j - 1])
+            row.append((prev[0] + abs(pitch_a - pitch_b), prev[1] + 1))
+        above = row
+    cost, length = above[-1]
+    return cost / length
+
+
 def reference_structure_similarity(lyrics, melody):
     """(PD, DD, MD) averaged over every repeat against its group's first
     sentence; all None when nothing repeats."""
@@ -773,9 +808,9 @@ def reference_structure_similarity(lyrics, melody):
     pds, dds, mds = [], [], []
     for anchor, sent in _group_anchors(lyrics):
         (pitches_a, durs_a), (pitches_b, durs_b) = notes(anchor), notes(sent)
-        pds.append(histogram_similarity(pitches_a, pitches_b))
-        dds.append(histogram_similarity(durs_a, durs_b))
-        mds.append(melody_distance(pitches_a, pitches_b))
+        pds.append(reference_histogram_similarity(pitches_a, pitches_b))
+        dds.append(reference_histogram_similarity(durs_a, durs_b))
+        mds.append(reference_melody_distance(pitches_a, pitches_b))
     if not pds:
         return (None, None, None)
     return (_mean(pds), _mean(dds), _mean(mds))

@@ -6,6 +6,7 @@ only be raised by a change that says why.
 """
 
 import dataclasses
+import enum
 import fractions
 import gc
 import random
@@ -25,9 +26,9 @@ from lyricmelody import (
     train_model_bundle,
     train_ngram,
 )
-from lyricmelody import build_melody_vocabulary, decoder, metrics, parse_lyrics, rewards
+from lyricmelody import build_melody_vocabulary, decoder, lyrics, metrics, parse_lyrics, rewards
 from lyricmelody.decoder import score_two_stage
-from lyricmelody.melody import MelodyToken, RhythmToken
+from lyricmelody.melody import Melody, MelodyToken, RhythmToken
 from lyricmelody.scorer import END, NGramModel, UniformScorer, Vocabulary
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 
@@ -615,6 +616,50 @@ def test_structure_similarity_counts_durations_in_c():
     assert any(dd is not None for _, dd, _ in figures)  # some sheets repeat a sentence
     assert calls.pop("histogram_similarity") > 0  # the profile saw the histograms
     assert calls == {}
+
+
+def test_evaluate_then_score_scans_repeats_once_with_no_python_fraction_or_enum_method(config):
+    # the fold's event model keeps the pair's one repeat scan, which
+    # evaluate_pair's structure figures read (no structure matrix); durations
+    # are read as interned integer ratios, the long-note threshold once per
+    # config and the strong offsets once per meter; Aspect and HarmonyDegree
+    # hash in C, and score_rewards zips a tuple of the aspects
+    fraction_file = fractions.Fraction.__new__.__code__.co_filename
+    enum_file = enum.Enum.__new__.__code__.co_filename
+    scan_code = lyrics._repeat_anchors.__code__
+    matrix_code = lyrics.build_structure_matrix.__code__
+    calls = Counter()
+    scans = set()  # a generator's frame is called again at each resume
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event != "call":
+            return
+        if code is scan_code:
+            scans.add(frame)
+        elif code is matrix_code:
+            calls["build_structure_matrix"] += 1
+        elif code.co_filename in (fraction_file, enum_file):
+            calls[f"{code.co_filename.rsplit('/', 1)[-1]} {code.co_name}"] += 1
+
+    rng = random.Random(20261114)
+    meters = [(4, 4), (3, 4), (6, 8)]
+    # tonal and stress-accent, repeated and not, each in every meter
+    pairs = [(sheet, Melody(random_aligned_melody(sheet, rng).tokens, meters[k % 3]))
+             for k, sheet in enumerate(sheets(20261114, 27))]
+    for sheet, melody in pairs[24:]:  # the first pair in each meter reads its strong offsets
+        evaluate_pair(sheet, melody, config)
+    previous = sys.getprofile()
+    for k, (sheet, melody) in enumerate(pairs[:24]):
+        scans.clear()
+        sys.setprofile(profile)
+        try:
+            evaluate_pair(sheet, melody, config)
+            score_rewards(sheet, melody, config)
+        finally:
+            sys.setprofile(previous)
+        assert len(scans) == 1 and calls == {}, (k, len(scans), calls)
+    assert sum(evaluate_pair(*pair, config).md is not None for pair in pairs) >= 6
 
 
 def test_criterion_2_oracle_builds_one_event_model_per_sheet_and_preset(monkeypatch, config):

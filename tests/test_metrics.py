@@ -18,8 +18,10 @@ from lyricmelody.rewards import HarmonyDegree, reward_events
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import mk_melody, repeat_layout_lyrics
 from reference import (
+    reference_histogram_similarity,
     reference_matched_pause_ratio,
     reference_matched_sw_ratio,
+    reference_melody_distance,
     reference_structure_similarity,
     reference_tone_contour_score,
     reference_tone_transition_score,
@@ -201,6 +203,12 @@ class TestStructureSimilarity:
         # the diagonal and both length-3 paths all cost 2; the diagonal wins
         assert melody_distance([60, 61], [61, 60]) == 1.0
 
+    @pytest.mark.parametrize("function", [melody_distance, histogram_similarity])
+    @pytest.mark.parametrize("a, b, empty", [([], [60], "a"), ([60], [], "b"), ([], [], "a")])
+    def test_an_empty_sequence_is_a_value_error_naming_it(self, function, a, b, empty):
+        with pytest.raises(ValueError, match=f"{function.__name__}: sequence {empty} is empty"):
+            function(a, b)
+
     def test_symmetry(self, rng):
         for _ in range(200):
             a = [rng.randint(55, 79) for _ in range(rng.randint(1, 8))]
@@ -355,6 +363,36 @@ class TestAgainstReference:
             assert list(map(_hex, got)) == list(map(_hex, want))
             repeated += got[0] is not None
         assert repeated >= 128  # every repeat layout
+
+    def test_evaluate_pair_structure_figures_match_groups(self, config):
+        # evaluate_pair reads the fold's repeat scan, not structure_similarity's
+        repeated = 0
+        for lyrics, melody in _seeded_pairs(20261020, 256):
+            report = evaluate_pair(lyrics, melody, config)
+            want = reference_structure_similarity(lyrics, melody)
+            assert [_hex(report.pd), _hex(report.dd), _hex(report.md)] == list(map(_hex, want))
+            repeated += report.pd is not None
+        assert repeated >= 128
+
+    def test_md_and_histograms_match_on_long_random_sequences(self):
+        # lengths 1-200 (so many paths take 128 steps or more), pitches
+        # from 2, 4 or 25 values (so many alignments tie on cost), and
+        # durations binned as Fractions by the reference, as pairs here
+        rng = random.Random(20261021)
+        values = [Fraction(v) for v in ("1", "1/2", "2/3", "3/2", "3/4", "1/12", "2", "12")]
+        longest = 0
+        for case in range(48):
+            width = (1, 3, 24)[case % 3]
+            a, b = ([rng.randint(60, 60 + width) for _ in range(rng.randint(1, 200))]
+                    for _ in range(2))
+            assert _hex(melody_distance(a, b)) == _hex(reference_melody_distance(a, b)), case
+            assert _hex(histogram_similarity(a, b)) == _hex(reference_histogram_similarity(a, b))
+            durs_a, durs_b = ([rng.choice(values) for _ in range(len(p))] for p in (a, b))
+            got = histogram_similarity([d.as_integer_ratio() for d in durs_a],
+                                       [d.as_integer_ratio() for d in durs_b])
+            assert _hex(got) == _hex(reference_histogram_similarity(durs_a, durs_b)), case
+            longest = max(longest, len(a), len(b))  # no path is shorter
+        assert longest > 128
 
 
 class TestConsistencyWithRewards:
