@@ -9,12 +9,15 @@ passed on the command line.
 Shared loaders: ``_decode_inputs`` (model, config, preset), ``_lyric_files``
 and ``_midi_files`` (a directory's inputs), ``_evaluate_one`` (one
 lyrics/MIDI pair) and ``_manifest`` (the record of a run).
+
+The submodules are named here, never their functions, so importing this
+module runs none of their code, and each subcommand runs only the modules it
+calls (see the package docstring).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -22,21 +25,8 @@ import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
-from .decoder import DecodeMode, DecodeOptions, decode
+from . import __version__, decoder, lyrics, melody, metrics, midi, rewards, scorer
 from .errors import AlignmentError, InputError, InternalError, OptionError
-from .lyrics import parse_lyrics
-from .melody import check_meter, melody_to_json
-from .metrics import EvaluationReport, aggregate_reports, evaluate_pair
-from .midi import read_midi, write_midi
-from .rewards import (
-    PRESET_LAMBDAS,
-    RewardConfig,
-    default_reward_config,
-    load_reward_config,
-    reward_config_to_dict,
-)
-from .scorer import ModelBundle, train_model_bundle
 
 CONFIG_ENV_VAR = "LYRICMELODY_CONFIG"
 
@@ -53,6 +43,8 @@ _TABLE_COLUMNS = (
 
 def _file_entry(path: Path) -> dict:
     """A manifest's record of a file: its path and the SHA-256 of its bytes."""
+    import hashlib  # only generate hashes files
+
     return {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
@@ -64,18 +56,20 @@ def _read_text(path: Path) -> str:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _load_config(path: Optional[str]) -> tuple[RewardConfig, Optional[Path]]:
+def _load_config(path: Optional[str]) -> tuple[rewards.RewardConfig, Optional[Path]]:
     chosen = path or os.environ.get(CONFIG_ENV_VAR)
     if chosen:
         p = Path(chosen)
-        return load_reward_config(_read_text(p)), p
-    return default_reward_config(), None
+        return rewards.load_reward_config(_read_text(p)), p
+    return rewards.default_reward_config(), None
 
 
-def _decode_inputs(args: argparse.Namespace) -> tuple[ModelBundle, RewardConfig, Optional[Path]]:
+def _decode_inputs(
+    args: argparse.Namespace,
+) -> tuple[scorer.ModelBundle, rewards.RewardConfig, Optional[Path]]:
     """The model bundle of ``--model`` and the reward config (with ``--preset``
     applied) and its path, read in that order."""
-    bundle = ModelBundle.from_json(_read_text(Path(args.model)))
+    bundle = scorer.ModelBundle.from_json(_read_text(Path(args.model)))
     config, config_path = _load_config(args.config)
     if args.preset:
         config = config.with_preset(args.preset)
@@ -97,8 +91,8 @@ def _midi_files(directory: Path) -> list[Path]:
                   if p.suffix.lower() in (".mid", ".midi") and p.is_file())
 
 
-def _manifest(command: str, inputs: dict, config: RewardConfig, config_path: Optional[Path],
-              **config_fields) -> dict:
+def _manifest(command: str, inputs: dict, config: rewards.RewardConfig,
+              config_path: Optional[Path], **config_fields) -> dict:
     """The manifest of a run: the tool, its version, the command and the
     ``inputs``, with the config's path, snapshot and ``config_fields``."""
     return {
@@ -107,7 +101,7 @@ def _manifest(command: str, inputs: dict, config: RewardConfig, config_path: Opt
         "command": command,
         "inputs": {**inputs, "config": {
             "path": str(config_path) if config_path else None,
-            "snapshot": reward_config_to_dict(config),
+            "snapshot": rewards.reward_config_to_dict(config),
             **config_fields,
         }},
     }
@@ -119,7 +113,7 @@ def _parse_time_signature(text: str) -> tuple[int, int]:
         if not (text.isascii() and num.isdigit() and den.isdigit()):
             raise ValueError("parts must be ASCII digits")
         meter = (int(num), int(den))
-        check_meter(meter)
+        melody.check_meter(meter)
     except ValueError as exc:
         raise InputError(f"bad time signature {text!r} ({exc}), expected e.g. 4/4") from exc
     return meter
@@ -153,8 +147,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     midi_paths = _midi_files(corpus_dir)
     if not midi_paths:
         raise InputError(f"no MIDI files in {corpus_dir}")
-    corpus = [read_midi(p.read_bytes()) for p in midi_paths]
-    bundle = train_model_bundle(corpus, order=args.order, discount=args.discount)
+    corpus = [midi.read_midi(p.read_bytes()) for p in midi_paths]
+    bundle = scorer.train_model_bundle(corpus, order=args.order, discount=args.discount)
     out = Path(args.out)
     out.write_text(bundle.to_json(), "utf-8")
     tokens = sum(len(m.tokens) for m in corpus)
@@ -166,13 +160,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _decode_options(
     args: argparse.Namespace,
-    mode: DecodeMode,
+    mode: decoder.DecodeMode,
     seed: int,
     time_signature: tuple[int, int],
-) -> DecodeOptions:
+) -> decoder.DecodeOptions:
     """The options of one decode: the shared decode flags of ``args`` and
     what the subcommand picks per run."""
-    return DecodeOptions(
+    return decoder.DecodeOptions(
         mode=mode,
         beam_width=args.beam_width,
         top_k=args.top_k,
@@ -186,25 +180,25 @@ def _decode_options(
 
 def cmd_generate(args: argparse.Namespace) -> int:
     lyrics_path = Path(args.lyrics)
-    lyrics = parse_lyrics(_read_text(lyrics_path))
+    sheet = lyrics.parse_lyrics(_read_text(lyrics_path))
     bundle, config, config_path = _decode_inputs(args)
     meter = _parse_time_signature(args.time_signature)
     # --pipeline two-stage is the command-line spelling of DecodeMode.TWO_STAGE
     if args.pipeline == "single":
-        mode = DecodeMode(args.mode)
-    elif args.mode == DecodeMode.BEAM_SOFT.value:
-        mode = DecodeMode.TWO_STAGE
+        mode = decoder.DecodeMode(args.mode)
+    elif args.mode == decoder.DecodeMode.BEAM_SOFT.value:
+        mode = decoder.DecodeMode.TWO_STAGE
     else:
         raise OptionError(f"two-stage decoding runs beam search only, got mode {args.mode!r}")
     options = _decode_options(args, mode, args.seed, meter)
 
-    result = decode(lyrics, bundle.token_model, config, options, bundle.rhythm_model,
-                    bundle.pitch_model)
+    result = decoder.decode(sheet, bundle.token_model, config, options, bundle.rhythm_model,
+                            bundle.pitch_model)
 
     out_midi = Path(args.out)
-    out_midi.write_bytes(write_midi(result.melody, lyrics))
+    out_midi.write_bytes(midi.write_midi(result.melody, sheet))
     tokens_path = out_midi.with_suffix(".tokens.json")
-    tokens_path.write_text(melody_to_json(result.melody), "utf-8")
+    tokens_path.write_text(melody.melody_to_json(result.melody), "utf-8")
     manifest_path = out_midi.with_suffix(".manifest.json")
     inputs = {"lyrics": _file_entry(lyrics_path), "model": _file_entry(Path(args.model))}
     manifest = _manifest("generate", inputs, config, config_path, preset=args.preset)
@@ -223,11 +217,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_one(lyrics_path: Path, midi_path: Path, config: RewardConfig) -> EvaluationReport:
-    lyrics = parse_lyrics(_read_text(lyrics_path))
-    melody = read_midi(midi_path.read_bytes())
+def _evaluate_one(lyrics_path: Path, midi_path: Path,
+                  config: rewards.RewardConfig) -> metrics.EvaluationReport:
+    sheet = lyrics.parse_lyrics(_read_text(lyrics_path))
+    tune = midi.read_midi(midi_path.read_bytes())
     try:
-        return evaluate_pair(lyrics, melody, config)
+        return metrics.evaluate_pair(sheet, tune, config)
     except AlignmentError as exc:  # named by file, so directory mode names the pair
         raise AlignmentError(f"{midi_path.name}: {exc}") from None
 
@@ -253,7 +248,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise InputError(f"no MIDI counterpart for {lp.name} in {midi_path}")
         reports = [_evaluate_one(lp, counterparts[lp.stem], config) for lp in lyric_paths]
         rows = [(lp.stem, r.to_dict()) for lp, r in zip(lyric_paths, reports)]
-        rows.append(("mean", aggregate_reports(reports)))
+        rows.append(("mean", metrics.aggregate_reports(reports)))
     else:
         rows = [(lyrics_path.stem, _evaluate_one(lyrics_path, midi_path, config).to_dict())]
     print(render_table(rows))
@@ -265,14 +260,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: compare-mode presets: (λ preset, decode mode)
+#: compare-mode presets: (λ preset, decode mode's value)
 COMPARE_MODES = {
-    "off": ("off", DecodeMode.BEAM_SOFT),
-    "soft": (None, DecodeMode.BEAM_SOFT),
-    "hard": (None, DecodeMode.BEAM_HARD),
-    "sample": (None, DecodeMode.SAMPLE),
-    "rerank": (None, DecodeMode.RERANK),
-    "two-stage": (None, DecodeMode.TWO_STAGE),
+    "off": ("off", "beam"),
+    "soft": (None, "beam"),
+    "hard": (None, "beam-hard"),
+    "sample": (None, "sample"),
+    "rerank": (None, "rerank"),
+    "two-stage": (None, "two-stage"),
 }
 
 
@@ -289,19 +284,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise InputError(f"--modes {args.modes!r} names a mode twice")
 
     meter = _parse_time_signature(args.time_signature)
-    corpus = [parse_lyrics(_read_text(lp)) for lp in lyric_paths]
+    corpus = [lyrics.parse_lyrics(_read_text(lp)) for lp in lyric_paths]
 
     rows = []
     for name in mode_names:
-        preset, mode = COMPARE_MODES[name]
+        preset, value = COMPARE_MODES[name]
         config = base_config.with_preset(preset) if preset else base_config
+        mode = decoder.DecodeMode(value)
         reports = []
-        for index, lyrics in enumerate(corpus):
+        for index, sheet in enumerate(corpus):
             options = _decode_options(args, mode, args.seed + index, meter)
-            result = decode(lyrics, bundle.token_model, config, options, bundle.rhythm_model,
-                            bundle.pitch_model)
-            reports.append(evaluate_pair(lyrics, result.melody, config))
-        rows.append((name, aggregate_reports(reports)))
+            result = decoder.decode(sheet, bundle.token_model, config, options,
+                                    bundle.rhythm_model, bundle.pitch_model)
+            reports.append(metrics.evaluate_pair(sheet, result.melody, config))
+        rows.append((name, metrics.aggregate_reports(reports)))
     print(render_table(rows, label_header="mode"))
     if args.json:
         Path(args.json).write_text(json.dumps(dict(rows), indent=2, sort_keys=True), "utf-8")
@@ -315,7 +311,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _add_decode_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help=f"reward config file (or ${CONFIG_ENV_VAR})")
-    parser.add_argument("--preset", choices=sorted(PRESET_LAMBDAS), help="lambda preset")
+    # the parser runs for every command, so its choices are spelt out here:
+    # sorted(rewards.PRESET_LAMBDAS), and every DecodeMode value but two-stage
+    parser.add_argument("--preset", choices=["off", "songmass", "telemelody"],
+                        help="lambda preset")
     parser.add_argument("--beam-width", type=int, default=4)
     parser.add_argument("--top-k", type=int, default=5)
     parser.add_argument("--temperature", type=float, default=0.5)
@@ -344,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("lyrics")
     p_gen.add_argument("-m", "--model", required=True)
     p_gen.add_argument("-o", "--out", required=True, help="output MIDI path")
-    p_gen.add_argument("--mode", default="beam",
-                       choices=[m.value for m in DecodeMode if m is not DecodeMode.TWO_STAGE])
+    p_gen.add_argument("--mode", default="beam", choices=["beam", "beam-hard", "sample", "rerank"])
     p_gen.add_argument("--pipeline", choices=["single", "two-stage"], default="single")
     _add_decode_flags(p_gen)
     p_gen.set_defaults(func=cmd_generate)

@@ -50,7 +50,7 @@ ticks over every token the stage can emit; it builds a new state, since
 the hypotheses share theirs.  A step bounds each class by its best move's
 ``-score``, ``-((base + max log-probability) + reward)``, the move's own
 float expression, so the bound is that move's ``-score`` to the bit.  A
-vocabulary's groups, built once while it lives, keep each class's max on
+vocabulary's groups, built once and kept on it, keep each class's max on
 the table itself (its ``derived`` slot, so it lives exactly as long as the
 table), and the table's continuation moves, ranked best first (vocabulary
 order on ties) by their class's first walk; a table with no such slot, and
@@ -86,7 +86,6 @@ import math
 import random
 import sys
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
@@ -266,12 +265,11 @@ class _VocabGroups:
 
 #: END's class's moves in every stage, so that class is known by identity
 _END_MOVES = ((-1, END, END),)
-#: each live vocabulary's groups, built once
-_GROUPS: "weakref.WeakKeyDictionary[Vocabulary, _VocabGroups]" = weakref.WeakKeyDictionary()
 
 
 def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
-    if (groups := _GROUPS.get(vocab)) is not None:
+    """``vocab``'s groups, built on its first decode and kept on it."""
+    if (groups := getattr(vocab, "_groups", None)) is not None:
         return groups
     starts, continuations, rests = [], [], []
     for idx, token in enumerate(vocab.tokens):
@@ -289,8 +287,8 @@ def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
             "so it cannot cover any lyrics"
         )
     index, roles = count(), (starts, continuations, rests, _END_MOVES)
-    groups = _GROUPS[vocab] = _VocabGroups(*(_classes(moves, index) for moves in roles))
-    return groups
+    groups = _VocabGroups(*(_classes(moves, index) for moves in roles))
+    return vars(vocab).setdefault("_groups", groups)  # racing threads all get the one stored
 
 
 @dataclass(slots=True)

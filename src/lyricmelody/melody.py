@@ -40,6 +40,9 @@ __all__ = [
     "melody_from_json",
 ]
 
+#: Terminal symbol appended to every training sequence (exported by ``scorer``).
+END = "<end>"
+
 
 class TokenKind(Enum):
     NOTE = "note"

@@ -80,8 +80,7 @@ from .lyrics import (
     _json,
     _repeat_anchors,
 )
-from .melody import _RATIOS, BeatStrength, Melody, _check_aligned, _duration, _tick_clock
-from .scorer import END
+from .melody import END, _RATIOS, BeatStrength, Melody, _check_aligned, _duration, _tick_clock
 
 __all__ = [
     "Aspect",

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence,
 
 from .errors import TrainingError
 from .lyrics import _fields, _json
-from .melody import Melody, MelodyToken, RhythmToken, TokenKind, _duration
+from .melody import END, Melody, MelodyToken, RhythmToken, TokenKind, _duration
 
 __all__ = [
     "END",
@@ -74,9 +74,6 @@ __all__ = [
     "train_ngram",
     "train_model_bundle",
 ]
-
-#: Terminal symbol appended to every training sequence.
-END = "<end>"
 
 #: Rest marker inside pitch-token sequences.
 REST_MARK = "R"
@@ -170,6 +167,9 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def __reduce__(self):  # from its fields, so the groups a decoder keeps on it are dropped
+        return type(self), (self.kind, self.tokens)
 
     def __contains__(self, token: Token) -> bool:
         return token in getattr(self, "_index")

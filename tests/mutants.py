@@ -30,7 +30,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build" / "mutants"
+CLI = "src/lyricmelody/cli.py"
 DECODER = "src/lyricmelody/decoder.py"
+INIT = "src/lyricmelody/__init__.py"
 METRICS = "src/lyricmelody/metrics.py"
 REWARDS = "src/lyricmelody/rewards.py"
 SCORER = "src/lyricmelody/scorer.py"
@@ -109,8 +111,8 @@ MUTANTS = (
     Mutant(
         "a table without __reduce__: a decoded model pickles its derived entries, or fails",
         SCORER,
-        "\n    def __reduce__(self):",
-        "\n    def _unused_reduce(self):",
+        "\n    def __reduce__(self):  # from the items",
+        "\n    def _unused_reduce(self):  # from the items",
         ("tests/test_scorer.py::TestSerialization::"
          "test_a_bundle_that_has_decoded_copies_as_a_fresh_one",),
     ),
@@ -184,6 +186,22 @@ MUTANTS = (
         "",
         ("tests/test_budgets.py::"
          "test_evaluate_then_score_scans_repeats_once_with_no_python_fraction_or_enum_method",),
+    ),
+    Mutant(
+        "a deferred module made plain before its code runs: racing threads read it half-run",
+        INIT,
+        "                try:\n                    _read(self, \"__spec__\").loader.exec_module(self)\n",
+        "                self.__class__ = types.ModuleType\n"
+        "                try:\n                    _read(self, \"__spec__\").loader.exec_module(self)\n",
+        ("tests/test_budgets.py::test_threads_that_touch_the_package_first_all_see_it_whole",),
+    ),
+    Mutant(
+        "the command line importing a decoder function: every command runs the decoder",
+        CLI,
+        "from .errors import AlignmentError, InputError, InternalError, OptionError\n",
+        "from .decoder import decode\n"
+        "from .errors import AlignmentError, InputError, InternalError, OptionError\n",
+        ("tests/test_budgets.py::test_each_command_runs_only_the_modules_it_calls",),
     ),
 )
 

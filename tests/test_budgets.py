@@ -5,15 +5,20 @@ memo or shared pass a speed-up rests on gets a budget here.  A budget may
 only be raised by a change that says why.
 """
 
+import argparse
 import dataclasses
 import enum
 import fractions
 import gc
+import json
+import os
 import random
+import subprocess
 import sys
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,7 @@ from lyricmelody import (
     train_ngram,
 )
 from lyricmelody import build_melody_vocabulary, decoder, lyrics, metrics, parse_lyrics, rewards
+from lyricmelody import serialize_lyrics, write_midi
 from lyricmelody.decoder import score_two_stage
 from lyricmelody.melody import Melody, MelodyToken, RhythmToken
 from lyricmelody.scorer import END, NGramModel, UniformScorer, Vocabulary
@@ -194,17 +200,17 @@ def test_plain_dict_tables_gain_nothing(config):
 
 
 def check_rankings(model) -> list:
-    """The ``derived`` entries on ``model``'s tables: each names groups of the
-    model's vocabulary (equal vocabularies share groups while one of them
-    lives, so by value) and holds its own table's maxima, and each ranking a
-    walk filled is a fresh sort of that table's continuation moves, by
-    descending log-probability, vocabulary order on ties."""
+    """The ``derived`` entries on ``model``'s tables: each names the groups
+    kept on the model's vocabulary (no other's, equal or not) and holds its
+    own table's maxima, and each ranking a walk filled is a fresh sort of
+    that table's continuation moves, by descending log-probability,
+    vocabulary order on ties."""
     groups = decoder._group_vocab(model.vocab)
     (_, moves, _), = groups.continuations
     entries = [(table, table.derived) for table in model._dist_cache.values()
                if hasattr(table, "derived")]
     for table, (owner, maxima, ranked) in entries:
-        assert owner == groups and maxima == groups._maxima_of(table)
+        assert owner is groups and maxima == groups._maxima_of(table)
         if ranked is not None:
             assert ranked == sorted(moves, key=lambda m: (-table[m[2]], m[0]))
     return [entry for _, entry in entries]
@@ -678,3 +684,131 @@ def test_criterion_2_oracle_builds_one_event_model_per_sheet_and_preset(monkeypa
             calls.clear()
             exhaustive_argmax(lyrics, scorer, cfg, DecodeOptions().active, 2)
             assert calls == {"__init__": 1}, (text, preset)
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command runs only the modules it calls
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: runs one command in a fresh process; its last line is the exit code and
+#: the package's submodules whose code ran
+RUN_COMMAND = """
+import json, sys, types
+import lyricmelody
+from lyricmelody.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version and --help
+    code = exc.code
+print(json.dumps([code, sorted(name for name in lyricmelody._EXPORTS
+                              if type(vars(lyricmelody)[name]) is types.ModuleType)]))
+"""
+
+#: eight threads behind a barrier each touch the package first, in one of
+#: three ways; the switch interval lets them run inside a module's code
+FIRST_TOUCH = """
+import json, sys, threading
+sys.setswitchinterval(1e-6)
+import lyricmelody
+
+def package_name():
+    return lyricmelody.DecodeOptions
+
+def from_import():
+    from lyricmelody.decoder import DecodeOptions
+    return DecodeOptions
+
+def module_attribute():
+    return lyricmelody.metrics.evaluate_pair
+
+touches = (package_name, from_import, module_attribute)
+barrier = threading.Barrier(8)
+results = [None] * 8
+
+def run(i):
+    barrier.wait()
+    try:
+        results[i] = touches[i % 3]().__qualname__
+    except Exception as exc:
+        results[i] = repr(exc)
+
+threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(json.dumps(results))  # a thread still running left its entry None
+"""
+
+
+def fresh_process(code, *args, cwd=None) -> list:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def cli_workspace(tmp_path_factory):
+    """A MIDI corpus, its model, and a lyrics file with a MIDI aligned to it."""
+    root = tmp_path_factory.mktemp("startup")
+    rng = random.Random(20261020)
+    corpus = [random_training_melody(rng, pitch_range=(60, 67)) for _ in range(4)]
+    (root / "corpus").mkdir()
+    for i, melody in enumerate(corpus):
+        (root / "corpus" / f"{i}.mid").write_bytes(write_midi(melody))
+    (root / "model.json").write_text(train_model_bundle(corpus).to_json(), "utf-8")
+    sheet = random_lyrics(rng, sentences=2)
+    (root / "lyrics").mkdir()
+    (root / "lyrics" / "song.txt").write_text(serialize_lyrics(sheet), "utf-8")
+    (root / "song.mid").write_bytes(write_midi(random_aligned_melody(sheet, rng), sheet))
+    return root
+
+
+#: each command's arguments and the submodules it runs
+COMMAND_MODULES = {
+    "version": (["--version"], {"errors"}),
+    "help": (["--help"], {"errors"}),
+    "generate-help": (["generate", "--help"], {"errors"}),
+    "train": (["train", "corpus", "-o", "trained.json"],
+              {"errors", "lyrics", "melody", "midi", "scorer"}),
+    "evaluate": (["evaluate", "lyrics/song.txt", "song.mid"],
+                 {"errors", "lyrics", "melody", "midi", "rewards", "metrics"}),
+    "generate": (["generate", "lyrics/song.txt", "-m", "model.json", "-o", "out.mid"],
+                 {"errors", "lyrics", "melody", "midi", "rewards", "scorer", "decoder"}),
+    "compare": (["compare", "lyrics", "-m", "model.json"],  # writes no MIDI
+                {"errors", "lyrics", "melody", "rewards", "scorer", "decoder", "metrics"}),
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_MODULES)
+def test_each_command_runs_only_the_modules_it_calls(cli_workspace, name):
+    # importing the package or the command line runs no submodule's code
+    command, modules = COMMAND_MODULES[name]
+    code, ran = fresh_process(RUN_COMMAND, *command, cwd=cli_workspace)
+    assert code == 0 and set(ran) == modules
+
+
+def test_threads_that_touch_the_package_first_all_see_it_whole():
+    # a module made plain before its code ran would hand a racing thread a
+    # half-run namespace
+    names = ["DecodeOptions", "DecodeOptions", "evaluate_pair"]
+    assert fresh_process(FIRST_TOUCH) == (names * 3)[:8]
+
+
+def test_the_parsers_spelt_out_choices_are_the_live_ones():
+    from lyricmelody import PRESET_LAMBDAS, cli
+
+    parser = cli.build_parser()
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {(name, a.dest): a for name, sub in subparsers.choices.items()
+               for a in sub._actions if a.choices}
+    modes = [m.value for m in DecodeMode if m is not DecodeMode.TWO_STAGE]
+    assert choices["generate", "mode"].choices == modes
+    for name in ("generate", "compare"):
+        assert choices[name, "preset"].choices == sorted(PRESET_LAMBDAS)
+    for preset, mode in cli.COMPARE_MODES.values():
+        assert preset in (None, *PRESET_LAMBDAS) and DecodeMode(mode)

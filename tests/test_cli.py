@@ -549,13 +549,13 @@ class TestConfigHandling:
     def test_internal_invariant_violation_exit_two(
         self, workspace, model_path, tmp_path, monkeypatch, capsys
     ):
+        from lyricmelody import decoder
         from lyricmelody.errors import InternalError
-        import lyricmelody.cli as cli
 
         def boom(*args, **kwargs):
             raise InternalError("score mismatch")
 
-        monkeypatch.setattr(cli, "decode", boom)
+        monkeypatch.setattr(decoder, "decode", boom)
         assert main(["generate", str(workspace / "lyrics" / "song_0.txt"),
                      "-m", str(model_path), "-o", str(tmp_path / "x.mid")]) == 2
         assert "internal error" in capsys.readouterr().err

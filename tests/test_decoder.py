@@ -850,8 +850,8 @@ class TestTiesThroughTheWalk(TestTiesAtTheBar):
         scorer = self.scorer()
         for text in self.TEXTS:
             beam_search(parse_lyrics(text), scorer, config, DecodeOptions(max_notes_per_syllable=2))
-        groups = _group_vocab(scorer.vocab)  # equal to the decodes' groups, if not the same
-        assert all(table.derived[0] == groups for table in scorer.tables)
+        groups = _group_vocab(scorer.vocab)  # the decodes' groups, kept on the vocabulary
+        assert all(table.derived[0] is groups for table in scorer.tables)
         assert any(table.derived[2] for table in scorer.tables)  # the decodes walked some
 
 

@@ -1,7 +1,6 @@
 """Every public name the package advertises resolves: each module's
-``__all__`` and every name ``lyricmelody/__init__`` imports."""
+``__all__`` and every name ``lyricmelody/__init__`` exports (its ``_EXPORTS``)."""
 
-import ast
 import importlib
 import pkgutil
 
@@ -23,13 +22,13 @@ def test_module_all_resolves(name):
 
 
 def test_package_imports_resolve():
-    with open(lyricmelody.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    imported = [(node.module, alias.name) for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert imported
+    imported = [(module_name, name) for module_name, names in lyricmelody._EXPORTS.items()
+                for name in names]
+    # every module but the command line exports its names to the package
+    assert sorted(lyricmelody._EXPORTS) == [name for name in MODULES if name != "cli"]
+    assert lyricmelody.__all__ == [name for _, name in imported]
     for module_name, name in imported:
         module = importlib.import_module(f"lyricmelody.{module_name}")
-        assert hasattr(module, name) and hasattr(lyricmelody, name), (module_name, name)
+        assert getattr(lyricmelody, name) is getattr(module, name), (module_name, name)
         # the package re-exports only what its module declares public
         assert name in getattr(module, "__all__", (name,)), (module_name, name)
