@@ -44,19 +44,24 @@ class that fires an event): END and a rest read their (reward, masked) pair
 off it, a syllable start completes it at its pitch by row reads
 (:meth:`~lyricmelody.rewards._EventModel.complete`), and a melisma
 continuation fires nothing; with no aspect active, as in rerank's
-sampling, nothing fires and nothing is planned.  The event model has no
-other scoring path, and steps a kept child on its stage's clock: integer
-ticks over every token the stage can emit; it builds a new state, since
-the hypotheses share theirs.  A step bounds each class by its best move's
-``-score``, ``-((base + max log-probability) + reward)``, the move's own
-float expression, so the bound is that move's ``-score`` to the bit.  A
-vocabulary's groups, built once and kept on it, keep each class's max on
-the table itself (its ``derived`` slot, so it lives exactly as long as the
-table), and the table's continuation moves, ranked best first (vocabulary
-order on ties) by their class's first walk; a table with no such slot, and
-the pitch stage's per-decode slots, are read per expansion, unranked.  The
-bar is the ``width``-th smallest bound (the sampler's ``top_k``-th): at
-least ``width`` moves are at or under it, so none past it can be kept.  Only
+sampling, nothing fires and nothing is planned.  A plan with no harmony
+cell and no structure partner pays every start pitch alike, so its start
+classes are one class, completed once: every start move of the vocabulary.
+The event model has no other scoring path, and steps a kept child on its
+stage's clock: integer ticks over every token the stage can emit, kept on
+the vocabulary per meter (the pitch stage's per-decode tokens get their
+own); it builds a new state, since the hypotheses share theirs.  A step
+bounds each class by its best move's ``-score``, ``-((base + max
+log-probability) + reward)``, the move's own float expression, so the bound
+is that move's ``-score`` to the bit.  A vocabulary's groups, built once and
+kept on it, keep each class's max, and the best start's, on the table itself
+(its ``derived`` slot, so it lives exactly as long as the table), and two
+lists of the table's moves that share one reward, each ranked best first
+(vocabulary order on ties) by its first walk: the continuations, and the
+starts as one class; a table with no such slot, and the pitch stage's
+per-decode slots, are read per expansion, unranked.  The bar is the
+``width``-th smallest bound (the sampler's ``top_k``-th): at least
+``width`` moves are at or under it, so none past it can be kept.  Only
 moves at or under the bar, ties included, become flat tuples of score parts:
 a ranked walk stops at its first move past the bar (``fl(base + x)`` and
 ``fl(· + reward)`` are monotone in ``x``) and, as its entries share rank and
@@ -102,6 +107,7 @@ from .rewards import (
     RewardConfig,
     _EventModel,
     _State,
+    _clock,
     score_rewards,
 )
 from .scorer import (
@@ -140,6 +146,10 @@ class DecodeMode(Enum):
 
 @dataclass(frozen=True)
 class DecodeOptions:
+    """How to decode: the mode, its widths and sampling settings, the meter,
+    and ``active``, the set of :class:`~lyricmelody.rewards.Aspect` whose
+    rewards are added (and, in beam-hard, masked); the others score 0."""
+
     mode: DecodeMode = DecodeMode.BEAM_SOFT
     beam_width: int = 4
     top_k: int = 5
@@ -177,7 +187,9 @@ class DecodeOptions:
 
 
 class _Context(_EventModel):
-    """The reward-event model of one decode stage, on the clock of ``tokens``, plus its grammar."""
+    """The reward-event model of one decode stage, plus its grammar, on the
+    clock of ``tokens``: a vocabulary's kept clock, or that of every token
+    the stage emits."""
 
     def __init__(
         self,
@@ -185,10 +197,12 @@ class _Context(_EventModel):
         config: RewardConfig,
         options: DecodeOptions,
         active: frozenset[Aspect],
-        tokens: Sequence,
+        tokens: Vocabulary | Sequence,
     ):
-        tokens = [t for t in tokens if t != END]
-        super().__init__(lyrics, config, active, options.time_signature, tokens)
+        meter = options.time_signature
+        clock = (_vocab_clock(tokens, meter) if isinstance(tokens, Vocabulary)
+                 else _clock(meter, [t for t in tokens if t != END]))
+        super().__init__(lyrics, config, active, meter, clock=clock)
         self.options = options
 
     def legal(self, st: _State, groups: "_VocabGroups", continuations=None) -> list[tuple]:
@@ -218,26 +232,41 @@ def _classes(moves, index=None) -> tuple:
                  for sig, g in by_signature.items())
 
 
-def _maxima_of(classes: tuple):
-    """A table's best log-probability per class of ``classes``, by index."""
+def _maxima_of(classes: tuple, starts: int = 0):
+    """A table's best log-probability per class of ``classes``, by index, and
+    after them, given ``starts``, the best of the first ``starts`` classes'."""
     keys = [[k for _, _, k in moves] for _, moves, _ in classes]
     if len(keys) > 1 and all(len(k) == 1 for k in keys):  # one C call reads them all
-        return itemgetter(*(k for k, in keys))
-    return lambda dist: [max(map(get, k)) for get in [dist.__getitem__] for k in keys]
+        maxima = itemgetter(*(k for k, in keys))
+    else:
+        maxima = lambda dist: [max(map(get, k)) for get in [dist.__getitem__] for k in keys]
+    if not starts:
+        return maxima
+    return lambda dist: [*(m := maxima(dist)), max(m[:starts])]
 
 
 class _Ranked(tuple):
-    """The continuation class's moves, walked off their table's ranking."""
+    """Moves that share one reward, walked best first off the ranking their
+    table keeps in ``derived[slot]``."""
 
-    __slots__ = ()
+    def __new__(cls, moves, slot: int):
+        self = super().__new__(cls, moves)
+        self.slot = slot
+        return self
+
+
+#: the signature of every start as one class, for a plan that pays each pitch alike
+_ANY_START = (True, True, None)
 
 
 @dataclass
 class _VocabGroups:
     """A vocabulary's moves by grammar role, as :func:`_classes` indexed
-    across all four, and its starts by pitch.  A table it looks up keeps
-    ``[groups, maxima, ranked or None]`` in its ``derived`` slot: its best
-    log-probability per class, and its continuations ranked by their first walk."""
+    across all four, its starts by pitch, and ``any_start``: every start
+    move, in vocabulary order, as one class indexed after them.  A table it
+    looks up keeps ``[groups, maxima, continuations, starts]`` in its
+    ``derived`` slot: its best log-probability per class, then its best
+    start's, and each list ranked by its first walk (None until then)."""
 
     starts: tuple
     continuations: tuple
@@ -245,22 +274,27 @@ class _VocabGroups:
     end: tuple
 
     def __post_init__(self) -> None:
-        self._maxima_of = _maxima_of(self.starts + self.continuations + self.rests + self.end)
+        classes = self.starts + self.continuations + self.rests + self.end
+        self._maxima_of = _maxima_of(classes, len(self.starts))
         self.start_of = {cls[0][2]: cls for cls in self.starts}
-        self.ranked = tuple((sig, _Ranked(moves), i) for sig, moves, i in self.continuations)
+        starts = tuple(sorted(move for _, moves, _ in self.starts for move in moves))
+        self.any_start = (_ANY_START, starts, len(classes))
+        self.ranked = tuple((sig, _Ranked(moves, 2), i) for sig, moves, i in self.continuations)
+        self.ranked_start = (_ANY_START, _Ranked(starts, 3), len(classes))
 
     def lookup(self, dist) -> tuple:
-        """``(maxima, continuation classes)`` of ``dist``: :class:`_Ranked` if
-        ``dist`` keeps them, unranked for a table with no ``derived`` slot."""
+        """``(maxima, continuation classes, every start as one class)`` of
+        ``dist``: :class:`_Ranked` if ``dist`` keeps them, unranked for a
+        table with no ``derived`` slot."""
         entry = getattr(dist, "derived", None)
         if entry is not None and entry[0] is self:  # not another vocabulary's
-            return entry[1], self.ranked
+            return entry[1], self.ranked, self.ranked_start
         maxima = self._maxima_of(dist)
         try:
-            dist.derived = [self, maxima, None]
+            dist.derived = [self, maxima, None, None]
         except AttributeError:  # a plain dict, as UniformScorer's, takes nothing
-            return maxima, self.continuations
-        return maxima, self.ranked
+            return maxima, self.continuations, self.any_start
+        return maxima, self.ranked, self.ranked_start
 
 
 #: END's class's moves in every stage, so that class is known by identity
@@ -289,6 +323,15 @@ def _group_vocab(vocab: Vocabulary) -> _VocabGroups:
     index, roles = count(), (starts, continuations, rests, _END_MOVES)
     groups = _VocabGroups(*(_classes(moves, index) for moves in roles))
     return vars(vocab).setdefault("_groups", groups)  # racing threads all get the one stored
+
+
+def _vocab_clock(vocab: Vocabulary, meter: tuple[int, int]) -> tuple:
+    """``vocab``'s :func:`~lyricmelody.rewards._clock` in ``meter``, built on its
+    first decode in that meter and kept on it; shared, so never written to."""
+    clocks = vars(vocab).setdefault("_clocks", {})
+    if (clock := clocks.get(meter)) is None:
+        clock = clocks.setdefault(meter, _clock(meter, vocab.tokens[:-1]))  # END is last
+    return clock
 
 
 @dataclass(slots=True)
@@ -320,7 +363,7 @@ def _extend(ctx: _Context, h: _Hypothesis, entry: tuple) -> _Hypothesis:
 
 def _expand(
     ctx: _Context, h: _Hypothesis, rank: int, classes, dist, maxima, groups=None,
-    held: Optional[list] = None, deferred: Optional[list] = None,
+    any_start=None, held: Optional[list] = None, deferred: Optional[list] = None,
 ) -> list[tuple]:
     """``(rank, base, reward, masked, moves, best, dist)`` per signature class
     (:func:`_classes`) of ``h``, the ``rank``-th live hypothesis by key, with
@@ -330,23 +373,29 @@ def _expand(
     identity, then by the start flag: END and a rest read their (reward,
     masked) pair off the plan, a syllable start completes it at its pitch,
     and a melisma continuation fires nothing.  With no aspect active nothing
-    fires, and nothing is planned.  Given ``held`` (beam-hard), a masked class
-    other than END goes there, and only the start classes (the grammar's
-    first) of the plan's candidate pitches are completed: ``(rank, base,
+    fires, and nothing is planned.  Given ``groups``, a plan with no harmony
+    cell and no structure partner pays every start pitch alike, so its start
+    classes (the grammar's first) become one, ``any_start``.  Given ``held``
+    (beam-hard), a masked class other than END goes there, and only the start
+    classes of the plan's candidate pitches are completed: ``(rank, base,
     plan, dist, maxima, starts, found)`` goes to ``deferred``."""
     base, start = h.base, h.reward
     if not ctx.active:  # every class keeps the parent's reward
         return [(rank, base, start, False, moves, maxima[i], dist) for _, moves, i in classes]
     plan, out = None, []
+    if groups is not None and h.state.syl + 1 < ctx.n:  # starts are legal, and listed first
+        plan = ctx.plan(h.state, start)
+        starts = groups.starts
+        if plan.cell is None and plan.partner_delta is None:  # every pitch pays alike
+            starts = [any_start]
+        if held is not None and (pitches := ctx.candidates(h.state, plan)) is not None:
+            found = [cls for p in pitches if (cls := groups.start_of.get(p))]
+            deferred.append((rank, base, plan, dist, maxima, starts, found))
+            starts = found
+        if starts is not groups.starts:
+            classes[:len(groups.starts)] = starts  # legal's own list
     if held is None:
         held = out
-    elif h.state.syl + 1 < ctx.n:  # starts are legal, and listed first
-        plan = ctx.plan(h.state, start)
-        pitches = ctx.candidates(h.state, plan)
-        if pitches is not None:
-            found = [cls for p in pitches if (cls := groups.start_of.get(p))]
-            deferred.append((rank, base, plan, dist, maxima, groups.starts, found))
-            classes = found + classes[len(groups.starts):]
     for sig, moves, i in classes:
         if sig is END:  # the last legal class, never held
             reward, masked = (plan or ctx.plan(h.state, start)).end
@@ -367,9 +416,9 @@ def _entries(rank, base, reward, masked, moves, best, dist, bar=math.inf, n=0) -
     if type(moves) is tuple:
         return [(s, rank, pos, token, b, reward, masked) for pos, token, k in moves
                 if (s := -((b := base + dist[k]) + reward)) <= bar]
-    entry = dist.derived  # the walking expansion's lookup stored it
-    if (ranked := entry[2]) is None:
-        ranked = entry[2] = sorted(moves, key=lambda m: dist[m[2]], reverse=True)
+    entry, slot = dist.derived, moves.slot  # the walking expansion's lookup stored it
+    if (ranked := entry[slot]) is None:
+        ranked = entry[slot] = sorted(moves, key=lambda m: dist[m[2]], reverse=True)
     out = []
     for pos, token, k in ranked:
         if (s := -((b := base + dist[k]) + reward)) > bar:
@@ -392,6 +441,12 @@ def _best(classes: list, n: int) -> list[tuple]:
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """A decoded melody and its score: the base log-probability plus the
+    weighted reward.  ``relaxation_steps`` are the 0-based steps (tokens
+    emitted before them) at which beam-hard found every move masked and fell
+    back to soft scoring; ``stage_scores`` is two-stage decoding's
+    ``{"rhythm" | "pitch": {"base", "reward", "score"}}``, else None."""
+
     melody: Melody
     score: float
     base_logprob: float
@@ -408,13 +463,14 @@ def _max_steps(ctx: _Context) -> int:
 def _grammar(ctx: _Context, scorer: Scorer):
     """The moves function of single-stage decoding and the rhythm stage: the
     signature classes of a hypothesis's legal moves under the grammar, its
-    base log-probability distribution, that table's class maxima and the groups."""
+    base log-probability distribution, that table's class maxima, the groups
+    and every start as one class."""
     groups = _group_vocab(scorer.vocab)
 
     def moves_of(h: _Hypothesis) -> tuple:
         dist = scorer.log_prob_dist(h.tokens)
-        maxima, continuations = groups.lookup(dist)
-        return ctx.legal(h.state, groups, continuations), dist, maxima, groups
+        maxima, continuations, any_start = groups.lookup(dist)
+        return ctx.legal(h.state, groups, continuations), dist, maxima, groups, any_start
 
     return moves_of
 
@@ -483,7 +539,7 @@ def beam_search(
 ) -> DecodeResult:
     """Constrained beam search keeping ``beam_width`` hypotheses ranked by the
     combined score; deterministic, returns the best completed hypothesis."""
-    ctx = _Context(lyrics, config, options, options.active, scorer.vocab.tokens)
+    ctx = _Context(lyrics, config, options, options.active, scorer.vocab)
     best, _ = _beam(ctx, _grammar(ctx, scorer), options.beam_width, hard=False)
     return _result_from(ctx, best, DecodeMode.BEAM_SOFT)
 
@@ -497,7 +553,7 @@ def beam_search_hard(
     """Beam search that masks out candidates violating any triggered active
     constraint; steps where everything is masked fall back to soft scoring
     and are recorded as relaxation events."""
-    ctx = _Context(lyrics, config, options, options.active, scorer.vocab.tokens)
+    ctx = _Context(lyrics, config, options, options.active, scorer.vocab)
     best, relaxations = _beam(ctx, _grammar(ctx, scorer), options.beam_width, hard=True)
     return _result_from(ctx, best, DecodeMode.BEAM_HARD, relaxations)
 
@@ -544,7 +600,7 @@ def sample(
     """Constrained stochastic decoding: per step, keep the top-k candidates by
     combined score, soften them with the temperature, and draw from the
     seeded generator.  Reproducible per seed."""
-    ctx = _Context(lyrics, config, options, options.active, scorer.vocab.tokens)
+    ctx = _Context(lyrics, config, options, options.active, scorer.vocab)
     rng = random.Random(options.seed)
     h = _sample_run(ctx, _grammar(ctx, scorer), rng, _top_k(scorer, options.top_k))
     return _result_from(ctx, h, DecodeMode.SAMPLE)
@@ -558,7 +614,7 @@ def rerank(
 ) -> DecodeResult:
     """Unconstrained sampling of ``rerank_candidates`` melodies, then pick the
     one whose full-sequence combined score (base + weighted rewards) wins."""
-    ctx = _Context(lyrics, config, options, frozenset(), scorer.vocab.tokens)
+    ctx = _Context(lyrics, config, options, frozenset(), scorer.vocab)
     rng = random.Random(options.seed)
     moves_of, top_k = _grammar(ctx, scorer), _top_k(scorer, options.top_k)
     best: Optional[_Hypothesis] = None
@@ -620,7 +676,7 @@ def decode_two_stage(
     :attr:`DecodeMode.TWO_STAGE` and, per stage, its base, reward and score.
     """
     stage1_ctx = _Context(lyrics, config, options, _RHYTHM_STAGE & options.active,
-                          rhythm_scorer.vocab.tokens)
+                          rhythm_scorer.vocab)
     stage1, _ = _beam(
         stage1_ctx, _grammar(stage1_ctx, rhythm_scorer), options.beam_width, hard=False
     )
@@ -672,7 +728,7 @@ def _pitch_slots(pitch_scorer: Scorer, rhythm_tokens: Sequence[RhythmToken]):
     def moves_of(h: _Hypothesis) -> tuple:
         dist = pitch_scorer.log_prob_dist(tuple(map(pitch_projection, h.tokens)))
         classes, maxima_of = slots[len(h.tokens)]
-        return classes, dist, maxima_of(dist), None  # no groups: never beam-hard
+        return classes, dist, maxima_of(dist), None, None  # no groups: never beam-hard
 
     return moves_of, tokens
 

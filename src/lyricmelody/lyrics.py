@@ -99,6 +99,9 @@ class Language(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Syllable:
+    """One annotated syllable: its text, tone, place in its word, stress
+    class, the index of its sentence and whether it ends that sentence."""
+
     text: str
     tone: Tone
     word_position: WordPosition
@@ -123,6 +126,9 @@ class Sentence:
 
 @dataclass(frozen=True, slots=True)
 class LyricSequence:
+    """A parsed lyric sheet: its syllables, the sentences that cover them
+    in order, and its language (tonal or stress-accent)."""
+
     syllables: tuple[Syllable, ...]
     sentences: tuple[Sentence, ...]
     language: Language

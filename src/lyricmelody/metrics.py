@@ -81,6 +81,10 @@ DEGREE_SCORES = {
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """A pair's seven objective metrics, each None when the pair has
+    nothing for it to measure: tone transition and contour, matched
+    strong/weak and pause ratios, and the PD, DD and MD of its repeats."""
+
     tone_transition: Optional[float]
     tone_contour: Optional[float]
     matched_sw: Optional[float]

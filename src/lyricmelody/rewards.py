@@ -206,6 +206,11 @@ _TRANSITION_REWARDS = {
 
 @dataclass(frozen=True)
 class RewardConfig:
+    """The reward weights (one λ per aspect), each rule's reward on a match,
+    the graded harmony table, and ``long_note_threshold``, in quarter notes:
+    with no rest in the gap after a syllable, its last note at least that
+    long counts as a pause there."""
+
     lambda_tone: float = 1.2
     lambda_rhythm: float = 1.5
     lambda_structure: float = 1.0
@@ -543,6 +548,14 @@ class _Plan:
     masked: bool = False
 
 
+def _clock(time_signature: tuple[int, int], tokens: Sequence) -> tuple[int, dict, int, set[int]]:
+    """(ticks per quarter, each token's ticks, bar, strong offsets) in the integer
+    ticks of ``tokens``' :func:`~lyricmelody.melody._tick_clock` in ``time_signature``."""
+    scale, bar, strong = _tick_clock(time_signature, tokens)
+    ticks = {t: num * (scale // den) for t in set(tokens) for num, den in (_RATIOS[t],)}
+    return scale, ticks, bar, strong
+
+
 class _EventModel:
     """The reward events of a token sequence, one token at a time.
 
@@ -557,8 +570,9 @@ class _EventModel:
     its pitch), and :meth:`apply` gives the state after a token.  Only the
     plan reads ``active`` (as flags bound once): it weighs those aspects' events.
 
-    Plan and apply count in integer ticks of the clock (:meth:`_clock`) of
-    ``tokens``, every token they will step; a model without them only folds.
+    Plan and apply count in integer ticks of ``clock``, the :func:`_clock`
+    of every token they will step; a model without one only folds.  A clock
+    may be shared, so nothing writes to it.
     """
 
     def __init__(
@@ -567,7 +581,7 @@ class _EventModel:
         config: RewardConfig,
         active: frozenset[Aspect],
         time_signature: tuple[int, int],
-        tokens: Optional[Sequence] = None,
+        clock: Optional[tuple] = None,
     ):
         self.config = config
         self.active = active
@@ -577,8 +591,9 @@ class _EventModel:
         self.partner = {i: j for anchor, sent in self.anchors
                         for i, j in zip(range(*sent.span), range(*anchor.span))}
         self.time_signature = time_signature
-        if tokens is not None:
-            self.scale, self.ticks, self.bar, self.strong, self.long_note = self._clock(tokens)
+        if clock is not None:
+            self.scale, self.ticks, self.bar, self.strong = clock
+            self.long_note = self._long_note(self.scale)
         table = config._events
         cells = table.cells
         keyword, auxiliary, gaps = table.keyword, table.auxiliary, table.gaps
@@ -602,13 +617,10 @@ class _EventModel:
         self.tone, self.final_intonation, self.new_sentence = tone, final_intonation, new_sentence
         self.cell, self.sw, self.pause, self.echo = cell, sw, pause, table.echo
 
-    def _clock(self, tokens: Sequence) -> tuple[int, dict, int, set[int], int]:
-        """(ticks per quarter, each token's ticks, bar, strong offsets, long-note threshold
-        rounded up) in the integer ticks of ``tokens``' :func:`~lyricmelody.melody._tick_clock`."""
-        scale, bar, strong = _tick_clock(self.time_signature, tokens)
-        ticks = {t: num * (scale // den) for t in set(tokens) for num, den in (_RATIOS[t],)}
+    def _long_note(self, scale: int) -> int:
+        """The long-note threshold in ticks of a clock with ``scale`` ticks per quarter, rounded up."""
         num, den = self.config._long_note
-        return scale, ticks, bar, strong, -(-num * scale // den)
+        return -(-num * scale // den)
 
     def _close(self, out: list, at, syl: int, span: Sequence, sent_first) -> None:
         """Append ``(at, event)`` to ``out`` for each shape and contour event of
@@ -736,7 +748,8 @@ class _EventModel:
         """
         n, partner, echo, close = self.n, self.partner, self.echo, self._close
         new_sentence, cells, sws, pauses = self.new_sentence, self.cell, self.sw, self.pause
-        _, ticks_of, bar, strong, long_note = self._clock(tokens)
+        scale, ticks_of, bar, strong = _clock(self.time_signature, tokens)
+        long_note = self._long_note(scale)
 
         events: list[tuple[Optional[int], RewardEvent]] = []
         onset = 0
@@ -827,6 +840,9 @@ def reward_events(
 
 @dataclass(frozen=True)
 class RewardSummary:
+    """A pair's weighted reward: the total, its share per aspect, and every
+    fired event tagged with the token index it fired on (None: at the end)."""
+
     total: float
     by_aspect: dict[Aspect, float]
     events: tuple[tuple[Optional[int], RewardEvent], ...]

@@ -78,9 +78,13 @@ def random_training_melody(
     rest_probability: float = 0.12,
     melisma_probability: float = 0.2,
 ) -> Melody:
-    """A random-walk melody for scorer training; reward-agnostic on purpose."""
+    """A random-walk melody of ``length`` notes (16-32 if None, a draw) for
+    scorer training; reward-agnostic on purpose.  The walk ends on a note and
+    starts on a syllable start."""
     lo, hi = pitch_range
     length = length if length is not None else rng.randint(16, 32)
+    if length < 1:
+        raise ValueError(f"length must be at least 1 note, got {length}")
     pitch = rng.randint(lo, hi)
     tokens: list[MelodyToken] = []
     while sum(1 for t in tokens if t.is_note) < length:
@@ -94,9 +98,6 @@ def random_training_melody(
         if tokens and tokens[-1].is_note and rng.random() < melisma_probability:
             starts = False
         tokens.append(MelodyToken(TokenKind.NOTE, rng.choice(list(durations)), pitch, starts))
-    if tokens[-1].kind is TokenKind.REST:
-        tokens.pop()
-    tokens[0] = MelodyToken(TokenKind.NOTE, tokens[0].duration, tokens[0].pitch, True)
     return Melody(tuple(tokens))
 
 

@@ -57,20 +57,46 @@ MUTANTS = (
     Mutant(
         "a walk over unranked moves: a ranking by vocabulary position",
         DECODER,
-        "ranked = entry[2] = sorted(moves, key=lambda m: dist[m[2]], reverse=True)",
-        "ranked = entry[2] = list(moves)",
+        "ranked = entry[slot] = sorted(moves, key=lambda m: dist[m[2]], reverse=True)",
+        "ranked = entry[slot] = list(moves)",
         ("tests/test_decoder.py::TestNearTiesThroughTheWalk",
          "tests/test_budgets.py::test_threads_sharing_a_model_decode_as_a_serial_run"),
     ),
     Mutant(
         "eager ranking: every table's continuations ranked on its first lookup",
         DECODER,
-        "            dist.derived = [self, maxima, None]\n",
+        "            dist.derived = [self, maxima, None, None]\n",
         "            dist.derived = [self, maxima, sorted(\n"
         "                self.ranked[0][1], key=lambda m: dist[m[2]], reverse=True)\n"
-        "                if self.ranked else None]\n",
+        "                if self.ranked else None, None]\n",
         ("tests/test_budgets.py::"
          "test_each_live_table_is_ranked_at_most_once_and_only_when_walked",),
+    ),
+    Mutant(
+        "a start walk that stops at exactly n entries, dropping ties with the n-th",
+        DECODER,
+        "        if len(out) == n:\n            bar = s\n",
+        "        if len(out) == n:\n            if moves.slot == 3:\n                break\n"
+        "            bar = s\n",
+        ("tests/test_decoder.py::TestNearTiesThroughTheStartWalk",),
+    ),
+    Mutant(
+        "every start as one class for a plan that has a harmony cell or a structure partner",
+        DECODER,
+        "        if plan.cell is None and plan.partner_delta is None:",
+        "        if plan.cell is None or plan.partner_delta is None:",
+        ("tests/test_decoder.py::TestOutputPin",
+         "tests/test_decoder.py::TestScoreFirstBeamMatchesReference",
+         "tests/test_budgets.py::test_a_pitch_independent_plans_starts_cost_one_completion"),
+    ),
+    Mutant(
+        "a vocabulary's clock reused across meters: the first meter's answers every meter",
+        DECODER,
+        "    if (clock := clocks.get(meter)) is None:",
+        "    if (clock := next(iter(clocks.values()), None)) is None:",
+        ("tests/test_budgets.py::"
+         "test_a_vocabulary_keeps_one_clock_per_meter_and_builds_each_once",
+         "tests/test_decoder.py::TestOutputPin"),
     ),
     Mutant(
         "-score < bar: moves tied at the bar are not built",
@@ -119,8 +145,8 @@ MUTANTS = (
     Mutant(
         "eager start completion in beam-hard",
         DECODER,
-        "        pitches = ctx.candidates(h.state, plan)\n",
-        "        pitches = None\n",
+        "(pitches := ctx.candidates(h.state, plan)) is not None:",
+        "(pitches := None) is not None:",
         ("tests/test_budgets.py::"
          "test_beam_hard_completes_only_candidate_starts_on_steps_that_do_not_relax",),
     ),

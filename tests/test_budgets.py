@@ -203,23 +203,27 @@ def check_rankings(model) -> list:
     """The ``derived`` entries on ``model``'s tables: each names the groups
     kept on the model's vocabulary (no other's, equal or not) and holds its
     own table's maxima, and each ranking a walk filled is a fresh sort of
-    that table's continuation moves, by descending log-probability,
-    vocabulary order on ties."""
+    that table's continuation moves, or of its start moves, by descending
+    log-probability, vocabulary order on ties."""
     groups = decoder._group_vocab(model.vocab)
-    (_, moves, _), = groups.continuations
+    (_, continuations, _), = groups.continuations
+    starts = groups.any_start[1]
+    assert starts == tuple(sorted(move for _, moves, _ in groups.starts for move in moves))
     entries = [(table, table.derived) for table in model._dist_cache.values()
                if hasattr(table, "derived")]
-    for table, (owner, maxima, ranked) in entries:
+    for table, (owner, maxima, *rankings) in entries:
         assert owner is groups and maxima == groups._maxima_of(table)
-        if ranked is not None:
-            assert ranked == sorted(moves, key=lambda m: (-table[m[2]], m[0]))
+        assert maxima[-1] == max(table[k] for _, _, k in starts)  # the best start's
+        for ranked, moves in zip(rankings, (continuations, starts), strict=True):
+            if ranked is not None:
+                assert ranked == sorted(moves, key=lambda m: (-table[m[2]], m[0]))
     return [entry for _, entry in entries]
 
 
 def test_one_table_looked_up_under_two_vocabularies_answers_each_with_its_own():
     # a table keeps one vocabulary's entry at a time: a lookup under the
     # other's groups computes its own maxima and never hands out the other's
-    # ranking; the smaller vocabulary is a strict subset of the larger
+    # rankings; the smaller vocabulary is a strict subset of the larger
     model = owned_model(20261117)
     table = model.log_prob_dist(())
     small = Vocabulary.build("melody", [t for t in model.vocab.tokens[:-1]
@@ -227,11 +231,12 @@ def test_one_table_looked_up_under_two_vocabularies_answers_each_with_its_own():
     both = [decoder._group_vocab(vocab) for vocab in (model.vocab, small)]
     assert len(both[1]._maxima_of(table)) < len(both[0]._maxima_of(table))
     for groups in both * 2:
-        maxima, ((_, ranked, _),) = groups.lookup(table)
-        assert table.derived[0] is groups and table.derived[2] is None
+        maxima, ((_, ranked, _),), (_, starts, _) = groups.lookup(table)
+        assert table.derived[0] is groups and table.derived[2:] == [None, None]
         assert maxima == groups._maxima_of(table)
-        decoder._entries(0, 0.0, 0.0, False, ranked, 0.0, table)  # a walk ranks the entry
-        assert table.derived[2] == sorted(ranked, key=lambda m: (-table[m[2]], m[0]))
+        for slot, moves in ((2, ranked), (3, starts)):
+            decoder._entries(0, 0.0, 0.0, False, moves, 0.0, table)  # a walk ranks the entry
+            assert table.derived[slot] == sorted(moves, key=lambda m: (-table[m[2]], m[0]))
 
 
 def test_threads_sharing_a_model_decode_as_a_serial_run(config):
@@ -256,7 +261,8 @@ def test_threads_sharing_a_model_decode_as_a_serial_run(config):
     finally:
         sys.setswitchinterval(interval)
     entries = check_rankings(model)
-    assert entries and any(ranked for _, _, ranked in entries)  # the decodes walked some
+    for slot in (2, 3):  # the decodes walked some continuations, and some starts as one
+        assert any(entry[slot] for entry in entries), slot
 
 
 class Walk(list):
@@ -272,21 +278,22 @@ class Walk(list):
 
 @pytest.fixture
 def counted_walks(monkeypatch):
-    """What the decodes did with the continuation class of each table (by
-    id; the test's model keeps its tables alive): the tables ``_best``
-    bounded it on and walked it on, the rankings (sorts of a watched
-    model's continuation moves), and the moves the walks read and built.
-    ``seen["watch"](model)`` watches a model."""
+    """What the decodes did with the ranked lists (continuations, or every
+    start as one class) of each table, as (table id, ``derived`` slot); the
+    test's model keeps its tables alive: the lists ``_best`` bounded and
+    walked, the rankings per slot (sorts of a watched model's lists), and
+    the moves the walks read and built.  ``seen["watch"](model)`` watches a
+    model."""
     entries, best = decoder._entries, decoder._best
-    seen = {"bounded": set(), "walked": set(), "rankings": 0, "reads": 0, "built": 0,
+    seen = {"bounded": set(), "walked": set(), "rankings": Counter(), "reads": 0, "built": 0,
             "moves": 0}
-    watched = set()  # ids of the watched continuation moves
+    watched = {}  # the watched lists' slots, by id
 
     def counted_sorted(iterable, **kwargs):
         out = sorted(iterable, **kwargs)
         if id(iterable) not in watched:
             return out
-        seen["rankings"] += 1
+        seen["rankings"][watched[id(iterable)]] += 1
         return Walk(out)
 
     def counted_entries(*args):
@@ -296,18 +303,21 @@ def counted_walks(monkeypatch):
         Walk.reads = 0
         out = entries(*args)
         assert Walk.reads <= len(out) + 1  # the first move past the stop, at most
-        seen["walked"].add(id(dist))
+        seen["walked"].add((id(dist), moves.slot))
         seen["reads"] += Walk.reads
         seen["built"] += len(out)
         seen["moves"] += len(moves)
         return out
 
     def counted_best(classes, n):
-        seen["bounded"].update(id(cls[6]) for cls in classes if type(cls[4]) is not tuple)
+        seen["bounded"].update((id(cls[6]), cls[4].slot) for cls in classes
+                               if type(cls[4]) is not tuple)
         return best(classes, n)
 
     def watch(model):
-        watched.update(id(moves) for _, moves, _ in decoder._group_vocab(model.vocab).ranked)
+        groups = decoder._group_vocab(model.vocab)
+        for _, moves, _ in (*groups.ranked, groups.ranked_start):
+            watched[id(moves)] = moves.slot
 
     monkeypatch.setattr(decoder, "sorted", counted_sorted, raising=False)  # shadows the builtin
     monkeypatch.setattr(decoder, "_entries", counted_entries)
@@ -328,9 +338,10 @@ def test_a_walk_reads_at_most_one_move_more_than_it_builds(config, counted_walks
 
 
 def test_each_live_table_is_ranked_at_most_once_and_only_when_walked(config, counted_walks):
-    # a table's continuation class is ranked on its first walk; one that
-    # is only bounded (bound past the bar) stays unranked, so eager ranking
-    # of every looked-up table fails here
+    # each ranked list of a table (its continuation class, its starts as one
+    # class) is ranked on its first walk; one that is only bounded (bound
+    # past the bar) stays unranked, so eager ranking of every looked-up
+    # table fails here
     model = owned_model(20261121)
     counted_walks["watch"](model)
     for lyrics in sheets(20261121, 3):
@@ -338,17 +349,19 @@ def test_each_live_table_is_ranked_at_most_once_and_only_when_walked(config, cou
                      DecodeMode.RERANK):
             decode(lyrics, model, config, DecodeOptions(mode=mode, top_k=3))
             decode(lyrics, model, config, DecodeOptions(mode=mode, top_k=3))  # tables warm
-    filled = {id(table) for table in model._dist_cache.values()
-              if hasattr(table, "derived") and table.derived[2] is not None}
+    filled = {(id(table), slot) for table in model._dist_cache.values()
+              if hasattr(table, "derived") for slot in (2, 3) if table.derived[slot] is not None}
     assert filled == counted_walks["walked"]
-    assert counted_walks["rankings"] == len(filled)
-    assert counted_walks["bounded"] - counted_walks["walked"]  # some were bounded, never walked
-    single = owned_model(20261122)  # no continuation is legal, so nothing is walked or ranked
+    assert sum(counted_walks["rankings"].values()) == len(filled)
+    assert {slot for _, slot in filled} == {2, 3}  # both lists were walked somewhere
+    for slot in (2, 3):  # and some of each were bounded, never walked
+        assert {(t, s) for t, s in counted_walks["bounded"] - filled if s == slot}
+    single = owned_model(20261122)  # no continuation is legal, so none is walked or ranked
     counted_walks["watch"](single)
-    counted_walks["rankings"] = 0
+    counted_walks["rankings"].clear()
     for lyrics in sheets(20261122, 2):
         decode(lyrics, single, config, DecodeOptions(max_notes_per_syllable=1))
-    assert check_rankings(single) and counted_walks["rankings"] == 0
+    assert check_rankings(single) and counted_walks["rankings"][2] == 0
 
 
 def test_rerank_builds_one_context_and_weighs_each_candidate_once(monkeypatch, config, bundle):
@@ -394,6 +407,63 @@ def test_beam_completes_each_start_signature_at_most_once_per_expansion(
         decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
     assert calls["complete"] and shared  # some starts shared a signature
     assert over == []
+
+
+@pytest.mark.parametrize("mode", [DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD])
+def test_a_pitch_independent_plans_starts_cost_one_completion(monkeypatch, config, bundle, mode):
+    # a plan with no harmony cell and no structure partner pays every start
+    # pitch alike, so its starts are completed once, as one class: in its
+    # expansion, or in beam-hard, when the plan is masked, only on a step
+    # that relaxes.  A completion per start class fails here
+    plan, complete = rewards._EventModel.plan, rewards._EventModel.complete
+    plans, completions = [], Counter()
+
+    def counted_plan(self, st, start=0.0):
+        out = plan(self, st, start)
+        if st.syl + 1 < self.n:  # starts are legal; the list keeps the plan, so its id
+            plans.append(out)
+        return out
+
+    def counted_complete(self, p, pitch):
+        completions[id(p)] += 1
+        return complete(self, p, pitch)
+
+    monkeypatch.setattr(rewards._EventModel, "plan", counted_plan)
+    monkeypatch.setattr(rewards._EventModel, "complete", counted_complete)
+    rng = random.Random(20261124)
+    for k in range(6):  # stress-accent sheets, whose plans have no harmony cell, and a tonal one
+        lyrics = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=k == 5, repeat=k % 2 == 0)
+        decode(lyrics, bundle.token_model, config, DecodeOptions(mode=mode))
+    alike = {id(p) for p in plans if p.cell is None and p.partner_delta is None}
+    assert len(alike) * 2 > len(plans)  # most plans pay every pitch alike here
+    assert max(completions[i] for i in alike) == 1
+    if mode is DecodeMode.BEAM_SOFT:  # each completed once, in its expansion
+        assert all(completions[i] == 1 for i in alike)
+    # a plan with a partner or a cell still completes its starts per pitch
+    assert max(completions[id(p)] for p in plans if id(p) not in alike) > 1
+
+
+def test_a_vocabulary_keeps_one_clock_per_meter_and_builds_each_once(monkeypatch, config):
+    # the grammar stage's clock depends only on the vocabulary and the
+    # meter, so it is built on the first decode in a meter and kept on the
+    # vocabulary; a pickle of the vocabulary leaves it out
+    import pickle
+
+    calls = Counter()
+    count_calls(monkeypatch, decoder, "_clock", calls)
+    model = owned_model(20261123)
+    for lyrics in sheets(20261123, 2):
+        for meter in [(4, 4), (3, 4)] * 2:
+            for mode in (DecodeMode.BEAM_SOFT, DecodeMode.BEAM_HARD, DecodeMode.SAMPLE,
+                         DecodeMode.RERANK):
+                decode(lyrics, model, config, DecodeOptions(mode=mode, time_signature=meter))
+    assert calls["_clock"] == 2
+    clocks = vars(model.vocab)["_clocks"]
+    assert clocks.keys() == {(4, 4), (3, 4)}
+    for meter, clock in clocks.items():
+        assert clock == rewards._clock(meter, model.vocab.tokens[:-1])
+    assert clocks[4, 4][2] != clocks[3, 4][2]  # the bars differ
+    assert "_clocks" not in vars(pickle.loads(pickle.dumps(model.vocab)))
 
 
 def test_beam_hard_builds_masked_moves_only_on_steps_that_relax(monkeypatch, config, bundle):

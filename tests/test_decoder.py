@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -33,7 +34,9 @@ from lyricmelody import (
     train_ngram,
     write_midi,
 )
-from lyricmelody.rewards import HarmonyDegree, RewardEvent, _EventModel, _State, reward_events
+from lyricmelody.rewards import (
+    HarmonyDegree, RewardEvent, _EventModel, _State, _clock, reward_events,
+)
 from lyricmelody.scorer import END, _Table
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from reference import exhaustive_argmax, plain_beam_search, step_events
@@ -136,7 +139,7 @@ class TestHardMode:
             shape_missed = second > 60
             for active in [frozenset(), frozenset(Aspect)] + [frozenset({a}) for a in Aspect]:
                 tokens = (note(60, 1, True), note(second, 1, False))
-                model = _EventModel(lyr, config, active, (4, 4), tokens)
+                model = _EventModel(lyr, config, active, (4, 4), _clock((4, 4), tokens))
                 state = _State()
                 for token in tokens:
                     state = model.apply(state, token)
@@ -872,6 +875,64 @@ class TestNearTiesThroughTheWalk(TestTiesThroughTheWalk):
             assert len(values) == 6 and len({base + lp for lp in values}) < len(values)
 
 
+class NearStartTies(NearTies):
+    """:class:`NearTies` with the start moves' log-probabilities spread the
+    same way, so the walk of every start as one class meets ties out of
+    vocabulary order too."""
+
+    def __init__(self, vocab):
+        super().__init__(vocab)
+        lp = self.tables[0][END]
+        tokens = [t for t in vocab.tokens if t != END and t.is_note and t.syllable_start]
+        for shift, table in enumerate(self.tables):
+            for j, token in enumerate(tokens):
+                table[token] = lp + (j + shift) % len(tokens) * math.ulp(lp)
+
+
+#: stress-accent sheets: no harmony cell, so a start plan with no structure
+#: partner pays every pitch alike, and its starts are walked as one list
+STRESS_TEXTS = ("sun'|W,K rise|W sky'|W .", "sun|W rise'|W,K .\nsun|W rise'|W,K ?")
+
+
+class TestTiesThroughTheStartWalk(TestTiesThroughTheWalk):
+    """The walk's tie tests on stress-accent sheets."""
+
+    TEXTS = STRESS_TEXTS
+
+    def test_the_walk_ranks_the_start_lists(self, config):
+        scorer = self.scorer()
+        for text in self.TEXTS:
+            beam_search(parse_lyrics(text), scorer, config, DecodeOptions(max_notes_per_syllable=2))
+        assert any(table.derived[3] for table in scorer.tables)  # the decodes walked some
+
+
+class TestNearTiesThroughTheStartWalk(TestNearTiesThroughTheWalk):
+    """The near-tie tests on stress-accent sheets, with the start moves' log-probabilities spread too."""
+
+    TEXTS = STRESS_TEXTS
+    test_the_walk_ranks_the_start_lists = TestTiesThroughTheStartWalk.test_the_walk_ranks_the_start_lists
+
+    @staticmethod
+    def scorer():
+        return NearStartTies(small_vocab(pitches=(60, 62, 64), durations=(1, 2), continuations=True))
+
+
+@pytest.fixture
+def no_aspect(monkeypatch):
+    """The options the tests build have no aspect active, as in rerank's sampling."""
+    monkeypatch.setitem(globals(), "DecodeOptions", functools.partial(DecodeOptions, active=frozenset()))
+
+
+@pytest.mark.usefixtures("no_aspect")
+class TestTiesThroughTheWalkWithNoAspect(TestTiesThroughTheWalk):
+    """The walk's tie tests with no aspect active: every move keeps its parent's reward."""
+
+
+@pytest.mark.usefixtures("no_aspect")
+class TestNearTiesThroughTheWalkWithNoAspect(TestNearTiesThroughTheWalk):
+    """The near-tie tests with no aspect active."""
+
+
 class TestEventSignature:
     """Tokens with equal ``_EventModel.signature`` fire equal events
     (``reference.step_events``) from any state reached by folding a melody,
@@ -993,9 +1054,10 @@ class TestSamplingPin:
 
 class TestSharedRecordsStayUnchanged:
     """Decode states, plans and hypotheses are plain slots records that every
-    hypothesis reaching them shares, so no code may assign to one after it is
-    built.  Each record's fields are taken when it is built and compared
-    after seeded soft, hard and two-stage decodes."""
+    hypothesis reaching them shares, and a vocabulary's clocks and a table's
+    rankings are shared by every decode, so no code may write to one after
+    it is built.  Each one's contents are taken when it is built and
+    compared after seeded soft, hard and two-stage decodes."""
 
     def test_soft_hard_and_two_stage(self, monkeypatch, config):
         from lyricmelody import decoder, rewards
@@ -1004,13 +1066,30 @@ class TestSharedRecordsStayUnchanged:
             return tuple(tuple(v) if type(v) is list else v
                          for v in map(record.__getattribute__, record.__slots__))
 
-        built = []
+        def contents(shared):  # a clock, or a ranking: copied
+            if type(shared) is list:
+                return tuple(shared)
+            scale, ticks, bar, strong = shared
+            return scale, dict(ticks), bar, frozenset(strong)
+
+        built, kept = [], []
         for cls in (rewards._State, rewards._Plan, decoder._Hypothesis):
             def init(self, *args, _real=cls.__init__, **kwargs):
                 _real(self, *args, **kwargs)
                 built.append((self, fields(self)))
 
             monkeypatch.setattr(cls, "__init__", init)
+
+        def keep(build):
+            def kept_build(*args, **kwargs):
+                out = build(*args, **kwargs)
+                if type(out) is tuple or isinstance(args[0], decoder._Ranked):
+                    kept.append((out, contents(out)))
+                return out
+            return kept_build
+
+        monkeypatch.setattr(decoder, "_clock", keep(decoder._clock))
+        monkeypatch.setattr(decoder, "sorted", keep(sorted), raising=False)  # shadows the builtin
         rng = random.Random(20261021)
         bundle = train_model_bundle([random_training_melody(rng) for _ in range(6)], order=3)
         for k in range(3):
@@ -1021,6 +1100,12 @@ class TestSharedRecordsStayUnchanged:
         assert {type(record) for record, _ in built} == {
             rewards._State, rewards._Plan, decoder._Hypothesis}
         changed = [(record, then) for record, then in built if fields(record) != then]
+        assert changed == []
+        assert {type(shared) for shared, _ in kept} == {tuple, list}  # clocks and rankings
+        tables = [table for model in (bundle.token_model, bundle.rhythm_model)
+                  for table in model._dist_cache.values() if hasattr(table, "derived")]
+        assert any(table.derived[3] for table in tables)  # some starts were ranked as one
+        changed = [(shared, then) for shared, then in kept if contents(shared) != then]
         assert changed == []
 
 

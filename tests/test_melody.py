@@ -431,3 +431,21 @@ class TestLongNote:
     def test_rest_rejected(self, config):
         with pytest.raises(ValueError):
             is_long_note(rest(1), config)
+
+
+class TestRandomTrainingMelody:
+    def test_a_walk_has_its_length_in_notes_starts_a_syllable_and_ends_on_a_note(self, rng):
+        from lyricmelody.synthetic import random_training_melody
+
+        for length in (1, 2, 5, 17, 40):
+            for _ in range(20):
+                m = random_training_melody(rng, length=length, rest_probability=0.5)
+                assert sum(t.is_note for t in m.tokens) == length
+                assert m.tokens[0].syllable_start and m.tokens[-1].is_note
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_a_length_below_one_is_refused_by_name(self, rng, length):
+        from lyricmelody.synthetic import random_training_melody
+
+        with pytest.raises(ValueError, match=rf"length must be at least 1 note, got {length}"):
+            random_training_melody(rng, length=length)

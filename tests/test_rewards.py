@@ -47,6 +47,7 @@ from lyricmelody.rewards import (
     RewardEvent,
     _EventModel,
     _State,
+    _clock,
     boundary_kind,
     reward_events,
     weighted_total,
@@ -497,7 +498,7 @@ class TestFoldMatchesStepApply:
                 for meter in cls.METERS:
                     pair = Melody(melody.tokens, meter)
                     for active in [ALL_ASPECTS] + [frozenset({a}) for a in Aspect]:
-                        model = _EventModel(lyr, cfg, active, meter, pair.tokens)
+                        model = _EventModel(lyr, cfg, active, meter, _clock(meter, pair.tokens))
                         want = cls.stepped(model, pair.tokens)
                         got = [(i, ev) for i, ev in fold(lyr, pair, cfg, active)
                                if ev.aspect in active]
@@ -915,7 +916,7 @@ class TestStartPlan:
                        else table.with_lambdas(lambdas))
                 for tokens, actives, token_class, pitches in domains:
                     for active, meter in itertools.product(actives, cls.METERS):
-                        model = model_class(lyr, cfg, active, meter, tokens)
+                        model = model_class(lyr, cfg, active, meter, _clock(meter, tokens))
                         state = _State()
                         for token in tokens:
                             start_reward = rng.uniform(0, 4)
