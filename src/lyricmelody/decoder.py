@@ -91,7 +91,6 @@ import math
 import random
 import sys
 import warnings
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from itertools import count
@@ -99,7 +98,7 @@ from operator import add, attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from .errors import InternalError, OptionError, TrainingError
-from .lyrics import LyricSequence
+from .lyrics import LyricSequence, _Record, _set
 from .melody import Melody, MelodyToken, RhythmToken, TokenKind, check_meter
 from .rewards import (
     ALL_ASPECTS,
@@ -144,23 +143,30 @@ class DecodeMode(Enum):
     TWO_STAGE = "two-stage"
 
 
-@dataclass(frozen=True)
-class DecodeOptions:
+class DecodeOptions(_Record, frozen=True):
     """How to decode: the mode, its widths and sampling settings, the meter,
     and ``active``, the set of :class:`~lyricmelody.rewards.Aspect` whose
     rewards are added (and, in beam-hard, masked); the others score 0."""
 
-    mode: DecodeMode = DecodeMode.BEAM_SOFT
-    beam_width: int = 4
-    top_k: int = 5
-    temperature: float = 0.5
-    rerank_candidates: int = 10
-    max_notes_per_syllable: int = 4
-    seed: int = 0
-    time_signature: tuple[int, int] = (4, 4)
-    active: frozenset[Aspect] = ALL_ASPECTS
+    __match_args__ = ("mode", "beam_width", "top_k", "temperature", "rerank_candidates",
+                      "max_notes_per_syllable", "seed", "time_signature", "active")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        mode: DecodeMode = DecodeMode.BEAM_SOFT,
+        beam_width: int = 4,
+        top_k: int = 5,
+        temperature: float = 0.5,
+        rerank_candidates: int = 10,
+        max_notes_per_syllable: int = 4,
+        seed: int = 0,
+        time_signature: tuple[int, int] = (4, 4),
+        active: frozenset[Aspect] = ALL_ASPECTS,
+    ):
+        vars(self).update(
+            mode=mode, beam_width=beam_width, top_k=top_k, temperature=temperature,
+            rerank_candidates=rerank_candidates, max_notes_per_syllable=max_notes_per_syllable,
+            seed=seed, time_signature=time_signature, active=active)
         for name in ("beam_width", "top_k", "rerank_candidates", "max_notes_per_syllable"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # a bool is an int, and counts no moves
@@ -172,13 +178,13 @@ class DecodeOptions:
             raise OptionError(f"mode must be a DecodeMode, got {self.mode!r}")
         if not (isinstance(self.active, (set, frozenset)) and self.active <= ALL_ASPECTS):
             raise OptionError(f"active must be a set of Aspects, got {self.active!r}")
-        object.__setattr__(self, "active", frozenset(self.active))  # hashable, not the caller's
+        _set(self, "active", frozenset(self.active))  # hashable, not the caller's
         try:  # a pair, then the meter rule
             meter = tuple(self.time_signature)
             check_meter(meter)
         except (TypeError, ValueError) as exc:
             raise OptionError(f"time_signature {self.time_signature!r}: {exc}") from None
-        object.__setattr__(self, "time_signature", meter)
+        _set(self, "time_signature", meter)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +265,7 @@ class _Ranked(tuple):
 _ANY_START = (True, True, None)
 
 
-@dataclass
-class _VocabGroups:
+class _VocabGroups(_Record):
     """A vocabulary's moves by grammar role, as :func:`_classes` indexed
     across all four, its starts by pitch, and ``any_start``: every start
     move, in vocabulary order, as one class indexed after them.  A table it
@@ -268,13 +273,14 @@ class _VocabGroups:
     ``derived`` slot: its best log-probability per class, then its best
     start's, and each list ranked by its first walk (None until then)."""
 
-    starts: tuple
-    continuations: tuple
-    rests: tuple
-    end: tuple
+    __match_args__ = ("starts", "continuations", "rests", "end")
 
-    def __post_init__(self) -> None:
-        classes = self.starts + self.continuations + self.rests + self.end
+    def __init__(self, starts: tuple, continuations: tuple, rests: tuple, end: tuple):
+        self.starts = starts
+        self.continuations = continuations
+        self.rests = rests
+        self.end = end
+        classes = starts + continuations + rests + end
         self._maxima_of = _maxima_of(classes, len(self.starts))
         self.start_of = {cls[0][2]: cls for cls in self.starts}
         starts = tuple(sorted(move for _, moves, _ in self.starts for move in moves))
@@ -334,19 +340,22 @@ def _vocab_clock(vocab: Vocabulary, meter: tuple[int, int]) -> tuple:
     return clock
 
 
-@dataclass(slots=True)
-class _Hypothesis:
+class _Hypothesis(_Record):
     """A partial decode: token prefix, its state, and split score accumulators.
 
     ``score`` is always base + reward; both parts are re-derivable from the
     token sequence.
     """
 
-    tokens: tuple
-    key: tuple[int, ...]
-    state: _State
-    base: float = 0.0
-    reward: float = 0.0
+    __slots__ = __match_args__ = ("tokens", "key", "state", "base", "reward")
+
+    def __init__(self, tokens: tuple, key: tuple[int, ...], state: _State,
+                 base: float = 0.0, reward: float = 0.0):
+        self.tokens = tokens
+        self.key = key
+        self.state = state
+        self.base = base
+        self.reward = reward
 
     @property
     def score(self) -> float:
@@ -439,21 +448,22 @@ def _best(classes: list, n: int) -> list[tuple]:
                    for entry in _entries(*cls, bar, n)])[:n]
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(_Record, frozen=True):
     """A decoded melody and its score: the base log-probability plus the
     weighted reward.  ``relaxation_steps`` are the 0-based steps (tokens
     emitted before them) at which beam-hard found every move masked and fell
     back to soft scoring; ``stage_scores`` is two-stage decoding's
     ``{"rhythm" | "pitch": {"base", "reward", "score"}}``, else None."""
 
-    melody: Melody
-    score: float
-    base_logprob: float
-    reward_total: float
-    mode: DecodeMode
-    relaxation_steps: tuple[int, ...] = ()
-    stage_scores: Optional[dict] = None
+    __match_args__ = ("melody", "score", "base_logprob", "reward_total", "mode",
+                      "relaxation_steps", "stage_scores")
+
+    def __init__(self, melody: Melody, score: float, base_logprob: float, reward_total: float,
+                 mode: DecodeMode, relaxation_steps: tuple[int, ...] = (),
+                 stage_scores: Optional[dict] = None):
+        vars(self).update(melody=melody, score=score, base_logprob=base_logprob,
+                          reward_total=reward_total, mode=mode,
+                          relaxation_steps=relaxation_steps, stage_scores=stage_scores)
 
 
 def _max_steps(ctx: _Context) -> int:
@@ -621,7 +631,8 @@ def rerank(
     for _ in range(options.rerank_candidates):
         h = _sample_run(ctx, moves_of, rng, top_k)
         melody = Melody(h.tokens[:-1], options.time_signature)  # a sample ends with END
-        rewarded = replace(h, reward=score_rewards(lyrics, melody, config, options.active).total)
+        reward = score_rewards(lyrics, melody, config, options.active).total
+        rewarded = _Hypothesis(h.tokens, h.key, h.state, h.base, reward)
         if best is None or (-rewarded.score, rewarded.key) < (-best.score, best.key):
             best = rewarded
     return _result_from(ctx, best, DecodeMode.RERANK)
@@ -685,11 +696,12 @@ def decode_two_stage(
     stage2_ctx = _Context(lyrics, config, options, _PITCH_STAGE & options.active, tokens)
     stage2, _ = _beam(stage2_ctx, slots, options.beam_width, hard=False)
 
-    return replace(
-        _result_from(stage2_ctx, stage2, DecodeMode.TWO_STAGE),
+    return DecodeResult(
+        _result_from(stage2_ctx, stage2, DecodeMode.TWO_STAGE).melody,
         score=stage1.score + stage2.score,
         base_logprob=stage1.base + stage2.base,
         reward_total=stage1.reward + stage2.reward,
+        mode=DecodeMode.TWO_STAGE,
         stage_scores={
             "rhythm": {"base": stage1.base, "reward": stage1.reward, "score": stage1.score},
             "pitch": {"base": stage2.base, "reward": stage2.reward, "score": stage2.score},

@@ -26,9 +26,9 @@ threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterator
 
 from .errors import LyricFormatError
 
@@ -97,43 +97,105 @@ class Language(Enum):
     STRESS_ACCENT = "stress"
 
 
-@dataclass(frozen=True, slots=True)
-class Syllable:
+#: a record constructor's setter, past a frozen record's own ``__setattr__``
+_set = object.__setattr__
+
+
+class _Record:
+    """The methods every record type of the package derives from its fields,
+    written out once instead of generated per class.  ``__match_args__``
+    names the fields the constructor takes, in its order: ``==`` (between
+    records of one class), ``hash``, pickling, copying and
+    :meth:`__replace__` read them, and ``repr`` shows them, then the derived
+    fields ``_derived`` names.  A class declared with ``frozen=True`` refuses
+    to assign or delete any attribute and hashes its fields; any other record
+    hashes as None, unless it names its own ``__hash__``."""
+
+    __slots__ = ()
+    __match_args__ = _derived = ()
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        if frozen:
+            cls.__setattr__, cls.__delattr__ = _Record._refuse, _Record._refuse_delete
+            if cls.__hash__ is None:
+                cls.__hash__ = _Record._hash
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__ + self._derived)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def _refuse(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _refuse_delete(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # through the constructor, so a copy is checked and derived alike; a
+        # read-only mapping, which does not pickle, goes as a dict it copies
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v
+                                 for v in self._values())
+
+    def __replace__(self, **changes):
+        """A record of this one's fields but ``changes``, built by the constructor."""
+        return type(self)(**dict(zip(self.__match_args__, self._values()), **changes))
+
+
+class Syllable(_Record, frozen=True):
     """One annotated syllable: its text, tone, place in its word, stress
     class, the index of its sentence and whether it ends that sentence."""
 
-    text: str
-    tone: Tone
-    word_position: WordPosition
-    stress_class: StressClass
-    sentence_index: int
-    sentence_final: bool
+    __slots__ = __match_args__ = (
+        "text", "tone", "word_position", "stress_class", "sentence_index", "sentence_final")
+
+    def __init__(self, text: str, tone: Tone, word_position: WordPosition,
+                 stress_class: StressClass, sentence_index: int, sentence_final: bool):
+        _set(self, "text", text)
+        _set(self, "tone", tone)
+        _set(self, "word_position", word_position)
+        _set(self, "stress_class", stress_class)
+        _set(self, "sentence_index", sentence_index)
+        _set(self, "sentence_final", sentence_final)
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
+class Sentence(_Record, frozen=True):
     """A contiguous run of syllables ending at one punctuation mark.
 
     ``span`` is a half-open (start, stop) index range into the syllable list.
     """
 
-    span: tuple[int, int]
-    intonation: Intonation
+    __slots__ = __match_args__ = ("span", "intonation")
+
+    def __init__(self, span: tuple[int, int], intonation: Intonation):
+        _set(self, "span", span)
+        _set(self, "intonation", intonation)
 
     def __len__(self) -> int:
         return self.span[1] - self.span[0]
 
 
-@dataclass(frozen=True, slots=True)
-class LyricSequence:
+class LyricSequence(_Record, frozen=True):
     """A parsed lyric sheet: its syllables, the sentences that cover them
     in order, and its language (tonal or stress-accent)."""
 
-    syllables: tuple[Syllable, ...]
-    sentences: tuple[Sentence, ...]
-    language: Language
+    __slots__ = __match_args__ = ("syllables", "sentences", "language")
 
-    def __post_init__(self) -> None:
+    def __init__(self, syllables: tuple[Syllable, ...], sentences: tuple[Sentence, ...],
+                 language: Language):
+        _set(self, "syllables", syllables)
+        _set(self, "sentences", sentences)
+        _set(self, "language", language)
         if not self.syllables or not self.sentences:
             raise LyricFormatError("lyric sequence must contain at least one sentence")
         cursor = 0
@@ -171,8 +233,7 @@ class LyricSequence:
         return self.sentences[self.syllables[index].sentence_index]
 
 
-@dataclass(frozen=True)
-class StructureMatrix:
+class StructureMatrix(_Record, frozen=True):
     """Syllable-level repetition pairs (i, j), j < i.
 
     Position ``i`` in a later repeat of a phrase maps to the same offset ``j``
@@ -180,11 +241,11 @@ class StructureMatrix:
     lookup of the anchor for each repeated position.
     """
 
-    pairs: frozenset[tuple[int, int]]
-    partner: Mapping[int, int] = field(init=False, hash=False, compare=False)
+    __match_args__, _derived = ("pairs",), ("partner",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "partner", dict(self.pairs))
+    def __init__(self, pairs: frozenset[tuple[int, int]]):
+        _set(self, "pairs", pairs)
+        _set(self, "partner", dict(pairs))
         for i, j in self.pairs:
             if j >= i:
                 raise ValueError(f"structure pair ({i}, {j}) must satisfy j < i")

@@ -19,14 +19,13 @@ fields never depend on the spelling (``1`` or ``Fraction(1)``) that built it fir
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import AlignmentError, MidiFormatError
-from .lyrics import LyricSequence, _fields, _json
+from .lyrics import LyricSequence, _Record, _fields, _json, _set
 
 __all__ = [
     "TokenKind",
@@ -86,43 +85,35 @@ def _token(cls, kind, duration, pitch=None, syllable_start=False):
               "syllable_start": bool(syllable_start)}
     token = object.__new__(cls)
     for name in cls.__slots__:
-        object.__setattr__(token, name, fields[name])
+        _set(token, name, fields[name])
     _RATIOS[token] = num, den  # before the token is published, so any thread finds its ratio
     return _TOKENS.setdefault((cls, kind, num, den, pitch, fields["syllable_start"]), token)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class MelodyToken:
-    """A note or a rest, interned: ``==`` and ``hash`` are identity's."""
+class MelodyToken(_Record, frozen=True):
+    """A note or a rest, interned: ``==`` and ``hash`` are identity's.  Built
+    as ``MelodyToken(kind, duration, pitch=None, syllable_start=False)``;
+    pickle, copy and ``__replace__`` go through the constructor, so they get
+    the one instance too."""
 
-    kind: TokenKind
-    duration: Fraction
-    pitch: Optional[int] = None
-    syllable_start: bool = False
-
+    __slots__ = __match_args__ = ("kind", "duration", "pitch", "syllable_start")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity's, in C
     __new__ = _token
-
-    def __reduce__(self):  # through the constructor, so pickle and copy get the one instance
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     @property
     def is_note(self) -> bool:
         return self.kind is TokenKind.NOTE
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class RhythmToken:
+class RhythmToken(_Record, frozen=True):
     """A melody token without its pitch: what rhythm-first decoding emits.
 
     Reads like a :class:`MelodyToken` whose ``pitch`` is always None, but never equals one.
     """
 
-    kind: TokenKind
-    duration: Fraction
-    syllable_start: bool = False
-
+    __slots__ = __match_args__ = ("kind", "duration", "syllable_start")
+    __eq__, __hash__ = object.__eq__, object.__hash__
     pitch = None
-    __reduce__ = MelodyToken.__reduce__
     is_note = MelodyToken.is_note
 
     def __new__(cls, kind: TokenKind, duration, syllable_start: bool = False) -> "RhythmToken":
@@ -152,8 +143,7 @@ def rest(duration) -> MelodyToken:
     return MelodyToken(TokenKind.REST, Fraction(duration))
 
 
-@dataclass(frozen=True)
-class Melody:
+class Melody(_Record, frozen=True):
     """Token stream plus time signature and the derived syllable alignment.
 
     ``alignment[k]`` is the half-open token-index span of syllable ``k``'s
@@ -165,13 +155,11 @@ class Melody:
     and hash alike however they were given.  Immutable after construction.
     """
 
-    tokens: tuple[MelodyToken, ...]
-    time_signature: tuple[int, int] = (4, 4)
-    alignment: tuple[tuple[int, int], ...] = field(init=False, compare=False)
+    __match_args__, _derived = ("tokens", "time_signature"), ("alignment",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "time_signature", tuple(self.time_signature))
+    def __init__(self, tokens: Sequence[MelodyToken], time_signature: tuple[int, int] = (4, 4)):
+        _set(self, "tokens", tuple(tokens))
+        _set(self, "time_signature", tuple(time_signature))
         check_meter(self.time_signature)
         if not self.tokens:
             raise AlignmentError("melody has no tokens")
@@ -203,7 +191,7 @@ class Melody:
                     )
         if open_start is not None:
             spans.append((open_start, len(self.tokens)))
-        object.__setattr__(self, "alignment", tuple(spans))
+        _set(self, "alignment", tuple(spans))
 
     @property
     def syllable_count(self) -> int:

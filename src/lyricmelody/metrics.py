@@ -39,11 +39,10 @@ pair once, since the fold memoises the last pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
 
-from .lyrics import LyricSequence, _repeat_anchors
+from .lyrics import LyricSequence, _Record, _repeat_anchors
 from .melody import _RATIOS, Melody, _check_aligned
 from .rewards import BoundaryKind, HarmonyDegree, RewardConfig, _fold
 
@@ -79,21 +78,20 @@ DEGREE_SCORES = {
 }
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(_Record, frozen=True):
     """A pair's seven objective metrics, each None when the pair has
     nothing for it to measure: tone transition and contour, matched
     strong/weak and pause ratios, and the PD, DD and MD of its repeats."""
 
-    tone_transition: Optional[float]
-    tone_contour: Optional[float]
-    matched_sw: Optional[float]
-    matched_pauses: Optional[float]
-    pd: Optional[float]
-    dd: Optional[float]
-    md: Optional[float]
+    FIELDS = __match_args__ = (
+        "tone_transition", "tone_contour", "matched_sw", "matched_pauses", "pd", "dd", "md")
 
-    FIELDS = ("tone_transition", "tone_contour", "matched_sw", "matched_pauses", "pd", "dd", "md")
+    def __init__(self, tone_transition: Optional[float], tone_contour: Optional[float],
+                 matched_sw: Optional[float], matched_pauses: Optional[float],
+                 pd: Optional[float], dd: Optional[float], md: Optional[float]):
+        vars(self).update(tone_transition=tone_transition, tone_contour=tone_contour,
+                          matched_sw=matched_sw, matched_pauses=matched_pauses,
+                          pd=pd, dd=dd, md=md)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}

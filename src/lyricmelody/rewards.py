@@ -61,7 +61,6 @@ strong/weak, pause, structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
@@ -76,9 +75,11 @@ from .lyrics import (
     TONAL_TONES,
     Tone,
     WordPosition,
+    _Record,
     _fields,
     _json,
     _repeat_anchors,
+    _set,
 )
 from .melody import END, _RATIOS, BeatStrength, Melody, _check_aligned, _duration, _tick_clock
 
@@ -128,8 +129,7 @@ class HarmonyDegree(Enum):
     __hash__ = object.__hash__  # in C, for the per-degree lookups
 
 
-@dataclass(frozen=True)
-class HarmonyTable:
+class HarmonyTable(_Record, frozen=True):
     """Per tone pair, labeled semitone intervals for the pitch jump between
     adjacent syllables.  Differences outside every interval are Bad.
 
@@ -138,10 +138,12 @@ class HarmonyTable:
     copy of the checked cells, so the event tables built from it stay true.
     """
 
-    cells: Mapping[tuple[Tone, Tone], tuple[tuple[int, int, HarmonyDegree], ...]]
+    __match_args__ = ("cells",)
 
-    def __post_init__(self) -> None:
-        for pair, intervals in self.cells.items():
+    def __init__(
+        self, cells: Mapping[tuple[Tone, Tone], tuple[tuple[int, int, HarmonyDegree], ...]]
+    ):
+        for pair, intervals in cells.items():
             tones = pair if type(pair) is tuple else (pair,)
             cell = ",".join(str(getattr(t, "value", t)) for t in tones)  # as a file spells it
             if len(tones) != 2:
@@ -165,10 +167,7 @@ class HarmonyTable:
                 raise ConfigError(f"harmony cell {cell}: overlapping intervals")
             if not any(lo <= 0 <= hi for lo, hi in ordered):
                 raise ConfigError(f"harmony cell {cell}: a zero pitch difference must be labeled")
-        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
-
-    def __reduce__(self):  # through the constructor: a mapping proxy does not pickle
-        return type(self), (dict(self.cells),)
+        _set(self, "cells", MappingProxyType(dict(cells)))
 
     def degree_of(self, prev: Tone, cur: Tone, delta: int) -> Optional[HarmonyDegree]:
         """Degree for a semitone jump, or None when the pair has no cell."""
@@ -204,34 +203,47 @@ _TRANSITION_REWARDS = {
 }
 
 
-@dataclass(frozen=True)
-class RewardConfig:
+class RewardConfig(_Record, frozen=True):
     """The reward weights (one λ per aspect), each rule's reward on a match,
     the graded harmony table, and ``long_note_threshold``, in quarter notes:
     with no rest in the gap after a syllable, its last note at least that
-    long counts as a pause there."""
+    long counts as a pause there.  The default table grades no tone pair."""
 
-    lambda_tone: float = 1.2
-    lambda_rhythm: float = 1.5
-    lambda_structure: float = 1.0
-    transition_rewards: Mapping[HarmonyDegree, float] = field(
-        default_factory=lambda: dict(_TRANSITION_REWARDS)
-    )
-    shape_reward_on_match: float = 1.0
-    contour_reward_on_match: float = 1.0
-    sw_reward_on_match: float = 1.0
-    pause_reward_on_match: float = 1.0
-    structure_reward_exact: float = 2.0
-    structure_reward_octave: float = 1.0
-    long_note_threshold: Fraction = Fraction(2)
-    # the empty table grades no tone pair
-    harmony_table: HarmonyTable = field(default_factory=lambda: HarmonyTable({}))
+    __match_args__ = (
+        "lambda_tone", "lambda_rhythm", "lambda_structure", "transition_rewards",
+        "shape_reward_on_match", "contour_reward_on_match", "sw_reward_on_match",
+        "pause_reward_on_match", "structure_reward_exact", "structure_reward_octave",
+        "long_note_threshold", "harmony_table")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        lambda_tone: float = 1.2,
+        lambda_rhythm: float = 1.5,
+        lambda_structure: float = 1.0,
+        transition_rewards: Mapping[HarmonyDegree, float] = _TRANSITION_REWARDS,  # copied
+        shape_reward_on_match: float = 1.0,
+        contour_reward_on_match: float = 1.0,
+        sw_reward_on_match: float = 1.0,
+        pause_reward_on_match: float = 1.0,
+        structure_reward_exact: float = 2.0,
+        structure_reward_octave: float = 1.0,
+        long_note_threshold: Fraction = Fraction(2),
+        harmony_table: HarmonyTable = HarmonyTable({}),
+    ):
+        vars(self).update(
+            lambda_tone=lambda_tone, lambda_rhythm=lambda_rhythm,
+            lambda_structure=lambda_structure, transition_rewards=transition_rewards,
+            shape_reward_on_match=shape_reward_on_match,
+            contour_reward_on_match=contour_reward_on_match,
+            sw_reward_on_match=sw_reward_on_match, pause_reward_on_match=pause_reward_on_match,
+            structure_reward_exact=structure_reward_exact,
+            structure_reward_octave=structure_reward_octave,
+            long_note_threshold=long_note_threshold, harmony_table=harmony_table)
         if not isinstance(self.harmony_table, HarmonyTable):
             raise ConfigError(f"harmony_table must be a HarmonyTable, got {self.harmony_table!r}")
         # λs and rewards: one non-finite value turns a score into NaN
-        values = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        values = [(name, getattr(self, name)) for name in self.__match_args__ if name not in (
+            "transition_rewards", "long_note_threshold", "harmony_table")]
         values += [(f"{d.value} transition reward", v) for d, v in self.transition_rewards.items()]
         for name, value in values:
             if not math.isfinite(value):
@@ -246,23 +258,19 @@ class RewardConfig:
             raise ConfigError("long_note_threshold must be positive")
         # a read-only copy of the checked rewards, so the event tables stay true
         rewards = MappingProxyType(dict(self.transition_rewards))
-        object.__setattr__(self, "transition_rewards", rewards)
+        _set(self, "transition_rewards", rewards)
         # lookups the reward loops hit per event, built once per config
-        object.__setattr__(self, "_lambdas", {
+        _set(self, "_lambdas", {
             Aspect.TONE: self.lambda_tone,
             Aspect.RHYTHM: self.lambda_rhythm,
             Aspect.STRUCTURE: self.lambda_structure,
         })
-        object.__setattr__(self, "_events", _event_table(self))
-        object.__setattr__(self, "_long_note", self.long_note_threshold.as_integer_ratio())
-
-    def __reduce__(self):  # through the constructor: a mapping proxy does not pickle
-        values = (getattr(self, f.name) for f in fields(self))
-        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+        _set(self, "_events", _event_table(self))
+        _set(self, "_long_note", self.long_note_threshold.as_integer_ratio())
 
     def with_lambdas(self, lambdas: tuple[float, float, float]) -> "RewardConfig":
         lt, lr, ls = lambdas
-        return replace(self, lambda_tone=lt, lambda_rhythm=lr, lambda_structure=ls)
+        return self.__replace__(lambda_tone=lt, lambda_rhythm=lr, lambda_structure=ls)
 
     def with_preset(self, name: str) -> "RewardConfig":
         if name not in PRESET_LAMBDAS:
@@ -510,22 +518,27 @@ def weighted_total(
     return total
 
 
-@dataclass(slots=True)
-class _State:
+class _State(_Record):
     """What the event model remembers of a token prefix; ``onset`` and the
-    last note's duration are integer ticks of the model's clock."""
+    last note's duration are integer ticks of the model's clock, and
+    ``span_pitches`` are the current or last syllable's (no pitch before one)."""
 
-    onset: int = 0
-    syl: int = -1
-    span_open: bool = False
-    span_pitches: tuple = (None,)  # the current or last syllable's; no pitch before one
-    last_duration: Optional[int] = None
-    syl_delta: tuple = ()
-    sent_first: Optional[int] = None
+    __slots__ = __match_args__ = ("onset", "syl", "span_open", "span_pitches", "last_duration",
+                                  "syl_delta", "sent_first")
+
+    def __init__(self, onset: int = 0, syl: int = -1, span_open: bool = False,
+                 span_pitches: tuple = (None,), last_duration: Optional[int] = None,
+                 syl_delta: tuple = (), sent_first: Optional[int] = None):
+        self.onset = onset
+        self.syl = syl
+        self.span_open = span_open
+        self.span_pitches = span_pitches
+        self.last_duration = last_duration
+        self.syl_delta = syl_delta
+        self.sent_first = sent_first
 
 
-@dataclass(slots=True)
-class _Plan:
+class _Plan(_Record):
     """What every move fires from one state, short of a start's pitch.
 
     ``end`` and ``rest`` are the (running reward, masked) pairs after END
@@ -538,14 +551,21 @@ class _Plan:
     ``masked`` is whether END's pair or a term is masked, so every start is.
     """
 
-    end: tuple[float, bool]
-    rest: tuple[float, bool]
-    cell: Optional[tuple] = None
-    anchor: Optional[int] = None
-    partner_delta: Optional[int] = None
-    last_pitch: Optional[int] = None
-    terms: tuple = ()
-    masked: bool = False
+    __slots__ = __match_args__ = ("end", "rest", "cell", "anchor", "partner_delta", "last_pitch",
+                                  "terms", "masked")
+
+    def __init__(self, end: tuple[float, bool], rest: tuple[float, bool],
+                 cell: Optional[tuple] = None, anchor: Optional[int] = None,
+                 partner_delta: Optional[int] = None, last_pitch: Optional[int] = None,
+                 terms: tuple = (), masked: bool = False):
+        self.end = end
+        self.rest = rest
+        self.cell = cell
+        self.anchor = anchor
+        self.partner_delta = partner_delta
+        self.last_pitch = last_pitch
+        self.terms = terms
+        self.masked = masked
 
 
 def _clock(time_signature: tuple[int, int], tokens: Sequence) -> tuple[int, dict, int, set[int]]:
@@ -838,14 +858,15 @@ def reward_events(
     return list(_fold(lyrics, melody, config)[1])
 
 
-@dataclass(frozen=True)
-class RewardSummary:
+class RewardSummary(_Record, frozen=True):
     """A pair's weighted reward: the total, its share per aspect, and every
     fired event tagged with the token index it fired on (None: at the end)."""
 
-    total: float
-    by_aspect: dict[Aspect, float]
-    events: tuple[tuple[Optional[int], RewardEvent], ...]
+    __match_args__ = ("total", "by_aspect", "events")
+
+    def __init__(self, total: float, by_aspect: dict[Aspect, float],
+                 events: tuple[tuple[Optional[int], RewardEvent], ...]):
+        vars(self).update(total=total, by_aspect=by_aspect, events=events)
 
 
 def score_rewards(

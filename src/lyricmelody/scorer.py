@@ -48,12 +48,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, Union
 
 from .errors import TrainingError
-from .lyrics import _fields, _json
+from .lyrics import _Record, _fields, _json, _set
 from .melody import END, Melody, MelodyToken, RhythmToken, TokenKind, _duration
 
 __all__ = [
@@ -150,26 +149,24 @@ def _decode(kind: str, text) -> Token:
     raise TrainingError(f"malformed {kind} token {text!r}")
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Finite, deterministically ordered token alphabet (END always last)."""
+class Vocabulary(_Record, frozen=True):
+    """Finite, deterministically ordered token alphabet (END always last).
+    Pickled and copied from its fields, so the groups a decoder keeps on it
+    are dropped."""
 
-    kind: str
-    tokens: tuple[Token, ...]
+    __match_args__ = ("kind", "tokens")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, tokens: tuple[Token, ...]):
+        vars(self).update(kind=kind, tokens=tokens)
         _codec(self.kind)  # refuses an unknown kind
         if not self.tokens or self.tokens[-1] != END:
             raise TrainingError("vocabulary must end with the end-of-melody symbol")
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
+        _set(self, "_index", {t: i for i, t in enumerate(self.tokens)})
         if len(getattr(self, "_index")) != len(self.tokens):
             raise TrainingError("vocabulary contains duplicate tokens")
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __reduce__(self):  # from its fields, so the groups a decoder keeps on it are dropped
-        return type(self), (self.kind, self.tokens)
 
     def __contains__(self, token: Token) -> bool:
         return token in getattr(self, "_index")
@@ -253,11 +250,13 @@ class Scorer(Protocol):
     def log_prob_dist(self, context: Sequence[Token]) -> dict[Token, float]: ...
 
 
-@dataclass(frozen=True)
-class UniformScorer:
+class UniformScorer(_Record, frozen=True):
     """Flat distribution; useful as a null model and in enumerable tests."""
 
-    vocab: Vocabulary
+    __match_args__ = ("vocab",)
+
+    def __init__(self, vocab: Vocabulary):
+        _set(self, "vocab", vocab)
 
     def log_prob_dist(self, context: Sequence[Token]) -> dict[Token, float]:
         lp = -math.log(len(self.vocab))
@@ -431,16 +430,17 @@ def train_ngram(
 _SLOT_KINDS = {"token_model": "melody", "rhythm_model": "rhythm", "pitch_model": "pitch"}
 
 
-@dataclass(frozen=True)
-class ModelBundle:
+class ModelBundle(_Record, frozen=True):
     """The three models one training run produces, saved as a single file."""
 
-    token_model: NGramModel
-    rhythm_model: NGramModel
-    pitch_model: NGramModel
-
+    __match_args__ = ("token_model", "rhythm_model", "pitch_model")
     FORMAT = "lyricmelody-ngram"
     VERSION = 1
+
+    def __init__(self, token_model: NGramModel, rhythm_model: NGramModel,
+                 pitch_model: NGramModel):
+        vars(self).update(token_model=token_model, rhythm_model=rhythm_model,
+                          pitch_model=pitch_model)
 
     def to_json(self) -> str:
         doc = {slot: getattr(self, slot).to_dict() for slot in _SLOT_KINDS}

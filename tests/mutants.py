@@ -33,6 +33,8 @@ BUILD = ROOT / ".bench_build" / "mutants"
 CLI = "src/lyricmelody/cli.py"
 DECODER = "src/lyricmelody/decoder.py"
 INIT = "src/lyricmelody/__init__.py"
+LYRICS = "src/lyricmelody/lyrics.py"
+MELODY = "src/lyricmelody/melody.py"
 METRICS = "src/lyricmelody/metrics.py"
 REWARDS = "src/lyricmelody/rewards.py"
 SCORER = "src/lyricmelody/scorer.py"
@@ -228,6 +230,29 @@ MUTANTS = (
         "from .decoder import decode\n"
         "from .errors import AlignmentError, InputError, InternalError, OptionError\n",
         ("tests/test_budgets.py::test_each_command_runs_only_the_modules_it_calls",),
+    ),
+    Mutant(
+        "a record hash that leaves out the last field",
+        LYRICS,
+        "        return hash(self._values())\n",
+        "        return hash(self._values()[:-1])\n",
+        ("tests/test_records.py::test_repr_eq_and_hash_match_the_twins",),
+    ),
+    Mutant(
+        "the lyrics module importing dataclasses: every command but --version loads it",
+        LYRICS,
+        "import json\n",
+        "import dataclasses\nimport json\n",
+        ("tests/test_budgets.py::test_each_command_runs_only_the_modules_it_calls",
+         "tests/test_budgets.py::test_every_submodule_runs_without_dataclasses"),
+    ),
+    Mutant(
+        "a Melody that does not check its meter: a meter no beat grid holds builds",
+        MELODY,
+        "        check_meter(self.time_signature)\n",
+        "",
+        ("tests/test_melody.py::TestMelodyInvariants::test_meter_check_meter_rejects_never_builds",
+         "tests/test_midi.py::TestErrors::test_zero_time_signature_numerator"),
     ),
 )
 

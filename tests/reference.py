@@ -24,8 +24,9 @@ against a second, independently written route.
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from lyricmelody import (
@@ -53,27 +54,33 @@ from lyricmelody import (
 )
 from lyricmelody.decoder import (
     DecodeMode,
+    DecodeOptions,
     DecodeResult,
     _Context,
     _Hypothesis,
+    _VocabGroups,
     _group_vocab,
     _max_steps,
     score_decode,
 )
-from lyricmelody.lyrics import TONAL_TONES
+from lyricmelody.lyrics import TONAL_TONES, LyricSequence, Sentence, Syllable
 from lyricmelody.melody import check_meter, strong_offsets
-from lyricmelody.metrics import DEGREE_SCORES, _mean
+from lyricmelody.metrics import DEGREE_SCORES, EvaluationReport, _mean
 from lyricmelody.rewards import (
     ALL_ASPECTS,
     BoundaryKind,
     HarmonyDegree,
+    HarmonyTable,
+    RewardConfig,
     RewardEvent,
+    RewardSummary,
     _EventModel,
+    _Plan,
     _State,
     contour_matches,
     weighted_total,
 )
-from lyricmelody.scorer import REST_MARK, pitch_projection
+from lyricmelody.scorer import REST_MARK, ModelBundle, UniformScorer, Vocabulary, pitch_projection
 
 
 def ngram_prob(model, token, ctx):
@@ -425,6 +432,12 @@ def exhaustive_argmax(lyrics, scorer, config, active, max_notes, time_signature=
             best = cand
     assert best is not None
     return best
+
+
+def replace(obj, **changes):
+    """``obj`` with ``changes``: a record of the package builds it through its
+    constructor, by its own ``__replace__`` (``copy.replace`` on Python 3.13)."""
+    return obj.__replace__(**changes)
 
 
 def _check_aligned(lyrics, melody):
@@ -984,3 +997,235 @@ def reference_read_midi(data: bytes) -> Melody:
     if end_tick is not None and end_tick > prev_end:
         tokens.append(MelodyToken(TokenKind.REST, Fraction(end_tick - prev_end, division)))
     return Melody(tuple(tokens), time_signature)
+
+
+# ---------------------------------------------------------------------------
+# the package's record types, as the @dataclass declarations they replace
+# ---------------------------------------------------------------------------
+# Each twin has its record's fields, defaults and flags, so the methods
+# dataclasses generates from them are the oracle for the record's own.  A
+# twin is built from a record's stored fields and checks nothing; a
+# __post_init__ only derives the fields the record derives, or keeps a
+# mapping read-only as the record does, and the two twins that hold one
+# pickle through their constructor, as the records do.  The tokens' twins
+# take their fields in a generated __init__ where the tokens intern through
+# __new__.
+
+
+@dataclass(frozen=True)
+class DecodeOptionsTwin:
+    mode: object = DecodeMode.BEAM_SOFT
+    beam_width: object = 4
+    top_k: object = 5
+    temperature: object = 0.5
+    rerank_candidates: object = 10
+    max_notes_per_syllable: object = 4
+    seed: object = 0
+    time_signature: object = (4, 4)
+    active: object = ALL_ASPECTS
+
+
+@dataclass
+class _VocabGroupsTwin:
+    starts: object
+    continuations: object
+    rests: object
+    end: object
+
+
+@dataclass(slots=True)
+class _HypothesisTwin:
+    tokens: object
+    key: object
+    state: object
+    base: object = 0.0
+    reward: object = 0.0
+
+
+@dataclass(frozen=True)
+class DecodeResultTwin:
+    melody: object
+    score: object
+    base_logprob: object
+    reward_total: object
+    mode: object
+    relaxation_steps: object = ()
+    stage_scores: object = None
+
+
+@dataclass(frozen=True, slots=True)
+class SyllableTwin:
+    text: object
+    tone: object
+    word_position: object
+    stress_class: object
+    sentence_index: object
+    sentence_final: object
+
+
+@dataclass(frozen=True, slots=True)
+class SentenceTwin:
+    span: object
+    intonation: object
+
+
+@dataclass(frozen=True, slots=True)
+class LyricSequenceTwin:
+    syllables: object
+    sentences: object
+    language: object
+
+
+@dataclass(frozen=True)
+class StructureMatrixTwin:
+    pairs: object
+    partner: object = field(init=False, hash=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "partner", dict(self.pairs))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class MelodyTokenTwin:
+    kind: object
+    duration: object
+    pitch: object = None
+    syllable_start: object = False
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RhythmTokenTwin:
+    kind: object
+    duration: object
+    syllable_start: object = False
+
+
+@dataclass(frozen=True)
+class MelodyTwin:
+    tokens: object
+    time_signature: object = (4, 4)
+    alignment: object = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alignment", Melody(self.tokens, self.time_signature).alignment)
+
+
+@dataclass(frozen=True)
+class EvaluationReportTwin:
+    tone_transition: object
+    tone_contour: object
+    matched_sw: object
+    matched_pauses: object
+    pd: object
+    dd: object
+    md: object
+
+
+@dataclass(frozen=True)
+class HarmonyTableTwin:
+    cells: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+
+    def __reduce__(self):
+        return type(self), (dict(self.cells),)
+
+
+@dataclass(frozen=True)
+class RewardConfigTwin:
+    lambda_tone: object = 1.2
+    lambda_rhythm: object = 1.5
+    lambda_structure: object = 1.0
+    transition_rewards: object = field(default_factory=lambda: {
+        HarmonyDegree.EXCELLENT: 3.0, HarmonyDegree.GOOD: 2.0,
+        HarmonyDegree.FAIR: 1.0, HarmonyDegree.BAD: 0.0})
+    shape_reward_on_match: object = 1.0
+    contour_reward_on_match: object = 1.0
+    sw_reward_on_match: object = 1.0
+    pause_reward_on_match: object = 1.0
+    structure_reward_exact: object = 2.0
+    structure_reward_octave: object = 1.0
+    long_note_threshold: object = Fraction(2)
+    harmony_table: object = field(default_factory=lambda: HarmonyTable({}))
+
+    def __post_init__(self):
+        rewards = MappingProxyType(dict(self.transition_rewards))
+        object.__setattr__(self, "transition_rewards", rewards)
+
+    def __reduce__(self):
+        values = (getattr(self, name) for name in self.__match_args__)
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+
+
+@dataclass(slots=True)
+class _StateTwin:
+    onset: object = 0
+    syl: object = -1
+    span_open: object = False
+    span_pitches: object = (None,)
+    last_duration: object = None
+    syl_delta: object = ()
+    sent_first: object = None
+
+
+@dataclass(slots=True)
+class _PlanTwin:
+    end: object
+    rest: object
+    cell: object = None
+    anchor: object = None
+    partner_delta: object = None
+    last_pitch: object = None
+    terms: object = ()
+    masked: object = False
+
+
+@dataclass(frozen=True)
+class RewardSummaryTwin:
+    total: object
+    by_aspect: object
+    events: object
+
+
+@dataclass(frozen=True)
+class VocabularyTwin:
+    kind: object
+    tokens: object
+
+
+@dataclass(frozen=True)
+class UniformScorerTwin:
+    vocab: object
+
+
+@dataclass(frozen=True)
+class ModelBundleTwin:
+    token_model: object
+    rhythm_model: object
+    pitch_model: object
+
+
+#: each record type of the package to its twin
+TWINS = {
+    DecodeOptions: DecodeOptionsTwin,
+    _VocabGroups: _VocabGroupsTwin,
+    _Hypothesis: _HypothesisTwin,
+    DecodeResult: DecodeResultTwin,
+    Syllable: SyllableTwin,
+    Sentence: SentenceTwin,
+    LyricSequence: LyricSequenceTwin,
+    StructureMatrix: StructureMatrixTwin,
+    MelodyToken: MelodyTokenTwin,
+    RhythmToken: RhythmTokenTwin,
+    Melody: MelodyTwin,
+    EvaluationReport: EvaluationReportTwin,
+    HarmonyTable: HarmonyTableTwin,
+    RewardConfig: RewardConfigTwin,
+    _State: _StateTwin,
+    _Plan: _PlanTwin,
+    RewardSummary: RewardSummaryTwin,
+    Vocabulary: VocabularyTwin,
+    UniformScorer: UniformScorerTwin,
+    ModelBundle: ModelBundleTwin,
+}

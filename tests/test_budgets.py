@@ -6,7 +6,6 @@ only be raised by a change that says why.
 """
 
 import argparse
-import dataclasses
 import enum
 import fractions
 import gc
@@ -625,10 +624,10 @@ def test_beam_counts_ticks_and_reads_rows(config, bundle, mode):
     # the decode state holds integer ticks and is built directly, a start
     # reads its pitch's terms off the event table's rows, and a plan weighs
     # its own events: inside the beam no Python-level Fraction method runs,
-    # no dataclasses.replace, no harmony interval scan, no weighted_total and
+    # no record's __replace__, no harmony interval scan, no weighted_total and
     # no is_maximal
     watched = {rewards._cell_degree.__code__: "_cell_degree",
-               dataclasses.replace.__code__: "dataclasses.replace",
+               decoder._Record.__replace__.__code__: "_Record.__replace__",
                rewards.weighted_total.__code__: "weighted_total",
                rewards.RewardEvent.is_maximal.fget.__code__: "RewardEvent.is_maximal"}
     fraction_file = fractions.Fraction.__new__.__code__.co_filename
@@ -762,10 +761,11 @@ def test_criterion_2_oracle_builds_one_event_model_per_sheet_and_preset(monkeypa
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: runs one command in a fresh process; its last line is the exit code and
-#: the package's submodules whose code ran
+#: runs one command in a fresh process; its last line is the exit code, the
+#: package's submodules whose code ran, and the modules of SLOW_IMPORTS it loaded
 RUN_COMMAND = """
 import json, sys, types
+before = set(sys.modules)  # what the interpreter's start-up loaded is not the command's
 import lyricmelody
 from lyricmelody.cli import main
 try:
@@ -773,7 +773,8 @@ try:
 except SystemExit as exc:  # --version and --help
     code = exc.code
 print(json.dumps([code, sorted(name for name in lyricmelody._EXPORTS
-                              if type(vars(lyricmelody)[name]) is types.ModuleType)]))
+                              if type(vars(lyricmelody)[name]) is types.ModuleType),
+                  sorted(set(sys.modules) - before)]))
 """
 
 #: eight threads behind a barrier each touch the package first, in one of
@@ -854,12 +855,42 @@ COMMAND_MODULES = {
 }
 
 
+#: standard modules no command may load: importing ``dataclasses`` takes
+#: several milliseconds, most of them in ``inspect``, and each class it
+#: decorates execs generated methods.  On Python 3.12.1 and 3.13.0
+#: ``importlib.resources``, which ``rewards`` imports, loads ``inspect``
+#: itself, so ``inspect`` is held out there.
+SLOW_IMPORTS = {"dataclasses"} | ({"inspect"} if sys.version_info < (3, 12) else set())
+
+
 @pytest.mark.parametrize("name", COMMAND_MODULES)
 def test_each_command_runs_only_the_modules_it_calls(cli_workspace, name):
-    # importing the package or the command line runs no submodule's code
+    # importing the package or the command line runs no submodule's code,
+    # and no command loads what its record types used to need
     command, modules = COMMAND_MODULES[name]
-    code, ran = fresh_process(RUN_COMMAND, *command, cwd=cli_workspace)
+    code, ran, loaded = fresh_process(RUN_COMMAND, *command, cwd=cli_workspace)
     assert code == 0 and set(ran) == modules
+    assert SLOW_IMPORTS.isdisjoint(loaded)
+
+
+def test_every_submodule_runs_without_dataclasses():
+    # the package's records are plain classes: running every submodule, the
+    # command line's too, loads no module of SLOW_IMPORTS
+    from lyricmelody import _EXPORTS
+
+    touch_all = """
+import json, sys, types
+before = set(sys.modules)
+import lyricmelody, lyricmelody.cli
+for names in lyricmelody._EXPORTS.values():
+    getattr(lyricmelody, names[0])
+print(json.dumps([sorted(name for name in lyricmelody._EXPORTS
+                         if type(vars(lyricmelody)[name]) is types.ModuleType),
+                  sorted(set(sys.modules) - before)]))
+"""
+    ran, loaded = fresh_process(touch_all)
+    assert ran == sorted(_EXPORTS)
+    assert SLOW_IMPORTS.isdisjoint(loaded)
 
 
 def test_threads_that_touch_the_package_first_all_see_it_whole():

@@ -39,7 +39,7 @@ from lyricmelody.rewards import (
 )
 from lyricmelody.scorer import END, _Table
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
-from reference import exhaustive_argmax, plain_beam_search, step_events
+from reference import exhaustive_argmax, plain_beam_search, replace, step_events
 
 from conftest import mk_melody
 
@@ -152,8 +152,6 @@ class TestHardMode:
     def test_relaxation_recorded_when_nothing_satisfies(self, config):
         # a single harmony cell that only accepts jumps the vocab cannot make
         from lyricmelody.rewards import HarmonyDegree, HarmonyTable
-        from dataclasses import replace
-
         impossible = HarmonyTable(
             {pair: ((-24, -20, HarmonyDegree.EXCELLENT), (0, 0, HarmonyDegree.BAD))
              for pair in config.harmony_table.cells}
@@ -695,8 +693,6 @@ class TestScoreFirstBeamMatchesReference:
         # and the rest only on a step that relaxes; with wide sets, and with
         # the empty sets of plans masked before any pitch, it keeps what the
         # every-candidate beam keeps
-        from dataclasses import replace
-
         from lyricmelody.decoder import _Context
 
         sizes = []
@@ -1137,8 +1133,6 @@ class TestProtocolOnlyScorers:
 
     @pytest.mark.parametrize("wrap", [ProtocolProxy, FreshDicts], ids=["proxy", "fresh dicts"])
     def test_every_mode_decodes_as_the_model(self, config, wrap):
-        from dataclasses import fields
-
         rng = random.Random(20261022)
         bundle = train_model_bundle([random_training_melody(rng) for _ in range(6)], order=3)
         models = (bundle.token_model, bundle.rhythm_model, bundle.pitch_model)
@@ -1150,6 +1144,5 @@ class TestProtocolOnlyScorers:
                 options = DecodeOptions(mode=mode, beam_width=3, rerank_candidates=3, seed=k)
                 want = decode(lyr, models[0], config, options, *models[1:])
                 got = decode(lyr, wrapped[0], config, options, *wrapped[1:])
-                for field in fields(want):
-                    assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), \
-                        (k, mode, field.name)
+                for name in want.__match_args__:
+                    assert repr(getattr(got, name)) == repr(getattr(want, name)), (k, mode, name)

@@ -2,7 +2,6 @@ import json
 import random
 import re
 from copy import deepcopy
-from dataclasses import replace
 
 import pytest
 
@@ -25,7 +24,7 @@ from lyricmelody import (
 )
 from lyricmelody.synthetic import random_lyrics
 from conftest import mutated_json, repeat_layout_lyrics
-from reference import reference_build_structure_matrix
+from reference import reference_build_structure_matrix, replace
 
 
 class TestParse:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +24,7 @@ from reference import (
     reference_structure_similarity,
     reference_tone_contour_score,
     reference_tone_transition_score,
+    replace,
 )
 
 
@@ -109,7 +109,6 @@ class TestTransition:
         assert evaluate_pair(lyr, melody, config).tone_transition is None
 
     def test_pairs_without_table_cell_not_scored(self, config):
-        from dataclasses import replace
 
         from lyricmelody import HarmonyTable, Tone
 

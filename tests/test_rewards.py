@@ -9,7 +9,6 @@ import re
 import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -55,8 +54,8 @@ from lyricmelody.rewards import (
 from lyricmelody.scorer import rhythm_projection
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics
 from conftest import BAD_DURATION_TEXTS, BAD_DURATION_VALUES, mk_melody, mutated_json
-from reference import (_gap_kind, close_events, reference_score_rewards, scan_reward_events,
-                       step_events)
+from reference import (_gap_kind, close_events, reference_score_rewards, replace,
+                       scan_reward_events, step_events)
 
 
 class TestPitchShape:
