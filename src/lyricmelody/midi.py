@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import MidiFormatError
 from .lyrics import LyricSequence
-from .melody import Melody, MelodyToken, TokenKind, _TOKENS, _check_aligned
+from .melody import Melody, MelodyToken, TokenKind, _RATIOS, _TOKENS, _check_aligned
 
 __all__ = ["read_midi", "write_midi", "TICKS_PER_QUARTER"]
 
@@ -31,9 +31,15 @@ TICKS_PER_QUARTER = 480
 
 _DEFAULT_TEMPO_US = 500_000  # 120 bpm
 
+#: the largest variable-length quantity a file holds: four bytes of seven bits
+_MAX_VLQ = 0x0FFFFFFF
+
 
 def _encode_vlq(value: int) -> bytes:
     """A MIDI variable-length quantity: ``value`` is a tick count, never negative."""
+    if value > _MAX_VLQ:
+        raise MidiFormatError(f"variable-length quantity {value} is over the 4-byte limit "
+                              f"{_MAX_VLQ} (0x0FFFFFFF) of a MIDI file")
     chunks = [value & 0x7F]
     value >>= 7
     while value:
@@ -65,17 +71,12 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
     """Serialize a melody to SMF format 0 at 480 TPQ.
 
     With ``lyrics`` given, syllable texts are embedded at syllable-starting
-    notes (counts must match, else AlignmentError).  Every duration must be representable in
-    whole ticks; the meter is one a Melody holds, so one the file can hold.
+    notes (counts must match, else AlignmentError).  Every duration must be a whole number
+    of ticks, and a note or a run of rests at most 0x0FFFFFFF; the meter is one a Melody
+    holds, so one the file can hold.
     """
     if lyrics is not None:
         _check_aligned(lyrics, melody)
-
-    def ticks(duration: Fraction) -> int:
-        t = duration * TICKS_PER_QUARTER
-        if t.denominator != 1:
-            raise MidiFormatError(f"duration {duration} is not a whole number of ticks")
-        return int(t)
 
     num, den = melody.time_signature
     track = bytearray()
@@ -85,8 +86,12 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
     syllable = 0
     pending = 0
     for tok in melody.tokens:
+        n, d = _RATIOS[tok]
+        ticks, inexact = divmod(n * TICKS_PER_QUARTER, d)
+        if inexact:
+            raise MidiFormatError(f"duration {tok.duration} is not a whole number of ticks")
         if tok.kind is TokenKind.REST:
-            pending += ticks(tok.duration)
+            pending += ticks
             continue
         if tok.syllable_start:
             text = lyrics.syllables[syllable].text if lyrics is not None else "~"
@@ -96,7 +101,7 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
         encoded = text.encode("utf-8")
         track += _encode_vlq(pending) + bytes([0xFF, 0x05]) + _encode_vlq(len(encoded)) + encoded
         track += _encode_vlq(0) + bytes([0x90, tok.pitch, 80])
-        track += _encode_vlq(ticks(tok.duration)) + bytes([0x80, tok.pitch, 0])
+        track += _encode_vlq(ticks) + bytes([0x80, tok.pitch, 0])
         pending = 0
     track += _encode_vlq(pending) + bytes([0xFF, 0x2F, 0x00])
 

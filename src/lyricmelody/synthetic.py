@@ -13,7 +13,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lyrics import LyricSequence, parse_lyrics
+from .lyrics import (_MARK_TONE, _WRITTEN_FLAGS, Language, LyricSequence, Tone,
+                     _assemble, detect_intonation)
 from .melody import Melody, MelodyToken, TokenKind
 
 __all__ = [
@@ -43,10 +44,13 @@ def random_lyrics(
     """A random annotated lyric sheet.
 
     ``repeat=True`` doubles the generated sentences into an A B A B layout so
-    structure metrics and rewards have something to latch onto.
+    structure metrics and rewards have something to latch onto.  Each drawn
+    mark, flag and punctuation is read through the parser's own tables and
+    the sentences go to its assembler, so the sheet passes the same assembly
+    checks as a parsed one, with no text in between.
     """
 
-    def one_sentence() -> str:
+    def one_sentence() -> tuple:
         words = []
         for _ in range(rng.randint(2, 4)):
             length = rng.choice([1, 1, 2]) if tonal else 1
@@ -57,17 +61,24 @@ def random_lyrics(
                 flags = "W" if pos == 0 else "I"
                 if pos == 0 and cls:
                     flags += f",{cls}"
-                words.append(f"{text}{mark}|{flags}")
-        punctuation = rng.choice([".", ".", "?", ","])
-        return " ".join(words) + " " + punctuation
+                words.append((text, _MARK_TONE.get(mark, Tone.NONE), *_WRITTEN_FLAGS[flags][:2]))
+        return detect_intonation(rng.choice([".", ".", "?", ","])), words
 
     base = [one_sentence() for _ in range(max(1, sentences))]
     if repeat:
         base = base + base  # A B ... A B ...
-    return parse_lyrics("\n".join(base))
+    return _assemble(base, Language.TONAL if tonal else Language.STRESS_ACCENT)
 
 
 _DEFAULT_DURATIONS = (Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def _choices(durations: Sequence[Fraction]) -> list:
+    """``durations`` as the list each draw chooses from; ValueError if it is empty."""
+    durations = list(durations)
+    if not durations:
+        raise ValueError("durations must hold at least one duration")
+    return durations
 
 
 def random_training_melody(
@@ -82,22 +93,25 @@ def random_training_melody(
     scorer training; reward-agnostic on purpose.  The walk ends on a note and
     starts on a syllable start."""
     lo, hi = pitch_range
+    durations = _choices(durations)
     length = length if length is not None else rng.randint(16, 32)
     if length < 1:
         raise ValueError(f"length must be at least 1 note, got {length}")
     pitch = rng.randint(lo, hi)
     tokens: list[MelodyToken] = []
-    while sum(1 for t in tokens if t.is_note) < length:
+    notes = 0
+    while notes < length:
         can_rest = tokens and tokens[-1].kind is TokenKind.NOTE
         if can_rest and rng.random() < rest_probability:
-            tokens.append(MelodyToken(TokenKind.REST, rng.choice(list(durations))))
+            tokens.append(MelodyToken(TokenKind.REST, rng.choice(durations)))
             continue
         step = rng.choice([-4, -2, -2, -1, 0, 1, 2, 2, 4])
         pitch = min(hi, max(lo, pitch + step))
         starts = True
         if tokens and tokens[-1].is_note and rng.random() < melisma_probability:
             starts = False
-        tokens.append(MelodyToken(TokenKind.NOTE, rng.choice(list(durations)), pitch, starts))
+        tokens.append(MelodyToken(TokenKind.NOTE, rng.choice(durations), pitch, starts))
+        notes += 1
     return Melody(tuple(tokens))
 
 
@@ -111,6 +125,7 @@ def random_aligned_melody(
 ) -> Melody:
     """A random melody correctly aligned to the given lyrics."""
     lo, hi = pitch_range
+    durations = _choices(durations)
     pitch = rng.randint(lo, hi)
     tokens: list[MelodyToken] = []
     for k in range(len(lyrics)):
@@ -119,8 +134,8 @@ def random_aligned_melody(
             step = rng.choice([-3, -2, -1, 0, 1, 2, 3])
             pitch = min(hi, max(lo, pitch + step))
             tokens.append(
-                MelodyToken(TokenKind.NOTE, rng.choice(list(durations)), pitch, i == 0)
+                MelodyToken(TokenKind.NOTE, rng.choice(durations), pitch, i == 0)
             )
         if k < len(lyrics) - 1 and rng.random() < rest_probability:
-            tokens.append(MelodyToken(TokenKind.REST, rng.choice(list(durations))))
+            tokens.append(MelodyToken(TokenKind.REST, rng.choice(durations)))
     return Melody(tuple(tokens))

@@ -36,8 +36,10 @@ INIT = "src/lyricmelody/__init__.py"
 LYRICS = "src/lyricmelody/lyrics.py"
 MELODY = "src/lyricmelody/melody.py"
 METRICS = "src/lyricmelody/metrics.py"
+MIDI = "src/lyricmelody/midi.py"
 REWARDS = "src/lyricmelody/rewards.py"
 SCORER = "src/lyricmelody/scorer.py"
+SYNTHETIC = "src/lyricmelody/synthetic.py"
 
 
 class Mutant(NamedTuple):
@@ -253,6 +255,29 @@ MUTANTS = (
         "",
         ("tests/test_melody.py::TestMelodyInvariants::test_meter_check_meter_rejects_never_builds",
          "tests/test_midi.py::TestErrors::test_zero_time_signature_numerator"),
+    ),
+    Mutant(
+        "fixture sheets that read an apostrophe as unstressed",
+        SYNTHETIC,
+        "_MARK_TONE.get(mark, Tone.NONE)",
+        "_MARK_TONE.get(mark.strip(\"'\"), Tone.NONE)",
+        ("tests/test_lyrics.py::TestRandomLyricsAgainstReference",),
+    ),
+    Mutant(
+        "a MIDI writer that floors a duration of no whole number of ticks",
+        MIDI,
+        "        if inexact:\n"
+        "            raise MidiFormatError(f\"duration {tok.duration} is not a whole number of ticks\")\n",
+        "",
+        ("tests/test_midi.py::TestRoundTrip::test_meter_a_file_cannot_hold_rejected",
+         "tests/test_midi.py::TestFuzzAgainstReference::test_writer_matches_the_fraction_reference"),
+    ),
+    Mutant(
+        "a variable-length quantity past four bytes, which no reader reads back",
+        MIDI,
+        "    if value > _MAX_VLQ:\n",
+        "    if False:\n",
+        ("tests/test_midi.py::TestErrors::test_a_length_no_file_can_hold_is_refused",),
     ),
 )
 

@@ -12,7 +12,9 @@ and boundary kind) from the alignment, the ``Fraction`` beat grid and
 sentence spans without the package's token-by-token event model, the
 per-aspect and weighted reward totals summed in two loops, the n-gram
 backoff probability evaluated one token and one backoff level at a time, a
-MIDI reader that takes one byte slice at a time, the four event metrics
+MIDI reader that takes one byte slice at a time and a writer that counts
+each token's ticks as a ``Fraction`` product, the seeded lyric sheet
+written out as text and parsed back, the four event metrics
 walked over the alignment (the strong/weak one read off the ``Fraction``
 beat grid), and the repetition structure (structure matrix and PD/DD/MD)
 taken from numbered sentence groups, with its own tuple-recurrence DTW and
@@ -45,6 +47,7 @@ from lyricmelody import (
     TokenKind,
     Tone,
     WordPosition,
+    parse_lyrics,
     pause_reward,
     pitch_contour_reward,
     pitch_shape_reward,
@@ -81,6 +84,7 @@ from lyricmelody.rewards import (
     weighted_total,
 )
 from lyricmelody.scorer import REST_MARK, ModelBundle, UniformScorer, Vocabulary, pitch_projection
+from lyricmelody.synthetic import _EN_WORDS, _SYLLABLES
 
 
 def ngram_prob(model, token, ctx):
@@ -997,6 +1001,72 @@ def reference_read_midi(data: bytes) -> Melody:
     if end_tick is not None and end_tick > prev_end:
         tokens.append(MelodyToken(TokenKind.REST, Fraction(end_tick - prev_end, division)))
     return Melody(tuple(tokens), time_signature)
+
+
+def _reference_vlq(value: int) -> bytes:
+    chunks = [value & 0x7F]
+    while value > 0x7F:
+        value >>= 7
+        chunks.insert(0, (value & 0x7F) | 0x80)
+    return bytes(chunks)
+
+
+def reference_write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
+    """SMF format 0 at 480 TPQ, each token's ticks a ``Fraction`` product;
+    MidiFormatError for a duration of no whole number of ticks."""
+    if lyrics is not None:
+        _check_aligned(lyrics, melody)
+
+    def ticks(duration: Fraction) -> int:
+        t = duration * 480
+        if t.denominator != 1:
+            raise MidiFormatError(f"duration {duration} is not a whole number of ticks")
+        return int(t)
+
+    num, den = melody.time_signature
+    events = [(0, bytes([0xFF, 0x58, 0x04, num, den.bit_length() - 1, 24, 8])),
+              (0, bytes([0xFF, 0x51, 0x03]) + (500_000).to_bytes(3, "big"))]
+    texts = iter(s.text for s in lyrics.syllables) if lyrics is not None else None
+    pending = 0
+    for tok in melody.tokens:
+        if tok.kind is TokenKind.REST:
+            pending += ticks(tok.duration)
+            continue
+        text = (next(texts) if texts else "~") if tok.syllable_start else "-"
+        encoded = text.encode("utf-8")
+        events.append((pending, bytes([0xFF, 0x05]) + _reference_vlq(len(encoded)) + encoded))
+        events.append((0, bytes([0x90, tok.pitch, 80])))
+        events.append((ticks(tok.duration), bytes([0x80, tok.pitch, 0])))
+        pending = 0
+    events.append((pending, bytes([0xFF, 0x2F, 0x00])))
+    track = b"".join(_reference_vlq(delta) + body for delta, body in events)
+    return (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480)
+            + b"MTrk" + struct.pack(">I", len(track)) + track)
+
+
+def reference_random_lyrics(rng, sentences: int = 3, tonal: bool = True, repeat: bool = False):
+    """The seeded sheet of :func:`lyricmelody.synthetic.random_lyrics`,
+    written out as annotated text and parsed back."""
+
+    def one_sentence() -> str:
+        words = []
+        for _ in range(rng.randint(2, 4)):
+            length = rng.choice([1, 1, 2]) if tonal else 1
+            cls = rng.choice(["K", "A", "", ""])
+            for pos in range(length):
+                text = rng.choice(_SYLLABLES if tonal else _EN_WORDS)
+                mark = str(rng.randint(1, 4)) if tonal else rng.choice(["'", "", ""])
+                flags = "W" if pos == 0 else "I"
+                if pos == 0 and cls:
+                    flags += f",{cls}"
+                words.append(f"{text}{mark}|{flags}")
+        punctuation = rng.choice([".", ".", "?", ","])
+        return " ".join(words) + " " + punctuation
+
+    base = [one_sentence() for _ in range(max(1, sentences))]
+    if repeat:
+        base = base + base  # A B ... A B ...
+    return parse_lyrics("\n".join(base))
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,88 @@ def test_evaluate_then_score_scans_repeats_once_with_no_python_fraction_or_enum_
     assert sum(evaluate_pair(*pair, config).md is not None for pair in pairs) >= 6
 
 
+def test_write_midi_counts_ticks_with_no_python_fraction_method():
+    # a token's ticks are its interned (numerator, denominator) pair times
+    # the division, divided in integers, so writing a file runs no
+    # Python-level Fraction method
+    fraction_file = fractions.Fraction.__new__.__code__.co_filename
+    write_code = write_midi.__code__
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event != "call":
+            return
+        if code is write_code:
+            calls["write_midi"] += 1
+        elif code.co_filename == fraction_file:
+            calls[f"Fraction {code.co_name}"] += 1
+
+    rng = random.Random(20261115)
+    durations = [fractions.Fraction(1, 3), fractions.Fraction(1, 2), 1, fractions.Fraction(5, 4)]
+    meters = [(4, 4), (3, 4), (6, 8)]
+    pairs = [(sheet, Melody(random_aligned_melody(sheet, rng, durations=durations).tokens,
+                            meters[k % 3]))
+             for k, sheet in enumerate(sheets(20261115, 12))]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for sheet, melody in pairs:
+            write_midi(melody, sheet)
+            write_midi(melody)
+    finally:
+        sys.setprofile(previous)
+    assert calls.pop("write_midi") == 2 * len(pairs)  # the profile saw every write
+    assert calls == {}
+
+
+def test_random_lyrics_assembles_its_sheet_with_no_text_to_parse():
+    # the drawn marks, flags and punctuation go through the parser's tables
+    # to its assembler, once per sheet; no text is written or parsed
+    watched = {lyrics.parse_lyrics.__code__: "parse_lyrics",
+               lyrics._parse_token.__code__: "_parse_token",
+               lyrics._assemble.__code__: "_assemble"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        drawn = sheets(20261116, 24)
+    finally:
+        sys.setprofile(previous)
+    assert calls == {"_assemble": len(drawn)}
+
+
+def test_random_training_melody_reads_is_note_once_per_note_after_the_first():
+    # the walk counts its notes as it appends them: the one is_note read per
+    # note drawn is whether the token before it is a note (a melisma may
+    # follow one), never a rescan of the walk so far
+    # (a read from the walk or a generator in its module, not from Melody's checks)
+    is_note_code = MelodyToken.is_note.fget.__code__
+    walk_file = random_training_melody.__code__.co_filename
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code is is_note_code
+                and frame.f_back.f_code.co_filename == walk_file):
+            calls["is_note"] += 1
+
+    rng = random.Random(20261117)
+    for length in (1, 2, 17, 200):
+        calls.clear()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            melody = random_training_melody(rng, length=length, rest_probability=0.5)
+        finally:
+            sys.setprofile(previous)
+        assert calls["is_note"] == length - 1 < len(melody.tokens), length
+
+
 def test_criterion_2_oracle_builds_one_event_model_per_sheet_and_preset(monkeypatch, config):
     # the exhaustive oracle rescores every complete sequence for one sheet
     # and preset; the reward_events memo reuses that pair's event model

@@ -24,7 +24,7 @@ from lyricmelody import (
 )
 from lyricmelody.synthetic import random_lyrics
 from conftest import mutated_json, repeat_layout_lyrics
-from reference import reference_build_structure_matrix, replace
+from reference import reference_build_structure_matrix, reference_random_lyrics, replace
 
 
 class TestParse:
@@ -236,6 +236,25 @@ class TestRoundTrip:
         with pytest.raises(LyricFormatError) as info:
             lyrics_from_json(json.dumps(doc))
         assert message in str(info.value)
+
+
+class TestRandomLyricsAgainstReference:
+    def test_seeded_sheets_and_rng_state_match_the_text_round_trip(self):
+        """Every seeded fixture sheet equals the one its draws spell as text
+        and parse back, and leaves the generator in the same state, so every
+        draw after it (each golden's fixtures) is the same too."""
+        languages = set()
+        for seed in range(300):
+            for tonal in (True, False):
+                for repeat in (False, True):
+                    for sentences in (1, 2, 3):
+                        rng, twin = random.Random(seed), random.Random(seed)
+                        sheet = random_lyrics(rng, sentences, tonal, repeat)
+                        want = reference_random_lyrics(twin, sentences, tonal, repeat)
+                        where = (seed, tonal, repeat, sentences)
+                        assert sheet == want and rng.getstate() == twin.getstate(), where
+                        languages.add(sheet.language)
+        assert languages == {Language.TONAL, Language.STRESS_ACCENT}
 
 
 class TestLoaderFuzz:

@@ -448,3 +448,12 @@ class TestRandomTrainingMelody:
 
         with pytest.raises(ValueError, match=rf"length must be at least 1 note, got {length}"):
             random_training_melody(rng, length=length)
+
+    @pytest.mark.parametrize("durations", [(), []])
+    def test_no_durations_are_refused_by_name(self, rng, durations):
+        from lyricmelody.synthetic import random_aligned_melody, random_training_melody
+
+        with pytest.raises(ValueError, match="durations must hold at least one duration"):
+            random_training_melody(rng, durations=durations)
+        with pytest.raises(ValueError, match="durations must hold at least one duration"):
+            random_aligned_melody(parse_lyrics("ni3|W hao3|I ."), rng, durations=durations)

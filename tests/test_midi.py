@@ -10,7 +10,7 @@ from lyricmelody import (AlignmentError, InputError, Melody, MidiFormatError, ev
 from lyricmelody.midi import TICKS_PER_QUARTER, _encode_vlq
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
 from conftest import mk_melody
-from reference import reference_read_midi
+from reference import reference_read_midi, reference_write_midi
 
 
 class TestRoundTrip:
@@ -174,6 +174,20 @@ class TestErrors:
         with pytest.raises(MidiFormatError, match="pitch"):
             read_midi(_raw_track(events))
 
+    @pytest.mark.parametrize("spec", [[(60, 600000)], [(60, 1), ("r", 600000), (62, 1)]],
+                             ids=["note", "rest"])
+    def test_a_length_no_file_can_hold_is_refused(self, spec):
+        # 600,000 quarters are 288,000,000 ticks, past the 0x0FFFFFFF a
+        # four-byte variable-length quantity holds; written, no reader reads it
+        with pytest.raises(MidiFormatError, match=r"over the 4-byte limit 268435455 \(0x0FFFFFFF\)"):
+            write_midi(mk_melody(spec))
+
+    def test_a_gap_of_the_largest_quantity_round_trips(self):
+        m = mk_melody([(60, 1), ("r", Fraction(0x0FFFFFFF, TICKS_PER_QUARTER)), (62, 1)])
+        data = write_midi(m)
+        assert _encode_vlq(0x0FFFFFFF) == b"\xff\xff\xff\x7f" and b"\xff\xff\xff\x7f" in data
+        assert read_midi(data) == m == reference_read_midi(data)
+
 
 class TestForeignFiles:
     def test_leading_silence_dropped(self):
@@ -244,6 +258,29 @@ class TestFuzzAgainstReference:
                 assert evaluate_pair(lyr, back, config) == report, (n, meter)
             built += 1
         assert 50 < built < 100
+
+    def test_writer_matches_the_fraction_reference(self):
+        """Seeded melodies in three meters, with durations of thirds, halves
+        and quarters, with lyrics and without: ``write_midi``'s integer ticks
+        write the bytes of a writer that multiplies ``Fraction``s, and a 1/7
+        duration, no whole number of ticks, raises the same error in both."""
+        rng = random.Random(39)
+        durations = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(5, 4),
+                     Fraction(3, 2), Fraction(2), Fraction(3)]
+        for n in range(60):
+            meter = [(4, 4), (3, 4), (6, 8)][n % 3]
+            if n % 2:
+                lyr = random_lyrics(rng, sentences=1 + n % 3, tonal=n % 4 == 1)
+                tokens = random_aligned_melody(lyr, rng, durations=durations).tokens
+            else:
+                lyr = None
+                tokens = random_training_melody(rng, durations=durations).tokens
+            melody = Melody(tokens, meter)
+            assert write_midi(melody, lyr) == reference_write_midi(melody, lyr), n
+        sevenths = Melody(tokens[:-1] + (mk_melody([(60, "1/7")]).tokens[0],), meter)
+        for writer in (write_midi, reference_write_midi):
+            with pytest.raises(MidiFormatError, match="^duration 1/7 is not a whole number of ticks$"):
+                writer(sevenths)
 
     def test_byte_mutations(self):
         """Seeded single-byte replacements, deletions and insertions of
