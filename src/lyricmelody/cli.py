@@ -7,8 +7,9 @@ reproduce it bit-exactly; all randomness flows through the single seed
 passed on the command line.
 
 Shared loaders: ``_decode_inputs`` (model, config, preset), ``_lyric_files``
-and ``_midi_files`` (a directory's inputs), ``_evaluate_one`` (one
-lyrics/MIDI pair) and ``_manifest`` (the record of a run).
+and ``_midi_files`` (a directory's inputs), ``_named`` (a read whose error
+names its file), ``_evaluate_one`` (one lyrics/MIDI pair) and ``_manifest``
+(the record of a run).
 
 The submodules are named here, never their functions, so importing this
 module runs none of their code, and each subcommand runs only the modules it
@@ -26,7 +27,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, decoder, lyrics, melody, metrics, midi, rewards, scorer
-from .errors import AlignmentError, InputError, InternalError, OptionError
+from .errors import (AlignmentError, InputError, InternalError, LyricFormatError,
+                     MidiFormatError, OptionError)
 
 CONFIG_ENV_VAR = "LYRICMELODY_CONFIG"
 
@@ -54,6 +56,15 @@ def _read_text(path: Path) -> str:
         return path.read_text("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _named(path: Path, read, *args):
+    """``read(*args)``, where a lyric, MIDI or alignment error names ``path``'s
+    file first, so a command that reads many files says which one failed."""
+    try:
+        return read(*args)
+    except (LyricFormatError, MidiFormatError, AlignmentError) as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
 
 
 def _load_config(path: Optional[str]) -> tuple[rewards.RewardConfig, Optional[Path]]:
@@ -147,7 +158,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     midi_paths = _midi_files(corpus_dir)
     if not midi_paths:
         raise InputError(f"no MIDI files in {corpus_dir}")
-    corpus = [midi.read_midi(p.read_bytes()) for p in midi_paths]
+    corpus = [_named(p, midi.read_midi, p.read_bytes()) for p in midi_paths]
     bundle = scorer.train_model_bundle(corpus, order=args.order, discount=args.discount)
     out = Path(args.out)
     out.write_text(bundle.to_json(), "utf-8")
@@ -219,12 +230,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _evaluate_one(lyrics_path: Path, midi_path: Path,
                   config: rewards.RewardConfig) -> metrics.EvaluationReport:
-    sheet = lyrics.parse_lyrics(_read_text(lyrics_path))
-    tune = midi.read_midi(midi_path.read_bytes())
-    try:
-        return metrics.evaluate_pair(sheet, tune, config)
-    except AlignmentError as exc:  # named by file, so directory mode names the pair
-        raise AlignmentError(f"{midi_path.name}: {exc}") from None
+    sheet = _named(lyrics_path, lyrics.parse_lyrics, _read_text(lyrics_path))
+    tune = _named(midi_path, midi.read_midi, midi_path.read_bytes())
+    return _named(midi_path, metrics.evaluate_pair, sheet, tune, config)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional
 
-from .errors import MidiFormatError
+from .errors import AlignmentError, MidiFormatError
 from .lyrics import LyricSequence
 from .melody import Melody, MelodyToken, TokenKind, _RATIOS, _TOKENS, _check_aligned
 
@@ -90,7 +90,7 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
         ticks, inexact = divmod(n * TICKS_PER_QUARTER, d)
         if inexact:
             raise MidiFormatError(f"duration {tok.duration} is not a whole number of ticks")
-        if tok.kind is TokenKind.REST:
+        if tok.kind is _REST:
             pending += ticks
             continue
         if tok.syllable_start:
@@ -111,35 +111,48 @@ def write_midi(melody: Melody, lyrics: Optional[LyricSequence] = None) -> bytes:
 
 # track event kinds, numbered in the order events at one tick are taken:
 # note-offs before note-ons, so back-to-back notes don't register as overlap
-_OFF, _LYRIC, _ON, _TIMESIG, _END = range(5)
+_OFF, _LYRIC, _ON = range(3)
+_NOTE, _REST = TokenKind.NOTE, TokenKind.REST  # read per token: a global, not a class attribute
 
 
-def _parse_track(data: bytes, pos: int, length: int) -> list[tuple[int, int, object]]:
-    """(tick, kind, value) events of the MTrk chunk whose body starts at
-    ``pos``: a pitch for a note-on or -off, the raw text of a lyric, a
-    (numerator, denominator) time signature.  Data bytes are read up to the
+def _parse_track(data: bytes, pos: int, length: int
+                 ) -> tuple[list[tuple[int, object]], Optional[tuple[int, int]], int]:
+    """The MTrk chunk whose body starts at ``pos``: its (order, value) events,
+    its first time signature as (numerator, denominator) or None, and the
+    tick of its end-of-track event.  An event's order is its tick times four
+    plus its kind, so sorting by order alone takes one tick's events in kind
+    order and the events of one kind in file order; its value is a pitch for
+    a note-on or -off, the raw text of a lyric.  Data bytes are read up to the
     end of the file, even past the chunk's stated length."""
     end = pos + length
-    events: list[tuple[int, int, object]] = []
+    events: list[tuple[int, object]] = []
+    append = events.append
+    meter = None
     tick = 0
     status = None
     try:
         while pos < end:
-            if data[pos] < 0x80:  # most delta times fit one byte, a note's length two
-                tick += data[pos]
+            b = data[pos]
+            if b < 0x80:  # most delta times fit one byte, a note's length two
+                tick += b
                 pos += 1
             elif data[pos + 1] < 0x80:
-                tick += (data[pos] & 0x7F) << 7 | data[pos + 1]
+                tick += (b & 0x7F) << 7 | data[pos + 1]
                 pos += 2
             else:
                 delta, pos = _vlq(data, pos)
                 tick += delta
-            if data[pos] >= 0x80:
-                status = data[pos]
+            b = data[pos]
+            if b >= 0x80:
+                status = b
                 pos += 1
             elif status is None:
                 raise MidiFormatError("running status with no prior status byte")
-            if status == 0xFF:
+            if status < 0xA0:  # a note-off or -on: two of every three events a melody has
+                pitch, velocity = data[pos], data[pos + 1]
+                pos += 2
+                append((tick << 2 | (_ON if status >= 0x90 and velocity else _OFF), pitch))
+            elif status == 0xFF:
                 meta, size = data[pos], data[pos + 1]
                 if size < 0x80:  # as is every lyric's length, up to 127 bytes
                     pos += 2
@@ -147,45 +160,48 @@ def _parse_track(data: bytes, pos: int, length: int) -> list[tuple[int, int, obj
                     size, pos = _vlq(data, pos + 1)
                 start, pos = pos, _take(data, pos, size)
                 if meta == 0x05:
-                    events.append((tick, _LYRIC, data[start:pos]))
-                elif meta == 0x58 and size >= 2:
-                    events.append((tick, _TIMESIG, (data[start], 1 << data[start + 1])))
+                    append((tick << 2 | _LYRIC, data[start:pos]))
+                elif meta == 0x58 and size >= 2 and meter is None:
+                    meter = (data[start], 1 << data[start + 1])
                 elif meta == 0x2F:
-                    events.append((tick, _END, None))
-                    break
+                    return events, meter, tick
                 status = None  # meta events cancel running status
-                continue
-            if status in (0xF0, 0xF7):  # sysex
+            elif status in (0xF0, 0xF7):  # sysex
                 size, pos = _vlq(data, pos)
                 pos = _take(data, pos, size)
                 status = None
-                continue
-            kind = status & 0xF0
-            if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                d1, d2 = data[pos], data[pos + 1]
-                pos += 2
-            elif kind in (0xC0, 0xD0):
-                d1, d2 = data[pos], 0
-                pos += 1
+            elif status < 0xF0:  # the other channel events: one data byte, or two
+                pos = _take(data, pos, 1 if 0xC0 <= status < 0xE0 else 2)
             else:
                 raise MidiFormatError(f"unexpected status byte 0x{status:02x}")
-            if kind == 0x90 and d2 > 0:
-                events.append((tick, _ON, d1))
-            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                events.append((tick, _OFF, d1))
-        else:
-            raise MidiFormatError("track chunk missing end-of-track event")
     except IndexError:
         raise MidiFormatError("truncated MIDI file") from None
-    return events
+    raise MidiFormatError("track chunk missing end-of-track event")
+
+
+class _Ratios(dict):
+    """Tick counts to their (numerator, denominator) over one file's
+    division, reduced by one ``gcd`` per tick count, on its first read."""
+
+    __slots__ = ("division",)
+
+    def __init__(self, division: int):
+        self.division = division
+
+    def __missing__(self, ticks: int) -> tuple[int, int]:
+        g = gcd(ticks, self.division)
+        self[ticks] = ratio = (ticks // g, self.division // g)
+        return ratio
 
 
 def read_midi(data: bytes) -> Melody:
     """Parse SMF bytes back into a Melody.
 
     Rejects SMPTE timing, more than one note-bearing track, any overlap
-    between notes (polyphony), and a note pitch or time signature that
-    :class:`~lyricmelody.melody.Melody` rejects.
+    between notes (polyphony), a note that carries the melisma lyric ``-``
+    where no syllable is open (the first note, or one after a rest), and a
+    note pitch or time signature that :class:`~lyricmelody.melody.Melody`
+    rejects.
     """
     _take(data, 0, 4)
     if data[:4] != b"MThd":
@@ -204,7 +220,7 @@ def read_midi(data: bytes) -> Melody:
     if division == 0:
         raise MidiFormatError("zero ticks-per-quarter division")
 
-    tracks: list[list[tuple[int, int, object]]] = []
+    tracks: list[tuple] = []
     for _ in range(ntracks):
         while True:
             body = _take(data, pos, 8)
@@ -216,63 +232,62 @@ def read_midi(data: bytes) -> Melody:
         tracks.append(_parse_track(data, body, chunk_len))
         pos = body + chunk_len
 
-    note_tracks = [t for t in tracks if any(kind == _ON for _, kind, _ in t)]
+    note_tracks = [track for track in tracks
+                   if any(order & 3 == _ON for order, _ in track[0])]
     if not note_tracks:
         raise MidiFormatError("no notes found in any track")
     if len(note_tracks) > 1:
         raise MidiFormatError("more than one note-bearing track is not supported")
-    melodic = note_tracks[0]
+    events, _, end_tick = note_tracks[0]
+    time_signature = next((meter for _, meter, _ in tracks if meter is not None), (4, 4))
+    events.sort(key=itemgetter(0))
 
-    time_signature = (4, 4)
-    for track in tracks:
-        sigs = [value for _, kind, value in track if kind == _TIMESIG]
-        if sigs:
-            time_signature = sigs[0]
-            break
-    melodic.sort(key=itemgetter(0, 1))
-
-    lyric_at: dict[int, bytes] = {}
-    notes: list[tuple[int, int, int]] = []  # (start_tick, end_tick, pitch)
-    active: Optional[tuple[int, int]] = None  # (pitch, start_tick)
-    end_tick = None
-    for tick, kind, value in melodic:
-        if kind == _LYRIC:
-            lyric_at[tick] = value
-        elif kind == _ON:
-            if active is not None:
-                raise MidiFormatError(
-                    f"polyphony at tick {tick}: note {value} starts while "
-                    f"note {active[0]} is sounding"
-                )
-            active = (value, tick)
-        elif kind == _OFF:
-            if active is None or active[0] != value:
+    # one walk, in tick order, to each token's key in the token table: a
+    # note's at its note-off, a rest's at the next note-on or the track's end
+    keys: list[tuple] = []
+    ratios = _Ratios(division)
+    pitch = start = starts = None  # the sounding note: pitch, start tick, opens a syllable
+    last_end = None  # the last note-off's tick: silence before the first note is dropped
+    melisma_at = None  # the tick of the last lyric read, if that lyric was "-"
+    orphan = None  # (tick, pitch) of the first "-" note with no syllable open
+    for order, value in events:
+        tick, kind = order >> 2, order & 3
+        if kind == _OFF:
+            if value != pitch:
                 raise MidiFormatError(f"unmatched note-off for pitch {value} at tick {tick}")
-            notes.append((active[1], tick, active[0]))
-            active = None
-        elif kind == _END:
-            end_tick = tick
-    if active is not None:
-        raise MidiFormatError(f"note {active[0]} never receives a note-off")
+            num, den = ratios[tick - start]
+            keys.append((MelodyToken, _NOTE, num, den, pitch, starts))
+            last_end, pitch = tick, None
+        elif kind == _ON:
+            if pitch is not None:
+                raise MidiFormatError(
+                    f"polyphony at tick {tick}: note {value} starts while note {pitch} is sounding"
+                )
+            starts = melisma_at != tick  # a melisma continuation carries the lyric "-"
+            if last_end is None or tick > last_end:  # the first note, or one after a rest
+                if last_end is not None:
+                    num, den = ratios[tick - last_end]
+                    keys.append((MelodyToken, _REST, num, den, None, False))
+                if not starts and orphan is None:
+                    orphan = (tick, value)
+            pitch, start = value, tick
+        else:
+            melisma_at = tick if value == b"-" else None
+    if pitch is not None:
+        raise MidiFormatError(f"note {pitch} never receives a note-off")
+    if end_tick > last_end:
+        num, den = ratios[end_tick - last_end]
+        keys.append((MelodyToken, _REST, num, den, None, False))
 
-    def token(kind: TokenKind, ticks: int, pitch=None, starts=False) -> MelodyToken:
-        # the interned token under its table key, ticks over division reduced;
-        # only a miss goes through the checked constructor
-        g = gcd(ticks, division)
-        found = _TOKENS.get((MelodyToken, kind, ticks // g, division // g, pitch, starts))
-        return found or MelodyToken(kind, Fraction(ticks, division), pitch, starts)
-
-    tokens: list[MelodyToken] = []
-    prev_end = notes[0][0]  # leading silence is dropped
     try:
-        for start, stop, pitch in notes:
-            if start > prev_end:
-                tokens.append(token(TokenKind.REST, start - prev_end))
-            # a melisma continuation carries the lyric "-"
-            tokens.append(token(TokenKind.NOTE, stop - start, pitch, lyric_at.get(start) != b"-"))
-            prev_end = stop
-        if end_tick is not None and end_tick > prev_end:
-            tokens.append(token(TokenKind.REST, end_tick - prev_end))
-        return Melody(tuple(tokens), time_signature)
+        tokens = list(map(_TOKENS.get, keys))
+        if None in tokens:  # a token no read or melody built before, through its checks
+            tokens = [token or MelodyToken(kind, Fraction(num, den), pitch, starts)
+                      for token, (_, kind, num, den, pitch, starts) in zip(tokens, keys)]
+        return Melody(tokens, time_signature)
     except ValueError as exc:  # a pitch above 127, a zero-numerator meter
         raise MidiFormatError(str(exc)) from exc
+    except AlignmentError:  # the one stream rule the walk's tokens can break: ``orphan``'s
+        tick, pitch = orphan
+        raise MidiFormatError(f"note {pitch} at tick {tick} carries the melisma lyric '-' "
+                              f"but no syllable is open") from None

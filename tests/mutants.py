@@ -228,9 +228,9 @@ MUTANTS = (
     Mutant(
         "the command line importing a decoder function: every command runs the decoder",
         CLI,
-        "from .errors import AlignmentError, InputError, InternalError, OptionError\n",
+        "from .errors import (AlignmentError, InputError, InternalError, LyricFormatError,\n",
         "from .decoder import decode\n"
-        "from .errors import AlignmentError, InputError, InternalError, OptionError\n",
+        "from .errors import (AlignmentError, InputError, InternalError, LyricFormatError,\n",
         ("tests/test_budgets.py::test_each_command_runs_only_the_modules_it_calls",),
     ),
     Mutant(
@@ -278,6 +278,47 @@ MUTANTS = (
         "    if value > _MAX_VLQ:\n",
         "    if False:\n",
         ("tests/test_midi.py::TestErrors::test_a_length_no_file_can_hold_is_refused",),
+    ),
+    Mutant(
+        "an E flag accepted before a line's last syllable",
+        LYRICS,
+        "            if has_e and len(words) != len(tokens) - 1:\n",
+        "            if has_e and len(words) > len(tokens) - 1:\n",
+        ("tests/test_lyrics.py::TestParse::test_flag_e_only_sentence_final",
+         "tests/test_lyrics.py::TestParserAgainstReference"),
+    ),
+    Mutant(
+        "a misplaced E raised at once: a malformed token later on its line no longer outranks it",
+        LYRICS,
+        "                misplaced_e = True\n",
+        "                raise LyricFormatError(\n"
+        "                    f\"line {lineno}: flag E is only valid on the sentence-final syllable\"\n"
+        "                )\n",
+        ("tests/test_lyrics.py::TestParserAgainstReference::"
+         "test_the_first_fault_of_a_line_is_the_one_named",),
+    ),
+    Mutant(
+        "a '-' lyric compared as text, not bytes: every note read as a syllable start",
+        MIDI,
+        "melisma_at = tick if value == b\"-\" else None",
+        "melisma_at = tick if value == \"-\" else None",
+        ("tests/test_midi.py::TestRoundTrip::test_lyrics_attached_at_syllable_starts",
+         "tests/test_midi.py::TestFuzzAgainstReference::test_byte_mutations",
+         "tests/test_midi.py::TestMelismaLyrics"),
+    ),
+    Mutant(
+        "events sorted with their values: the wrong lyric taken when a tick holds two",
+        MIDI,
+        "    events.sort(key=itemgetter(0))\n",
+        "    events.sort()\n",
+        ("tests/test_midi.py::TestMelismaLyrics::test_the_last_lyric_at_a_tick_is_the_one_read",),
+    ),
+    Mutant(
+        "a ratio memo that keeps nothing: one gcd per token",
+        MIDI,
+        "        self[ticks] = ratio = (ticks // g, self.division // g)\n",
+        "        ratio = (ticks // g, self.division // g)\n",
+        ("tests/test_budgets.py::test_read_midi_takes_one_gcd_per_distinct_tick_count",),
     ),
 )
 

@@ -14,12 +14,13 @@ per-aspect and weighted reward totals summed in two loops, the n-gram
 backoff probability evaluated one token and one backoff level at a time, a
 MIDI reader that takes one byte slice at a time and a writer that counts
 each token's ticks as a ``Fraction`` product, the seeded lyric sheet
-written out as text and parsed back, the four event metrics
+written out as text and parsed back, the text parser as it read before its
+one pass per line (three walks per line), the four event metrics
 walked over the alignment (the strong/weak one read off the ``Fraction``
 beat grid), and the repetition structure (structure matrix and PD/DD/MD)
 taken from numbered sentence groups, with its own tuple-recurrence DTW and
 ``Fraction``-binned histogram.  Kept separate from the package so the
-decoder, the reward fold, the scorer's suffix tables, the MIDI reader and
+decoder, the reward fold, the scorer's suffix tables, the lyric and MIDI readers and
 the metrics counted over reward events and anchored on repeats are checked
 against a second, independently written route.
 """
@@ -38,6 +39,7 @@ from lyricmelody import (
     BeatStrength,
     Intonation,
     Language,
+    LyricFormatError,
     Melody,
     MelodyToken,
     MidiFormatError,
@@ -47,6 +49,8 @@ from lyricmelody import (
     TokenKind,
     Tone,
     WordPosition,
+    detect_intonation,
+    lyrics_from_json,
     parse_lyrics,
     pause_reward,
     pitch_contour_reward,
@@ -66,7 +70,7 @@ from lyricmelody.decoder import (
     _max_steps,
     score_decode,
 )
-from lyricmelody.lyrics import TONAL_TONES, LyricSequence, Sentence, Syllable
+from lyricmelody.lyrics import _MARK_TONE, TONAL_TONES, LyricSequence, Sentence, Syllable
 from lyricmelody.melody import check_meter, strong_offsets
 from lyricmelody.metrics import DEGREE_SCORES, EvaluationReport, _mean
 from lyricmelody.rewards import (
@@ -1067,6 +1071,151 @@ def reference_random_lyrics(rng, sentences: int = 3, tonal: bool = True, repeat:
     if repeat:
         base = base + base  # A B ... A B ...
     return parse_lyrics("\n".join(base))
+
+
+# ---------------------------------------------------------------------------
+# the text parser before its one pass per line, copied as it was
+# ---------------------------------------------------------------------------
+# Each line is read three times: tokens to 5-tuples, then a walk for the E
+# flag and the tone marks seen, then 4-tuples rebuilt for the assembler; its
+# own copies of the flag reader and the assembler keep it independent of the
+# package's.  Only the names differ from the original.
+
+
+
+
+_REFERENCE_FLAG_NAMES = {"W", "I", "K", "A", "E"}
+
+
+def _reference_flags(flag_part: str, token: str,
+                     lineno: int) -> tuple[WordPosition, StressClass, bool]:
+    """(position, class, has_E) of a token's flag text; the checks every spelling passes."""
+    flags = [f for f in flag_part.split(",") if f] if flag_part else []
+    unknown = set(flags) - _REFERENCE_FLAG_NAMES
+    if unknown:
+        raise LyricFormatError(
+            f"line {lineno}: unknown flag(s) {sorted(unknown)} in {token!r}"
+        )
+    has_w, has_i = "W" in flags, "I" in flags
+    if has_w == has_i:
+        raise LyricFormatError(
+            f"line {lineno}: token {token!r} needs exactly one of flags W or I"
+        )
+    if "K" in flags and "A" in flags:
+        raise LyricFormatError(f"line {lineno}: token {token!r} is both keyword and auxiliary")
+    stress = (
+        StressClass.KEYWORD
+        if "K" in flags
+        else StressClass.AUXILIARY if "A" in flags else StressClass.NEUTRAL
+    )
+    position = WordPosition.WORD_START if has_w else WordPosition.WORD_INNER
+    return position, stress, "E" in flags
+
+
+#: the flag texts :func:`serialize_lyrics` writes, read once here instead of per token
+_REFERENCE_WRITTEN_FLAGS = {text: _reference_flags(text, text, 0)
+                            for text in ("W", "I", "W,K", "W,A", "I,K", "I,A")}
+
+
+def _reference_parse_token(token: str,
+                           lineno: int) -> tuple[str, Tone, WordPosition, StressClass, bool]:
+    """Split one syllable token into (text, tone mark, position, class, has_E)."""
+    body, sep, flag_part = token.partition("|")
+    if not sep or not body:
+        raise LyricFormatError(f"line {lineno}: malformed syllable token {token!r}")
+    # only an ASCII digit is a tone mark; "²" or "٣" is part of the text
+    if body[-1] in "06789":
+        raise LyricFormatError(f"line {lineno}: tone digit out of range in {token!r}")
+    tone = _MARK_TONE.get(body[-1], Tone.NONE)  # NONE: UNSTRESSED later for stress-accent
+    if tone is not Tone.NONE:
+        body = body[:-1]
+    if not body:
+        raise LyricFormatError(f"line {lineno}: empty syllable text in {token!r}")
+    flags = _REFERENCE_WRITTEN_FLAGS.get(flag_part) or _reference_flags(flag_part, token, lineno)
+    return (body, tone, *flags)
+
+
+def reference_parse_lyrics(source: str) -> LyricSequence:
+    """Parse annotated lyrics (text format or its JSON mirror).
+
+    Annotations are taken verbatim; nothing is inferred beyond the language,
+    which follows from the tone marks used (any tone digit makes the sequence
+    tonal, otherwise it is stress-accent).  Raises
+    :class:`~lyricmelody.errors.LyricFormatError` with a line number on
+    malformed input.
+    """
+    if not source.strip():
+        raise LyricFormatError("empty lyrics input")
+    if source.lstrip()[0] == "{":
+        return lyrics_from_json(source)
+
+    raw_sentences: list[tuple[Intonation, list[tuple]]] = []
+    saw_digit = saw_apostrophe = False
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) < 2:
+            raise LyricFormatError(
+                f"line {lineno}: expected syllables followed by a punctuation token"
+            )
+        terminator = tokens[-1]
+        if "|" in terminator or len(terminator) != 1 or terminator[-1].isalnum():
+            raise LyricFormatError(
+                f"line {lineno}: line must end with a single punctuation token, got {terminator!r}"
+            )
+        parsed = [_reference_parse_token(tok, lineno) for tok in tokens[:-1]]
+        for pos, (_, tone, _, _, has_e) in enumerate(parsed):
+            # the mark read: a digit made a tonal tone, an apostrophe STRESSED
+            if tone is Tone.STRESSED:
+                saw_apostrophe = True
+            elif tone is not Tone.NONE:
+                saw_digit = True
+            if has_e and pos != len(parsed) - 1:
+                raise LyricFormatError(
+                    f"line {lineno}: flag E is only valid on the sentence-final syllable"
+                )
+        if parsed[0][2] is not WordPosition.WORD_START:
+            raise LyricFormatError(f"line {lineno}: first syllable of a sentence must carry W")
+        raw_sentences.append((detect_intonation(terminator), parsed))
+
+    if saw_digit and saw_apostrophe:
+        raise LyricFormatError("tonal and stress-accent tone marks mixed in one input")
+    language = Language.TONAL if saw_digit else Language.STRESS_ACCENT
+    return _reference_assemble([
+        (intonation, [(text, tone, wp, sc) for text, tone, wp, sc, _ in parsed])
+        for intonation, parsed in raw_sentences
+    ], language)
+
+
+def _reference_assemble(
+    sentences: list[tuple[Intonation, list[tuple]]], language: Language
+) -> LyricSequence:
+    """The sequence of ``(intonation, [(text, tone, word position, stress
+    class), ...])`` sentences in ``language``; refuses a syllable text, or a
+    tonal sheet without a tonal tone, that :func:`serialize_lyrics` could not
+    write back, and reads an unmarked (``none``) syllable of stress-accent
+    lyrics as unstressed, so both formats agree."""
+    unmarked = Tone.NONE if language is Language.TONAL else Tone.UNSTRESSED
+    syllables: list[Syllable] = []
+    spans: list[Sentence] = []
+    for si, (intonation, parsed) in enumerate(sentences):
+        start = len(syllables)
+        for pos, (text, tone, wp, sc) in enumerate(parsed):
+            if type(text) is not str or text.split() != [text] or "|" in text:
+                raise LyricFormatError(f"syllable text {text!r} is not one word without '|'")
+            if tone in (Tone.NONE, Tone.UNSTRESSED) and text[-1] in "0123456789'":
+                raise LyricFormatError(f"unmarked syllable text {text!r} ends in a tone mark")
+            if not syllables and text[0] == "{":
+                raise LyricFormatError(f"first syllable text {text!r} opens with '{{'")
+            tone = unmarked if tone is Tone.NONE else tone
+            syllables.append(Syllable(text, tone, wp, sc, si, pos == len(parsed) - 1))
+        spans.append(Sentence((start, len(syllables)), intonation))
+    # serialize_lyrics writes a tone digit only for a tonal tone, and
+    # parse_lyrics reads a sheet without one as stress-accent
+    if language is Language.TONAL and not any(s.tone in TONAL_TONES for s in syllables):
+        raise LyricFormatError("a tonal sheet needs a syllable with a tonal tone (tone1-tone5)")
+    return LyricSequence(tuple(syllables), tuple(spans), language)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from lyricmelody import (
     train_ngram,
 )
 from lyricmelody import build_melody_vocabulary, decoder, lyrics, metrics, parse_lyrics, rewards
-from lyricmelody import serialize_lyrics, write_midi
+from lyricmelody import midi, read_midi, serialize_lyrics, write_midi
+from lyricmelody import melody as melody_module
 from lyricmelody.decoder import score_two_stage
 from lyricmelody.melody import Melody, MelodyToken, RhythmToken
 from lyricmelody.scorer import END, NGramModel, UniformScorer, Vocabulary
@@ -772,11 +773,92 @@ def test_write_midi_counts_ticks_with_no_python_fraction_method():
     assert calls == {}
 
 
+def test_parse_lyrics_assembles_once_and_builds_each_syllable_once():
+    # one pass per line hands the assembler its tuples: one _assemble per
+    # sheet, and one Syllable per syllable, with no second build to check it
+    watched = {lyrics._assemble.__code__: "_assemble",
+               lyrics.Syllable.__init__.__code__: "Syllable"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    texts = [serialize_lyrics(sheet) for sheet in sheets(20261118, 24)]
+    previous = sys.getprofile()
+    for k, text in enumerate(texts):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            sheet = parse_lyrics(text)
+        finally:
+            sys.setprofile(previous)
+        assert calls == {"_assemble": 1, "Syllable": len(sheet)}, k
+    assert {sheet.language for sheet in map(parse_lyrics, texts)} == set(lyrics.Language)
+
+
+def midi_files(seed, n):
+    """``n`` seeded files in three meters, with durations of thirds and
+    quarters, with lyrics and without: every token of each is interned."""
+    rng = random.Random(seed)
+    durations = [fractions.Fraction(1, 3), fractions.Fraction(1, 2), 1, fractions.Fraction(5, 4)]
+    meters = [(4, 4), (3, 4), (6, 8)]
+    return [write_midi(Melody(random_aligned_melody(sheet, rng, durations=durations).tokens,
+                              meters[k % 3]), sheet if k % 2 else None)
+            for k, sheet in enumerate(sheets(seed, n))]
+
+
+def test_read_midi_takes_one_gcd_per_distinct_tick_count(monkeypatch):
+    # each tick count's ratio over the division is reduced once per read
+    real = midi.gcd
+    reduced = Counter()
+
+    def counted(ticks, division):
+        reduced[ticks] += 1
+        return real(ticks, division)
+
+    monkeypatch.setattr(midi, "gcd", counted)
+    repeating = 0
+    for k, data in enumerate(midi_files(20261119, 24)):
+        reduced.clear()
+        melody = read_midi(data)
+        durations = {t.duration for t in melody.tokens}
+        assert set(reduced.values()) == {1} and len(reduced) == len(durations), k
+        repeating += len(melody.tokens) > len(durations)
+    assert repeating >= 12  # most files read some tick count twice or more
+
+
+def test_read_midi_builds_no_token_and_runs_no_python_fraction_method_on_table_hits():
+    # a file of tokens the process has built reads each from the token table
+    # by its key: no token constructor, no Python-level Fraction method
+    fraction_file = fractions.Fraction.__new__.__code__.co_filename
+    watched = {read_midi.__code__: "read_midi", melody_module._token.__code__: "_token"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event != "call":
+            return
+        if code in watched:
+            calls[watched[code]] += 1
+        elif code.co_filename == fraction_file:
+            calls[f"Fraction {code.co_name}"] += 1
+
+    files = midi_files(20261120, 24)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for data in files:
+            read_midi(data)
+    finally:
+        sys.setprofile(previous)
+    assert calls == {"read_midi": len(files)}
+
+
 def test_random_lyrics_assembles_its_sheet_with_no_text_to_parse():
     # the drawn marks, flags and punctuation go through the parser's tables
     # to its assembler, once per sheet; no text is written or parsed
     watched = {lyrics.parse_lyrics.__code__: "parse_lyrics",
-               lyrics._parse_token.__code__: "_parse_token",
                lyrics._assemble.__code__: "_assemble"}
     calls = Counter()
 

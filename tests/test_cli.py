@@ -68,6 +68,19 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "tokens" in out and "vocabulary" in out
 
+    def test_unreadable_midi_file_is_named(self, workspace, tmp_path, capsys):
+        # a corpus holds many files: the error says which one failed
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for path in (workspace / "corpus").iterdir():
+            (corpus / path.name).write_bytes(path.read_bytes())
+        data = (corpus / "train_03.mid").read_bytes()
+        (corpus / "train_03.mid").write_bytes(data[:len(data) // 2])
+        out = tmp_path / "m.json"
+        assert main(["train", str(corpus), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: train_03.mid: truncated MIDI file\n"
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_writes_midi_tokens_manifest(self, workspace, model_path, tmp_path):
@@ -328,6 +341,29 @@ class TestEvaluate:
         assert main(["evaluate", str(lyrics), str(midi)]) == 1
         err = capsys.readouterr().err
         assert f"{where} has unknown keys ['{key}']" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["lyrics", "midi"])
+    def test_reader_errors_name_the_file(self, workspace, generated, tmp_path, capsys, fault):
+        # in directory mode each pair is read in turn: the error names the file
+        # that failed, as it does in single-file mode
+        lyrics_dir, midi_dir = tmp_path / "lyrics", tmp_path / "midi"
+        lyrics_dir.mkdir()
+        midi_dir.mkdir()
+        for stem in ("song_0", "song_1", "song_2"):
+            lyrics = (workspace / "lyrics" / f"{stem}.txt").read_bytes()
+            (lyrics_dir / f"{stem}.txt").write_bytes(lyrics)
+            (midi_dir / f"{stem}.mid").write_bytes((generated / f"{stem}.mid").read_bytes())
+        if fault == "lyrics":
+            (lyrics_dir / "song_1.txt").write_text("ni3|W\n", "utf-8")
+            name, message = "song_1.txt", LyricFormatError(
+                "line 1: expected syllables followed by a punctuation token")
+        else:
+            (midi_dir / "song_1.mid").write_bytes(b"RIFF")
+            name, message = "song_1.mid", MidiFormatError("not a Standard MIDI File (missing MThd)")
+        for lyrics, midi in [(lyrics_dir, midi_dir),
+                             (lyrics_dir / "song_1.txt", midi_dir / "song_1.mid")]:
+            assert main(["evaluate", str(lyrics), str(midi)]) == 1
+            assert capsys.readouterr().err == f"error: {name}: {message}\n"
 
     def test_alignment_mismatch_exit_one(self, workspace, generated, tmp_path, capsys):
         wrong = tmp_path / "wrong.txt"

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from copy import deepcopy
 
 import pytest
@@ -24,7 +25,8 @@ from lyricmelody import (
 )
 from lyricmelody.synthetic import random_lyrics
 from conftest import mutated_json, repeat_layout_lyrics
-from reference import reference_build_structure_matrix, reference_random_lyrics, replace
+from reference import (reference_build_structure_matrix, reference_parse_lyrics,
+                       reference_random_lyrics, replace)
 
 
 class TestParse:
@@ -110,12 +112,14 @@ class TestParse:
 
     @pytest.mark.parametrize("flags", sorted(WRITTEN_FLAGS))
     def test_written_flag_texts_read_as_the_full_checks_do(self, flags):
-        from lyricmelody.lyrics import _flags, _parse_token
+        from lyricmelody.lyrics import _flags
 
         token = f"ni3|{flags}"
         want = (*self.WRITTEN_FLAGS[flags], False)
         assert _flags(flags, token, 1) == want
-        assert _parse_token(token, 1) == ("ni", Tone.TONE3, *want)
+        syllable = parse_lyrics(f"hao3|W {token} .").syllables[1]
+        assert (syllable.text, syllable.tone, syllable.word_position,
+                syllable.stress_class) == ("ni", Tone.TONE3, *want[:2])
 
     def test_serialize_writes_only_the_table_flag_texts(self):
         # the synthetic sheets hold no inner keyword or auxiliary
@@ -255,6 +259,85 @@ class TestRandomLyricsAgainstReference:
                         assert sheet == want and rng.getstate() == twin.getstate(), where
                         languages.add(sheet.language)
         assert languages == {Language.TONAL, Language.STRESS_ACCENT}
+
+
+class TestParserAgainstReference:
+    """``parse_lyrics`` reads each line in one pass; the reference is the
+    parser it replaced, which read each line three times.  Both must read
+    every text to equal sheets, or refuse it with the same message."""
+
+    #: the format's own characters, the digits it refuses, a brace, a
+    #: superscript two and a few whitespace characters
+    ALPHABET = "anoy WIKAE|,.?'0123456789\n\t{²"
+
+    @classmethod
+    def mutate(cls, rng, text):
+        """``text`` with one character inserted, deleted or replaced, or one
+        token given a flag (E, valid only at a line's end, or K, A, W or I),
+        its W and I swapped, or its text cut to its last character."""
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(6)
+        if op == 0:
+            return text[:i] + rng.choice(cls.ALPHABET) + text[i:]
+        if op >= 4:
+            tokens = text.split(" ")
+            k = rng.randrange(len(tokens))
+            if op == 5:
+                body, _, flags = tokens[k].partition("|")
+                tokens[k] = rng.choice([body[-1:] + "|" + flags,
+                                        tokens[k].translate({ord("W"): "I", ord("I"): "W"})])
+            else:
+                tokens[k] += rng.choice([",E", ",E", ",K", ",A", ",W", ",I"])
+            return " ".join(tokens)
+        i = min(i, len(text) - 1)
+        if op == 1:
+            return text[:i] + text[i + 1:]
+        return text[:i] + rng.choice(cls.ALPHABET) + text[i + 1:]
+
+    def check(self, text):
+        """'parsed' or the refusal's message, after checking the two readers agree."""
+        try:
+            want = reference_parse_lyrics(text)
+        except LyricFormatError as exc:
+            with pytest.raises(LyricFormatError) as info:
+                parse_lyrics(text)
+            assert str(info.value) == str(exc), text
+            return str(exc)
+        got = parse_lyrics(text)
+        assert got == want and got.language is want.language, text
+        return "parsed"
+
+    @pytest.mark.parametrize("text", [
+        "ni3|W,E hao3|I .",  # E before the line's end
+        "ni3|W,E hao3|Q .",  # a malformed token after it outranks a misplaced E
+        "ni3|W,E hao0|I .",
+        "ni3|W,E hao3|I,E .",
+        "ni3|I,E hao3|I,E .",  # E outranks a first syllable without W
+        "ni3|W hao3|I,E .\nhi'|W,E there|W ?",
+        "ni3|W,E .\nhi'|W .",  # a misplaced mark after a valid E
+    ])
+    def test_the_first_fault_of_a_line_is_the_one_named(self, text):
+        self.check(text)
+
+    def test_mutated_sheets_read_or_fail_as_the_reference_does(self):
+        rng = random.Random(20261040)
+        outcomes = Counter()
+        for case in range(2000):
+            sheet = random_lyrics(rng, sentences=rng.randint(1, 3), tonal=case % 2 == 0,
+                                  repeat=case % 4 < 2)
+            text = serialize_lyrics(sheet)
+            for _ in range(rng.randint(0, 3)):
+                text = self.mutate(rng, text)
+            outcome = self.check(text)
+            outcomes[re.sub(r"^line \d+: |['\"[].*", "", outcome)] += 1
+        assert outcomes["parsed"] >= 400
+        refusals = {"flag E is only valid on the sentence-final syllable",
+                    "malformed syllable token ", "tone digit out of range in ",
+                    "unknown flag(s) ", "token ", "empty syllable text in ",
+                    "tonal and stress-accent tone marks mixed in one input",
+                    "first syllable of a sentence must carry W",
+                    "line must end with a single punctuation token, got "}
+        assert refusals <= set(outcomes), outcomes
 
 
 class TestLoaderFuzz:

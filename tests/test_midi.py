@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lyricmelody import (AlignmentError, InputError, Melody, MidiFormatError, evaluate_pair,
+from lyricmelody import (AlignmentError, Melody, MidiFormatError, evaluate_pair,
                          melody_from_json, melody_to_json, parse_lyrics, read_midi, write_midi)
 from lyricmelody.midi import TICKS_PER_QUARTER, _encode_vlq
 from lyricmelody.synthetic import random_aligned_melody, random_lyrics, random_training_melody
@@ -189,6 +189,57 @@ class TestErrors:
         assert read_midi(data) == m == reference_read_midi(data)
 
 
+def _lyric(text: bytes, delta: int = 0) -> bytes:
+    return _encode_vlq(delta) + bytes([0xFF, 0x05, len(text)]) + text
+
+
+def _note(pitch: int, ticks: int, delta: int = 0) -> bytes:
+    return (_encode_vlq(delta) + bytes([0x90, pitch, 80])
+            + _encode_vlq(ticks) + bytes([0x80, pitch, 0]))
+
+
+_END = _encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
+
+
+class TestMelismaLyrics:
+    @pytest.mark.parametrize("events, tick, pitch", [
+        (_lyric(b"-") + _note(60, 480) + _lyric(b"a") + _note(62, 480), 0, 60),
+        (_lyric(b"-", 960) + _note(60, 480) + _note(62, 480), 960, 60),  # after leading silence
+        (_lyric(b"a") + _note(60, 480) + _lyric(b"-", 240) + _note(62, 480), 720, 62),
+        (_lyric(b"a") + _note(60, 480) + _lyric(b"-") + _note(61, 480)
+         + _lyric(b"-", 1) + _note(62, 480) + _lyric(b"-", 1) + _note(64, 480), 961, 62),
+    ], ids=["first note", "first note after silence", "after a rest", "first of two"])
+    def test_a_dash_where_no_syllable_is_open_is_a_file_error(self, events, tick, pitch):
+        # the first note, or one after a rest, opens no syllable a "-" could continue
+        data = _raw_track(events + _END)
+        message = (f"note {pitch} at tick {tick} carries the melisma lyric '-' "
+                   f"but no syllable is open")
+        with pytest.raises(MidiFormatError) as info:
+            read_midi(data)
+        assert str(info.value) == message
+        with pytest.raises(AlignmentError):  # where the reference's Melody refuses it
+            reference_read_midi(data)
+
+    @pytest.mark.parametrize("lyrics, starts", [
+        ((b"-", b"a"), True), ((b"a", b"-"), False), ((b"-", b"-"), False), ((b"a", b"b"), True),
+    ])
+    def test_the_last_lyric_at_a_tick_is_the_one_read(self, lyrics, starts):
+        first, second = lyrics
+        events = (_lyric(b"a") + _note(60, 480) + _lyric(first) + _lyric(second)
+                  + _note(62, 480) + _END)
+        melody = read_midi(_raw_track(events))
+        assert [t.syllable_start for t in melody.tokens] == [True, starts]
+        assert melody == reference_read_midi(_raw_track(events))
+
+    def test_a_lyric_at_another_tick_marks_no_note(self):
+        # a "-" one tick before a note, or under the last note's off, is no melisma mark
+        events = (_lyric(b"a") + _note(60, 480, 0) + _lyric(b"-") + _lyric(b"-", 1)
+                  + _note(62, 480, 1) + _END)
+        melody = read_midi(_raw_track(events))
+        assert [t.syllable_start for t in melody.tokens if t.is_note] == [True, True]
+        assert melody == reference_read_midi(_raw_track(events))
+
+
 class TestForeignFiles:
     def test_leading_silence_dropped(self):
         # with a sysex event in it, which is skipped
@@ -286,7 +337,7 @@ class TestFuzzAgainstReference:
         """Seeded single-byte replacements, deletions and insertions of
         ``write_midi`` output: where the one-slice-per-byte reference reader
         returns a melody, ``read_midi`` returns an equal one in the same
-        meter; anywhere else it raises an InputError and nothing else."""
+        meter; anywhere else it raises a MidiFormatError and nothing else."""
         rng = random.Random(5)
         files = []
         for j in range(12):
@@ -307,7 +358,7 @@ class TestFuzzAgainstReference:
             try:
                 want = reference_read_midi(data)
             except Exception:  # the reference may fail any way it likes
-                with pytest.raises(InputError):
+                with pytest.raises(MidiFormatError):
                     read_midi(data)
                 outcomes["error"] += 1
                 continue
